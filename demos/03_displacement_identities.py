@@ -16,7 +16,9 @@ from pseudoboson import (
     bch_factorization_check,
     displaced_pair,
     intertwining_check,
+    make_pair,
     make_space,
+    metric_operator,
     power_similarity_check,
     projector_map,
     weyl,
@@ -25,6 +27,7 @@ from pseudoboson import (
 space = make_space(64)
 pmap = projector_map(space, space.basis_vector(0))
 riesz = pmap.riesz
+pair = make_pair(riesz)
 z = 1.0 + 1.0j
 
 W = weyl(space, z)
@@ -36,7 +39,7 @@ print("\n||U(z)|| =", round(disp.U.norm(), 6), "<= cond(S) =", round(riesz.cond,
 
 # Powers of the generator: S (z c^dag - conj(z) c)^k S^-1 = (z b - conj(z) a)^k.
 print("\npower-similarity relative residuals, k = 0..5:")
-for record in power_similarity_check(riesz, z, k_max=5):
+for record in power_similarity_check(pair, z, k_max=5):
     print(f"  k={record.n}: {record.residual:.3e}")
 
 # Normal-ordered factorization on the half-space: exact under the
@@ -45,11 +48,11 @@ print("\nfactorization residuals at half-space cutoffs, fixed z = 1:")
 for dim in (16, 32, 64):
     sp = make_space(dim)
     rz = projector_map(sp, sp.basis_vector(0)).riesz
-    records = bch_factorization_check(rz, 1.0, SafeSubspace(sp, 8))
+    records = bch_factorization_check(make_pair(rz), displaced_pair(rz, 1.0), SafeSubspace(sp, 8))
     print(f"  dim={dim:3d}: {max(r.residual for r in records):.3e}")
 
 # Intertwining: S S^dag V(z) = U(z) S S^dag, exact in truncation.
-record = intertwining_check(riesz, z, SafeSubspace(space, 63))
+record = intertwining_check(disp, metric_operator(riesz), SafeSubspace(space, 63))
 print("\nintertwining relative residual:", record.residual)
 
 # Group law with its metaplectic phase.

@@ -19,6 +19,8 @@ from pseudoboson import (
     example_wavefunctions,
     gauss_hermite_grid,
     hermite_basis,
+    make_space,
+    projector_map,
     write_wavefunction_csv,
 )
 
@@ -44,8 +46,10 @@ for zz in (1.0, 1 + 1j, 2j):
 # (T applied to the truncated coherent vector, expanded over Hermite
 # functions) match the closed forms in L2.
 print("\ncross-validation against the number-basis route (dim = 64):")
+space = make_space(64)
+pmap = projector_map(space, space.basis_vector(0))
 for zz in (1.0, 1 + 1j, 2j):
-    cv = cross_validate(zz, 64)
+    cv = cross_validate(zz, pmap)
     print(f"  z = {zz}: L2 deviations {cv.l2_dev_phi:.2e} / {cv.l2_dev_psi:.2e}, "
           f"pairing - 1 = {abs(cv.pairing - 1):.2e}")
 

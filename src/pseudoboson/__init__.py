@@ -33,7 +33,7 @@ from .bicoherent import (
     series_route,
     weak_pairing_check,
 )
-from .config import DEFAULT_TOLERANCES, MapSpec, RunConfig, build_map, load_config
+from .config import MapSpec, RunConfig, build_map, load_config
 from .coordinate import (
     CrossValidation,
     ProjectorMap,
@@ -82,7 +82,13 @@ from .fock import (
     make_space,
     restrict,
 )
-from .reports import CheckReport, ResidualRecord, format_report_table, reports_to_json
+from .reports import (
+    DEFAULT_TOLERANCES,
+    CheckReport,
+    ResidualRecord,
+    format_report_table,
+    reports_to_json,
+)
 from .riesz import (
     BiorthogonalFamily,
     MetricOperator,

@@ -22,7 +22,7 @@ from .errors import (
     ProvenanceError,
 )
 from .fock import FockSpace, Operator, SafeSubspace, ladder_c, restrict
-from .reports import ResidualRecord
+from .reports import ResidualRecord, default_tolerance
 from .riesz import BiorthogonalFamily, MetricOperator, RieszMap
 
 __all__ = [
@@ -179,9 +179,7 @@ def excited_states(pair: PseudoBosonPair, vac: VacuumPair, n_max: int) -> Biorth
     )
 
 
-def ladder_check(
-    pair: PseudoBosonPair, fam: BiorthogonalFamily, tolerance: float = 1e-9
-) -> list[ResidualRecord]:
+def ladder_check(pair: PseudoBosonPair, fam: BiorthogonalFamily) -> list[ResidualRecord]:
     """Residuals of the four ladder relations on the family.
 
     Checks ``b phi_n = sqrt(n+1) phi_{n+1}``, ``a phi_n = sqrt(n) phi_{n-1}``
@@ -194,6 +192,7 @@ def ladder_check(
     a_dag, b_dag = a.conj().T, b.conj().T
     phi, psi = fam.phi, fam.psi
     m = fam.size
+    tolerance = default_tolerance("ladder", pair.source.cond)
     records = []
 
     def rec(check: str, n: int, residual: float):
@@ -210,15 +209,14 @@ def ladder_check(
     return records
 
 
-def number_operator_check(
-    pair: PseudoBosonPair, fam: BiorthogonalFamily, tolerance: float = 1e-9
-) -> list[ResidualRecord]:
+def number_operator_check(pair: PseudoBosonPair, fam: BiorthogonalFamily) -> list[ResidualRecord]:
     """Eigenvector residuals of the number operator ``N = b a``:
     ``N phi_n = n phi_n`` and ``N^dag psi_n = n psi_n`` for all levels
     below the truncation edge (``n <= dim - 2``)."""
     N = pair.b.mat @ pair.a.mat
     N_dag = N.conj().T
     n_top = min(fam.size - 1, pair.space.dim - 2)
+    tolerance = default_tolerance("number_operator", pair.source.cond)
     records = []
     for n in range(n_top + 1):
         r_phi = float(np.linalg.norm(N @ fam.phi[:, n] - n * fam.phi[:, n]))
@@ -229,20 +227,16 @@ def number_operator_check(
 
 
 def theta_conjugacy_check(
-    pair: PseudoBosonPair,
-    metric: MetricOperator,
-    sub: SafeSubspace,
-    tolerance: float | None = None,
+    pair: PseudoBosonPair, metric: MetricOperator, sub: SafeSubspace
 ) -> ResidualRecord:
     """Residual of ``a = Theta^{-1} b^dag Theta`` on the safe subspace.
 
-    The default tolerance is ``1e-10 * cond^3``: each factor of ``S`` or
-    its inverse can amplify roundoff by the condition number.
+    The tolerance is ``1e-10 * cond^3``: each factor of ``S`` or its
+    inverse can amplify roundoff by the condition number.
     """
     if not np.array_equal(pair.source.S.mat, metric.source.S.mat):
         raise ProvenanceError("pair and metric operator come from different maps")
-    if tolerance is None:
-        tolerance = 1e-10 * pair.source.cond**3
+    tolerance = default_tolerance("theta_conjugacy", pair.source.cond)
     conjugated = Operator(
         pair.space, metric.theta_inv.mat @ pair.b.mat.conj().T @ metric.theta.mat
     )

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.polynomial.laguerre import laggauss
 from scipy.special import gammaln, logsumexp
 
-from .algebra import PseudoBosonPair, VacuumPair, make_pair
+from .algebra import PseudoBosonPair, VacuumPair
 from .errors import (
     DimensionMismatchError,
     ProvenanceError,
@@ -159,7 +159,7 @@ def rbcs(riesz: RieszMap, z: complex) -> BicoherentPair:
 
 
 def series_route(
-    riesz: RieszMap, z: complex, vac: VacuumPair
+    pair: PseudoBosonPair, z: complex, vac: VacuumPair
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bicoherent pair built the other way round: as the coherent series
     ``exp(-|z|^2/2) sum_n z^n/sqrt(n!) phi_n`` over the excited families
@@ -168,8 +168,7 @@ def series_route(
     With the closed-form vacua this agrees with :func:`rbcs` to roundoff;
     it is the independent route the two-route check compares.
     """
-    pair = make_pair(riesz)
-    d = riesz.dim
+    d = pair.space.dim
     z = complex(z)
     b = pair.b.mat
     a_dag = pair.a.mat.conj().T
@@ -212,8 +211,8 @@ def make_quadrature(dim: int, radial_count: int, angular_count: int) -> Quadratu
     Raises
     ------
     UnderResolvedError
-        On insufficient node counts, failed moment test, or underflowed
-        weights.
+        On insufficient node counts, zero or non-finite weights (``laggauss``
+        loses its weights from about 200 nodes), or a failed moment test.
     """
     if radial_count < dim:
         raise UnderResolvedError(
@@ -225,15 +224,15 @@ def make_quadrature(dim: int, radial_count: int, angular_count: int) -> Quadratu
             f"angular_count {angular_count} < 2*dim = {2 * dim}: angular grid aliases"
         )
     t, w = laggauss(radial_count)
-    if np.any(w <= 0.0):
+    if not np.all(np.isfinite(w) & (w > 0.0)):
         raise UnderResolvedError(
-            f"radial weights underflow at {radial_count} nodes; reduce radial_count"
+            f"radial weights are zero or non-finite at {radial_count} nodes; reduce radial_count"
         )
     # factorial moment test in log space (k! overflows float64 past k = 170)
     ks = np.arange(dim + 1)
     log_moments = logsumexp(np.log(w)[None, :] + ks[:, None] * np.log(t)[None, :], axis=1)
     rel_err = np.abs(np.exp(log_moments - gammaln(ks + 1)) - 1.0)
-    if rel_err.max() > 1e-10:
+    if not rel_err.max() <= 1e-10:  # written so that NaN fails
         raise UnderResolvedError(
             f"factorial moment test failed: max relative error {rel_err.max():.3e} for k <= {dim}"
         )

@@ -29,41 +29,14 @@ from pathlib import Path
 
 from .errors import ConditioningError, ConfigError
 from .fock import FockSpace
+from .reports import DEFAULT_TOLERANCES
 from .riesz import RieszMap, load_riesz_map, make_riesz_map, random_riesz_map
 from .fock import identity as identity_op
 from .coordinate import projector_map
 
-__all__ = ["MapSpec", "RunConfig", "load_config", "build_map", "DEFAULT_TOLERANCES"]
+__all__ = ["MapSpec", "RunConfig", "load_config", "build_map"]
 
 SCHEMA_VERSION = 1
-
-#: check name -> (base tolerance, power of cond multiplying it)
-DEFAULT_TOLERANCES: dict[str, tuple[float, int]] = {
-    "riesz_construction": (1e-12, 1),
-    "biorthogonality": (1e-10, 0),
-    "theta_family": (1e-10, 0),
-    "rank_one_theta": (1e-11, 0),
-    "rank_one_theta_inv": (1e-11, 0),
-    "theta_positivity": (1e-10, 0),
-    "ccr": (1e-10, 2),
-    "vacuum_match": (1e-10, 0),
-    "vacuum_pairing": (1e-12, 0),
-    "ladder": (1e-9, 0),
-    "number_operator": (1e-9, 0),
-    "number_spectrum": (1e-6, 2),
-    "theta_conjugacy": (1e-10, 3),
-    "power_similarity": (1e-7, 0),
-    "bch_u": (1e-8, 0),
-    "bch_v": (1e-8, 0),
-    "intertwining": (1e-9, 0),
-    "rbcs_pairing": (1e-11, 0),
-    "two_route": (1e-9, 1),
-    "eigen_eta": (1e-10, 0),
-    "eigen_xi": (1e-10, 0),
-    "resolution_identity": (1e-10, 0),
-    "coordinate_l2": (1e-8, 0),
-    "coordinate_pairing": (1e-9, 0),
-}
 
 _MAP_KEYS = {
     "identity": set(),
@@ -93,7 +66,6 @@ class RunConfig:
     z_samples: tuple[complex, ...]
     radial_count: int
     angular_count: int
-    quadrature_explicit: bool
     tolerances: dict = field(default_factory=dict)
     outputs: Path = Path("out")
     seed: int = 0
@@ -200,12 +172,11 @@ def load_config(
 
     quad = record.get("quadrature")
     if quad is None:
-        radial_count, angular_count, explicit = dim, 2 * dim + 1, False
+        radial_count, angular_count = dim, 2 * dim + 1
     else:
         _reject_unknown(quad, {"radial_count", "angular_count"}, "quadrature")
         radial_count = int(quad.get("radial_count", dim))
         angular_count = int(quad.get("angular_count", 2 * dim + 1))
-        explicit = True
 
     tolerances = record.get("tolerances", {})
     _reject_unknown(tolerances, set(DEFAULT_TOLERANCES), "tolerances")
@@ -231,7 +202,6 @@ def load_config(
         z_samples=z_samples,
         radial_count=radial_count,
         angular_count=angular_count,
-        quadrature_explicit=explicit,
         tolerances=dict(tolerances),
         outputs=outputs,
         seed=seed,

@@ -162,8 +162,9 @@ class CrossValidation:
     tail_bound: float
 
 
-def cross_validate(z: complex, dim: int, grid_order: int | None = None) -> CrossValidation:
-    """Compare the closed forms against the number-basis route.
+def cross_validate(z: complex, pmap: ProjectorMap) -> CrossValidation:
+    """Compare the closed forms against the number-basis route of the
+    ground-state projector map ``pmap`` (``u = e_0``).
 
     The number-basis route applies ``T`` and ``(T^{-1})^dag`` to the
     truncated coherent coefficient vector, expands in Hermite functions
@@ -174,21 +175,19 @@ def cross_validate(z: complex, dim: int, grid_order: int | None = None) -> Cross
     ``int conj(phi_z) psi_z dx``, which equals one exactly.
     """
     z = complex(z)
+    space = pmap.T.space
+    dim = space.dim
+    if not np.array_equal(pmap.u, space.basis_vector(0)):
+        raise ValidationError("the closed forms hold for the ground-state projector map only")
     if abs(z) ** 2 > dim / 4.0:
         raise ValidationError(
             f"|z|^2 = {abs(z)**2:.2f} exceeds dim/4 = {dim / 4:.2f}: tail not suppressed"
         )
-    if grid_order is None:
-        grid_order = dim + 10
-    if grid_order < dim + 10:
-        raise ValidationError(f"grid order must be >= dim + 10 = {dim + 10}")
-    space = FockSpace(dim)
-    pmap = projector_map(space, space.basis_vector(0))
     state = coherent(space, z)
     coeff_phi = pmap.T.mat @ state.vec
     coeff_psi = pmap.T_inv.mat.conj().T @ state.vec
 
-    x, w = gauss_hermite_grid(grid_order)
+    x, w = gauss_hermite_grid(dim + 10)
     stack = hermite_stack(dim - 1, x)
     phase = np.exp(1j * z.real * z.imag)  # number-basis -> closed-form convention
     fock_phi = phase * (coeff_phi @ stack)

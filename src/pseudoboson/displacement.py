@@ -24,11 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .algebra import make_pair
-from .errors import AccuracyRegimeWarning
+from .algebra import PseudoBosonPair
+from .errors import AccuracyRegimeWarning, ProvenanceError
 from .fock import FockSpace, Operator, SafeSubspace, ladder_c, ladder_c_dag, restrict
-from .reports import ResidualRecord
-from .riesz import RieszMap, metric_operator
+from .reports import ResidualRecord, default_tolerance
+from .riesz import MetricOperator, RieszMap
 
 __all__ = [
     "DisplacementSet",
@@ -94,7 +94,7 @@ def displaced_pair(riesz: RieszMap, z: complex) -> DisplacementSet:
 
 
 def power_similarity_check(
-    riesz: RieszMap, z: complex, k_max: int = 5, tolerance: float = 1e-7
+    pair: PseudoBosonPair, z: complex, k_max: int = 5
 ) -> list[ResidualRecord]:
     """Relative residuals of
     ``S (z c^dag - conj(z) c)^k S^{-1} = (z b - conj(z) a)^k``
@@ -103,12 +103,12 @@ def power_similarity_check(
     """
     if not 0 <= k_max <= 12:
         raise ValueError(f"k_max must be in [0, 12], got {k_max}")
-    space = riesz.space
+    space = pair.space
     sub = SafeSubspace(space, space.dim - k_max) if k_max > 0 else SafeSubspace(space, space.dim - 1)
-    pair = make_pair(riesz)
     G = z * ladder_c_dag(space).mat + (-np.conj(z)) * ladder_c(space).mat
     D = z * pair.b.mat + (-np.conj(z)) * pair.a.mat
-    Sm, Sim = riesz.S.mat, riesz.S_inv.mat
+    Sm, Sim = pair.source.S.mat, pair.source.S_inv.mat
+    tolerance = default_tolerance("power_similarity", pair.source.cond)
     Gk = np.eye(space.dim, dtype=complex)
     Dk = np.eye(space.dim, dtype=complex)
     records = []
@@ -128,19 +128,25 @@ def power_similarity_check(
 
 
 def bch_factorization_check(
-    riesz: RieszMap, z: complex, sub: SafeSubspace, tolerance: float = 1e-8
+    pair: PseudoBosonPair, disp: DisplacementSet, sub: SafeSubspace
 ) -> list[ResidualRecord]:
     """Relative residuals of the normal-ordered factorizations
     ``U(z) = e^{-|z|^2/2} e^{z b} e^{-conj(z) a}`` and
     ``V(z) = e^{-|z|^2/2} e^{z a^dag} e^{-conj(z) b^dag}`` on ``sub``.
 
-    The factorization is exact under the commutation relation, so the
-    restricted residual measures pure truncation tail; ``sub`` should
-    leave a margin of at least ``ceil(4 |z|^2)`` levels, otherwise an
-    :class:`AccuracyRegimeWarning` is issued.
+    ``U`` and ``V`` come from ``disp``; the exponentials of the pair are
+    computed here, since they are the independent route this check
+    tests.  The factorization is exact under the commutation relation,
+    so the restricted residual measures pure truncation tail; ``sub``
+    should leave a margin of at least ``ceil(4 |z|^2)`` levels, otherwise
+    an :class:`AccuracyRegimeWarning` is issued.  Raises
+    :class:`ProvenanceError` if ``pair`` and ``disp`` come from different
+    maps.
     """
-    space = riesz.space
-    margin = space.dim - math.ceil(4 * abs(z) ** 2)
+    if not np.array_equal(pair.source.S.mat, disp.source.S.mat):
+        raise ProvenanceError("pair and displacements come from different maps")
+    z = disp.z
+    margin = pair.space.dim - math.ceil(4 * abs(z) ** 2)
     if sub.cutoff > margin:
         warnings.warn(
             f"cutoff {sub.cutoff} exceeds dim - ceil(4|z|^2) = {margin}; "
@@ -148,33 +154,31 @@ def bch_factorization_check(
             AccuracyRegimeWarning,
             stacklevel=2,
         )
-    pair = make_pair(riesz)
-    disp = displaced_pair(riesz, z)
     gauss = np.exp(-abs(z) ** 2 / 2)
     a, b = pair.a.mat, pair.b.mat
-    U_fact = Operator(space, gauss * (expm(z * b) @ expm(-np.conj(z) * a)))
+    U_fact = Operator(pair.space, gauss * (expm(z * b) @ expm(-np.conj(z) * a)))
     V_fact = Operator(
-        space, gauss * (expm(z * a.conj().T) @ expm(-np.conj(z) * b.conj().T))
+        pair.space, gauss * (expm(z * a.conj().T) @ expm(-np.conj(z) * b.conj().T))
     )
     records = []
     for name, built, fact in (("bch_u", disp.U, U_fact), ("bch_v", disp.V, V_fact)):
         diff = float(np.linalg.norm(restrict(built - fact, sub), 2))
         scale = max(float(np.linalg.norm(restrict(built, sub), 2)), 1e-300)
-        records.append(
-            ResidualRecord(check=name, n=None, residual=diff / scale, tolerance=tolerance)
-        )
+        tol = default_tolerance(name, pair.source.cond)
+        records.append(ResidualRecord(check=name, n=None, residual=diff / scale, tolerance=tol))
     return records
 
 
 def intertwining_check(
-    riesz: RieszMap, z: complex, sub: SafeSubspace, tolerance: float = 1e-9
+    disp: DisplacementSet, metric: MetricOperator, sub: SafeSubspace
 ) -> ResidualRecord:
     """Residual of ``S S^dag V(z) = U(z) S S^dag`` on ``sub``, relative
     to ``||S S^dag||``.  Both sides telescope to ``S W(z) S^dag``, so the
-    residual is pure roundoff."""
-    disp = displaced_pair(riesz, z)
-    M = metric_operator(riesz).theta_inv  # S S^dag
+    residual is pure roundoff.  Raises :class:`ProvenanceError` if
+    ``disp`` and ``metric`` come from different maps."""
+    if not np.array_equal(disp.source.S.mat, metric.source.S.mat):
+        raise ProvenanceError("displacements and metric operator come from different maps")
+    M = metric.theta_inv  # S S^dag
     diff = float(np.linalg.norm(restrict(M @ disp.V - disp.U @ M, sub), 2))
-    return ResidualRecord(
-        check="intertwining", n=None, residual=diff / M.norm(), tolerance=tolerance
-    )
+    tol = default_tolerance("intertwining", disp.source.cond)
+    return ResidualRecord(check="intertwining", n=None, residual=diff / M.norm(), tolerance=tol)

@@ -66,7 +66,7 @@ class ProvenanceError(PseudoBosonError):
 class UnderResolvedError(PseudoBosonError):
     """Raised when a quadrature scheme fails its requirements for the
     requested truncation dimension: node counts below the conservative
-    bounds, a failed moment test, or underflowed weights."""
+    bounds, zero or non-finite weights, or a failed moment test."""
 
 
 class ConfigError(PseudoBosonError):

@@ -1,12 +1,48 @@
 """Structured residual records shared by the check functions and the
-batch verification runner."""
+batch verification runner, and the tolerance table both read."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
 
-__all__ = ["ResidualRecord", "CheckReport", "format_report_table", "reports_to_json"]
+__all__ = ["DEFAULT_TOLERANCES", "default_tolerance", "ResidualRecord", "CheckReport",
+           "format_report_table", "reports_to_json"]
+
+#: check name -> (base tolerance, power of cond multiplying it)
+DEFAULT_TOLERANCES: dict[str, tuple[float, int]] = {
+    "riesz_construction": (1e-12, 1),
+    "biorthogonality": (1e-10, 0),
+    "theta_family": (1e-10, 0),
+    "rank_one_theta": (1e-11, 0),
+    "rank_one_theta_inv": (1e-11, 0),
+    "theta_positivity": (1e-10, 0),
+    "ccr": (1e-10, 2),
+    "vacuum_match": (1e-10, 0),
+    "vacuum_pairing": (1e-12, 0),
+    "ladder": (1e-9, 0),
+    "number_operator": (1e-9, 0),
+    "number_spectrum": (1e-6, 2),
+    "theta_conjugacy": (1e-10, 3),
+    "power_similarity": (1e-7, 0),
+    "bch_u": (1e-8, 0),
+    "bch_v": (1e-8, 0),
+    "intertwining": (1e-9, 0),
+    "rbcs_pairing": (1e-11, 0),
+    "two_route": (1e-9, 1),
+    "eigen_eta": (1e-10, 0),
+    "eigen_xi": (1e-10, 0),
+    "resolution_identity": (1e-10, 0),
+    "coordinate_l2": (1e-8, 0),
+    "coordinate_pairing": (1e-9, 0),
+}
+
+
+def default_tolerance(name: str, cond: float) -> float:
+    """Tolerance of a named check for a map of condition number ``cond``:
+    the registered base times the registered power of ``cond``."""
+    base, power = DEFAULT_TOLERANCES[name]
+    return float(base) * float(cond) ** power
 
 
 @dataclass(frozen=True)

@@ -35,9 +35,10 @@ from .bicoherent import (
     series_route,
 )
 from .config import RunConfig, build_map
-from .coordinate import cross_validate
+from .coordinate import cross_validate, projector_map
 from .displacement import (
     bch_factorization_check,
+    displaced_pair,
     in_accuracy_regime,
     intertwining_check,
     power_similarity_check,
@@ -63,15 +64,20 @@ def _format_z(z: complex) -> str:
 
 
 class _Recorder:
-    """Collects reports with per-check wall time and pass/fail status."""
+    """Collects reports with pass/fail status.  A report's wall time is
+    the time since the previous one, so each span is counted once: a
+    shared object's build is charged to the next check, and of several
+    records from one computation the first carries its time."""
 
     def __init__(self, config: RunConfig, cond: float):
         self.config = config
         self.cond = cond
         self.reports: list[CheckReport] = []
+        self._lap = time.perf_counter()
 
     def add(self, name: str, residual: float, *, params: dict | None = None,
-            in_regime: bool = True, wall_time: float = 0.0, extra_tol: float = 0.0):
+            in_regime: bool = True, extra_tol: float = 0.0):
+        now = time.perf_counter()
         tol = self.config.tolerance(name, self.cond) + extra_tol
         if not in_regime:
             status = "out-of-regime"
@@ -84,16 +90,10 @@ class _Recorder:
                 residual=float(residual),
                 tolerance=tol,
                 status=status,
-                wall_time=wall_time,
+                wall_time=now - self._lap,
             )
         )
-
-    def run(self, name: str, fn, *, params: dict | None = None, in_regime: bool = True,
-            extra_tol: float = 0.0):
-        start = time.perf_counter()
-        residual = fn()
-        self.add(name, residual, params=params, in_regime=in_regime,
-                 wall_time=time.perf_counter() - start, extra_tol=extra_tol)
+        self._lap = now
 
 
 def _phase_aligned_distance(v: np.ndarray, w: np.ndarray) -> float:
@@ -142,63 +142,46 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
     space = riesz.space
     eye = np.eye(dim)
 
-    rec.run("riesz_construction",
-            lambda: np.linalg.norm(riesz.S.mat @ riesz.S_inv.mat - eye, 2))
+    rec.add("riesz_construction", np.linalg.norm(riesz.S.mat @ riesz.S_inv.mat - eye, 2))
 
     fam = biorthogonal_family(riesz)
-    rec.run("biorthogonality", lambda: np.abs(fam.gram() - eye).max())
+    rec.add("biorthogonality", np.abs(fam.gram() - eye).max())
 
     met = metric_operator(riesz)
-    rec.run("theta_family",
-            lambda: np.linalg.norm(met.theta.mat @ fam.phi - fam.psi, axis=0).max())
+    rec.add("theta_family", np.linalg.norm(met.theta.mat @ fam.phi - fam.psi, axis=0).max())
 
     theta_sum, theta_inv_sum = theta_rank_one_sums(fam)
-    rec.run("rank_one_theta", lambda: np.linalg.norm(theta_sum.mat - met.theta.mat, 2))
-    rec.run("rank_one_theta_inv",
-            lambda: np.linalg.norm(theta_inv_sum.mat - met.theta_inv.mat, 2))
+    rec.add("rank_one_theta", np.linalg.norm(theta_sum.mat - met.theta.mat, 2))
+    rec.add("rank_one_theta_inv", np.linalg.norm(theta_inv_sum.mat - met.theta_inv.mat, 2))
 
     A, B = riesz.frame_bounds
-
-    def positivity_residual():
-        eigs = np.linalg.eigvalsh(met.theta.mat)
-        return max(0.0, 1.0 / B - eigs[0], eigs[-1] - 1.0 / A)
-
-    rec.run("theta_positivity", positivity_residual)
+    theta_eigs = np.linalg.eigvalsh(met.theta.mat)
+    rec.add("theta_positivity", max(0.0, 1.0 / B - theta_eigs[0], theta_eigs[-1] - 1.0 / A))
 
     pair = make_pair(riesz)
     sub_top = SafeSubspace(space, dim - 1)
-    rec.run("ccr", lambda: np.linalg.norm(
+    rec.add("ccr", np.linalg.norm(
         restrict(commutator(pair.a, pair.b) - identity(space), sub_top), 2))
 
     cf = vacua_from_map(riesz)
-    start = time.perf_counter()
     try:
         extracted = vacua(pair)
     except (DegenerateKernelError, OrthogonalVacuaError) as exc:
-        rec.add("vacuum_match", float("inf"), params={"error": str(exc)},
-                wall_time=time.perf_counter() - start)
+        rec.add("vacuum_match", float("inf"), params={"error": str(exc)})
     else:
         r_phi = _phase_aligned_distance(extracted.phi0, cf.phi0 / np.linalg.norm(cf.phi0))
         psi_dir = extracted.psi0 / np.linalg.norm(extracted.psi0)
         r_psi = _phase_aligned_distance(psi_dir, cf.psi0 / np.linalg.norm(cf.psi0))
-        rec.add("vacuum_match", max(r_phi, r_psi),
-                wall_time=time.perf_counter() - start)
-        rec.run("vacuum_pairing",
-                lambda: abs(np.vdot(extracted.phi0, extracted.psi0) - 1.0))
+        rec.add("vacuum_match", max(r_phi, r_psi))
+        rec.add("vacuum_pairing", abs(np.vdot(extracted.phi0, extracted.psi0) - 1.0))
 
-    rec.run("ladder",
-            lambda: max(r.residual for r in ladder_check(pair, fam)))
-    rec.run("number_operator",
-            lambda: max(r.residual for r in number_operator_check(pair, fam)))
+    rec.add("ladder", max(r.residual for r in ladder_check(pair, fam)))
+    rec.add("number_operator", max(r.residual for r in number_operator_check(pair, fam)))
 
-    def spectrum_residual():
-        eigs = np.sort_complex(np.linalg.eigvals(pair.b.mat @ pair.a.mat))[: dim - 1]
-        return np.abs(eigs - np.arange(dim - 1)).max()
+    n_eigs = np.sort_complex(np.linalg.eigvals(pair.b.mat @ pair.a.mat))[: dim - 1]
+    rec.add("number_spectrum", np.abs(n_eigs - np.arange(dim - 1)).max())
 
-    rec.run("number_spectrum", spectrum_residual)
-
-    rec.run("theta_conjugacy",
-            lambda: theta_conjugacy_check(pair, met, sub_top).residual)
+    rec.add("theta_conjugacy", theta_conjugacy_check(pair, met, sub_top).residual)
 
     for z in config.z_samples:
         in_regime = in_accuracy_regime(space, z)
@@ -209,65 +192,50 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
         bch_cutoff = max(1, min(dim // 2, dim - math.ceil(4 * abs(z) ** 2) - 6))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # regime warnings are encoded in the status
-            rec.run("power_similarity",
-                    lambda z=z: max(r.residual for r in power_similarity_check(riesz, z)),
+            rec.add("power_similarity",
+                    max(r.residual for r in power_similarity_check(pair, z)),
                     params=zp, in_regime=in_regime)
-            start = time.perf_counter()
-            bch = bch_factorization_check(riesz, z, SafeSubspace(space, bch_cutoff))
-            dt = time.perf_counter() - start
-            for record in bch:
+            disp = displaced_pair(riesz, z)
+            for record in bch_factorization_check(pair, disp, SafeSubspace(space, bch_cutoff)):
                 rec.add(record.check, record.residual,
-                        params={**zp, "cutoff": bch_cutoff},
-                        in_regime=in_regime, wall_time=dt)
-            rec.run("intertwining",
-                    lambda z=z: intertwining_check(riesz, z, sub_top).residual,
+                        params={**zp, "cutoff": bch_cutoff}, in_regime=in_regime)
+            rec.add("intertwining", intertwining_check(disp, met, sub_top).residual,
                     params=zp, in_regime=in_regime)
 
             bc = rbcs(riesz, z)
-            rec.run("rbcs_pairing",
-                    lambda bc=bc: abs(np.vdot(bc.eta, bc.xi) - 1.0),
+            rec.add("rbcs_pairing", abs(np.vdot(bc.eta, bc.xi) - 1.0),
                     params=zp, in_regime=in_regime,
                     extra_tol=4.0 * riesz.cond * tail**2)
 
-            def two_route_residual(z=z, bc=bc):
-                phi_s, psi_s = series_route(riesz, z, cf)
-                return max(np.linalg.norm(phi_s - bc.eta), np.linalg.norm(psi_s - bc.xi))
+            phi_s, psi_s = series_route(pair, z, cf)
+            rec.add("two_route",
+                    max(np.linalg.norm(phi_s - bc.eta), np.linalg.norm(psi_s - bc.xi)),
+                    params=zp, in_regime=in_regime)
 
-            rec.run("two_route", two_route_residual, params=zp, in_regime=in_regime)
-
-            start = time.perf_counter()
             r_eta, r_xi = eigen_check(pair, bc)
-            dt = time.perf_counter() - start
             eigen_tail = 10.0 * np.sqrt(dim) * riesz.cond * tail
-            rec.add("eigen_eta", r_eta, params=zp, in_regime=in_regime,
-                    wall_time=dt, extra_tol=eigen_tail)
-            rec.add("eigen_xi", r_xi, params=zp, in_regime=in_regime,
-                    wall_time=dt, extra_tol=eigen_tail)
+            rec.add("eigen_eta", r_eta, params=zp, in_regime=in_regime, extra_tol=eigen_tail)
+            rec.add("eigen_xi", r_xi, params=zp, in_regime=in_regime, extra_tol=eigen_tail)
 
-    start = time.perf_counter()
     try:
         quad = make_quadrature(dim, config.radial_count, config.angular_count)
     except UnderResolvedError as exc:
-        rec.add("resolution_identity", float("inf"), params={"error": str(exc)},
-                wall_time=time.perf_counter() - start)
+        rec.add("resolution_identity", float("inf"), params={"error": str(exc)})
     else:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UnderResolvedWarning)
             rec.add("resolution_identity", resolution_of_identity(riesz, quad),
-                    params={"radial": quad.radial_count, "angular": quad.angular_count},
-                    wall_time=time.perf_counter() - start)
+                    params={"radial": quad.radial_count, "angular": quad.angular_count})
 
     if config.map_spec.kind == "projector" and config.map_spec.u_index == 0:
+        pmap = projector_map(space, space.basis_vector(0))
         for z in config.z_samples:
             if abs(z) ** 2 > dim / 4.0:
                 continue  # closed-form comparison needs a suppressed tail
             zp = {"z": _format_z(z)}
-            start = time.perf_counter()
-            cv = cross_validate(z, dim)
-            dt = time.perf_counter() - start
-            rec.add("coordinate_l2", max(cv.l2_dev_phi, cv.l2_dev_psi),
-                    params=zp, wall_time=dt)
-            rec.add("coordinate_pairing", abs(cv.pairing - 1.0), params=zp, wall_time=dt)
+            cv = cross_validate(z, pmap)
+            rec.add("coordinate_l2", max(cv.l2_dev_phi, cv.l2_dev_psi), params=zp)
+            rec.add("coordinate_pairing", abs(cv.pairing - 1.0), params=zp)
 
     reports = sorted(rec.reports, key=lambda r: (r.check_id, str(sorted(r.params.items()))))
     _write_outputs(out_dir, reports)
@@ -330,17 +298,22 @@ def convergence_study(config: RunConfig, dims: list[int]) -> tuple[Path, Path]:
             in_regime = in_accuracy_regime(space, z)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
+                disp = displaced_pair(riesz, z)
                 bch = max(
                     r.residual
-                    for r in bch_factorization_check(riesz, z, SafeSubspace(space, cutoff))
+                    for r in bch_factorization_check(pair, disp, SafeSubspace(space, cutoff))
                 )
                 r_eta, r_xi = eigen_check(pair, rbcs(riesz, z))
-                quad = make_quadrature(dim, dim, 2 * dim + 1)
-                deviation = resolution_of_identity(riesz, quad)
-                conv.writerow([dim, _format_z(z), in_regime, cutoff,
-                               f"{bch:.6e}", f"{r_eta:.6e}", f"{r_xi:.6e}", f"{deviation:.6e}"])
-                for radial in sorted({max(2, dim // 4), max(2, dim // 2), dim}):
-                    reduced = make_quadrature(radial, radial, 2 * dim + 1)
-                    dev = resolution_of_identity(riesz, reduced)
-                    quad_writer.writerow([dim, radial, 2 * dim + 1, f"{dev:.6e}"])
+                # each rule once, ascending: the full rule (radial = dim) has
+                # the largest node matrix, and building it last keeps the
+                # sweep's peak memory lowest; its value fills both tables
+                deviations = {
+                    radial: resolution_of_identity(
+                        riesz, make_quadrature(radial, radial, 2 * dim + 1))
+                    for radial in sorted({max(2, dim // 4), max(2, dim // 2), dim})
+                }
+            conv.writerow([dim, _format_z(z), in_regime, cutoff, f"{bch:.6e}",
+                           f"{r_eta:.6e}", f"{r_xi:.6e}", f"{deviations[dim]:.6e}"])
+            for radial, dev in deviations.items():
+                quad_writer.writerow([dim, radial, 2 * dim + 1, f"{dev:.6e}"])
     return conv_path, quad_path

@@ -19,6 +19,7 @@ from pseudoboson import (
     biorthogonal_family,
     commutator,
     cross_validate,
+    displaced_pair,
     eigen_check,
     example_wavefunctions,
     intertwining_check,
@@ -156,22 +157,26 @@ def test_criterion_06_projector_algebra(space64, projector_map64):
 def test_criterion_07_power_similarity_and_bch(all_maps64):
     worst_power = 0.0
     for riesz in all_maps64:
+        pair = make_pair(riesz)
         for z in Z_DISK:
-            records = power_similarity_check(riesz, z, k_max=5)
+            records = power_similarity_check(pair, z, k_max=5)
             worst_power = max(worst_power, max(r.residual for r in records))
 
     worst_bch = 0.0
     for riesz in all_maps64:
+        pair = make_pair(riesz)
         for z in (1.0, 0.5 + 0.5j, 1.0j):
             sub = SafeSubspace(riesz.space, 32)
-            records = bch_factorization_check(riesz, z, sub)
+            records = bch_factorization_check(pair, displaced_pair(riesz, z), sub)
             worst_bch = max(worst_bch, max(r.residual for r in records))
 
     decays = []
     for dim in (16, 32, 64):
         space = make_space(dim)
-        pmap = projector_map(space, space.basis_vector(0))
-        records = bch_factorization_check(pmap.riesz, 1.0, SafeSubspace(space, 8))
+        riesz = projector_map(space, space.basis_vector(0)).riesz
+        records = bch_factorization_check(
+            make_pair(riesz), displaced_pair(riesz, 1.0), SafeSubspace(space, 8)
+        )
         decays.append(max(r.residual for r in records))
     monotone = decays[0] >= decays[1] >= decays[2]
 
@@ -189,9 +194,11 @@ def test_criterion_08_intertwining(all_maps64):
     zs = 2.0 * np.sqrt(rng.uniform(0, 1, 20)) * np.exp(2j * np.pi * rng.uniform(0, 1, 20))
     worst = 0.0
     for riesz in all_maps64:
+        met = metric_operator(riesz)
         sub = SafeSubspace(riesz.space, 63)
         for z in zs:
-            worst = max(worst, intertwining_check(riesz, complex(z), sub).residual)
+            disp = displaced_pair(riesz, complex(z))
+            worst = max(worst, intertwining_check(disp, met, sub).residual)
     report("08 intertwining", worst <= 1e-9, f"max relative residual {worst:.3e} <= 1e-9 over 20 amplitudes")
 
 
@@ -207,7 +214,7 @@ def test_criterion_09_rbcs_properties(all_maps64):
             worst_pairing = max(worst_pairing, abs(np.vdot(bc.eta, bc.xi) - 1.0))
             r_eta, r_xi = eigen_check(pair, bc)
             worst_eigen = max(worst_eigen, r_eta, r_xi)
-            phi_s, psi_s = series_route(riesz, z, cf)
+            phi_s, psi_s = series_route(pair, z, cf)
             worst_two_route = max(
                 worst_two_route,
                 np.linalg.norm(phi_s - bc.eta),
@@ -271,11 +278,11 @@ def test_criterion_10_negative_control():
     )
 
 
-def test_criterion_11_coordinate_example():
+def test_criterion_11_coordinate_example(projector_map64):
     worst_l2 = 0.0
     worst_pairing = 0.0
     for z in Z_DISK:
-        cv = cross_validate(z, 64)
+        cv = cross_validate(z, projector_map64)
         worst_l2 = max(worst_l2, cv.l2_dev_phi, cv.l2_dev_psi)
         worst_pairing = max(worst_pairing, abs(cv.pairing - 1.0))
     phi, psi = example_wavefunctions(1.0, np.array([0.0]))

@@ -99,7 +99,7 @@ class TestRbcs:
 class TestSeriesRoute:
     def test_zero_amplitude_returns_vacua(self, random_map64):
         vac = vacua_from_map(random_map64)
-        phi, psi = series_route(random_map64, 0.0, vac)
+        phi, psi = series_route(make_pair(random_map64), 0.0, vac)
         np.testing.assert_allclose(phi, vac.phi0, atol=1e-15)
         np.testing.assert_allclose(psi, vac.psi0, atol=1e-15)
 
@@ -107,15 +107,16 @@ class TestSeriesRoute:
     def test_two_routes_agree(self, z, all_maps64):
         for riesz in all_maps64:
             bc = rbcs(riesz, z)
-            phi, psi = series_route(riesz, z, vacua_from_map(riesz))
+            phi, psi = series_route(make_pair(riesz), z, vacua_from_map(riesz))
             assert np.linalg.norm(phi - bc.eta) <= 1e-10
             assert np.linalg.norm(psi - bc.xi) <= 1e-10
 
     def test_norm_bounds(self, random_map64):
         # series norms inherit the map bounds: ||phi(z)|| <= ||S||
         A, B = random_map64.frame_bounds
+        pair = make_pair(random_map64)
         for z in (0.5, 1 + 1j, 2j):
-            phi, psi = series_route(random_map64, z, vacua_from_map(random_map64))
+            phi, psi = series_route(pair, z, vacua_from_map(random_map64))
             assert np.linalg.norm(phi) <= np.sqrt(B) * (1 + 1e-12)
             assert np.linalg.norm(psi) <= (1 + 1e-12) / np.sqrt(A)
 
@@ -183,6 +184,11 @@ class TestQuadrature:
     def test_insufficient_angular(self):
         with pytest.raises(UnderResolvedError):
             make_quadrature(16, 16, 16)
+
+    def test_non_finite_weights_rejected(self):
+        # laggauss(400) returns all-NaN weights, which pass a `w <= 0` guard
+        with np.errstate(all="ignore"), pytest.raises(UnderResolvedError, match="non-finite"):
+            make_quadrature(400, 400, 801)
 
 
 class TestResolutionOfIdentity:

@@ -167,26 +167,32 @@ class TestExampleWavefunctions:
             assert abs(np.sum(w * np.conj(phi) * psi) - 1.0) <= 1e-9
 
 
+def ground_projector(dim):
+    space = make_space(dim)
+    return projector_map(space, space.basis_vector(0))
+
+
 class TestCrossValidation:
     def test_zero_amplitude(self):
-        cv = cross_validate(0.0, 32)
+        cv = cross_validate(0.0, ground_projector(32))
         assert max(cv.max_dev_phi, cv.max_dev_psi) <= 1e-12
         assert abs(cv.pairing - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("z", [1.0, 1 + 1j, 2j])
-    def test_closed_form_matches_fock_route(self, z):
-        cv = cross_validate(z, 64)
+    def test_closed_form_matches_fock_route(self, z, projector_map64):
+        cv = cross_validate(z, projector_map64)
         assert cv.l2_dev_phi <= 1e-8
         assert cv.l2_dev_psi <= 1e-8
         assert abs(cv.pairing - 1.0) <= 1e-9
 
     def test_regime_guard(self):
         with pytest.raises(ValidationError):
-            cross_validate(4.0, 16)
+            cross_validate(4.0, ground_projector(16))
 
-    def test_grid_order_guard(self):
+    def test_ground_state_guard(self):
+        space = make_space(16)
         with pytest.raises(ValidationError):
-            cross_validate(1.0, 32, grid_order=16)
+            cross_validate(1.0, projector_map(space, space.basis_vector(1)))
 
 
 class TestCsvEmitter:

@@ -5,14 +5,17 @@ from hypothesis import strategies as st
 
 from pseudoboson import (
     AccuracyRegimeWarning,
+    ProvenanceError,
     SafeSubspace,
     bch_factorization_check,
     coherent,
     displaced_pair,
     in_accuracy_regime,
     intertwining_check,
+    make_pair,
     make_riesz_map,
     make_space,
+    metric_operator,
     power_similarity_check,
     weyl,
 )
@@ -99,38 +102,42 @@ class TestDisplacedPair:
 
 class TestPowerSimilarity:
     def test_k0_residual_zero(self, random_map64):
-        records = power_similarity_check(random_map64, 1 + 1j, k_max=0)
+        records = power_similarity_check(make_pair(random_map64), 1 + 1j, k_max=0)
         assert records[0].residual == 0.0
 
     def test_k1_construction_identity(self, random_map64):
-        records = power_similarity_check(random_map64, 1 + 1j, k_max=1)
+        records = power_similarity_check(make_pair(random_map64), 1 + 1j, k_max=1)
         assert records[1].residual <= 1e-11 * random_map64.cond
 
     @pytest.mark.parametrize("z", [1.0, 1 + 1j, 2j, 0.5 - 1.2j])
     def test_k5_random_maps(self, z, all_maps64):
         for riesz in all_maps64:
-            records = power_similarity_check(riesz, z, k_max=5)
+            records = power_similarity_check(make_pair(riesz), z, k_max=5)
             assert max(r.residual for r in records) <= 1e-7
             assert [r.n for r in records] == list(range(6))
 
     def test_k12_supported(self, projector_map64):
-        records = power_similarity_check(projector_map64.riesz, 1.0, k_max=12)
+        records = power_similarity_check(make_pair(projector_map64.riesz), 1.0, k_max=12)
         assert max(r.residual for r in records) <= 1e-7
 
     def test_k_out_of_range(self, random_map64):
         with pytest.raises(ValueError):
-            power_similarity_check(random_map64, 1.0, k_max=13)
+            power_similarity_check(make_pair(random_map64), 1.0, k_max=13)
 
 
 class TestBchFactorization:
     def test_zero_displacement(self, random_map64):
         sub = SafeSubspace(random_map64.space, 32)
-        records = bch_factorization_check(random_map64, 0.0, sub)
+        records = bch_factorization_check(
+            make_pair(random_map64), displaced_pair(random_map64, 0.0), sub
+        )
         assert all(r.residual <= 1e-14 for r in records)
 
     def test_identity_map_half_space(self, space64):
         riesz = make_riesz_map(identity(space64))
-        records = bch_factorization_check(riesz, 1.0, SafeSubspace(space64, 32))
+        records = bch_factorization_check(
+            make_pair(riesz), displaced_pair(riesz, 1.0), SafeSubspace(space64, 32)
+        )
         assert max(r.residual for r in records) <= 1e-8
 
     def test_monotone_decay_fixed_cutoff(self):
@@ -138,7 +145,9 @@ class TestBchFactorization:
         residuals = []
         for dim in (16, 32, 64):
             riesz = projector_riesz(dim)
-            records = bch_factorization_check(riesz, 1.0, SafeSubspace(riesz.space, 8))
+            records = bch_factorization_check(
+                make_pair(riesz), displaced_pair(riesz, 1.0), SafeSubspace(riesz.space, 8)
+            )
             residuals.append(max(r.residual for r in records))
         assert residuals[0] >= residuals[1] >= residuals[2]
         assert residuals[0] > 1e-9  # dim 16 is visibly tail-limited
@@ -146,24 +155,39 @@ class TestBchFactorization:
     def test_margin_violation_warns(self):
         space = make_space(16)
         riesz = make_riesz_map(identity(space))
+        disp = displaced_pair(riesz, 2.0)  # |z|^2 = dim/4: inside the regime
         with pytest.warns(AccuracyRegimeWarning):
             # cutoff 15 > dim - ceil(4|z|^2) = 16 - 16 = 0
-            bch_factorization_check(riesz, 2.0, SafeSubspace(space, 15))
+            bch_factorization_check(make_pair(riesz), disp, SafeSubspace(space, 15))
 
     def test_sides_reported_separately(self, random_map64):
-        records = bch_factorization_check(random_map64, 1.0, SafeSubspace(random_map64.space, 32))
+        records = bch_factorization_check(
+            make_pair(random_map64), displaced_pair(random_map64, 1.0),
+            SafeSubspace(random_map64.space, 32),
+        )
         assert {r.check for r in records} == {"bch_u", "bch_v"}
+
+    def test_provenance_mismatch(self, random_maps64):
+        first, other = random_maps64[:2]
+        with pytest.raises(ProvenanceError):
+            bch_factorization_check(
+                make_pair(first), displaced_pair(other, 1.0), SafeSubspace(first.space, 32)
+            )
 
 
 class TestIntertwining:
     def test_unitary_case(self, space64):
         riesz = make_riesz_map(identity(space64))
-        record = intertwining_check(riesz, 1.0, SafeSubspace(space64, 63))
+        record = intertwining_check(
+            displaced_pair(riesz, 1.0), metric_operator(riesz), SafeSubspace(space64, 63)
+        )
         assert record.residual <= 1e-13
 
     def test_projector_dim32(self):
         riesz = projector_riesz(32)
-        record = intertwining_check(riesz, 1.0, SafeSubspace(riesz.space, 31))
+        record = intertwining_check(
+            displaced_pair(riesz, 1.0), metric_operator(riesz), SafeSubspace(riesz.space, 31)
+        )
         assert record.residual <= 1e-11
 
     def test_twenty_random_amplitudes(self, all_maps64):
@@ -171,9 +195,17 @@ class TestIntertwining:
         zs = 2.0 * rng.uniform(0, 1, 20) * np.exp(2j * np.pi * rng.uniform(0, 1, 20))
         sub = SafeSubspace(make_space(64), 63)
         for riesz in all_maps64:
+            met = metric_operator(riesz)
             for z in zs:
-                record = intertwining_check(riesz, complex(z), sub)
+                record = intertwining_check(displaced_pair(riesz, complex(z)), met, sub)
                 assert record.residual <= 1e-9
+
+    def test_provenance_mismatch(self, random_maps64):
+        first, other = random_maps64[:2]
+        with pytest.raises(ProvenanceError):
+            intertwining_check(
+                displaced_pair(first, 1.0), metric_operator(other), SafeSubspace(first.space, 63)
+            )
 
     def test_both_sides_equal_s_w_sdag(self, random_map64):
         # the identity telescopes: S S^dag V(z) = S W(z) S^dag = U(z) S S^dag

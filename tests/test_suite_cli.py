@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -138,6 +139,19 @@ class TestRunSuite:
         assert reports[0].check_id == "riesz_construction"
         assert reports[0].status == "fail"
         assert "error" in reports[0].params
+
+    def test_wall_time_counted_once(self, tmp_path):
+        # records from one computation (bch_u/bch_v, eigen_eta/eigen_xi,
+        # coordinate_l2/coordinate_pairing) must not each carry its span
+        path = write_config(tmp_path / "c.json", dim=24,
+                            map_spec={"kind": "projector", "u_index": 0},
+                            z_samples=[[0, 0], [1, 0], [1, 1]])
+        cfg = load_config(path)
+        start = time.perf_counter()
+        reports = run_suite(cfg)
+        elapsed = time.perf_counter() - start
+        assert {"bch_v", "eigen_xi", "coordinate_pairing"} <= {r.check_id for r in reports}
+        assert sum(r.wall_time for r in reports) <= elapsed
 
     def test_determinism_modulo_wall_time(self, tmp_path):
         path = write_config(tmp_path / "c.json", dim=24,
