@@ -25,6 +25,7 @@ from pseudoboson import (
     theta_rank_one_sums,
     vacua_from_map,
 )
+from pseudoboson.reports import default_tolerance
 
 space = make_space(32)
 riesz = random_riesz_map(space, target_cond=10.0, seed=7)
@@ -63,11 +64,11 @@ grown = excited_states(pair, vacua_from_map(riesz), n_max=space.dim // 2)
 dev = np.linalg.norm(grown.phi - fam.phi[:, : space.dim // 2 + 1], axis=0).max()
 print("\nladder-recursion vs columns, max deviation:", dev)
 print("worst ladder residual:",
-      max(r.residual for r in ladder_check(pair, fam)))
+      max(r.max() for r in ladder_check(pair, fam).values()))
 print("worst number-operator residual:",
-      max(r.residual for r in number_operator_check(pair, fam)))
+      max(r.max() for r in number_operator_check(pair, fam)))
 
 # Metric conjugation a = Theta^-1 b^dag Theta on the safe subspace.
-record = theta_conjugacy_check(pair, met, SafeSubspace(space, space.dim - 1))
-print("\nmetric-conjugation residual:", record.residual,
-      "(tolerance", f"{record.tolerance:.1e})")
+residual = theta_conjugacy_check(pair, met, SafeSubspace(space, space.dim - 1))
+print("\nmetric-conjugation residual:", residual,
+      "(tolerance", f"{default_tolerance('theta_conjugacy', riesz.cond):.1e})")

@@ -47,9 +47,9 @@ for zz in (1.0, 1 + 1j, 2j):
 # functions) match the closed forms in L2.
 print("\ncross-validation against the number-basis route (dim = 64):")
 space = make_space(64)
-pmap = projector_map(space, space.basis_vector(0))
+riesz = projector_map(space, space.basis_vector(0)).riesz
 for zz in (1.0, 1 + 1j, 2j):
-    cv = cross_validate(zz, pmap)
+    cv = cross_validate(zz, riesz)
     print(f"  z = {zz}: L2 deviations {cv.l2_dev_phi:.2e} / {cv.l2_dev_psi:.2e}, "
           f"pairing - 1 = {abs(cv.pairing - 1):.2e}")
 

@@ -85,7 +85,6 @@ from .fock import (
 from .reports import (
     DEFAULT_TOLERANCES,
     CheckReport,
-    ResidualRecord,
     format_report_table,
     reports_to_json,
 )

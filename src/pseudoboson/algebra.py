@@ -21,8 +21,7 @@ from .errors import (
     OrthogonalVacuaError,
     ProvenanceError,
 )
-from .fock import FockSpace, Operator, SafeSubspace, ladder_c, restrict
-from .reports import ResidualRecord, default_tolerance
+from .fock import FockSpace, Operator, SafeSubspace, _freeze, ladder_c, restrict
 from .riesz import BiorthogonalFamily, MetricOperator, RieszMap
 
 __all__ = [
@@ -62,10 +61,7 @@ class VacuumPair:
     normalization: complex
 
     def __post_init__(self):
-        for name in ("phi0", "psi0"):
-            arr = np.asarray(getattr(self, name), dtype=complex).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, "phi0", "psi0", dtype=complex)
 
 
 def make_pair(riesz: RieszMap) -> PseudoBosonPair:
@@ -179,12 +175,15 @@ def excited_states(pair: PseudoBosonPair, vac: VacuumPair, n_max: int) -> Biorth
     )
 
 
-def ladder_check(pair: PseudoBosonPair, fam: BiorthogonalFamily) -> list[ResidualRecord]:
-    """Residuals of the four ladder relations on the family.
+def ladder_check(pair: PseudoBosonPair, fam: BiorthogonalFamily) -> dict[str, np.ndarray]:
+    """Residuals of the four ladder relations on the family, keyed by
+    relation and indexed by level ``n``.
 
-    Checks ``b phi_n = sqrt(n+1) phi_{n+1}``, ``a phi_n = sqrt(n) phi_{n-1}``
-    (with ``a phi_0 = 0``), and the adjoint relations on the dual family,
-    excluding the top level where raising leaves the family.
+    ``b_raise[n]`` and ``adag_raise[n]`` are the residuals of
+    ``b phi_n = sqrt(n+1) phi_{n+1}`` and its dual below the top level,
+    where raising leaves the family; ``a_lower[n]`` and ``bdag_lower[n]``
+    those of ``a phi_n = sqrt(n) phi_{n-1}`` (with ``a phi_0 = 0``) and
+    its dual on every level.
     """
     if fam.size < 2:
         raise InvalidDimensionError("ladder check needs a family of length >= 2")
@@ -192,53 +191,47 @@ def ladder_check(pair: PseudoBosonPair, fam: BiorthogonalFamily) -> list[Residua
     a_dag, b_dag = a.conj().T, b.conj().T
     phi, psi = fam.phi, fam.psi
     m = fam.size
-    tolerance = default_tolerance("ladder", pair.source.cond)
-    records = []
-
-    def rec(check: str, n: int, residual: float):
-        records.append(ResidualRecord(check=check, n=n, residual=residual, tolerance=tolerance))
-
+    r = {"b_raise": np.zeros(m - 1), "adag_raise": np.zeros(m - 1),
+         "a_lower": np.zeros(m), "bdag_lower": np.zeros(m)}
     for n in range(m - 1):
-        rec("ladder_b_raise", n, float(np.linalg.norm(b @ phi[:, n] - np.sqrt(n + 1.0) * phi[:, n + 1])))
-        rec("ladder_adag_raise", n, float(np.linalg.norm(a_dag @ psi[:, n] - np.sqrt(n + 1.0) * psi[:, n + 1])))
-    rec("ladder_a_lower", 0, float(np.linalg.norm(a @ phi[:, 0])))
-    rec("ladder_bdag_lower", 0, float(np.linalg.norm(b_dag @ psi[:, 0])))
+        r["b_raise"][n] = np.linalg.norm(b @ phi[:, n] - np.sqrt(n + 1.0) * phi[:, n + 1])
+        r["adag_raise"][n] = np.linalg.norm(a_dag @ psi[:, n] - np.sqrt(n + 1.0) * psi[:, n + 1])
+    r["a_lower"][0] = np.linalg.norm(a @ phi[:, 0])
+    r["bdag_lower"][0] = np.linalg.norm(b_dag @ psi[:, 0])
     for n in range(1, m):
-        rec("ladder_a_lower", n, float(np.linalg.norm(a @ phi[:, n] - np.sqrt(float(n)) * phi[:, n - 1])))
-        rec("ladder_bdag_lower", n, float(np.linalg.norm(b_dag @ psi[:, n] - np.sqrt(float(n)) * psi[:, n - 1])))
-    return records
+        r["a_lower"][n] = np.linalg.norm(a @ phi[:, n] - np.sqrt(float(n)) * phi[:, n - 1])
+        r["bdag_lower"][n] = np.linalg.norm(b_dag @ psi[:, n] - np.sqrt(float(n)) * psi[:, n - 1])
+    return r
 
 
-def number_operator_check(pair: PseudoBosonPair, fam: BiorthogonalFamily) -> list[ResidualRecord]:
-    """Eigenvector residuals of the number operator ``N = b a``:
-    ``N phi_n = n phi_n`` and ``N^dag psi_n = n psi_n`` for all levels
-    below the truncation edge (``n <= dim - 2``)."""
+def number_operator_check(
+    pair: PseudoBosonPair, fam: BiorthogonalFamily
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvector residuals of the number operator ``N = b a``, indexed
+    by level: ``N phi_n = n phi_n`` and ``N^dag psi_n = n psi_n`` for all
+    levels below the truncation edge (``n <= dim - 2``)."""
     N = pair.b.mat @ pair.a.mat
     N_dag = N.conj().T
     n_top = min(fam.size - 1, pair.space.dim - 2)
-    tolerance = default_tolerance("number_operator", pair.source.cond)
-    records = []
+    r_phi = np.zeros(n_top + 1)
+    r_psi = np.zeros(n_top + 1)
     for n in range(n_top + 1):
-        r_phi = float(np.linalg.norm(N @ fam.phi[:, n] - n * fam.phi[:, n]))
-        r_psi = float(np.linalg.norm(N_dag @ fam.psi[:, n] - n * fam.psi[:, n]))
-        records.append(ResidualRecord(check="number_phi", n=n, residual=r_phi, tolerance=tolerance))
-        records.append(ResidualRecord(check="number_psi", n=n, residual=r_psi, tolerance=tolerance))
-    return records
+        r_phi[n] = np.linalg.norm(N @ fam.phi[:, n] - n * fam.phi[:, n])
+        r_psi[n] = np.linalg.norm(N_dag @ fam.psi[:, n] - n * fam.psi[:, n])
+    return r_phi, r_psi
 
 
 def theta_conjugacy_check(
     pair: PseudoBosonPair, metric: MetricOperator, sub: SafeSubspace
-) -> ResidualRecord:
+) -> float:
     """Residual of ``a = Theta^{-1} b^dag Theta`` on the safe subspace.
 
-    The tolerance is ``1e-10 * cond^3``: each factor of ``S`` or its
-    inverse can amplify roundoff by the condition number.
+    Each factor of ``S`` or its inverse can amplify roundoff by the
+    condition number, hence the runner's ``cond^3`` tolerance.
     """
     if not np.array_equal(pair.source.S.mat, metric.source.S.mat):
         raise ProvenanceError("pair and metric operator come from different maps")
-    tolerance = default_tolerance("theta_conjugacy", pair.source.cond)
     conjugated = Operator(
         pair.space, metric.theta_inv.mat @ pair.b.mat.conj().T @ metric.theta.mat
     )
-    residual = float(np.linalg.norm(restrict(pair.a - conjugated, sub), 2))
-    return ResidualRecord(check="theta_conjugacy", n=None, residual=residual, tolerance=tolerance)
+    return float(np.linalg.norm(restrict(pair.a - conjugated, sub), 2))

@@ -39,7 +39,7 @@ from .errors import (
     UnderResolvedError,
     UnderResolvedWarning,
 )
-from .fock import FockSpace, Operator
+from .fock import FockSpace, Operator, _freeze
 from .riesz import RieszMap
 
 __all__ = [
@@ -56,14 +56,6 @@ __all__ = [
     "resolution_of_identity",
     "weak_pairing_check",
 ]
-
-
-def _freeze(obj, *fields):
-    for name in fields:
-        arr = np.asarray(getattr(obj, name))
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(obj, name, arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +215,10 @@ def make_quadrature(dim: int, radial_count: int, angular_count: int) -> Quadratu
         raise UnderResolvedError(
             f"angular_count {angular_count} < 2*dim = {2 * dim}: angular grid aliases"
         )
-    t, w = laggauss(radial_count)
+    # past about 200 nodes laggauss overflows on its way to the weights;
+    # the guard below refuses such a rule with its own message
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t, w = laggauss(radial_count)
     if not np.all(np.isfinite(w) & (w > 0.0)):
         raise UnderResolvedError(
             f"radial weights are zero or non-finite at {radial_count} nodes; reduce radial_count"

@@ -1,7 +1,9 @@
 """Run configuration for the batch verification runner.
 
 Configs are JSON with a versioned schema.  Unknown keys anywhere are
-rejected outright so a mistyped tolerance can never be silently ignored.
+rejected outright so a mistyped key can never be silently ignored.
+Tolerances are not configurable: every check is graded against
+``DEFAULT_TOLERANCES``.
 
 Example::
 
@@ -11,7 +13,6 @@ Example::
       "map_spec": {"kind": "projector", "u_index": 0},
       "z_samples": [[0, 0], [1, 0], [1, 1], [0, 2]],
       "quadrature": {"radial_count": 64, "angular_count": 129},
-      "tolerances": {"ladder": 1e-9},
       "outputs": "out",
       "seed": 7
     }
@@ -24,12 +25,11 @@ condition number), or ``file`` (serialized map record).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .errors import ConditioningError, ConfigError
 from .fock import FockSpace
-from .reports import DEFAULT_TOLERANCES
 from .riesz import RieszMap, load_riesz_map, make_riesz_map, random_riesz_map
 from .fock import identity as identity_op
 from .coordinate import projector_map
@@ -66,17 +66,9 @@ class RunConfig:
     z_samples: tuple[complex, ...]
     radial_count: int
     angular_count: int
-    tolerances: dict = field(default_factory=dict)
     outputs: Path = Path("out")
     seed: int = 0
     allow_out_of_regime: bool = False
-
-    def tolerance(self, name: str, cond: float) -> float:
-        """Final tolerance for a named check: the (possibly overridden)
-        base scaled by the registered power of ``cond``."""
-        base, power = DEFAULT_TOLERANCES[name]
-        base = self.tolerances.get(name, base)
-        return float(base) * float(cond) ** power
 
 
 def _reject_unknown(record: dict, allowed: set, where: str):
@@ -146,7 +138,6 @@ def load_config(
             "map_spec",
             "z_samples",
             "quadrature",
-            "tolerances",
             "outputs",
             "seed",
             "allow_out_of_regime",
@@ -178,12 +169,6 @@ def load_config(
         radial_count = int(quad.get("radial_count", dim))
         angular_count = int(quad.get("angular_count", 2 * dim + 1))
 
-    tolerances = record.get("tolerances", {})
-    _reject_unknown(tolerances, set(DEFAULT_TOLERANCES), "tolerances")
-    for name, value in tolerances.items():
-        if not (isinstance(value, (int, float)) and value > 0):
-            raise ConfigError(f"tolerance {name!r} must be positive, got {value!r}")
-
     allow_oor = bool(record.get("allow_out_of_regime", False))
     if not allow_oor:
         bad = [z for z in z_samples if abs(z) ** 2 > dim / 4.0]
@@ -202,7 +187,6 @@ def load_config(
         z_samples=z_samples,
         radial_count=radial_count,
         angular_count=angular_count,
-        tolerances=dict(tolerances),
         outputs=outputs,
         seed=seed,
         allow_out_of_regime=allow_oor,

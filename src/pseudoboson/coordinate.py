@@ -162,30 +162,33 @@ class CrossValidation:
     tail_bound: float
 
 
-def cross_validate(z: complex, pmap: ProjectorMap) -> CrossValidation:
+def cross_validate(z: complex, riesz: RieszMap) -> CrossValidation:
     """Compare the closed forms against the number-basis route of the
-    ground-state projector map ``pmap`` (``u = e_0``).
+    ground-state projector map: ``riesz.S`` must be exactly
+    ``T = 1 + i |e_0><e_0|``.
 
-    The number-basis route applies ``T`` and ``(T^{-1})^dag`` to the
-    truncated coherent coefficient vector, expands in Hermite functions
-    on a Gauss-Hermite grid of order ``dim + 10`` (every integrand is a
+    The number-basis route applies ``T`` and the closed form
+    ``(T^{-1})^dag = (1 - (1+i)/2 |e_0><e_0|)^dag`` to the truncated
+    coherent coefficient vector, expands in Hermite functions on a
+    Gauss-Hermite grid of order ``dim + 10`` (every integrand is a
     polynomial of degree at most ``2 dim`` against a Gaussian), and is
     rotated by the convention phase ``exp(i Re(z) Im(z))`` before the
     comparison.  Also reports the quadrature pairing
     ``int conj(phi_z) psi_z dx``, which equals one exactly.
     """
     z = complex(z)
-    space = pmap.T.space
+    space = riesz.space
     dim = space.dim
-    if not np.array_equal(pmap.u, space.basis_vector(0)):
+    P = np.outer(space.basis_vector(0), space.basis_vector(0))
+    if not np.array_equal(riesz.S.mat, np.eye(dim) + 1j * P):
         raise ValidationError("the closed forms hold for the ground-state projector map only")
     if abs(z) ** 2 > dim / 4.0:
         raise ValidationError(
             f"|z|^2 = {abs(z)**2:.2f} exceeds dim/4 = {dim / 4:.2f}: tail not suppressed"
         )
     state = coherent(space, z)
-    coeff_phi = pmap.T.mat @ state.vec
-    coeff_psi = pmap.T_inv.mat.conj().T @ state.vec
+    coeff_phi = riesz.S.mat @ state.vec
+    coeff_psi = (np.eye(dim) - (1 + 1j) / 2 * P).conj().T @ state.vec
 
     x, w = gauss_hermite_grid(dim + 10)
     stack = hermite_stack(dim - 1, x)

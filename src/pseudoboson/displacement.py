@@ -27,7 +27,6 @@ from scipy.linalg import expm
 from .algebra import PseudoBosonPair
 from .errors import AccuracyRegimeWarning, ProvenanceError
 from .fock import FockSpace, Operator, SafeSubspace, ladder_c, ladder_c_dag, restrict
-from .reports import ResidualRecord, default_tolerance
 from .riesz import MetricOperator, RieszMap
 
 __all__ = [
@@ -93,12 +92,16 @@ def displaced_pair(riesz: RieszMap, z: complex) -> DisplacementSet:
     return DisplacementSet(z=complex(z), W=W, U=U, V=V, source=riesz, in_regime=in_regime)
 
 
-def power_similarity_check(
-    pair: PseudoBosonPair, z: complex, k_max: int = 5
-) -> list[ResidualRecord]:
+def _relative_norm(diff: Operator, ref: Operator, sub: SafeSubspace) -> float:
+    """``||diff|| / ||ref||`` on ``sub`` (spectral norms)."""
+    scale = max(float(np.linalg.norm(restrict(ref, sub), 2)), 1e-300)
+    return float(np.linalg.norm(restrict(diff, sub), 2)) / scale
+
+
+def power_similarity_check(pair: PseudoBosonPair, z: complex, k_max: int = 5) -> np.ndarray:
     """Relative residuals of
-    ``S (z c^dag - conj(z) c)^k S^{-1} = (z b - conj(z) a)^k``
-    for ``k = 0 .. k_max``, evaluated on the safe subspace with a
+    ``S (z c^dag - conj(z) c)^k S^{-1} = (z b - conj(z) a)^k``,
+    indexed by ``k = 0 .. k_max``, evaluated on the safe subspace with a
     ``k_max``-level top margin.
     """
     if not 0 <= k_max <= 12:
@@ -108,29 +111,24 @@ def power_similarity_check(
     G = z * ladder_c_dag(space).mat + (-np.conj(z)) * ladder_c(space).mat
     D = z * pair.b.mat + (-np.conj(z)) * pair.a.mat
     Sm, Sim = pair.source.S.mat, pair.source.S_inv.mat
-    tolerance = default_tolerance("power_similarity", pair.source.cond)
     Gk = np.eye(space.dim, dtype=complex)
     Dk = np.eye(space.dim, dtype=complex)
-    records = []
+    residuals = np.zeros(k_max + 1)
     for k in range(k_max + 1):
         # k = 0 is the exact identity on both sides; evaluating the product
         # would only re-measure inverse roundoff
         lhs = Operator(space, np.eye(space.dim, dtype=complex) if k == 0 else Sm @ Gk @ Sim)
         rhs = Operator(space, Dk)
-        diff = float(np.linalg.norm(restrict(lhs - rhs, sub), 2))
-        scale = max(float(np.linalg.norm(restrict(rhs, sub), 2)), 1e-300)
-        records.append(
-            ResidualRecord(check="power_similarity", n=k, residual=diff / scale, tolerance=tolerance)
-        )
+        residuals[k] = _relative_norm(lhs - rhs, rhs, sub)
         Gk = G @ Gk
         Dk = D @ Dk
-    return records
+    return residuals
 
 
 def bch_factorization_check(
     pair: PseudoBosonPair, disp: DisplacementSet, sub: SafeSubspace
-) -> list[ResidualRecord]:
-    """Relative residuals of the normal-ordered factorizations
+) -> tuple[float, float]:
+    """Relative residuals ``(r_u, r_v)`` of the normal-ordered factorizations
     ``U(z) = e^{-|z|^2/2} e^{z b} e^{-conj(z) a}`` and
     ``V(z) = e^{-|z|^2/2} e^{z a^dag} e^{-conj(z) b^dag}`` on ``sub``.
 
@@ -160,18 +158,13 @@ def bch_factorization_check(
     V_fact = Operator(
         pair.space, gauss * (expm(z * a.conj().T) @ expm(-np.conj(z) * b.conj().T))
     )
-    records = []
-    for name, built, fact in (("bch_u", disp.U, U_fact), ("bch_v", disp.V, V_fact)):
-        diff = float(np.linalg.norm(restrict(built - fact, sub), 2))
-        scale = max(float(np.linalg.norm(restrict(built, sub), 2)), 1e-300)
-        tol = default_tolerance(name, pair.source.cond)
-        records.append(ResidualRecord(check=name, n=None, residual=diff / scale, tolerance=tol))
-    return records
+    return (_relative_norm(disp.U - U_fact, disp.U, sub),
+            _relative_norm(disp.V - V_fact, disp.V, sub))
 
 
 def intertwining_check(
     disp: DisplacementSet, metric: MetricOperator, sub: SafeSubspace
-) -> ResidualRecord:
+) -> float:
     """Residual of ``S S^dag V(z) = U(z) S S^dag`` on ``sub``, relative
     to ``||S S^dag||``.  Both sides telescope to ``S W(z) S^dag``, so the
     residual is pure roundoff.  Raises :class:`ProvenanceError` if
@@ -180,5 +173,4 @@ def intertwining_check(
         raise ProvenanceError("displacements and metric operator come from different maps")
     M = metric.theta_inv  # S S^dag
     diff = float(np.linalg.norm(restrict(M @ disp.V - disp.U @ M, sub), 2))
-    tol = default_tolerance("intertwining", disp.source.cond)
-    return ResidualRecord(check="intertwining", n=None, residual=diff / M.norm(), tolerance=tol)
+    return diff / M.norm()

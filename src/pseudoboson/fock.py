@@ -52,6 +52,15 @@ class FockSpace:
         return e
 
 
+def _freeze(obj, *names, dtype=None):
+    """Replace each named array field of a frozen dataclass by a read-only
+    copy (converted to ``dtype`` when given)."""
+    for name in names:
+        arr = np.asarray(getattr(obj, name), dtype=dtype).copy()
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
     """Dense complex matrix acting on a truncated Fock space.
@@ -64,16 +73,13 @@ class Operator:
     mat: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.mat, dtype=complex)
-        if m.shape != (self.space.dim, self.space.dim):
+        _freeze(self, "mat", dtype=complex)
+        if self.mat.shape != (self.space.dim, self.space.dim):
             raise DimensionMismatchError(
-                f"matrix shape {m.shape} does not match dim {self.space.dim}"
+                f"matrix shape {self.mat.shape} does not match dim {self.space.dim}"
             )
-        if not np.all(np.isfinite(m)):
+        if not np.all(np.isfinite(self.mat)):
             raise ValidationError("operator entries must be finite")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "mat", m)
 
     @property
     def H(self) -> "Operator":

@@ -1,12 +1,12 @@
-"""Structured residual records shared by the check functions and the
-batch verification runner, and the tolerance table both read."""
+"""Check reports of the batch verification runner and the tolerance
+table it grades residuals against."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
 
-__all__ = ["DEFAULT_TOLERANCES", "default_tolerance", "ResidualRecord", "CheckReport",
+__all__ = ["DEFAULT_TOLERANCES", "default_tolerance", "CheckReport",
            "format_report_table", "reports_to_json"]
 
 #: check name -> (base tolerance, power of cond multiplying it)
@@ -43,24 +43,6 @@ def default_tolerance(name: str, cond: float) -> float:
     the registered base times the registered power of ``cond``."""
     base, power = DEFAULT_TOLERANCES[name]
     return float(base) * float(cond) ** power
-
-
-@dataclass(frozen=True)
-class ResidualRecord:
-    """Outcome of a single residual evaluation inside a check.
-
-    ``n`` is the level index the residual refers to (``None`` for
-    whole-operator residuals).
-    """
-
-    check: str
-    n: int | None
-    residual: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual <= self.tolerance
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .errors import (
     NotInvertibleError,
     ValidationError,
 )
-from .fock import FockSpace, Operator, inner
+from .fock import FockSpace, Operator, _freeze, inner
 
 __all__ = [
     "RieszMap",
@@ -78,8 +78,8 @@ class BiorthogonalFamily:
     psi: np.ndarray
 
     def __post_init__(self):
-        phi = np.asarray(self.phi, dtype=complex)
-        psi = np.asarray(self.psi, dtype=complex)
+        _freeze(self, "phi", "psi", dtype=complex)
+        phi, psi = self.phi, self.psi
         if phi.shape != psi.shape or phi.ndim != 2 or phi.shape[0] != self.space.dim:
             raise DimensionMismatchError(
                 f"family shapes {phi.shape} / {psi.shape} invalid for dim {self.space.dim}"
@@ -87,12 +87,6 @@ class BiorthogonalFamily:
         for arr, name in ((phi, "phi"), (psi, "psi")):
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"{name} entries must be finite")
-        phi = phi.copy()
-        psi = psi.copy()
-        phi.setflags(write=False)
-        psi.setflags(write=False)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "psi", psi)
 
     @property
     def size(self) -> int:

@@ -1,10 +1,11 @@
 """Batch verification runner: executes the full check suite for one
 configuration and emits reports plus plot-ready CSV tables.
 
-Tolerances for checks that compare against truncated coherent states
-(factorization, eigen-relations, pairing) carry an explicit
-truncation-tail term on top of the configured base, so the runner stays
-honest at small dimensions where the tail, not roundoff, limits what the
+The checks return plain residuals and the runner grades them: every
+tolerance is ``default_tolerance(check_id, cond)``.  The pairing and
+eigen-relation checks, which compare against truncated coherent states,
+add an explicit truncation-tail term to it, so the runner stays honest
+at small dimensions where the tail, not roundoff, limits what the
 identity can show.
 """
 
@@ -35,7 +36,7 @@ from .bicoherent import (
     series_route,
 )
 from .config import RunConfig, build_map
-from .coordinate import cross_validate, projector_map
+from .coordinate import cross_validate
 from .displacement import (
     bch_factorization_check,
     displaced_pair,
@@ -53,7 +54,7 @@ from .errors import (
     UnderResolvedWarning,
 )
 from .fock import SafeSubspace, commutator, identity, restrict
-from .reports import CheckReport, format_report_table, reports_to_json
+from .reports import CheckReport, default_tolerance, format_report_table, reports_to_json
 from .riesz import biorthogonal_family, metric_operator, theta_rank_one_sums
 
 __all__ = ["run_suite", "convergence_study", "suite_failed"]
@@ -64,21 +65,22 @@ def _format_z(z: complex) -> str:
 
 
 class _Recorder:
-    """Collects reports with pass/fail status.  A report's wall time is
-    the time since the previous one, so each span is counted once: a
+    """Grades residuals into reports: the one place a tolerance is
+    composed, as the table value at the map's ``cond`` plus the check's
+    tail term.  A report's wall time is the time since the previous one
+    (the first counts from ``start``), so each span is counted once: a
     shared object's build is charged to the next check, and of several
     records from one computation the first carries its time."""
 
-    def __init__(self, config: RunConfig, cond: float):
-        self.config = config
+    def __init__(self, cond: float, start: float):
         self.cond = cond
         self.reports: list[CheckReport] = []
-        self._lap = time.perf_counter()
+        self._lap = start
 
     def add(self, name: str, residual: float, *, params: dict | None = None,
             in_regime: bool = True, extra_tol: float = 0.0):
         now = time.perf_counter()
-        tol = self.config.tolerance(name, self.cond) + extra_tol
+        tol = default_tolerance(name, self.cond) + extra_tol
         if not in_regime:
             status = "out-of-regime"
         else:
@@ -122,6 +124,7 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
     except OSError as exc:
         raise ConfigError(f"output directory {out_dir} is not writable: {exc}") from exc
 
+    start = time.perf_counter()
     try:
         riesz = build_map(config)
     except (NotInvertibleError, ConditioningError) as exc:
@@ -137,7 +140,7 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
         _write_outputs(out_dir, reports)
         return reports
 
-    rec = _Recorder(config, riesz.cond)
+    rec = _Recorder(riesz.cond, start)
     dim = riesz.dim
     space = riesz.space
     eye = np.eye(dim)
@@ -175,13 +178,13 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
         rec.add("vacuum_match", max(r_phi, r_psi))
         rec.add("vacuum_pairing", abs(np.vdot(extracted.phi0, extracted.psi0) - 1.0))
 
-    rec.add("ladder", max(r.residual for r in ladder_check(pair, fam)))
-    rec.add("number_operator", max(r.residual for r in number_operator_check(pair, fam)))
+    rec.add("ladder", max(r.max() for r in ladder_check(pair, fam).values()))
+    rec.add("number_operator", max(r.max() for r in number_operator_check(pair, fam)))
 
     n_eigs = np.sort_complex(np.linalg.eigvals(pair.b.mat @ pair.a.mat))[: dim - 1]
     rec.add("number_spectrum", np.abs(n_eigs - np.arange(dim - 1)).max())
 
-    rec.add("theta_conjugacy", theta_conjugacy_check(pair, met, sub_top).residual)
+    rec.add("theta_conjugacy", theta_conjugacy_check(pair, met, sub_top))
 
     for z in config.z_samples:
         in_regime = in_accuracy_regime(space, z)
@@ -192,14 +195,13 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
         bch_cutoff = max(1, min(dim // 2, dim - math.ceil(4 * abs(z) ** 2) - 6))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # regime warnings are encoded in the status
-            rec.add("power_similarity",
-                    max(r.residual for r in power_similarity_check(pair, z)),
+            rec.add("power_similarity", power_similarity_check(pair, z).max(),
                     params=zp, in_regime=in_regime)
             disp = displaced_pair(riesz, z)
-            for record in bch_factorization_check(pair, disp, SafeSubspace(space, bch_cutoff)):
-                rec.add(record.check, record.residual,
-                        params={**zp, "cutoff": bch_cutoff}, in_regime=in_regime)
-            rec.add("intertwining", intertwining_check(disp, met, sub_top).residual,
+            bch = bch_factorization_check(pair, disp, SafeSubspace(space, bch_cutoff))
+            for name, residual in zip(("bch_u", "bch_v"), bch):
+                rec.add(name, residual, params={**zp, "cutoff": bch_cutoff}, in_regime=in_regime)
+            rec.add("intertwining", intertwining_check(disp, met, sub_top),
                     params=zp, in_regime=in_regime)
 
             bc = rbcs(riesz, z)
@@ -228,12 +230,11 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
                     params={"radial": quad.radial_count, "angular": quad.angular_count})
 
     if config.map_spec.kind == "projector" and config.map_spec.u_index == 0:
-        pmap = projector_map(space, space.basis_vector(0))
         for z in config.z_samples:
             if abs(z) ** 2 > dim / 4.0:
                 continue  # closed-form comparison needs a suppressed tail
             zp = {"z": _format_z(z)}
-            cv = cross_validate(z, pmap)
+            cv = cross_validate(z, riesz)
             rec.add("coordinate_l2", max(cv.l2_dev_phi, cv.l2_dev_psi), params=zp)
             rec.add("coordinate_pairing", abs(cv.pairing - 1.0), params=zp)
 
@@ -299,10 +300,7 @@ def convergence_study(config: RunConfig, dims: list[int]) -> tuple[Path, Path]:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 disp = displaced_pair(riesz, z)
-                bch = max(
-                    r.residual
-                    for r in bch_factorization_check(pair, disp, SafeSubspace(space, cutoff))
-                )
+                bch = max(bch_factorization_check(pair, disp, SafeSubspace(space, cutoff)))
                 r_eta, r_xi = eigen_check(pair, rbcs(riesz, z))
                 # each rule once, ascending: the full rule (radial = dim) has
                 # the largest node matrix, and building it last keeps the

@@ -12,10 +12,13 @@ from pseudoboson import (
     gauss_hermite_grid,
     hermite_basis,
     hermite_stack,
+    make_riesz_map,
     make_space,
     projector_map,
+    random_riesz_map,
     write_wavefunction_csv,
 )
+from pseudoboson.fock import identity
 
 # spot values frozen from 30-digit evaluation of the closed forms
 PHI_1_AT_0 = 0.276323645547 + 0.455580672011j
@@ -169,7 +172,7 @@ class TestExampleWavefunctions:
 
 def ground_projector(dim):
     space = make_space(dim)
-    return projector_map(space, space.basis_vector(0))
+    return projector_map(space, space.basis_vector(0)).riesz
 
 
 class TestCrossValidation:
@@ -180,7 +183,7 @@ class TestCrossValidation:
 
     @pytest.mark.parametrize("z", [1.0, 1 + 1j, 2j])
     def test_closed_form_matches_fock_route(self, z, projector_map64):
-        cv = cross_validate(z, projector_map64)
+        cv = cross_validate(z, projector_map64.riesz)
         assert cv.l2_dev_phi <= 1e-8
         assert cv.l2_dev_psi <= 1e-8
         assert abs(cv.pairing - 1.0) <= 1e-9
@@ -190,9 +193,16 @@ class TestCrossValidation:
             cross_validate(4.0, ground_projector(16))
 
     def test_ground_state_guard(self):
+        # any map other than exactly 1 + i|e_0><e_0| is refused
         space = make_space(16)
-        with pytest.raises(ValidationError):
-            cross_validate(1.0, projector_map(space, space.basis_vector(1)))
+        others = [
+            projector_map(space, space.basis_vector(1)).riesz,
+            make_riesz_map(identity(space)),
+            random_riesz_map(space, 2.0, seed=0),
+        ]
+        for riesz in others:
+            with pytest.raises(ValidationError):
+                cross_validate(1.0, riesz)
 
 
 class TestCsvEmitter:

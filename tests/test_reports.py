@@ -1,50 +1,46 @@
 import json
 
+import numpy as np
+
 from pseudoboson import (
     DEFAULT_TOLERANCES,
     CheckReport,
-    ResidualRecord,
-    SafeSubspace,
-    bch_factorization_check,
-    biorthogonal_family,
-    displaced_pair,
+    build_map,
+    coherent_tail_bound,
     format_report_table,
-    intertwining_check,
-    ladder_check,
-    make_pair,
-    metric_operator,
-    number_operator_check,
-    power_similarity_check,
+    load_config,
     reports_to_json,
-    theta_conjugacy_check,
+    run_suite,
 )
+from pseudoboson.reports import default_tolerance
 
 
-def test_residual_record_pass_flag():
-    assert ResidualRecord(check="x", n=0, residual=1e-12, tolerance=1e-9).passed
-    assert not ResidualRecord(check="x", n=0, residual=1e-6, tolerance=1e-9).passed
-
-
-def test_check_records_carry_table_tolerance(random_map64):
-    # every check takes its tolerance from DEFAULT_TOLERANCES at the map's cond
-    riesz = random_map64
-    pair, met = make_pair(riesz), metric_operator(riesz)
-    fam = biorthogonal_family(riesz)
-    disp = displaced_pair(riesz, 1.0)
-    sub = SafeSubspace(riesz.space, 32)
-    groups = {
-        "ladder": ladder_check(pair, fam),
-        "number_operator": number_operator_check(pair, fam),
-        "theta_conjugacy": [theta_conjugacy_check(pair, met, sub)],
-        "power_similarity": power_similarity_check(pair, 1.0),
-        "intertwining": [intertwining_check(disp, met, sub)],
-    }
-    for record in bch_factorization_check(pair, disp, sub):
-        groups[record.check] = [record]
-    assert set(groups) >= {"bch_u", "bch_v"}
-    for name, records in groups.items():
-        base, power = DEFAULT_TOLERANCES[name]
-        assert all(r.tolerance == base * riesz.cond**power for r in records), name
+def test_check_records_carry_table_tolerance(tmp_path):
+    # the runner composes every tolerance: the table value at the map's
+    # cond, plus the stated tail term of the three checks that compare
+    # against truncated coherent states
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "schema_version": 1,
+        "dim": 24,
+        "map_spec": {"kind": "random", "cond": 10.0, "seed": 3},
+        "outputs": str(tmp_path / "out"),
+    }))
+    cfg = load_config(path)
+    cond = build_map(cfg).cond
+    reports = run_suite(cfg)
+    assert {r.check_id for r in reports} == set(DEFAULT_TOLERANCES) - {
+        "coordinate_l2", "coordinate_pairing"}
+    for r in reports:
+        tail = coherent_tail_bound(24, complex(r.params.get("z", "0")))
+        extra = {
+            "rbcs_pairing": 4.0 * cond * tail**2,
+            "eigen_eta": 10.0 * np.sqrt(24) * cond * tail,
+            "eigen_xi": 10.0 * np.sqrt(24) * cond * tail,
+        }.get(r.check_id, 0.0)
+        assert r.tolerance == default_tolerance(r.check_id, cond) + extra, r
+        if r.check_id in ("rbcs_pairing", "eigen_eta", "eigen_xi") and r.params["z"] != "0+0j":
+            assert r.tolerance > default_tolerance(r.check_id, cond), r
 
 
 def test_table_summary_counts():

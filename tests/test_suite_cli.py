@@ -14,7 +14,7 @@ from pseudoboson import (
     save_riesz_map,
     suite_failed,
 )
-from pseudoboson import random_riesz_map, make_space
+from pseudoboson import coordinate, make_riesz_map, make_space, random_riesz_map, suite
 from pseudoboson.cli import main
 
 
@@ -49,15 +49,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    def test_unknown_tolerance_rejected(self, tmp_path):
-        path = write_config(tmp_path / "c.json", tolerances={"laddr": 1e-9})
-        with pytest.raises(ConfigError):
+    def test_tolerances_key_rejected(self, tmp_path):
+        # tolerances are not configurable, so the key is an unknown key
+        path = write_config(tmp_path / "c.json", tolerances={"ladder": 1e-9})
+        with pytest.raises(ConfigError, match="tolerances"):
             load_config(path)
-
-    def test_nonpositive_tolerance_rejected(self, tmp_path):
-        path = write_config(tmp_path / "c.json", tolerances={"ladder": 0.0})
-        with pytest.raises(ConfigError):
-            load_config(path)
+        assert main(["verify", "--config", str(path)]) == 2
 
     def test_schema_version_enforced(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -140,9 +137,15 @@ class TestRunSuite:
         assert reports[0].status == "fail"
         assert "error" in reports[0].params
 
-    def test_wall_time_counted_once(self, tmp_path):
+    def test_wall_time_counted_once(self, tmp_path, monkeypatch):
         # records from one computation (bch_u/bch_v, eigen_eta/eigen_xi,
-        # coordinate_l2/coordinate_pairing) must not each carry its span
+        # coordinate_l2/coordinate_pairing) must not each carry its span,
+        # and the map build is charged to riesz_construction
+        def slow_build_map(*args, **kwargs):
+            time.sleep(0.2)
+            return build_map(*args, **kwargs)
+
+        monkeypatch.setattr(suite, "build_map", slow_build_map)
         path = write_config(tmp_path / "c.json", dim=24,
                             map_spec={"kind": "projector", "u_index": 0},
                             z_samples=[[0, 0], [1, 0], [1, 1]])
@@ -152,6 +155,24 @@ class TestRunSuite:
         elapsed = time.perf_counter() - start
         assert {"bch_v", "eigen_xi", "coordinate_pairing"} <= {r.check_id for r in reports}
         assert sum(r.wall_time for r in reports) <= elapsed
+        construction = next(r for r in reports if r.check_id == "riesz_construction")
+        assert construction.wall_time >= 0.2
+
+    def test_projector_map_built_once(self, tmp_path, monkeypatch):
+        # the cross-validation reuses the run's map instead of building
+        # (and decomposing) the projector map again
+        calls = []
+
+        def counting_make_riesz_map(*args, **kwargs):
+            calls.append(args)
+            return make_riesz_map(*args, **kwargs)
+
+        monkeypatch.setattr(coordinate, "make_riesz_map", counting_make_riesz_map)
+        path = write_config(tmp_path / "c.json", dim=24,
+                            map_spec={"kind": "projector", "u_index": 0})
+        reports = run_suite(load_config(path))
+        assert "coordinate_l2" in {r.check_id for r in reports}
+        assert len(calls) == 1
 
     def test_determinism_modulo_wall_time(self, tmp_path):
         path = write_config(tmp_path / "c.json", dim=24,
