@@ -30,12 +30,12 @@ riesz = pmap.riesz
 pair = make_pair(riesz)
 z = 1.0 + 1.0j
 
-W = weyl(space, z)
-print("||W(z)^dag W(z) - I|| =", np.linalg.norm(W.H.mat @ W.mat - np.eye(64), 2))
-print("||W(z) W(-z) - I||   =", np.linalg.norm(W.mat @ weyl(space, -z).mat - np.eye(64), 2))
+W = weyl(space, z).mat
+print("||W(z)^dag W(z) - I|| =", np.linalg.norm(W.conj().T @ W - np.eye(64), 2))
+print("||W(z) W(-z) - I||   =", np.linalg.norm(W @ weyl(space, -z).mat - np.eye(64), 2))
 
 disp = displaced_pair(riesz, z)
-print("\n||U(z)|| =", round(disp.U.norm(), 6), "<= cond(S) =", round(riesz.cond, 6))
+print("\n||U(z)|| =", round(np.linalg.norm(disp.U.mat, 2), 6), "<= cond(S) =", round(riesz.cond, 6))
 
 # Powers of the generator: S (z c^dag - conj(z) c)^k S^-1 = (z b - conj(z) a)^k.
 print("\npower-similarity relative residuals, k = 0..5:")
@@ -57,7 +57,7 @@ print("\nintertwining relative residual:",
 
 # Group law with its metaplectic phase.
 w = 0.5 - 0.25j
-lhs = (weyl(space, z) @ weyl(space, w)).mat
+lhs = weyl(space, z).mat @ weyl(space, w).mat
 rhs = np.exp(1j * (z * np.conj(w)).imag) * weyl(space, z + w).mat
 print("group-law residual on the half-space:",
       np.linalg.norm((lhs - rhs)[:32, :32], 2))

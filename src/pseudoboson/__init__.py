@@ -74,13 +74,10 @@ from .fock import (
     FockSpace,
     Operator,
     SafeSubspace,
-    commutator,
     identity,
-    inner,
     ladder_c,
     ladder_c_dag,
     make_space,
-    restrict,
 )
 from .reports import (
     DEFAULT_TOLERANCES,

@@ -3,7 +3,8 @@
 Configs are JSON with a versioned schema.  Unknown keys anywhere are
 rejected outright so a mistyped key can never be silently ignored.
 Tolerances are not configurable: every check is graded against
-``DEFAULT_TOLERANCES``.
+``DEFAULT_TOLERANCES``.  Neither is the quadrature: ``verify`` uses the
+rule with ``dim`` radial and ``2 dim + 1`` angular nodes.
 
 Example::
 
@@ -12,14 +13,15 @@ Example::
       "dim": 64,
       "map_spec": {"kind": "projector", "u_index": 0},
       "z_samples": [[0, 0], [1, 0], [1, 1], [0, 2]],
-      "quadrature": {"radial_count": 64, "angular_count": 129},
       "outputs": "out",
       "seed": 7
     }
 
 ``map_spec.kind`` is one of ``identity``, ``projector`` (rank-one
 deformation on basis vector ``u_index``), ``random`` (seeded, fixed
-condition number), or ``file`` (serialized map record).
+condition number), or ``file`` (serialized map record).  A random map
+uses ``map_spec.seed`` when given, else the top-level ``seed``; a
+``--seed`` override replaces both.
 """
 
 from __future__ import annotations
@@ -64,8 +66,6 @@ class RunConfig:
     dim: int
     map_spec: MapSpec
     z_samples: tuple[complex, ...]
-    radial_count: int
-    angular_count: int
     outputs: Path = Path("out")
     seed: int = 0
     allow_out_of_regime: bool = False
@@ -137,7 +137,6 @@ def load_config(
             "dim",
             "map_spec",
             "z_samples",
-            "quadrature",
             "outputs",
             "seed",
             "allow_out_of_regime",
@@ -161,14 +160,6 @@ def load_config(
 
     z_samples = _parse_z(record.get("z_samples", [[0, 0], [1, 0], [1, 1], [0, 2]]))
 
-    quad = record.get("quadrature")
-    if quad is None:
-        radial_count, angular_count = dim, 2 * dim + 1
-    else:
-        _reject_unknown(quad, {"radial_count", "angular_count"}, "quadrature")
-        radial_count = int(quad.get("radial_count", dim))
-        angular_count = int(quad.get("angular_count", 2 * dim + 1))
-
     allow_oor = bool(record.get("allow_out_of_regime", False))
     if not allow_oor:
         bad = [z for z in z_samples if abs(z) ** 2 > dim / 4.0]
@@ -180,13 +171,13 @@ def load_config(
 
     outputs = Path(out_override) if out_override is not None else Path(record.get("outputs", "out"))
     seed = int(record.get("seed", 0)) if seed_override is None else int(seed_override)
+    if seed_override is not None and map_spec.seed is not None:
+        map_spec = replace(map_spec, seed=seed)  # the override wins over map_spec.seed
 
     return RunConfig(
         dim=dim,
         map_spec=map_spec,
         z_samples=z_samples,
-        radial_count=radial_count,
-        angular_count=angular_count,
         outputs=outputs,
         seed=seed,
         allow_out_of_regime=allow_oor,

@@ -30,7 +30,7 @@ class InvalidDimensionError(PseudoBosonError):
 
 
 class DimensionMismatchError(PseudoBosonError):
-    """Raised when operands live on different truncated spaces."""
+    """Raised when an array's shape does not match its truncated space."""
 
 
 class ValidationError(PseudoBosonError):

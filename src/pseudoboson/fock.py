@@ -1,5 +1,5 @@
-"""Truncated Fock space, canonical ladder operators, and safe-subspace
-restriction.
+"""Truncated Fock space, canonical ladder operators, and the safe
+subspace.
 
 The space keeps the first ``dim`` number states ``e_0, ..., e_{dim-1}``
 as canonical unit vectors of ``C^dim``.  The lowering operator ``c`` acts
@@ -27,9 +27,6 @@ __all__ = [
     "identity",
     "ladder_c",
     "ladder_c_dag",
-    "commutator",
-    "restrict",
-    "inner",
 ]
 
 
@@ -65,8 +62,9 @@ def _freeze(obj, *names, dtype=None):
 class Operator:
     """Dense complex matrix acting on a truncated Fock space.
 
-    Instances are immutable: the entry array is made read-only at
-    construction, so operators can be shared freely across threads.
+    Instances hold validated data only: the entry array is checked for
+    shape and finiteness and made read-only at construction, so operators
+    can be shared freely across threads.  All algebra is numpy on ``mat``.
     """
 
     space: FockSpace
@@ -81,48 +79,12 @@ class Operator:
         if not np.all(np.isfinite(self.mat)):
             raise ValidationError("operator entries must be finite")
 
-    @property
-    def H(self) -> "Operator":
-        """Conjugate transpose."""
-        return Operator(self.space, self.mat.conj().T)
-
-    def norm(self) -> float:
-        """Spectral norm."""
-        return float(np.linalg.norm(self.mat, 2))
-
-    def _check_space(self, other: "Operator"):
-        if self.space != other.space:
-            raise DimensionMismatchError(
-                f"operators on different spaces: dim {self.space.dim} vs {other.space.dim}"
-            )
-
-    def __matmul__(self, other):
-        if isinstance(other, Operator):
-            self._check_space(other)
-            return Operator(self.space, self.mat @ other.mat)
-        return self.mat @ other  # vector application
-
-    def __add__(self, other: "Operator") -> "Operator":
-        self._check_space(other)
-        return Operator(self.space, self.mat + other.mat)
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        self._check_space(other)
-        return Operator(self.space, self.mat - other.mat)
-
-    def __neg__(self) -> "Operator":
-        return Operator(self.space, -self.mat)
-
-    def __mul__(self, scalar) -> "Operator":
-        return Operator(self.space, self.mat * complex(scalar))
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True)
 class SafeSubspace:
     """Span of ``e_0, ..., e_{cutoff-1}``: the low-index block on which
-    truncated operator identities hold exactly."""
+    truncated operator identities hold exactly.  Checks evaluate an
+    identity on it as the ``X[:cutoff, :cutoff]`` block of its residual."""
 
     space: FockSpace
     cutoff: int
@@ -155,27 +117,4 @@ def ladder_c_dag(space: FockSpace) -> Operator:
 
     The top state is annihilated: ``c^dag e_{dim-1} = 0``.
     """
-    return ladder_c(space).H
-
-
-def commutator(A: Operator, B: Operator) -> Operator:
-    """Commutator ``AB - BA``."""
-    A._check_space(B)
-    return Operator(A.space, A.mat @ B.mat - B.mat @ A.mat)
-
-
-def restrict(A: Operator, sub: SafeSubspace) -> np.ndarray:
-    """Top-left ``cutoff x cutoff`` block of ``A`` as a plain array."""
-    if A.space != sub.space:
-        raise DimensionMismatchError("operator and subspace live on different spaces")
-    k = sub.cutoff
-    return A.mat[:k, :k].copy()
-
-
-def inner(f: np.ndarray, g: np.ndarray) -> complex:
-    """Inner product, conjugate-linear in the first argument."""
-    f = np.asarray(f)
-    g = np.asarray(g)
-    if f.shape != g.shape:
-        raise DimensionMismatchError(f"vector shapes differ: {f.shape} vs {g.shape}")
-    return complex(np.vdot(f, g))
+    return Operator(space, ladder_c(space).mat.conj().T)

@@ -23,7 +23,7 @@ from .errors import (
     NotInvertibleError,
     ValidationError,
 )
-from .fock import FockSpace, Operator, _freeze, inner
+from .fock import FockSpace, Operator, _freeze
 
 __all__ = [
     "RieszMap",
@@ -242,7 +242,7 @@ def quasi_basis_check(
         raise DimensionMismatchError(
             f"vectors must have shape ({d},), got {f.shape} and {g.shape}"
         )
-    direct = inner(f, g)
+    direct = complex(np.vdot(f, g))
     via_phi_psi = complex((f.conj() @ fam.phi) @ (fam.psi.conj().T @ g))
     via_psi_phi = complex((f.conj() @ fam.psi) @ (fam.phi.conj().T @ g))
     return direct, via_phi_psi, via_psi_phi

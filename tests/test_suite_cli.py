@@ -1,6 +1,7 @@
 import csv
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -37,8 +38,6 @@ class TestConfig:
         assert cfg.dim == 16
         assert cfg.map_spec.kind == "identity"
         assert cfg.z_samples == (0j, 1 + 0j)
-        assert cfg.radial_count == 16
-        assert cfg.angular_count == 33
 
     def test_unknown_top_level_key(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -49,10 +48,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
-    def test_tolerances_key_rejected(self, tmp_path):
-        # tolerances are not configurable, so the key is an unknown key
-        path = write_config(tmp_path / "c.json", tolerances={"ladder": 1e-9})
-        with pytest.raises(ConfigError, match="tolerances"):
+    @pytest.mark.parametrize("key, value", [
+        ("tolerances", {"ladder": 1e-9}),
+        ("quadrature", {"radial_count": 16, "angular_count": 33}),
+    ], ids=["tolerances", "quadrature"])
+    def test_tolerances_key_rejected(self, tmp_path, key, value):
+        # tolerances and the quadrature rule are not configurable, so
+        # either key is an unknown key
+        path = write_config(tmp_path / "c.json", **{key: value})
+        with pytest.raises(ConfigError, match=key):
             load_config(path)
         assert main(["verify", "--config", str(path)]) == 2
 
@@ -77,8 +81,6 @@ class TestConfig:
         assert cfg.dim == 32
         assert cfg.seed == 11
         assert cfg.outputs == tmp_path / "elsewhere"
-        # quadrature defaults track the overridden dimension
-        assert cfg.radial_count == 32
 
     def test_file_map_spec(self, tmp_path):
         riesz = random_riesz_map(make_space(16), 5.0, seed=2)
@@ -117,6 +119,9 @@ class TestRunSuite:
         assert not suite_failed(reports)
         ids = {r.check_id for r in reports}
         assert "coordinate_l2" in ids and "resolution_identity" in ids
+        # the quadrature rule follows the dimension: dim radial, 2 dim + 1 angular
+        quad = next(r for r in reports if r.check_id == "resolution_identity")
+        assert quad.params == {"radial": 64, "angular": 129}
 
     def test_outputs_written(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "c.json"))
@@ -206,6 +211,13 @@ class TestRunSuite:
         cfg_b = load_config(path, seed_override=2)
         assert not np.array_equal(build_map(cfg_a).S.mat, build_map(cfg_b).S.mat)
         assert np.array_equal(build_map(cfg_a).S.mat, build_map(cfg_a).S.mat)
+        # a spec with its own seed follows it, and an override replaces it
+        seeded = write_config(tmp_path / "s.json", dim=16,
+                              map_spec={"kind": "random", "cond": 5.0, "seed": 1})
+        own = build_map(load_config(seeded)).S.mat
+        assert np.array_equal(own, build_map(cfg_a).S.mat)
+        overridden = build_map(load_config(seeded, seed_override=2)).S.mat
+        assert np.array_equal(overridden, build_map(cfg_b).S.mat)
 
     def test_nonground_projector_skips_coordinate_checks(self, tmp_path):
         # the closed-form wavefunctions exist only for the ground-state
@@ -257,6 +269,26 @@ class TestConvergenceStudy:
         cfg = load_config(write_config(tmp_path / "c.json"))
         with pytest.raises(ConfigError):
             convergence_study(cfg, [32, 16])
+
+
+@pytest.mark.parametrize("runner", ["verify", "converge"])
+def test_unencoded_warnings_reach_caller(tmp_path, monkeypatch, runner):
+    # the runners silence only the warnings their statuses and columns
+    # encode (accuracy regime, under-resolved rule); anything else, such
+    # as a numpy RuntimeWarning, must reach the caller
+    real_eigen_check = suite.eigen_check
+
+    def noisy_eigen_check(*args, **kwargs):
+        warnings.warn("probe", RuntimeWarning)
+        return real_eigen_check(*args, **kwargs)
+
+    monkeypatch.setattr(suite, "eigen_check", noisy_eigen_check)
+    cfg = load_config(write_config(tmp_path / "c.json"))
+    with pytest.warns(RuntimeWarning, match="probe"):
+        if runner == "verify":
+            run_suite(cfg)
+        else:
+            convergence_study(cfg, [16])
 
 
 class TestCli:
