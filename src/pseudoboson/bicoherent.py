@@ -10,17 +10,17 @@ eigenstates of ``a`` and ``b^dag`` at the same eigenvalue from the
 opposite sides.
 
 The planar integral ``(1/pi) int d^2z |eta(z)><xi(z)|`` is realized in
-polar form ``z = sqrt(t) e^{i theta}``: Gauss-Laguerre in ``t = r^2``
-makes every matrix element a polynomial against ``e^{-t}``, which the
-rule integrates exactly, and a uniform angular grid kills every
-off-diagonal phase.  The Gaussian normalization lives inside the state
-vectors; the node weights therefore carry the compensating ``e^{t}``
-factor along with the Jacobian.  Folding the Gaussian into the weights a
-second time is the classic bug; it drives the deviation to 1, so the
-full-resolution positive controls catch it.  An ``n``-node rule is exact
-through degree ``2n-1`` and the space needs moments up to ``dim-1``, so
-``ceil(dim/2)`` radial nodes already resolve it; the negative controls
-therefore under-resolve with a quarter rule.
+polar form ``z = sqrt(t) e^{i theta}`` as ``R = S G S^{-1}``, with ``G``
+the same quadrature of the coherent projector ``|Phi(z)><Phi(z)|``.
+Gauss-Laguerre in ``t = r^2`` integrates each entry of ``G`` exactly
+(the Jacobian's ``e^{t}`` cancels the states' ``e^{-t}``), and a uniform
+grid of ``M`` angles turns the phases ``e^{i(k-l) theta}`` into the mask
+``[k = l mod M]``.  Folding the Gaussian in a second time is the classic
+bug; it drives the deviation to 1, so the full-resolution positive
+controls catch it.  An ``n``-node rule is exact through degree ``2n-1``
+and the space needs moments up to ``dim-1``, so ``ceil(dim/2)`` radial
+nodes already resolve it; the negative controls therefore under-resolve
+with a quarter rule.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .algebra import PseudoBosonPair, VacuumPair
 from .errors import (
@@ -190,32 +190,39 @@ def eigen_check(pair: PseudoBosonPair, bc: BicoherentPair) -> tuple[float, float
     return float(r_eta), float(r_xi)
 
 
+def _radial_factors(t: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """``A[k, i] = sqrt(w_i t_i^k / k!)`` for ``k < n``, in log space
+    (``k!`` overflows float64 past ``k = 170``).  Row ``k`` squared and
+    summed is the Laguerre moment ratio ``sum_i w_i t_i^k / k!``."""
+    ks = np.arange(n)[:, None]
+    return np.exp(0.5 * (np.log(w) + ks * np.log(t) - gammaln(ks + 1)))
+
+
 def make_quadrature(dim: int, radial_count: int, angular_count: int) -> QuadratureScheme:
     """Quadrature over the complex plane resolving ``dim`` levels.
 
-    Requires ``radial_count >= dim`` and ``angular_count >= 2 dim`` and
-    validates the radial rule against the factorial moments
-    ``int e^{-t} t^k dt = k!`` for ``k <= dim``.  The radial requirement
-    is conservative: Gauss-Laguerre with ``n`` nodes is exact through
-    degree ``2n-1``, so ``ceil(dim/2)`` nodes already integrate every
-    moment ``k <= dim-1`` that the resolution operator needs.
+    Requires ``radial_count > dim // 2`` and ``angular_count >= 2 dim``
+    and validates the radial rule against the factorial moments
+    ``int e^{-t} t^k dt = k!`` for ``k <= dim``.  Gauss-Laguerre with
+    ``n`` nodes is exact through degree ``2n-1``, so ``dim // 2 + 1``
+    nodes are the fewest that integrate every tested moment.
 
     Raises
     ------
     UnderResolvedError
         On insufficient node counts, zero or non-finite weights (``laggauss``
-        loses its weights from about 200 nodes), or a failed moment test.
+        loses its weights from about 190 nodes), or a failed moment test.
     """
-    if radial_count < dim:
+    if radial_count <= dim // 2:
         raise UnderResolvedError(
-            f"radial_count {radial_count} < dim {dim}: the scheme requires "
-            "radial_count >= dim (conservative; ceil(dim/2) nodes are exact)"
+            f"radial_count {radial_count} <= dim // 2 = {dim // 2}: a rule exact "
+            f"through the moment t^{dim} needs at least {dim // 2 + 1} nodes"
         )
     if angular_count < 2 * dim:
         raise UnderResolvedError(
             f"angular_count {angular_count} < 2*dim = {2 * dim}: angular grid aliases"
         )
-    # past about 200 nodes laggauss overflows on its way to the weights;
+    # past about 190 nodes laggauss overflows on its way to the weights;
     # the guard below refuses such a rule with its own message
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t, w = laggauss(radial_count)
@@ -223,10 +230,7 @@ def make_quadrature(dim: int, radial_count: int, angular_count: int) -> Quadratu
         raise UnderResolvedError(
             f"radial weights are zero or non-finite at {radial_count} nodes; reduce radial_count"
         )
-    # factorial moment test in log space (k! overflows float64 past k = 170)
-    ks = np.arange(dim + 1)
-    log_moments = logsumexp(np.log(w)[None, :] + ks[:, None] * np.log(t)[None, :], axis=1)
-    rel_err = np.abs(np.exp(log_moments - gammaln(ks + 1)) - 1.0)
+    rel_err = np.abs(np.sum(_radial_factors(t, w, dim + 1) ** 2, axis=1) - 1.0)
     if not rel_err.max() <= 1e-10:  # written so that NaN fails
         raise UnderResolvedError(
             f"factorial moment test failed: max relative error {rel_err.max():.3e} for k <= {dim}"
@@ -234,27 +238,13 @@ def make_quadrature(dim: int, radial_count: int, angular_count: int) -> Quadratu
     return QuadratureScheme(dim=dim, radial_t=t, radial_w=w, angular_count=angular_count)
 
 
-def _coherent_node_matrix(d: int, quad: QuadratureScheme) -> tuple[np.ndarray, np.ndarray]:
-    """Columns: normalized coherent vectors at every node
-    ``z_ij = sqrt(t_i) e^{i theta_j}``; plus per-node weights
-    ``w_i e^{t_i} / M`` (Jacobian of ``(1/pi) d^2z`` in polar ``t``
-    folded with the Laguerre weight)."""
-    t, w, M = quad.radial_t, quad.radial_w, quad.angular_count
-    ks = np.arange(d)
-    # radial coefficient e^{-t/2} t^{k/2} / sqrt(k!), stable in log space
-    log_r = -t[None, :] / 2 + 0.5 * ks[:, None] * np.log(t[None, :]) - 0.5 * gammaln(ks + 1)[:, None]
-    radial = np.exp(log_r)  # (d, n_r)
-    theta = 2 * np.pi * np.arange(M) / M
-    phases = np.exp(1j * np.outer(ks, theta))  # (d, M)
-    states = (radial[:, :, None] * phases[:, None, :]).reshape(d, len(t) * M)
-    node_w = np.repeat(np.exp(np.log(w) + t) / M, M)
-    return states, node_w
-
-
 def resolution_operator(riesz: RieszMap, quad: QuadratureScheme) -> Operator:
     """Discrete resolution operator
-    ``R = sum_nodes w |eta(z)><xi(z)|``; equals the identity whenever the
-    scheme resolves the space.
+    ``R = sum_nodes w |eta(z)><xi(z)| = S G S^{-1}``; equals the identity
+    whenever the scheme resolves the space.  Then ``G`` is diagonal with
+    the moment ratios ``sum_i w_i t_i^k / k!``, so the deviation is the
+    Laguerre moment error carried through ``S`` plus the ``S S^{-1}``
+    roundoff.
 
     Applying a scheme built for a smaller dimension is allowed but warns
     (:class:`UnderResolvedWarning`) so degradation studies can measure
@@ -268,10 +258,10 @@ def resolution_operator(riesz: RieszMap, quad: QuadratureScheme) -> Operator:
             UnderResolvedWarning,
             stacklevel=2,
         )
-    states, node_w = _coherent_node_matrix(d, quad)
-    eta = riesz.S.mat @ states
-    xi = riesz.S_inv.mat.conj().T @ states
-    return Operator(riesz.space, (eta * node_w) @ xi.conj().T)
+    A = _radial_factors(quad.radial_t, quad.radial_w, d)
+    ks = np.arange(d)
+    G = (A @ A.T) * ((ks[:, None] - ks[None, :]) % quad.angular_count == 0)
+    return Operator(riesz.space, riesz.S.mat @ G @ riesz.S_inv.mat)
 
 
 def resolution_of_identity(riesz: RieszMap, quad: QuadratureScheme) -> float:

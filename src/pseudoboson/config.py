@@ -4,7 +4,8 @@ Configs are JSON with a versioned schema.  Unknown keys anywhere are
 rejected outright so a mistyped key can never be silently ignored.
 Tolerances are not configurable: every check is graded against
 ``DEFAULT_TOLERANCES``.  Neither is the quadrature: ``verify`` uses the
-rule with ``dim`` radial and ``2 dim + 1`` angular nodes.
+rule with ``dim // 2 + 1`` radial nodes (the fewest that pass its
+moment test) and ``2 dim + 1`` angular nodes.
 
 Example::
 

@@ -84,9 +84,13 @@ def hermite_basis(n: int, x):
 def gauss_hermite_grid(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes with weights rescaled for plain ``dx``
     integrals of Gaussian-decaying integrands: ``sum w f(x)`` matches
-    ``int f`` exactly for ``f = (poly deg <= 2*order-1) * exp(-x^2)``."""
-    x, w = hermgauss(order)
-    return x, w * np.exp(x**2)
+    ``int f`` exactly for ``f = (poly deg <= 2*order-1) * exp(-x^2)``.
+    The weights are ``1 / sum_{k<order} e_k(x_i)^2`` (Christoffel), since
+    ``e^{x^2}`` overflows past |x| = 26.6 and ``hermgauss``'s own weights
+    overflow from about 400 nodes; only its nodes are used."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x, _ = hermgauss(order)
+    return x, 1.0 / np.sum(hermite_stack(order - 1, x) ** 2, axis=0)
 
 
 def coherent_wavefunction(z: complex, x):

@@ -222,7 +222,7 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
             rec.add("eigen_xi", r_xi, params=zp, in_regime=in_regime, extra_tol=eigen_tail)
 
     try:
-        quad = make_quadrature(dim, dim, 2 * dim + 1)
+        quad = make_quadrature(dim, dim // 2 + 1, 2 * dim + 1)
     except UnderResolvedError as exc:
         rec.add("resolution_identity", float("inf"), params={"error": str(exc)})
     else:
@@ -306,9 +306,7 @@ def convergence_study(config: RunConfig, dims: list[int]) -> tuple[Path, Path]:
                 disp = displaced_pair(riesz, z)
                 bch = max(bch_factorization_check(pair, disp, SafeSubspace(space, cutoff)))
                 r_eta, r_xi = eigen_check(pair, rbcs(riesz, z))
-                # each rule once, ascending: the full rule (radial = dim) has
-                # the largest node matrix, and building it last keeps the
-                # sweep's peak memory lowest; its value fills both tables
+                # each rule once; the full rule (radial = dim) fills both tables
                 deviations = {
                     radial: resolution_of_identity(
                         riesz, make_quadrature(radial, radial, 2 * dim + 1))

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from pseudoboson import (
     DimensionMismatchError,
     ProvenanceError,
+    QuadratureScheme,
     UnderResolvedError,
     UnderResolvedWarning,
     coherent,
@@ -17,9 +19,11 @@ from pseudoboson import (
     make_quadrature,
     make_riesz_map,
     make_space,
+    projector_map,
     random_riesz_map,
     rbcs,
     resolution_of_identity,
+    resolution_operator,
     series_route,
     vacua_from_map,
     weak_pairing_check,
@@ -183,6 +187,18 @@ class TestQuadrature:
         with pytest.raises(UnderResolvedError):
             make_quadrature(16, 8, 33)
 
+    @pytest.mark.parametrize("dim, radial, accepted", [
+        (16, 9, True), (17, 9, True), (17, 8, False),
+    ])
+    def test_radial_bound_both_sides(self, dim, radial, accepted):
+        # n nodes are exact through degree 2n - 1, so dim // 2 + 1 nodes are
+        # the fewest that pass the moment test for k <= dim
+        if accepted:
+            assert make_quadrature(dim, radial, 2 * dim + 1).radial_count == radial
+        else:
+            with pytest.raises(UnderResolvedError):
+                make_quadrature(dim, radial, 2 * dim + 1)
+
     def test_insufficient_angular(self):
         with pytest.raises(UnderResolvedError):
             make_quadrature(16, 16, 16)
@@ -226,6 +242,14 @@ class TestResolutionOfIdentity:
             dev = resolution_of_identity(riesz, reduced)
         assert dev >= 1e-1
 
+    def test_dim256_minimal_rule(self):
+        # laggauss(129) still has finite weights, so dim 256 is resolved
+        space = make_space(256)
+        quad = make_quadrature(256, 129, 513)
+        for riesz in (projector_map(space, space.basis_vector(0)).riesz,
+                      random_riesz_map(space, 10.0, seed=3)):
+            assert resolution_of_identity(riesz, quad) <= 1e-10
+
     def test_half_resolution_still_exact(self):
         # Gauss-Laguerre with n nodes integrates moments up to 2n-1, so
         # half the nodes still resolve every moment the space needs
@@ -234,6 +258,44 @@ class TestResolutionOfIdentity:
         with pytest.warns(UnderResolvedWarning):
             dev = resolution_of_identity(riesz, reduced)
         assert dev <= 1e-13
+
+
+def node_matrix_resolution(riesz, quad):
+    """Reference ``R = sum_nodes w |eta(z)><xi(z)|``: every node's coherent
+    state as a column, mapped through ``S`` and ``(S^{-1})^dag``, with node
+    weights ``w_i e^{t_i} / M``."""
+    t, w, M = quad.radial_t, quad.radial_w, quad.angular_count
+    d = riesz.dim
+    ks = np.arange(d)
+    log_r = (-t[None, :] / 2 + 0.5 * ks[:, None] * np.log(t[None, :])
+             - 0.5 * gammaln(ks + 1)[:, None])
+    theta = 2 * np.pi * np.arange(M) / M
+    phases = np.exp(1j * np.outer(ks, theta))
+    states = (np.exp(log_r)[:, :, None] * phases[:, None, :]).reshape(d, len(t) * M)
+    node_w = np.repeat(np.exp(np.log(w) + t) / M, M)
+    eta = riesz.S.mat @ states
+    xi = riesz.S_inv.mat.conj().T @ states
+    return (eta * node_w) @ xi.conj().T
+
+
+class TestResolutionOracle:
+    @pytest.mark.parametrize("d", [16, 32, 64])
+    @pytest.mark.parametrize("rule", ["full", "half", "quarter", "aliasing"])
+    def test_matches_node_matrix_sum(self, d, rule):
+        radial = {"full": d, "half": d // 2, "quarter": d // 4, "aliasing": d // 2}[rule]
+        # make_quadrature refuses an aliasing grid, so that rule is built by hand
+        quad = make_quadrature(radial, radial, 2 * radial + 1)
+        if rule == "aliasing":
+            quad = QuadratureScheme(dim=quad.dim, radial_t=quad.radial_t,
+                                    radial_w=quad.radial_w, angular_count=d // 2 + 1)
+        space = make_space(d)
+        maps = [projector_map(space, space.basis_vector(0)).riesz,
+                random_riesz_map(space, 10.0, seed=d)]
+        for riesz in maps:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UnderResolvedWarning)
+                R = resolution_operator(riesz, quad).mat
+            assert np.linalg.norm(R - node_matrix_resolution(riesz, quad), 2) <= 1e-12
 
 
 class TestWeakPairing:

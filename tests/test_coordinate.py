@@ -1,4 +1,5 @@
 import csv
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,16 @@ class TestHermiteBasis:
         stack = hermite_stack(32, x)
         gram = (stack * w) @ stack.T
         assert np.abs(gram - np.eye(33)).max() <= 1e-10
+
+    def test_grid_weights_finite_at_high_order(self):
+        # order 522 (dim 512) has nodes past |x| = 26.6, where w e^{x^2}
+        # overflows; the Christoffel weights must stay finite and exact
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            x, w = gauss_hermite_grid(522)
+        assert np.all(np.isfinite(w) & (w > 0.0))
+        stack = hermite_stack(521, x)
+        assert np.abs((stack * w) @ stack.T - np.eye(522)).max() <= 1e-13
 
     def test_against_direct_hermite_formula(self):
         # independent route: physicists' Hermite polynomial with explicit

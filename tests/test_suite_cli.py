@@ -1,7 +1,10 @@
 import csv
+import importlib
+import inspect
 import json
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,9 +122,10 @@ class TestRunSuite:
         assert not suite_failed(reports)
         ids = {r.check_id for r in reports}
         assert "coordinate_l2" in ids and "resolution_identity" in ids
-        # the quadrature rule follows the dimension: dim radial, 2 dim + 1 angular
+        # the quadrature rule follows the dimension: the fewest exact radial
+        # nodes (dim // 2 + 1) and 2 dim + 1 angular
         quad = next(r for r in reports if r.check_id == "resolution_identity")
-        assert quad.params == {"radial": 64, "angular": 129}
+        assert quad.params == {"radial": 33, "angular": 129}
 
     def test_outputs_written(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "c.json"))
@@ -322,7 +326,7 @@ class TestCli:
         assert main(["verify", "--config", str(path), "--dim", "8"]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         resolution = next(r for r in report if r["check_id"] == "resolution_identity")
-        assert resolution["params"]["radial"] == 8
+        assert resolution["params"]["radial"] == 5
 
     def test_converge_writes_tables(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json")
@@ -337,3 +341,21 @@ class TestCli:
         assert len(files) == 2
         header = files[0].read_text().splitlines()[0]
         assert header == "x,re_Phi,im_Phi,re_phi,im_phi,re_psi,im_psi"
+
+
+def test_benchmark_spans_are_public_functions():
+    # the benchmark's layer trace wraps each function of a module's __all__
+    # defined in that module (plus Operator.__post_init__) and refuses a
+    # per-layer metric whose span it cannot find
+    bench = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+    spans = {m["name"].rsplit(".", 1)[0] for m in bench["per_layer"]}
+    assert spans
+    for span in spans:
+        module, name = span.split(".")
+        mod = importlib.import_module(f"pseudoboson.{module}")
+        obj = getattr(mod, name, None)
+        if span == "fock.Operator":
+            assert inspect.isclass(obj) and "__post_init__" in vars(obj)
+            continue
+        assert name in mod.__all__, span
+        assert inspect.isfunction(obj) and obj.__module__ == mod.__name__, span
