@@ -25,12 +25,12 @@ with a quarter rule.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
-from scipy.special import gammaln
 
 from .algebra import PseudoBosonPair, VacuumPair
 from .errors import (
@@ -119,7 +119,7 @@ def coherent_tail_bound(dim: int, z: complex) -> float:
         return 0.0
     if x >= dim + 1:
         return 1.0
-    log_major = dim * np.log(x) - gammaln(dim + 1) + np.log((dim + 1) / (dim + 1 - x))
+    log_major = dim * np.log(x) - math.lgamma(dim + 1) + np.log((dim + 1) / (dim + 1 - x))
     return float(min(1.0, np.exp(-x / 2 + 0.5 * log_major)))
 
 
@@ -195,7 +195,8 @@ def _radial_factors(t: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
     (``k!`` overflows float64 past ``k = 170``).  Row ``k`` squared and
     summed is the Laguerre moment ratio ``sum_i w_i t_i^k / k!``."""
     ks = np.arange(n)[:, None]
-    return np.exp(0.5 * (np.log(w) + ks * np.log(t) - gammaln(ks + 1)))
+    log_fact = np.array([[math.lgamma(k + 1.0)] for k in range(n)])
+    return np.exp(0.5 * (np.log(w) + ks * np.log(t) - log_fact))
 
 
 def make_quadrature(dim: int, radial_count: int, angular_count: int) -> QuadratureScheme:
@@ -228,7 +229,8 @@ def make_quadrature(dim: int, radial_count: int, angular_count: int) -> Quadratu
         t, w = laggauss(radial_count)
     if not np.all(np.isfinite(w) & (w > 0.0)):
         raise UnderResolvedError(
-            f"radial weights are zero or non-finite at {radial_count} nodes; reduce radial_count"
+            f"laggauss weights are zero or non-finite at {radial_count} nodes: "
+            "numpy's Gauss-Laguerre weights overflow past about 190 nodes, a known limit"
         )
     rel_err = np.abs(np.sum(_radial_factors(t, w, dim + 1) ** 2, axis=1) - 1.0)
     if not rel_err.max() <= 1e-10:  # written so that NaN fails

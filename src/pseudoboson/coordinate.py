@@ -20,6 +20,7 @@ routes, and the overlap with the ground state is
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,10 +88,19 @@ def gauss_hermite_grid(order: int) -> tuple[np.ndarray, np.ndarray]:
     ``int f`` exactly for ``f = (poly deg <= 2*order-1) * exp(-x^2)``.
     The weights are ``1 / sum_{k<order} e_k(x_i)^2`` (Christoffel), since
     ``e^{x^2}`` overflows past |x| = 26.6 and ``hermgauss``'s own weights
-    overflow from about 400 nodes; only its nodes are used."""
+    overflow from about 400 nodes; only its nodes are used.  The grid is
+    built once per order and returned as read-only arrays."""
+    return _gauss_hermite_grid(order)
+
+
+@functools.lru_cache(maxsize=4)
+def _gauss_hermite_grid(order: int) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x, _ = hermgauss(order)
-    return x, 1.0 / np.sum(hermite_stack(order - 1, x) ** 2, axis=0)
+    w = 1.0 / np.sum(hermite_stack(order - 1, x) ** 2, axis=0)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
 
 
 def coherent_wavefunction(z: complex, x):

@@ -209,8 +209,12 @@ class TestQuadrature:
         # 400, which pass a `w <= 0` guard); the refusal is the only signal
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with pytest.raises(UnderResolvedError, match="non-finite"):
+            with pytest.raises(UnderResolvedError) as refused:
                 make_quadrature(nodes, nodes, 2 * nodes + 1)
+        # the refusal names the known laggauss limit, not a setting of the caller
+        message = str(refused.value)
+        assert f"laggauss weights are zero or non-finite at {nodes} nodes" in message
+        assert "known limit" in message and "reduce" not in message
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

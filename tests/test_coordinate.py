@@ -39,6 +39,13 @@ class TestHermiteBasis:
         gram = (stack * w) @ stack.T
         assert np.abs(gram - np.eye(33)).max() <= 1e-10
 
+    def test_grid_built_once_per_order(self):
+        # cross_validate asks for the same grid at every amplitude
+        x, w = gauss_hermite_grid(80)
+        again = gauss_hermite_grid(80)
+        assert again[0] is x and again[1] is w
+        assert not x.flags.writeable and not w.flags.writeable
+
     def test_grid_weights_finite_at_high_order(self):
         # order 522 (dim 512) has nodes past |x| = 26.6, where w e^{x^2}
         # overflows; the Christoffel weights must stay finite and exact

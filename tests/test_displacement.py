@@ -1,8 +1,13 @@
+import dataclasses
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import eval_genlaguerre, gammaln
 
 from pseudoboson import (
     AccuracyRegimeWarning,
@@ -20,9 +25,21 @@ from pseudoboson import (
     power_similarity_check,
     weyl,
 )
-from pseudoboson.fock import Operator, identity
+from pseudoboson.displacement import _displacement_block, _phase_powers, _times_generator
+from pseudoboson.fock import Operator, identity, ladder_c
 
 bounded_z = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+def laguerre_block(z, size):
+    """``<m|D(z)|n>`` for ``m, n < size`` from scipy's generalized Laguerre
+    polynomials (Cahill & Glauber), the independent oracle of the block."""
+    x = abs(z) ** 2
+    m, n = np.indices((size, size))
+    lo, hi = np.minimum(m, n), np.maximum(m, n)
+    base = np.where(m >= n, z, -np.conj(z))
+    ratio = np.exp(0.5 * (gammaln(lo + 1) - gammaln(hi + 1)))
+    return ratio * base ** (hi - lo) * math.exp(-x / 2) * eval_genlaguerre(lo, hi - lo, x)
 
 
 def projector_riesz(dim):
@@ -54,6 +71,24 @@ class TestWeyl:
         state = coherent(space64, z)
         assert np.linalg.norm(W.mat[:, 0] - state.vec) <= 1e-9
 
+    @pytest.mark.parametrize("dim", [16, 64, 128])
+    def test_matches_expm(self, dim):
+        # the spectral form against scipy's Pade exponential of the generator
+        space = make_space(dim)
+        c = ladder_c(space).mat
+        for z in (0.3 + 0.7j, 1.0, 1 + 1j, 2j, -1.5j, 0.5 * np.exp(2.9j)):
+            ref = expm(z * c.conj().T - np.conj(z) * c)
+            assert np.linalg.norm(weyl(space, z).mat - ref, 2) <= 1e-13
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs 80-bit long double")
+    def test_phase_powers_exact_angles(self):
+        # reference: k * arg(u) is exact in a 64-bit significand for k < 2^11;
+        # rounding it in float64 would drift to 2e-13 by k = 1023
+        u = np.exp(2.9j)
+        angle = np.arange(1024, dtype=np.longdouble) * np.longdouble(np.angle(u))
+        ref = np.cos(angle).astype(float) + 1j * np.sin(angle).astype(float)
+        assert np.abs(_phase_powers(u, 1024) - ref).max() <= 1e-15
+
     def test_out_of_regime_warns(self):
         space = make_space(8)
         with pytest.warns(AccuracyRegimeWarning):
@@ -71,6 +106,36 @@ class TestWeyl:
         lhs = weyl(space, z).mat @ weyl(space, w).mat
         rhs = np.exp(1j * (z * np.conj(w)).imag) * weyl(space, z + w).mat
         assert np.linalg.norm((lhs - rhs)[:32, :32], 2) <= 1e-8
+
+
+class TestDisplacementBlock:
+    """The closed-form block behind the normal-ordered factorization."""
+
+    @pytest.mark.parametrize("z", [0.05j, 0.3 + 0.7j, 1.0, 1 + 1j, 2j, -2.2 + 1.1j, 3.0])
+    def test_matches_laguerre_closed_form(self, z):
+        assert np.abs(_displacement_block(z, 64) - laguerre_block(z, 64)).max() <= 1e-13
+
+    @pytest.mark.parametrize("dim", [256, 512])
+    def test_matches_wide_spectral_weyl(self, dim):
+        # the dim x dim block of W at dimension 3 dim carries no truncation
+        # tail at these amplitudes; 0.05j is where a float64 recurrence
+        # drifts to 2e-12 at dim 512
+        wide = make_space(3 * dim)
+        for z in (0.05j, 1 + 1j, 2j):
+            block = weyl(wide, z).mat[:dim, :dim]
+            assert np.abs(_displacement_block(z, dim) - block).max() <= 1e-13
+
+    def test_dim1024_finite_and_nested(self):
+        # the unscaled recurrence overflows here; the scaled one may only
+        # underflow, and a larger block extends a smaller one
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            big = _displacement_block(2j, 1024)
+        assert np.all(np.isfinite(big))
+        assert np.abs(big[:512, :512] - _displacement_block(2j, 512)).max() <= 1e-13
+
+    def test_zero_amplitude_is_identity(self):
+        np.testing.assert_array_equal(_displacement_block(0.0, 16), np.eye(16))
 
 
 class TestDisplacedPair:
@@ -102,6 +167,13 @@ class TestDisplacedPair:
 
 
 class TestPowerSimilarity:
+    def test_banded_update_matches_dense_product(self, random_map64):
+        z = 1.3 - 0.4j
+        c = ladder_c(random_map64.space).mat
+        G = z * c.conj().T - np.conj(z) * c
+        T = random_map64.S.mat[:59]
+        np.testing.assert_allclose(_times_generator(T, z), T @ G, rtol=0, atol=1e-13)
+
     def test_k0_residual_zero(self, random_map64):
         residuals = power_similarity_check(make_pair(random_map64), 1 + 1j, k_max=0)
         assert residuals[0] == 0.0
@@ -161,17 +233,44 @@ class TestBchFactorization:
             bch_factorization_check(make_pair(riesz), disp, SafeSubspace(space, 15))
 
     def test_sides_reported_separately(self, random_map64):
-        # (r_u, r_v) are the U and V sides, in that order
+        # (r_u, r_v) are the U and V sides, in that order: perturb the two
+        # sides by different amounts and rebuild both residuals from the
+        # Laguerre closed form, mapped through S
         pair, disp = make_pair(random_map64), displaced_pair(random_map64, 1.0)
-        r_u, r_v = bch_factorization_check(pair, disp, SafeSubspace(random_map64.space, 32))
-        a, b = pair.a.mat, pair.b.mat
-        gauss = np.exp(-0.5)
-        U_fact = gauss * (expm(b) @ expm(-a))
-        V_fact = gauss * (expm(a.conj().T) @ expm(-b.conj().T))
+        rng = np.random.default_rng(5)
+        space = random_map64.space
+        disp = dataclasses.replace(
+            disp,
+            U=Operator(space, disp.U.mat + 1e-6 * rng.standard_normal((64, 64))),
+            V=Operator(space, disp.V.mat + 1e-4 * rng.standard_normal((64, 64))),
+        )
+        r_u, r_v = bch_factorization_check(pair, disp, SafeSubspace(space, 32))
+        E = laguerre_block(1.0, 64)
+        S, S_inv = random_map64.S.mat, random_map64.S_inv.mat
+        U_fact = S @ E @ S_inv
+        V_fact = S_inv.conj().T @ E @ S.conj().T
         for r, built, fact in ((r_u, disp.U.mat, U_fact), (r_v, disp.V.mat, V_fact)):
             want = (np.linalg.norm((built - fact)[:32, :32], 2)
                     / np.linalg.norm(built[:32, :32], 2))
             assert r == pytest.approx(want, rel=1e-6, abs=1e-18)
+        assert r_v > 10 * r_u
+
+    def test_matches_exponential_route(self, random_map64):
+        # at dim 64 and z = 1 the exponentials of the pair are still accurate
+        # (they agree with the closed form to about 2e-12), which pins the
+        # closed-form factor to the definition e^{-|z|^2/2} e^{z b} e^{-conj(z) a}
+        pair = make_pair(random_map64)
+        a, b = pair.a.mat, pair.b.mat
+        S, S_inv = random_map64.S.mat, random_map64.S_inv.mat
+        E = _displacement_block(1.0, 64)
+        gauss = np.exp(-0.5)
+        routes = (
+            (gauss * (expm(b) @ expm(-a)), S @ E @ S_inv),
+            (gauss * (expm(a.conj().T) @ expm(-b.conj().T)), S_inv.conj().T @ E @ S.conj().T),
+        )
+        for by_expm, closed in routes:
+            diff = np.linalg.norm((by_expm - closed)[:32, :32], 2)
+            assert diff <= 1e-10 * np.linalg.norm(closed[:32, :32], 2)
 
     def test_provenance_mismatch(self, random_maps64):
         first, other = random_maps64[:2]
@@ -182,6 +281,18 @@ class TestBchFactorization:
 
 
 class TestIntertwining:
+    def test_reference_norm_is_upper_frame_bound(self, all_maps64):
+        # the residual divides by sigma_max(S)^2 = ||S S^dag||
+        sub = SafeSubspace(make_space(64), 63)
+        for riesz in all_maps64:
+            met = metric_operator(riesz)
+            M = met.theta_inv.mat
+            assert riesz.frame_bounds[1] == pytest.approx(np.linalg.norm(M, 2), rel=1e-13)
+            disp = displaced_pair(riesz, 1 + 1j)
+            diff = np.linalg.norm((M @ disp.V.mat - disp.U.mat @ M)[:63, :63], 2)
+            assert intertwining_check(disp, met, sub) == pytest.approx(
+                diff / np.linalg.norm(M, 2), rel=1e-12)
+
     def test_unitary_case(self, space64):
         riesz = make_riesz_map(identity(space64))
         residual = intertwining_check(

@@ -2,6 +2,9 @@ import csv
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
 from pathlib import Path
@@ -126,6 +129,21 @@ class TestRunSuite:
         # nodes (dim // 2 + 1) and 2 dim + 1 angular
         quad = next(r for r in reports if r.check_id == "resolution_identity")
         assert quad.params == {"radial": 33, "angular": 129}
+
+    @pytest.mark.parametrize("dim, map_spec", [
+        (64, {"kind": "random", "cond": 10.0, "seed": 13}),
+        (64, {"kind": "random", "cond": 10.0, "seed": 238}),
+        (128, {"kind": "random", "cond": 10.0, "seed": 3}),
+        (256, {"kind": "projector", "u_index": 0}),
+    ], ids=["rand64-seed13", "rand64-seed238", "rand128-seed3", "proj256"])
+    def test_all_pass_beyond_dim64(self, tmp_path, dim, map_spec):
+        # the exponential route of the normal-ordered factorization lost
+        # these to float64 cancellation (bch_u/bch_v at 2i on the dim-64
+        # seeds, at 1, 1+i and 2i from dim 128 on)
+        path = write_config(tmp_path / "c.json", dim=dim, map_spec=map_spec,
+                            z_samples=[[0, 0], [1, 0], [1, 1], [0, 2]])
+        reports = run_suite(load_config(path))
+        assert [r.check_id for r in reports if r.status != "pass"] == []
 
     def test_outputs_written(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "c.json"))
@@ -359,3 +377,11 @@ def test_benchmark_spans_are_public_functions():
             continue
         assert name in mod.__all__, span
         assert inspect.isfunction(obj) and obj.__module__ == mod.__name__, span
+
+
+def test_cli_import_leaves_scipy_out():
+    # the runtime is numpy only; scipy serves the tests as an oracle
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import pseudoboson.cli, sys; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
