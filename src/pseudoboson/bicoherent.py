@@ -30,7 +30,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
 
 from .algebra import PseudoBosonPair, VacuumPair
 from .errors import (
@@ -39,7 +38,7 @@ from .errors import (
     UnderResolvedError,
     UnderResolvedWarning,
 )
-from .fock import FockSpace, Operator, _freeze
+from .fock import FockSpace, Operator, _freeze, _gauss_rule
 from .riesz import RieszMap
 
 __all__ = [
@@ -90,16 +89,18 @@ class BicoherentPair:
 
 @dataclass(frozen=True, eq=False)
 class QuadratureScheme:
-    """Radial Gauss-Laguerre nodes/weights in ``t = r^2`` plus a uniform
-    angular grid, resolving spaces up to dimension ``dim``."""
+    """Radial Gauss-Laguerre nodes and log weights in ``t = r^2`` plus a
+    uniform angular grid, resolving spaces up to dimension ``dim``.  The
+    weights are kept as logarithms because from 257 nodes the smallest
+    fall below float64's range."""
 
     dim: int
     radial_t: np.ndarray
-    radial_w: np.ndarray
+    radial_log_w: np.ndarray
     angular_count: int
 
     def __post_init__(self):
-        _freeze(self, "radial_t", "radial_w")
+        _freeze(self, "radial_t", "radial_log_w")
 
     @property
     def radial_count(self) -> int:
@@ -190,13 +191,13 @@ def eigen_check(pair: PseudoBosonPair, bc: BicoherentPair) -> tuple[float, float
     return float(r_eta), float(r_xi)
 
 
-def _radial_factors(t: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+def _radial_factors(t: np.ndarray, log_w: np.ndarray, n: int) -> np.ndarray:
     """``A[k, i] = sqrt(w_i t_i^k / k!)`` for ``k < n``, in log space
     (``k!`` overflows float64 past ``k = 170``).  Row ``k`` squared and
     summed is the Laguerre moment ratio ``sum_i w_i t_i^k / k!``."""
     ks = np.arange(n)[:, None]
     log_fact = np.array([[math.lgamma(k + 1.0)] for k in range(n)])
-    return np.exp(0.5 * (np.log(w) + ks * np.log(t) - log_fact))
+    return np.exp(0.5 * (log_w + ks * np.log(t) - log_fact))
 
 
 def make_quadrature(dim: int, radial_count: int, angular_count: int) -> QuadratureScheme:
@@ -206,13 +207,13 @@ def make_quadrature(dim: int, radial_count: int, angular_count: int) -> Quadratu
     and validates the radial rule against the factorial moments
     ``int e^{-t} t^k dt = k!`` for ``k <= dim``.  Gauss-Laguerre with
     ``n`` nodes is exact through degree ``2n-1``, so ``dim // 2 + 1``
-    nodes are the fewest that integrate every tested moment.
+    nodes are the fewest that integrate every tested moment.  The rule
+    comes from the Jacobi matrix ``tridiag(k, 2k+1, k)``.
 
     Raises
     ------
     UnderResolvedError
-        On insufficient node counts, zero or non-finite weights (``laggauss``
-        loses its weights from about 190 nodes), or a failed moment test.
+        On insufficient node counts or a failed moment test.
     """
     if radial_count <= dim // 2:
         raise UnderResolvedError(
@@ -223,21 +224,13 @@ def make_quadrature(dim: int, radial_count: int, angular_count: int) -> Quadratu
         raise UnderResolvedError(
             f"angular_count {angular_count} < 2*dim = {2 * dim}: angular grid aliases"
         )
-    # past about 190 nodes laggauss overflows on its way to the weights;
-    # the guard below refuses such a rule with its own message
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t, w = laggauss(radial_count)
-    if not np.all(np.isfinite(w) & (w > 0.0)):
-        raise UnderResolvedError(
-            f"laggauss weights are zero or non-finite at {radial_count} nodes: "
-            "numpy's Gauss-Laguerre weights overflow past about 190 nodes, a known limit"
-        )
-    rel_err = np.abs(np.sum(_radial_factors(t, w, dim + 1) ** 2, axis=1) - 1.0)
+    t, log_w = _gauss_rule(2.0 * np.arange(radial_count) + 1.0, np.arange(1.0, radial_count))
+    rel_err = np.abs(np.sum(_radial_factors(t, log_w, dim + 1) ** 2, axis=1) - 1.0)
     if not rel_err.max() <= 1e-10:  # written so that NaN fails
         raise UnderResolvedError(
             f"factorial moment test failed: max relative error {rel_err.max():.3e} for k <= {dim}"
         )
-    return QuadratureScheme(dim=dim, radial_t=t, radial_w=w, angular_count=angular_count)
+    return QuadratureScheme(dim=dim, radial_t=t, radial_log_w=log_w, angular_count=angular_count)
 
 
 def resolution_operator(riesz: RieszMap, quad: QuadratureScheme) -> Operator:
@@ -260,7 +253,7 @@ def resolution_operator(riesz: RieszMap, quad: QuadratureScheme) -> Operator:
             UnderResolvedWarning,
             stacklevel=2,
         )
-    A = _radial_factors(quad.radial_t, quad.radial_w, d)
+    A = _radial_factors(quad.radial_t, quad.radial_log_w, d)
     ks = np.arange(d)
     G = (A @ A.T) * ((ks[:, None] - ks[None, :]) % quad.angular_count == 0)
     return Operator(riesz.space, riesz.S.mat @ G @ riesz.S_inv.mat)

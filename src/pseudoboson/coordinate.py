@@ -25,11 +25,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 from .bicoherent import coherent
 from .errors import ValidationError
-from .fock import FockSpace, Operator
+from .fock import FockSpace, Operator, _gauss_rule
 from .riesz import RieszMap, make_riesz_map
 
 __all__ = [
@@ -82,22 +81,17 @@ def hermite_basis(n: int, x):
     return float(vals[0]) if scalar else vals
 
 
+@functools.lru_cache(maxsize=4)
 def gauss_hermite_grid(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes with weights rescaled for plain ``dx``
     integrals of Gaussian-decaying integrands: ``sum w f(x)`` matches
     ``int f`` exactly for ``f = (poly deg <= 2*order-1) * exp(-x^2)``.
-    The weights are ``1 / sum_{k<order} e_k(x_i)^2`` (Christoffel), since
-    ``e^{x^2}`` overflows past |x| = 26.6 and ``hermgauss``'s own weights
-    overflow from about 400 nodes; only its nodes are used.  The grid is
-    built once per order and returned as read-only arrays."""
-    return _gauss_hermite_grid(order)
-
-
-@functools.lru_cache(maxsize=4)
-def _gauss_hermite_grid(order: int) -> tuple[np.ndarray, np.ndarray]:
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        x, _ = hermgauss(order)
-    w = 1.0 / np.sum(hermite_stack(order - 1, x) ** 2, axis=0)
+    The rule comes from the Jacobi matrix ``tridiag(sqrt(k/2), 0,
+    sqrt(k/2))`` with log weights, and the factor ``sqrt(pi) e^{x^2}`` is
+    applied in log space, since ``e^{x^2}`` overflows past |x| = 26.6.
+    The grid is built once per order and returned as read-only arrays."""
+    x, log_w = _gauss_rule(np.zeros(order), np.sqrt(np.arange(1, order) / 2.0))
+    w = np.exp(log_w + x**2 + 0.5 * np.log(np.pi))
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

@@ -158,10 +158,13 @@ def power_similarity_check(pair: PseudoBosonPair, z: complex, k_max: int = 5) ->
     Both powers are carried row-restricted to that subspace:
     ``S G^k`` by a banded update per ``k`` (``G`` is tridiagonal) and
     ``D^k`` by one product with ``D = z b - conj(z) a``.  ``k = 0`` is
-    the exact identity on both sides and reads 0.
+    the exact identity on both sides and reads 0, as does every ``k`` at
+    ``z = 0``, where both generators vanish.
     """
     if not 0 <= k_max <= 12:
         raise ValueError(f"k_max must be in [0, 12], got {k_max}")
+    if z == 0:
+        return np.zeros(k_max + 1)
     space = pair.space
     cut = SafeSubspace(space, space.dim - max(k_max, 1)).cutoff
     D = z * pair.b.mat + (-np.conj(z)) * pair.a.mat

@@ -65,8 +65,8 @@ class ProvenanceError(PseudoBosonError):
 
 class UnderResolvedError(PseudoBosonError):
     """Raised when a quadrature scheme fails its requirements for the
-    requested truncation dimension: fewer nodes than an exact rule needs,
-    zero or non-finite weights, or a failed moment test."""
+    requested truncation dimension: fewer nodes than an exact rule needs
+    or a failed moment test."""
 
 
 class ConfigError(PseudoBosonError):

@@ -58,6 +58,34 @@ def _freeze(obj, *names, dtype=None):
         object.__setattr__(obj, name, arr)
 
 
+def _gauss_rule(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss rule of a unit-mass weight from its Jacobi matrix
+    ``J = tridiag(b, a, b)`` (Golub & Welsch, Math. Comp. 23, 221, 1969),
+    i.e. ``x p_k = b_k p_{k+1} + a_k p_k + b_{k-1} p_{k-1}``, ``p_0 = 1``.
+
+    Returns the nodes (eigenvalues of ``J`` polished by one Newton step on
+    ``p_n``) and the log Christoffel weights ``-log sum_{k<n} p_k(x_i)^2``.
+    Each recurrence step rescales exactly, by the power of two that brings
+    the sum into ``[1/2, 2)``: the polynomials overflow at large nodes, and
+    Gauss-Laguerre weights underflow from 257 nodes."""
+
+    def recurrence(x):
+        p_prev, p, s, log2_s, b_prev = np.zeros_like(x), np.ones_like(x), 0.0, 0, 0.0
+        for a_k, b_k in zip(a, np.append(b, 1.0)):  # the last step gives b_{n-1} p_n
+            s = s + p * p
+            half = np.frexp(s)[1] // 2
+            c = np.ldexp(1.0, -half)  # a power of two: rescaling rounds nothing
+            s, log2_s = s * c * c, log2_s + 2 * half
+            p_prev, p, b_prev = c * p, c / b_k * ((x - a_k) * p - b_prev * p_prev), b_k
+        # Newton step: at a zero of b_{n-1} p_n its derivative is s / p_{n-1}
+        # (Christoffel-Darboux)
+        return p * p_prev / s, np.log(s) + np.log(2.0) * log2_s
+
+    x = np.linalg.eigvalsh(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))
+    x = x - recurrence(x)[0]
+    return x, -recurrence(x)[1]
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
     """Dense complex matrix acting on a truncated Fock space.

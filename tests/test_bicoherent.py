@@ -28,6 +28,7 @@ from pseudoboson import (
     vacua_from_map,
     weak_pairing_check,
 )
+from pseudoboson import bicoherent
 from pseudoboson.fock import identity
 
 from conftest import random_unit_vector
@@ -159,11 +160,11 @@ class TestEigenRelations:
 class TestQuadrature:
     def test_zeroth_moment(self):
         quad = make_quadrature(16, 16, 33)
-        assert abs(np.sum(quad.radial_w) - 1.0) <= 1e-14
+        assert abs(np.sum(np.exp(quad.radial_log_w)) - 1.0) <= 1e-14
 
     def test_fifth_moment(self):
         quad = make_quadrature(16, 16, 33)
-        moment = np.sum(quad.radial_w * quad.radial_t**5)
+        moment = np.sum(np.exp(quad.radial_log_w) * quad.radial_t**5)
         assert abs(moment - 120.0) <= 1e-10 * 120.0
 
     def test_factorial_moments_dim64(self):
@@ -171,7 +172,7 @@ class TestQuadrature:
 
         quad = make_quadrature(64, 64, 129)
         for k in (10, 32, 64):
-            log_moment = np.log(np.sum(quad.radial_w * quad.radial_t**k / np.exp(
+            log_moment = np.log(np.sum(np.exp(quad.radial_log_w) * quad.radial_t**k / np.exp(
                 k * np.log(quad.radial_t).max()))) + k * np.log(quad.radial_t).max()
             assert abs(np.exp(log_moment - gammaln(k + 1)) - 1.0) <= 1e-10
 
@@ -203,19 +204,38 @@ class TestQuadrature:
         with pytest.raises(UnderResolvedError):
             make_quadrature(16, 16, 16)
 
-    @pytest.mark.parametrize("nodes", [256, 400])
-    def test_non_finite_weights_rejected(self, nodes):
-        # laggauss loses weights to NaN from about 200 nodes (all of them at
-        # 400, which pass a `w <= 0` guard); the refusal is the only signal
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with pytest.raises(UnderResolvedError) as refused:
-                make_quadrature(nodes, nodes, 2 * nodes + 1)
-        # the refusal names the known laggauss limit, not a setting of the caller
-        message = str(refused.value)
-        assert f"laggauss weights are zero or non-finite at {nodes} nodes" in message
-        assert "known limit" in message and "reduce" not in message
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    @pytest.mark.parametrize("dim, nodes", [(512, 257), (1024, 513)])
+    def test_large_rules_accepted(self, dim, nodes):
+        # the smallest weights fall below float64's range, so the rule
+        # carries log weights; the moment test is the only acceptance check
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            quad = make_quadrature(dim, nodes, 2 * dim + 1)
+        assert quad.radial_count == nodes
+        assert np.all(np.isfinite(quad.radial_log_w))
+        assert quad.radial_log_w.min() < np.log(np.finfo(float).tiny)
+
+    def test_nan_weight_refused(self, monkeypatch):
+        # a non-finite weight must fail the moment test, not pass a `<=` guard
+        rule = bicoherent._gauss_rule
+
+        def rule_with_nan(a, b):
+            t, log_w = rule(a, b)
+            log_w[len(log_w) // 2] = np.nan
+            return t, log_w
+
+        monkeypatch.setattr(bicoherent, "_gauss_rule", rule_with_nan)
+        with pytest.raises(UnderResolvedError, match="factorial moment test failed"):
+            make_quadrature(32, 32, 65)
+
+    @pytest.mark.parametrize("n", [16, 64, 129])
+    def test_laguerre_rule_matches_scipy(self, n):
+        from scipy.special import roots_laguerre
+
+        quad = make_quadrature(n, n, 2 * n + 1)
+        t, w = roots_laguerre(n)
+        assert np.all(np.abs(quad.radial_t - t) <= 1e-12 * t)
+        assert np.all(np.abs(np.exp(quad.radial_log_w) - w) <= 1e-11 * w)
 
 
 class TestResolutionOfIdentity:
@@ -246,13 +266,21 @@ class TestResolutionOfIdentity:
             dev = resolution_of_identity(riesz, reduced)
         assert dev >= 1e-1
 
-    def test_dim256_minimal_rule(self):
-        # laggauss(129) still has finite weights, so dim 256 is resolved
-        space = make_space(256)
-        quad = make_quadrature(256, 129, 513)
+    @staticmethod
+    def assert_minimal_rule_resolves(dim):
+        # dim // 2 + 1 radial nodes, the fewest that pass the moment test
+        space = make_space(dim)
+        quad = make_quadrature(dim, dim // 2 + 1, 2 * dim + 1)
         for riesz in (projector_map(space, space.basis_vector(0)).riesz,
                       random_riesz_map(space, 10.0, seed=3)):
             assert resolution_of_identity(riesz, quad) <= 1e-10
+
+    def test_dim256_minimal_rule(self):
+        self.assert_minimal_rule_resolves(256)
+
+    def test_dim512_minimal_rule(self):
+        # 257 nodes: the smallest weights exist only as logarithms
+        self.assert_minimal_rule_resolves(512)
 
     def test_half_resolution_still_exact(self):
         # Gauss-Laguerre with n nodes integrates moments up to 2n-1, so
@@ -268,7 +296,7 @@ def node_matrix_resolution(riesz, quad):
     """Reference ``R = sum_nodes w |eta(z)><xi(z)|``: every node's coherent
     state as a column, mapped through ``S`` and ``(S^{-1})^dag``, with node
     weights ``w_i e^{t_i} / M``."""
-    t, w, M = quad.radial_t, quad.radial_w, quad.angular_count
+    t, log_w, M = quad.radial_t, quad.radial_log_w, quad.angular_count
     d = riesz.dim
     ks = np.arange(d)
     log_r = (-t[None, :] / 2 + 0.5 * ks[:, None] * np.log(t[None, :])
@@ -276,7 +304,7 @@ def node_matrix_resolution(riesz, quad):
     theta = 2 * np.pi * np.arange(M) / M
     phases = np.exp(1j * np.outer(ks, theta))
     states = (np.exp(log_r)[:, :, None] * phases[:, None, :]).reshape(d, len(t) * M)
-    node_w = np.repeat(np.exp(np.log(w) + t) / M, M)
+    node_w = np.repeat(np.exp(log_w + t) / M, M)
     eta = riesz.S.mat @ states
     xi = riesz.S_inv.mat.conj().T @ states
     return (eta * node_w) @ xi.conj().T
@@ -291,7 +319,7 @@ class TestResolutionOracle:
         quad = make_quadrature(radial, radial, 2 * radial + 1)
         if rule == "aliasing":
             quad = QuadratureScheme(dim=quad.dim, radial_t=quad.radial_t,
-                                    radial_w=quad.radial_w, angular_count=d // 2 + 1)
+                                    radial_log_w=quad.radial_log_w, angular_count=d // 2 + 1)
         space = make_space(d)
         maps = [projector_map(space, space.basis_vector(0)).riesz,
                 random_riesz_map(space, 10.0, seed=d)]

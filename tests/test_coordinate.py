@@ -56,6 +56,15 @@ class TestHermiteBasis:
         stack = hermite_stack(521, x)
         assert np.abs((stack * w) @ stack.T - np.eye(522)).max() <= 1e-13
 
+    def test_grid_matches_scipy(self):
+        from scipy.special import roots_hermite
+
+        x, w = gauss_hermite_grid(80)
+        x_ref, w_ref = roots_hermite(80)
+        assert np.all(np.abs(x - x_ref) <= 1e-12 * np.abs(x_ref))
+        # the grid's weights carry the factor e^{x^2} of plain dx integrals
+        assert np.all(np.abs(w * np.exp(-x**2) - w_ref) <= 1e-11 * w_ref)
+
     def test_against_direct_hermite_formula(self):
         # independent route: physicists' Hermite polynomial with explicit
         # normalization

@@ -14,6 +14,7 @@ import pytest
 
 from pseudoboson import (
     ConfigError,
+    ValidationError,
     build_map,
     convergence_study,
     load_config,
@@ -252,6 +253,24 @@ class TestRunSuite:
         assert "coordinate_l2" not in ids
         assert "rbcs_pairing" in ids
 
+    def test_coordinate_refusal_recorded(self, tmp_path, monkeypatch):
+        # from dim ~820 the grid's largest node leaves the Hermite range;
+        # the coordinate records are refused and the run still reports
+        def out_of_range(z, riesz):
+            raise ValidationError(f"|x| must be <= {coordinate.X_RANGE}")
+
+        monkeypatch.setattr(suite, "cross_validate", out_of_range)
+        path = write_config(tmp_path / "c.json",
+                            map_spec={"kind": "projector", "u_index": 0})
+        reports = run_suite(load_config(path))
+        refused = [r for r in reports if r.check_id.startswith("coordinate_")]
+        assert [r.check_id for r in refused] == ["coordinate_l2"] * 2 + ["coordinate_pairing"] * 2
+        for r in refused:
+            assert r.residual == float("inf") and r.status == "fail"
+            assert r.params["error"] == "|x| must be <= 40.0"
+        records = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert len(records) == len(reports)
+
 
 class TestConvergenceStudy:
     def test_tables(self, tmp_path):
@@ -380,8 +399,10 @@ def test_benchmark_spans_are_public_functions():
 
 
 def test_cli_import_leaves_scipy_out():
-    # the runtime is numpy only; scipy serves the tests as an oracle
+    # the runtime is numpy only, and computes its Gauss rules without
+    # numpy.polynomial; scipy serves the tests as an oracle
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import pseudoboson.cli, sys; sys.exit('scipy' in sys.modules)"
+    code = ("import pseudoboson.cli, sys; "
+            "sys.exit('scipy' in sys.modules or 'numpy.polynomial' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
