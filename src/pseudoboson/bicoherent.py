@@ -161,22 +161,19 @@ def series_route(
     With the closed-form vacua this agrees with :func:`rbcs` to roundoff;
     it is the independent route the two-route check compares.
     """
-    d = pair.space.dim
-    z = complex(z)
+    coeff = coherent(pair.space, z).vec
     b = pair.b.mat
     a_dag = pair.a.mat.conj().T
     phi_n = np.asarray(vac.phi0, dtype=complex).copy()
     psi_n = np.asarray(vac.psi0, dtype=complex).copy()
-    coeff = complex(np.exp(-abs(z) ** 2 / 2))
-    phi_sum = coeff * phi_n
-    psi_sum = coeff * psi_n
-    for n in range(d - 1):
+    phi_sum = coeff[0] * phi_n
+    psi_sum = coeff[0] * psi_n
+    for n in range(pair.space.dim - 1):
         scale = 1.0 / np.sqrt(n + 1.0)
         phi_n = scale * (b @ phi_n)
         psi_n = scale * (a_dag @ psi_n)
-        coeff = coeff * z / np.sqrt(n + 1.0)
-        phi_sum += coeff * phi_n
-        psi_sum += coeff * psi_n
+        phi_sum += coeff[n + 1] * phi_n
+        psi_sum += coeff[n + 1] * psi_n
     return phi_sum, psi_sum
 
 

@@ -36,6 +36,7 @@ from .fock import FockSpace
 from .riesz import RieszMap, load_riesz_map, make_riesz_map, random_riesz_map
 from .fock import identity as identity_op
 from .coordinate import projector_map
+from .displacement import in_accuracy_regime
 
 __all__ = ["MapSpec", "RunConfig", "load_config", "build_map"]
 
@@ -163,7 +164,7 @@ def load_config(
 
     allow_oor = bool(record.get("allow_out_of_regime", False))
     if not allow_oor:
-        bad = [z for z in z_samples if abs(z) ** 2 > dim / 4.0]
+        bad = [z for z in z_samples if not in_accuracy_regime(FockSpace(dim), z)]
         if bad:
             raise ConfigError(
                 f"z_samples outside accuracy regime |z|^2 <= dim/4: {bad}; "

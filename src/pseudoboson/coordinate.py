@@ -27,8 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from .bicoherent import coherent
+from .displacement import in_accuracy_regime
 from .errors import ValidationError
-from .fock import FockSpace, Operator, _gauss_rule
+from .fock import FockSpace, Operator, _gauss_rule, _recurrence
 from .riesz import RieszMap, make_riesz_map
 
 __all__ = [
@@ -44,33 +45,20 @@ __all__ = [
     "write_wavefunction_csv",
 ]
 
-#: |x| beyond which exp(-x^2/2) underflows the recurrence start.
-X_RANGE = 40.0
-
-
-def _check_range(x: np.ndarray):
-    if np.any(np.abs(x) > X_RANGE):
-        raise ValidationError(f"|x| must be <= {X_RANGE}")
-
 
 def hermite_stack(n_max: int, x) -> np.ndarray:
     """Orthonormal Hermite functions ``e_0 .. e_{n_max}`` on the grid.
 
-    Row ``n`` holds ``e_n(x)``, generated by the stable three-term
-    recurrence
-    ``e_{n+1} = sqrt(2/(n+1)) x e_n - sqrt(n/(n+1)) e_{n-1}``.
+    Row ``n`` holds ``e_n(x) = p_n(x) pi^{-1/4} exp(-x^2/2)``, where
+    ``p_n`` runs the rescaled recurrence of the Gauss-Hermite Jacobi
+    matrix ``tridiag(sqrt(k/2), 0, sqrt(k/2))`` and the Gaussian is applied
+    in log space, so no ``x`` is out of range.
     """
     if n_max < 0:
         raise ValidationError(f"n_max must be >= 0, got {n_max}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_range(x)
-    out = np.zeros((n_max + 1, len(x)))
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * x**2)
-    if n_max >= 1:
-        out[1] = np.sqrt(2.0) * x * out[0]
-    for n in range(1, n_max):
-        out[n + 1] = np.sqrt(2.0 / (n + 1)) * x * out[n] - np.sqrt(n / (n + 1.0)) * out[n - 1]
-    return out
+    rows, exps, _ = _recurrence(np.zeros(n_max), np.sqrt(np.arange(1, n_max + 1) / 2.0), x)
+    return rows * np.exp(exps * np.log(2.0) - 0.5 * x**2 - 0.25 * np.log(np.pi))
 
 
 def hermite_basis(n: int, x):
@@ -190,7 +178,7 @@ def cross_validate(z: complex, riesz: RieszMap) -> CrossValidation:
     P = np.outer(space.basis_vector(0), space.basis_vector(0))
     if not np.array_equal(riesz.S.mat, np.eye(dim) + 1j * P):
         raise ValidationError("the closed forms hold for the ground-state projector map only")
-    if abs(z) ** 2 > dim / 4.0:
+    if not in_accuracy_regime(space, z):
         raise ValidationError(
             f"|z|^2 = {abs(z)**2:.2f} exceeds dim/4 = {dim / 4:.2f}: tail not suppressed"
         )

@@ -58,32 +58,40 @@ def _freeze(obj, *names, dtype=None):
         object.__setattr__(obj, name, arr)
 
 
+def _recurrence(a: np.ndarray, b: np.ndarray, x: np.ndarray):
+    """Orthonormal polynomials ``p_0 .. p_n`` (``n = len(a)``) at the points
+    ``x`` from ``x p_k = b_k p_{k+1} + a_k p_k + b_{k-1} p_{k-1}``, ``p_0 = 1``.
+
+    Returns ``rows, exps, s`` with ``p_k = rows[k] 2^exps[k]`` and
+    ``sum_{k<n} p_k^2 = s 2^(2 exps[n])``.  Each step rescales exactly, by
+    the power of two that brings the running sum into ``[1/2, 2)``, so the
+    recurrence neither overflows nor underflows at any ``x``."""
+    rows = np.empty((len(a) + 1, len(x)))
+    exps = np.zeros((len(a) + 1, len(x)), dtype=int)
+    p_prev, p, s, e, b_prev = np.zeros_like(x), np.ones_like(x), 0.0, 0, 0.0
+    for k, (a_k, b_k) in enumerate(zip(a, b)):
+        s = s + p * p
+        half = np.frexp(s)[1] // 2
+        c = np.ldexp(1.0, -half)  # a power of two: rescaling rounds nothing
+        s, e = s * c * c, e + half
+        p_prev, p, b_prev = c * p, c / b_k * ((x - a_k) * p - b_prev * p_prev), b_k
+        rows[k], exps[k] = p_prev, e
+    rows[-1], exps[-1] = p, e
+    return rows, exps, s
+
+
 def _gauss_rule(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gauss rule of a unit-mass weight from its Jacobi matrix
-    ``J = tridiag(b, a, b)`` (Golub & Welsch, Math. Comp. 23, 221, 1969),
-    i.e. ``x p_k = b_k p_{k+1} + a_k p_k + b_{k-1} p_{k-1}``, ``p_0 = 1``.
-
-    Returns the nodes (eigenvalues of ``J`` polished by one Newton step on
-    ``p_n``) and the log Christoffel weights ``-log sum_{k<n} p_k(x_i)^2``.
-    Each recurrence step rescales exactly, by the power of two that brings
-    the sum into ``[1/2, 2)``: the polynomials overflow at large nodes, and
-    Gauss-Laguerre weights underflow from 257 nodes."""
-
-    def recurrence(x):
-        p_prev, p, s, log2_s, b_prev = np.zeros_like(x), np.ones_like(x), 0.0, 0, 0.0
-        for a_k, b_k in zip(a, np.append(b, 1.0)):  # the last step gives b_{n-1} p_n
-            s = s + p * p
-            half = np.frexp(s)[1] // 2
-            c = np.ldexp(1.0, -half)  # a power of two: rescaling rounds nothing
-            s, log2_s = s * c * c, log2_s + 2 * half
-            p_prev, p, b_prev = c * p, c / b_k * ((x - a_k) * p - b_prev * p_prev), b_k
-        # Newton step: at a zero of b_{n-1} p_n its derivative is s / p_{n-1}
-        # (Christoffel-Darboux)
-        return p * p_prev / s, np.log(s) + np.log(2.0) * log2_s
-
+    ``J = tridiag(b, a, b)`` (Golub & Welsch, Math. Comp. 23, 221, 1969):
+    the eigenvalues of ``J`` polished by one Newton step on ``p_n``, and the
+    log Christoffel weights ``-log sum_{k<n} p_k(x_i)^2``."""
     x = np.linalg.eigvalsh(np.diag(a) + np.diag(b, 1) + np.diag(b, -1))
-    x = x - recurrence(x)[0]
-    return x, -recurrence(x)[1]
+    b = np.append(b, 1.0)  # the last row is b_{n-1} p_n
+    rows, _, s = _recurrence(a, b, x)
+    # Newton step: at a zero of b_{n-1} p_n its slope is s / p_{n-1} (Christoffel-Darboux)
+    x = x - rows[-1] * rows[-2] / s
+    _, exps, s = _recurrence(a, b, x)
+    return x, -(np.log(s) + np.log(2.0) * (2 * exps[-1]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,13 +48,15 @@ class RieszMap:
     """Invertible map with cached inverse and singular-value bounds.
 
     ``frame_bounds = (A, B)`` are the squared extreme singular values of
-    ``S``: every unit vector ``f`` satisfies ``A <= ||S f||^2 <= B``.
+    ``S``: every unit vector ``f`` satisfies ``A <= ||S f||^2 <= B``, and
+    ``inverse_residual`` is ``||S S^{-1} - 1||_2``.
     """
 
     S: Operator
     S_inv: Operator
     cond: float
     frame_bounds: tuple[float, float]
+    inverse_residual: float
 
     @property
     def space(self) -> FockSpace:
@@ -147,7 +149,8 @@ def make_riesz_map(S: Operator, max_cond: float = 1e12) -> RieszMap:
         raise NotInvertibleError(
             f"inverse residual {residual:.3e} exceeds 1e-12 * cond = {1e-12 * cond:.3e}"
         )
-    return RieszMap(S=S, S_inv=S_inv, cond=cond, frame_bounds=(s_min**2, s_max**2))
+    return RieszMap(S=S, S_inv=S_inv, cond=cond, frame_bounds=(s_min**2, s_max**2),
+                    inverse_residual=float(residual))
 
 
 def random_riesz_map(

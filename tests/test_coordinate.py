@@ -79,9 +79,27 @@ class TestHermiteBasis:
             )
             np.testing.assert_allclose(hermite_stack(n, x)[n], direct, atol=1e-12)
 
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            hermite_basis(3, 50.0)
+    def test_matches_mpmath_at_large_x(self):
+        # the recurrence is rescaled and the Gaussian applied in log space,
+        # so nodes past |x| = 40 (where exp(-x^2/2) underflows) stay accurate
+        import mpmath
+
+        xs = [0.3, 5.0, 26.0, 40.5, 44.9, 50.0]
+        ns = [0, 1, 7, 100, 500, 1000, 1033]
+        stack = hermite_stack(max(ns), np.array(xs))
+        with mpmath.workdps(40):
+            for j, x in enumerate(map(mpmath.mpf, xs)):
+                for n in ns:
+                    want = mpmath.hermite(n, x) * mpmath.exp(-x**2 / 2) / mpmath.sqrt(
+                        2**n * mpmath.factorial(n) * mpmath.sqrt(mpmath.pi))
+                    assert abs(stack[n, j] - float(want)) <= 1e-13, (xs[j], n)
+
+    def test_orthonormal_on_order_1034_grid(self):
+        # the grid of a dim-1024 cross-validation reaches |x| = 44.9
+        x, w = gauss_hermite_grid(1034)
+        assert np.abs(x).max() > 40.0
+        stack = hermite_stack(1033, x)
+        assert np.abs((stack * w) @ stack.T - np.eye(1034)).max() <= 1e-13
 
 
 class TestCoherentWavefunction:
@@ -214,6 +232,14 @@ class TestCrossValidation:
         assert cv.l2_dev_phi <= 1e-8
         assert cv.l2_dev_psi <= 1e-8
         assert abs(cv.pairing - 1.0) <= 1e-9
+
+    def test_dim_1024_within_acceptance_bounds(self):
+        # its order-1034 grid reaches past |x| = 40; every amplitude computes
+        riesz = ground_projector(1024)
+        for z in (0.0, 1.0, 1 + 1j, 2j):
+            cv = cross_validate(z, riesz)
+            assert max(cv.l2_dev_phi, cv.l2_dev_psi) <= 1e-8
+            assert abs(cv.pairing - 1.0) <= 1e-9
 
     def test_regime_guard(self):
         with pytest.raises(ValidationError):

@@ -59,6 +59,8 @@ class TestMakeRieszMap:
         eye = np.eye(random_map64.dim)
         residual = np.linalg.norm(random_map64.S.mat @ random_map64.S_inv.mat - eye, 2)
         assert residual <= 1e-12 * random_map64.cond
+        # the map stores the residual its guard computed; the suite reports it
+        assert random_map64.inverse_residual == residual
 
 
 class TestRandomRieszMap:

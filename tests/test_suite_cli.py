@@ -14,6 +14,8 @@ import pytest
 
 from pseudoboson import (
     ConfigError,
+    DegenerateKernelError,
+    OrthogonalVacuaError,
     ValidationError,
     build_map,
     convergence_study,
@@ -254,12 +256,12 @@ class TestRunSuite:
         assert "rbcs_pairing" in ids
 
     def test_coordinate_refusal_recorded(self, tmp_path, monkeypatch):
-        # from dim ~820 the grid's largest node leaves the Hermite range;
-        # the coordinate records are refused and the run still reports
-        def out_of_range(z, riesz):
-            raise ValidationError(f"|x| must be <= {coordinate.X_RANGE}")
+        # a cross-validation that raises is recorded as two refusals and
+        # the run still reports
+        def refuse(z, riesz):
+            raise ValidationError("cross-validation refused")
 
-        monkeypatch.setattr(suite, "cross_validate", out_of_range)
+        monkeypatch.setattr(suite, "cross_validate", refuse)
         path = write_config(tmp_path / "c.json",
                             map_spec={"kind": "projector", "u_index": 0})
         reports = run_suite(load_config(path))
@@ -267,9 +269,27 @@ class TestRunSuite:
         assert [r.check_id for r in refused] == ["coordinate_l2"] * 2 + ["coordinate_pairing"] * 2
         for r in refused:
             assert r.residual == float("inf") and r.status == "fail"
-            assert r.params["error"] == "|x| must be <= 40.0"
+            assert r.params["error"] == "cross-validation refused"
         records = json.loads((tmp_path / "out" / "report.json").read_text())
         assert len(records) == len(reports)
+
+    @pytest.mark.parametrize("error", [DegenerateKernelError, OrthogonalVacuaError])
+    def test_vacuum_refusal_recorded(self, tmp_path, monkeypatch, error):
+        # a refused vacuum extraction is recorded under both vacuum ids
+        def refuse(pair):
+            raise error("vacuum extraction refused")
+
+        monkeypatch.setattr(suite, "vacua", refuse)
+        path = write_config(tmp_path / "c.json", dim=64,
+                            map_spec={"kind": "projector", "u_index": 0},
+                            z_samples=[[0, 0], [1, 0], [1, 1], [0, 2]])
+        reports = run_suite(load_config(path))
+        assert len(reports) == 54
+        refused = [r for r in reports if r.check_id.startswith("vacuum_")]
+        assert [r.check_id for r in refused] == ["vacuum_match", "vacuum_pairing"]
+        for r in refused:
+            assert r.residual == float("inf") and r.status == "fail"
+            assert r.params["error"] == "vacuum extraction refused"
 
 
 class TestConvergenceStudy:
