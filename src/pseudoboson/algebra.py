@@ -21,7 +21,7 @@ from .errors import (
     OrthogonalVacuaError,
     ProvenanceError,
 )
-from .fock import FockSpace, Operator, SafeSubspace, _freeze, ladder_c
+from .fock import FockSpace, Operator, SafeSubspace, _freeze, _spectral_norm, ladder_c
 from .riesz import BiorthogonalFamily, MetricOperator, RieszMap
 
 __all__ = [
@@ -228,4 +228,4 @@ def theta_conjugacy_check(
         raise ProvenanceError("pair and metric operator come from different maps")
     k = sub.cutoff
     conjugated = metric.theta_inv.mat @ pair.b.mat.conj().T @ metric.theta.mat
-    return float(np.linalg.norm((pair.a.mat - conjugated)[:k, :k], 2))
+    return _spectral_norm((pair.a.mat - conjugated)[:k, :k])

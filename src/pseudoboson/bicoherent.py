@@ -38,7 +38,7 @@ from .errors import (
     UnderResolvedError,
     UnderResolvedWarning,
 )
-from .fock import FockSpace, Operator, _freeze, _gauss_rule
+from .fock import FockSpace, Operator, _freeze, _gauss_rule, _spectral_norm
 from .riesz import RieszMap
 
 __all__ = [
@@ -159,8 +159,11 @@ def series_route(
     grown from ``vac`` by repeated ladder action.
 
     With the closed-form vacua this agrees with :func:`rbcs` to roundoff;
-    it is the independent route the two-route check compares.
+    it is the independent route the two-route check compares.  It sums the
+    fewest ``N <= dim`` terms whose :func:`coherent_tail_bound` is ``<= 1e-20``.
     """
+    d = pair.space.dim
+    n_terms = next((n for n in range(1, d) if coherent_tail_bound(n, z) <= 1e-20), d)
     coeff = coherent(pair.space, z).vec
     b = pair.b.mat
     a_dag = pair.a.mat.conj().T
@@ -168,7 +171,7 @@ def series_route(
     psi_n = np.asarray(vac.psi0, dtype=complex).copy()
     phi_sum = coeff[0] * phi_n
     psi_sum = coeff[0] * psi_n
-    for n in range(pair.space.dim - 1):
+    for n in range(n_terms - 1):
         scale = 1.0 / np.sqrt(n + 1.0)
         phi_n = scale * (b @ phi_n)
         psi_n = scale * (a_dag @ psi_n)
@@ -259,7 +262,7 @@ def resolution_operator(riesz: RieszMap, quad: QuadratureScheme) -> Operator:
 def resolution_of_identity(riesz: RieszMap, quad: QuadratureScheme) -> float:
     """Deviation ``||R - I||`` of the discrete resolution operator."""
     R = resolution_operator(riesz, quad)
-    return float(np.linalg.norm(R.mat - np.eye(riesz.dim), 2))
+    return _spectral_norm(R.mat - np.eye(riesz.dim))
 
 
 def weak_pairing_check(

@@ -85,6 +85,14 @@ def gauss_hermite_grid(order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+@functools.lru_cache(maxsize=4)
+def _grid_stack(dim: int) -> np.ndarray:
+    """Read-only ``hermite_stack(dim - 1, x)`` on the grid of :func:`cross_validate`."""
+    stack = hermite_stack(dim - 1, gauss_hermite_grid(dim + 10)[0])
+    stack.setflags(write=False)
+    return stack
+
+
 def coherent_wavefunction(z: complex, x):
     """Coherent wavefunction
     ``Phi_z(x) = pi^{-1/4} exp(-x^2/2 + sqrt(2) z x - Re(z)^2)``
@@ -187,7 +195,7 @@ def cross_validate(z: complex, riesz: RieszMap) -> CrossValidation:
     coeff_psi = (np.eye(dim) - (1 + 1j) / 2 * P).conj().T @ state.vec
 
     x, w = gauss_hermite_grid(dim + 10)
-    stack = hermite_stack(dim - 1, x)
+    stack = _grid_stack(dim)
     phase = np.exp(1j * z.real * z.imag)  # number-basis -> closed-form convention
     fock_phi = phase * (coeff_phi @ stack)
     fock_psi = phase * (coeff_psi @ stack)

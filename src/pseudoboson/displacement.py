@@ -34,7 +34,7 @@ import numpy as np
 
 from .algebra import PseudoBosonPair
 from .errors import AccuracyRegimeWarning, ProvenanceError
-from .fock import FockSpace, Operator, SafeSubspace
+from .fock import FockSpace, Operator, SafeSubspace, _spectral_norm
 from .riesz import MetricOperator, RieszMap
 
 __all__ = [
@@ -134,8 +134,7 @@ def displaced_pair(riesz: RieszMap, z: complex) -> DisplacementSet:
 
 def _relative_norm(diff: np.ndarray, ref: np.ndarray) -> float:
     """``||diff|| / ||ref||`` (spectral norms)."""
-    scale = max(float(np.linalg.norm(ref, 2)), 1e-300)
-    return float(np.linalg.norm(diff, 2)) / scale
+    return _spectral_norm(diff) / max(_spectral_norm(ref), 1e-300)
 
 
 def _times_generator(T: np.ndarray, z: complex) -> np.ndarray:
@@ -157,7 +156,7 @@ def power_similarity_check(pair: PseudoBosonPair, z: complex, k_max: int = 5) ->
 
     Both powers are carried row-restricted to that subspace:
     ``S G^k`` by a banded update per ``k`` (``G`` is tridiagonal) and
-    ``D^k`` by one product with ``D = z b - conj(z) a``.  ``k = 0`` is
+    ``D^k`` by one product with ``D = z b - conj(z) a`` per ``k > 1``.  ``k = 0`` is
     the exact identity on both sides and reads 0, as does every ``k`` at
     ``z = 0``, where both generators vanish.
     """
@@ -170,11 +169,10 @@ def power_similarity_check(pair: PseudoBosonPair, z: complex, k_max: int = 5) ->
     D = z * pair.b.mat + (-np.conj(z)) * pair.a.mat
     Sim_block = pair.source.S_inv.mat[:, :cut]
     SGk = pair.source.S.mat[:cut]
-    Dk = np.eye(space.dim, dtype=complex)[:cut]
     residuals = np.zeros(k_max + 1)
     for k in range(1, k_max + 1):
         SGk = _times_generator(SGk, z)
-        Dk = Dk @ D
+        Dk = Dk @ D if k > 1 else D[:cut]
         residuals[k] = _relative_norm(SGk @ Sim_block - Dk[:, :cut], Dk[:, :cut])
     return residuals
 
@@ -267,5 +265,5 @@ def intertwining_check(
         raise ProvenanceError("displacements and metric operator come from different maps")
     M = metric.theta_inv.mat  # S S^dag
     k = sub.cutoff
-    diff = float(np.linalg.norm((M @ disp.V.mat - disp.U.mat @ M)[:k, :k], 2))
-    return diff / metric.source.frame_bounds[1]
+    diff = (M @ disp.V.mat - disp.U.mat @ M)[:k, :k]
+    return _spectral_norm(diff) / metric.source.frame_bounds[1]

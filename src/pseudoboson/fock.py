@@ -58,6 +58,17 @@ def _freeze(obj, *names, dtype=None):
         object.__setattr__(obj, name, arr)
 
 
+def _spectral_norm(X: np.ndarray) -> float:
+    """Spectral norm ``sigma_max(X)`` from the singular values of ``X`` on its
+    nonzero rows and columns, which is exact: zero rows and columns add only
+    zero singular values.  An all-zero ``X`` reads ``0.0``, a non-finite one ``nan``."""
+    if not np.all(np.isfinite(X)):
+        return float("nan")
+    nz = X != 0
+    X = X[np.ix_(nz.any(axis=1), nz.any(axis=0))]
+    return float(np.linalg.svd(X, compute_uv=False)[0]) if X.size else 0.0
+
+
 def _recurrence(a: np.ndarray, b: np.ndarray, x: np.ndarray):
     """Orthonormal polynomials ``p_0 .. p_n`` (``n = len(a)``) at the points
     ``x`` from ``x p_k = b_k p_{k+1} + a_k p_k + b_{k-1} p_{k-1}``, ``p_0 = 1``.

@@ -23,7 +23,7 @@ from .errors import (
     NotInvertibleError,
     ValidationError,
 )
-from .fock import FockSpace, Operator, _freeze
+from .fock import FockSpace, Operator, _freeze, _spectral_norm
 
 __all__ = [
     "RieszMap",
@@ -144,13 +144,13 @@ def make_riesz_map(S: Operator, max_cond: float = 1e12) -> RieszMap:
     if cond > max_cond:
         raise ConditioningError(f"cond(S) = {cond:.3e} exceeds budget {max_cond:.3e}")
     S_inv = Operator(S.space, Vh.conj().T @ ((1.0 / sigma)[:, None] * U.conj().T))
-    residual = np.linalg.norm(S.mat @ S_inv.mat - np.eye(S.space.dim), 2)
+    residual = _spectral_norm(S.mat @ S_inv.mat - np.eye(S.space.dim))
     if residual > 1e-12 * cond:
         raise NotInvertibleError(
             f"inverse residual {residual:.3e} exceeds 1e-12 * cond = {1e-12 * cond:.3e}"
         )
     return RieszMap(S=S, S_inv=S_inv, cond=cond, frame_bounds=(s_min**2, s_max**2),
-                    inverse_residual=float(residual))
+                    inverse_residual=residual)
 
 
 def random_riesz_map(

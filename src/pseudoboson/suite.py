@@ -55,7 +55,7 @@ from .errors import (
     UnderResolvedWarning,
     ValidationError,
 )
-from .fock import SafeSubspace
+from .fock import SafeSubspace, _spectral_norm
 from .reports import CheckReport, default_tolerance, format_report_table, reports_to_json
 from .riesz import biorthogonal_family, metric_operator, theta_rank_one_sums
 
@@ -156,8 +156,8 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
     rec.add("theta_family", np.linalg.norm(met.theta.mat @ fam.phi - fam.psi, axis=0).max())
 
     theta_sum, theta_inv_sum = theta_rank_one_sums(fam)
-    rec.add("rank_one_theta", np.linalg.norm(theta_sum.mat - met.theta.mat, 2))
-    rec.add("rank_one_theta_inv", np.linalg.norm(theta_inv_sum.mat - met.theta_inv.mat, 2))
+    rec.add("rank_one_theta", _spectral_norm(theta_sum.mat - met.theta.mat))
+    rec.add("rank_one_theta_inv", _spectral_norm(theta_inv_sum.mat - met.theta_inv.mat))
 
     A, B = riesz.frame_bounds
     theta_eigs = np.linalg.eigvalsh(met.theta.mat)
@@ -166,7 +166,7 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
     pair = make_pair(riesz)
     sub_top = SafeSubspace(space, dim - 1)
     a, b, k = pair.a.mat, pair.b.mat, sub_top.cutoff
-    rec.add("ccr", np.linalg.norm((a @ b - b @ a - eye)[:k, :k], 2))
+    rec.add("ccr", _spectral_norm((a @ b - b @ a - eye)[:k, :k]))
 
     cf = vacua_from_map(riesz)
     try:

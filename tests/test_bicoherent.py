@@ -103,12 +103,53 @@ class TestRbcs:
         assert rbcs(random_map64, 1.0).tail_bound == coherent_tail_bound(64, 1.0)
 
 
+def _full_series(pair, z, vac):
+    """The coherent series over all ``dim`` terms, in the order and
+    arithmetic of :func:`series_route`."""
+    coeff = coherent(pair.space, z).vec
+    phi_n = np.asarray(vac.phi0, dtype=complex).copy()
+    psi_n = np.asarray(vac.psi0, dtype=complex).copy()
+    phi_sum, psi_sum = coeff[0] * phi_n, coeff[0] * psi_n
+    a_dag = pair.a.mat.conj().T
+    for n in range(1, pair.space.dim):
+        phi_n = (1.0 / np.sqrt(float(n))) * (pair.b.mat @ phi_n)
+        psi_n = (1.0 / np.sqrt(float(n))) * (a_dag @ psi_n)
+        phi_sum += coeff[n] * phi_n
+        psi_sum += coeff[n] * psi_n
+    return phi_sum, psi_sum
+
+
+@pytest.fixture(scope="module")
+def projector_map256():
+    space = make_space(256)
+    return projector_map(space, space.basis_vector(0)).riesz
+
+
 class TestSeriesRoute:
     def test_zero_amplitude_returns_vacua(self, random_map64):
         vac = vacua_from_map(random_map64)
         phi, psi = series_route(make_pair(random_map64), 0.0, vac)
-        np.testing.assert_allclose(phi, vac.phi0, atol=1e-15)
-        np.testing.assert_allclose(psi, vac.psi0, atol=1e-15)
+        np.testing.assert_array_equal(phi, vac.phi0)
+        np.testing.assert_array_equal(psi, vac.psi0)
+
+    @pytest.mark.parametrize("z", [0.0, 1.0, 1 + 1j, 2j])
+    @pytest.mark.parametrize("which", ["random_map64", "projector_map256"])
+    def test_truncation_matches_full_series(self, z, which, request):
+        # the omitted terms lie below the 1e-20 coherent tail bound
+        riesz = request.getfixturevalue(which)
+        pair, vac = make_pair(riesz), vacua_from_map(riesz)
+        phi, psi = series_route(pair, z, vac)
+        phi_full, psi_full = _full_series(pair, z, vac)
+        eta = np.linalg.norm(rbcs(riesz, z).eta)
+        assert np.linalg.norm(phi - phi_full) <= 1e-15 * eta
+        assert np.linalg.norm(psi - psi_full) <= 1e-15 * eta
+
+    def test_beyond_tail_bound_sums_every_term(self):
+        # |z|^2 = 25 > dim + 1: the tail bound is 1, so all 16 terms count
+        riesz = random_riesz_map(make_space(16), 10.0, seed=3)
+        pair, vac = make_pair(riesz), vacua_from_map(riesz)
+        for got, want in zip(series_route(pair, 5.0, vac), _full_series(pair, 5.0, vac)):
+            np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("z", [1.0, 1 + 1j, 2j])
     def test_two_routes_agree(self, z, all_maps64):

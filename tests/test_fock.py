@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,7 @@ from pseudoboson import (
     ladder_c_dag,
     make_space,
 )
-from pseudoboson.fock import identity
+from pseudoboson.fock import _spectral_norm, identity
 
 
 class TestSpace:
@@ -145,3 +148,68 @@ class TestOperator:
         bad[0, 0] = np.nan
         with pytest.raises(ValidationError):
             Operator(make_space(3), bad)
+
+
+def _sparse_cases():
+    rng = np.random.default_rng(7)
+
+    def dense(r, c):
+        return rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+
+    scattered = dense(30, 30)
+    scattered[[0, 4, 5, 17, 29]] = 0.0
+    scattered[:, [2, 3, 11, 28]] = 0.0
+    single = np.zeros((20, 20), complex)
+    single[7, 13] = 2.5 - 1j
+    return {
+        "dense": dense(40, 40),
+        "wide": dense(7, 40),
+        "tall": dense(40, 7),
+        "banded": np.triu(np.tril(dense(50, 50), 2), -1),
+        "scattered_zeros": scattered,
+        "rank_one": np.outer(dense(25, 1), dense(1, 25).conj()),
+        "single_entry": single,
+    }
+
+
+class TestSpectralNorm:
+    @pytest.mark.parametrize("name, X", list(_sparse_cases().items()))
+    def test_matches_dense_norm(self, name, X):
+        want = np.linalg.norm(X, 2)
+        assert abs(_spectral_norm(X) - want) <= 1e-14 * want
+
+    def test_all_zero_reads_zero(self):
+        assert _spectral_norm(np.zeros((6, 9), complex)) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_reads_nan(self, bad):
+        X = np.eye(5, dtype=complex)
+        X[2, 3] = bad
+        assert np.isnan(_spectral_norm(X))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 24), st.integers(1, 24), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_random_sparsity_masks(self, rows, cols, density, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        X[rng.random((rows, cols)) >= density] = 0.0
+        want = np.linalg.norm(X, 2)
+        assert abs(_spectral_norm(X) - want) <= 1e-14 * want
+
+    def test_only_spectral_norm_takes_spectral_norms(self):
+        # every check measures operator norms through the one helper
+        src = Path(__file__).resolve().parent.parent / "src" / "pseudoboson"
+        svd_sites = []
+        for path in sorted(src.glob("*.py")):
+            text = path.read_text()
+            assert "ord=2" not in text, path.name
+            tree = ast.parse(text)
+            for fn in [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]:
+                for call in [n for n in ast.walk(fn) if isinstance(n, ast.Call)]:
+                    name = getattr(call.func, "attr", None)
+                    if name == "norm" and len(call.args) > 1:
+                        assert not (isinstance(call.args[1], ast.Constant)
+                                    and call.args[1].value == 2), (path.name, fn.name)
+                    if name == "svd" and any(k.arg == "compute_uv" for k in call.keywords):
+                        svd_sites.append((path.name, fn.name))
+        assert svd_sites == [("fock.py", "_spectral_norm")]

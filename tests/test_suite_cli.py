@@ -364,6 +364,21 @@ class TestCli:
                             map_spec={"kind": "random", "cond": 1e6, "seed": 1})
         assert main(["verify", "--config", str(path)]) == 1
 
+    def test_overflowing_amplitude_is_graded(self, tmp_path):
+        # at |z| = 1e70 the power check overflows; its NaN residual is
+        # written and graded instead of stopping the run
+        path = write_config(tmp_path / "c.json",
+                            map_spec={"kind": "random", "cond": 10.0, "seed": 3},
+                            z_samples=[[1e70, 0]], allow_out_of_regime=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["verify", "--config", str(path)]) == 0
+        records = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert len(records) == 22
+        power = next(r for r in records if r["check_id"] == "power_similarity")
+        assert np.isnan(power["residual"]) and power["status"] == "out-of-regime"
+        assert {r["status"] for r in records} == {"pass", "out-of-regime"}
+
     def test_config_error_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", extra=1)
         assert main(["verify", "--config", str(path)]) == 2
