@@ -182,13 +182,18 @@ def series_route(
 
 def eigen_check(pair: PseudoBosonPair, bc: BicoherentPair) -> tuple[float, float]:
     """Relative residuals of ``a eta(z) = z eta(z)`` and
-    ``b^dag xi(z) = z xi(z)``."""
+    ``b^dag xi(z) = z xi(z)``.  A state that underflowed to the zero
+    vector (``|z|`` far outside the regime) has no relative residual and
+    reads ``nan``, as a non-finite spectral norm does."""
     if not np.array_equal(pair.source.S.mat, bc.source.S.mat):
         raise ProvenanceError("pair and bicoherent states come from different maps")
     z = bc.z
-    r_eta = np.linalg.norm(pair.a.mat @ bc.eta - z * bc.eta) / np.linalg.norm(bc.eta)
-    r_xi = np.linalg.norm(pair.b.mat.conj().T @ bc.xi - z * bc.xi) / np.linalg.norm(bc.xi)
-    return float(r_eta), float(r_xi)
+
+    def relative(op: np.ndarray, v: np.ndarray) -> float:
+        size = np.linalg.norm(v)
+        return float(np.linalg.norm(op @ v - z * v) / size) if size else float("nan")
+
+    return relative(pair.a.mat, bc.eta), relative(pair.b.mat.conj().T, bc.xi)
 
 
 def _radial_factors(t: np.ndarray, log_w: np.ndarray, n: int) -> np.ndarray:

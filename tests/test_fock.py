@@ -13,7 +13,9 @@ from pseudoboson import (
     SafeSubspace,
     ladder_c,
     ladder_c_dag,
+    make_pair,
     make_space,
+    power_similarity_check,
 )
 from pseudoboson.fock import _spectral_norm, identity
 
@@ -150,6 +152,13 @@ class TestOperator:
             Operator(make_space(3), bad)
 
 
+def checkerboard(X, parity):
+    """``X`` with every entry ``X[m, n]`` whose ``m + n`` is not of ``parity`` zeroed."""
+    X = X.copy()
+    X[np.add.outer(np.arange(X.shape[0]), np.arange(X.shape[1])) % 2 != parity] = 0.0
+    return X
+
+
 def _sparse_cases():
     rng = np.random.default_rng(7)
 
@@ -161,6 +170,8 @@ def _sparse_cases():
     scattered[:, [2, 3, 11, 28]] = 0.0
     single = np.zeros((20, 20), complex)
     single[7, 13] = 2.5 - 1j
+    stray = checkerboard(dense(30, 30), 0)
+    stray[3, 8] = 0.5  # one odd entry: no parity split
     return {
         "dense": dense(40, 40),
         "wide": dense(7, 40),
@@ -169,6 +180,15 @@ def _sparse_cases():
         "scattered_zeros": scattered,
         "rank_one": np.outer(dense(25, 1), dense(1, 25).conj()),
         "single_entry": single,
+        "checker_even": checkerboard(dense(30, 30), 0),
+        "checker_odd": checkerboard(dense(30, 30), 1),
+        "diagonal": np.diag(dense(1, 20)[0]),
+        "tridiagonal_zero_diagonal": np.diag(dense(1, 19)[0], 1) + np.diag(dense(1, 19)[0], -1),
+        "checker_even_7x9": checkerboard(dense(7, 9), 0),
+        "checker_odd_7x9": checkerboard(dense(7, 9), 1),
+        "checker_even_1x5": checkerboard(dense(1, 5), 0),
+        "checker_odd_1x5": checkerboard(dense(1, 5), 1),
+        "checker_with_stray": stray,
     }
 
 
@@ -195,6 +215,42 @@ class TestSpectralNorm:
         X[rng.random((rows, cols)) >= density] = 0.0
         want = np.linalg.norm(X, 2)
         assert abs(_spectral_norm(X) - want) <= 1e-14 * want
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 24), st.integers(1, 24), st.floats(0.0, 1.0), st.integers(0, 1),
+           st.integers(0, 2**32 - 1))
+    def test_random_checkerboard_masks(self, rows, cols, density, parity, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        X[rng.random((rows, cols)) >= density] = 0.0
+        X = checkerboard(X, parity)
+        want = np.linalg.norm(X, 2)
+        assert abs(_spectral_norm(X) - want) <= 1e-14 * want
+
+    @staticmethod
+    def svd_row_counts(monkeypatch, riesz):
+        """Row counts of every matrix ``power_similarity_check`` hands to the SVD."""
+        pair, seen, svd = make_pair(riesz), [], np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            seen.append(a.shape[0])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        power_similarity_check(pair, 1 + 1j)
+        return seen
+
+    def test_parity_preserving_map_takes_half_size_blocks(self, monkeypatch, projector_map64):
+        # S = 1 + i|e0><e0| keeps number parity, so every residual is a
+        # checkerboard; cut = 64 - 5 = 59 levels split into 30 + 29
+        seen = self.svd_row_counts(monkeypatch, projector_map64.riesz)
+        assert seen and max(seen) == 30
+
+    def test_dense_map_takes_the_full_matrix(self, monkeypatch, random_map64):
+        # no parity split: the references take all 59 rows, the residuals
+        # their nonzero rows only, and every block exceeds half the cut
+        seen = self.svd_row_counts(monkeypatch, random_map64)
+        assert seen and max(seen) == 59 and min(seen) > 30
 
     def test_only_spectral_norm_takes_spectral_norms(self):
         # every check measures operator norms through the one helper

@@ -379,6 +379,22 @@ class TestCli:
         assert np.isnan(power["residual"]) and power["status"] == "out-of-regime"
         assert {r["status"] for r in records} == {"pass", "out-of-regime"}
 
+    def test_vanished_state_reads_nan_without_warning(self, tmp_path):
+        # at |z| = 1e70 the truncated coherent states underflow to zero:
+        # eigen_check writes NaN instead of dividing 0 by 0
+        path = write_config(tmp_path / "c.json",
+                            map_spec={"kind": "random", "cond": 10.0, "seed": 3},
+                            z_samples=[[1e70, 0]], allow_out_of_regime=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", "--config", str(path)]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)
+                    and Path(w.filename).name == "bicoherent.py"]
+        records = json.loads((tmp_path / "out" / "report.json").read_text())
+        eigen = {r["check_id"]: r["residual"] for r in records if r["check_id"].startswith("eigen")}
+        assert set(eigen) == {"eigen_eta", "eigen_xi"}
+        assert all(np.isnan(r) for r in eigen.values())
+
     def test_config_error_exit_two(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json", extra=1)
         assert main(["verify", "--config", str(path)]) == 2
