@@ -22,7 +22,7 @@ from .errors import (
     ProvenanceError,
 )
 from .fock import FockSpace, Operator, SafeSubspace, _freeze, _spectral_norm, ladder_c
-from .riesz import BiorthogonalFamily, MetricOperator, RieszMap
+from .riesz import BiorthogonalFamily, MetricOperator, RieszMap, _lmul, _rmul, _transport
 
 __all__ = [
     "PseudoBosonPair",
@@ -69,9 +69,8 @@ def make_pair(riesz: RieszMap) -> PseudoBosonPair:
     ``a = S c S^{-1}``, ``b = S c^dag S^{-1}``."""
     space = riesz.space
     c = ladder_c(space).mat
-    Sm, Sim = riesz.S.mat, riesz.S_inv.mat
-    a = Operator(space, Sm @ c @ Sim)
-    b = Operator(space, Sm @ c.conj().T @ Sim)
+    a = Operator(space, _transport(riesz, c))
+    b = Operator(space, _transport(riesz, c.conj().T))
     return PseudoBosonPair(a=a, b=b, source=riesz, space=space)
 
 
@@ -152,14 +151,16 @@ def excited_states(pair: PseudoBosonPair, vac: VacuumPair, n_max: int) -> Biorth
     # kernel directions, which preserves the caller's normalization while
     # discarding the off-kernel rounding that the recursion would amplify.
     work = np.clongdouble
-    S = pair.source.S.mat.astype(work)
-    S_inv = pair.source.S_inv.mat.astype(work)
-    S_inv = S_inv @ (2.0 * np.eye(d, dtype=work) - S @ S_inv)
+    p = pair.source.block
+    S = pair.source.S.mat[:p, :p].astype(work)
+    S_inv = pair.source.S_inv.mat[:p, :p].astype(work)
+    S_inv = S_inv @ (2.0 * np.eye(p, dtype=work) - S @ S_inv)
     lower = np.diag(np.sqrt(np.arange(1, d, dtype=np.longdouble)), 1).astype(work)
-    b = S @ lower.conj().T @ S_inv
-    a_dag = (S @ lower @ S_inv).conj().T
-    kernel_a = S[:, 0]  # ker(a) = span{S e_0}
-    kernel_bdag = S_inv.conj().T[:, 0]  # ker(b^dag) = span{(S^-1)^dag e_0}
+    b = _rmul(_lmul(S, lower.conj().T), S_inv)
+    a_dag = _rmul(_lmul(S, lower), S_inv).conj().T
+    e_0 = np.eye(d, 1, dtype=work)[:, 0]
+    kernel_a = _lmul(S, e_0)  # ker(a) = span{S e_0}
+    kernel_bdag = _lmul(S_inv.conj().T, e_0)  # ker(b^dag) = span{(S^-1)^dag e_0}
     phi = np.empty((d, n_max + 1), dtype=work)
     psi = np.empty((d, n_max + 1), dtype=work)
     phi0 = np.asarray(vac.phi0, dtype=work)
@@ -226,6 +227,7 @@ def theta_conjugacy_check(
     """
     if not np.array_equal(pair.source.S.mat, metric.source.S.mat):
         raise ProvenanceError("pair and metric operator come from different maps")
-    k = sub.cutoff
-    conjugated = metric.theta_inv.mat @ pair.b.mat.conj().T @ metric.theta.mat
-    return _spectral_norm((pair.a.mat - conjugated)[:k, :k])
+    k, p = sub.cutoff, metric.source.block
+    conjugated = _rmul(_lmul(metric.theta_inv.mat[:p, :p], pair.b.mat.conj().T, k),
+                       metric.theta.mat[:p, :p], k)
+    return _spectral_norm(pair.a.mat[:k, :k] - conjugated)

@@ -39,7 +39,7 @@ from .errors import (
     UnderResolvedWarning,
 )
 from .fock import FockSpace, Operator, _freeze, _gauss_rule, _spectral_norm
-from .riesz import RieszMap
+from .riesz import RieszMap, _lmul, _transport
 
 __all__ = [
     "CoherentState",
@@ -144,8 +144,9 @@ def rbcs(riesz: RieszMap, z: complex) -> BicoherentPair:
     """Bicoherent pair obtained by mapping one coherent state through
     ``S`` and through ``(S^{-1})^dag``."""
     state = coherent(riesz.space, z)
-    eta = riesz.S.mat @ state.vec
-    xi = riesz.S_inv.mat.conj().T @ state.vec
+    p = riesz.block
+    eta = _lmul(riesz.S.mat[:p, :p], state.vec)
+    xi = _lmul(riesz.S_inv.mat[:p, :p].conj().T, state.vec)
     return BicoherentPair(
         z=complex(z), eta=eta, xi=xi, source=riesz, tail_bound=state.tail_bound
     )
@@ -261,7 +262,7 @@ def resolution_operator(riesz: RieszMap, quad: QuadratureScheme) -> Operator:
     A = _radial_factors(quad.radial_t, quad.radial_log_w, d)
     ks = np.arange(d)
     G = (A @ A.T) * ((ks[:, None] - ks[None, :]) % quad.angular_count == 0)
-    return Operator(riesz.space, riesz.S.mat @ G @ riesz.S_inv.mat)
+    return Operator(riesz.space, _transport(riesz, G))
 
 
 def resolution_of_identity(riesz: RieszMap, quad: QuadratureScheme) -> float:

@@ -30,7 +30,7 @@ from .bicoherent import coherent
 from .displacement import in_accuracy_regime
 from .errors import ValidationError
 from .fock import FockSpace, Operator, _gauss_rule, _recurrence
-from .riesz import RieszMap, make_riesz_map
+from .riesz import RieszMap, _lmul, make_riesz_map
 
 __all__ = [
     "ProjectorMap",
@@ -191,7 +191,7 @@ def cross_validate(z: complex, riesz: RieszMap) -> CrossValidation:
             f"|z|^2 = {abs(z)**2:.2f} exceeds dim/4 = {dim / 4:.2f}: tail not suppressed"
         )
     state = coherent(space, z)
-    coeff_phi = riesz.S.mat @ state.vec
+    coeff_phi = _lmul(riesz.S.mat[:1, :1], state.vec)  # S = blockdiag(1 + i, 1), checked above
     coeff_psi = (np.eye(dim) - (1 + 1j) / 2 * P).conj().T @ state.vec
 
     x, w = gauss_hermite_grid(dim + 10)

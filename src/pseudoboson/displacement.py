@@ -35,7 +35,7 @@ import numpy as np
 from .algebra import PseudoBosonPair
 from .errors import AccuracyRegimeWarning, ProvenanceError
 from .fock import FockSpace, Operator, SafeSubspace, _spectral_norm
-from .riesz import MetricOperator, RieszMap
+from .riesz import MetricOperator, RieszMap, _cotransport, _lmul, _rmul, _transport
 
 __all__ = [
     "DisplacementSet",
@@ -126,9 +126,8 @@ def displaced_pair(riesz: RieszMap, z: complex) -> DisplacementSet:
     space = riesz.space
     in_regime = in_accuracy_regime(space, z)
     W = weyl(space, z)
-    Sm, Sim = riesz.S.mat, riesz.S_inv.mat
-    U = Operator(space, Sm @ W.mat @ Sim)
-    V = Operator(space, Sim.conj().T @ W.mat @ Sm.conj().T)
+    U = Operator(space, _transport(riesz, W.mat))
+    V = Operator(space, _cotransport(riesz, W.mat))
     return DisplacementSet(z=complex(z), W=W, U=U, V=V, source=riesz, in_regime=in_regime)
 
 
@@ -159,21 +158,28 @@ def power_similarity_check(pair: PseudoBosonPair, z: complex, k_max: int = 5) ->
     ``D^k`` by one product with ``D = z b - conj(z) a`` per ``k > 1``.  ``k = 0`` is
     the exact identity on both sides and reads 0, as does every ``k`` at
     ``z = 0``, where both generators vanish.
+
+    Each residual is homogeneous of degree 0 in ``z``, so both powers are
+    carried at ``z 2^-floor(log2 |z|)``, of modulus in ``[1, 2)``: scaling
+    by a power of two rounds nothing, and no ``|z|`` overflows the powers.
     """
     if not 0 <= k_max <= 12:
         raise ValueError(f"k_max must be in [0, 12], got {k_max}")
     if z == 0:
         return np.zeros(k_max + 1)
+    shift = 1 - math.frexp(abs(z))[1]
+    z = complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift))
     space = pair.space
     cut = SafeSubspace(space, space.dim - max(k_max, 1)).cutoff
     D = z * pair.b.mat + (-np.conj(z)) * pair.a.mat
-    Sim_block = pair.source.S_inv.mat[:, :cut]
+    p = pair.source.block
+    S_inv_block = pair.source.S_inv.mat[:p, :p]
     SGk = pair.source.S.mat[:cut]
     residuals = np.zeros(k_max + 1)
     for k in range(1, k_max + 1):
         SGk = _times_generator(SGk, z)
         Dk = Dk @ D if k > 1 else D[:cut]
-        residuals[k] = _relative_norm(SGk @ Sim_block - Dk[:, :cut], Dk[:, :cut])
+        residuals[k] = _relative_norm(_rmul(SGk, S_inv_block, cut) - Dk[:, :cut], Dk[:, :cut])
     return residuals
 
 
@@ -246,10 +252,9 @@ def bch_factorization_check(
         )
     k = sub.cutoff
     E = _displacement_block(z, pair.space.dim)
-    Sm, Sim = pair.source.S.mat, pair.source.S_inv.mat
     U, V = disp.U.mat[:k, :k], disp.V.mat[:k, :k]
-    U_fact = Sm[:k] @ E @ Sim[:, :k]
-    V_fact = Sim[:, :k].conj().T @ E @ Sm[:k].conj().T
+    U_fact = _transport(pair.source, E, k)
+    V_fact = _cotransport(pair.source, E, k)
     return _relative_norm(U - U_fact, U), _relative_norm(V - V_fact, V)
 
 
@@ -263,7 +268,7 @@ def intertwining_check(
     come from different maps."""
     if not np.array_equal(disp.source.S.mat, metric.source.S.mat):
         raise ProvenanceError("displacements and metric operator come from different maps")
-    M = metric.theta_inv.mat  # S S^dag
-    k = sub.cutoff
-    diff = (M @ disp.V.mat - disp.U.mat @ M)[:k, :k]
+    k, p = sub.cutoff, metric.source.block
+    M = metric.theta_inv.mat[:p, :p]  # the deformed block of S S^dag
+    diff = _lmul(M, disp.V.mat[:, :k], k) - _rmul(disp.U.mat[:k], M, k)
     return _spectral_norm(diff) / metric.source.frame_bounds[1]

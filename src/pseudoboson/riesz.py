@@ -7,12 +7,29 @@ finite dimension.  The metric operator ``Theta = (S^{-1})^dag S^{-1}``
 is positive, maps ``phi_n`` to ``psi_n``, and equals the rank-one sum
 ``sum_n |psi_n><psi_n|`` while its inverse ``S S^dag`` equals
 ``sum_n |phi_n><phi_n|``.
+
+Every map the program builds is the identity outside a leading block,
+``S = blockdiag(S[:p, :p], 1)``, so that it keeps the top levels, where
+the hard cutoff sits, untouched: ``p = k + 1`` for the projector map
+``1 + i|e_k><e_k|``, ``dim - dim // 2`` for a random map, ``0`` for the
+identity.  :func:`make_riesz_map` finds the smallest such ``p`` by an
+exact test and takes the SVD and the inverse on that block only (a dense
+map has ``p = dim``).  The map is applied only where it deforms: one
+private pair of products, ``_lmul`` and ``_rmul``, multiplies by a matrix
+that is the identity outside its leading ``p x p`` block, and every
+site that applies ``S``, ``S^{-1}``, ``S S^dag`` or ``Theta`` goes
+through them (``_transport`` gives ``S X S^{-1}``, ``_cotransport``
+``(S^{-1})^dag X S^dag``); only the family checks (the cross-Gram
+matrix, the rank-one sums) multiply the full families, as the route
+they check.  The dense product adds only exact zeros
+outside the block, so the two agree up to the order of summation inside
+it, bit for bit on the projector map.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +66,10 @@ class RieszMap:
 
     ``frame_bounds = (A, B)`` are the squared extreme singular values of
     ``S``: every unit vector ``f`` satisfies ``A <= ||S f||^2 <= B``, and
-    ``inverse_residual`` is ``||S S^{-1} - 1||_2``.
+    ``inverse_residual`` is ``||S S^{-1} - 1||_2``.  ``block`` is the
+    smallest ``p`` with ``S = blockdiag(S[:p, :p], 1)`` (module docstring);
+    ``block_u`` and ``block_sigma`` are the left singular vectors and the
+    singular values of that block.
     """
 
     S: Operator
@@ -57,6 +77,9 @@ class RieszMap:
     cond: float
     frame_bounds: tuple[float, float]
     inverse_residual: float
+    block: int
+    block_u: np.ndarray = field(repr=False, compare=False)
+    block_sigma: np.ndarray = field(repr=False, compare=False)
 
     @property
     def space(self) -> FockSpace:
@@ -111,12 +134,22 @@ class MetricOperator:
     source: RieszMap
 
 
+def _deformed_block(M: np.ndarray) -> int:
+    """Smallest ``p`` with ``M = blockdiag(M[:p, :p], 1)``: one more than the
+    largest row or column index of an entry that differs from the identity's
+    (an exact comparison, so ``p = 0`` only for the exact identity)."""
+    moved = M != np.eye(len(M))
+    touched = np.flatnonzero(moved.any(axis=0) | moved.any(axis=1))
+    return int(touched[-1]) + 1 if touched.size else 0
+
+
 def make_riesz_map(S: Operator, max_cond: float = 1e12) -> RieszMap:
     """Validate and package an invertible map.
 
     The inverse is computed once from the singular value decomposition
     (rank-revealing, so near-singularity is detected rather than silently
-    amplified).
+    amplified).  Both are taken on the deformed block ``S[:p, :p]`` only;
+    the identity outside it adds singular values 1 and is its own inverse.
 
     Parameters
     ----------
@@ -134,8 +167,12 @@ def make_riesz_map(S: Operator, max_cond: float = 1e12) -> RieszMap:
     ConditioningError
         If ``cond(S) > max_cond``.
     """
-    U, sigma, Vh = np.linalg.svd(S.mat)
-    s_max, s_min = float(sigma[0]), float(sigma[-1])
+    d = S.space.dim
+    p = _deformed_block(S.mat)
+    S_block = S.mat[:p, :p]
+    U, sigma, Vh = np.linalg.svd(S_block)
+    spectrum = np.append(sigma, 1.0) if p < d else sigma
+    s_max, s_min = float(spectrum.max()), float(spectrum.min())
     if s_max == 0.0 or s_min <= SINGULARITY_FLOOR * s_max:
         raise NotInvertibleError(
             f"map is numerically singular: sigma_min/sigma_max = {s_min / max(s_max, 1e-300):.3e}"
@@ -143,14 +180,18 @@ def make_riesz_map(S: Operator, max_cond: float = 1e12) -> RieszMap:
     cond = s_max / s_min
     if cond > max_cond:
         raise ConditioningError(f"cond(S) = {cond:.3e} exceeds budget {max_cond:.3e}")
-    S_inv = Operator(S.space, Vh.conj().T @ ((1.0 / sigma)[:, None] * U.conj().T))
-    residual = _spectral_norm(S.mat @ S_inv.mat - np.eye(S.space.dim))
+    S_inv = np.eye(d, dtype=complex)
+    S_inv[:p, :p] = Vh.conj().T @ ((1.0 / sigma)[:, None] * U.conj().T)
+    residual = _spectral_norm(S_block @ S_inv[:p, :p] - np.eye(p))
     if residual > 1e-12 * cond:
         raise NotInvertibleError(
             f"inverse residual {residual:.3e} exceeds 1e-12 * cond = {1e-12 * cond:.3e}"
         )
-    return RieszMap(S=S, S_inv=S_inv, cond=cond, frame_bounds=(s_min**2, s_max**2),
-                    inverse_residual=residual)
+    U.setflags(write=False)
+    sigma.setflags(write=False)
+    return RieszMap(S=S, S_inv=Operator(S.space, S_inv), cond=cond,
+                    frame_bounds=(s_min**2, s_max**2), inverse_residual=residual,
+                    block=p, block_u=U, block_sigma=sigma)
 
 
 def random_riesz_map(
@@ -207,12 +248,55 @@ def biorthogonal_family(riesz: RieszMap) -> BiorthogonalFamily:
 def metric_operator(riesz: RieszMap) -> MetricOperator:
     """Metric operator ``Theta = (S^{-1})^dag S^{-1}`` and its inverse
     ``S S^dag``; both are self-adjoint and positive, and ``Theta`` maps
-    each ``phi_n`` onto ``psi_n``."""
-    Sm = riesz.S.mat
-    Sim = riesz.S_inv.mat
-    theta = Operator(riesz.space, Sim.conj().T @ Sim)
-    theta_inv = Operator(riesz.space, Sm @ Sm.conj().T)
-    return MetricOperator(theta=theta, theta_inv=theta_inv, source=riesz)
+    each ``phi_n`` onto ``psi_n``.
+
+    Both come from the SVD ``U diag(sigma) V^dag`` of the deformed block,
+    as ``U diag(sigma^-2) U^dag`` and ``U diag(sigma^2) U^dag`` (each
+    formed as ``Y Y^dag``, so exactly self-adjoint), with the identity
+    outside the block.  No product of ``S`` or its inverse enters, so the
+    rank-one sums of the families check an independent route."""
+    p = riesz.block
+    theta, theta_inv = np.eye(riesz.dim, dtype=complex), np.eye(riesz.dim, dtype=complex)
+    for out, factor in ((theta, riesz.block_u / riesz.block_sigma),
+                        (theta_inv, riesz.block_u * riesz.block_sigma)):
+        out[:p, :p] = factor @ factor.conj().T
+    return MetricOperator(theta=Operator(riesz.space, theta),
+                          theta_inv=Operator(riesz.space, theta_inv), source=riesz)
+
+
+def _lmul(B: np.ndarray, X: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """Rows ``:rows`` of ``blockdiag(B, 1) @ X`` for a square block ``B``:
+    only the block's rows are multiplied, the rows below it are copied."""
+    p = len(B)
+    out = np.array(X[:rows], dtype=np.result_type(B, X), order="C")
+    q = min(p, len(out))
+    np.matmul(B[:q], X[:p], out=out[:q])
+    return out
+
+
+def _rmul(X: np.ndarray, B: np.ndarray, cols: int | None = None) -> np.ndarray:
+    """Columns ``:cols`` of ``X @ blockdiag(B, 1)`` for a square block ``B``:
+    only the block's columns are multiplied, the columns after it are copied."""
+    p = len(B)
+    out = np.array(X[:, :cols], dtype=np.result_type(B, X), order="C")
+    q = min(p, out.shape[1])
+    np.matmul(X[:, :p], B[:, :q], out=out[:, :q])
+    return out
+
+
+def _transport(riesz: RieszMap, X: np.ndarray, size: int | None = None) -> np.ndarray:
+    """``S X S^{-1}``, or its leading ``size x size`` block, with ``S`` and
+    ``S^{-1}`` applied on their deformed block only."""
+    p = riesz.block
+    return _rmul(_lmul(riesz.S.mat[:p, :p], X, size), riesz.S_inv.mat[:p, :p], size)
+
+
+def _cotransport(riesz: RieszMap, X: np.ndarray, size: int | None = None) -> np.ndarray:
+    """``(S^{-1})^dag X S^dag``, or its leading ``size x size`` block, with
+    both factors applied on their deformed block only."""
+    p = riesz.block
+    return _rmul(_lmul(riesz.S_inv.mat[:p, :p].conj().T, X, size),
+                 riesz.S.mat[:p, :p].conj().T, size)
 
 
 def theta_rank_one_sums(fam: BiorthogonalFamily) -> tuple[Operator, Operator]:

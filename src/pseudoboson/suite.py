@@ -57,7 +57,7 @@ from .errors import (
 )
 from .fock import SafeSubspace, _spectral_norm
 from .reports import CheckReport, default_tolerance, format_report_table, reports_to_json
-from .riesz import biorthogonal_family, metric_operator, theta_rank_one_sums
+from .riesz import _lmul, biorthogonal_family, metric_operator, theta_rank_one_sums
 
 __all__ = ["run_suite", "convergence_study", "suite_failed"]
 
@@ -147,19 +147,22 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
     space = riesz.space
     eye = np.eye(dim)
 
-    rec.add("riesz_construction", riesz.inverse_residual)
+    rec.add("riesz_construction", riesz.inverse_residual, params={"block": riesz.block})
 
     fam = biorthogonal_family(riesz)
     rec.add("biorthogonality", np.abs(fam.gram() - eye).max())
 
     met = metric_operator(riesz)
-    rec.add("theta_family", np.linalg.norm(met.theta.mat @ fam.phi - fam.psi, axis=0).max())
+    p = riesz.block
+    rec.add("theta_family",
+            np.linalg.norm(_lmul(met.theta.mat[:p, :p], fam.phi) - fam.psi, axis=0).max())
 
-    theta_sum, theta_inv_sum = theta_rank_one_sums(fam)
-    rec.add("rank_one_theta", _spectral_norm(theta_sum.mat - met.theta.mat))
-    rec.add("rank_one_theta_inv", _spectral_norm(theta_inv_sum.mat - met.theta_inv.mat))
-
+    # relative to ||Theta|| = 1/A and ||Theta^-1|| = B, the frame bounds
     A, B = riesz.frame_bounds
+    theta_sum, theta_inv_sum = theta_rank_one_sums(fam)
+    rec.add("rank_one_theta", _spectral_norm(theta_sum.mat - met.theta.mat) * A)
+    rec.add("rank_one_theta_inv", _spectral_norm(theta_inv_sum.mat - met.theta_inv.mat) / B)
+
     theta_eigs = np.linalg.eigvalsh(met.theta.mat)
     rec.add("theta_positivity", max(0.0, 1.0 / B - theta_eigs[0], theta_eigs[-1] - 1.0 / A))
 

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +16,15 @@ from pseudoboson import (
     make_riesz_map,
     make_space,
     metric_operator,
+    projector_map,
     quasi_basis_check,
     random_riesz_map,
     save_riesz_map,
     theta_rank_one_sums,
 )
-from pseudoboson.fock import identity
+from pseudoboson.fock import _spectral_norm, identity
+from pseudoboson.reports import default_tolerance
+from pseudoboson.riesz import BiorthogonalFamily, _cotransport, _lmul, _rmul, _transport
 
 from conftest import random_unit_vector
 
@@ -95,6 +101,133 @@ class TestRandomRieszMap:
         with pytest.raises(ValidationError):
             random_riesz_map(make_space(8), 0.5, seed=0)
 
+
+class TestDeformedBlock:
+    """``make_riesz_map`` finds the smallest ``p`` with
+    ``S = blockdiag(S[:p, :p], 1)``, and the transports apply ``S`` there only."""
+
+    @pytest.mark.parametrize("u_index, block", [(0, 1), (5, 6)])
+    def test_projector_block(self, u_index, block):
+        space = make_space(16)
+        assert projector_map(space, space.basis_vector(u_index)).riesz.block == block
+
+    def test_identity_block_is_empty(self):
+        riesz = make_riesz_map(identity(make_space(16)))
+        assert riesz.block == 0
+        assert riesz.cond == 1.0 and riesz.inverse_residual == 0.0
+        np.testing.assert_array_equal(riesz.S_inv.mat, np.eye(16))
+
+    @pytest.mark.parametrize("dim", [15, 16, 64])
+    def test_random_block(self, dim):
+        assert random_riesz_map(make_space(dim), 10.0, seed=2).block == dim - dim // 2
+        assert random_riesz_map(make_space(dim), 10.0, seed=2, top_margin=0).block == dim
+
+    def test_file_map_keeps_block(self, tmp_path):
+        riesz = random_riesz_map(make_space(12), 5.0, seed=11, top_margin=4)
+        save_riesz_map(riesz, tmp_path / "map.json")
+        assert load_riesz_map(tmp_path / "map.json").block == riesz.block == 8
+
+    def test_inverse_is_identity_outside_block(self, random_map64):
+        p = random_map64.block
+        np.testing.assert_array_equal(random_map64.S_inv.mat[p:], np.eye(64)[p:])
+        np.testing.assert_array_equal(random_map64.S_inv.mat[:, p:], np.eye(64)[:, p:])
+
+    def test_singular_block_rejected(self):
+        M = np.eye(6, dtype=complex)
+        M[:2, :2] = [[1.0, 2.0], [0.5, 1.0]]
+        with pytest.raises(NotInvertibleError):
+            make_riesz_map(Operator(make_space(6), M))
+
+    def test_zero_in_the_tail_rejected(self):
+        # a zero on the diagonal below a deformed block is part of the block
+        with pytest.raises(NotInvertibleError):
+            make_riesz_map(Operator(make_space(6), np.diag([2.0, 1.0, 1.0, 0.0, 1.0, 1.0])))
+
+    def test_cond_budget_counts_the_identity_tail(self):
+        # the block alone has cond 1; the tail's singular values 1 set it to 100
+        S = Operator(make_space(6), np.diag([100.0, 100.0, 1.0, 1.0, 1.0, 1.0]))
+        with pytest.raises(ConditioningError):
+            make_riesz_map(S, max_cond=10.0)
+
+    @staticmethod
+    def dense_pair(riesz, X):
+        S, S_inv = riesz.S.mat, riesz.S_inv.mat
+        return S @ X @ S_inv, S_inv.conj().T @ X @ S.conj().T
+
+    @staticmethod
+    def sample_matrices(dim):
+        rng = np.random.default_rng(7)
+        noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        c = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+        return [noise, c.T, rng.standard_normal((dim, dim))]
+
+    @pytest.mark.parametrize("size", [None, 1, 40])
+    def test_projector_transport_bit_for_bit(self, projector_map64, size):
+        riesz = projector_map64.riesz
+        for X in self.sample_matrices(64):
+            U, V = self.dense_pair(riesz, X)
+            np.testing.assert_array_equal(_transport(riesz, X, size), U[:size, :size])
+            np.testing.assert_array_equal(_cotransport(riesz, X, size), V[:size, :size])
+
+    @pytest.mark.parametrize("size", [None, 20, 40])
+    def test_random_transport_matches_dense(self, random_maps64, size):
+        dense = random_riesz_map(make_space(64), 10.0, seed=1, top_margin=0)
+        for riesz in random_maps64 + [dense]:
+            for X in self.sample_matrices(64):
+                for got, want in zip((_transport(riesz, X, size), _cotransport(riesz, X, size)),
+                                     self.dense_pair(riesz, X)):
+                    want = want[:size, :size]
+                    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("p, limit", [(0, None), (3, None), (3, 2), (3, 5), (8, 8)])
+    def test_block_products(self, p, limit):
+        rng = np.random.default_rng(p)
+        B = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+        full = np.eye(8, dtype=complex)
+        full[:p, :p] = B
+        X = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        np.testing.assert_allclose(_lmul(B, X, limit), (full @ X)[:limit], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(_rmul(X, B, limit), (X @ full)[:, :limit], rtol=0, atol=1e-14)
+        np.testing.assert_allclose(_lmul(B, X[:, 0]), full @ X[:, 0], rtol=0, atol=1e-14)
+
+    def test_only_riesz_applies_the_map(self):
+        # outside riesz.py no matrix product takes the full S.mat or S_inv.mat,
+        # read directly or through a local name bound to an expression
+        # holding it; the square leading block M[:p, :p] is what may be used
+        src = Path(__file__).resolve().parent.parent / "src" / "pseudoboson"
+
+        def full_map_reads(tree):
+            parents = {c: n for n in ast.walk(tree) for c in ast.iter_child_nodes(n)}
+            for n in ast.walk(tree):
+                if (isinstance(n, ast.Attribute) and n.attr == "mat"
+                        and isinstance(n.value, ast.Attribute) and n.value.attr in ("S", "S_inv")):
+                    elts = getattr(getattr(parents.get(n), "slice", None), "elts", [])
+                    bounds = [ast.dump(e.upper) for e in elts
+                              if isinstance(e, ast.Slice) and e.lower is None and e.upper]
+                    if not (len(bounds) == len(elts) == 2 and bounds[0] == bounds[1]):
+                        yield n
+
+        def holds_map(node, names, full):
+            return any(n in full or (isinstance(n, ast.Name) and n.id in names)
+                       for n in ast.walk(node))
+
+        sites = []
+        for path in sorted(src.glob("*.py")):
+            if path.name == "riesz.py":
+                continue
+            tree = ast.parse(path.read_text())
+            full = set(full_map_reads(tree))
+            for fn in [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]:
+                names = set()
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.Assign) and holds_map(node.value, names, full):
+                        names |= {t.id for t in ast.walk(node) if isinstance(t, ast.Name)
+                                  and isinstance(t.ctx, ast.Store)}
+                for node in ast.walk(fn):
+                    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) and (
+                            holds_map(node.left, names, full) or holds_map(node.right, names, full)):
+                        sites.append((path.name, fn.name, node.lineno))
+        assert sites == []
 
 class TestBiorthogonalFamily:
     def test_identity_self_dual(self):
@@ -203,6 +336,36 @@ class TestRankOneSums:
             tol = 1e-12 * riesz.cond**2
             assert np.linalg.norm(theta_sum.mat - met.theta.mat, 2) <= tol
             assert np.linalg.norm(theta_inv_sum.mat - met.theta_inv.mat, 2) <= tol
+
+    @staticmethod
+    def relative_residuals(riesz, fam):
+        """The suite's records: deviations relative to ``||Theta|| = 1/A``
+        and ``||Theta^-1|| = B``."""
+        met = metric_operator(riesz)
+        A, B = riesz.frame_bounds
+        theta_sum, theta_inv_sum = theta_rank_one_sums(fam)
+        return (_spectral_norm(theta_sum.mat - met.theta.mat) * A,
+                _spectral_norm(theta_inv_sum.mat - met.theta_inv.mat) / B)
+
+    def test_independent_route_reads_roundoff(self, random_map64):
+        # the metric comes from the block SVD, not from the products the
+        # sums form, so the records read roundoff instead of exactly 0
+        residuals = self.relative_residuals(random_map64, biorthogonal_family(random_map64))
+        for name, residual in zip(("rank_one_theta", "rank_one_theta_inv"), residuals):
+            assert 0.0 < residual <= default_tolerance(name, random_map64.cond)
+
+    @pytest.mark.parametrize("which", ["psi", "phi"])
+    @pytest.mark.parametrize("n", [0, 20, 40])
+    def test_perturbed_vector_fails(self, random_map64, which, n):
+        fam = biorthogonal_family(random_map64)
+        vecs = {"phi": fam.phi.copy(), "psi": fam.psi.copy()}
+        rng = np.random.default_rng(n)
+        vecs[which][:, n] += 1e-9 * np.linalg.norm(vecs[which][:, n]) * random_unit_vector(rng, 64)
+        perturbed = BiorthogonalFamily(fam.space, vecs["phi"], vecs["psi"])
+        theta_r, theta_inv_r = self.relative_residuals(random_map64, perturbed)
+        residual, name = ((theta_r, "rank_one_theta") if which == "psi"
+                          else (theta_inv_r, "rank_one_theta_inv"))
+        assert residual > default_tolerance(name, random_map64.cond)
 
     def test_partial_family_rejected(self, random_map64):
         from pseudoboson import DimensionMismatchError, make_pair, vacua_from_map

@@ -132,6 +132,9 @@ class TestRunSuite:
         # nodes (dim // 2 + 1) and 2 dim + 1 angular
         quad = next(r for r in reports if r.check_id == "resolution_identity")
         assert quad.params == {"radial": 33, "angular": 129}
+        # the construction record says how much of S the transports touch
+        construction = next(r for r in reports if r.check_id == "riesz_construction")
+        assert construction.params == {"block": 1}
 
     @pytest.mark.parametrize("dim, map_spec", [
         (64, {"kind": "random", "cond": 10.0, "seed": 13}),
@@ -365,18 +368,18 @@ class TestCli:
         assert main(["verify", "--config", str(path)]) == 1
 
     def test_overflowing_amplitude_is_graded(self, tmp_path):
-        # at |z| = 1e70 the power check overflows; its NaN residual is
-        # written and graded instead of stopping the run
+        # at |z| = 1e70 the powers of z would overflow; the power check
+        # carries them at z scaled by a power of two, so its residual is
+        # finite, raises no RuntimeWarning, and is graded out-of-regime
         path = write_config(tmp_path / "c.json",
                             map_spec={"kind": "random", "cond": 10.0, "seed": 3},
                             z_samples=[[1e70, 0]], allow_out_of_regime=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert main(["verify", "--config", str(path)]) == 0
+        assert main(["verify", "--config", str(path)]) == 0
         records = json.loads((tmp_path / "out" / "report.json").read_text())
         assert len(records) == 22
         power = next(r for r in records if r["check_id"] == "power_similarity")
-        assert np.isnan(power["residual"]) and power["status"] == "out-of-regime"
+        assert np.isfinite(power["residual"]) and power["status"] == "out-of-regime"
+        assert power["residual"] <= power["tolerance"]
         assert {r["status"] for r in records} == {"pass", "out-of-regime"}
 
     def test_vanished_state_reads_nan_without_warning(self, tmp_path):
