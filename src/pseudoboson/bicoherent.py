@@ -209,8 +209,9 @@ def _radial_factors(t: np.ndarray, log_w: np.ndarray, n: int) -> np.ndarray:
 def make_quadrature(dim: int, radial_count: int, angular_count: int) -> QuadratureScheme:
     """Quadrature over the complex plane resolving ``dim`` levels.
 
-    Requires ``radial_count > dim // 2`` and ``angular_count >= 2 dim``
-    and validates the radial rule against the factorial moments
+    Requires ``radial_count > dim // 2`` and ``angular_count >= dim`` (so
+    the mask ``[k = l mod M]`` is exact for ``k, l < dim``) and validates
+    the radial rule against the factorial moments
     ``int e^{-t} t^k dt = k!`` for ``k <= dim``.  Gauss-Laguerre with
     ``n`` nodes is exact through degree ``2n-1``, so ``dim // 2 + 1``
     nodes are the fewest that integrate every tested moment.  The rule
@@ -226,9 +227,9 @@ def make_quadrature(dim: int, radial_count: int, angular_count: int) -> Quadratu
             f"radial_count {radial_count} <= dim // 2 = {dim // 2}: a rule exact "
             f"through the moment t^{dim} needs at least {dim // 2 + 1} nodes"
         )
-    if angular_count < 2 * dim:
+    if angular_count < dim:
         raise UnderResolvedError(
-            f"angular_count {angular_count} < 2*dim = {2 * dim}: angular grid aliases"
+            f"angular_count {angular_count} < dim = {dim}: angular grid aliases"
         )
     t, log_w = _gauss_rule(2.0 * np.arange(radial_count) + 1.0, np.arange(1.0, radial_count))
     rel_err = np.abs(np.sum(_radial_factors(t, log_w, dim + 1) ** 2, axis=1) - 1.0)

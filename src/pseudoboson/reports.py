@@ -4,9 +4,10 @@ table it grades residuals against."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
-__all__ = ["DEFAULT_TOLERANCES", "default_tolerance", "CheckReport",
+__all__ = ["DEFAULT_TOLERANCES", "TAIL_TERMS", "default_tolerance", "CheckReport",
            "format_report_table", "reports_to_json"]
 
 #: check name -> (base tolerance, power of cond multiplying it)
@@ -38,11 +39,23 @@ DEFAULT_TOLERANCES: dict[str, tuple[float, int]] = {
 }
 
 
-def default_tolerance(name: str, cond: float) -> float:
+#: check name -> term ``f(cond, dim, tail)`` added for comparing against
+#: coherent states truncated at ``dim`` levels with omitted norm <= ``tail``
+TAIL_TERMS = {
+    "rbcs_pairing": lambda cond, dim, tail: 4.0 * cond * tail**2,
+    "eigen_eta": lambda cond, dim, tail: 10.0 * math.sqrt(dim) * cond * tail,
+    "eigen_xi": lambda cond, dim, tail: 10.0 * math.sqrt(dim) * cond * tail,
+}
+
+
+def default_tolerance(name: str, cond: float, dim: int = 0, tail: float = 0.0) -> float:
     """Tolerance of a named check for a map of condition number ``cond``:
-    the registered base times the registered power of ``cond``."""
+    the registered base times the registered power of ``cond``, plus the
+    check's tail term, if any, for a ``dim``-level truncation."""
     base, power = DEFAULT_TOLERANCES[name]
-    return float(base) * float(cond) ** power
+    tol = float(base) * float(cond) ** power
+    term = TAIL_TERMS.get(name)
+    return tol + term(cond, dim, tail) if term else tol
 
 
 @dataclass(frozen=True)

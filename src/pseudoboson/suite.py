@@ -1,10 +1,9 @@
 """Batch verification runner: executes the full check suite for one
 configuration and emits reports plus plot-ready CSV tables.
 
-The checks return plain residuals and the runner grades them: every
-tolerance is ``default_tolerance(check_id, cond)``.  The pairing and
-eigen-relation checks, which compare against truncated coherent states,
-add an explicit truncation-tail term to it, so the runner stays honest
+The checks return plain residuals; ``verify`` and ``converge`` grade
+them through one recorder against the table of ``reports``, with the
+truncation tail at each record's amplitude, so the runners stay honest
 at small dimensions where the tail, not roundoff, limits what the
 identity can show.
 """
@@ -66,31 +65,39 @@ def _format_z(z: complex) -> str:
     return f"{z.real:g}{z.imag:+g}j"
 
 
-class _Recorder:
-    """Grades residuals into reports: the one place a tolerance is
-    composed, as the table value at the map's ``cond`` plus the check's
-    tail term.  A report's wall time is the time since the previous one
-    (the first counts from ``start``), so each span is counted once: a
-    shared object's build is charged to the next check, and of several
-    records from one computation the first carries its time."""
+def _bch_cutoff(dim: int, z: complex) -> int:
+    """The half-space, less the factorization's top margin at ``z``."""
+    return max(1, min(dim // 2, dim - math.ceil(4 * abs(z) ** 2) - 6))
 
-    def __init__(self, cond: float, start: float):
-        self.cond = cond
+
+class _Recorder:
+    """Grades residuals into reports for one map, the one place a tolerance
+    is composed and a regime decided: a record at ``z`` is out of regime
+    when ``|z|^2 > dim/4`` or its ``cutoff`` exceeds ``_bch_cutoff``.  A
+    report's wall time is the time since the previous one (the first
+    counts from ``start``), so a shared object's build is charged to the
+    next check, and of several records from one computation the first
+    carries its time."""
+
+    def __init__(self, riesz, start: float):
+        self.riesz = riesz
         self.reports: list[CheckReport] = []
         self._lap = start
 
-    def add(self, name: str, residual: float, *, params: dict | None = None,
-            in_regime: bool = True, extra_tol: float = 0.0):
+    def add(self, name: str, residual: float, z: complex | None = None, **params):
         now = time.perf_counter()
-        tol = default_tolerance(name, self.cond) + extra_tol
-        if not in_regime:
-            status = "out-of-regime"
-        else:
-            status = "pass" if residual <= tol else "fail"
+        dim, tail, regime = self.riesz.dim, 0.0, True
+        if z is not None:
+            params = {"z": _format_z(z), **params}
+            tail = coherent_tail_bound(dim, z)
+            regime = (in_accuracy_regime(self.riesz.space, z)
+                      and params.get("cutoff", 0) <= _bch_cutoff(dim, z))
+        tol = default_tolerance(name, self.riesz.cond, dim, tail)
+        status = ("pass" if residual <= tol else "fail") if regime else "out-of-regime"
         self.reports.append(
             CheckReport(
                 check_id=name,
-                params=params or {},
+                params=params,
                 residual=float(residual),
                 tolerance=tol,
                 status=status,
@@ -98,6 +105,21 @@ class _Recorder:
             )
         )
         self._lap = now
+
+    def refuse(self, names: tuple[str, ...], exc: Exception, z: complex | None = None):
+        """Records a refused computation as ``inf`` with the error text."""
+        for name in names:
+            self.add(name, float("inf"), z, error=str(exc))
+
+
+def _record_bch_eigen(rec: _Recorder, pair, disp, bc, cutoff: int):
+    """Records ``bch_u``/``bch_v`` at ``cutoff`` and ``eigen_eta``/``eigen_xi``;
+    the caller owns ``disp``, so it alone decides how long ``disp`` lives."""
+    bch = bch_factorization_check(pair, disp, SafeSubspace(rec.riesz.space, cutoff))
+    for name, residual in zip(("bch_u", "bch_v"), bch):
+        rec.add(name, residual, disp.z, cutoff=cutoff)
+    for name, residual in zip(("eigen_eta", "eigen_xi"), eigen_check(pair, bc)):
+        rec.add(name, residual, disp.z)
 
 
 def _phase_aligned_distance(v: np.ndarray, w: np.ndarray) -> float:
@@ -129,25 +151,17 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
     start = time.perf_counter()
     try:
         riesz = build_map(config)
-    except (NotInvertibleError, ConditioningError) as exc:
-        reports = [
-            CheckReport(
-                check_id="riesz_construction",
-                params={"error": str(exc)},
-                residual=float("inf"),
-                tolerance=0.0,
-                status="fail",
-            )
-        ]
+    except (NotInvertibleError, ConditioningError) as exc:  # no map: no cond to grade with
+        reports = [CheckReport(check_id="riesz_construction", params={"error": str(exc)},
+                               residual=float("inf"), tolerance=0.0, status="fail")]
         _write_outputs(out_dir, reports)
         return reports
 
-    rec = _Recorder(riesz.cond, start)
+    rec = _Recorder(riesz, start)
     dim = riesz.dim
-    space = riesz.space
     eye = np.eye(dim)
 
-    rec.add("riesz_construction", riesz.inverse_residual, params={"block": riesz.block})
+    rec.add("riesz_construction", riesz.inverse_residual, block=riesz.block)
 
     fam = biorthogonal_family(riesz)
     rec.add("biorthogonality", np.abs(fam.gram() - eye).max())
@@ -163,20 +177,24 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
     rec.add("rank_one_theta", _spectral_norm(theta_sum.mat - met.theta.mat) * A)
     rec.add("rank_one_theta_inv", _spectral_norm(theta_inv_sum.mat - met.theta_inv.mat) / B)
 
-    theta_eigs = np.linalg.eigvalsh(met.theta.mat)
-    rec.add("theta_positivity", max(0.0, 1.0 / B - theta_eigs[0], theta_eigs[-1] - 1.0 / A))
+    # Theta is the identity outside its block: one more eigenvalue 1 when p < dim
+    eigs = np.append(np.linalg.eigvalsh(met.theta.mat[:p, :p]), np.ones(min(1, dim - p)))
+    rec.add("theta_positivity", max(0.0, 1.0 / B - eigs.min(), eigs.max() - 1.0 / A))
 
     pair = make_pair(riesz)
-    sub_top = SafeSubspace(space, dim - 1)
+    sub_top = SafeSubspace(riesz.space, dim - 1)
     a, b, k = pair.a.mat, pair.b.mat, sub_top.cutoff
-    rec.add("ccr", _spectral_norm((a @ b - b @ a - eye)[:k, :k]))
+    ba = b @ a
+    rec.add("ccr", _spectral_norm((a @ b - ba - eye)[:k, :k]))
+    n_eigs = np.sort_complex(np.linalg.eigvals(ba))[: dim - 1]
+    rec.add("number_spectrum", np.abs(n_eigs - np.arange(dim - 1)).max())
+    del ba  # one d x d matrix fewer alive through the displacement checks
 
     cf = vacua_from_map(riesz)
     try:
         extracted = vacua(pair)
     except (DegenerateKernelError, OrthogonalVacuaError) as exc:
-        for name in ("vacuum_match", "vacuum_pairing"):
-            rec.add(name, float("inf"), params={"error": str(exc)})
+        rec.refuse(("vacuum_match", "vacuum_pairing"), exc)
     else:
         r_phi = _phase_aligned_distance(extracted.phi0, cf.phi0 / np.linalg.norm(cf.phi0))
         psi_dir = extracted.psi0 / np.linalg.norm(extracted.psi0)
@@ -186,69 +204,43 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
 
     rec.add("ladder", max(r.max() for r in ladder_check(pair, fam).values()))
     rec.add("number_operator", max(r.max() for r in number_operator_check(pair, fam)))
-
-    n_eigs = np.sort_complex(np.linalg.eigvals(pair.b.mat @ pair.a.mat))[: dim - 1]
-    rec.add("number_spectrum", np.abs(n_eigs - np.arange(dim - 1)).max())
-
     rec.add("theta_conjugacy", theta_conjugacy_check(pair, met, sub_top))
 
     for z in config.z_samples:
-        in_regime = in_accuracy_regime(space, z)
-        zp = {"z": _format_z(z)}
-        tail = coherent_tail_bound(dim, z)
-        # factorization needs a top margin beyond the coherent excursion;
-        # the half-space is used whenever the margin allows it
-        bch_cutoff = max(1, min(dim // 2, dim - math.ceil(4 * abs(z) ** 2) - 6))
         with warnings.catch_warnings():
             # regime warnings are encoded in the status
             warnings.simplefilter("ignore", AccuracyRegimeWarning)
-            rec.add("power_similarity", power_similarity_check(pair, z).max(),
-                    params=zp, in_regime=in_regime)
+            rec.add("power_similarity", power_similarity_check(pair, z).max(), z)
             disp = displaced_pair(riesz, z)
-            bch = bch_factorization_check(pair, disp, SafeSubspace(space, bch_cutoff))
-            for name, residual in zip(("bch_u", "bch_v"), bch):
-                rec.add(name, residual, params={**zp, "cutoff": bch_cutoff}, in_regime=in_regime)
-            rec.add("intertwining", intertwining_check(disp, met, sub_top),
-                    params=zp, in_regime=in_regime)
-
             bc = rbcs(riesz, z)
-            rec.add("rbcs_pairing", abs(np.vdot(bc.eta, bc.xi) - 1.0),
-                    params=zp, in_regime=in_regime,
-                    extra_tol=4.0 * riesz.cond * tail**2)
-
+            _record_bch_eigen(rec, pair, disp, bc, _bch_cutoff(dim, z))
+            rec.add("intertwining", intertwining_check(disp, met, sub_top), z)
+            rec.add("rbcs_pairing", abs(np.vdot(bc.eta, bc.xi) - 1.0), z)
             phi_s, psi_s = series_route(pair, z, cf)
             rec.add("two_route",
-                    max(np.linalg.norm(phi_s - bc.eta), np.linalg.norm(psi_s - bc.xi)),
-                    params=zp, in_regime=in_regime)
-
-            r_eta, r_xi = eigen_check(pair, bc)
-            eigen_tail = 10.0 * np.sqrt(dim) * riesz.cond * tail
-            rec.add("eigen_eta", r_eta, params=zp, in_regime=in_regime, extra_tol=eigen_tail)
-            rec.add("eigen_xi", r_xi, params=zp, in_regime=in_regime, extra_tol=eigen_tail)
+                    max(np.linalg.norm(phi_s - bc.eta), np.linalg.norm(psi_s - bc.xi)), z)
 
     try:
         quad = make_quadrature(dim, dim // 2 + 1, 2 * dim + 1)
     except UnderResolvedError as exc:
-        rec.add("resolution_identity", float("inf"), params={"error": str(exc)})
+        rec.refuse(("resolution_identity",), exc)
     else:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UnderResolvedWarning)
             rec.add("resolution_identity", resolution_of_identity(riesz, quad),
-                    params={"radial": quad.radial_count, "angular": quad.angular_count})
+                    radial=quad.radial_count, angular=quad.angular_count)
 
     if config.map_spec.kind == "projector" and config.map_spec.u_index == 0:
         for z in config.z_samples:
-            if not in_accuracy_regime(space, z):
+            if not in_accuracy_regime(riesz.space, z):
                 continue  # closed-form comparison needs a suppressed tail
-            zp = {"z": _format_z(z)}
             try:
                 cv = cross_validate(z, riesz)
             except ValidationError as exc:
-                for name in ("coordinate_l2", "coordinate_pairing"):
-                    rec.add(name, float("inf"), params={**zp, "error": str(exc)})
+                rec.refuse(("coordinate_l2", "coordinate_pairing"), exc, z)
                 continue
-            rec.add("coordinate_l2", max(cv.l2_dev_phi, cv.l2_dev_psi), params=zp)
-            rec.add("coordinate_pairing", abs(cv.pairing - 1.0), params=zp)
+            rec.add("coordinate_l2", max(cv.l2_dev_phi, cv.l2_dev_psi), z)
+            rec.add("coordinate_pairing", abs(cv.pairing - 1.0), z)
 
     reports = sorted(rec.reports, key=lambda r: (r.check_id, str(sorted(r.params.items()))))
     _write_outputs(out_dir, reports)
@@ -279,9 +271,11 @@ def convergence_study(config: RunConfig, dims: list[int]) -> tuple[Path, Path]:
     Writes two CSVs into the output directory and returns their paths:
 
     * ``convergence.csv`` with columns ``dim, z, in_regime, cutoff,
-      bch_residual, eigen_eta, eigen_xi, resolution_deviation`` (the
-      factorization is compared at a cutoff fixed across the sweep so
-      the rows are comparable);
+      bch_residual, eigen_eta, eigen_xi, resolution_deviation, status``
+      (the factorization is compared at a cutoff fixed across the sweep
+      so the rows are comparable).  ``status`` is the worst one over the
+      row's ``bch_*``, ``eigen_*`` and full-rule ``resolution_identity``
+      records, graded as ``verify`` grades them;
     * ``quadrature.csv`` with columns ``dim, radial_count,
       angular_count, deviation`` including deliberately under-resolved
       rows that show where exactness is lost.
@@ -302,28 +296,30 @@ def convergence_study(config: RunConfig, dims: list[int]) -> tuple[Path, Path]:
         conv = csv.writer(fh)
         quad_writer = csv.writer(qfh)
         conv.writerow(["dim", "z", "in_regime", "cutoff", "bch_residual",
-                       "eigen_eta", "eigen_xi", "resolution_deviation"])
+                       "eigen_eta", "eigen_xi", "resolution_deviation", "status"])
         quad_writer.writerow(["dim", "radial_count", "angular_count", "deviation"])
         for dim in dims:
             riesz = build_map(config, dim=dim)
+            rec = _Recorder(riesz, time.perf_counter())
             pair = make_pair(riesz)
-            space = riesz.space
-            in_regime = in_accuracy_regime(space, z)
             with warnings.catch_warnings():
-                # the in_regime column and the under-resolved rows carry these
+                # the status and the under-resolved rows carry these
                 warnings.simplefilter("ignore", AccuracyRegimeWarning)
                 warnings.simplefilter("ignore", UnderResolvedWarning)
-                disp = displaced_pair(riesz, z)
-                bch = max(bch_factorization_check(pair, disp, SafeSubspace(space, cutoff)))
-                r_eta, r_xi = eigen_check(pair, rbcs(riesz, z))
+                _record_bch_eigen(rec, pair, displaced_pair(riesz, z), rbcs(riesz, z), cutoff)
                 # each rule once; the full rule (radial = dim) fills both tables
                 deviations = {
                     radial: resolution_of_identity(
                         riesz, make_quadrature(radial, radial, 2 * dim + 1))
                     for radial in sorted({max(2, dim // 4), max(2, dim // 2), dim})
                 }
-            conv.writerow([dim, _format_z(z), in_regime, cutoff, f"{bch:.6e}",
-                           f"{r_eta:.6e}", f"{r_xi:.6e}", f"{deviations[dim]:.6e}"])
+            rec.add("resolution_identity", deviations[dim])
+            r = {x.check_id: x.residual for x in rec.reports}
+            status = ("fail" if suite_failed(rec.reports) else
+                      "out-of-regime" if suite_failed(rec.reports, strict=True) else "pass")
+            conv.writerow([dim, _format_z(z), in_accuracy_regime(riesz.space, z), cutoff,
+                           f"{max(r['bch_u'], r['bch_v']):.6e}", f"{r['eigen_eta']:.6e}",
+                           f"{r['eigen_xi']:.6e}", f"{deviations[dim]:.6e}", status])
             for radial, dev in deviations.items():
                 quad_writer.writerow([dim, radial, 2 * dim + 1, f"{dev:.6e}"])
     return conv_path, quad_path

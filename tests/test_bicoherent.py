@@ -243,7 +243,18 @@ class TestQuadrature:
 
     def test_insufficient_angular(self):
         with pytest.raises(UnderResolvedError):
-            make_quadrature(16, 16, 16)
+            make_quadrature(16, 16, 15)
+
+    @pytest.mark.parametrize("dim", [16, 32])
+    def test_angular_bound_is_exact(self, dim):
+        # the mask [k = l mod M] is exact for k, l < dim once M >= dim, so
+        # dim angular nodes resolve the identity on every map kind
+        space = make_space(dim)
+        quad = make_quadrature(dim, dim, dim)
+        for riesz in (make_riesz_map(identity(space)),
+                      projector_map(space, space.basis_vector(0)).riesz,
+                      random_riesz_map(space, 10.0, seed=0)):
+            assert resolution_of_identity(riesz, quad) <= 1e-10
 
     @pytest.mark.parametrize("dim, nodes", [(512, 257), (1024, 513)])
     def test_large_rules_accepted(self, dim, nodes):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import types
 import warnings
 from pathlib import Path
 
@@ -333,6 +334,93 @@ class TestConvergenceStudy:
         cfg = load_config(write_config(tmp_path / "c.json"))
         with pytest.raises(ConfigError):
             convergence_study(cfg, [32, 16])
+
+
+def _rows(conv_path):
+    with conv_path.open() as fh:
+        return list(csv.DictReader(fh))
+
+
+#: residuals that break each check behind a convergence.csv row
+_BROKEN = {"eigen_check": (1.0, 1.0), "bch_factorization_check": (1.0, 1.0),
+           "resolution_of_identity": 1.0}
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """``perfbench/workloads.py``, executed from its source so that
+    nothing is written next to it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    mod = types.ModuleType("perfbench_workloads")
+    sys.modules[mod.__name__] = mod  # dataclasses resolve annotations through it
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), mod.__dict__)
+        yield mod
+    finally:
+        del sys.modules[mod.__name__]
+
+
+class TestConvergenceStatus:
+    """``convergence.csv`` rows are graded by the recorder ``verify`` uses."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_benchmark_sweep(self, tmp_path, seed):
+        # the fixed cutoff 8 exceeds _bch_cutoff(16, 1) = 6, so the dim-16
+        # row is out of regime; every other row passes
+        path = write_config(tmp_path / "c.json", map_spec={"kind": "random", "cond": 10.0},
+                            seed=seed, z_samples=[[0, 0], [1, 0], [1, 1], [0, 2]])
+        conv_path, _ = convergence_study(load_config(path), [16, 32, 64, 128])
+        assert suite._bch_cutoff(16, 1.0) == 6
+        assert [r["status"] for r in _rows(conv_path)] == [
+            "out-of-regime", "pass", "pass", "pass"]
+
+    def test_failure_is_graded_without_changing_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(suite, "eigen_check", lambda *args: _BROKEN["eigen_check"])
+        path = write_config(tmp_path / "c.json")
+        assert main(["converge", "--config", str(path), "--dims", "16,32"]) == 0
+        assert [r["status"] for r in _rows(tmp_path / "out" / "convergence.csv")] == [
+            "fail", "fail"]
+
+    def test_amplitude_out_of_regime(self, tmp_path):
+        path = write_config(tmp_path / "c.json", z_samples=[[2.5, 0]],
+                            allow_out_of_regime=True)
+        conv_path, _ = convergence_study(load_config(path), [16])
+        assert _rows(conv_path)[0]["status"] == "out-of-regime"  # |z|^2 = 6.25 > 16/4
+
+    @pytest.mark.parametrize("broken", [None, *_BROKEN])
+    def test_agrees_with_benchmark_grading(self, tmp_path, monkeypatch, bench, broken):
+        # the benchmark grades convergence.csv with its own restated
+        # tolerances; the rows it fails are exactly the rows read "fail".
+        # It grades no factorization at dim 16, where the row is out of regime.
+        if broken:
+            monkeypatch.setattr(suite, broken, lambda *args: _BROKEN[broken])
+        expected = (set() if broken is None else {32, 64, 128}
+                    if broken == "bch_factorization_check" else {16, 32, 64, 128})
+        w = bench.WORKLOADS["converge-rand-16-128"]
+        for seed in (0, 1, 2):
+            out = tmp_path / str(seed)
+            path = tmp_path / f"c{seed}.json"
+            path.write_text(json.dumps(bench.make_config(w, seed, str(out))))
+            convergence_study(load_config(path), list(w.dims))
+            conv, quad = bench.load_tables(out)
+            failed, problems = bench.check_converge_rows(w, conv, quad)
+            assert not problems
+            assert {key[1] for key in failed if key[0] == "convergence"} == expected
+            assert {int(r["dim"]) for r in conv if r["status"] == "fail"} == expected
+
+
+def test_verify_cutoffs_stay_in_regime(tmp_path):
+    # verify takes each factorization cutoff from _bch_cutoff, so only the
+    # amplitude can put a bch record out of regime
+    path = write_config(tmp_path / "c.json", dim=32, allow_out_of_regime=True,
+                        z_samples=[[0, 0], [1, 0], [1, 1], [0, 2], [2.5, 0]])
+    reports = run_suite(load_config(path))
+    bch = [r for r in reports if r.check_id in ("bch_u", "bch_v")]
+    assert len(bch) == 10
+    for r in bch:
+        z = complex(r.params["z"])
+        assert r.params["cutoff"] == suite._bch_cutoff(32, z)
+        assert r.status == "pass"
 
 
 @pytest.mark.parametrize("runner", ["verify", "converge"])
