@@ -74,16 +74,26 @@ def make_pair(riesz: RieszMap) -> PseudoBosonPair:
     return PseudoBosonPair(a=a, b=b, source=riesz, space=space)
 
 
-def _smallest_singular_vector(M: np.ndarray, what: str) -> tuple[np.ndarray, float]:
+def _smallest_singular_vector(M: np.ndarray, what: str) -> np.ndarray:
     """Right-singular vector for the smallest singular value; fails if the
-    two smallest singular values cannot be separated."""
-    _, sigma, Vh = np.linalg.svd(M)
-    if sigma[-2] - sigma[-1] < 1e-8:
+    two smallest singular values cannot be separated.  For ``q`` the least
+    index with every nonzero ``M[i, j]`` off the superdiagonal at ``i < q``,
+    ``j <= q``, ``M = blockdiag(M[:q, :q+1], T)`` and ``T``'s only entries
+    are the ``M[i, i+1]``, ``i >= q``; so ``sigma(M)`` is the block's, zeros
+    up to its column count, and the ``|M[i, i+1]|``."""
+    off = M != 0
+    np.fill_diagonal(off[:, 1:], False)
+    rows, cols = np.flatnonzero(off.any(axis=1)), np.flatnonzero(off.any(axis=0))
+    q = max(rows[-1] + 1 if rows.size else 0, cols[-1] if cols.size else 0)
+    _, sigma, Vh = np.linalg.svd(M[:q, :q + 1])
+    sigma = np.sort(np.concatenate(
+        [sigma, np.zeros(len(Vh) - len(sigma)), np.abs(np.diag(M, 1)[q:])]))
+    if sigma[1] - sigma[0] < 1e-8:
         raise DegenerateKernelError(
             f"two smallest singular values of {what} are within 1e-8 "
-            f"({sigma[-1]:.3e}, {sigma[-2]:.3e}): vacuum is ambiguous"
+            f"({sigma[0]:.3e}, {sigma[1]:.3e}): vacuum is ambiguous"
         )
-    return np.conj(Vh[-1]), float(sigma[-1])
+    return np.pad(np.conj(Vh[-1]), (0, len(M) - len(Vh)))
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
@@ -110,9 +120,8 @@ def vacua(pair: PseudoBosonPair) -> VacuumPair:
     OrthogonalVacuaError
         If ``|<phi0, psi0>| < 1e-10`` before rescaling.
     """
-    phi0, _ = _smallest_singular_vector(pair.a.mat, "a")
-    phi0 = _fix_phase(phi0)
-    psi0_raw, _ = _smallest_singular_vector(pair.b.mat.conj().T, "b^dag")
+    phi0 = _fix_phase(_smallest_singular_vector(pair.a.mat, "a"))
+    psi0_raw = _smallest_singular_vector(pair.b.mat.conj().T, "b^dag")
     overlap = complex(np.vdot(phi0, psi0_raw))
     if abs(overlap) < 1e-10:
         raise OrthogonalVacuaError(

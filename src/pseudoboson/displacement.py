@@ -35,7 +35,8 @@ import numpy as np
 from .algebra import PseudoBosonPair
 from .errors import AccuracyRegimeWarning, ProvenanceError
 from .fock import FockSpace, Operator, SafeSubspace, _spectral_norm
-from .riesz import MetricOperator, RieszMap, _cotransport, _lmul, _rmul, _transport
+from .riesz import (MetricOperator, RieszMap, _cotransport, _deformed_block, _lmul, _rmul,
+                    _transport)
 
 __all__ = [
     "DisplacementSet",
@@ -57,24 +58,11 @@ class DisplacementSet:
     U: Operator
     V: Operator
     source: RieszMap
-    in_regime: bool
 
 
 def in_accuracy_regime(space: FockSpace, z: complex) -> bool:
     """True when ``|z|^2 <= dim/4``."""
     return abs(z) ** 2 <= space.dim / 4.0
-
-
-def _warn_if_out_of_regime(space: FockSpace, z: complex) -> bool:
-    ok = in_accuracy_regime(space, z)
-    if not ok:
-        warnings.warn(
-            f"|z|^2 = {abs(z)**2:.2f} exceeds dim/4 = {space.dim / 4:.2f}; "
-            "truncation tails are no longer below 1e-12",
-            AccuracyRegimeWarning,
-            stacklevel=3,
-        )
-    return ok
 
 
 @functools.lru_cache(maxsize=4)
@@ -109,7 +97,13 @@ def weyl(space: FockSpace, z: complex) -> Operator:
     cached spectrum of the position matrix (module docstring);
     ``W(0)`` is the exact identity.
     """
-    _warn_if_out_of_regime(space, z)
+    if not in_accuracy_regime(space, z):
+        warnings.warn(
+            f"|z|^2 = {abs(z)**2:.2f} exceeds dim/4 = {space.dim / 4:.2f}; "
+            "truncation tails are no longer below 1e-12",
+            AccuracyRegimeWarning,
+            stacklevel=2,
+        )
     d = space.dim
     if z == 0:
         return Operator(space, np.eye(d))
@@ -124,11 +118,10 @@ def displaced_pair(riesz: RieszMap, z: complex) -> DisplacementSet:
     """Build ``U(z) = S W(z) S^{-1}`` and ``V(z) = (S^{-1})^dag W(z) S^dag``
     by similarity from the unitary displacement."""
     space = riesz.space
-    in_regime = in_accuracy_regime(space, z)
     W = weyl(space, z)
     U = Operator(space, _transport(riesz, W.mat))
     V = Operator(space, _cotransport(riesz, W.mat))
-    return DisplacementSet(z=complex(z), W=W, U=U, V=V, source=riesz, in_regime=in_regime)
+    return DisplacementSet(z=complex(z), W=W, U=U, V=V, source=riesz)
 
 
 def _relative_norm(diff: np.ndarray, ref: np.ndarray) -> float:
@@ -147,15 +140,35 @@ def _times_generator(T: np.ndarray, z: complex) -> np.ndarray:
     return out
 
 
+def _powers(D: np.ndarray, z: complex, rows: int, k_max: int):
+    """Rows ``:rows`` of ``D^k``, ``k = 1 .. k_max``: ``D^{k-1} G`` with its
+    columns ``:q`` redone as ``D^{k-1}[:, :q+1] D[:q+1, :q]``, ``q`` the
+    smallest index with ``D = G`` outside ``D[:q, :q]``.  ``q`` comes from an
+    exact comparison with ``G``'s diagonals formed as in
+    :func:`_times_generator`; no dense ``G`` is built."""
+    n = np.arange(len(D) - 1)
+    moved = D != 0
+    moved[n + 1, n] = D[n + 1, n] != z * np.sqrt(n + 1.0)
+    moved[n, n + 1] = D[n, n + 1] != -np.conj(z) * np.sqrt(n + 1.0)
+    q = _deformed_block(moved)
+    Dk = D[:rows]
+    for k in range(k_max):
+        if k:
+            head = Dk[:, :q + 1] @ D[:q + 1, :q]
+            Dk = _times_generator(Dk, z)
+            Dk[:, :q] = head
+        yield Dk
+
+
 def power_similarity_check(pair: PseudoBosonPair, z: complex, k_max: int = 5) -> np.ndarray:
     """Relative residuals of
     ``S (z c^dag - conj(z) c)^k S^{-1} = (z b - conj(z) a)^k``,
     indexed by ``k = 0 .. k_max``, evaluated on the safe subspace with a
     ``k_max``-level top margin.
 
-    Both powers are carried row-restricted to that subspace:
-    ``S G^k`` by a banded update per ``k`` (``G`` is tridiagonal) and
-    ``D^k`` by one product with ``D = z b - conj(z) a`` per ``k > 1``.  ``k = 0`` is
+    Both powers are carried row-restricted to that subspace: ``S G^k`` by
+    a banded update per ``k`` (``G`` is tridiagonal), ``D^k`` for
+    ``D = z b - conj(z) a`` by :func:`_powers`.  ``k = 0`` is
     the exact identity on both sides and reads 0, as does every ``k`` at
     ``z = 0``, where both generators vanish.
 
@@ -176,9 +189,8 @@ def power_similarity_check(pair: PseudoBosonPair, z: complex, k_max: int = 5) ->
     S_inv_block = pair.source.S_inv.mat[:p, :p]
     SGk = pair.source.S.mat[:cut]
     residuals = np.zeros(k_max + 1)
-    for k in range(1, k_max + 1):
+    for k, Dk in enumerate(_powers(D, z, cut, k_max), 1):
         SGk = _times_generator(SGk, z)
-        Dk = Dk @ D if k > 1 else D[:cut]
         residuals[k] = _relative_norm(_rmul(SGk, S_inv_block, cut) - Dk[:, :cut], Dk[:, :cut])
     return residuals
 
@@ -251,7 +263,7 @@ def bch_factorization_check(
             stacklevel=2,
         )
     k = sub.cutoff
-    E = _displacement_block(z, pair.space.dim)
+    E = _displacement_block(z, max(k, pair.source.block))  # all the transports read
     U, V = disp.U.mat[:k, :k], disp.V.mat[:k, :k]
     U_fact = _transport(pair.source, E, k)
     V_fact = _cotransport(pair.source, E, k)

@@ -61,23 +61,41 @@ def _freeze(obj, *names, dtype=None):
 _EVEN, _ODD, _ALL = slice(0, None, 2), slice(1, None, 2), slice(None)
 
 
+def _border(nz: np.ndarray) -> int:
+    """Smallest ``beta`` with ``nz[beta:, beta:]`` all False."""
+    rows, cols = nz.shape
+    last = np.where(nz.any(axis=1), cols - 1 - nz[:, ::-1].argmax(axis=1), -1)
+    past = np.maximum.accumulate(last[::-1])[::-1] < np.arange(rows)
+    return int(past.argmax()) if past.any() else rows
+
+
 def _spectral_norm(X: np.ndarray) -> float:
     """Spectral norm ``sigma_max(X)``, exact, from the singular values of
     ``X``'s number-parity blocks restricted to their nonzero rows and columns.
 
-    If every nonzero ``X[m, n]`` has ``m + n`` even, sorting rows and columns
-    by parity permutes ``X`` to block-diagonal form, so ``sigma_max(X)`` is
-    the larger of the norms of ``X[0::2, 0::2]`` and ``X[1::2, 1::2]``; if
-    every one has ``m + n`` odd, the blocks are ``X[0::2, 1::2]`` and
-    ``X[1::2, 0::2]``.  Otherwise ``X`` is its own single block.  Both steps
-    are exact: permutations keep the singular values, and zero rows and
-    columns add only zero ones.  ``c`` and ``c^dag`` flip number parity, so
-    the residuals of a parity-preserving map (the ground-state projector
-    map) are such checkerboards, and two half-size SVDs cost about half of
-    the full one.  An all-zero ``X`` reads ``0.0``, a non-finite one ``nan``."""
+    If ``X[beta:, beta:] = 0`` for a ``beta < min(X.shape) / 2``, ``X`` is
+    first replaced by the ``2 beta`` rows ``[X[:beta, :]; R 0]``, ``R`` the
+    QR factor of ``X[beta:, :beta]`` (Chan, ACM TOMS 8, 72, 1982): both have
+    the Gram matrix ``X^dag X``.  If every nonzero ``X[m, n]`` has ``m + n``
+    even, sorting rows and columns by parity permutes ``X`` to block-diagonal
+    form, so ``sigma_max(X)`` is the larger of the norms of ``X[0::2, 0::2]``
+    and ``X[1::2, 1::2]``; if every one has ``m + n`` odd, the blocks are
+    ``X[0::2, 1::2]`` and ``X[1::2, 0::2]``.  Otherwise ``X`` is its own
+    single block.  All steps are exact: permutations keep the singular
+    values, and zero rows and columns add only zero ones.  ``c`` and
+    ``c^dag`` flip number parity, so the residuals of a parity-preserving
+    map (the ground-state projector map) are such checkerboards.  An
+    all-zero ``X`` reads ``0.0``, a non-finite one ``nan``."""
     if not np.all(np.isfinite(X)):
         return float("nan")
     nz = X != 0
+    if not nz.any():
+        return 0.0
+    beta = _border(nz)
+    if 2 * beta < min(X.shape):
+        R = np.linalg.qr(X[beta:, :beta], mode="r")
+        X = np.vstack([X[:beta], np.pad(R, ((0, 0), (0, X.shape[1] - beta)))])
+        nz = X != 0
     if not (nz[_EVEN, _ODD].any() or nz[_ODD, _EVEN].any()):
         blocks = ((_EVEN, _EVEN), (_ODD, _ODD))
     elif not (nz[_EVEN, _EVEN].any() or nz[_ODD, _ODD].any()):

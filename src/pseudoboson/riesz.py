@@ -134,11 +134,10 @@ class MetricOperator:
     source: RieszMap
 
 
-def _deformed_block(M: np.ndarray) -> int:
-    """Smallest ``p`` with ``M = blockdiag(M[:p, :p], 1)``: one more than the
-    largest row or column index of an entry that differs from the identity's
-    (an exact comparison, so ``p = 0`` only for the exact identity)."""
-    moved = M != np.eye(len(M))
+def _deformed_block(moved: np.ndarray) -> int:
+    """Smallest ``p`` with every True entry of the square ``moved`` in
+    ``moved[:p, :p]``; for ``moved = M != 1`` (exact) the smallest ``p`` with
+    ``M = blockdiag(M[:p, :p], 1)``, ``p = 0`` only for the exact identity."""
     touched = np.flatnonzero(moved.any(axis=0) | moved.any(axis=1))
     return int(touched[-1]) + 1 if touched.size else 0
 
@@ -168,7 +167,7 @@ def make_riesz_map(S: Operator, max_cond: float = 1e12) -> RieszMap:
         If ``cond(S) > max_cond``.
     """
     d = S.space.dim
-    p = _deformed_block(S.mat)
+    p = _deformed_block(S.mat != np.eye(d))
     S_block = S.mat[:p, :p]
     U, sigma, Vh = np.linalg.svd(S_block)
     spectrum = np.append(sigma, 1.0) if p < d else sigma

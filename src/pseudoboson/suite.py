@@ -275,7 +275,8 @@ def convergence_study(config: RunConfig, dims: list[int]) -> tuple[Path, Path]:
       (the factorization is compared at a cutoff fixed across the sweep
       so the rows are comparable).  ``status`` is the worst one over the
       row's ``bch_*``, ``eigen_*`` and full-rule ``resolution_identity``
-      records, graded as ``verify`` grades them;
+      records, graded as ``verify`` grades them, and ``in_regime`` is
+      false when any of them is ``out-of-regime``;
     * ``quadrature.csv`` with columns ``dim, radial_count,
       angular_count, deviation`` including deliberately under-resolved
       rows that show where exactness is lost.
@@ -317,7 +318,8 @@ def convergence_study(config: RunConfig, dims: list[int]) -> tuple[Path, Path]:
             r = {x.check_id: x.residual for x in rec.reports}
             status = ("fail" if suite_failed(rec.reports) else
                       "out-of-regime" if suite_failed(rec.reports, strict=True) else "pass")
-            conv.writerow([dim, _format_z(z), in_accuracy_regime(riesz.space, z), cutoff,
+            in_regime = all(x.status != "out-of-regime" for x in rec.reports)
+            conv.writerow([dim, _format_z(z), in_regime, cutoff,
                            f"{max(r['bch_u'], r['bch_v']):.6e}", f"{r['eigen_eta']:.6e}",
                            f"{r['eigen_xi']:.6e}", f"{deviations[dim]:.6e}", status])
             for radial, dev in deviations.items():

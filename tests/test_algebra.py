@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pseudoboson import (
     DegenerateKernelError,
@@ -24,6 +26,7 @@ from pseudoboson import (
     vacua,
     vacua_from_map,
 )
+from pseudoboson.algebra import _smallest_singular_vector
 from pseudoboson.fock import identity
 from pseudoboson.reports import default_tolerance
 
@@ -122,6 +125,64 @@ class TestVacua:
         for riesz in all_maps64:
             cf = vacua_from_map(riesz)
             assert abs(np.vdot(cf.phi0, cf.psi0) - 1.0) <= 1e-14
+
+
+def bordered_matrix(rng, d, q, tiny_block, zero_tail):
+    """``blockdiag(B, T)``: a ``q x (q+1)`` block ``B`` (``d x d`` when
+    ``q = d``) with singular values in ``[0.5, 2]``, its smallest at 1e-12
+    when ``tiny_block``, and a superdiagonal tail ``T`` of moduli in
+    ``[0.5, 2]``, one of them 0 when ``zero_tail``."""
+    def unitary(n):
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return Q
+
+    rows, cols = q, min(q + 1, d)
+    sigma = rng.uniform(0.5, 2.0, min(rows, cols))
+    if q == d:
+        sigma[-1] = 0.0  # a square block needs its own kernel
+    if tiny_block and q:
+        sigma[-2 if q == d else -1] = 1e-12
+    M = np.zeros((d, d), complex)
+    M[:rows, :cols] = unitary(rows)[:, :len(sigma)] * sigma @ unitary(cols)[:len(sigma)]
+    n = max(d - 1 - q, 0)
+    tail = rng.uniform(0.5, 2.0, n) * np.exp(2j * np.pi * rng.random(n))
+    if zero_tail and tail.size:
+        tail[rng.integers(tail.size)] = 0.0
+    M[np.arange(q, d - 1), np.arange(q + 1, d)] = tail
+    return M
+
+
+class TestBlockKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 24), st.data())
+    def test_matches_full_svd(self, d, data):
+        # the block SVD finds the full SVD's kernel direction, and refuses
+        # exactly when the full SVD's gap test does
+        q = data.draw(st.integers(0, d))
+        tiny_block, zero_tail = data.draw(st.booleans()), data.draw(st.booleans())
+        M = bordered_matrix(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+                            d, q, tiny_block, zero_tail)
+        _, sigma, Vh = np.linalg.svd(M)
+        degenerate = sigma[-2] - sigma[-1] < 1e-8
+        assert degenerate == ((tiny_block and q > 0) or (zero_tail and q < d - 1))
+        if degenerate:
+            with pytest.raises(DegenerateKernelError):
+                _smallest_singular_vector(M, "M")
+            return
+        got, want = _smallest_singular_vector(M, "M"), np.conj(Vh[-1])
+        overlap = np.vdot(got, want)
+        assert abs(np.linalg.norm(got) - 1.0) <= 1e-14
+        assert np.linalg.norm(got * overlap / abs(overlap) - want) <= 1e-12
+
+    def test_ladder_pair_of_projector_map_takes_no_block(self, monkeypatch):
+        # S = 1 + i|e0><e0|: a and b^dag are superdiagonal, so q = 0 and
+        # the kernel comes from the 0 x 1 block alone
+        pair, seen, svd = make_pair(projector_riesz(32)), [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: seen.append(a.shape)
+                            or svd(a, *args, **kw))
+        vac = vacua(pair)
+        assert seen == [(0, 1), (0, 1)]
+        np.testing.assert_allclose(np.abs(vac.phi0), np.eye(32)[0], atol=1e-15)
 
 
 class TestExcitedStates:

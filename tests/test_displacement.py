@@ -25,8 +25,11 @@ from pseudoboson import (
     power_similarity_check,
     weyl,
 )
-from pseudoboson.displacement import _displacement_block, _phase_powers, _times_generator
+from pseudoboson.displacement import (_displacement_block, _phase_powers, _powers,
+                                      _times_generator)
 from pseudoboson.fock import Operator, identity, ladder_c
+from pseudoboson.reports import default_tolerance
+from pseudoboson.riesz import random_riesz_map
 
 bounded_z = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
@@ -151,10 +154,10 @@ class TestDisplacedPair:
         np.testing.assert_allclose(disp.V.mat, np.eye(64), atol=1e-13)
 
     def test_regime_flag(self, random_map64):
-        assert displaced_pair(random_map64, 1.0).in_regime
+        assert in_accuracy_regime(random_map64.space, 1.0)
         with pytest.warns(AccuracyRegimeWarning):
-            disp = displaced_pair(random_map64, 5.0)
-        assert not disp.in_regime
+            displaced_pair(random_map64, 5.0)
+        assert not in_accuracy_regime(random_map64.space, 5.0)
 
     def test_norm_bounded_by_cond(self, all_maps64):
         # W is unitary, so the similarity bound ||U|| <= cond holds
@@ -173,6 +176,42 @@ class TestPowerSimilarity:
         G = z * c.conj().T - np.conj(z) * c
         T = random_map64.S.mat[:59]
         np.testing.assert_allclose(_times_generator(T, z), T @ G, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("kind", ["projector", "random", "dense", "perturbed"])
+    def test_bordered_powers_match_dense_products(self, kind, projector_map64, random_map64):
+        # D^k carried as D^{k-1} G with the columns where D is not G redone
+        # equals the dense D^{k-1} D to roundoff, on a map deformed at level
+        # 0, one deformed on its lower half, one deformed everywhere, and
+        # the projector pair with b[40, 39] moved, where the border comes
+        # from D, not from the map
+        riesz = {"projector": projector_map64.riesz, "random": random_map64,
+                 "dense": random_riesz_map(random_map64.space, 10.0, seed=4, top_margin=0),
+                 "perturbed": projector_map64.riesz}[kind]
+        pair, z = make_pair(riesz), 1.3 - 0.4j
+        b = pair.b.mat.copy()
+        if kind == "perturbed":
+            b[40, 39] *= 1 + 1e-4
+        D = z * b + (-np.conj(z)) * pair.a.mat
+        dense = D[:59]
+        for k, Dk in enumerate(_powers(D, z, 59, 6), 1):
+            dense = dense @ D if k > 1 else dense
+            assert Dk.shape == (59, 64)
+            assert np.abs(Dk - dense).max() <= 1e-14 * np.abs(dense).max()
+
+    @pytest.mark.parametrize("entry", [(1, 0), (40, 39)], ids=["inside", "outside"])
+    @pytest.mark.parametrize("kind", ["projector", "random"])
+    def test_perturbed_b_fails(self, entry, kind, projector_map64, random_map64):
+        # negative control: one entry of b moved by 1e-4 relative, inside the
+        # deformed block and in the canonical tail
+        riesz = projector_map64.riesz if kind == "projector" else random_map64
+        pair = make_pair(riesz)
+        b = pair.b.mat.copy()
+        b[entry] *= 1 + 1e-4
+        bad = dataclasses.replace(pair, b=Operator(pair.space, b))
+        tol = default_tolerance("power_similarity", riesz.cond)
+        assert power_similarity_check(pair, 1 + 1j).max() <= tol
+        for z in (1.0, 1 + 1j, 2j):
+            assert power_similarity_check(bad, z).max() > tol
 
     def test_k0_residual_zero(self, random_map64):
         residuals = power_similarity_check(make_pair(random_map64), 1 + 1j, k_max=0)
@@ -199,6 +238,15 @@ class TestPowerSimilarity:
 
 
 class TestBchFactorization:
+    @settings(max_examples=40, deadline=None)
+    @given(st.complex_numbers(min_magnitude=1e-3, max_magnitude=6.0, allow_nan=False,
+                              allow_infinity=False), st.integers(1, 48))
+    def test_leading_block_is_bit_identical(self, z, k):
+        # each diagonal's recurrence is independent of the block size, so
+        # the check may take the block its transports read
+        np.testing.assert_array_equal(_displacement_block(z, k),
+                                      _displacement_block(z, 48)[:k, :k])
+
     def test_zero_displacement(self, random_map64):
         sub = SafeSubspace(random_map64.space, 32)
         residuals = bch_factorization_check(

@@ -17,7 +17,7 @@ from pseudoboson import (
     make_space,
     power_similarity_check,
 )
-from pseudoboson.fock import _spectral_norm, identity
+from pseudoboson.fock import _border, _spectral_norm, identity
 
 
 class TestSpace:
@@ -226,6 +226,47 @@ class TestSpectralNorm:
         X = checkerboard(X, parity)
         want = np.linalg.norm(X, 2)
         assert abs(_spectral_norm(X) - want) <= 1e-14 * want
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 40), st.integers(2, 40), st.integers(1, 19), st.floats(0.2, 1.0),
+           st.sampled_from([None, 0, 1]), st.integers(0, 2**32 - 1))
+    def test_bordered_matrices(self, rows, cols, beta, density, parity, seed):
+        # zero outside a border of beta leading rows and columns, with and
+        # without a number-parity checkerboard: the QR reduction's path
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        X[rng.random((rows, cols)) >= density] = 0.0
+        X[beta:, beta:] = 0.0
+        if parity is not None:
+            X = checkerboard(X, parity)
+        want = np.linalg.norm(X, 2)
+        assert abs(_spectral_norm(X) - want) <= 1e-14 * want
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 30), st.floats(0.0, 1.0),
+           st.integers(0, 2**32 - 1))
+    def test_border_is_the_smallest(self, rows, cols, beta, density, seed):
+        rng = np.random.default_rng(seed)
+        nz = rng.random((rows, cols)) < density
+        nz[beta:, beta:] = False
+        found = _border(nz)
+        assert found <= min(beta, rows)
+        assert not nz[found:, found:].any()
+        assert found == 0 or nz[found - 1:, found - 1:].any()
+
+    def test_row_and_column_residual_takes_two_rows(self, monkeypatch):
+        # nonzero only in row 0 and column 0 (the projector map's intertwining
+        # residual): one row and the 1 x 1 QR factor of the column
+        rng = np.random.default_rng(3)
+        X = np.zeros((255, 255), complex)
+        X[0] = rng.standard_normal(255)
+        X[:, 0] = rng.standard_normal(255) * 1e-3
+        seen, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: seen.append(a.shape)
+                            or svd(a, *args, **kw))
+        want = np.linalg.norm(X, 2)
+        assert abs(_spectral_norm(X) - want) <= 1e-14 * want
+        assert seen == [(2, 255)]
 
     @staticmethod
     def svd_row_counts(monkeypatch, riesz):

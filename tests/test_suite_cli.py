@@ -137,6 +137,32 @@ class TestRunSuite:
         construction = next(r for r in reports if r.check_id == "riesz_construction")
         assert construction.params == {"block": 1}
 
+    def test_projector_svds_stay_small(self, tmp_path, monkeypatch):
+        # the SVDs of a dim-64 projector run see only where the map deforms:
+        # the intertwining residual (row 0 and column 0) is reduced to 2
+        # rows, the vacua come from 0 x 1 blocks, and no SVD with singular
+        # vectors takes all 64 rows
+        path = write_config(tmp_path / "c.json", dim=64,
+                            map_spec={"kind": "projector", "u_index": 0},
+                            z_samples=[[0, 0], [1, 0], [1, 1], [0, 2]])
+        config, seen, svd = load_config(path), [], np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            frame, callers = sys._getframe(1), set()
+            while frame is not None:
+                callers.add(frame.f_code.co_name)
+                frame = frame.f_back
+            seen.append((a.shape, kwargs.get("compute_uv", True), callers))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        assert not suite_failed(run_suite(config))
+        intertwining = [shape for shape, _, callers in seen if "intertwining_check" in callers]
+        vacua = [shape for shape, _, callers in seen if "vacua" in callers]
+        assert intertwining and max(rows for rows, _ in intertwining) <= 2
+        assert vacua and all(rows <= 1 and cols <= 2 for rows, cols in vacua)
+        assert all(shape[0] < 64 for shape, uv, _ in seen if uv)
+
     @pytest.mark.parametrize("dim, map_spec", [
         (64, {"kind": "random", "cond": 10.0, "seed": 13}),
         (64, {"kind": "random", "cond": 10.0, "seed": 238}),
@@ -328,7 +354,9 @@ class TestConvergenceStudy:
         with conv_path.open() as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["in_regime"] == "False"  # |z|^2 = 6.25 > 16/4
-        assert rows[1]["in_regime"] == "True"   # 6.25 <= 32/4
+        # 6.25 <= 32/4, but cutoff 8 > _bch_cutoff(32, 2.5) = 1, as the status says
+        assert rows[1]["in_regime"] == "False"
+        assert rows[1]["status"] == "out-of-regime"
 
     def test_dims_must_ascend(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "c.json"))
