@@ -22,7 +22,7 @@ from .errors import (
     ProvenanceError,
 )
 from .fock import FockSpace, Operator, SafeSubspace, _freeze, _spectral_norm, ladder_c
-from .riesz import BiorthogonalFamily, MetricOperator, RieszMap, _lmul, _rmul, _transport
+from .riesz import BiorthogonalFamily, MetricOperator, RieszMap, _lmul, _rmul, _same_map, _transport
 
 __all__ = [
     "PseudoBosonPair",
@@ -137,8 +137,8 @@ def vacua_from_map(riesz: RieszMap) -> VacuumPair:
     the extracted vacua are compared against; they also normalize the
     excited families so that ``phi_n = S e_n`` without extra scaling.
     """
-    phi0 = riesz.S.mat[:, 0].copy()
-    psi0 = np.conj(riesz.S_inv.mat[0, :])
+    phi0, psi0 = (_lmul(B, riesz.space.basis_vector(0))
+                  for B in (riesz.S_block, riesz.S_inv_block.conj().T))
     return VacuumPair(phi0=phi0, psi0=psi0, normalization=complex(np.vdot(phi0, psi0)))
 
 
@@ -160,10 +160,9 @@ def excited_states(pair: PseudoBosonPair, vac: VacuumPair, n_max: int) -> Biorth
     # kernel directions, which preserves the caller's normalization while
     # discarding the off-kernel rounding that the recursion would amplify.
     work = np.clongdouble
-    p = pair.source.block
-    S = pair.source.S.mat[:p, :p].astype(work)
-    S_inv = pair.source.S_inv.mat[:p, :p].astype(work)
-    S_inv = S_inv @ (2.0 * np.eye(p, dtype=work) - S @ S_inv)
+    S = pair.source.S_block.astype(work)
+    S_inv = pair.source.S_inv_block.astype(work)
+    S_inv = S_inv @ (2.0 * np.eye(len(S), dtype=work) - S @ S_inv)
     lower = np.diag(np.sqrt(np.arange(1, d, dtype=np.longdouble)), 1).astype(work)
     b = _rmul(_lmul(S, lower.conj().T), S_inv)
     a_dag = _rmul(_lmul(S, lower), S_inv).conj().T
@@ -234,9 +233,9 @@ def theta_conjugacy_check(
     Each factor of ``S`` or its inverse can amplify roundoff by the
     condition number, hence the runner's ``cond^3`` tolerance.
     """
-    if not np.array_equal(pair.source.S.mat, metric.source.S.mat):
+    if not _same_map(pair.source, metric.source):
         raise ProvenanceError("pair and metric operator come from different maps")
-    k, p = sub.cutoff, metric.source.block
-    conjugated = _rmul(_lmul(metric.theta_inv.mat[:p, :p], pair.b.mat.conj().T, k),
-                       metric.theta.mat[:p, :p], k)
+    k = sub.cutoff
+    conjugated = _rmul(_lmul(metric.theta_inv_block, pair.b.mat.conj().T, k),
+                       metric.theta_block, k)
     return _spectral_norm(pair.a.mat[:k, :k] - conjugated)

@@ -39,7 +39,7 @@ from .errors import (
     UnderResolvedWarning,
 )
 from .fock import FockSpace, Operator, _freeze, _gauss_rule, _spectral_norm
-from .riesz import RieszMap, _lmul, _transport
+from .riesz import RieszMap, _lmul, _same_map, _transport
 
 __all__ = [
     "CoherentState",
@@ -144,9 +144,8 @@ def rbcs(riesz: RieszMap, z: complex) -> BicoherentPair:
     """Bicoherent pair obtained by mapping one coherent state through
     ``S`` and through ``(S^{-1})^dag``."""
     state = coherent(riesz.space, z)
-    p = riesz.block
-    eta = _lmul(riesz.S.mat[:p, :p], state.vec)
-    xi = _lmul(riesz.S_inv.mat[:p, :p].conj().T, state.vec)
+    eta = _lmul(riesz.S_block, state.vec)
+    xi = _lmul(riesz.S_inv_block.conj().T, state.vec)
     return BicoherentPair(
         z=complex(z), eta=eta, xi=xi, source=riesz, tail_bound=state.tail_bound
     )
@@ -186,7 +185,7 @@ def eigen_check(pair: PseudoBosonPair, bc: BicoherentPair) -> tuple[float, float
     ``b^dag xi(z) = z xi(z)``.  A state that underflowed to the zero
     vector (``|z|`` far outside the regime) has no relative residual and
     reads ``nan``, as a non-finite spectral norm does."""
-    if not np.array_equal(pair.source.S.mat, bc.source.S.mat):
+    if not _same_map(pair.source, bc.source):
         raise ProvenanceError("pair and bicoherent states come from different maps")
     z = bc.z
 

@@ -167,9 +167,8 @@ class CrossValidation:
 
 
 def cross_validate(z: complex, riesz: RieszMap) -> CrossValidation:
-    """Compare the closed forms against the number-basis route of the
-    ground-state projector map: ``riesz.S`` must be exactly
-    ``T = 1 + i |e_0><e_0|``.
+    """Compare the closed forms against the number-basis route of the ground-state
+    projector map ``T = 1 + i |e_0><e_0|``, the one ``riesz`` with ``S_block = [[1 + i]]``.
 
     The number-basis route applies ``T`` and the closed form
     ``(T^{-1})^dag = (1 - (1+i)/2 |e_0><e_0|)^dag`` to the truncated
@@ -183,16 +182,15 @@ def cross_validate(z: complex, riesz: RieszMap) -> CrossValidation:
     z = complex(z)
     space = riesz.space
     dim = space.dim
-    P = np.outer(space.basis_vector(0), space.basis_vector(0))
-    if not np.array_equal(riesz.S.mat, np.eye(dim) + 1j * P):
+    if not (riesz.block == 1 and riesz.S_block[0, 0] == 1 + 1j):
         raise ValidationError("the closed forms hold for the ground-state projector map only")
     if not in_accuracy_regime(space, z):
         raise ValidationError(
             f"|z|^2 = {abs(z)**2:.2f} exceeds dim/4 = {dim / 4:.2f}: tail not suppressed"
         )
     state = coherent(space, z)
-    coeff_phi = _lmul(riesz.S.mat[:1, :1], state.vec)  # S = blockdiag(1 + i, 1), checked above
-    coeff_psi = (np.eye(dim) - (1 + 1j) / 2 * P).conj().T @ state.vec
+    coeff_phi = _lmul(riesz.S_block, state.vec)
+    coeff_psi = _lmul(np.conj([[1 - (1 + 1j) / 2]]), state.vec)  # (T^-1)^dag
 
     x, w = gauss_hermite_grid(dim + 10)
     stack = _grid_stack(dim)

@@ -35,8 +35,8 @@ import numpy as np
 from .algebra import PseudoBosonPair
 from .errors import AccuracyRegimeWarning, ProvenanceError
 from .fock import FockSpace, Operator, SafeSubspace, _spectral_norm
-from .riesz import (MetricOperator, RieszMap, _cotransport, _deformed_block, _lmul, _rmul,
-                    _transport)
+from .riesz import (MetricOperator, RieszMap, _blockdiag, _cotransport, _deformed_block, _lmul,
+                    _rmul, _same_map, _transport)
 
 __all__ = [
     "DisplacementSet",
@@ -76,15 +76,24 @@ def _position_spectrum(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, Q
 
 
-def _phase_powers(u: complex, n: int) -> np.ndarray:
-    """``u^k`` for ``k < n`` and a unit ``u``, as ``e^{i k arg u}``.
+def _binary_scaled(z: complex) -> complex:
+    """``z 2^-floor(log2 |z|)``, of modulus in ``[1, 2)``: exactly ``z``'s phase
+    (a power of two rounds nothing), with no subnormal or huge ``|z|``."""
+    shift = 1 - math.frexp(abs(z))[1]
+    return complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift))
+
+
+def _phase_powers(w: complex, n: int) -> np.ndarray:
+    """``u^k`` for ``k < n`` and ``u = w / |w|``, as ``e^{i k arg u}``; ``u`` comes
+    from :func:`_binary_scaled` ``w``, so a subnormal ``w`` has a finite one.
 
     The angle is split into a 24-bit head, whose products with ``k`` are
     exact, and a tiny remainder; rounding ``k arg u`` directly would put
     phase errors near ``k * 1e-16`` (1e-13 at ``k = 512``) into every
     entry of ``W``.
     """
-    theta = float(np.angle(u))
+    scaled = _binary_scaled(w)
+    theta = float(np.angle(scaled / abs(scaled)))
     head = math.ldexp(round(math.ldexp(theta, 24)), -24)
     k = np.arange(n)
     return np.exp(1j * (k * head)) * np.exp(1j * (k * (theta - head)))
@@ -110,7 +119,7 @@ def weyl(space: FockSpace, z: complex) -> Operator:
     lam, Q = _position_spectrum(d)
     angle = -math.sqrt(2.0) * abs(z) * lam
     middle = (Q * np.cos(angle)) @ Q.T + 1j * ((Q * np.sin(angle)) @ Q.T)
-    diag = _phase_powers(1j * z / abs(z), d)
+    diag = _phase_powers(1j * z, d)
     return Operator(space, (diag[:, None] * middle) * diag.conj())
 
 
@@ -173,25 +182,22 @@ def power_similarity_check(pair: PseudoBosonPair, z: complex, k_max: int = 5) ->
     ``z = 0``, where both generators vanish.
 
     Each residual is homogeneous of degree 0 in ``z``, so both powers are
-    carried at ``z 2^-floor(log2 |z|)``, of modulus in ``[1, 2)``: scaling
-    by a power of two rounds nothing, and no ``|z|`` overflows the powers.
+    carried at :func:`_binary_scaled` ``z``, and no ``|z|`` overflows them.
     """
     if not 0 <= k_max <= 12:
         raise ValueError(f"k_max must be in [0, 12], got {k_max}")
     if z == 0:
         return np.zeros(k_max + 1)
-    shift = 1 - math.frexp(abs(z))[1]
-    z = complex(math.ldexp(z.real, shift), math.ldexp(z.imag, shift))
+    z = _binary_scaled(z)
     space = pair.space
     cut = SafeSubspace(space, space.dim - max(k_max, 1)).cutoff
     D = z * pair.b.mat + (-np.conj(z)) * pair.a.mat
-    p = pair.source.block
-    S_inv_block = pair.source.S_inv.mat[:p, :p]
-    SGk = pair.source.S.mat[:cut]
+    SGk = _blockdiag(pair.source.S_block, space.dim, cut)
     residuals = np.zeros(k_max + 1)
     for k, Dk in enumerate(_powers(D, z, cut, k_max), 1):
         SGk = _times_generator(SGk, z)
-        residuals[k] = _relative_norm(_rmul(SGk, S_inv_block, cut) - Dk[:, :cut], Dk[:, :cut])
+        residuals[k] = _relative_norm(_rmul(SGk, pair.source.S_inv_block, cut) - Dk[:, :cut],
+                                      Dk[:, :cut])
     return residuals
 
 
@@ -223,8 +229,8 @@ def _displacement_block(z: complex, d: int) -> np.ndarray:
         step = (2 * n + 1 + kl - x) * e[:live] - np.sqrt(n * (n + kl)) * e_prev[:live]
         e_prev, e = e[:live], step / np.sqrt((n + 1) * (n + 1 + kl))
     offset = np.subtract.outer(np.arange(d), np.arange(d))
-    lower = _phase_powers(z / abs(z), d)
-    upper = _phase_powers(-np.conj(z) / abs(z), d)
+    lower = _phase_powers(z, d)
+    upper = _phase_powers(-np.conj(z), d)
     return np.where(
         offset >= 0, scaled * lower[np.abs(offset)], scaled.T * upper[np.abs(offset)]
     )
@@ -251,7 +257,7 @@ def bch_factorization_check(
     :class:`ProvenanceError` if ``pair`` and ``disp`` come from different
     maps.
     """
-    if not np.array_equal(pair.source.S.mat, disp.source.S.mat):
+    if not _same_map(pair.source, disp.source):
         raise ProvenanceError("pair and displacements come from different maps")
     z = disp.z
     margin = pair.space.dim - math.ceil(4 * abs(z) ** 2)
@@ -278,9 +284,8 @@ def intertwining_check(
     Both sides telescope to ``S W(z) S^dag``, so the residual is pure
     roundoff.  Raises :class:`ProvenanceError` if ``disp`` and ``metric``
     come from different maps."""
-    if not np.array_equal(disp.source.S.mat, metric.source.S.mat):
+    if not _same_map(disp.source, metric.source):
         raise ProvenanceError("displacements and metric operator come from different maps")
-    k, p = sub.cutoff, metric.source.block
-    M = metric.theta_inv.mat[:p, :p]  # the deformed block of S S^dag
+    k, M = sub.cutoff, metric.theta_inv_block  # the deformed block of S S^dag
     diff = _lmul(M, disp.V.mat[:, :k], k) - _rmul(disp.U.mat[:k], M, k)
     return _spectral_norm(diff) / metric.source.frame_bounds[1]

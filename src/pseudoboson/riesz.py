@@ -8,22 +8,14 @@ is positive, maps ``phi_n`` to ``psi_n``, and equals the rank-one sum
 ``sum_n |psi_n><psi_n|`` while its inverse ``S S^dag`` equals
 ``sum_n |phi_n><phi_n|``.
 
-Every map the program builds is the identity outside a leading block,
-``S = blockdiag(S[:p, :p], 1)``, so that it keeps the top levels, where
-the hard cutoff sits, untouched: ``p = k + 1`` for the projector map
-``1 + i|e_k><e_k|``, ``dim - dim // 2`` for a random map, ``0`` for the
-identity.  :func:`make_riesz_map` finds the smallest such ``p`` by an
-exact test and takes the SVD and the inverse on that block only (a dense
-map has ``p = dim``).  The map is applied only where it deforms: one
-private pair of products, ``_lmul`` and ``_rmul``, multiplies by a matrix
-that is the identity outside its leading ``p x p`` block, and every
-site that applies ``S``, ``S^{-1}``, ``S S^dag`` or ``Theta`` goes
-through them (``_transport`` gives ``S X S^{-1}``, ``_cotransport``
-``(S^{-1})^dag X S^dag``); only the family checks (the cross-Gram
-matrix, the rank-one sums) multiply the full families, as the route
-they check.  The dense product adds only exact zeros
-outside the block, so the two agree up to the order of summation inside
-it, bit for bit on the projector map.
+Every map the program builds keeps the top levels, where the hard cutoff
+sits, untouched: ``S = blockdiag(S_p, 1)`` with ``p = k + 1`` for the
+projector map ``1 + i|e_k><e_k|``, ``dim - dim // 2`` for a random map,
+``0`` for the identity and ``dim`` for a dense map.  A map and its metric
+hold only these ``p x p`` blocks, and ``_lmul``/``_rmul`` multiply by
+``blockdiag(B, 1)`` on the block's rows or columns and copy the rest,
+where a dense product adds only exact zeros: the two agree up to the
+order of summation inside the block, bit for bit on the projector map.
 """
 
 from __future__ import annotations
@@ -60,34 +52,39 @@ __all__ = [
 SINGULARITY_FLOOR = 1e-13
 
 
-@dataclass(frozen=True)
+def _blockdiag(block: np.ndarray, d: int, rows: int | None = None) -> np.ndarray:
+    """Rows ``:rows`` of the dense ``d x d`` matrix ``blockdiag(block, 1)``."""
+    out = np.eye(d if rows is None else rows, d, dtype=complex)
+    out[:len(block), :len(block)] = block[:rows]
+    return out
+
+
+@dataclass(frozen=True, eq=False)
 class RieszMap:
-    """Invertible map with cached inverse and singular-value bounds.
+    """Invertible map ``S = blockdiag(S_block, 1)``, held as the read-only
+    ``p x p`` blocks of ``S`` and ``S^{-1}``; the dense ``S`` and ``S_inv``
+    are built on each access.  ``frame_bounds = (A, B)`` are the squared
+    extreme singular values of ``S`` (``A <= ||S f||^2 <= B`` for unit
+    ``f``), ``inverse_residual`` is ``||S S^{-1} - 1||_2``, and ``block_u``
+    and ``block_sigma`` are the left singular vectors and the singular
+    values of ``S_block``."""
 
-    ``frame_bounds = (A, B)`` are the squared extreme singular values of
-    ``S``: every unit vector ``f`` satisfies ``A <= ||S f||^2 <= B``, and
-    ``inverse_residual`` is ``||S S^{-1} - 1||_2``.  ``block`` is the
-    smallest ``p`` with ``S = blockdiag(S[:p, :p], 1)`` (module docstring);
-    ``block_u`` and ``block_sigma`` are the left singular vectors and the
-    singular values of that block.
-    """
-
-    S: Operator
-    S_inv: Operator
+    space: FockSpace
+    S_block: np.ndarray
+    S_inv_block: np.ndarray
     cond: float
     frame_bounds: tuple[float, float]
     inverse_residual: float
-    block: int
-    block_u: np.ndarray = field(repr=False, compare=False)
-    block_sigma: np.ndarray = field(repr=False, compare=False)
+    block_u: np.ndarray = field(repr=False)
+    block_sigma: np.ndarray = field(repr=False)
 
-    @property
-    def space(self) -> FockSpace:
-        return self.S.space
+    def __post_init__(self):
+        _freeze(self, "S_block", "S_inv_block", "block_u", "block_sigma")
 
-    @property
-    def dim(self) -> int:
-        return self.S.space.dim
+    block = property(lambda self: len(self.S_block))
+    dim = property(lambda self: self.space.dim)
+    S = property(lambda self: Operator(self.space, _blockdiag(self.S_block, self.dim)))
+    S_inv = property(lambda self: Operator(self.space, _blockdiag(self.S_inv_block, self.dim)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,12 +123,26 @@ class BiorthogonalFamily:
 
 @dataclass(frozen=True, eq=False)
 class MetricOperator:
-    """Positive operator carrying one family onto its dual,
-    together with its inverse and the map both derive from."""
+    """Metric ``Theta`` and its inverse as their read-only ``p x p`` blocks,
+    with the map both derive from; the dense ``theta`` and ``theta_inv``
+    are built on each access."""
 
-    theta: Operator
-    theta_inv: Operator
+    theta_block: np.ndarray
+    theta_inv_block: np.ndarray
     source: RieszMap
+
+    def __post_init__(self):
+        _freeze(self, "theta_block", "theta_inv_block")
+
+    theta = property(lambda self: Operator(self.source.space,
+                                           _blockdiag(self.theta_block, self.source.dim)))
+    theta_inv = property(lambda self: Operator(self.source.space,
+                                               _blockdiag(self.theta_inv_block, self.source.dim)))
+
+
+def _same_map(r: RieszMap, s: RieszMap) -> bool:
+    """True when ``r`` and ``s`` are the same ``S``: ``dim`` and ``S_block`` fix it."""
+    return r.dim == s.dim and np.array_equal(r.S_block, s.S_block)
 
 
 def _deformed_block(moved: np.ndarray) -> int:
@@ -179,18 +190,15 @@ def make_riesz_map(S: Operator, max_cond: float = 1e12) -> RieszMap:
     cond = s_max / s_min
     if cond > max_cond:
         raise ConditioningError(f"cond(S) = {cond:.3e} exceeds budget {max_cond:.3e}")
-    S_inv = np.eye(d, dtype=complex)
-    S_inv[:p, :p] = Vh.conj().T @ ((1.0 / sigma)[:, None] * U.conj().T)
-    residual = _spectral_norm(S_block @ S_inv[:p, :p] - np.eye(p))
+    S_inv_block = Vh.conj().T @ ((1.0 / sigma)[:, None] * U.conj().T)
+    residual = _spectral_norm(S_block @ S_inv_block - np.eye(p))
     if residual > 1e-12 * cond:
         raise NotInvertibleError(
             f"inverse residual {residual:.3e} exceeds 1e-12 * cond = {1e-12 * cond:.3e}"
         )
-    U.setflags(write=False)
-    sigma.setflags(write=False)
-    return RieszMap(S=S, S_inv=Operator(S.space, S_inv), cond=cond,
+    return RieszMap(space=S.space, S_block=S_block, S_inv_block=S_inv_block, cond=cond,
                     frame_bounds=(s_min**2, s_max**2), inverse_residual=residual,
-                    block=p, block_u=U, block_sigma=sigma)
+                    block_u=U, block_sigma=sigma)
 
 
 def random_riesz_map(
@@ -239,28 +247,21 @@ def random_riesz_map(
 def biorthogonal_family(riesz: RieszMap) -> BiorthogonalFamily:
     """Full family ``phi_n = S e_n``, ``psi_n = (S^{-1})^dag e_n``
     (the columns of ``S`` and of the conjugate-transposed inverse)."""
-    return BiorthogonalFamily(
-        space=riesz.space, phi=riesz.S.mat, psi=riesz.S_inv.mat.conj().T
-    )
+    d = riesz.dim
+    return BiorthogonalFamily(space=riesz.space, phi=_blockdiag(riesz.S_block, d),
+                              psi=_blockdiag(riesz.S_inv_block.conj().T, d))
 
 
 def metric_operator(riesz: RieszMap) -> MetricOperator:
     """Metric operator ``Theta = (S^{-1})^dag S^{-1}`` and its inverse
-    ``S S^dag``; both are self-adjoint and positive, and ``Theta`` maps
-    each ``phi_n`` onto ``psi_n``.
-
-    Both come from the SVD ``U diag(sigma) V^dag`` of the deformed block,
-    as ``U diag(sigma^-2) U^dag`` and ``U diag(sigma^2) U^dag`` (each
-    formed as ``Y Y^dag``, so exactly self-adjoint), with the identity
-    outside the block.  No product of ``S`` or its inverse enters, so the
+    ``S S^dag``, self-adjoint and positive; ``Theta`` maps ``phi_n`` onto
+    ``psi_n``.  Their blocks ``U diag(sigma^-2) U^dag`` and
+    ``U diag(sigma^2) U^dag`` come from the block SVD, each as ``Y Y^dag``
+    (exactly self-adjoint), with no product of ``S`` or its inverse, so the
     rank-one sums of the families check an independent route."""
-    p = riesz.block
-    theta, theta_inv = np.eye(riesz.dim, dtype=complex), np.eye(riesz.dim, dtype=complex)
-    for out, factor in ((theta, riesz.block_u / riesz.block_sigma),
-                        (theta_inv, riesz.block_u * riesz.block_sigma)):
-        out[:p, :p] = factor @ factor.conj().T
-    return MetricOperator(theta=Operator(riesz.space, theta),
-                          theta_inv=Operator(riesz.space, theta_inv), source=riesz)
+    theta, theta_inv = (Y @ Y.conj().T for Y in (riesz.block_u / riesz.block_sigma,
+                                                  riesz.block_u * riesz.block_sigma))
+    return MetricOperator(theta_block=theta, theta_inv_block=theta_inv, source=riesz)
 
 
 def _lmul(B: np.ndarray, X: np.ndarray, rows: int | None = None) -> np.ndarray:
@@ -286,16 +287,13 @@ def _rmul(X: np.ndarray, B: np.ndarray, cols: int | None = None) -> np.ndarray:
 def _transport(riesz: RieszMap, X: np.ndarray, size: int | None = None) -> np.ndarray:
     """``S X S^{-1}``, or its leading ``size x size`` block, with ``S`` and
     ``S^{-1}`` applied on their deformed block only."""
-    p = riesz.block
-    return _rmul(_lmul(riesz.S.mat[:p, :p], X, size), riesz.S_inv.mat[:p, :p], size)
+    return _rmul(_lmul(riesz.S_block, X, size), riesz.S_inv_block, size)
 
 
 def _cotransport(riesz: RieszMap, X: np.ndarray, size: int | None = None) -> np.ndarray:
     """``(S^{-1})^dag X S^dag``, or its leading ``size x size`` block, with
     both factors applied on their deformed block only."""
-    p = riesz.block
-    return _rmul(_lmul(riesz.S_inv.mat[:p, :p].conj().T, X, size),
-                 riesz.S.mat[:p, :p].conj().T, size)
+    return _rmul(_lmul(riesz.S_inv_block.conj().T, X, size), riesz.S_block.conj().T, size)
 
 
 def theta_rank_one_sums(fam: BiorthogonalFamily) -> tuple[Operator, Operator]:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pseudoboson import (
+    Operator,
     ValidationError,
     coherent,
     coherent_wavefunction,
@@ -256,6 +257,18 @@ class TestCrossValidation:
         for riesz in others:
             with pytest.raises(ValidationError):
                 cross_validate(1.0, riesz)
+
+    def test_ground_state_recognised_by_its_block(self):
+        # the map is recognised from its 1 x 1 block alone: a block of size 1
+        # with another entry, and 1 + i with a second deformed level, are refused
+        space = make_space(16)
+        for diagonal in ([2.0] + [1.0] * 15, [1 + 1j, 2.0] + [1.0] * 14):
+            riesz = make_riesz_map(Operator(space, np.diag(diagonal)))
+            with pytest.raises(ValidationError):
+                cross_validate(1.0, riesz)
+        phased = projector_map(space, 1j * space.basis_vector(0)).riesz  # the same P
+        cv, ref = cross_validate(1 + 1j, phased), cross_validate(1 + 1j, ground_projector(16))
+        assert (cv.l2_dev_phi, cv.l2_dev_psi) == (ref.l2_dev_phi, ref.l2_dev_psi)
 
 
 class TestCsvEmitter:

@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -8,18 +10,30 @@ from hypothesis import strategies as st
 
 from pseudoboson import (
     ConditioningError,
+    MapSpec,
     NotInvertibleError,
     Operator,
+    ProvenanceError,
+    RunConfig,
+    SafeSubspace,
     ValidationError,
+    bch_factorization_check,
     biorthogonal_family,
+    build_map,
+    displaced_pair,
+    eigen_check,
+    intertwining_check,
     load_riesz_map,
+    make_pair,
     make_riesz_map,
     make_space,
     metric_operator,
     projector_map,
     quasi_basis_check,
     random_riesz_map,
+    rbcs,
     save_riesz_map,
+    theta_conjugacy_check,
     theta_rank_one_sums,
 )
 from pseudoboson.fock import _spectral_norm, identity
@@ -416,6 +430,28 @@ class TestSerialization:
         np.testing.assert_array_equal(loaded.S.mat, riesz.S.mat)
         assert loaded.cond == pytest.approx(riesz.cond, rel=1e-12)
 
+    def test_reloaded_map_passes_provenance_guards(self, tmp_path):
+        # the guards compare the maps entrywise, through their blocks
+        space = make_space(16)
+        riesz = random_riesz_map(space, 10.0, seed=3)
+        save_riesz_map(riesz, tmp_path / "map.json")
+        pair, sub = make_pair(riesz), SafeSubspace(space, 8)
+
+        def guarded_calls(other):
+            met, disp = metric_operator(other), displaced_pair(other, 0.5)
+            return [lambda: theta_conjugacy_check(pair, met, sub),
+                    lambda: bch_factorization_check(pair, disp, sub),
+                    lambda: eigen_check(pair, rbcs(other, 0.5)),
+                    lambda: intertwining_check(displaced_pair(riesz, 0.5), met, sub)]
+
+        for call in guarded_calls(load_riesz_map(tmp_path / "map.json")):
+            call()
+        for other in (random_riesz_map(space, 10.0, seed=4),  # and the same block at dim 17
+                      random_riesz_map(make_space(17), 10.0, seed=3, top_margin=9)):
+            for call in guarded_calls(other):
+                with pytest.raises(ProvenanceError):
+                    call()
+
     def test_loader_revalidates(self, tmp_path):
         import json
 
@@ -431,3 +467,48 @@ class TestSerialization:
         path.write_text('{"dim": 4, "entries": [[1, 0]]}')
         with pytest.raises(ValidationError):
             load_riesz_map(path)
+
+
+class TestBlockRepresentation:
+    """A map and its metric hold only their ``p x p`` blocks; the dense
+    ``S``, ``S_inv``, ``theta`` and ``theta_inv`` are built on access."""
+
+    @pytest.fixture(params=[("identity", 0), ("projector", 1), ("random", 32)],
+                    ids=lambda param: param[0])
+    def riesz(self, request, identity_map64, projector_map64, random_map64):
+        kind, p = request.param
+        riesz = {"identity": identity_map64, "projector": projector_map64.riesz,
+                 "random": random_map64}[kind]
+        assert riesz.block == p
+        return riesz
+
+    def test_every_array_field_is_a_read_only_block(self, riesz):
+        for record in (riesz, metric_operator(riesz)):
+            for f in dataclasses.fields(record):
+                value = getattr(record, f.name)
+                value = getattr(value, "mat", value)  # an Operator field is a dense matrix
+                if isinstance(value, np.ndarray):
+                    assert max(value.shape, default=0) <= riesz.block, f.name
+                    assert not value.flags.writeable, f.name
+
+    def test_dense_views_are_blockdiag(self, riesz):
+        met, p = metric_operator(riesz), riesz.block
+        for view, block in ((riesz.S, riesz.S_block), (riesz.S_inv, riesz.S_inv_block),
+                            (met.theta, met.theta_block), (met.theta_inv, met.theta_inv_block)):
+            want = np.eye(riesz.dim, dtype=complex)
+            want[:p, :p] = block
+            np.testing.assert_array_equal(view.mat, want)
+            assert not view.mat.flags.writeable
+
+    def test_projector_map_and_metric_hold_no_dense_copy(self):
+        # at dim 1024 a single dense complex matrix takes 16 MB
+        config = RunConfig(dim=1024, map_spec=MapSpec(kind="projector"), z_samples=())
+        tracemalloc.start()
+        try:
+            riesz = build_map(config)
+            met = metric_operator(riesz)
+            live, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert met.source is riesz
+        assert live < 1 << 20

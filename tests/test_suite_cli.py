@@ -18,15 +18,19 @@ from pseudoboson import (
     DegenerateKernelError,
     OrthogonalVacuaError,
     ValidationError,
+    biorthogonal_family,
     build_map,
     convergence_study,
     load_config,
+    metric_operator,
     run_suite,
     save_riesz_map,
     suite_failed,
+    theta_rank_one_sums,
 )
 from pseudoboson import coordinate, make_riesz_map, make_space, random_riesz_map, suite
 from pseudoboson.cli import main
+from pseudoboson.fock import _spectral_norm
 
 
 def write_config(path, **overrides):
@@ -322,6 +326,43 @@ class TestRunSuite:
             assert r.params["error"] == "vacuum extraction refused"
 
 
+class TestFamilyRecords:
+    """``biorthogonality``, ``theta_family`` and the rank-one records multiply
+    the ``p x p`` block families: outside them ``phi_n = psi_n = e_n``."""
+
+    FAMILY = ("biorthogonality", "theta_family", "rank_one_theta", "rank_one_theta_inv")
+
+    @staticmethod
+    def family_records(tmp_path, map_spec, dim=64):
+        path = write_config(tmp_path / "c.json", dim=dim, map_spec=map_spec, z_samples=[[0, 0]])
+        config = load_config(path)
+        reports = {r.check_id: r for r in run_suite(config)}
+        return build_map(config), {name: reports[name] for name in TestFamilyRecords.FAMILY}
+
+    def test_identity_block_is_empty(self, tmp_path):
+        riesz, records = self.family_records(tmp_path, {"kind": "identity"}, dim=16)
+        assert riesz.block == 0
+        for record in records.values():
+            assert record.residual == 0.0 and record.status == "pass"
+
+    @pytest.mark.parametrize("map_spec", [{"kind": "projector", "u_index": 0},
+                                          {"kind": "random", "cond": 10.0, "seed": 1}])
+    def test_matches_the_dense_families(self, tmp_path, map_spec):
+        riesz, records = self.family_records(tmp_path, map_spec)
+        fam, met = biorthogonal_family(riesz), metric_operator(riesz)
+        theta_sum, theta_inv_sum = theta_rank_one_sums(fam)
+        A, B = riesz.frame_bounds
+        dense = {
+            "biorthogonality": np.abs(fam.gram() - np.eye(riesz.dim)).max(),
+            "theta_family": np.linalg.norm(met.theta.mat @ fam.phi - fam.psi, axis=0).max(),
+            "rank_one_theta": _spectral_norm(theta_sum.mat - met.theta.mat) * A,
+            "rank_one_theta_inv": _spectral_norm(theta_inv_sum.mat - met.theta_inv.mat) / B,
+        }
+        for name, record in records.items():
+            assert record.residual == pytest.approx(dense[name], rel=1e-15, abs=0.0), name
+            assert record.status == "pass"
+
+
 class TestConvergenceStudy:
     def test_tables(self, tmp_path):
         path = write_config(tmp_path / "c.json",
@@ -497,6 +538,17 @@ class TestCli:
         assert np.isfinite(power["residual"]) and power["status"] == "out-of-regime"
         assert power["residual"] <= power["tolerance"]
         assert {r["status"] for r in records} == {"pass", "out-of-regime"}
+
+    @pytest.mark.parametrize("z", [[1e-310, 0], [2.2e-313, 0], [0, -1e-320], [3e-320, 4e-320]])
+    def test_subnormal_amplitude_is_graded(self, tmp_path, z):
+        # z / |z| overflows at a subnormal z; the phase is taken from z
+        # scaled by a power of two, so every record is graded, and passes
+        path = write_config(tmp_path / "c.json",
+                            map_spec={"kind": "random", "cond": 10.0, "seed": 3}, z_samples=[z])
+        assert main(["verify", "--config", str(path)]) == 0
+        records = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert len(records) == 22
+        assert {r["status"] for r in records} == {"pass"}
 
     def test_vanished_state_reads_nan_without_warning(self, tmp_path):
         # at |z| = 1e70 the truncated coherent states underflow to zero:
