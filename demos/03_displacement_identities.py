@@ -25,8 +25,7 @@ from pseudoboson import (
 )
 
 space = make_space(64)
-pmap = projector_map(space, space.basis_vector(0))
-riesz = pmap.riesz
+riesz = projector_map(space, space.basis_vector(0))
 pair = make_pair(riesz)
 z = 1.0 + 1.0j
 
@@ -47,7 +46,7 @@ for k, residual in enumerate(power_similarity_check(pair, z, k_max=5)):
 print("\nfactorization residuals at half-space cutoffs, fixed z = 1:")
 for dim in (16, 32, 64):
     sp = make_space(dim)
-    rz = projector_map(sp, sp.basis_vector(0)).riesz
+    rz = projector_map(sp, sp.basis_vector(0))
     r_u, r_v = bch_factorization_check(make_pair(rz), displaced_pair(rz, 1.0), SafeSubspace(sp, 8))
     print(f"  dim={dim:3d}: {max(r_u, r_v):.3e}")
 

@@ -47,7 +47,7 @@ for zz in (1.0, 1 + 1j, 2j):
 # functions) match the closed forms in L2.
 print("\ncross-validation against the number-basis route (dim = 64):")
 space = make_space(64)
-riesz = projector_map(space, space.basis_vector(0)).riesz
+riesz = projector_map(space, space.basis_vector(0))
 for zz in (1.0, 1 + 1j, 2j):
     cv = cross_validate(zz, riesz)
     print(f"  z = {zz}: L2 deviations {cv.l2_dev_phi:.2e} / {cv.l2_dev_psi:.2e}, "

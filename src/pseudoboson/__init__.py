@@ -36,7 +36,6 @@ from .bicoherent import (
 from .config import MapSpec, RunConfig, build_map, load_config
 from .coordinate import (
     CrossValidation,
-    ProjectorMap,
     coherent_wavefunction,
     cross_validate,
     example_wavefunctions,
@@ -74,7 +73,6 @@ from .fock import (
     FockSpace,
     Operator,
     SafeSubspace,
-    identity,
     ladder_c,
     ladder_c_dag,
     make_space,

@@ -28,13 +28,15 @@ uses ``map_spec.seed`` when given, else the top-level ``seed``; a
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ConditioningError, ConfigError
 from .fock import FockSpace
 from .riesz import RieszMap, load_riesz_map, make_riesz_map, random_riesz_map
-from .fock import identity as identity_op
 from .coordinate import projector_map
 from .displacement import in_accuracy_regime
 
@@ -79,6 +81,18 @@ def _reject_unknown(record: dict, allowed: set, where: str):
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def _number(convert, value, key: str):
+    """``convert(value)`` for ``convert`` ``int`` or ``float``, refused with a
+    :class:`ConfigError` naming ``key`` unless it is a finite number."""
+    try:
+        number = convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} must be a finite number, got {value!r}") from exc
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+    return number
+
+
 def _parse_map_spec(record) -> MapSpec:
     if not isinstance(record, dict) or "kind" not in record:
         raise ConfigError("map_spec must be an object with a 'kind' key")
@@ -88,12 +102,12 @@ def _parse_map_spec(record) -> MapSpec:
     _reject_unknown(record, {"kind"} | _MAP_KEYS[kind], f"map_spec ({kind})")
     spec = MapSpec(kind=kind)
     if kind == "projector":
-        spec = replace(spec, u_index=int(record.get("u_index", 0)))
+        spec = replace(spec, u_index=_number(int, record.get("u_index", 0), "map_spec.u_index"))
     elif kind == "random":
         spec = replace(
             spec,
-            cond=float(record.get("cond", 10.0)),
-            seed=int(record["seed"]) if "seed" in record else None,
+            cond=_number(float, record.get("cond", 10.0), "map_spec.cond"),
+            seed=_number(int, record["seed"], "map_spec.seed") if "seed" in record else None,
         )
     elif kind == "file":
         if "path" not in record:
@@ -107,7 +121,7 @@ def _parse_z(values) -> tuple[complex, ...]:
     for v in values:
         if not (isinstance(v, (list, tuple)) and len(v) == 2):
             raise ConfigError(f"z_samples entries must be [re, im] pairs, got {v!r}")
-        samples.append(complex(float(v[0]), float(v[1])))
+        samples.append(complex(*(_number(float, x, "z_samples") for x in v)))
     return tuple(samples)
 
 
@@ -152,7 +166,7 @@ def load_config(
     if "dim" not in record or "map_spec" not in record:
         raise ConfigError("config requires 'dim' and 'map_spec'")
 
-    dim = int(record["dim"]) if dim_override is None else int(dim_override)
+    dim = _number(int, record["dim"], "dim") if dim_override is None else int(dim_override)
     if dim < 4:
         raise ConfigError(f"dim must be >= 4, got {dim}")
 
@@ -171,16 +185,21 @@ def load_config(
                 "set allow_out_of_regime to run them flagged"
             )
 
-    outputs = Path(out_override) if out_override is not None else Path(record.get("outputs", "out"))
-    seed = int(record.get("seed", 0)) if seed_override is None else int(seed_override)
+    outputs = record.get("outputs", "out") if out_override is None else out_override
+    if not isinstance(outputs, (str, Path)):
+        raise ConfigError(f"outputs must be a path string, got {outputs!r}")
+    seed = _number(int, record.get("seed", 0), "seed") if seed_override is None else int(seed_override)
     if seed_override is not None and map_spec.seed is not None:
         map_spec = replace(map_spec, seed=seed)  # the override wins over map_spec.seed
+    for key, value in (("seed", seed), ("map_spec.seed", map_spec.seed)):
+        if value is not None and value < 0:
+            raise ConfigError(f"{key} must be >= 0, got {value}")
 
     return RunConfig(
         dim=dim,
         map_spec=map_spec,
         z_samples=z_samples,
-        outputs=outputs,
+        outputs=Path(outputs),
         seed=seed,
         allow_out_of_regime=allow_oor,
     )
@@ -202,9 +221,9 @@ def build_map(config: RunConfig, dim: int | None = None) -> RieszMap:
     space = FockSpace(dim)
     spec = config.map_spec
     if spec.kind == "identity":
-        riesz = make_riesz_map(identity_op(space))
+        riesz = make_riesz_map(space, np.eye(0))
     elif spec.kind == "projector":
-        riesz = projector_map(space, space.basis_vector(spec.u_index)).riesz
+        riesz = projector_map(space, space.basis_vector(spec.u_index))
     elif spec.kind == "random":
         seed = spec.seed if spec.seed is not None else config.seed
         riesz = random_riesz_map(space, spec.cond, seed)

@@ -29,11 +29,10 @@ import numpy as np
 from .bicoherent import coherent
 from .displacement import in_accuracy_regime
 from .errors import ValidationError
-from .fock import FockSpace, Operator, _gauss_rule, _recurrence
+from .fock import FockSpace, _gauss_rule, _recurrence
 from .riesz import RieszMap, _lmul, make_riesz_map
 
 __all__ = [
-    "ProjectorMap",
     "CrossValidation",
     "hermite_basis",
     "hermite_stack",
@@ -87,8 +86,9 @@ def gauss_hermite_grid(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=4)
 def _grid_stack(dim: int) -> np.ndarray:
-    """Read-only ``hermite_stack(dim - 1, x)`` on the grid of :func:`cross_validate`."""
-    stack = hermite_stack(dim - 1, gauss_hermite_grid(dim + 10)[0])
+    """Read-only ``hermite_stack(dim - 1, x)`` on the grid of :func:`cross_validate`,
+    held complex so that its products with the coefficients convert nothing."""
+    stack = hermite_stack(dim - 1, gauss_hermite_grid(dim + 10)[0]).astype(complex)
     stack.setflags(write=False)
     return stack
 
@@ -102,34 +102,22 @@ def coherent_wavefunction(z: complex, x):
     return np.pi ** -0.25 * np.exp(-0.5 * x**2 + np.sqrt(2.0) * z * x - z.real**2)
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectorMap:
-    """Rank-one deformation ``T = 1 + i |u><u|`` with its closed-form
-    inverse and the registered invertible-map record (frame bounds
-    ``(1, 2)``, condition number ``sqrt(2)``)."""
-
-    u: np.ndarray
-    T: Operator
-    T_inv: Operator
-    riesz: RieszMap
-
-
-def projector_map(space: FockSpace, u: np.ndarray) -> ProjectorMap:
+def projector_map(space: FockSpace, u: np.ndarray) -> RieszMap:
     """Build ``T = 1 + i P_u`` from a unit vector of Fock coefficients.
 
     ``P_u = |u><u|`` is idempotent, so ``T^{-1} = 1 - (1+i)/2 P_u``
     exactly; any unit ``u`` gives the same singular values
-    ``{sqrt(2), 1, ..., 1}``.
+    ``{sqrt(2), 1, ..., 1}``.  Only the leading ``q x q`` block of ``T``
+    is formed, ``q`` one past the last nonzero entry of ``u``.
     """
     u = np.asarray(u, dtype=complex)
     if u.shape != (space.dim,):
         raise ValidationError(f"u must have shape ({space.dim},), got {u.shape}")
     if abs(np.linalg.norm(u) - 1.0) > 1e-12:
         raise ValidationError(f"u must be unit norm, got ||u|| = {np.linalg.norm(u):.12f}")
-    P = np.outer(u, u.conj())
-    T = Operator(space, np.eye(space.dim) + 1j * P)
-    T_inv = Operator(space, np.eye(space.dim) - (1 + 1j) / 2 * P)
-    return ProjectorMap(u=u, T=T, T_inv=T_inv, riesz=make_riesz_map(T, max_cond=2.0))
+    q = int(np.flatnonzero(u)[-1]) + 1
+    T_lead = np.eye(q) + 1j * np.outer(u[:q], u[:q].conj())
+    return make_riesz_map(space, T_lead, max_cond=2.0)
 
 
 def example_wavefunctions(z: complex, x) -> tuple[np.ndarray, np.ndarray]:

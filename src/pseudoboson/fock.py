@@ -24,7 +24,6 @@ __all__ = [
     "Operator",
     "SafeSubspace",
     "make_space",
-    "identity",
     "ladder_c",
     "ladder_c_dag",
 ]
@@ -188,11 +187,6 @@ class SafeSubspace:
 def make_space(dim: int) -> FockSpace:
     """Create a truncated Fock space with ``dim >= 2`` levels."""
     return FockSpace(dim)
-
-
-def identity(space: FockSpace) -> Operator:
-    """Identity operator on ``space``."""
-    return Operator(space, np.eye(space.dim, dtype=complex))
 
 
 def ladder_c(space: FockSpace) -> Operator:

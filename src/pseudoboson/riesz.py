@@ -11,8 +11,11 @@ is positive, maps ``phi_n`` to ``psi_n``, and equals the rank-one sum
 Every map the program builds keeps the top levels, where the hard cutoff
 sits, untouched: ``S = blockdiag(S_p, 1)`` with ``p = k + 1`` for the
 projector map ``1 + i|e_k><e_k|``, ``dim - dim // 2`` for a random map,
-``0`` for the identity and ``dim`` for a dense map.  A map and its metric
-hold only these ``p x p`` blocks, and ``_lmul``/``_rmul`` multiply by
+``0`` for the identity and ``dim`` for a dense map.  Each builder hands
+the one constructor, :func:`make_riesz_map`, only a leading block of
+``S``, so only a dense map, its own block of side ``dim``, forms a
+``dim x dim`` matrix.  A map and its metric hold only the ``p x p``
+blocks, and ``_lmul``/``_rmul`` multiply by
 ``blockdiag(B, 1)`` on the block's rows or columns and copy the rest,
 where a dense product adds only exact zeros: the two agree up to the
 order of summation inside the block, bit for bit on the projector map.
@@ -153,33 +156,47 @@ def _deformed_block(moved: np.ndarray) -> int:
     return int(touched[-1]) + 1 if touched.size else 0
 
 
-def make_riesz_map(S: Operator, max_cond: float = 1e12) -> RieszMap:
-    """Validate and package an invertible map.
+def make_riesz_map(space: FockSpace, S_lead, max_cond: float = 1e12) -> RieszMap:
+    """Validate and package the invertible map ``S = blockdiag(S_lead, 1)``.
 
-    The inverse is computed once from the singular value decomposition
-    (rank-revealing, so near-singularity is detected rather than silently
-    amplified).  Both are taken on the deformed block ``S[:p, :p]`` only;
-    the identity outside it adds singular values 1 and is its own inverse.
+    The identity tail of ``S_lead`` is trimmed by an exact comparison,
+    leaving the deformed block ``S[:p, :p]``, the smallest with
+    ``S = blockdiag(S[:p, :p], 1)``.  The inverse is computed once from the
+    singular value decomposition (rank-revealing, so near-singularity is
+    detected rather than silently amplified), on that block only; the
+    identity outside it adds singular values 1 and is its own inverse.
 
     Parameters
     ----------
-    S : Operator
-        Square map on a truncated Fock space.
+    space : FockSpace
+        Truncated Fock space the map acts on.
+    S_lead : array_like
+        Any leading square block of ``S``, of side at most ``dim``: the
+        dense ``S`` itself, or ``np.eye(0)`` for the identity.
     max_cond : float
         Conditioning budget; ``cond(S)`` above this raises
         :class:`ConditioningError`.
 
     Raises
     ------
+    DimensionMismatchError
+        If ``S_lead`` is not square or its side exceeds ``dim``.
+    ValidationError
+        If an entry of ``S_lead`` is not finite.
     NotInvertibleError
         If the smallest singular value is below ``1e-13`` times the
         largest, or the cached inverse fails its residual check.
     ConditioningError
         If ``cond(S) > max_cond``.
     """
-    d = S.space.dim
-    p = _deformed_block(S.mat != np.eye(d))
-    S_block = S.mat[:p, :p]
+    d = space.dim
+    S_lead = np.asarray(S_lead, dtype=complex)
+    if S_lead.ndim != 2 or S_lead.shape[0] != S_lead.shape[1] or len(S_lead) > d:
+        raise DimensionMismatchError(f"block shape {S_lead.shape} is not square of side <= {d}")
+    if not np.all(np.isfinite(S_lead)):
+        raise ValidationError("map entries must be finite")
+    p = _deformed_block(S_lead != np.eye(len(S_lead)))
+    S_block = S_lead[:p, :p]
     U, sigma, Vh = np.linalg.svd(S_block)
     spectrum = np.append(sigma, 1.0) if p < d else sigma
     s_max, s_min = float(spectrum.max()), float(spectrum.min())
@@ -196,7 +213,7 @@ def make_riesz_map(S: Operator, max_cond: float = 1e12) -> RieszMap:
         raise NotInvertibleError(
             f"inverse residual {residual:.3e} exceeds 1e-12 * cond = {1e-12 * cond:.3e}"
         )
-    return RieszMap(space=S.space, S_block=S_block, S_inv_block=S_inv_block, cond=cond,
+    return RieszMap(space=space, S_block=S_block, S_inv_block=S_inv_block, cond=cond,
                     frame_bounds=(s_min**2, s_max**2), inverse_residual=residual,
                     block_u=U, block_sigma=sigma)
 
@@ -239,9 +256,8 @@ def random_riesz_map(
         return Q * (diag / np.abs(diag))
 
     sigma = target_cond ** (np.linspace(1.0, 0.0, p))
-    M = np.eye(d, dtype=complex)
-    M[:p, :p] = haar_unitary() @ (sigma[:, None] * haar_unitary().conj().T)
-    return make_riesz_map(Operator(space, M), max_cond=10.0 * target_cond + 10.0)
+    block = haar_unitary() @ (sigma[:, None] * haar_unitary().conj().T)
+    return make_riesz_map(space, block, max_cond=10.0 * target_cond + 10.0)
 
 
 def biorthogonal_family(riesz: RieszMap) -> BiorthogonalFamily:
@@ -343,16 +359,16 @@ def save_riesz_map(riesz: RieszMap, path: str | Path) -> None:
 
 
 def load_riesz_map(path: str | Path, max_cond: float = 1e12) -> RieszMap:
-    """Load a serialized map and revalidate invertibility."""
-    record = json.loads(Path(path).read_text())
+    """Load a serialized map and revalidate invertibility.  A file that
+    cannot be read or parsed raises :class:`ValidationError` naming it."""
     try:
+        record = json.loads(Path(path).read_text())
         d = int(record["dim"])
-        entries = record["entries"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed map record in {path}") from exc
-    if len(entries) != d * d:
+        flat = np.array([complex(re, im) for re, im in record["entries"]])
+    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"cannot load map file {path}: {exc}") from exc
+    if len(flat) != d * d:
         raise ValidationError(
-            f"expected {d * d} entries for dim {d}, got {len(entries)}"
+            f"expected {d * d} entries for dim {d} in {path}, got {len(flat)}"
         )
-    flat = np.array([complex(re, im) for re, im in entries])
-    return make_riesz_map(Operator(FockSpace(d), flat.reshape(d, d)), max_cond=max_cond)
+    return make_riesz_map(FockSpace(d), flat.reshape(d, d), max_cond=max_cond)

@@ -7,7 +7,6 @@ from pseudoboson import (
     projector_map,
     random_riesz_map,
 )
-from pseudoboson.fock import identity
 
 
 @pytest.fixture(scope="session")
@@ -17,7 +16,7 @@ def space64():
 
 @pytest.fixture(scope="session")
 def identity_map64(space64):
-    return make_riesz_map(identity(space64))
+    return make_riesz_map(space64, np.eye(0))
 
 
 @pytest.fixture(scope="session")
@@ -39,7 +38,7 @@ def random_maps64(space64):
 @pytest.fixture(scope="session")
 def all_maps64(identity_map64, projector_map64, random_maps64):
     """Identity, projector, and five random maps: the standard map set."""
-    return [identity_map64, projector_map64.riesz] + list(random_maps64)
+    return [identity_map64, projector_map64] + list(random_maps64)
 
 
 def random_unit_vector(rng, dim):

@@ -1,11 +1,11 @@
 import csv
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from pseudoboson import (
-    Operator,
     ValidationError,
     coherent,
     coherent_wavefunction,
@@ -20,7 +20,6 @@ from pseudoboson import (
     random_riesz_map,
     write_wavefunction_csv,
 )
-from pseudoboson.fock import identity
 
 # spot values frozen from 30-digit evaluation of the closed forms
 PHI_1_AT_0 = 0.276323645547 + 0.455580672011j
@@ -141,25 +140,33 @@ class TestCoherentWavefunction:
             assert abs(overlap - want) <= 1e-9
 
 
+def closed_form_inverse(pmap, u):
+    """``T^-1 = 1 - (1+i)/2 |u><u|``, checked against the map's ``S_inv``."""
+    T_inv = np.eye(pmap.dim) - (1 + 1j) / 2 * np.outer(u, u.conj())
+    np.testing.assert_allclose(pmap.S_inv.mat, T_inv, rtol=0, atol=1e-15)
+    return T_inv
+
+
 class TestProjectorMap:
     def test_ground_projector_matrices(self):
         space = make_space(6)
         pmap = projector_map(space, space.basis_vector(0))
         T = np.eye(6, dtype=complex)
         T[0, 0] = 1 + 1j
-        np.testing.assert_array_equal(pmap.T.mat, T)
+        np.testing.assert_array_equal(pmap.S.mat, T)
 
-    def test_closed_form_inverse(self, projector_map64):
-        prod = projector_map64.T.mat @ projector_map64.T_inv.mat
+    def test_closed_form_inverse(self, space64, projector_map64):
+        T_inv = closed_form_inverse(projector_map64, space64.basis_vector(0))
+        prod = projector_map64.S.mat @ T_inv
         assert np.linalg.norm(prod - np.eye(64), 2) <= 1e-14
 
     def test_singular_values(self, projector_map64):
-        sigma = np.linalg.svd(projector_map64.T.mat, compute_uv=False)
+        sigma = np.linalg.svd(projector_map64.S.mat, compute_uv=False)
         assert sigma[0] == pytest.approx(np.sqrt(2.0), abs=1e-12)
         np.testing.assert_allclose(sigma[1:], 1.0, atol=1e-12)
 
     def test_frame_bounds(self, projector_map64):
-        A, B = projector_map64.riesz.frame_bounds
+        A, B = projector_map64.frame_bounds
         assert A == pytest.approx(1.0, abs=1e-10)
         assert B == pytest.approx(2.0, abs=1e-10)
 
@@ -172,17 +179,19 @@ class TestProjectorMap:
         # u = e_3 gives the same frame bounds and inverse identity
         space = make_space(16)
         pmap = projector_map(space, space.basis_vector(3))
-        assert np.linalg.norm(pmap.T.mat @ pmap.T_inv.mat - np.eye(16), 2) <= 1e-14
-        A, B = pmap.riesz.frame_bounds
+        T_inv = closed_form_inverse(pmap, space.basis_vector(3))
+        assert np.linalg.norm(pmap.S.mat @ T_inv - np.eye(16), 2) <= 1e-14
+        A, B = pmap.frame_bounds
         assert (A, B) == pytest.approx((1.0, 2.0), abs=1e-10)
 
     def test_general_projector_preserves_pairing(self):
         space = make_space(64)
         pmap = projector_map(space, space.basis_vector(3))
+        T_inv = closed_form_inverse(pmap, space.basis_vector(3))
         for z in (1.0, 1 + 1j, 2j):
             vec = coherent(space, z).vec
-            phi = pmap.T.mat @ vec
-            psi = pmap.T_inv.mat.conj().T @ vec
+            phi = pmap.S.mat @ vec
+            psi = T_inv.conj().T @ vec
             assert abs(np.vdot(phi, psi) - 1.0) <= 1e-12
 
 
@@ -218,7 +227,7 @@ class TestExampleWavefunctions:
 
 def ground_projector(dim):
     space = make_space(dim)
-    return projector_map(space, space.basis_vector(0)).riesz
+    return projector_map(space, space.basis_vector(0))
 
 
 class TestCrossValidation:
@@ -229,7 +238,7 @@ class TestCrossValidation:
 
     @pytest.mark.parametrize("z", [1.0, 1 + 1j, 2j])
     def test_closed_form_matches_fock_route(self, z, projector_map64):
-        cv = cross_validate(z, projector_map64.riesz)
+        cv = cross_validate(z, projector_map64)
         assert cv.l2_dev_phi <= 1e-8
         assert cv.l2_dev_psi <= 1e-8
         assert abs(cv.pairing - 1.0) <= 1e-9
@@ -242,6 +251,18 @@ class TestCrossValidation:
             assert max(cv.l2_dev_phi, cv.l2_dev_psi) <= 1e-8
             assert abs(cv.pairing - 1.0) <= 1e-9
 
+    def test_repeated_call_converts_no_grid(self):
+        # the cached grid stack is complex: a second call allocates only vectors
+        riesz = ground_projector(1024)
+        cross_validate(1 + 1j, riesz)
+        tracemalloc.start()
+        try:
+            cross_validate(1 + 1j, riesz)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_regime_guard(self):
         with pytest.raises(ValidationError):
             cross_validate(4.0, ground_projector(16))
@@ -250,8 +271,8 @@ class TestCrossValidation:
         # any map other than exactly 1 + i|e_0><e_0| is refused
         space = make_space(16)
         others = [
-            projector_map(space, space.basis_vector(1)).riesz,
-            make_riesz_map(identity(space)),
+            projector_map(space, space.basis_vector(1)),
+            make_riesz_map(space, np.eye(0)),
             random_riesz_map(space, 2.0, seed=0),
         ]
         for riesz in others:
@@ -263,10 +284,10 @@ class TestCrossValidation:
         # with another entry, and 1 + i with a second deformed level, are refused
         space = make_space(16)
         for diagonal in ([2.0] + [1.0] * 15, [1 + 1j, 2.0] + [1.0] * 14):
-            riesz = make_riesz_map(Operator(space, np.diag(diagonal)))
+            riesz = make_riesz_map(space, np.diag(diagonal))
             with pytest.raises(ValidationError):
                 cross_validate(1.0, riesz)
-        phased = projector_map(space, 1j * space.basis_vector(0)).riesz  # the same P
+        phased = projector_map(space, 1j * space.basis_vector(0))  # the same P
         cv, ref = cross_validate(1 + 1j, phased), cross_validate(1 + 1j, ground_projector(16))
         assert (cv.l2_dev_phi, cv.l2_dev_psi) == (ref.l2_dev_phi, ref.l2_dev_psi)
 

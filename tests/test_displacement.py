@@ -27,7 +27,7 @@ from pseudoboson import (
 )
 from pseudoboson.displacement import (_displacement_block, _phase_powers, _powers,
                                       _times_generator)
-from pseudoboson.fock import Operator, identity, ladder_c
+from pseudoboson.fock import Operator, ladder_c
 from pseudoboson.reports import default_tolerance
 from pseudoboson.riesz import random_riesz_map
 
@@ -48,7 +48,7 @@ def laguerre_block(z, size):
 def projector_riesz(dim):
     P = np.zeros((dim, dim), complex)
     P[0, 0] = 1.0
-    return make_riesz_map(Operator(make_space(dim), np.eye(dim) + 1j * P))
+    return make_riesz_map(make_space(dim), np.eye(dim) + 1j * P)
 
 
 class TestWeyl:
@@ -143,7 +143,7 @@ class TestDisplacementBlock:
 
 class TestDisplacedPair:
     def test_unitary_case_collapses(self, space64):
-        riesz = make_riesz_map(identity(space64))
+        riesz = make_riesz_map(space64, np.eye(0))
         disp = displaced_pair(riesz, 1.0 + 0.5j)
         np.testing.assert_allclose(disp.U.mat, disp.W.mat, atol=1e-14)
         np.testing.assert_allclose(disp.V.mat, disp.W.mat, atol=1e-14)
@@ -184,9 +184,9 @@ class TestPowerSimilarity:
         # 0, one deformed on its lower half, one deformed everywhere, and
         # the projector pair with b[40, 39] moved, where the border comes
         # from D, not from the map
-        riesz = {"projector": projector_map64.riesz, "random": random_map64,
+        riesz = {"projector": projector_map64, "random": random_map64,
                  "dense": random_riesz_map(random_map64.space, 10.0, seed=4, top_margin=0),
-                 "perturbed": projector_map64.riesz}[kind]
+                 "perturbed": projector_map64}[kind]
         pair, z = make_pair(riesz), 1.3 - 0.4j
         b = pair.b.mat.copy()
         if kind == "perturbed":
@@ -203,7 +203,7 @@ class TestPowerSimilarity:
     def test_perturbed_b_fails(self, entry, kind, projector_map64, random_map64):
         # negative control: one entry of b moved by 1e-4 relative, inside the
         # deformed block and in the canonical tail
-        riesz = projector_map64.riesz if kind == "projector" else random_map64
+        riesz = projector_map64 if kind == "projector" else random_map64
         pair = make_pair(riesz)
         b = pair.b.mat.copy()
         b[entry] *= 1 + 1e-4
@@ -229,7 +229,7 @@ class TestPowerSimilarity:
             assert residuals.shape == (6,)  # k = 0 .. 5
 
     def test_k12_supported(self, projector_map64):
-        residuals = power_similarity_check(make_pair(projector_map64.riesz), 1.0, k_max=12)
+        residuals = power_similarity_check(make_pair(projector_map64), 1.0, k_max=12)
         assert residuals.max() <= 1e-7
 
     def test_k_out_of_range(self, random_map64):
@@ -255,7 +255,7 @@ class TestBchFactorization:
         assert max(residuals) <= 1e-14
 
     def test_identity_map_half_space(self, space64):
-        riesz = make_riesz_map(identity(space64))
+        riesz = make_riesz_map(space64, np.eye(0))
         residuals = bch_factorization_check(
             make_pair(riesz), displaced_pair(riesz, 1.0), SafeSubspace(space64, 32)
         )
@@ -274,7 +274,7 @@ class TestBchFactorization:
 
     def test_margin_violation_warns(self):
         space = make_space(16)
-        riesz = make_riesz_map(identity(space))
+        riesz = make_riesz_map(space, np.eye(0))
         disp = displaced_pair(riesz, 2.0)  # |z|^2 = dim/4: inside the regime
         with pytest.warns(AccuracyRegimeWarning):
             # cutoff 15 > dim - ceil(4|z|^2) = 16 - 16 = 0
@@ -342,7 +342,7 @@ class TestIntertwining:
                 diff / np.linalg.norm(M, 2), rel=1e-12)
 
     def test_unitary_case(self, space64):
-        riesz = make_riesz_map(identity(space64))
+        riesz = make_riesz_map(space64, np.eye(0))
         residual = intertwining_check(
             displaced_pair(riesz, 1.0), metric_operator(riesz), SafeSubspace(space64, 63)
         )

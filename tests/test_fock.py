@@ -14,10 +14,11 @@ from pseudoboson import (
     ladder_c,
     ladder_c_dag,
     make_pair,
+    make_riesz_map,
     make_space,
     power_similarity_check,
 )
-from pseudoboson.fock import _border, _spectral_norm, identity
+from pseudoboson.fock import _border, _spectral_norm
 
 
 class TestSpace:
@@ -115,7 +116,7 @@ class TestCommutator:
         space = make_space(8)
         rng = np.random.default_rng(1)
         A = Operator(space, rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))).mat
-        one = identity(space).mat
+        one = make_riesz_map(space, np.eye(0)).S.mat
         assert np.linalg.norm(one @ A - A @ one, 2) == 0.0
 
     @pytest.mark.parametrize("cutoff", [1, 8, 31])
@@ -284,7 +285,7 @@ class TestSpectralNorm:
     def test_parity_preserving_map_takes_half_size_blocks(self, monkeypatch, projector_map64):
         # S = 1 + i|e0><e0| keeps number parity, so every residual is a
         # checkerboard; cut = 64 - 5 = 59 levels split into 30 + 29
-        seen = self.svd_row_counts(monkeypatch, projector_map64.riesz)
+        seen = self.svd_row_counts(monkeypatch, projector_map64)
         assert seen and max(seen) == 30
 
     def test_dense_map_takes_the_full_matrix(self, monkeypatch, random_map64):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pseudoboson import (
     ConditioningError,
+    DimensionMismatchError,
     MapSpec,
     NotInvertibleError,
     Operator,
@@ -36,7 +37,7 @@ from pseudoboson import (
     theta_conjugacy_check,
     theta_rank_one_sums,
 )
-from pseudoboson.fock import _spectral_norm, identity
+from pseudoboson.fock import _spectral_norm
 from pseudoboson.reports import default_tolerance
 from pseudoboson.riesz import BiorthogonalFamily, _cotransport, _lmul, _rmul, _transport
 
@@ -51,15 +52,15 @@ def ground_projector(dim):
 
 class TestMakeRieszMap:
     def test_identity(self):
-        riesz = make_riesz_map(identity(make_space(8)))
+        riesz = make_riesz_map(make_space(8), np.eye(0))
         assert riesz.cond == pytest.approx(1.0)
         assert riesz.frame_bounds == pytest.approx((1.0, 1.0))
 
     def test_projector_deformation_frame_bounds(self):
         # T = 1 + i|e0><e0| has singular values {sqrt(2), 1, ..., 1}
         space = make_space(8)
-        T = Operator(space, np.eye(8) + 1j * ground_projector(8))
-        riesz = make_riesz_map(T)
+        T = np.eye(8) + 1j * ground_projector(8)
+        riesz = make_riesz_map(space, T)
         assert riesz.frame_bounds[0] == pytest.approx(1.0, abs=1e-12)
         assert riesz.frame_bounds[1] == pytest.approx(2.0, abs=1e-12)
         assert riesz.cond == pytest.approx(np.sqrt(2.0), abs=1e-12)
@@ -67,13 +68,31 @@ class TestMakeRieszMap:
     def test_singular_map_rejected(self):
         space = make_space(2)
         with pytest.raises(NotInvertibleError):
-            make_riesz_map(Operator(space, np.diag([1.0, 0.0])))
+            make_riesz_map(space, np.diag([1.0, 0.0]))
 
     def test_cond_budget(self):
         space = make_space(4)
-        S = Operator(space, np.diag([100.0, 1.0, 1.0, 1.0]))
+        S = np.diag([100.0, 1.0, 1.0, 1.0])
         with pytest.raises(ConditioningError):
-            make_riesz_map(S, max_cond=10.0)
+            make_riesz_map(space, S, max_cond=10.0)
+
+    @pytest.mark.parametrize("block, error", [
+        (np.diag([1.0, np.nan]), ValidationError),
+        (np.array([[1.0, np.inf], [0.0, 1.0]]), ValidationError),
+        (np.ones((2, 3)), DimensionMismatchError),
+        (np.ones(3), DimensionMismatchError),
+        (np.eye(5), DimensionMismatchError),
+    ], ids=["nan", "inf", "non-square", "vector", "larger-than-dim"])
+    def test_malformed_block_refused(self, block, error):
+        with pytest.raises(error):
+            make_riesz_map(make_space(4), block)
+
+    def test_leading_block_equals_dense_map(self, random_map64):
+        # a dense S and its deformed block build the same map, bit for bit
+        dense = make_riesz_map(random_map64.space, random_map64.S.mat)
+        for name in ("S_block", "S_inv_block", "block_u", "block_sigma"):
+            np.testing.assert_array_equal(getattr(dense, name), getattr(random_map64, name))
+        assert (dense.cond, dense.frame_bounds) == (random_map64.cond, random_map64.frame_bounds)
 
     def test_inverse_residual(self, random_map64):
         eye = np.eye(random_map64.dim)
@@ -123,10 +142,10 @@ class TestDeformedBlock:
     @pytest.mark.parametrize("u_index, block", [(0, 1), (5, 6)])
     def test_projector_block(self, u_index, block):
         space = make_space(16)
-        assert projector_map(space, space.basis_vector(u_index)).riesz.block == block
+        assert projector_map(space, space.basis_vector(u_index)).block == block
 
     def test_identity_block_is_empty(self):
-        riesz = make_riesz_map(identity(make_space(16)))
+        riesz = make_riesz_map(make_space(16), np.eye(0))
         assert riesz.block == 0
         assert riesz.cond == 1.0 and riesz.inverse_residual == 0.0
         np.testing.assert_array_equal(riesz.S_inv.mat, np.eye(16))
@@ -150,18 +169,18 @@ class TestDeformedBlock:
         M = np.eye(6, dtype=complex)
         M[:2, :2] = [[1.0, 2.0], [0.5, 1.0]]
         with pytest.raises(NotInvertibleError):
-            make_riesz_map(Operator(make_space(6), M))
+            make_riesz_map(make_space(6), M)
 
     def test_zero_in_the_tail_rejected(self):
         # a zero on the diagonal below a deformed block is part of the block
         with pytest.raises(NotInvertibleError):
-            make_riesz_map(Operator(make_space(6), np.diag([2.0, 1.0, 1.0, 0.0, 1.0, 1.0])))
+            make_riesz_map(make_space(6), np.diag([2.0, 1.0, 1.0, 0.0, 1.0, 1.0]))
 
     def test_cond_budget_counts_the_identity_tail(self):
         # the block alone has cond 1; the tail's singular values 1 set it to 100
-        S = Operator(make_space(6), np.diag([100.0, 100.0, 1.0, 1.0, 1.0, 1.0]))
+        S = np.diag([100.0, 100.0, 1.0, 1.0, 1.0, 1.0])
         with pytest.raises(ConditioningError):
-            make_riesz_map(S, max_cond=10.0)
+            make_riesz_map(make_space(6), S, max_cond=10.0)
 
     @staticmethod
     def dense_pair(riesz, X):
@@ -177,7 +196,7 @@ class TestDeformedBlock:
 
     @pytest.mark.parametrize("size", [None, 1, 40])
     def test_projector_transport_bit_for_bit(self, projector_map64, size):
-        riesz = projector_map64.riesz
+        riesz = projector_map64
         for X in self.sample_matrices(64):
             U, V = self.dense_pair(riesz, X)
             np.testing.assert_array_equal(_transport(riesz, X, size), U[:size, :size])
@@ -245,7 +264,7 @@ class TestDeformedBlock:
 
 class TestBiorthogonalFamily:
     def test_identity_self_dual(self):
-        fam = biorthogonal_family(make_riesz_map(identity(make_space(6))))
+        fam = biorthogonal_family(make_riesz_map(make_space(6), np.eye(0)))
         np.testing.assert_array_equal(fam.phi, np.eye(6))
         np.testing.assert_array_equal(fam.psi, np.eye(6))
 
@@ -253,8 +272,8 @@ class TestBiorthogonalFamily:
         # phi_0 = (1+i)e_0 and psi_0 = ((1+i)/2)e_0, paired to one:
         # (1-i)(1+i)/2 = 1
         space = make_space(4)
-        T = Operator(space, np.eye(4) + 1j * ground_projector(4))
-        fam = biorthogonal_family(make_riesz_map(T))
+        T = np.eye(4) + 1j * ground_projector(4)
+        fam = biorthogonal_family(make_riesz_map(space, T))
         np.testing.assert_allclose(fam.phi[:, 0], [1 + 1j, 0, 0, 0], atol=1e-15)
         np.testing.assert_allclose(fam.psi[:, 0], [(1 + 1j) / 2, 0, 0, 0], atol=1e-14)
         assert np.vdot(fam.phi[:, 0], fam.psi[:, 0]) == pytest.approx(1.0, abs=1e-14)
@@ -289,14 +308,14 @@ class TestBiorthogonalFamily:
 
 class TestMetricOperator:
     def test_identity(self):
-        met = metric_operator(make_riesz_map(identity(make_space(5))))
+        met = metric_operator(make_riesz_map(make_space(5), np.eye(0)))
         np.testing.assert_allclose(met.theta.mat, np.eye(5), atol=1e-15)
 
     def test_projector_closed_form(self):
         # T^dag T = 1 + P, inverted by hand with P^2 = P: Theta = 1 - P/2
         space = make_space(8)
-        T = Operator(space, np.eye(8) + 1j * ground_projector(8))
-        met = metric_operator(make_riesz_map(T))
+        T = np.eye(8) + 1j * ground_projector(8)
+        met = metric_operator(make_riesz_map(space, T))
         expected = np.eye(8) - ground_projector(8) / 2
         assert np.linalg.norm(met.theta.mat - expected, 2) <= 1e-13
         np.testing.assert_allclose(met.theta.mat @ space.basis_vector(0),
@@ -329,7 +348,7 @@ class TestMetricOperator:
 
 class TestRankOneSums:
     def test_identity(self):
-        fam = biorthogonal_family(make_riesz_map(identity(make_space(6))))
+        fam = biorthogonal_family(make_riesz_map(make_space(6), np.eye(0)))
         theta_sum, theta_inv_sum = theta_rank_one_sums(fam)
         np.testing.assert_allclose(theta_sum.mat, np.eye(6), atol=1e-14)
         np.testing.assert_allclose(theta_inv_sum.mat, np.eye(6), atol=1e-14)
@@ -338,7 +357,7 @@ class TestRankOneSums:
         # sum |psi_n><psi_n| = 1 - P/2 and sum |phi_n><phi_n| = 1 + P
         space = make_space(8)
         P = ground_projector(8)
-        fam = biorthogonal_family(make_riesz_map(Operator(space, np.eye(8) + 1j * P)))
+        fam = biorthogonal_family(make_riesz_map(space, np.eye(8) + 1j * P))
         theta_sum, theta_inv_sum = theta_rank_one_sums(fam)
         assert np.linalg.norm(theta_sum.mat - (np.eye(8) - P / 2), 2) <= 1e-13
         assert np.linalg.norm(theta_inv_sum.mat - (np.eye(8) + P), 2) <= 1e-13
@@ -394,7 +413,7 @@ class TestRankOneSums:
 class TestQuasiBasis:
     def test_identity_basis_vectors(self):
         space = make_space(4)
-        fam = biorthogonal_family(make_riesz_map(identity(space)))
+        fam = biorthogonal_family(make_riesz_map(space, np.eye(0)))
         e0 = space.basis_vector(0)
         direct, via1, via2 = quasi_basis_check(fam, e0, e0)
         assert direct == via1 == via2 == 1.0
@@ -477,7 +496,7 @@ class TestBlockRepresentation:
                     ids=lambda param: param[0])
     def riesz(self, request, identity_map64, projector_map64, random_map64):
         kind, p = request.param
-        riesz = {"identity": identity_map64, "projector": projector_map64.riesz,
+        riesz = {"identity": identity_map64, "projector": projector_map64,
                  "random": random_map64}[kind]
         assert riesz.block == p
         return riesz
@@ -512,3 +531,28 @@ class TestBlockRepresentation:
             tracemalloc.stop()
         assert met.source is riesz
         assert live < 1 << 20
+
+    @pytest.mark.parametrize("kind", ["projector", "identity"])
+    def test_building_the_map_forms_no_dense_matrix(self, kind):
+        # at dim 2048 a single dense complex matrix takes 64 MB
+        config = RunConfig(dim=2048, map_spec=MapSpec(kind=kind), z_samples=())
+        tracemalloc.start()
+        try:
+            build_map(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_only_make_riesz_map_constructs_a_map(self):
+        # every map in src/ goes through the one constructor and its checks
+        src = Path(__file__).resolve().parent.parent / "src" / "pseudoboson"
+        sites = []
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            owner = {node: fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                     for node in ast.walk(fn)}  # innermost function last, so it wins
+            sites += [(path.name, owner.get(node)) for node in ast.walk(tree)
+                      if isinstance(node, ast.Call) and "RieszMap" in (
+                          getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+        assert sites == [("riesz.py", "make_riesz_map")]

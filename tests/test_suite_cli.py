@@ -574,6 +574,44 @@ class TestCli:
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("key, overrides", [
+        ("dim", {"dim": "abc"}),
+        ("dim", {"dim": None}),
+        ("seed", {"seed": "s"}),
+        ("seed", {"seed": -1}),
+        ("map_spec.cond", {"map_spec": {"kind": "random", "cond": "x"}}),
+        ("map_spec.cond", {"map_spec": {"kind": "random", "cond": float("nan")}}),
+        ("map_spec.cond", {"map_spec": {"kind": "random", "cond": float("inf")}}),
+        ("map_spec.u_index", {"map_spec": {"kind": "projector", "u_index": "x"}}),
+        ("map_spec.seed", {"map_spec": {"kind": "random", "seed": [1]}}),
+        ("map_spec.seed", {"map_spec": {"kind": "random", "seed": -3}}),
+        ("z_samples", {"z_samples": [["a", 0]]}),
+        ("z_samples", {"z_samples": [[float("nan"), 0]], "allow_out_of_regime": True}),
+        ("z_samples", {"z_samples": [[0, float("-inf")]], "allow_out_of_regime": True}),
+        ("outputs", {"outputs": 5}),
+    ])
+    def test_malformed_config_value_exit_two(self, tmp_path, capsys, key, overrides):
+        path = write_config(tmp_path / "c.json", **overrides)
+        assert main(["verify", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error: ") and key in err[0]
+
+    @pytest.mark.parametrize("content", [
+        None,
+        "not json",
+        '{"dim": "abc", "entries": []}',
+        '{"dim": 2, "entries": [[1], [0, 0], [0, 0], [1, 0]]}',
+        '{"dim": 2, "entries": [["a", "b"], [0, 0], [0, 0], [1, 0]]}',
+    ], ids=["missing", "invalid-json", "dim-not-a-number", "short-entry", "string-entry"])
+    def test_malformed_map_file_exit_one(self, tmp_path, capsys, content):
+        map_path = tmp_path / "map.json"
+        if content is not None:
+            map_path.write_text(content)
+        path = write_config(tmp_path / "c.json", map_spec={"kind": "file", "path": str(map_path)})
+        assert main(["verify", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(map_path) in err[0]
+
     def test_strict_flag(self, tmp_path):
         path = write_config(tmp_path / "c.json", z_samples=[[5, 0]],
                             allow_out_of_regime=True)
