@@ -84,17 +84,14 @@ from .reports import (
     reports_to_json,
 )
 from .riesz import (
-    BiorthogonalFamily,
     MetricOperator,
     RieszMap,
-    biorthogonal_family,
     load_riesz_map,
     make_riesz_map,
     metric_operator,
     quasi_basis_check,
     random_riesz_map,
     save_riesz_map,
-    theta_rank_one_sums,
 )
 from .suite import convergence_study, run_suite, suite_failed
 

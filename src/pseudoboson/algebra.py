@@ -20,9 +20,10 @@ from .errors import (
     InvalidDimensionError,
     OrthogonalVacuaError,
     ProvenanceError,
+    ValidationError,
 )
 from .fock import FockSpace, Operator, SafeSubspace, _freeze, _spectral_norm, ladder_c
-from .riesz import BiorthogonalFamily, MetricOperator, RieszMap, _lmul, _rmul, _same_map, _transport
+from .riesz import MetricOperator, RieszMap, _blockdiag, _lmul, _rmul, _same_map, _transport
 
 __all__ = [
     "PseudoBosonPair",
@@ -142,12 +143,24 @@ def vacua_from_map(riesz: RieszMap) -> VacuumPair:
     return VacuumPair(phi0=phi0, psi0=psi0, normalization=complex(np.vdot(phi0, psi0)))
 
 
-def excited_states(pair: PseudoBosonPair, vac: VacuumPair, n_max: int) -> BiorthogonalFamily:
-    """Families ``phi_n = b^n phi0 / sqrt(n!)`` and
-    ``psi_n = (a^dag)^n psi0 / sqrt(n!)`` for ``n <= n_max``.
+def excited_states(
+    pair: PseudoBosonPair, vac: VacuumPair, n_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Families grown from ``vac`` by ladder action, as the column stacks
+    ``phi[:, n] = b^n phi0 / sqrt(n!)`` and
+    ``psi[:, n] = (a^dag)^n psi0 / sqrt(n!)`` for ``n <= n_max``.
 
     Built iteratively as ``phi_{n+1} = b phi_n / sqrt(n+1)`` so no
-    factorial-sized intermediate ever appears.
+    factorial-sized intermediate ever appears.  With the closed-form vacua
+    the stacks reproduce the map's columns ``S e_n`` and
+    ``(S^{-1})^dag e_n`` to roundoff.
+
+    Raises
+    ------
+    InvalidDimensionError
+        If ``n_max`` is outside ``[0, dim - 1]``.
+    ValidationError
+        If an entry of either stack is not finite.
     """
     d = pair.space.dim
     if not 0 <= n_max <= d - 1:
@@ -179,50 +192,57 @@ def excited_states(pair: PseudoBosonPair, vac: VacuumPair, n_max: int) -> Biorth
         scale = 1.0 / np.sqrt(np.longdouble(n + 1))
         phi[:, n + 1] = scale * (b @ phi[:, n])
         psi[:, n + 1] = scale * (a_dag @ psi[:, n])
-    return BiorthogonalFamily(
-        space=pair.space, phi=phi.astype(complex), psi=psi.astype(complex)
-    )
+    phi, psi = phi.astype(complex), psi.astype(complex)
+    for arr, name in ((phi, "phi"), (psi, "psi")):
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"{name} entries must be finite")
+    return phi, psi
 
 
-def ladder_check(pair: PseudoBosonPair, fam: BiorthogonalFamily) -> dict[str, np.ndarray]:
-    """Residuals of the four ladder relations on the family, keyed by
-    relation and indexed by level ``n``.
+def ladder_check(pair: PseudoBosonPair) -> dict[str, np.ndarray]:
+    """Residuals of the four ladder relations on the map's families
+    ``phi_n = S e_n`` and ``psi_n = (S^{-1})^dag e_n``, keyed by relation
+    and indexed by level ``n``.
 
     ``b_raise[n]`` and ``adag_raise[n]`` are the residuals of
     ``b phi_n = sqrt(n+1) phi_{n+1}`` and its dual below the top level,
     where raising leaves the family; ``a_lower[n]`` and ``bdag_lower[n]``
     those of ``a phi_n = sqrt(n) phi_{n-1}`` (with ``a phi_0 = 0``) and
-    its dual on every level.
+    its dual on every level.  A family is ``blockdiag(B, 1)`` for ``B`` the
+    map's ``S_block`` or ``S_inv_block^dag``, so an operator is multiplied
+    on the block's columns only and its other columns are read as they are.
     """
-    if fam.size < 2:
-        raise InvalidDimensionError("ladder check needs a family of length >= 2")
     a, b = pair.a.mat, pair.b.mat
-    phi, psi = fam.phi, fam.psi
-    up = np.sqrt(np.arange(1.0, fam.size))  # sqrt(n + 1) for n < size - 1
+    d = pair.space.dim
+    up = np.sqrt(np.arange(1.0, d))  # sqrt(n + 1) for n < dim - 1
 
-    def lowered(v):  # sqrt(n) v_{n-1} on every level, zero at n = 0
-        return np.pad(v[:, :-1] * up, ((0, 0), (1, 0)))
+    def residuals(raising, lowering, block):
+        v = _blockdiag(block, d)  # the family, column n is v_n
+        lowered = np.pad(v[:, :-1] * up, ((0, 0), (1, 0)))  # sqrt(n) v_{n-1}, zero at n = 0
+        return (np.linalg.norm(_rmul(raising, block, d - 1) - v[:, 1:] * up, axis=0),
+                np.linalg.norm(_rmul(lowering, block) - lowered, axis=0))
 
-    return {
-        "b_raise": np.linalg.norm(b @ phi[:, :-1] - phi[:, 1:] * up, axis=0),
-        "adag_raise": np.linalg.norm(a.conj().T @ psi[:, :-1] - psi[:, 1:] * up, axis=0),
-        "a_lower": np.linalg.norm(a @ phi - lowered(phi), axis=0),
-        "bdag_lower": np.linalg.norm(b.conj().T @ psi - lowered(psi), axis=0),
-    }
+    b_raise, a_lower = residuals(b, a, pair.source.S_block)
+    adag_raise, bdag_lower = residuals(a.conj().T, b.conj().T, pair.source.S_inv_block.conj().T)
+    return {"b_raise": b_raise, "adag_raise": adag_raise,
+            "a_lower": a_lower, "bdag_lower": bdag_lower}
 
 
-def number_operator_check(
-    pair: PseudoBosonPair, fam: BiorthogonalFamily
-) -> tuple[np.ndarray, np.ndarray]:
+def number_operator_check(pair: PseudoBosonPair) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvector residuals of the number operator ``N = b a``, indexed
     by level: ``N phi_n = n phi_n`` and ``N^dag psi_n = n psi_n`` for all
-    levels below the truncation edge (``n <= dim - 2``)."""
+    levels below the truncation edge (``n <= dim - 2``), on the map's
+    families, with ``N`` multiplied on the block's columns only."""
     N = pair.b.mat @ pair.a.mat
-    n_top = min(fam.size - 1, pair.space.dim - 2)
-    levels = np.arange(n_top + 1.0)
-    phi, psi = fam.phi[:, : n_top + 1], fam.psi[:, : n_top + 1]
-    return (np.linalg.norm(N @ phi - phi * levels, axis=0),
-            np.linalg.norm(N.conj().T @ psi - psi * levels, axis=0))
+    top = pair.space.dim - 1
+    levels = np.arange(float(top))
+
+    def residuals(op, block):
+        v = _blockdiag(block, len(op))[:, :top]
+        return np.linalg.norm(_rmul(op, block, top) - v * levels, axis=0)
+
+    return (residuals(N, pair.source.S_block),
+            residuals(N.conj().T, pair.source.S_inv_block.conj().T))
 
 
 def theta_conjugacy_check(

@@ -158,9 +158,15 @@ def series_route(
     ``exp(-|z|^2/2) sum_n z^n/sqrt(n!) phi_n`` over the excited families
     grown from ``vac`` by repeated ladder action.
 
-    With the closed-form vacua this agrees with :func:`rbcs` to roundoff;
-    it is the independent route the two-route check compares.  It sums the
-    fewest ``N <= dim`` terms whose :func:`coherent_tail_bound` is ``<= 1e-20``.
+    It is the independent route the two-route check compares with
+    :func:`rbcs`.  In exact arithmetic, with the closed-form vacua, the two
+    agree; in floating point the recursion amplifies the rounding of the
+    high levels by up to ``||exp(|z| c^dag)||_2`` (about ``1.6e13`` at
+    ``dim = 256`` and ``|z| = 2``), so on a random map the routes part by
+    more than roundoff and ``two_route`` at ``|z| = 2`` fails from
+    ``dim = 256`` on (8.2e-7 against 1e-8 on the cond-10 map of seed 3).  It
+    sums the fewest ``N <= dim`` terms whose :func:`coherent_tail_bound` is
+    ``<= 1e-20``.
     """
     d = pair.space.dim
     n_terms = next((n for n in range(1, d) if coherent_tail_bound(n, z) <= 1e-20), d)

@@ -83,14 +83,21 @@ def _reject_unknown(record: dict, allowed: set, where: str):
 
 def _number(convert, value, key: str):
     """``convert(value)`` for ``convert`` ``int`` or ``float``, refused with a
-    :class:`ConfigError` naming ``key`` unless it is a finite number."""
+    :class:`ConfigError` naming ``key`` unless it is a finite number, and for
+    ``int`` an integral one (``16`` and ``16.0``, not ``16.9`` or ``true``)."""
     try:
-        number = convert(value)
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a number")
+        number = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be a finite number, got {value!r}") from exc
     if not math.isfinite(number):
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
-    return number
+    if convert is float:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value if isinstance(value, int) else int(number)
 
 
 def _parse_map_spec(record) -> MapSpec:
@@ -176,7 +183,9 @@ def load_config(
 
     z_samples = _parse_z(record.get("z_samples", [[0, 0], [1, 0], [1, 1], [0, 2]]))
 
-    allow_oor = bool(record.get("allow_out_of_regime", False))
+    allow_oor = record.get("allow_out_of_regime", False)
+    if not isinstance(allow_oor, bool):
+        raise ConfigError(f"allow_out_of_regime must be true or false, got {allow_oor!r}")
     if not allow_oor:
         bad = [z for z in z_samples if not in_accuracy_regime(FockSpace(dim), z)]
         if bad:

@@ -1,12 +1,14 @@
-"""Bounded invertible maps, biorthogonal families, and the metric operator.
+"""Bounded invertible maps, their biorthogonal families, and the metric operator.
 
 A Riesz map ``S`` sends the canonical basis onto a well-conditioned
 non-orthogonal family: ``phi_n = S e_n``.  Its dual family is
 ``psi_n = (S^{-1})^dag e_n`` and the two are exactly biorthogonal in
-finite dimension.  The metric operator ``Theta = (S^{-1})^dag S^{-1}``
-is positive, maps ``phi_n`` to ``psi_n``, and equals the rank-one sum
-``sum_n |psi_n><psi_n|`` while its inverse ``S S^dag`` equals
-``sum_n |phi_n><phi_n|``.
+finite dimension.  The families are not stored apart from the map: they
+are the columns of ``S`` and of ``(S^{-1})^dag``, and every check that
+reads them reads the map's blocks.  The metric operator
+``Theta = (S^{-1})^dag S^{-1}`` is positive, maps ``phi_n`` to ``psi_n``,
+and equals the rank-one sum ``sum_n |psi_n><psi_n|`` while its inverse
+``S S^dag`` equals ``sum_n |phi_n><phi_n|``.
 
 Every map the program builds keeps the top levels, where the hard cutoff
 sits, untouched: ``S = blockdiag(S_p, 1)`` with ``p = k + 1`` for the
@@ -39,13 +41,10 @@ from .fock import FockSpace, Operator, _freeze, _spectral_norm
 
 __all__ = [
     "RieszMap",
-    "BiorthogonalFamily",
     "MetricOperator",
     "make_riesz_map",
     "random_riesz_map",
-    "biorthogonal_family",
     "metric_operator",
-    "theta_rank_one_sums",
     "quasi_basis_check",
     "save_riesz_map",
     "load_riesz_map",
@@ -88,40 +87,6 @@ class RieszMap:
     dim = property(lambda self: self.space.dim)
     S = property(lambda self: Operator(self.space, _blockdiag(self.S_block, self.dim)))
     S_inv = property(lambda self: Operator(self.space, _blockdiag(self.S_inv_block, self.dim)))
-
-
-@dataclass(frozen=True, eq=False)
-class BiorthogonalFamily:
-    """Column-stacked families ``phi[:, n] = phi_n`` and ``psi[:, n] = psi_n``.
-
-    The two stacks always hold the same number of vectors; a *full*
-    family has one vector per level of the space.
-    """
-
-    space: FockSpace
-    phi: np.ndarray
-    psi: np.ndarray
-
-    def __post_init__(self):
-        _freeze(self, "phi", "psi", dtype=complex)
-        phi, psi = self.phi, self.psi
-        if phi.shape != psi.shape or phi.ndim != 2 or phi.shape[0] != self.space.dim:
-            raise DimensionMismatchError(
-                f"family shapes {phi.shape} / {psi.shape} invalid for dim {self.space.dim}"
-            )
-        for arr, name in ((phi, "phi"), (psi, "psi")):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"{name} entries must be finite")
-
-    @property
-    def size(self) -> int:
-        """Number of vectors in each family."""
-        return self.phi.shape[1]
-
-    def gram(self) -> np.ndarray:
-        """Cross-Gram matrix ``G[n, m] = <phi_n, psi_m>`` (identity for a
-        genuine biorthogonal pair)."""
-        return self.phi.conj().T @ self.psi
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,14 +225,6 @@ def random_riesz_map(
     return make_riesz_map(space, block, max_cond=10.0 * target_cond + 10.0)
 
 
-def biorthogonal_family(riesz: RieszMap) -> BiorthogonalFamily:
-    """Full family ``phi_n = S e_n``, ``psi_n = (S^{-1})^dag e_n``
-    (the columns of ``S`` and of the conjugate-transposed inverse)."""
-    d = riesz.dim
-    return BiorthogonalFamily(space=riesz.space, phi=_blockdiag(riesz.S_block, d),
-                              psi=_blockdiag(riesz.S_inv_block.conj().T, d))
-
-
 def metric_operator(riesz: RieszMap) -> MetricOperator:
     """Metric operator ``Theta = (S^{-1})^dag S^{-1}`` and its inverse
     ``S S^dag``, self-adjoint and positive; ``Theta`` maps ``phi_n`` onto
@@ -312,39 +269,25 @@ def _cotransport(riesz: RieszMap, X: np.ndarray, size: int | None = None) -> np.
     return _rmul(_lmul(riesz.S_inv_block.conj().T, X, size), riesz.S_block.conj().T, size)
 
 
-def theta_rank_one_sums(fam: BiorthogonalFamily) -> tuple[Operator, Operator]:
-    """Rank-one sums ``sum_n |psi_n><psi_n|`` and ``sum_n |phi_n><phi_n|``.
-
-    For a full family these telescope exactly to the metric operator and
-    its inverse.  Requires all ``dim`` vectors.
-    """
-    if fam.size != fam.space.dim:
-        raise DimensionMismatchError(
-            f"rank-one sums need the full family: got {fam.size} of {fam.space.dim} vectors"
-        )
-    theta_sum = Operator(fam.space, fam.psi @ fam.psi.conj().T)
-    theta_inv_sum = Operator(fam.space, fam.phi @ fam.phi.conj().T)
-    return theta_sum, theta_inv_sum
-
-
 def quasi_basis_check(
-    fam: BiorthogonalFamily, f: np.ndarray, g: np.ndarray
+    riesz: RieszMap, f: np.ndarray, g: np.ndarray
 ) -> tuple[complex, complex, complex]:
-    """Weak resolution of the identity through the family.
+    """Weak resolution of the identity through the map's families.
 
     Returns ``(<f, g>, sum_n <f, phi_n><psi_n, g>, sum_n <f, psi_n><phi_n, g>)``;
-    all three agree to roundoff for a full biorthogonal family.
+    all three agree to roundoff since the families are biorthogonal.
     """
     f = np.asarray(f, dtype=complex)
     g = np.asarray(g, dtype=complex)
-    d = fam.space.dim
+    d = riesz.dim
     if f.shape != (d,) or g.shape != (d,):
         raise DimensionMismatchError(
             f"vectors must have shape ({d},), got {f.shape} and {g.shape}"
         )
+    phi, psi = riesz.S.mat, riesz.S_inv.mat.conj().T
     direct = complex(np.vdot(f, g))
-    via_phi_psi = complex((f.conj() @ fam.phi) @ (fam.psi.conj().T @ g))
-    via_psi_phi = complex((f.conj() @ fam.psi) @ (fam.phi.conj().T @ g))
+    via_phi_psi = complex((f.conj() @ phi) @ (psi.conj().T @ g))
+    via_psi_phi = complex((f.conj() @ psi) @ (phi.conj().T @ g))
     return direct, via_phi_psi, via_psi_phi
 
 

@@ -16,7 +16,6 @@ from pseudoboson import (
     SafeSubspace,
     UnderResolvedWarning,
     bch_factorization_check,
-    biorthogonal_family,
     cross_validate,
     displaced_pair,
     eigen_check,
@@ -34,7 +33,6 @@ from pseudoboson import (
     rbcs,
     resolution_of_identity,
     series_route,
-    theta_rank_one_sums,
     vacua,
     vacua_from_map,
 )
@@ -52,8 +50,8 @@ def test_criterion_01_biorthogonality(all_maps64):
     start = time.perf_counter()
     worst = 0.0
     for riesz in all_maps64:
-        fam = biorthogonal_family(riesz)
-        worst = max(worst, np.abs(fam.gram() - np.eye(64)).max())
+        gram = riesz.S.mat.conj().T @ riesz.S_inv.mat.conj().T
+        worst = max(worst, np.abs(gram - np.eye(64)).max())
     elapsed = time.perf_counter() - start
     report(
         "01 biorthogonality",
@@ -66,11 +64,11 @@ def test_criterion_02_rank_one_sums(all_maps64):
     worst = 0.0
     for riesz in all_maps64:
         met = metric_operator(riesz)
-        theta_sum, theta_inv_sum = theta_rank_one_sums(biorthogonal_family(riesz))
+        phi, psi = riesz.S.mat, riesz.S_inv.mat.conj().T
         worst = max(
             worst,
-            np.linalg.norm(theta_sum.mat - met.theta.mat, 2),
-            np.linalg.norm(theta_inv_sum.mat - met.theta_inv.mat, 2),
+            np.linalg.norm(psi @ psi.conj().T - met.theta.mat, 2),
+            np.linalg.norm(phi @ phi.conj().T - met.theta_inv.mat, 2),
         )
     report("02 rank-one sums", worst <= 1e-11, f"max deviation {worst:.3e} <= 1e-11")
 
@@ -94,11 +92,10 @@ def test_criterion_04_ladder_and_number(all_maps64):
     worst_eigs = 0.0
     for riesz in all_maps64:
         pair = make_pair(riesz)
-        fam = biorthogonal_family(riesz)
         worst_ladder = max(
             worst_ladder,
-            max(r.max() for r in ladder_check(pair, fam).values()),
-            max(r.max() for r in number_operator_check(pair, fam)),
+            max(r.max() for r in ladder_check(pair).values()),
+            max(r.max() for r in number_operator_check(pair)),
         )
         eigs = np.sort_complex(np.linalg.eigvals(pair.b.mat @ pair.a.mat))[:63]
         worst_eigs = max(worst_eigs, np.abs(eigs - np.arange(63)).max())

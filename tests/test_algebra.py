@@ -11,7 +11,6 @@ from pseudoboson import (
     ProvenanceError,
     PseudoBosonPair,
     SafeSubspace,
-    biorthogonal_family,
     excited_states,
     ladder_c,
     ladder_c_dag,
@@ -21,6 +20,7 @@ from pseudoboson import (
     make_space,
     metric_operator,
     number_operator_check,
+    projector_map,
     random_riesz_map,
     theta_conjugacy_check,
     vacua,
@@ -188,35 +188,35 @@ class TestExcitedStates:
     def test_zeroth_level_is_vacuum(self, random_map64):
         pair = make_pair(random_map64)
         cf = vacua_from_map(random_map64)
-        fam = excited_states(pair, cf, n_max=0)
-        np.testing.assert_array_equal(fam.phi[:, 0], cf.phi0)
+        phi, _ = excited_states(pair, cf, n_max=0)
+        np.testing.assert_array_equal(phi[:, 0], cf.phi0)
 
     def test_bosonic_limit_exact(self):
         riesz = make_riesz_map(make_space(16), np.eye(0))
-        fam = excited_states(make_pair(riesz), vacua_from_map(riesz), n_max=15)
-        np.testing.assert_allclose(fam.phi, np.eye(16), atol=1e-13)
+        phi, _ = excited_states(make_pair(riesz), vacua_from_map(riesz), n_max=15)
+        np.testing.assert_allclose(phi, np.eye(16), atol=1e-13)
 
     def test_matches_map_columns(self):
         # b^n S e_0 / sqrt(n!) = S e_n exactly, so the ladder recursion
         # reproduces the map columns
         riesz = random_riesz_map(make_space(32), 10.0, seed=2)
-        fam = excited_states(make_pair(riesz), vacua_from_map(riesz), n_max=16)
-        dev = np.linalg.norm(fam.phi - riesz.S.mat[:, :17], axis=0)
+        phi, _ = excited_states(make_pair(riesz), vacua_from_map(riesz), n_max=16)
+        dev = np.linalg.norm(phi - riesz.S.mat[:, :17], axis=0)
         assert dev.max() <= 1e-8
 
     def test_constructive_equivalence_relative(self, all_maps64):
         for riesz in all_maps64:
             n_half = riesz.dim // 2
-            fam = excited_states(make_pair(riesz), vacua_from_map(riesz), n_max=n_half)
-            full = biorthogonal_family(riesz)
+            phi, psi = excited_states(make_pair(riesz), vacua_from_map(riesz), n_max=n_half)
+            full_phi, full_psi = riesz.S.mat, riesz.S_inv.mat.conj().T
             for n in range(n_half + 1):
-                rel_phi = np.linalg.norm(fam.phi[:, n] - full.phi[:, n]) / np.linalg.norm(full.phi[:, n])
-                rel_psi = np.linalg.norm(fam.psi[:, n] - full.psi[:, n]) / np.linalg.norm(full.psi[:, n])
+                rel_phi = np.linalg.norm(phi[:, n] - full_phi[:, n]) / np.linalg.norm(full_phi[:, n])
+                rel_psi = np.linalg.norm(psi[:, n] - full_psi[:, n]) / np.linalg.norm(full_psi[:, n])
                 assert max(rel_phi, rel_psi) <= 1e-8 * riesz.cond
 
     def test_biorthogonality_preserved(self, random_map64):
-        fam = excited_states(make_pair(random_map64), vacua_from_map(random_map64), n_max=20)
-        gram = fam.gram()
+        phi, psi = excited_states(make_pair(random_map64), vacua_from_map(random_map64), n_max=20)
+        gram = phi.conj().T @ psi
         assert np.abs(gram - np.eye(21)).max() <= 1e-10
 
     def test_n_max_out_of_range(self, random_map64):
@@ -227,27 +227,20 @@ class TestExcitedStates:
 class TestLadderCheck:
     def test_vacuum_residual_is_annihilation(self, random_map64):
         pair = make_pair(random_map64)
-        fam = biorthogonal_family(random_map64)
-        r = ladder_check(pair, fam)["a_lower"][0]
-        assert r == pytest.approx(np.linalg.norm(pair.a.mat @ fam.phi[:, 0]))
+        r = ladder_check(pair)["a_lower"][0]
+        assert r == pytest.approx(np.linalg.norm(pair.a.mat @ random_map64.S.mat[:, 0]))
 
     def test_bosonic_residuals_machine(self):
         riesz = make_riesz_map(make_space(32), np.eye(0))
-        residuals = ladder_check(make_pair(riesz), biorthogonal_family(riesz))
+        residuals = ladder_check(make_pair(riesz))
         assert max(r.max() for r in residuals.values()) <= 1e-12
 
     def test_all_relations_all_maps(self, all_maps64):
         for riesz in all_maps64:
-            residuals = ladder_check(make_pair(riesz), biorthogonal_family(riesz))
+            residuals = ladder_check(make_pair(riesz))
             assert max(r.max() for r in residuals.values()) <= 1e-9
             assert {k: len(r) for k, r in residuals.items()} == {
                 "b_raise": 63, "adag_raise": 63, "a_lower": 64, "bdag_lower": 64}
-
-    def test_short_family_rejected(self, random_map64):
-        pair = make_pair(random_map64)
-        fam = excited_states(pair, vacua_from_map(random_map64), n_max=0)
-        with pytest.raises(InvalidDimensionError):
-            ladder_check(pair, fam)
 
     def test_matches_per_level_reference(self, random_map64):
         # one matrix product per relation against one matrix-vector
@@ -255,9 +248,8 @@ class TestLadderCheck:
         # to roundoff of ||op|| ||v_n|| at double precision (s[0] = 0 drops
         # the wrapped-around v_{-1} at n = 0)
         pair = make_pair(random_map64)
-        fam = biorthogonal_family(random_map64)
         a, b = pair.a.mat, pair.b.mat
-        phi, psi = fam.phi, fam.psi
+        phi, psi = random_map64.S.mat, random_map64.S_inv.mat.conj().T
         s = np.sqrt(np.arange(64.0))
         reference = {
             "b_raise": [np.linalg.norm(b @ phi[:, n] - s[n + 1] * phi[:, n + 1]) for n in range(63)],
@@ -270,10 +262,93 @@ class TestLadderCheck:
         }
         scale = max(np.linalg.norm(a, 2), np.linalg.norm(b, 2)) * max(
             np.linalg.norm(phi, axis=0).max(), np.linalg.norm(psi, axis=0).max())
-        residuals = ladder_check(pair, fam)
+        residuals = ladder_check(pair)
         for key, want in reference.items():
             np.testing.assert_allclose(residuals[key], want, rtol=0,
                                        atol=64 * np.finfo(float).eps * scale)
+
+
+class TestBlockProducts:
+    """``ladder_check`` and ``number_operator_check`` multiply each operator by
+    the map's deformed block only; the dense-family formulas below, built from
+    ``S`` and ``S^-1`` alone, give the same arrays."""
+
+    @staticmethod
+    def dense(pair):
+        """Ladder and number residuals on the dense families ``phi = S`` and
+        ``psi = (S^-1)^dag``, one full matrix product per relation."""
+        a, b = pair.a.mat, pair.b.mat
+        phi, psi = pair.source.S.mat, pair.source.S_inv.mat.conj().T
+        d = pair.space.dim
+        up = np.sqrt(np.arange(1.0, d))
+
+        def lowered(v):
+            return np.pad(v[:, :-1] * up, ((0, 0), (1, 0)))
+
+        ladder = {
+            "b_raise": np.linalg.norm(b @ phi[:, :-1] - phi[:, 1:] * up, axis=0),
+            "adag_raise": np.linalg.norm(a.conj().T @ psi[:, :-1] - psi[:, 1:] * up, axis=0),
+            "a_lower": np.linalg.norm(a @ phi - lowered(phi), axis=0),
+            "bdag_lower": np.linalg.norm(b.conj().T @ psi - lowered(psi), axis=0),
+        }
+        N = b @ a
+        levels = np.arange(d - 1.0)
+        number = (np.linalg.norm(N @ phi[:, :-1] - phi[:, :-1] * levels, axis=0),
+                  np.linalg.norm(N.conj().T @ psi[:, :-1] - psi[:, :-1] * levels, axis=0))
+        return ladder, number
+
+    MAPS = {
+        "identity": lambda space: make_riesz_map(space, np.eye(0)),
+        "projector-0": lambda space: projector_map(space, space.basis_vector(0)),
+        "projector-3": lambda space: projector_map(space, space.basis_vector(3)),
+        "random": lambda space: random_riesz_map(space, 10.0, seed=0),
+    }
+
+    @pytest.mark.parametrize("dim", [64, 256])
+    @pytest.mark.parametrize("kind", list(MAPS))
+    def test_equal_to_dense_families(self, kind, dim):
+        pair = make_pair(self.MAPS[kind](make_space(dim)))
+        ladder, number = self.dense(pair)
+        got = ladder_check(pair)
+        assert list(got) == list(ladder)
+        for key, want in ladder.items():
+            assert np.array_equal(got[key], want), key
+        for got_r, want_r in zip(number_operator_check(pair), number):
+            assert np.array_equal(got_r, want_r)
+
+    def test_dense_map_agrees_to_roundoff(self):
+        # top_margin=0 deforms every level, so the block is all of S
+        riesz = random_riesz_map(make_space(64), 10.0, seed=0, top_margin=0)
+        pair = make_pair(riesz)
+        ladder, number = self.dense(pair)
+        a, b = pair.a.mat, pair.b.mat
+        width = max(np.linalg.norm(riesz.S.mat, axis=0).max(),
+                    np.linalg.norm(riesz.S_inv.mat, axis=1).max())
+        eps = np.finfo(float).eps
+        atol = 64 * eps * max(np.linalg.norm(a, 2), np.linalg.norm(b, 2)) * width
+        got = ladder_check(pair)
+        for key, want in ladder.items():
+            np.testing.assert_allclose(got[key], want, rtol=0, atol=atol)
+        atol = 64 * eps * np.linalg.norm(b @ a, 2) * width
+        for got_r, want_r in zip(number_operator_check(pair), number):
+            np.testing.assert_allclose(got_r, want_r, rtol=0, atol=atol)
+
+    @pytest.mark.parametrize("kind", ["projector-0", "random"])
+    def test_entry_outside_block_is_read(self, kind):
+        # b[p + 5, p + 4] = sqrt(p + 5) lies outside the deformed block; a
+        # relative change of 1e-6 there breaks b phi_{p+4}, b^dag psi_{p+5},
+        # N phi_{p+5} and N^dag psi_{p+5}
+        riesz = self.MAPS[kind](make_space(64))
+        pair = make_pair(riesz)
+        p = riesz.block
+        b = pair.b.mat.copy()
+        b[p + 5, p + 4] *= 1 + 1e-6
+        bad = PseudoBosonPair(a=pair.a, b=Operator(pair.space, b), source=riesz, space=pair.space)
+        ladder = ladder_check(bad)
+        r_phi, r_psi = number_operator_check(bad)
+        assert min(ladder["b_raise"][p + 4], ladder["bdag_lower"][p + 5]) > default_tolerance(
+            "ladder", riesz.cond)
+        assert min(r_phi[p + 5], r_psi[p + 5]) > default_tolerance("number_operator", riesz.cond)
 
 
 class TestNumberOperator:
@@ -285,27 +360,26 @@ class TestNumberOperator:
 
     def test_vacuum_eigenvalue(self, random_map64):
         pair = make_pair(random_map64)
-        fam = biorthogonal_family(random_map64)
-        r_phi, _ = number_operator_check(pair, fam)
+        r_phi, _ = number_operator_check(pair)
         assert r_phi[0] <= 1e-12
 
     def test_residuals_all_maps(self, all_maps64):
         for riesz in all_maps64:
-            r_phi, r_psi = number_operator_check(make_pair(riesz), biorthogonal_family(riesz))
+            r_phi, r_psi = number_operator_check(make_pair(riesz))
             assert max(r_phi.max(), r_psi.max()) <= 1e-9
             assert len(r_phi) == len(r_psi) == riesz.dim - 1  # levels 0 .. dim - 2
 
     def test_matches_per_level_reference(self, random_map64):
         # as TestLadderCheck: one product for all levels against one per level
         pair = make_pair(random_map64)
-        fam = biorthogonal_family(random_map64)
+        phi, psi = random_map64.S.mat, random_map64.S_inv.mat.conj().T
         N = pair.b.mat @ pair.a.mat
-        want_phi = [np.linalg.norm(N @ fam.phi[:, n] - n * fam.phi[:, n]) for n in range(63)]
-        want_psi = [np.linalg.norm(N.conj().T @ fam.psi[:, n] - n * fam.psi[:, n])
+        want_phi = [np.linalg.norm(N @ phi[:, n] - n * phi[:, n]) for n in range(63)]
+        want_psi = [np.linalg.norm(N.conj().T @ psi[:, n] - n * psi[:, n])
                     for n in range(63)]
         scale = np.linalg.norm(N, 2) * max(
-            np.linalg.norm(fam.phi, axis=0).max(), np.linalg.norm(fam.psi, axis=0).max())
-        r_phi, r_psi = number_operator_check(pair, fam)
+            np.linalg.norm(phi, axis=0).max(), np.linalg.norm(psi, axis=0).max())
+        r_phi, r_psi = number_operator_check(pair)
         atol = 64 * np.finfo(float).eps * scale
         np.testing.assert_allclose(r_phi, want_phi, rtol=0, atol=atol)
         np.testing.assert_allclose(r_psi, want_psi, rtol=0, atol=atol)

@@ -19,7 +19,6 @@ from pseudoboson import (
     SafeSubspace,
     ValidationError,
     bch_factorization_check,
-    biorthogonal_family,
     build_map,
     displaced_pair,
     eigen_check,
@@ -35,11 +34,10 @@ from pseudoboson import (
     rbcs,
     save_riesz_map,
     theta_conjugacy_check,
-    theta_rank_one_sums,
 )
 from pseudoboson.fock import _spectral_norm
 from pseudoboson.reports import default_tolerance
-from pseudoboson.riesz import BiorthogonalFamily, _cotransport, _lmul, _rmul, _transport
+from pseudoboson.riesz import _cotransport, _lmul, _rmul, _transport
 
 from conftest import random_unit_vector
 
@@ -264,36 +262,37 @@ class TestDeformedBlock:
 
 class TestBiorthogonalFamily:
     def test_identity_self_dual(self):
-        fam = biorthogonal_family(make_riesz_map(make_space(6), np.eye(0)))
-        np.testing.assert_array_equal(fam.phi, np.eye(6))
-        np.testing.assert_array_equal(fam.psi, np.eye(6))
+        riesz = make_riesz_map(make_space(6), np.eye(0))
+        np.testing.assert_array_equal(riesz.S.mat, np.eye(6))
+        np.testing.assert_array_equal(riesz.S_inv.mat.conj().T, np.eye(6))
 
     def test_projector_family_hand_values(self):
         # phi_0 = (1+i)e_0 and psi_0 = ((1+i)/2)e_0, paired to one:
         # (1-i)(1+i)/2 = 1
         space = make_space(4)
         T = np.eye(4) + 1j * ground_projector(4)
-        fam = biorthogonal_family(make_riesz_map(space, T))
-        np.testing.assert_allclose(fam.phi[:, 0], [1 + 1j, 0, 0, 0], atol=1e-15)
-        np.testing.assert_allclose(fam.psi[:, 0], [(1 + 1j) / 2, 0, 0, 0], atol=1e-14)
-        assert np.vdot(fam.phi[:, 0], fam.psi[:, 0]) == pytest.approx(1.0, abs=1e-14)
+        riesz = make_riesz_map(space, T)
+        phi, psi = riesz.S.mat, riesz.S_inv.mat.conj().T
+        np.testing.assert_allclose(phi[:, 0], [1 + 1j, 0, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(psi[:, 0], [(1 + 1j) / 2, 0, 0, 0], atol=1e-14)
+        assert np.vdot(phi[:, 0], psi[:, 0]) == pytest.approx(1.0, abs=1e-14)
 
     def test_gram_is_identity(self, all_maps64):
         for riesz in all_maps64:
-            fam = biorthogonal_family(riesz)
-            assert np.abs(fam.gram() - np.eye(64)).max() <= 1e-10
+            gram = riesz.S.mat.conj().T @ riesz.S_inv.mat.conj().T
+            assert np.abs(gram - np.eye(64)).max() <= 1e-10
 
     def test_gram_high_cond_large_dim(self):
         # exact biorthogonality persists at cond 1e3, dim 256
         riesz = random_riesz_map(make_space(256), 1e3, seed=0)
-        fam = biorthogonal_family(riesz)
-        assert np.abs(fam.gram() - np.eye(256)).max() <= 1e-10
+        gram = riesz.S.mat.conj().T @ riesz.S_inv.mat.conj().T
+        assert np.abs(gram - np.eye(256)).max() <= 1e-10
 
     def test_family_norm_bounds(self, random_map64):
-        fam = biorthogonal_family(random_map64)
+        phi, psi = random_map64.S.mat, random_map64.S_inv.mat.conj().T
         A, B = random_map64.frame_bounds
-        assert np.linalg.norm(fam.phi, axis=0).max() <= np.sqrt(B) * (1 + 1e-12)
-        assert np.linalg.norm(fam.psi, axis=0).max() <= (1 + 1e-12) / np.sqrt(A)
+        assert np.linalg.norm(phi, axis=0).max() <= np.sqrt(B) * (1 + 1e-12)
+        assert np.linalg.norm(psi, axis=0).max() <= (1 + 1e-12) / np.sqrt(A)
 
     def test_frame_bound_sandwich(self, random_map64):
         # A ||f||^2 <= ||S^dag f||^2 <= B ||f||^2 for unit f
@@ -334,9 +333,9 @@ class TestMetricOperator:
 
     def test_maps_family_onto_dual(self, all_maps64):
         for riesz in all_maps64:
-            fam = biorthogonal_family(riesz)
+            phi, psi = riesz.S.mat, riesz.S_inv.mat.conj().T
             theta = metric_operator(riesz).theta.mat
-            assert np.linalg.norm(theta @ fam.phi - fam.psi, axis=0).max() <= 1e-10
+            assert np.linalg.norm(theta @ phi - psi, axis=0).max() <= 1e-10
 
     def test_spectrum_inside_frame_window(self, all_maps64):
         for riesz in all_maps64:
@@ -347,81 +346,82 @@ class TestMetricOperator:
 
 
 class TestRankOneSums:
+    @staticmethod
+    def rank_one_sums(phi, psi):
+        """Dense ``sum_n |psi_n><psi_n|`` and ``sum_n |phi_n><phi_n|`` of the
+        column-stacked families."""
+        return psi @ psi.conj().T, phi @ phi.conj().T
+
+    @staticmethod
+    def families(riesz):
+        """The map's families as dense column stacks: ``S`` and ``(S^-1)^dag``."""
+        return riesz.S.mat, riesz.S_inv.mat.conj().T
+
     def test_identity(self):
-        fam = biorthogonal_family(make_riesz_map(make_space(6), np.eye(0)))
-        theta_sum, theta_inv_sum = theta_rank_one_sums(fam)
-        np.testing.assert_allclose(theta_sum.mat, np.eye(6), atol=1e-14)
-        np.testing.assert_allclose(theta_inv_sum.mat, np.eye(6), atol=1e-14)
+        riesz = make_riesz_map(make_space(6), np.eye(0))
+        theta_sum, theta_inv_sum = self.rank_one_sums(*self.families(riesz))
+        np.testing.assert_allclose(theta_sum, np.eye(6), atol=1e-14)
+        np.testing.assert_allclose(theta_inv_sum, np.eye(6), atol=1e-14)
 
     def test_projector_hand_values(self):
         # sum |psi_n><psi_n| = 1 - P/2 and sum |phi_n><phi_n| = 1 + P
         space = make_space(8)
         P = ground_projector(8)
-        fam = biorthogonal_family(make_riesz_map(space, np.eye(8) + 1j * P))
-        theta_sum, theta_inv_sum = theta_rank_one_sums(fam)
-        assert np.linalg.norm(theta_sum.mat - (np.eye(8) - P / 2), 2) <= 1e-13
-        assert np.linalg.norm(theta_inv_sum.mat - (np.eye(8) + P), 2) <= 1e-13
+        riesz = make_riesz_map(space, np.eye(8) + 1j * P)
+        theta_sum, theta_inv_sum = self.rank_one_sums(*self.families(riesz))
+        assert np.linalg.norm(theta_sum - (np.eye(8) - P / 2), 2) <= 1e-13
+        assert np.linalg.norm(theta_inv_sum - (np.eye(8) + P), 2) <= 1e-13
 
     def test_matches_metric_operator(self, all_maps64):
         for riesz in all_maps64:
             met = metric_operator(riesz)
-            theta_sum, theta_inv_sum = theta_rank_one_sums(biorthogonal_family(riesz))
+            theta_sum, theta_inv_sum = self.rank_one_sums(*self.families(riesz))
             tol = 1e-12 * riesz.cond**2
-            assert np.linalg.norm(theta_sum.mat - met.theta.mat, 2) <= tol
-            assert np.linalg.norm(theta_inv_sum.mat - met.theta_inv.mat, 2) <= tol
+            assert np.linalg.norm(theta_sum - met.theta.mat, 2) <= tol
+            assert np.linalg.norm(theta_inv_sum - met.theta_inv.mat, 2) <= tol
 
-    @staticmethod
-    def relative_residuals(riesz, fam):
+    @classmethod
+    def relative_residuals(cls, riesz, phi, psi):
         """The suite's records: deviations relative to ``||Theta|| = 1/A``
         and ``||Theta^-1|| = B``."""
         met = metric_operator(riesz)
         A, B = riesz.frame_bounds
-        theta_sum, theta_inv_sum = theta_rank_one_sums(fam)
-        return (_spectral_norm(theta_sum.mat - met.theta.mat) * A,
-                _spectral_norm(theta_inv_sum.mat - met.theta_inv.mat) / B)
+        theta_sum, theta_inv_sum = cls.rank_one_sums(phi, psi)
+        return (_spectral_norm(theta_sum - met.theta.mat) * A,
+                _spectral_norm(theta_inv_sum - met.theta_inv.mat) / B)
 
     def test_independent_route_reads_roundoff(self, random_map64):
         # the metric comes from the block SVD, not from the products the
         # sums form, so the records read roundoff instead of exactly 0
-        residuals = self.relative_residuals(random_map64, biorthogonal_family(random_map64))
+        residuals = self.relative_residuals(random_map64, *self.families(random_map64))
         for name, residual in zip(("rank_one_theta", "rank_one_theta_inv"), residuals):
             assert 0.0 < residual <= default_tolerance(name, random_map64.cond)
 
     @pytest.mark.parametrize("which", ["psi", "phi"])
     @pytest.mark.parametrize("n", [0, 20, 40])
     def test_perturbed_vector_fails(self, random_map64, which, n):
-        fam = biorthogonal_family(random_map64)
-        vecs = {"phi": fam.phi.copy(), "psi": fam.psi.copy()}
+        vecs = {k: v.copy() for k, v in zip(("phi", "psi"), self.families(random_map64))}
         rng = np.random.default_rng(n)
         vecs[which][:, n] += 1e-9 * np.linalg.norm(vecs[which][:, n]) * random_unit_vector(rng, 64)
-        perturbed = BiorthogonalFamily(fam.space, vecs["phi"], vecs["psi"])
-        theta_r, theta_inv_r = self.relative_residuals(random_map64, perturbed)
+        theta_r, theta_inv_r = self.relative_residuals(random_map64, vecs["phi"], vecs["psi"])
         residual, name = ((theta_r, "rank_one_theta") if which == "psi"
                           else (theta_inv_r, "rank_one_theta_inv"))
         assert residual > default_tolerance(name, random_map64.cond)
 
-    def test_partial_family_rejected(self, random_map64):
-        from pseudoboson import DimensionMismatchError, make_pair, vacua_from_map
-        from pseudoboson.algebra import excited_states
-
-        pair = make_pair(random_map64)
-        fam = excited_states(pair, vacua_from_map(random_map64), n_max=10)
-        with pytest.raises(DimensionMismatchError):
-            theta_rank_one_sums(fam)
 
 
 class TestQuasiBasis:
     def test_identity_basis_vectors(self):
         space = make_space(4)
-        fam = biorthogonal_family(make_riesz_map(space, np.eye(0)))
+        riesz = make_riesz_map(space, np.eye(0))
         e0 = space.basis_vector(0)
-        direct, via1, via2 = quasi_basis_check(fam, e0, e0)
+        direct, via1, via2 = quasi_basis_check(riesz, e0, e0)
         assert direct == via1 == via2 == 1.0
 
     def test_orthogonality_survives(self, random_map64):
-        fam = biorthogonal_family(random_map64)
         space = random_map64.space
-        direct, via1, via2 = quasi_basis_check(fam, space.basis_vector(0), space.basis_vector(1))
+        direct, via1, via2 = quasi_basis_check(random_map64, space.basis_vector(0),
+                                               space.basis_vector(1))
         assert abs(direct) == 0.0
         assert abs(via1) <= 1e-12
         assert abs(via2) <= 1e-12
@@ -431,10 +431,9 @@ class TestQuasiBasis:
     def test_three_way_agreement(self, seed):
         rng = np.random.default_rng(seed)
         riesz = random_riesz_map(make_space(24), 10.0, seed=seed % 7)
-        fam = biorthogonal_family(riesz)
         f = random_unit_vector(rng, 24)
         g = random_unit_vector(rng, 24)
-        direct, via1, via2 = quasi_basis_check(fam, f, g)
+        direct, via1, via2 = quasi_basis_check(riesz, f, g)
         assert abs(direct - via1) <= 1e-10
         assert abs(direct - via2) <= 1e-10
         assert abs(via1 - via2) <= 1e-10

@@ -18,7 +18,6 @@ from pseudoboson import (
     DegenerateKernelError,
     OrthogonalVacuaError,
     ValidationError,
-    biorthogonal_family,
     build_map,
     convergence_study,
     load_config,
@@ -26,7 +25,6 @@ from pseudoboson import (
     run_suite,
     save_riesz_map,
     suite_failed,
-    theta_rank_one_sums,
 )
 from pseudoboson import coordinate, make_riesz_map, make_space, random_riesz_map, suite
 from pseudoboson.cli import main
@@ -77,6 +75,13 @@ class TestConfig:
     def test_schema_version_enforced(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(write_config(tmp_path / "c.json", schema_version=2))
+
+    def test_integral_floats_load(self, tmp_path):
+        path = write_config(tmp_path / "c.json", dim=16.0, seed=3.0,
+                            map_spec={"kind": "projector", "u_index": 2.0})
+        cfg = load_config(path)
+        assert (cfg.dim, cfg.seed, cfg.map_spec.u_index) == (16, 3, 2)
+        assert all(type(v) is int for v in (cfg.dim, cfg.seed, cfg.map_spec.u_index))
 
     def test_small_dim_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -349,14 +354,14 @@ class TestFamilyRecords:
                                           {"kind": "random", "cond": 10.0, "seed": 1}])
     def test_matches_the_dense_families(self, tmp_path, map_spec):
         riesz, records = self.family_records(tmp_path, map_spec)
-        fam, met = biorthogonal_family(riesz), metric_operator(riesz)
-        theta_sum, theta_inv_sum = theta_rank_one_sums(fam)
+        phi, psi = riesz.S.mat, riesz.S_inv.mat.conj().T  # the dense families
+        met = metric_operator(riesz)
         A, B = riesz.frame_bounds
         dense = {
-            "biorthogonality": np.abs(fam.gram() - np.eye(riesz.dim)).max(),
-            "theta_family": np.linalg.norm(met.theta.mat @ fam.phi - fam.psi, axis=0).max(),
-            "rank_one_theta": _spectral_norm(theta_sum.mat - met.theta.mat) * A,
-            "rank_one_theta_inv": _spectral_norm(theta_inv_sum.mat - met.theta_inv.mat) / B,
+            "biorthogonality": np.abs(phi.conj().T @ psi - np.eye(riesz.dim)).max(),
+            "theta_family": np.linalg.norm(met.theta.mat @ phi - psi, axis=0).max(),
+            "rank_one_theta": _spectral_norm(psi @ psi.conj().T - met.theta.mat) * A,
+            "rank_one_theta_inv": _spectral_norm(phi @ phi.conj().T - met.theta_inv.mat) / B,
         }
         for name, record in records.items():
             assert record.residual == pytest.approx(dense[name], rel=1e-15, abs=0.0), name
@@ -589,6 +594,13 @@ class TestCli:
         ("z_samples", {"z_samples": [[float("nan"), 0]], "allow_out_of_regime": True}),
         ("z_samples", {"z_samples": [[0, float("-inf")]], "allow_out_of_regime": True}),
         ("outputs", {"outputs": 5}),
+        ("allow_out_of_regime", {"z_samples": [[3, 0]], "allow_out_of_regime": "false"}),
+        ("allow_out_of_regime", {"allow_out_of_regime": 0}),
+        ("dim", {"dim": 16.9}),
+        ("dim", {"dim": True}),
+        ("map_spec.u_index", {"map_spec": {"kind": "projector", "u_index": 2.7}}),
+        ("seed", {"seed": 1.5}),
+        ("map_spec.seed", {"map_spec": {"kind": "random", "seed": 1.5}}),
     ])
     def test_malformed_config_value_exit_two(self, tmp_path, capsys, key, overrides):
         path = write_config(tmp_path / "c.json", **overrides)
