@@ -17,6 +17,7 @@ import numpy as np
 from pseudoboson import (
     UnderResolvedWarning,
     coherent,
+    coherent_tail_bound,
     eigen_check,
     make_pair,
     make_quadrature,
@@ -36,10 +37,9 @@ pair = make_pair(riesz)
 z = 1.0 + 1.0j
 
 # Two routes to the same coherent state: matrix exponential vs series.
-state = coherent(space, z)
 print("Weyl route vs series route:",
-      np.linalg.norm(weyl(space, z).mat[:, 0] - state.vec))
-print("truncation tail bound:", state.tail_bound)
+      np.linalg.norm(weyl(space, z).mat[:, 0] - coherent(space, z)))
+print("truncation tail bound:", coherent_tail_bound(space.dim, z))
 
 # Bicoherent pair: unit pairing and eigen-relations.
 bc = rbcs(riesz, z)

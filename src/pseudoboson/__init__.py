@@ -21,7 +21,6 @@ from .algebra import (
 )
 from .bicoherent import (
     BicoherentPair,
-    CoherentState,
     QuadratureScheme,
     coherent,
     coherent_tail_bound,
@@ -84,7 +83,6 @@ from .reports import (
     reports_to_json,
 )
 from .riesz import (
-    MetricOperator,
     RieszMap,
     load_riesz_map,
     make_riesz_map,

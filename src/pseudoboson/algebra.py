@@ -19,11 +19,10 @@ from .errors import (
     DegenerateKernelError,
     InvalidDimensionError,
     OrthogonalVacuaError,
-    ProvenanceError,
     ValidationError,
 )
-from .fock import FockSpace, Operator, SafeSubspace, _freeze, _spectral_norm, ladder_c
-from .riesz import MetricOperator, RieszMap, _blockdiag, _lmul, _rmul, _same_map, _transport
+from .fock import Operator, SafeSubspace, _freeze, _spectral_norm, ladder_c
+from .riesz import RieszMap, _blockdiag, _lmul, _rmul, _transport
 
 __all__ = [
     "PseudoBosonPair",
@@ -40,12 +39,14 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PseudoBosonPair:
-    """Operators ``(a, b)`` together with the map they were built from."""
+    """Operators ``(a, b)`` together with the map they were built from;
+    ``space`` is the map's."""
 
     a: Operator
     b: Operator
     source: RieszMap
-    space: FockSpace
+
+    space = property(lambda self: self.source.space)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +73,7 @@ def make_pair(riesz: RieszMap) -> PseudoBosonPair:
     c = ladder_c(space).mat
     a = Operator(space, _transport(riesz, c))
     b = Operator(space, _transport(riesz, c.conj().T))
-    return PseudoBosonPair(a=a, b=b, source=riesz, space=space)
+    return PseudoBosonPair(a=a, b=b, source=riesz)
 
 
 def _smallest_singular_vector(M: np.ndarray, what: str) -> np.ndarray:
@@ -245,17 +246,14 @@ def number_operator_check(pair: PseudoBosonPair) -> tuple[np.ndarray, np.ndarray
             residuals(N.conj().T, pair.source.S_inv_block.conj().T))
 
 
-def theta_conjugacy_check(
-    pair: PseudoBosonPair, metric: MetricOperator, sub: SafeSubspace
-) -> float:
-    """Residual of ``a = Theta^{-1} b^dag Theta`` on the safe subspace.
+def theta_conjugacy_check(pair: PseudoBosonPair, sub: SafeSubspace) -> float:
+    """Residual of ``a = Theta^{-1} b^dag Theta`` on the safe subspace, with
+    the metric of the pair's own map.
 
     Each factor of ``S`` or its inverse can amplify roundoff by the
     condition number, hence the runner's ``cond^3`` tolerance.
     """
-    if not _same_map(pair.source, metric.source):
-        raise ProvenanceError("pair and metric operator come from different maps")
-    k = sub.cutoff
-    conjugated = _rmul(_lmul(metric.theta_inv_block, pair.b.mat.conj().T, k),
-                       metric.theta_block, k)
+    k, riesz = sub.cutoff, pair.source
+    conjugated = _rmul(_lmul(riesz.theta_inv_block, pair.b.mat.conj().T, k),
+                       riesz.theta_block, k)
     return _spectral_norm(pair.a.mat[:k, :k] - conjugated)

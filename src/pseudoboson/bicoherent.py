@@ -2,8 +2,8 @@
 the resolution of the identity.
 
 A truncated coherent state keeps the first ``dim`` terms of
-``exp(-|z|^2/2) sum_k z^k / sqrt(k!) e_k`` and carries a rigorous bound
-on the omitted tail.  A bicoherent pair transports one coherent state
+``exp(-|z|^2/2) sum_k z^k / sqrt(k!) e_k``, and :func:`coherent_tail_bound`
+bounds the omitted tail.  A bicoherent pair transports one coherent state
 through an invertible map and its inverse-adjoint,
 ``eta(z) = S Phi(z)`` and ``xi(z) = (S^{-1})^dag Phi(z)``, giving
 eigenstates of ``a`` and ``b^dag`` at the same eigenvalue from the
@@ -42,7 +42,6 @@ from .fock import FockSpace, Operator, _freeze, _gauss_rule, _spectral_norm
 from .riesz import RieszMap, _lmul, _same_map, _transport
 
 __all__ = [
-    "CoherentState",
     "BicoherentPair",
     "QuadratureScheme",
     "coherent",
@@ -58,30 +57,17 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class CoherentState:
-    """Truncated coherent state with its omitted-tail norm bound."""
-
-    z: complex
-    vec: np.ndarray
-    tail_bound: float
-
-    def __post_init__(self):
-        _freeze(self, "vec")
-
-
-@dataclass(frozen=True, eq=False)
 class BicoherentPair:
     """States ``eta(z) = S Phi(z)`` and ``xi(z) = (S^{-1})^dag Phi(z)``.
 
-    ``tail_bound`` is inherited from the underlying coherent state; the
-    pairing ``<eta, xi>`` equals one up to that tail.
+    The pairing ``<eta, xi>`` equals one up to the coherent state's
+    :func:`coherent_tail_bound`.
     """
 
     z: complex
     eta: np.ndarray
     xi: np.ndarray
     source: RieszMap
-    tail_bound: float
 
     def __post_init__(self):
         _freeze(self, "eta", "xi")
@@ -124,8 +110,9 @@ def coherent_tail_bound(dim: int, z: complex) -> float:
     return float(min(1.0, np.exp(-x / 2 + 0.5 * log_major)))
 
 
-def coherent(space: FockSpace, z: complex) -> CoherentState:
-    """Truncated coherent state ``exp(-|z|^2/2) sum_k z^k/sqrt(k!) e_k``.
+def coherent(space: FockSpace, z: complex) -> np.ndarray:
+    """Truncated coherent state ``exp(-|z|^2/2) sum_k z^k/sqrt(k!) e_k``, as
+    a read-only vector; :func:`coherent_tail_bound` bounds the omitted tail.
 
     Coefficients are accumulated by the ratio recurrence
     ``c_{k+1} = c_k z / sqrt(k+1)``, which never forms a factorial.
@@ -137,18 +124,17 @@ def coherent(space: FockSpace, z: complex) -> CoherentState:
     for k in range(d):
         vec[k] = term
         term = term * z / np.sqrt(k + 1.0)
-    return CoherentState(z=z, vec=vec, tail_bound=coherent_tail_bound(d, z))
+    vec.setflags(write=False)
+    return vec
 
 
 def rbcs(riesz: RieszMap, z: complex) -> BicoherentPair:
     """Bicoherent pair obtained by mapping one coherent state through
     ``S`` and through ``(S^{-1})^dag``."""
     state = coherent(riesz.space, z)
-    eta = _lmul(riesz.S_block, state.vec)
-    xi = _lmul(riesz.S_inv_block.conj().T, state.vec)
-    return BicoherentPair(
-        z=complex(z), eta=eta, xi=xi, source=riesz, tail_bound=state.tail_bound
-    )
+    eta = _lmul(riesz.S_block, state)
+    xi = _lmul(riesz.S_inv_block.conj().T, state)
+    return BicoherentPair(z=complex(z), eta=eta, xi=xi, source=riesz)
 
 
 def series_route(
@@ -170,7 +156,7 @@ def series_route(
     """
     d = pair.space.dim
     n_terms = next((n for n in range(1, d) if coherent_tail_bound(n, z) <= 1e-20), d)
-    coeff = coherent(pair.space, z).vec
+    coeff = coherent(pair.space, z)
     b = pair.b.mat
     a_dag = pair.a.mat.conj().T
     phi_n = np.asarray(vac.phi0, dtype=complex).copy()

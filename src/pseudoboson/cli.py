@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .config import load_config
 from .coordinate import write_wavefunction_csv
 from .errors import ConfigError, PseudoBosonError
 from .reports import format_report_table
-from .suite import convergence_study, run_suite, suite_failed
+from .suite import _output_dir, convergence_study, run_suite, suite_failed
 
 __all__ = ["main"]
 
@@ -88,8 +87,7 @@ def main(argv=None) -> int:
             print(f"wrote {quad_path}")
             return 0
         if args.command == "emit-wavefunctions":
-            out_dir = Path(config.outputs)
-            out_dir.mkdir(parents=True, exist_ok=True)
+            out_dir = _output_dir(config.outputs)
             x = np.linspace(-8.0, 8.0, 801)
             for i, z in enumerate(config.z_samples):
                 path = out_dir / f"wavefunctions_z{i}_{z.real:g}{z.imag:+g}j.csv"

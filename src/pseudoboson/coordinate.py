@@ -151,7 +151,6 @@ class CrossValidation:
     l2_dev_phi: float
     l2_dev_psi: float
     pairing: complex
-    tail_bound: float
 
 
 def cross_validate(z: complex, riesz: RieszMap) -> CrossValidation:
@@ -177,8 +176,8 @@ def cross_validate(z: complex, riesz: RieszMap) -> CrossValidation:
             f"|z|^2 = {abs(z)**2:.2f} exceeds dim/4 = {dim / 4:.2f}: tail not suppressed"
         )
     state = coherent(space, z)
-    coeff_phi = _lmul(riesz.S_block, state.vec)
-    coeff_psi = _lmul(np.conj([[1 - (1 + 1j) / 2]]), state.vec)  # (T^-1)^dag
+    coeff_phi = _lmul(riesz.S_block, state)
+    coeff_psi = _lmul(np.conj([[1 - (1 + 1j) / 2]]), state)  # (T^-1)^dag
 
     x, w = gauss_hermite_grid(dim + 10)
     stack = _grid_stack(dim)
@@ -198,7 +197,6 @@ def cross_validate(z: complex, riesz: RieszMap) -> CrossValidation:
         l2_dev_phi=float(np.sqrt(np.sum(w * dev_phi**2))),
         l2_dev_psi=float(np.sqrt(np.sum(w * dev_psi**2))),
         pairing=pairing,
-        tail_bound=state.tail_bound,
     )
 
 

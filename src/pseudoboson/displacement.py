@@ -33,10 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import PseudoBosonPair
-from .errors import AccuracyRegimeWarning, ProvenanceError
+from .errors import AccuracyRegimeWarning
 from .fock import FockSpace, Operator, SafeSubspace, _spectral_norm
-from .riesz import (MetricOperator, RieszMap, _blockdiag, _cotransport, _deformed_block, _lmul,
-                    _rmul, _same_map, _transport)
+from .riesz import RieszMap, _blockdiag, _cotransport, _deformed_block, _lmul, _rmul, _transport
 
 __all__ = [
     "DisplacementSet",
@@ -236,31 +235,25 @@ def _displacement_block(z: complex, d: int) -> np.ndarray:
     )
 
 
-def bch_factorization_check(
-    pair: PseudoBosonPair, disp: DisplacementSet, sub: SafeSubspace
-) -> tuple[float, float]:
+def bch_factorization_check(disp: DisplacementSet, sub: SafeSubspace) -> tuple[float, float]:
     """Relative residuals ``(r_u, r_v)`` of the normal-ordered factorizations
     ``U(z) = e^{-|z|^2/2} e^{z b} e^{-conj(z) a}`` and
     ``V(z) = e^{-|z|^2/2} e^{z a^dag} e^{-conj(z) b^dag}`` on ``sub``.
 
-    ``U`` and ``V`` come from ``disp``.  The check tests the canonical
-    normal-ordered factorization carried through ``S``: since
-    ``a = S c S^{-1}`` and ``b = S c^dag S^{-1}``, the right-hand sides
-    are ``S E S^{-1}`` and ``(S^{-1})^dag E S^dag`` with
+    ``U`` and ``V`` come from ``disp``, and ``S`` is its map.  The check
+    tests the canonical normal-ordered factorization carried through
+    ``S``: since ``a = S c S^{-1}`` and ``b = S c^dag S^{-1}``, the
+    right-hand sides are ``S E S^{-1}`` and ``(S^{-1})^dag E S^dag`` with
     ``E = e^{-|z|^2/2} e^{z c^dag} e^{-conj(z) c}``.  The truncated
     product's inner sum stops at ``min(m, n)``, so ``E`` is exactly the
     low block of the untruncated displacement, computed in closed form.
     The factorization is exact under the commutation relation, so the
     restricted residual measures pure truncation tail of ``W``; ``sub``
     should leave a margin of at least ``ceil(4 |z|^2)`` levels, otherwise
-    an :class:`AccuracyRegimeWarning` is issued.  Raises
-    :class:`ProvenanceError` if ``pair`` and ``disp`` come from different
-    maps.
+    an :class:`AccuracyRegimeWarning` is issued.
     """
-    if not _same_map(pair.source, disp.source):
-        raise ProvenanceError("pair and displacements come from different maps")
-    z = disp.z
-    margin = pair.space.dim - math.ceil(4 * abs(z) ** 2)
+    z, riesz = disp.z, disp.source
+    margin = riesz.dim - math.ceil(4 * abs(z) ** 2)
     if sub.cutoff > margin:
         warnings.warn(
             f"cutoff {sub.cutoff} exceeds dim - ceil(4|z|^2) = {margin}; "
@@ -269,23 +262,18 @@ def bch_factorization_check(
             stacklevel=2,
         )
     k = sub.cutoff
-    E = _displacement_block(z, max(k, pair.source.block))  # all the transports read
+    E = _displacement_block(z, max(k, riesz.block))  # all the transports read
     U, V = disp.U.mat[:k, :k], disp.V.mat[:k, :k]
-    U_fact = _transport(pair.source, E, k)
-    V_fact = _cotransport(pair.source, E, k)
+    U_fact = _transport(riesz, E, k)
+    V_fact = _cotransport(riesz, E, k)
     return _relative_norm(U - U_fact, U), _relative_norm(V - V_fact, V)
 
 
-def intertwining_check(
-    disp: DisplacementSet, metric: MetricOperator, sub: SafeSubspace
-) -> float:
-    """Residual of ``S S^dag V(z) = U(z) S S^dag`` on ``sub``, relative
-    to ``||S S^dag|| = sigma_max(S)^2``, the map's upper frame bound.
-    Both sides telescope to ``S W(z) S^dag``, so the residual is pure
-    roundoff.  Raises :class:`ProvenanceError` if ``disp`` and ``metric``
-    come from different maps."""
-    if not _same_map(disp.source, metric.source):
-        raise ProvenanceError("displacements and metric operator come from different maps")
-    k, M = sub.cutoff, metric.theta_inv_block  # the deformed block of S S^dag
+def intertwining_check(disp: DisplacementSet, sub: SafeSubspace) -> float:
+    """Residual of ``S S^dag V(z) = U(z) S S^dag`` on ``sub``, with ``S`` the
+    displacements' own map, relative to ``||S S^dag|| = sigma_max(S)^2``, the
+    map's upper frame bound.  Both sides telescope to ``S W(z) S^dag``, so
+    the residual is pure roundoff."""
+    k, M = sub.cutoff, disp.source.theta_inv_block  # the deformed block of S S^dag
     diff = _lmul(M, disp.V.mat[:, :k], k) - _rmul(disp.U.mat[:k], M, k)
-    return _spectral_norm(diff) / metric.source.frame_bounds[1]
+    return _spectral_norm(diff) / disp.source.frame_bounds[1]

@@ -3,12 +3,13 @@
 A Riesz map ``S`` sends the canonical basis onto a well-conditioned
 non-orthogonal family: ``phi_n = S e_n``.  Its dual family is
 ``psi_n = (S^{-1})^dag e_n`` and the two are exactly biorthogonal in
-finite dimension.  The families are not stored apart from the map: they
-are the columns of ``S`` and of ``(S^{-1})^dag``, and every check that
-reads them reads the map's blocks.  The metric operator
-``Theta = (S^{-1})^dag S^{-1}`` is positive, maps ``phi_n`` to ``psi_n``,
-and equals the rank-one sum ``sum_n |psi_n><psi_n|`` while its inverse
-``S S^dag`` equals ``sum_n |phi_n><phi_n|``.
+finite dimension.  The metric operator ``Theta = (S^{-1})^dag S^{-1}`` is
+positive, maps ``phi_n`` to ``psi_n``, and equals the rank-one sum
+``sum_n |psi_n><psi_n|`` while its inverse ``S S^dag`` equals
+``sum_n |phi_n><phi_n|``.  Neither the families nor the metric are
+stored apart from the map: the families are the columns of ``S`` and of
+``(S^{-1})^dag``, the map holds the blocks of ``Theta`` and its inverse,
+and every check that reads them reads the map's blocks.
 
 Every map the program builds keeps the top levels, where the hard cutoff
 sits, untouched: ``S = blockdiag(S_p, 1)`` with ``p = k + 1`` for the
@@ -16,8 +17,8 @@ projector map ``1 + i|e_k><e_k|``, ``dim - dim // 2`` for a random map,
 ``0`` for the identity and ``dim`` for a dense map.  Each builder hands
 the one constructor, :func:`make_riesz_map`, only a leading block of
 ``S``, so only a dense map, its own block of side ``dim``, forms a
-``dim x dim`` matrix.  A map and its metric hold only the ``p x p``
-blocks, and ``_lmul``/``_rmul`` multiply by
+``dim x dim`` matrix.  A map holds only the ``p x p`` blocks of ``S``,
+``S^{-1}``, ``Theta`` and ``Theta^{-1}``, and ``_lmul``/``_rmul`` multiply by
 ``blockdiag(B, 1)`` on the block's rows or columns and copy the rest,
 where a dense product adds only exact zeros: the two agree up to the
 order of summation inside the block, bit for bit on the projector map.
@@ -41,7 +42,6 @@ from .fock import FockSpace, Operator, _freeze, _spectral_norm
 
 __all__ = [
     "RieszMap",
-    "MetricOperator",
     "make_riesz_map",
     "random_riesz_map",
     "metric_operator",
@@ -63,13 +63,13 @@ def _blockdiag(block: np.ndarray, d: int, rows: int | None = None) -> np.ndarray
 
 @dataclass(frozen=True, eq=False)
 class RieszMap:
-    """Invertible map ``S = blockdiag(S_block, 1)``, held as the read-only
-    ``p x p`` blocks of ``S`` and ``S^{-1}``; the dense ``S`` and ``S_inv``
-    are built on each access.  ``frame_bounds = (A, B)`` are the squared
-    extreme singular values of ``S`` (``A <= ||S f||^2 <= B`` for unit
-    ``f``), ``inverse_residual`` is ``||S S^{-1} - 1||_2``, and ``block_u``
-    and ``block_sigma`` are the left singular vectors and the singular
-    values of ``S_block``."""
+    """Invertible map ``S = blockdiag(S_block, 1)`` with its metric
+    ``Theta = blockdiag(theta_block, 1)``, held as the read-only ``p x p``
+    blocks of ``S``, ``S^{-1}``, ``Theta`` and ``Theta^{-1} = S S^dag``; the
+    dense ``S``, ``S_inv``, ``theta`` and ``theta_inv`` are built on each
+    access.  ``frame_bounds = (A, B)`` are the squared extreme singular
+    values of ``S`` (``A <= ||S f||^2 <= B`` for unit ``f``), and
+    ``inverse_residual`` is ``||S S^{-1} - 1||_2``."""
 
     space: FockSpace
     S_block: np.ndarray
@@ -77,35 +77,21 @@ class RieszMap:
     cond: float
     frame_bounds: tuple[float, float]
     inverse_residual: float
-    block_u: np.ndarray = field(repr=False)
-    block_sigma: np.ndarray = field(repr=False)
+    theta_block: np.ndarray = field(repr=False)
+    theta_inv_block: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        _freeze(self, "S_block", "S_inv_block", "block_u", "block_sigma")
+        _freeze(self, "S_block", "S_inv_block", "theta_block", "theta_inv_block")
+
+    def _dense(self, block: np.ndarray) -> Operator:
+        return Operator(self.space, _blockdiag(block, self.dim))
 
     block = property(lambda self: len(self.S_block))
     dim = property(lambda self: self.space.dim)
-    S = property(lambda self: Operator(self.space, _blockdiag(self.S_block, self.dim)))
-    S_inv = property(lambda self: Operator(self.space, _blockdiag(self.S_inv_block, self.dim)))
-
-
-@dataclass(frozen=True, eq=False)
-class MetricOperator:
-    """Metric ``Theta`` and its inverse as their read-only ``p x p`` blocks,
-    with the map both derive from; the dense ``theta`` and ``theta_inv``
-    are built on each access."""
-
-    theta_block: np.ndarray
-    theta_inv_block: np.ndarray
-    source: RieszMap
-
-    def __post_init__(self):
-        _freeze(self, "theta_block", "theta_inv_block")
-
-    theta = property(lambda self: Operator(self.source.space,
-                                           _blockdiag(self.theta_block, self.source.dim)))
-    theta_inv = property(lambda self: Operator(self.source.space,
-                                               _blockdiag(self.theta_inv_block, self.source.dim)))
+    S = property(lambda self: self._dense(self.S_block))
+    S_inv = property(lambda self: self._dense(self.S_inv_block))
+    theta = property(lambda self: self._dense(self.theta_block))
+    theta_inv = property(lambda self: self._dense(self.theta_inv_block))
 
 
 def _same_map(r: RieszMap, s: RieszMap) -> bool:
@@ -178,9 +164,10 @@ def make_riesz_map(space: FockSpace, S_lead, max_cond: float = 1e12) -> RieszMap
         raise NotInvertibleError(
             f"inverse residual {residual:.3e} exceeds 1e-12 * cond = {1e-12 * cond:.3e}"
         )
+    theta, theta_inv = metric_operator(U, sigma)
     return RieszMap(space=space, S_block=S_block, S_inv_block=S_inv_block, cond=cond,
                     frame_bounds=(s_min**2, s_max**2), inverse_residual=residual,
-                    block_u=U, block_sigma=sigma)
+                    theta_block=theta, theta_inv_block=theta_inv)
 
 
 def random_riesz_map(
@@ -225,16 +212,15 @@ def random_riesz_map(
     return make_riesz_map(space, block, max_cond=10.0 * target_cond + 10.0)
 
 
-def metric_operator(riesz: RieszMap) -> MetricOperator:
-    """Metric operator ``Theta = (S^{-1})^dag S^{-1}`` and its inverse
-    ``S S^dag``, self-adjoint and positive; ``Theta`` maps ``phi_n`` onto
-    ``psi_n``.  Their blocks ``U diag(sigma^-2) U^dag`` and
-    ``U diag(sigma^2) U^dag`` come from the block SVD, each as ``Y Y^dag``
-    (exactly self-adjoint), with no product of ``S`` or its inverse, so the
-    rank-one sums of the families check an independent route."""
-    theta, theta_inv = (Y @ Y.conj().T for Y in (riesz.block_u / riesz.block_sigma,
-                                                  riesz.block_u * riesz.block_sigma))
-    return MetricOperator(theta_block=theta, theta_inv_block=theta_inv, source=riesz)
+def metric_operator(U: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks of the metric ``Theta = (S^{-1})^dag S^{-1}`` and of its inverse
+    ``S S^dag`` for the block SVD ``S_block = U diag(sigma) V^dag``: the
+    self-adjoint, positive ``U diag(sigma^-2) U^dag`` and
+    ``U diag(sigma^2) U^dag``, each formed as ``Y Y^dag``, with no product
+    of ``S`` or its inverse, so the rank-one sums of the families check an
+    independent route.  ``Theta`` maps
+    ``phi_n`` onto ``psi_n``."""
+    return tuple(Y @ Y.conj().T for Y in (U / sigma, U * sigma))
 
 
 def _lmul(B: np.ndarray, X: np.ndarray, rows: int | None = None) -> np.ndarray:
@@ -301,9 +287,10 @@ def save_riesz_map(riesz: RieszMap, path: str | Path) -> None:
     Path(path).write_text(json.dumps(record))
 
 
-def load_riesz_map(path: str | Path, max_cond: float = 1e12) -> RieszMap:
-    """Load a serialized map and revalidate invertibility.  A file that
-    cannot be read or parsed raises :class:`ValidationError` naming it."""
+def load_riesz_map(path: str | Path) -> RieszMap:
+    """Load a serialized map and revalidate invertibility under
+    :func:`make_riesz_map`'s default budget.  A file that cannot be read or
+    parsed raises :class:`ValidationError` naming it."""
     try:
         record = json.loads(Path(path).read_text())
         d = int(record["dim"])
@@ -314,4 +301,4 @@ def load_riesz_map(path: str | Path, max_cond: float = 1e12) -> RieszMap:
         raise ValidationError(
             f"expected {d * d} entries for dim {d} in {path}, got {len(flat)}"
         )
-    return make_riesz_map(FockSpace(d), flat.reshape(d, d), max_cond=max_cond)
+    return make_riesz_map(FockSpace(d), flat.reshape(d, d))

@@ -56,7 +56,6 @@ from .errors import (
 )
 from .fock import SafeSubspace, _spectral_norm
 from .reports import CheckReport, default_tolerance, format_report_table, reports_to_json
-from .riesz import metric_operator
 
 __all__ = ["run_suite", "convergence_study", "suite_failed"]
 
@@ -115,11 +114,25 @@ class _Recorder:
 def _record_bch_eigen(rec: _Recorder, pair, disp, bc, cutoff: int):
     """Records ``bch_u``/``bch_v`` at ``cutoff`` and ``eigen_eta``/``eigen_xi``;
     the caller owns ``disp``, so it alone decides how long ``disp`` lives."""
-    bch = bch_factorization_check(pair, disp, SafeSubspace(rec.riesz.space, cutoff))
+    bch = bch_factorization_check(disp, SafeSubspace(rec.riesz.space, cutoff))
     for name, residual in zip(("bch_u", "bch_v"), bch):
         rec.add(name, residual, disp.z, cutoff=cutoff)
     for name, residual in zip(("eigen_eta", "eigen_xi"), eigen_check(pair, bc)):
         rec.add(name, residual, disp.z)
+
+
+def _output_dir(path) -> Path:
+    """``path`` as a directory, created if missing and probed with a write;
+    one that cannot be written raises :class:`ConfigError` naming it."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        probe = out_dir / ".write_probe"
+        probe.write_text("")
+        probe.unlink()
+    except OSError as exc:
+        raise ConfigError(f"output directory {out_dir} is not writable: {exc}") from exc
+    return out_dir
 
 
 def _phase_aligned_distance(v: np.ndarray, w: np.ndarray) -> float:
@@ -139,15 +152,7 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
     to ``config.outputs`` as a human-readable table, a JSON record list,
     and a flat CSV.
     """
-    out_dir = Path(config.outputs)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".write_probe"
-        probe.write_text("")
-        probe.unlink()
-    except OSError as exc:
-        raise ConfigError(f"output directory {out_dir} is not writable: {exc}") from exc
-
+    out_dir = _output_dir(config.outputs)
     start = time.perf_counter()
     try:
         riesz = build_map(config)
@@ -166,16 +171,16 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
     phi, psi = riesz.S_block, riesz.S_inv_block.conj().T
     rec.add("biorthogonality", np.abs(phi.conj().T @ psi - np.eye(p)).max(initial=0.0))
 
-    met = metric_operator(riesz)
-    rec.add("theta_family", np.linalg.norm(met.theta_block @ phi - psi, axis=0).max(initial=0.0))
+    theta, theta_inv = riesz.theta_block, riesz.theta_inv_block
+    rec.add("theta_family", np.linalg.norm(theta @ phi - psi, axis=0).max(initial=0.0))
 
     # relative to ||Theta|| = 1/A and ||Theta^-1|| = B, the frame bounds
     A, B = riesz.frame_bounds
-    rec.add("rank_one_theta", _spectral_norm(psi @ psi.conj().T - met.theta_block) * A)
-    rec.add("rank_one_theta_inv", _spectral_norm(phi @ phi.conj().T - met.theta_inv_block) / B)
+    rec.add("rank_one_theta", _spectral_norm(psi @ psi.conj().T - theta) * A)
+    rec.add("rank_one_theta_inv", _spectral_norm(phi @ phi.conj().T - theta_inv) / B)
 
     # Theta is the identity outside its block: one more eigenvalue 1 when p < dim
-    eigs = np.append(np.linalg.eigvalsh(met.theta_block), np.ones(min(1, dim - p)))
+    eigs = np.append(np.linalg.eigvalsh(theta), np.ones(min(1, dim - p)))
     rec.add("theta_positivity", max(0.0, 1.0 / B - eigs.min(), eigs.max() - 1.0 / A))
 
     pair = make_pair(riesz)
@@ -201,7 +206,7 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
 
     rec.add("ladder", max(r.max() for r in ladder_check(pair).values()))
     rec.add("number_operator", max(r.max() for r in number_operator_check(pair)))
-    rec.add("theta_conjugacy", theta_conjugacy_check(pair, met, sub_top))
+    rec.add("theta_conjugacy", theta_conjugacy_check(pair, sub_top))
 
     for z in config.z_samples:
         with warnings.catch_warnings():
@@ -211,7 +216,7 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
             disp = displaced_pair(riesz, z)
             bc = rbcs(riesz, z)
             _record_bch_eigen(rec, pair, disp, bc, _bch_cutoff(dim, z))
-            rec.add("intertwining", intertwining_check(disp, met, sub_top), z)
+            rec.add("intertwining", intertwining_check(disp, sub_top), z)
             rec.add("rbcs_pairing", abs(np.vdot(bc.eta, bc.xi) - 1.0), z)
             phi_s, psi_s = series_route(pair, z, cf)
             rec.add("two_route",
@@ -282,8 +287,7 @@ def convergence_study(config: RunConfig, dims: list[int]) -> tuple[Path, Path]:
         raise ConfigError(f"dims must be a non-empty ascending list, got {dims}")
     if dims[0] < 4:
         raise ConfigError(f"dims must all be >= 4, got {dims}")
-    out_dir = Path(config.outputs)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output_dir(config.outputs)
 
     z = next((z for z in config.z_samples if z != 0), 1.0 + 0.0j)
     cutoff = max(2, dims[0] // 2)

@@ -26,7 +26,6 @@ from pseudoboson import (
     make_quadrature,
     make_riesz_map,
     make_space,
-    metric_operator,
     number_operator_check,
     power_similarity_check,
     projector_map,
@@ -63,12 +62,11 @@ def test_criterion_01_biorthogonality(all_maps64):
 def test_criterion_02_rank_one_sums(all_maps64):
     worst = 0.0
     for riesz in all_maps64:
-        met = metric_operator(riesz)
         phi, psi = riesz.S.mat, riesz.S_inv.mat.conj().T
         worst = max(
             worst,
-            np.linalg.norm(psi @ psi.conj().T - met.theta.mat, 2),
-            np.linalg.norm(phi @ phi.conj().T - met.theta_inv.mat, 2),
+            np.linalg.norm(psi @ psi.conj().T - riesz.theta.mat, 2),
+            np.linalg.norm(phi @ phi.conj().T - riesz.theta_inv.mat, 2),
         )
     report("02 rank-one sums", worst <= 1e-11, f"max deviation {worst:.3e} <= 1e-11")
 
@@ -134,9 +132,7 @@ def test_criterion_06_projector_algebra(space64, projector_map64):
     T_inv = np.eye(64) - (1 + 1j) / 2 * P  # closed form
     np.testing.assert_allclose(projector_map64.S_inv.mat, T_inv, rtol=0, atol=1e-15)
     inv_residual = np.linalg.norm(projector_map64.S.mat @ T_inv - np.eye(64), 2)
-    theta_residual = np.linalg.norm(
-        metric_operator(projector_map64).theta.mat - (np.eye(64) - P / 2), 2
-    )
+    theta_residual = np.linalg.norm(projector_map64.theta.mat - (np.eye(64) - P / 2), 2)
     A, B = projector_map64.frame_bounds
     frame_residual = max(abs(A - 1.0), abs(B - 2.0))
     report(
@@ -157,18 +153,15 @@ def test_criterion_07_power_similarity_and_bch(all_maps64):
 
     worst_bch = 0.0
     for riesz in all_maps64:
-        pair = make_pair(riesz)
         for z in (1.0, 0.5 + 0.5j, 1.0j):
             sub = SafeSubspace(riesz.space, 32)
-            worst_bch = max(worst_bch, *bch_factorization_check(pair, displaced_pair(riesz, z), sub))
+            worst_bch = max(worst_bch, *bch_factorization_check(displaced_pair(riesz, z), sub))
 
     decays = []
     for dim in (16, 32, 64):
         space = make_space(dim)
         riesz = projector_map(space, space.basis_vector(0))
-        decays.append(max(bch_factorization_check(
-            make_pair(riesz), displaced_pair(riesz, 1.0), SafeSubspace(space, 8)
-        )))
+        decays.append(max(bch_factorization_check(displaced_pair(riesz, 1.0), SafeSubspace(space, 8))))
     monotone = decays[0] >= decays[1] >= decays[2]
 
     report(
@@ -185,11 +178,10 @@ def test_criterion_08_intertwining(all_maps64):
     zs = 2.0 * np.sqrt(rng.uniform(0, 1, 20)) * np.exp(2j * np.pi * rng.uniform(0, 1, 20))
     worst = 0.0
     for riesz in all_maps64:
-        met = metric_operator(riesz)
         sub = SafeSubspace(riesz.space, 63)
         for z in zs:
             disp = displaced_pair(riesz, complex(z))
-            worst = max(worst, intertwining_check(disp, met, sub))
+            worst = max(worst, intertwining_check(disp, sub))
     report("08 intertwining", worst <= 1e-9, f"max relative residual {worst:.3e} <= 1e-9 over 20 amplitudes")
 
 

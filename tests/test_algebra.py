@@ -8,7 +8,6 @@ from pseudoboson import (
     InvalidDimensionError,
     OrthogonalVacuaError,
     Operator,
-    ProvenanceError,
     PseudoBosonPair,
     SafeSubspace,
     excited_states,
@@ -18,7 +17,6 @@ from pseudoboson import (
     make_pair,
     make_riesz_map,
     make_space,
-    metric_operator,
     number_operator_check,
     projector_map,
     random_riesz_map,
@@ -107,7 +105,7 @@ class TestVacua:
         space = make_space(4)
         riesz = make_riesz_map(space, np.eye(0))
         degenerate = Operator(space, np.diag([0.0, 0.0, 1.0, 2.0]).astype(complex))
-        pair = PseudoBosonPair(a=degenerate, b=Operator(space, degenerate.mat.conj().T), source=riesz, space=space)
+        pair = PseudoBosonPair(a=degenerate, b=Operator(space, degenerate.mat.conj().T), source=riesz)
         with pytest.raises(DegenerateKernelError):
             vacua(pair)
 
@@ -116,7 +114,7 @@ class TestVacua:
         riesz = make_riesz_map(space, np.eye(0))
         a = ladder_c(space)  # kernel e_0
         b = Operator(space, np.diag([1.0, 0.0, 1.0, 1.0]).astype(complex))  # b^dag kernel e_1
-        pair = PseudoBosonPair(a=a, b=b, source=riesz, space=space)
+        pair = PseudoBosonPair(a=a, b=b, source=riesz)
         with pytest.raises(OrthogonalVacuaError):
             vacua(pair)
 
@@ -343,7 +341,7 @@ class TestBlockProducts:
         p = riesz.block
         b = pair.b.mat.copy()
         b[p + 5, p + 4] *= 1 + 1e-6
-        bad = PseudoBosonPair(a=pair.a, b=Operator(pair.space, b), source=riesz, space=pair.space)
+        bad = PseudoBosonPair(a=pair.a, b=Operator(pair.space, b), source=riesz)
         ladder = ladder_check(bad)
         r_phi, r_psi = number_operator_check(bad)
         assert min(ladder["b_raise"][p + 4], ladder["bdag_lower"][p + 5]) > default_tolerance(
@@ -400,27 +398,21 @@ class TestNumberOperator:
 class TestThetaConjugacy:
     def test_bosonic_residual_zero(self):
         riesz = make_riesz_map(make_space(8), np.eye(0))
-        residual = theta_conjugacy_check(
-            make_pair(riesz), metric_operator(riesz), SafeSubspace(make_space(8), 7)
-        )
+        residual = theta_conjugacy_check(make_pair(riesz), SafeSubspace(make_space(8), 7))
         assert residual <= 1e-14
 
     def test_projector_dim16(self):
         riesz = projector_riesz(16)
-        residual = theta_conjugacy_check(
-            make_pair(riesz), metric_operator(riesz), SafeSubspace(make_space(16), 15)
-        )
+        residual = theta_conjugacy_check(make_pair(riesz), SafeSubspace(make_space(16), 15))
         assert residual <= 1e-12
 
     def test_random_maps_within_tolerance(self, all_maps64):
         for riesz in all_maps64:
-            residual = theta_conjugacy_check(
-                make_pair(riesz), metric_operator(riesz), SafeSubspace(riesz.space, 63)
-            )
+            residual = theta_conjugacy_check(make_pair(riesz), SafeSubspace(riesz.space, 63))
             assert residual <= default_tolerance("theta_conjugacy", riesz.cond)
 
     def test_metric_positivity_on_random_vectors(self, random_map64):
-        theta = metric_operator(random_map64).theta.mat
+        theta = random_map64.theta.mat
         rng = np.random.default_rng(3)
         for _ in range(100):
             f = random_unit_vector(rng, 64)
@@ -433,17 +425,31 @@ class TestThetaConjugacy:
         residuals = []
         for cond in (1.0, 2.0, 10.0, 100.0):
             riesz = random_riesz_map(make_space(32), cond, seed=8)
-            residual = theta_conjugacy_check(
-                make_pair(riesz), metric_operator(riesz), SafeSubspace(riesz.space, 31)
-            )
+            residual = theta_conjugacy_check(make_pair(riesz), SafeSubspace(riesz.space, 31))
             residuals.append(residual)
             assert residual <= 1e-10 * riesz.cond**3
         assert residuals[0] <= 1e-14
         assert residuals[0] <= residuals[-1]
 
-    def test_provenance_mismatch(self, random_map64):
-        other = random_riesz_map(make_space(64), 10.0, seed=99)
-        with pytest.raises(ProvenanceError):
-            theta_conjugacy_check(
-                make_pair(random_map64), metric_operator(other), SafeSubspace(random_map64.space, 63)
-            )
+    @pytest.mark.parametrize("kind", ["identity", "projector", "random"])
+    def test_matches_dense_metric(self, kind, request):
+        # the metric the check reads from the map, against Theta formed from a dense inverse
+        riesz = request.getfixturevalue(f"{kind}_map64")
+        pair, k = make_pair(riesz), 63
+        S = riesz.S.mat
+        S_inv = np.linalg.inv(S)
+        theta, theta_inv = S_inv.conj().T @ S_inv, S @ S.conj().T
+        a = pair.a.mat
+        want = np.linalg.norm((a - theta_inv @ pair.b.mat.conj().T @ theta)[:k, :k], 2)
+        got = theta_conjugacy_check(pair, SafeSubspace(riesz.space, k))
+        assert abs(got - want) <= 1e-12 * np.linalg.norm(a[:k, :k], 2)
+
+    def test_perturbed_pair_fails(self, random_map64):
+        # negative control: b[m, m + 1] lies inside the random map's block, so it is
+        # nonzero and read by the conjugation on the safe subspace
+        pair, k, m = make_pair(random_map64), 63, 10
+        b = pair.b.mat.copy()
+        b[m, m + 1] *= 1 + 1e-6
+        bad = PseudoBosonPair(a=pair.a, b=Operator(pair.space, b), source=random_map64)
+        residual = theta_conjugacy_check(bad, SafeSubspace(random_map64.space, k))
+        assert residual > default_tolerance("theta_conjugacy", random_map64.cond)

@@ -189,7 +189,7 @@ class TestProjectorMap:
         pmap = projector_map(space, space.basis_vector(3))
         T_inv = closed_form_inverse(pmap, space.basis_vector(3))
         for z in (1.0, 1 + 1j, 2j):
-            vec = coherent(space, z).vec
+            vec = coherent(space, z)
             phi = pmap.S.mat @ vec
             psi = T_inv.conj().T @ vec
             assert abs(np.vdot(phi, psi) - 1.0) <= 1e-12

@@ -16,13 +16,9 @@ from pseudoboson import (
     Operator,
     ProvenanceError,
     RunConfig,
-    SafeSubspace,
     ValidationError,
-    bch_factorization_check,
     build_map,
-    displaced_pair,
     eigen_check,
-    intertwining_check,
     load_riesz_map,
     make_pair,
     make_riesz_map,
@@ -33,7 +29,6 @@ from pseudoboson import (
     random_riesz_map,
     rbcs,
     save_riesz_map,
-    theta_conjugacy_check,
 )
 from pseudoboson.fock import _spectral_norm
 from pseudoboson.reports import default_tolerance
@@ -88,7 +83,7 @@ class TestMakeRieszMap:
     def test_leading_block_equals_dense_map(self, random_map64):
         # a dense S and its deformed block build the same map, bit for bit
         dense = make_riesz_map(random_map64.space, random_map64.S.mat)
-        for name in ("S_block", "S_inv_block", "block_u", "block_sigma"):
+        for name in ("S_block", "S_inv_block", "theta_block", "theta_inv_block"):
             np.testing.assert_array_equal(getattr(dense, name), getattr(random_map64, name))
         assert (dense.cond, dense.frame_bounds) == (random_map64.cond, random_map64.frame_bounds)
 
@@ -307,42 +302,52 @@ class TestBiorthogonalFamily:
 
 class TestMetricOperator:
     def test_identity(self):
-        met = metric_operator(make_riesz_map(make_space(5), np.eye(0)))
-        np.testing.assert_allclose(met.theta.mat, np.eye(5), atol=1e-15)
+        riesz = make_riesz_map(make_space(5), np.eye(0))
+        np.testing.assert_allclose(riesz.theta.mat, np.eye(5), atol=1e-15)
 
     def test_projector_closed_form(self):
         # T^dag T = 1 + P, inverted by hand with P^2 = P: Theta = 1 - P/2
         space = make_space(8)
         T = np.eye(8) + 1j * ground_projector(8)
-        met = metric_operator(make_riesz_map(space, T))
+        theta = make_riesz_map(space, T).theta.mat
         expected = np.eye(8) - ground_projector(8) / 2
-        assert np.linalg.norm(met.theta.mat - expected, 2) <= 1e-13
-        np.testing.assert_allclose(met.theta.mat @ space.basis_vector(0),
+        assert np.linalg.norm(theta - expected, 2) <= 1e-13
+        np.testing.assert_allclose(theta @ space.basis_vector(0),
                                    space.basis_vector(0) / 2, atol=1e-14)
 
     def test_theta_inverse_pair(self, all_maps64):
         for riesz in all_maps64:
-            met = metric_operator(riesz)
-            assert np.linalg.norm(met.theta.mat @ met.theta_inv.mat - np.eye(64), 2) <= 1e-12
+            assert np.linalg.norm(riesz.theta.mat @ riesz.theta_inv.mat - np.eye(64), 2) <= 1e-12
 
     def test_self_adjoint_positive(self, all_maps64):
         for riesz in all_maps64:
-            theta = metric_operator(riesz).theta.mat
+            theta = riesz.theta.mat
             assert np.linalg.norm(theta - theta.conj().T, 2) <= 1e-12
             assert np.linalg.eigvalsh(theta)[0] > 0
 
     def test_maps_family_onto_dual(self, all_maps64):
         for riesz in all_maps64:
             phi, psi = riesz.S.mat, riesz.S_inv.mat.conj().T
-            theta = metric_operator(riesz).theta.mat
+            theta = riesz.theta.mat
             assert np.linalg.norm(theta @ phi - psi, axis=0).max() <= 1e-10
 
     def test_spectrum_inside_frame_window(self, all_maps64):
         for riesz in all_maps64:
             A, B = riesz.frame_bounds
-            eigs = np.linalg.eigvalsh(metric_operator(riesz).theta.mat)
+            eigs = np.linalg.eigvalsh(riesz.theta.mat)
             assert eigs[0] >= 1.0 / B - 1e-10
             assert eigs[-1] <= 1.0 / A + 1e-10
+
+    @pytest.mark.parametrize("p", [1, 8, 32])
+    def test_blocks_match_dense_products(self, p):
+        # the SVD route against (S^-1)^dag S^-1 and S S^dag formed densely
+        rng = np.random.default_rng(p)
+        S = np.eye(p) + 0.3 * (rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p)))
+        U, sigma, _ = np.linalg.svd(S)
+        theta, theta_inv = metric_operator(U, sigma)
+        S_inv = np.linalg.inv(S)
+        for got, want in ((theta, S_inv.conj().T @ S_inv), (theta_inv, S @ S.conj().T)):
+            assert np.linalg.norm(got - want, 2) <= 1e-13 * np.linalg.norm(want, 2)
 
 
 class TestRankOneSums:
@@ -374,21 +379,19 @@ class TestRankOneSums:
 
     def test_matches_metric_operator(self, all_maps64):
         for riesz in all_maps64:
-            met = metric_operator(riesz)
             theta_sum, theta_inv_sum = self.rank_one_sums(*self.families(riesz))
             tol = 1e-12 * riesz.cond**2
-            assert np.linalg.norm(theta_sum - met.theta.mat, 2) <= tol
-            assert np.linalg.norm(theta_inv_sum - met.theta_inv.mat, 2) <= tol
+            assert np.linalg.norm(theta_sum - riesz.theta.mat, 2) <= tol
+            assert np.linalg.norm(theta_inv_sum - riesz.theta_inv.mat, 2) <= tol
 
     @classmethod
     def relative_residuals(cls, riesz, phi, psi):
         """The suite's records: deviations relative to ``||Theta|| = 1/A``
         and ``||Theta^-1|| = B``."""
-        met = metric_operator(riesz)
         A, B = riesz.frame_bounds
         theta_sum, theta_inv_sum = cls.rank_one_sums(phi, psi)
-        return (_spectral_norm(theta_sum - met.theta.mat) * A,
-                _spectral_norm(theta_inv_sum - met.theta_inv.mat) / B)
+        return (_spectral_norm(theta_sum - riesz.theta.mat) * A,
+                _spectral_norm(theta_inv_sum - riesz.theta_inv.mat) / B)
 
     def test_independent_route_reads_roundoff(self, random_map64):
         # the metric comes from the block SVD, not from the products the
@@ -449,26 +452,16 @@ class TestSerialization:
         assert loaded.cond == pytest.approx(riesz.cond, rel=1e-12)
 
     def test_reloaded_map_passes_provenance_guards(self, tmp_path):
-        # the guards compare the maps entrywise, through their blocks
+        # the guard compares the maps entrywise, through their blocks
         space = make_space(16)
         riesz = random_riesz_map(space, 10.0, seed=3)
         save_riesz_map(riesz, tmp_path / "map.json")
-        pair, sub = make_pair(riesz), SafeSubspace(space, 8)
-
-        def guarded_calls(other):
-            met, disp = metric_operator(other), displaced_pair(other, 0.5)
-            return [lambda: theta_conjugacy_check(pair, met, sub),
-                    lambda: bch_factorization_check(pair, disp, sub),
-                    lambda: eigen_check(pair, rbcs(other, 0.5)),
-                    lambda: intertwining_check(displaced_pair(riesz, 0.5), met, sub)]
-
-        for call in guarded_calls(load_riesz_map(tmp_path / "map.json")):
-            call()
+        pair = make_pair(riesz)
+        eigen_check(pair, rbcs(load_riesz_map(tmp_path / "map.json"), 0.5))
         for other in (random_riesz_map(space, 10.0, seed=4),  # and the same block at dim 17
                       random_riesz_map(make_space(17), 10.0, seed=3, top_margin=9)):
-            for call in guarded_calls(other):
-                with pytest.raises(ProvenanceError):
-                    call()
+            with pytest.raises(ProvenanceError):
+                eigen_check(pair, rbcs(other, 0.5))
 
     def test_loader_revalidates(self, tmp_path):
         import json
@@ -488,8 +481,9 @@ class TestSerialization:
 
 
 class TestBlockRepresentation:
-    """A map and its metric hold only their ``p x p`` blocks; the dense
-    ``S``, ``S_inv``, ``theta`` and ``theta_inv`` are built on access."""
+    """A map holds only the ``p x p`` blocks of ``S``, its inverse and its
+    metric; the dense ``S``, ``S_inv``, ``theta`` and ``theta_inv`` are built
+    on access."""
 
     @pytest.fixture(params=[("identity", 0), ("projector", 1), ("random", 32)],
                     ids=lambda param: param[0])
@@ -501,18 +495,18 @@ class TestBlockRepresentation:
         return riesz
 
     def test_every_array_field_is_a_read_only_block(self, riesz):
-        for record in (riesz, metric_operator(riesz)):
-            for f in dataclasses.fields(record):
-                value = getattr(record, f.name)
-                value = getattr(value, "mat", value)  # an Operator field is a dense matrix
-                if isinstance(value, np.ndarray):
-                    assert max(value.shape, default=0) <= riesz.block, f.name
-                    assert not value.flags.writeable, f.name
+        for f in dataclasses.fields(riesz):
+            value = getattr(riesz, f.name)
+            value = getattr(value, "mat", value)  # an Operator field is a dense matrix
+            if isinstance(value, np.ndarray):
+                assert max(value.shape, default=0) <= riesz.block, f.name
+                assert not value.flags.writeable, f.name
 
     def test_dense_views_are_blockdiag(self, riesz):
-        met, p = metric_operator(riesz), riesz.block
+        p = riesz.block
         for view, block in ((riesz.S, riesz.S_block), (riesz.S_inv, riesz.S_inv_block),
-                            (met.theta, met.theta_block), (met.theta_inv, met.theta_inv_block)):
+                            (riesz.theta, riesz.theta_block),
+                            (riesz.theta_inv, riesz.theta_inv_block)):
             want = np.eye(riesz.dim, dtype=complex)
             want[:p, :p] = block
             np.testing.assert_array_equal(view.mat, want)
@@ -524,11 +518,10 @@ class TestBlockRepresentation:
         tracemalloc.start()
         try:
             riesz = build_map(config)
-            met = metric_operator(riesz)
             live, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert met.source is riesz
+        assert riesz.theta_block.shape == (1, 1)
         assert live < 1 << 20
 
     @pytest.mark.parametrize("kind", ["projector", "identity"])

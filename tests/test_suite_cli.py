@@ -21,7 +21,6 @@ from pseudoboson import (
     build_map,
     convergence_study,
     load_config,
-    metric_operator,
     run_suite,
     save_riesz_map,
     suite_failed,
@@ -355,13 +354,12 @@ class TestFamilyRecords:
     def test_matches_the_dense_families(self, tmp_path, map_spec):
         riesz, records = self.family_records(tmp_path, map_spec)
         phi, psi = riesz.S.mat, riesz.S_inv.mat.conj().T  # the dense families
-        met = metric_operator(riesz)
         A, B = riesz.frame_bounds
         dense = {
             "biorthogonality": np.abs(phi.conj().T @ psi - np.eye(riesz.dim)).max(),
-            "theta_family": np.linalg.norm(met.theta.mat @ phi - psi, axis=0).max(),
-            "rank_one_theta": _spectral_norm(psi @ psi.conj().T - met.theta.mat) * A,
-            "rank_one_theta_inv": _spectral_norm(phi @ phi.conj().T - met.theta_inv.mat) / B,
+            "theta_family": np.linalg.norm(riesz.theta.mat @ phi - psi, axis=0).max(),
+            "rank_one_theta": _spectral_norm(psi @ psi.conj().T - riesz.theta.mat) * A,
+            "rank_one_theta_inv": _spectral_norm(phi @ phi.conj().T - riesz.theta_inv.mat) / B,
         }
         for name, record in records.items():
             assert record.residual == pytest.approx(dense[name], rel=1e-15, abs=0.0), name
@@ -607,6 +605,16 @@ class TestCli:
         assert main(["verify", "--config", str(path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("configuration error: ") and key in err[0]
+
+    @pytest.mark.parametrize("verb", ["verify", "converge", "emit-wavefunctions"])
+    def test_unwritable_output_exit_two(self, tmp_path, capsys, verb):
+        # a directory beneath a regular file cannot be made, even by root
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        path = write_config(tmp_path / "c.json")
+        assert main([verb, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error: ") and str(out) in err[0]
 
     @pytest.mark.parametrize("content", [
         None,
