@@ -10,14 +10,12 @@ returning a quantified residual.
 
 from .algebra import (
     PseudoBosonPair,
-    VacuumPair,
     excited_states,
     ladder_check,
     make_pair,
     number_operator_check,
     theta_conjugacy_check,
     vacua,
-    vacua_from_map,
 )
 from .bicoherent import (
     BicoherentPair,

@@ -6,7 +6,10 @@ corner, with ``b != a^dag`` whenever ``S`` is not unitary.  The checks in
 this module quantify, in floating point, the identities the pair is
 supposed to satisfy: annihilated vacua, ladder action on the excited
 families, integer spectrum of the number operator ``N = b a``, and the
-metric conjugation ``a = Theta^{-1} b^dag Theta``.
+metric conjugation ``a = Theta^{-1} b^dag Theta``.  The families are
+the map's columns ``phi_n = S e_n`` and ``psi_n = (S^{-1})^dag e_n``:
+:func:`vacua` extracts ``phi_0`` and ``psi_0`` by SVD, and the ladder
+recursions start from the map's.
 """
 
 from __future__ import annotations
@@ -21,15 +24,13 @@ from .errors import (
     OrthogonalVacuaError,
     ValidationError,
 )
-from .fock import Operator, SafeSubspace, _freeze, _spectral_norm, ladder_c
+from .fock import Operator, SafeSubspace, _spectral_norm, ladder_c
 from .riesz import RieszMap, _blockdiag, _lmul, _rmul, _transport
 
 __all__ = [
     "PseudoBosonPair",
-    "VacuumPair",
     "make_pair",
     "vacua",
-    "vacua_from_map",
     "excited_states",
     "ladder_check",
     "number_operator_check",
@@ -47,23 +48,6 @@ class PseudoBosonPair:
     source: RieszMap
 
     space = property(lambda self: self.source.space)
-
-
-@dataclass(frozen=True, eq=False)
-class VacuumPair:
-    """Vacua ``phi0`` (annihilated by ``a``) and ``psi0`` (annihilated by
-    ``b^dag``), scaled so ``<phi0, psi0> = 1``.
-
-    ``normalization`` records the pairing ``<phi0, psi0_raw>`` that the
-    raw ``psi0`` was divided by.
-    """
-
-    phi0: np.ndarray
-    psi0: np.ndarray
-    normalization: complex
-
-    def __post_init__(self):
-        _freeze(self, "phi0", "psi0", dtype=complex)
 
 
 def make_pair(riesz: RieszMap) -> PseudoBosonPair:
@@ -105,15 +89,16 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v * np.conj(phase)
 
 
-def vacua(pair: PseudoBosonPair) -> VacuumPair:
-    """Extract the vacua by singular-vector computation.
+def vacua(pair: PseudoBosonPair) -> tuple[np.ndarray, np.ndarray]:
+    """Extract the vacua ``(phi0, psi0)`` by singular-vector computation.
 
     ``phi0`` is the right-singular vector of ``a`` for its smallest
     singular value (the numerical kernel direction) and ``psi0`` the
     analogue for ``b^dag``; this verifies the vacuum assumptions instead
-    of assuming the closed forms.  The phase of ``phi0`` is fixed by
+    of assuming the closed forms ``S e_0`` and ``(S^{-1})^dag e_0`` that
+    the checks compare them with.  The phase of ``phi0`` is fixed by
     making its largest-magnitude component real positive, and ``psi0`` is
-    rescaled to unit pairing.
+    rescaled so ``<phi0, psi0> = 1``.
 
     Raises
     ------
@@ -129,32 +114,24 @@ def vacua(pair: PseudoBosonPair) -> VacuumPair:
         raise OrthogonalVacuaError(
             f"vacua are numerically orthogonal: |<phi0, psi0>| = {abs(overlap):.3e}"
         )
-    return VacuumPair(phi0=phi0, psi0=psi0_raw / overlap, normalization=overlap)
+    return phi0, psi0_raw / overlap
 
 
-def vacua_from_map(riesz: RieszMap) -> VacuumPair:
-    """Closed-form vacua ``phi0 = S e_0`` and ``psi0 = (S^{-1})^dag e_0``.
-
-    These satisfy ``<phi0, psi0> = 1`` exactly and serve as the oracle
-    the extracted vacua are compared against; they also normalize the
-    excited families so that ``phi_n = S e_n`` without extra scaling.
-    """
-    phi0, psi0 = (_lmul(B, riesz.space.basis_vector(0))
-                  for B in (riesz.S_block, riesz.S_inv_block.conj().T))
-    return VacuumPair(phi0=phi0, psi0=psi0, normalization=complex(np.vdot(phi0, psi0)))
+def _map_vacua(riesz: RieszMap) -> tuple[np.ndarray, np.ndarray]:
+    """The map's vacua ``S e_0`` and ``(S^{-1})^dag e_0``, paired to 1."""
+    e_0 = riesz.space.basis_vector(0)
+    return _lmul(riesz.S_block, e_0), _lmul(riesz.S_inv_block.conj().T, e_0)
 
 
-def excited_states(
-    pair: PseudoBosonPair, vac: VacuumPair, n_max: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Families grown from ``vac`` by ladder action, as the column stacks
+def excited_states(pair: PseudoBosonPair, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Families grown from the map's vacua ``phi0 = S e_0`` and
+    ``psi0 = (S^{-1})^dag e_0`` by ladder action, as the column stacks
     ``phi[:, n] = b^n phi0 / sqrt(n!)`` and
     ``psi[:, n] = (a^dag)^n psi0 / sqrt(n!)`` for ``n <= n_max``.
 
     Built iteratively as ``phi_{n+1} = b phi_n / sqrt(n+1)`` so no
-    factorial-sized intermediate ever appears.  With the closed-form vacua
-    the stacks reproduce the map's columns ``S e_n`` and
-    ``(S^{-1})^dag e_n`` to roundoff.
+    factorial-sized intermediate ever appears.  The stacks reproduce the
+    map's columns ``S e_n`` and ``(S^{-1})^dag e_n`` to roundoff.
 
     Raises
     ------
@@ -169,10 +146,9 @@ def excited_states(
     # Extended-precision pipeline: each ladder application amplifies the
     # off-kernel error of the starting vector by roughly ||b|| / sqrt(n+1),
     # which costs several digits by n ~ dim/2 in double precision.  The
-    # operators are rebuilt in long-double precision (one Newton correction
-    # of the cached inverse) and the vacua are projected onto the exact
-    # kernel directions, which preserves the caller's normalization while
-    # discarding the off-kernel rounding that the recursion would amplify.
+    # operators and the vacua are rebuilt in long-double precision (one
+    # Newton correction of the cached inverse), so the recursion starts on
+    # the exact kernel directions with no off-kernel rounding to amplify.
     work = np.clongdouble
     S = pair.source.S_block.astype(work)
     S_inv = pair.source.S_inv_block.astype(work)
@@ -181,14 +157,10 @@ def excited_states(
     b = _rmul(_lmul(S, lower.conj().T), S_inv)
     a_dag = _rmul(_lmul(S, lower), S_inv).conj().T
     e_0 = np.eye(d, 1, dtype=work)[:, 0]
-    kernel_a = _lmul(S, e_0)  # ker(a) = span{S e_0}
-    kernel_bdag = _lmul(S_inv.conj().T, e_0)  # ker(b^dag) = span{(S^-1)^dag e_0}
     phi = np.empty((d, n_max + 1), dtype=work)
     psi = np.empty((d, n_max + 1), dtype=work)
-    phi0 = np.asarray(vac.phi0, dtype=work)
-    psi0 = np.asarray(vac.psi0, dtype=work)
-    phi[:, 0] = kernel_a * (kernel_a.conj() @ phi0) / (kernel_a.conj() @ kernel_a)
-    psi[:, 0] = kernel_bdag * (kernel_bdag.conj() @ psi0) / (kernel_bdag.conj() @ kernel_bdag)
+    phi[:, 0] = _lmul(S, e_0)  # ker(a) = span{S e_0}
+    psi[:, 0] = _lmul(S_inv.conj().T, e_0)  # ker(b^dag) = span{(S^-1)^dag e_0}
     for n in range(n_max):
         scale = 1.0 / np.sqrt(np.longdouble(n + 1))
         phi[:, n + 1] = scale * (b @ phi[:, n])

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PseudoBosonPair, VacuumPair
+from .algebra import PseudoBosonPair, _map_vacua
 from .errors import (
     DimensionMismatchError,
     ProvenanceError,
@@ -137,30 +137,27 @@ def rbcs(riesz: RieszMap, z: complex) -> BicoherentPair:
     return BicoherentPair(z=complex(z), eta=eta, xi=xi, source=riesz)
 
 
-def series_route(
-    pair: PseudoBosonPair, z: complex, vac: VacuumPair
-) -> tuple[np.ndarray, np.ndarray]:
+def series_route(pair: PseudoBosonPair, z: complex) -> tuple[np.ndarray, np.ndarray]:
     """Bicoherent pair built the other way round: as the coherent series
     ``exp(-|z|^2/2) sum_n z^n/sqrt(n!) phi_n`` over the excited families
-    grown from ``vac`` by repeated ladder action.
+    grown from the map's vacua ``S e_0`` and ``(S^{-1})^dag e_0`` by
+    repeated ladder action.
 
     It is the independent route the two-route check compares with
-    :func:`rbcs`.  In exact arithmetic, with the closed-form vacua, the two
-    agree; in floating point the recursion amplifies the rounding of the
-    high levels by up to ``||exp(|z| c^dag)||_2`` (about ``1.6e13`` at
-    ``dim = 256`` and ``|z| = 2``), so on a random map the routes part by
-    more than roundoff and ``two_route`` at ``|z| = 2`` fails from
-    ``dim = 256`` on (8.2e-7 against 1e-8 on the cond-10 map of seed 3).  It
-    sums the fewest ``N <= dim`` terms whose :func:`coherent_tail_bound` is
-    ``<= 1e-20``.
+    :func:`rbcs`.  In exact arithmetic the two agree; in floating point the
+    recursion amplifies the rounding of the high levels by up to
+    ``||exp(|z| c^dag)||_2`` (about ``1.6e13`` at ``dim = 256`` and
+    ``|z| = 2``), so on a random map the routes part by more than roundoff
+    and ``two_route`` at ``|z| = 2`` fails from ``dim = 256`` on (8.2e-7
+    against 1e-8 on the cond-10 map of seed 3).  It sums the fewest
+    ``N <= dim`` terms whose :func:`coherent_tail_bound` is ``<= 1e-20``.
     """
     d = pair.space.dim
     n_terms = next((n for n in range(1, d) if coherent_tail_bound(n, z) <= 1e-20), d)
     coeff = coherent(pair.space, z)
     b = pair.b.mat
     a_dag = pair.a.mat.conj().T
-    phi_n = np.asarray(vac.phi0, dtype=complex).copy()
-    psi_n = np.asarray(vac.psi0, dtype=complex).copy()
+    phi_n, psi_n = _map_vacua(pair.source)
     phi_sum = coeff[0] * phi_n
     psi_sum = coeff[0] * psi_n
     for n in range(n_terms - 1):

@@ -84,10 +84,11 @@ def _reject_unknown(record: dict, allowed: set, where: str):
 def _number(convert, value, key: str):
     """``convert(value)`` for ``convert`` ``int`` or ``float``, refused with a
     :class:`ConfigError` naming ``key`` unless it is a finite number, and for
-    ``int`` an integral one (``16`` and ``16.0``, not ``16.9`` or ``true``)."""
+    ``int`` an integral one (``16`` and ``16.0``, not ``16.9``, ``true`` or
+    ``"16"``)."""
     try:
-        if isinstance(value, bool):
-            raise TypeError("a boolean is not a number")
+        if isinstance(value, (bool, str)):
+            raise TypeError(f"a {type(value).__name__} is not a number")
         number = float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be a finite number, got {value!r}") from exc
@@ -124,11 +125,22 @@ def _parse_map_spec(record) -> MapSpec:
 
 
 def _parse_z(values) -> tuple[complex, ...]:
+    """The amplitudes of a JSON array of ``[re, im]`` pairs, each with a
+    finite ``4|z|^2`` (the runner's cutoffs and regime test square ``|z|``)."""
+    if not isinstance(values, list):
+        raise ConfigError(f"z_samples must be an array of [re, im] pairs, got {values!r}")
     samples = []
     for v in values:
         if not (isinstance(v, (list, tuple)) and len(v) == 2):
             raise ConfigError(f"z_samples entries must be [re, im] pairs, got {v!r}")
-        samples.append(complex(*(_number(float, x, "z_samples") for x in v)))
+        z = complex(*(_number(float, x, "z_samples") for x in v))
+        try:
+            finite = math.isfinite(4 * abs(z) ** 2)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigError(f"z_samples entry {v!r} is too large: 4|z|^2 overflows")
+        samples.append(z)
     return tuple(samples)
 
 

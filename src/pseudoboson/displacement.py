@@ -50,10 +50,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DisplacementSet:
-    """The three displacement operators at a common amplitude ``z``."""
+    """The displacements ``U(z) = S W(z) S^{-1}`` and
+    ``V(z) = (S^{-1})^dag W(z) S^dag`` of the map ``source``.  ``W(z)``
+    itself is not kept; :func:`weyl` rebuilds it."""
 
     z: complex
-    W: Operator
     U: Operator
     V: Operator
     source: RieszMap
@@ -129,7 +130,7 @@ def displaced_pair(riesz: RieszMap, z: complex) -> DisplacementSet:
     W = weyl(space, z)
     U = Operator(space, _transport(riesz, W.mat))
     V = Operator(space, _cotransport(riesz, W.mat))
-    return DisplacementSet(z=complex(z), W=W, U=U, V=V, source=riesz)
+    return DisplacementSet(z=complex(z), U=U, V=V, source=riesz)
 
 
 def _relative_norm(diff: np.ndarray, ref: np.ndarray) -> float:

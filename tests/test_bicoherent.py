@@ -25,7 +25,6 @@ from pseudoboson import (
     resolution_of_identity,
     resolution_operator,
     series_route,
-    vacua_from_map,
     weak_pairing_check,
 )
 from pseudoboson import bicoherent
@@ -100,12 +99,11 @@ class TestRbcs:
             assert abs(np.vdot(bc.eta, bc.xi) - 1.0) <= 1e-12
 
 
-def _full_series(pair, z, vac):
+def _full_series(pair, z):
     """The coherent series over all ``dim`` terms, in the order and
     arithmetic of :func:`series_route`."""
     coeff = coherent(pair.space, z)
-    phi_n = np.asarray(vac.phi0, dtype=complex).copy()
-    psi_n = np.asarray(vac.psi0, dtype=complex).copy()
+    phi_n, psi_n = pair.source.S.mat[:, 0], pair.source.S_inv.mat[0].conj()
     phi_sum, psi_sum = coeff[0] * phi_n, coeff[0] * psi_n
     a_dag = pair.a.mat.conj().T
     for n in range(1, pair.space.dim):
@@ -124,19 +122,18 @@ def projector_map256():
 
 class TestSeriesRoute:
     def test_zero_amplitude_returns_vacua(self, random_map64):
-        vac = vacua_from_map(random_map64)
-        phi, psi = series_route(make_pair(random_map64), 0.0, vac)
-        np.testing.assert_array_equal(phi, vac.phi0)
-        np.testing.assert_array_equal(psi, vac.psi0)
+        phi, psi = series_route(make_pair(random_map64), 0.0)
+        np.testing.assert_array_equal(phi, random_map64.S.mat[:, 0])
+        np.testing.assert_array_equal(psi, random_map64.S_inv.mat[0].conj())
 
     @pytest.mark.parametrize("z", [0.0, 1.0, 1 + 1j, 2j])
     @pytest.mark.parametrize("which", ["random_map64", "projector_map256"])
     def test_truncation_matches_full_series(self, z, which, request):
         # the omitted terms lie below the 1e-20 coherent tail bound
         riesz = request.getfixturevalue(which)
-        pair, vac = make_pair(riesz), vacua_from_map(riesz)
-        phi, psi = series_route(pair, z, vac)
-        phi_full, psi_full = _full_series(pair, z, vac)
+        pair = make_pair(riesz)
+        phi, psi = series_route(pair, z)
+        phi_full, psi_full = _full_series(pair, z)
         eta = np.linalg.norm(rbcs(riesz, z).eta)
         assert np.linalg.norm(phi - phi_full) <= 1e-15 * eta
         assert np.linalg.norm(psi - psi_full) <= 1e-15 * eta
@@ -144,15 +141,15 @@ class TestSeriesRoute:
     def test_beyond_tail_bound_sums_every_term(self):
         # |z|^2 = 25 > dim + 1: the tail bound is 1, so all 16 terms count
         riesz = random_riesz_map(make_space(16), 10.0, seed=3)
-        pair, vac = make_pair(riesz), vacua_from_map(riesz)
-        for got, want in zip(series_route(pair, 5.0, vac), _full_series(pair, 5.0, vac)):
+        pair = make_pair(riesz)
+        for got, want in zip(series_route(pair, 5.0), _full_series(pair, 5.0)):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("z", [1.0, 1 + 1j, 2j])
     def test_two_routes_agree(self, z, all_maps64):
         for riesz in all_maps64:
             bc = rbcs(riesz, z)
-            phi, psi = series_route(make_pair(riesz), z, vacua_from_map(riesz))
+            phi, psi = series_route(make_pair(riesz), z)
             assert np.linalg.norm(phi - bc.eta) <= 1e-10
             assert np.linalg.norm(psi - bc.xi) <= 1e-10
 
@@ -161,7 +158,7 @@ class TestSeriesRoute:
         A, B = random_map64.frame_bounds
         pair = make_pair(random_map64)
         for z in (0.5, 1 + 1j, 2j):
-            phi, psi = series_route(pair, z, vacua_from_map(random_map64))
+            phi, psi = series_route(pair, z)
             assert np.linalg.norm(phi) <= np.sqrt(B) * (1 + 1e-12)
             assert np.linalg.norm(psi) <= (1 + 1e-12) / np.sqrt(A)
 

@@ -143,8 +143,9 @@ class TestDisplacedPair:
     def test_unitary_case_collapses(self, space64):
         riesz = make_riesz_map(space64, np.eye(0))
         disp = displaced_pair(riesz, 1.0 + 0.5j)
-        np.testing.assert_allclose(disp.U.mat, disp.W.mat, atol=1e-14)
-        np.testing.assert_allclose(disp.V.mat, disp.W.mat, atol=1e-14)
+        W = weyl(space64, 1.0 + 0.5j).mat
+        np.testing.assert_allclose(disp.U.mat, W, atol=1e-14)
+        np.testing.assert_allclose(disp.V.mat, W, atol=1e-14)
 
     def test_zero_displacement(self, random_map64):
         disp = displaced_pair(random_map64, 0.0)
@@ -350,7 +351,7 @@ class TestIntertwining:
         z = 0.7 - 0.3j
         disp = displaced_pair(random_map64, z)
         Sm = random_map64.S.mat
-        middle = Sm @ disp.W.mat @ Sm.conj().T
+        middle = Sm @ weyl(random_map64.space, z).mat @ Sm.conj().T
         M = Sm @ Sm.conj().T
         assert np.linalg.norm(M @ disp.V.mat - middle, 2) <= 1e-12 * np.linalg.norm(middle, 2)
         assert np.linalg.norm(disp.U.mat @ M - middle, 2) <= 1e-12 * np.linalg.norm(middle, 2)

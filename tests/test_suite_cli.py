@@ -599,12 +599,38 @@ class TestCli:
         ("map_spec.u_index", {"map_spec": {"kind": "projector", "u_index": 2.7}}),
         ("seed", {"seed": 1.5}),
         ("map_spec.seed", {"map_spec": {"kind": "random", "seed": 1.5}}),
+        ("z_samples", {"z_samples": 5}),
+        ("z_samples", {"z_samples": None}),
+        ("z_samples", {"z_samples": [[1e154, 0]], "allow_out_of_regime": True}),
+        ("z_samples", {"z_samples": [[0, -1e160]], "allow_out_of_regime": True}),
+        ("dim", {"dim": "16"}),
+        ("seed", {"seed": "7"}),
+        ("map_spec.cond", {"map_spec": {"kind": "random", "cond": "10"}}),
+        ("z_samples", {"z_samples": [["1", 0]]}),
     ])
     def test_malformed_config_value_exit_two(self, tmp_path, capsys, key, overrides):
         path = write_config(tmp_path / "c.json", **overrides)
         assert main(["verify", "--config", str(path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("configuration error: ") and key in err[0]
+
+    @pytest.mark.parametrize("verb", ["converge", "emit-wavefunctions"])
+    def test_overflowing_square_exit_two(self, tmp_path, capsys, verb):
+        # 4|z|^2 overflows a float at |z| = 1e154: refused before any run
+        path = write_config(tmp_path / "c.json", z_samples=[[1e154, 0]], allow_out_of_regime=True)
+        assert main([verb, "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error: ") and "z_samples" in err[0]
+
+    def test_largest_squarable_amplitude_is_graded(self, tmp_path):
+        # 4|z|^2 = 4e306 is still a finite float, so every record is graded
+        path = write_config(tmp_path / "c.json",
+                            map_spec={"kind": "random", "cond": 10.0, "seed": 3},
+                            z_samples=[[1e153, 0]], allow_out_of_regime=True)
+        assert main(["verify", "--config", str(path)]) == 0
+        records = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert len(records) == 22
+        assert {r["status"] for r in records} == {"pass", "out-of-regime"}
 
     @pytest.mark.parametrize("verb", ["verify", "converge", "emit-wavefunctions"])
     def test_unwritable_output_exit_two(self, tmp_path, capsys, verb):
