@@ -34,7 +34,7 @@ import numpy as np
 
 from .algebra import PseudoBosonPair
 from .errors import AccuracyRegimeWarning
-from .fock import FockSpace, Operator, SafeSubspace, _spectral_norm
+from .fock import FockSpace, Operator, SafeSubspace, _spectral_lower_bound, _spectral_norm
 from .riesz import RieszMap, _blockdiag, _cotransport, _deformed_block, _lmul, _rmul, _transport
 
 __all__ = [
@@ -134,8 +134,12 @@ def displaced_pair(riesz: RieszMap, z: complex) -> DisplacementSet:
 
 
 def _relative_norm(diff: np.ndarray, ref: np.ndarray) -> float:
-    """``||diff|| / ||ref||`` (spectral norms)."""
-    return _spectral_norm(diff) / max(_spectral_norm(ref), 1e-300)
+    """``||diff|| / lo(ref)``: the exact spectral norm of ``diff`` over the
+    certified lower bound :func:`~pseudoboson.fock._spectral_lower_bound`
+    of ``||ref||``, so no SVD of ``ref`` is taken.  The value is never below
+    the exact ``||diff|| / ||ref||`` and at most ``sqrt(min(ref.shape))``
+    times it: a grade on it can turn a pass into a fail, never the reverse."""
+    return _spectral_norm(diff) / max(_spectral_lower_bound(ref), 1e-300)
 
 
 def _times_generator(T: np.ndarray, z: complex) -> np.ndarray:
@@ -181,8 +185,11 @@ def power_similarity_check(pair: PseudoBosonPair, z: complex, k_max: int = 5) ->
     the exact identity on both sides and reads 0, as does every ``k`` at
     ``z = 0``, where both generators vanish.
 
-    Each residual is homogeneous of degree 0 in ``z``, so both powers are
-    carried at :func:`_binary_scaled` ``z``, and no ``|z|`` overflows them.
+    Each residual is the exact spectral norm of the difference over the
+    certified lower bound of ``||(z b - conj(z) a)^k||`` (:func:`_relative_norm`),
+    so it is never below the exact relative residual.  It is homogeneous of
+    degree 0 in ``z``, so both powers are carried at :func:`_binary_scaled`
+    ``z``, and no ``|z|`` overflows them.
     """
     if not 0 <= k_max <= 12:
         raise ValueError(f"k_max must be in [0, 12], got {k_max}")
@@ -239,7 +246,10 @@ def _displacement_block(z: complex, d: int) -> np.ndarray:
 def bch_factorization_check(disp: DisplacementSet, sub: SafeSubspace) -> tuple[float, float]:
     """Relative residuals ``(r_u, r_v)`` of the normal-ordered factorizations
     ``U(z) = e^{-|z|^2/2} e^{z b} e^{-conj(z) a}`` and
-    ``V(z) = e^{-|z|^2/2} e^{z a^dag} e^{-conj(z) b^dag}`` on ``sub``.
+    ``V(z) = e^{-|z|^2/2} e^{z a^dag} e^{-conj(z) b^dag}`` on ``sub``: the
+    exact spectral norm of each difference over the certified lower bound of
+    ``||U[:k, :k]||`` or ``||V[:k, :k]||`` (:func:`_relative_norm`), never
+    below the exact relative residual.
 
     ``U`` and ``V`` come from ``disp``, and ``S`` is its map.  The check
     tests the canonical normal-ordered factorization carried through

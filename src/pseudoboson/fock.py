@@ -13,6 +13,7 @@ is what :class:`SafeSubspace` captures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,30 @@ def _spectral_norm(X: np.ndarray) -> float:
         if B.size:
             sigma = max(sigma, float(np.linalg.svd(B, compute_uv=False)[0]))
     return sigma
+
+
+def _spectral_lower_bound(X: np.ndarray) -> float:
+    """Certified lower bound ``lo`` of ``sigma_max(X)``, with no SVD: the
+    largest of the largest column 2-norm, the largest row 2-norm and
+    ``||X||_F / sqrt(min(m, n))``, so that
+    ``lo <= sigma_max(X) <= sqrt(min(m, n)) lo`` (Golub & Van Loan,
+    *Matrix Computations*, section 2.3).  ``|X|`` is scaled by the power of
+    two of its largest entry before it is squared, and the scaling undone
+    after the square root, both exactly: no square overflows, and only the
+    squares of entries below ``2^-537`` times the largest underflow, which
+    can only lower the bound.  As in :func:`_spectral_norm`, an all-zero
+    ``X`` reads ``0.0`` and a non-finite one ``nan``."""
+    A = np.abs(X)
+    top = float(A.max(initial=0.0))  # a nan entry propagates
+    if not math.isfinite(top):
+        return float("nan")
+    if top == 0:
+        return 0.0
+    e = math.frexp(top)[1]
+    np.ldexp(A, -e, out=A)
+    A *= A
+    cols, rows = A.sum(axis=0), A.sum(axis=1)
+    return math.ldexp(math.sqrt(max(cols.max(), rows.max(), cols.sum() / min(X.shape))), e)
 
 
 def _recurrence(a: np.ndarray, b: np.ndarray, x: np.ndarray):

@@ -116,7 +116,7 @@ def _record_bch_eigen(rec: _Recorder, pair, disp, bc, cutoff: int):
     the caller owns ``disp``, so it alone decides how long ``disp`` lives."""
     bch = bch_factorization_check(disp, SafeSubspace(rec.riesz.space, cutoff))
     for name, residual in zip(("bch_u", "bch_v"), bch):
-        rec.add(name, residual, disp.z, cutoff=cutoff)
+        rec.add(name, residual, disp.z, cutoff=cutoff, reference="lower bound")
     for name, residual in zip(("eigen_eta", "eigen_xi"), eigen_check(pair, bc)):
         rec.add(name, residual, disp.z)
 
@@ -212,7 +212,8 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
         with warnings.catch_warnings():
             # regime warnings are encoded in the status
             warnings.simplefilter("ignore", AccuracyRegimeWarning)
-            rec.add("power_similarity", power_similarity_check(pair, z).max(), z)
+            rec.add("power_similarity", power_similarity_check(pair, z).max(), z,
+                    reference="lower bound")
             disp = displaced_pair(riesz, z)
             bc = rbcs(riesz, z)
             _record_bch_eigen(rec, pair, disp, bc, _bch_cutoff(dim, z))
@@ -275,7 +276,9 @@ def convergence_study(config: RunConfig, dims: list[int]) -> tuple[Path, Path]:
     * ``convergence.csv`` with columns ``dim, z, in_regime, cutoff,
       bch_residual, eigen_eta, eigen_xi, resolution_deviation, status``
       (the factorization is compared at a cutoff fixed across the sweep
-      so the rows are comparable).  ``status`` is the worst one over the
+      so the rows are comparable; ``bch_residual`` is the larger of the
+      ``bch_u`` and ``bch_v`` records, relative to the lower bound of the
+      reference norm as in ``verify``).  ``status`` is the worst one over the
       row's ``bch_*``, ``eigen_*`` and full-rule ``resolution_identity``
       records, graded as ``verify`` grades them, and ``in_regime`` is
       false when any of them is ``out-of-regime``;

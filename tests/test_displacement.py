@@ -25,7 +25,7 @@ from pseudoboson import (
 )
 from pseudoboson.displacement import (_displacement_block, _phase_powers, _powers,
                                       _times_generator)
-from pseudoboson.fock import Operator, ladder_c
+from pseudoboson.fock import Operator, _spectral_lower_bound, ladder_c
 from pseudoboson.reports import default_tolerance
 from pseudoboson.riesz import random_riesz_map
 
@@ -278,7 +278,9 @@ class TestBchFactorization:
     def test_sides_reported_separately(self, random_map64):
         # (r_u, r_v) are the U and V sides, in that order: perturb the two
         # sides by different amounts and rebuild both residuals from the
-        # Laguerre closed form, mapped through S
+        # Laguerre closed form, mapped through S.  Each is the exact norm of
+        # the difference over the lower bound of the reference's norm, so it
+        # lies between the exact relative residual and sqrt(32) times it
         disp = displaced_pair(random_map64, 1.0)
         rng = np.random.default_rng(5)
         space = random_map64.space
@@ -293,9 +295,10 @@ class TestBchFactorization:
         U_fact = S @ E @ S_inv
         V_fact = S_inv.conj().T @ E @ S.conj().T
         for r, built, fact in ((r_u, disp.U.mat, U_fact), (r_v, disp.V.mat, V_fact)):
-            want = (np.linalg.norm((built - fact)[:32, :32], 2)
-                    / np.linalg.norm(built[:32, :32], 2))
-            assert r == pytest.approx(want, rel=1e-6, abs=1e-18)
+            diff, ref = np.linalg.norm((built - fact)[:32, :32], 2), built[:32, :32]
+            assert r == pytest.approx(diff / _spectral_lower_bound(ref), rel=1e-6, abs=1e-18)
+            exact = diff / np.linalg.norm(ref, 2)
+            assert exact * (1 - 1e-6) <= r <= math.sqrt(32) * exact * (1 + 1e-6)
         assert r_v > 10 * r_u
 
     def test_matches_exponential_route(self, random_map64):

@@ -1,4 +1,5 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ from pseudoboson import (
     InvalidDimensionError,
     Operator,
     SafeSubspace,
+    bch_factorization_check,
+    displaced_pair,
     ladder_c,
     ladder_c_dag,
     make_pair,
@@ -18,7 +21,9 @@ from pseudoboson import (
     make_space,
     power_similarity_check,
 )
-from pseudoboson.fock import _border, _spectral_norm
+from pseudoboson import displacement
+from pseudoboson.fock import _border, _spectral_lower_bound, _spectral_norm
+from pseudoboson.suite import _bch_cutoff
 
 
 class TestSpace:
@@ -271,28 +276,37 @@ class TestSpectralNorm:
 
     @staticmethod
     def svd_row_counts(monkeypatch, riesz):
-        """Row counts of every matrix ``power_similarity_check`` hands to the SVD."""
-        pair, seen, svd = make_pair(riesz), [], np.linalg.svd
+        """Row counts of every matrix ``power_similarity_check`` hands to the
+        SVD, and the shapes of the references it bounds from below instead."""
+        pair, seen, refs = make_pair(riesz), [], []
+        svd, bound = np.linalg.svd, displacement._spectral_lower_bound
 
         def spy(a, *args, **kwargs):
             seen.append(a.shape[0])
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", spy)
+        monkeypatch.setattr(displacement, "_spectral_lower_bound",
+                            lambda X: refs.append(X.shape) or bound(X))
         power_similarity_check(pair, 1 + 1j)
-        return seen
+        return seen, refs
 
     def test_parity_preserving_map_takes_half_size_blocks(self, monkeypatch, projector_map64):
-        # S = 1 + i|e0><e0| keeps number parity, so every residual is a
-        # checkerboard; cut = 64 - 5 = 59 levels split into 30 + 29
-        seen = self.svd_row_counts(monkeypatch, projector_map64)
-        assert seen and max(seen) == 30
+        # S = 1 + i|e0><e0| keeps number parity, so every numerator is a
+        # checkerboard, and it vanishes outside a small border: k = 1 reads
+        # an exact 0 and k = 2..5 take one small block each.  The five
+        # 59 x 59 references (cut = 64 - 5) are only bounded, so the 30 + 29
+        # row parity blocks they would split into never reach the SVD
+        seen, refs = self.svd_row_counts(monkeypatch, projector_map64)
+        assert refs == [(59, 59)] * 5
+        assert seen == [1, 4, 5, 4]
 
     def test_dense_map_takes_the_full_matrix(self, monkeypatch, random_map64):
-        # no parity split: the references take all 59 rows, the residuals
-        # their nonzero rows only, and every block exceeds half the cut
-        seen = self.svd_row_counts(monkeypatch, random_map64)
-        assert seen and max(seen) == 59 and min(seen) > 30
+        # no parity split: each numerator is one block of its nonzero rows,
+        # more than half the cut of 59; the 59-row references are only bounded
+        seen, refs = self.svd_row_counts(monkeypatch, random_map64)
+        assert refs == [(59, 59)] * 5
+        assert len(seen) == 5 and min(seen) > 30 and max(seen) < 59
 
     def test_only_spectral_norm_takes_spectral_norms(self):
         # every check measures operator norms through the one helper
@@ -311,3 +325,67 @@ class TestSpectralNorm:
                     if name == "svd" and any(k.arg == "compute_uv" for k in call.keywords):
                         svd_sites.append((path.name, fn.name))
         assert svd_sites == [("fock.py", "_spectral_norm")]
+
+
+def _within_bound(X):
+    """``lo <= sigma_max <= sqrt(min(m, n)) lo``, up to the SVD's own roundoff."""
+    lo, sigma = _spectral_lower_bound(X), np.linalg.norm(X, 2)
+    slack = 1e-13
+    return lo <= sigma * (1 + slack) and sigma <= math.sqrt(min(X.shape)) * lo * (1 + slack)
+
+
+class TestSpectralLowerBound:
+    @pytest.mark.parametrize("name, X", list(_sparse_cases().items()))
+    def test_brackets_sparse_cases(self, name, X):
+        assert _within_bound(X)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40),
+           st.sampled_from(["dense", "banded", "checker_even", "checker_odd"]),
+           st.floats(-3.0, 3.0), st.integers(0, 2**32 - 1))
+    def test_brackets_sigma_max(self, rows, cols, kind, log_scale, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        if kind == "banded":
+            X = np.triu(np.tril(X, 2), -1)
+        elif kind != "dense":
+            X = checkerboard(X, int(kind == "checker_odd"))
+        X *= 10.0 ** log_scale
+        if np.any(X):
+            assert _within_bound(X)
+
+    @pytest.mark.parametrize("shift", [665, -665, 1000, -1000])
+    def test_no_overflow_or_underflow(self, shift):
+        # entries near 1e200 (1e-200) overflow (underflow) once squared;
+        # the bound scales them by a power of two first, which is exact,
+        # so it moves by exactly the same power of two
+        X = np.random.default_rng(7).standard_normal((9, 13)) * (1 + 0.5j)
+        scaled = np.ldexp(X.real, shift) + 1j * np.ldexp(X.imag, shift)
+        assert _spectral_lower_bound(scaled) == math.ldexp(_spectral_lower_bound(X), shift)
+
+    def test_all_zero_reads_zero(self):
+        assert _spectral_lower_bound(np.zeros((6, 9), complex)) == 0.0
+        assert _spectral_lower_bound(np.zeros((0, 4), complex)) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_reads_nan(self, bad):
+        X = np.eye(5, dtype=complex)
+        X[2, 3] = bad
+        assert np.isnan(_spectral_lower_bound(X))
+
+    @pytest.mark.parametrize("kind", ["projector", "random"])
+    def test_brackets_the_check_references(self, monkeypatch, kind, projector_map64,
+                                           random_map64):
+        # every reference that power_similarity and bch_* bound at dim 64:
+        # the D^k of power_similarity and the U, V blocks of bch_* at the
+        # README's nonzero amplitudes, at the cutoffs verify uses
+        riesz = projector_map64 if kind == "projector" else random_map64
+        pair, refs, bound = make_pair(riesz), [], displacement._spectral_lower_bound
+        monkeypatch.setattr(displacement, "_spectral_lower_bound",
+                            lambda X: refs.append(X.copy()) or bound(X))
+        for z in (1, 1 + 1j, 2j):
+            power_similarity_check(pair, z)
+            sub = SafeSubspace(riesz.space, _bch_cutoff(64, z))
+            bch_factorization_check(displaced_pair(riesz, z), sub)
+        assert len(refs) == 3 * (5 + 2)
+        assert all(_within_bound(X) for X in refs)

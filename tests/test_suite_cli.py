@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib
 import inspect
 import json
@@ -25,7 +26,8 @@ from pseudoboson import (
     save_riesz_map,
     suite_failed,
 )
-from pseudoboson import coordinate, make_riesz_map, make_space, random_riesz_map, suite
+from pseudoboson import (coordinate, displaced_pair, displacement, make_riesz_map, make_space,
+                         random_riesz_map, suite)
 from pseudoboson.cli import main
 from pseudoboson.fock import _spectral_norm
 
@@ -185,6 +187,49 @@ class TestRunSuite:
                             z_samples=[[0, 0], [1, 0], [1, 1], [0, 2]])
         reports = run_suite(load_config(path))
         assert [r.check_id for r in reports if r.status != "pass"] == []
+
+    @pytest.mark.parametrize("map_spec", [
+        {"kind": "projector", "u_index": 0},
+        {"kind": "random", "cond": 10.0, "seed": 1},
+        {"kind": "random", "cond": 10.0, "seed": 5},
+    ], ids=["proj64", "rand64-seed1", "rand64-seed5"])
+    def test_reference_bound_changes_no_status(self, tmp_path, monkeypatch, map_spec):
+        # the three records relative to a reference divide by a lower bound
+        # of its norm; against the exact norm every status is the same, only
+        # those records move, and never downward
+        path = write_config(tmp_path / "c.json", dim=64, map_spec=map_spec,
+                            z_samples=[[0, 0], [1, 0], [1, 1], [0, 2]])
+        bounded = run_suite(load_config(path))
+        monkeypatch.setattr(displacement, "_spectral_lower_bound", _spectral_norm)
+        exact = run_suite(load_config(path))
+        marked = {"power_similarity", "bch_u", "bch_v"}
+        assert len(bounded) == len(exact)
+        assert any(b.residual > e.residual for b, e in zip(bounded, exact))
+        for b, e in zip(bounded, exact):
+            assert (b.check_id, b.params, b.status) == (e.check_id, e.params, e.status)
+            assert (b.params.get("reference") == "lower bound") == (b.check_id in marked)
+            if b.check_id in marked:
+                assert b.residual >= e.residual
+            else:
+                assert b.residual == e.residual
+
+    def test_nan_displacement_fails_bch(self, tmp_path, monkeypatch):
+        # a NaN in U reaches the numerator and the reference of bch_u: the
+        # record reads NaN and fails instead of passing a <= test
+        def nan_pair(riesz, z):
+            disp = displaced_pair(riesz, z)
+            U = disp.U.mat.copy()
+            U[1, 1] = np.nan
+            return dataclasses.replace(disp, U=types.SimpleNamespace(mat=U))
+
+        monkeypatch.setattr(suite, "displaced_pair", nan_pair)
+        path = write_config(tmp_path / "c.json", dim=32,
+                            map_spec={"kind": "random", "cond": 10.0, "seed": 1})
+        reports = run_suite(load_config(path))
+        bch_u = [r for r in reports if r.check_id == "bch_u"]
+        assert len(bch_u) == 2
+        assert all(np.isnan(r.residual) and r.status == "fail" for r in bch_u)
+        assert suite_failed(reports)
 
     def test_outputs_written(self, tmp_path):
         cfg = load_config(write_config(tmp_path / "c.json"))
