@@ -12,6 +12,12 @@ The non-unitary displacements are defined by similarity,
 ``U(z) = S W(z) S^{-1}`` and ``V(z) = (S^{-1})^dag W(z) S^dag``, which is
 exact in finite dimension.
 
+The power-similarity check reads the pair's border only: ``z b - conj(z) a``
+differs from ``z c^dag - conj(z) c`` in a leading block, so both sides of
+the identity are carried on a strip of rows of width ``max(p, q)`` plus the
+power, and the rest of the reference's rows are the generator's powers,
+carried by their diagonals.
+
 The normal-ordered factor ``e^{-|z|^2/2} e^{z c^dag} e^{-conj(z) c}`` is
 the low block of the untruncated displacement, whose entries are the
 Laguerre closed form of Cahill & Glauber (Phys. Rev. 177, 1857, 1969);
@@ -32,10 +38,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PseudoBosonPair
+from .algebra import PseudoBosonPair, _lowering_lead, _raising_lead
 from .errors import AccuracyRegimeWarning
 from .fock import FockSpace, Operator, SafeSubspace, _spectral_lower_bound, _spectral_norm
-from .riesz import RieszMap, _blockdiag, _cotransport, _deformed_block, _lmul, _rmul, _transport
+from .riesz import RieszMap, _blockdiag, _cotransport, _lmul, _rmul, _transport
 
 __all__ = [
     "DisplacementSet",
@@ -153,58 +159,83 @@ def _times_generator(T: np.ndarray, z: complex) -> np.ndarray:
     return out
 
 
-def _powers(D: np.ndarray, z: complex, rows: int, k_max: int):
-    """Rows ``:rows`` of ``D^k``, ``k = 1 .. k_max``: ``D^{k-1} G`` with its
-    columns ``:q`` redone as ``D^{k-1}[:, :q+1] D[:q+1, :q]``, ``q`` the
-    smallest index with ``D = G`` outside ``D[:q, :q]``.  ``q`` comes from an
-    exact comparison with ``G``'s diagonals formed as in
-    :func:`_times_generator`; no dense ``G`` is built."""
-    n = np.arange(len(D) - 1)
-    moved = D != 0
-    moved[n + 1, n] = D[n + 1, n] != z * np.sqrt(n + 1.0)
-    moved[n, n + 1] = D[n, n + 1] != -np.conj(z) * np.sqrt(n + 1.0)
-    q = _deformed_block(moved)
-    Dk = D[:rows]
-    for k in range(k_max):
-        if k:
-            head = Dk[:, :q + 1] @ D[:q + 1, :q]
-            Dk = _times_generator(Dk, z)
-            Dk[:, :q] = head
+def _strip_powers(pair: PseudoBosonPair, z: complex, rows: int, cols: int, k_max: int):
+    """``D^k[:rows, :cols]`` for ``D = z b - conj(z) a``, ``k = 1 .. k_max``, with
+    ``rows + k_max <= cols`` or ``cols = dim``, so that no entry leaves the
+    strip: ``D^{k-1} G`` (:func:`_times_generator`) with its columns
+    ``:q+1`` redone as ``D^{k-1}[:, :q+2] D[:q+2, :q+1]``, since ``D = G``
+    outside ``D[:q+1, :q+1]`` for the pair's border ``q``."""
+    d, q = pair.space.dim, pair.border
+    m, lead = min(q + 1, d), min(q + 2, d)
+    D = (z * _raising_lead(pair.b_border, lead, m)
+         + (-np.conj(z)) * _lowering_lead(pair.a_border, lead, m))  # D[:q+2, :q+1]
+    Dk = np.eye(rows, cols, dtype=complex)
+    for _ in range(k_max):
+        head = Dk[:, :lead] @ D
+        Dk = _times_generator(Dk, z)
+        Dk[:, :m] = head
         yield Dk
+
+
+def _generator_band(z: complex, d: int, first: int, last: int, k_max: int):
+    """Rows ``first:last`` of ``G^k``, ``G = z c^dag - conj(z) c``, for
+    ``k = 1 .. k_max``, as ``(V, J)``: row ``first + i`` holds ``V[i, t]`` at
+    column ``J[i, t]``, on the ``2 k_max + 1`` diagonals about it.  Each power
+    is carried from the last,
+    ``G^k[i, j] = G^{k-1}[i, j-1] G[j-1, j] + G^{k-1}[i, j+1] G[j+1, j]``, and
+    columns outside ``[0, d)`` hold 0."""
+    J = np.arange(first, last)[:, None] + np.arange(-k_max, k_max + 1)
+    up = np.where((J >= 1) & (J < d), -np.conj(z) * np.sqrt(np.abs(J)), 0)  # G[j-1, j]
+    down = np.where((J >= 0) & (J < d - 1), z * np.sqrt(np.abs(J + 1.0)), 0)  # G[j+1, j]
+    V = np.zeros(J.shape, dtype=complex)
+    V[:, k_max] = 1.0
+    for _ in range(k_max):
+        prev, V = V, np.zeros_like(V)
+        V[:, 1:] = prev[:, :-1] * up[:, 1:]
+        V[:, :-1] += prev[:, 1:] * down[:, :-1]
+        yield V, J
 
 
 def power_similarity_check(pair: PseudoBosonPair, z: complex, k_max: int = 5) -> np.ndarray:
     """Relative residuals of
     ``S (z c^dag - conj(z) c)^k S^{-1} = (z b - conj(z) a)^k``,
     indexed by ``k = 0 .. k_max``, evaluated on the safe subspace with a
-    ``k_max``-level top margin.
+    ``k_max``-level top margin, ``cut = dim - k_max``.
 
-    Both powers are carried row-restricted to that subspace: ``S G^k`` by
-    a banded update per ``k`` (``G`` is tridiagonal), ``D^k`` for
-    ``D = z b - conj(z) a`` by :func:`_powers`.  ``k = 0`` is
-    the exact identity on both sides and reads 0, as does every ``k`` at
-    ``z = 0``, where both generators vanish.
+    With ``G = z c^dag - conj(z) c`` and ``D = z b - conj(z) a``, ``D = G``
+    outside the pair's border and ``S`` is the identity outside its block,
+    so both sides equal ``G^k`` outside their leading ``r x r`` block,
+    ``r = min(cut, max(p, q) + k_max)``, and the residual is the exact
+    spectral norm of the difference of those blocks.  Both sides are carried
+    on the ``r x (r + k_max)`` strip of rows ``:r``: ``S G^k`` by a banded
+    update per ``k`` (``G`` is tridiagonal), ``D^k`` by
+    :func:`_strip_powers`.  ``k = 0`` is the exact identity on both sides and
+    reads 0, as does every ``k`` at ``z = 0``, where both generators vanish.
 
-    Each residual is the exact spectral norm of the difference over the
-    certified lower bound of ``||(z b - conj(z) a)^k||`` (:func:`_relative_norm`),
-    so it is never below the exact relative residual.  It is homogeneous of
-    degree 0 in ``z``, so both powers are carried at :func:`_binary_scaled`
-    ``z``, and no ``|z|`` overflows them.
+    The reference is the certified lower bound of ``||D^k[:cut, :cut]||``
+    (:func:`~pseudoboson.fock._spectral_lower_bound`), taken from the strip
+    and rows ``r:cut`` of ``G^k`` (:func:`_generator_band`), so each residual
+    is never below the exact relative residual.  It is homogeneous of degree
+    0 in ``z``, so both powers are carried at :func:`_binary_scaled` ``z``,
+    and no ``|z|`` overflows them.
     """
     if not 0 <= k_max <= 12:
         raise ValueError(f"k_max must be in [0, 12], got {k_max}")
     if z == 0:
         return np.zeros(k_max + 1)
     z = _binary_scaled(z)
-    space = pair.space
-    cut = SafeSubspace(space, space.dim - max(k_max, 1)).cutoff
-    D = z * pair.b.mat + (-np.conj(z)) * pair.a.mat
-    SGk = _blockdiag(pair.source.S_block, space.dim, cut)
+    d, riesz = pair.space.dim, pair.source
+    cut = SafeSubspace(pair.space, d - max(k_max, 1)).cutoff
+    r = min(cut, max(riesz.block, pair.border) + k_max)
+    width = min(d, r + k_max)
+    SGk = _blockdiag(riesz.S_block, width, r)
     residuals = np.zeros(k_max + 1)
-    for k, Dk in enumerate(_powers(D, z, cut, k_max), 1):
+    powers = zip(_strip_powers(pair, z, r, width, k_max), _generator_band(z, d, r, cut, k_max))
+    for k, (Dk, tail) in enumerate(powers, 1):
         SGk = _times_generator(SGk, z)
-        residuals[k] = _relative_norm(_rmul(SGk, pair.source.S_inv_block, cut) - Dk[:, :cut],
-                                      Dk[:, :cut])
+        diff = _rmul(SGk, riesz.S_inv_block, r) - Dk[:, :r]
+        residuals[k] = _spectral_norm(diff) / max(
+            _spectral_lower_bound(Dk[:, :cut], tail, cut), 1e-300)
     return residuals
 
 

@@ -111,7 +111,7 @@ def _spectral_norm(X: np.ndarray) -> float:
     return sigma
 
 
-def _spectral_lower_bound(X: np.ndarray) -> float:
+def _spectral_lower_bound(X: np.ndarray, tail=None, cols: int | None = None) -> float:
     """Certified lower bound ``lo`` of ``sigma_max(X)``, with no SVD: the
     largest of the largest column 2-norm, the largest row 2-norm and
     ``||X||_F / sqrt(min(m, n))``, so that
@@ -121,18 +121,36 @@ def _spectral_lower_bound(X: np.ndarray) -> float:
     after the square root, both exactly: no square overflows, and only the
     squares of entries below ``2^-537`` times the largest underflow, which
     can only lower the bound.  As in :func:`_spectral_norm`, an all-zero
-    ``X`` reads ``0.0`` and a non-finite one ``nan``."""
+    ``X`` reads ``0.0`` and a non-finite one ``nan``.
+
+    A matrix too large to form may be passed as its leading rows ``X``, its
+    columns from ``X.shape[1]`` to ``cols`` zero, and ``tail = (V, J)``, the
+    rest in row-compressed form: row ``len(X) + i`` holds ``V[i, t]`` at
+    column ``J[i, t]`` and zeros elsewhere, an entry with ``J`` outside
+    ``[0, cols)`` not counted."""
+    cols = X.shape[1] if cols is None else cols
     A = np.abs(X)
-    top = float(A.max(initial=0.0))  # a nan entry propagates
+    T = np.zeros((0, 1))
+    if tail is not None:
+        V, J = tail
+        kept = (J >= 0) & (J < cols)
+        T = np.where(kept, np.abs(V), 0.0)
+    top = float(np.max([A.max(initial=0.0), T.max(initial=0.0)]))  # a nan entry propagates
     if not math.isfinite(top):
         return float("nan")
     if top == 0:
         return 0.0
     e = math.frexp(top)[1]
-    np.ldexp(A, -e, out=A)
-    A *= A
-    cols, rows = A.sum(axis=0), A.sum(axis=1)
-    return math.ldexp(math.sqrt(max(cols.max(), rows.max(), cols.sum() / min(X.shape))), e)
+    col_sq = np.zeros(cols)
+    for part in (A, T):
+        np.ldexp(part, -e, out=part)
+        part *= part
+    col_sq[:A.shape[1]] += A.sum(axis=0)
+    if tail is not None:
+        col_sq += np.bincount(J[kept], T[kept], minlength=cols)
+    row_sq = max(A.sum(axis=1).max(initial=0.0), T.sum(axis=1).max(initial=0.0))
+    n = min(len(A) + len(T), cols)
+    return math.ldexp(math.sqrt(max(col_sq.max(), row_sq, col_sq.sum() / n)), e)
 
 
 def _recurrence(a: np.ndarray, b: np.ndarray, x: np.ndarray):

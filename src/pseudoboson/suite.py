@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import (
+    _commutator_block,
     _map_vacua,
     ladder_check,
     make_pair,
@@ -118,7 +119,7 @@ def _record_bch_eigen(rec: _Recorder, pair, disp, bc, cutoff: int):
     for name, residual in zip(("bch_u", "bch_v"), bch):
         rec.add(name, residual, disp.z, cutoff=cutoff, reference="lower bound")
     for name, residual in zip(("eigen_eta", "eigen_xi"), eigen_check(pair, bc)):
-        rec.add(name, residual, disp.z)
+        rec.add(name, residual, disp.z, border=pair.border)
 
 
 def _output_dir(path) -> Path:
@@ -185,12 +186,13 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
 
     pair = make_pair(riesz)
     sub_top = SafeSubspace(riesz.space, dim - 1)
-    a, b, k = pair.a.mat, pair.b.mat, sub_top.cutoff
-    ba = b @ a
-    rec.add("ccr", _spectral_norm((a @ b - ba)[:k, :k] - np.eye(k)))
-    n_eigs = np.sort_complex(np.linalg.eigvals(ba))[: dim - 1]
-    rec.add("number_spectrum", np.abs(n_eigs - np.arange(dim - 1)).max())
-    del ba  # one d x d matrix fewer alive through the displacement checks
+    q, k, N = pair.border, sub_top.cutoff, pair.number_block
+    # both sides are exact outside the leading m x m block, m = min(q + 1, dim):
+    # [a, b] - 1 is zero there below the corner, b a is diag(m, ..., dim - 1)
+    rec.add("ccr", _spectral_norm(_commutator_block(pair)[:k, :k] - np.eye(min(len(N), k))),
+            border=q)
+    n_eigs = np.sort_complex(np.append(np.linalg.eigvals(N), np.arange(len(N), dim)))
+    rec.add("number_spectrum", np.abs(n_eigs[: dim - 1] - np.arange(dim - 1)).max(), border=q)
 
     try:
         phi0, psi0 = vacua(pair)
@@ -201,19 +203,19 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
         r_phi = _phase_aligned_distance(phi0, phi0_cf / np.linalg.norm(phi0_cf))
         r_psi = _phase_aligned_distance(psi0 / np.linalg.norm(psi0),
                                         psi0_cf / np.linalg.norm(psi0_cf))
-        rec.add("vacuum_match", max(r_phi, r_psi))
-        rec.add("vacuum_pairing", abs(np.vdot(phi0, psi0) - 1.0))
+        rec.add("vacuum_match", max(r_phi, r_psi), border=q)
+        rec.add("vacuum_pairing", abs(np.vdot(phi0, psi0) - 1.0), border=q)
 
-    rec.add("ladder", max(r.max() for r in ladder_check(pair).values()))
-    rec.add("number_operator", max(r.max() for r in number_operator_check(pair)))
-    rec.add("theta_conjugacy", theta_conjugacy_check(pair, sub_top))
+    rec.add("ladder", max(r.max() for r in ladder_check(pair).values()), border=q)
+    rec.add("number_operator", max(r.max() for r in number_operator_check(pair)), border=q)
+    rec.add("theta_conjugacy", theta_conjugacy_check(pair, sub_top), border=q)
 
     for z in config.z_samples:
         with warnings.catch_warnings():
             # regime warnings are encoded in the status
             warnings.simplefilter("ignore", AccuracyRegimeWarning)
             rec.add("power_similarity", power_similarity_check(pair, z).max(), z,
-                    reference="lower bound")
+                    border=q, reference="lower bound")
             disp = displaced_pair(riesz, z)
             bc = rbcs(riesz, z)
             _record_bch_eigen(rec, pair, disp, bc, _bch_cutoff(dim, z))
@@ -221,7 +223,8 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
             rec.add("rbcs_pairing", abs(np.vdot(bc.eta, bc.xi) - 1.0), z)
             phi_s, psi_s = series_route(pair, z)
             rec.add("two_route",
-                    max(np.linalg.norm(phi_s - bc.eta), np.linalg.norm(psi_s - bc.xi)), z)
+                    max(np.linalg.norm(phi_s - bc.eta), np.linalg.norm(psi_s - bc.xi)), z,
+                    border=q)
 
     try:
         quad = make_quadrature(dim, dim // 2 + 1, 2 * dim + 1)

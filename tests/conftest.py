@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pseudoboson import (
+    PseudoBosonPair,
     make_riesz_map,
     make_space,
     projector_map,
@@ -44,3 +45,28 @@ def all_maps64(identity_map64, projector_map64, random_maps64):
 def random_unit_vector(rng, dim):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def with_entry(pair, op, entry, factor):
+    """``pair`` with the entry ``entry`` of ``op`` (``"a"`` or ``"b"``) scaled by
+    ``factor``, built by hand on a border just wide enough to hold it:
+    ``a[i, j]`` lies in ``a[:q, :q+1]`` for ``q > i``, ``q >= j``, and
+    ``b[i, j]`` in ``b[:q+1, :q]`` for ``q >= i``, ``q > j``."""
+    a, b = pair.a.mat.copy(), pair.b.mat.copy()
+    {"a": a, "b": b}[op][entry] *= factor
+    i, j = entry
+    q = min(max(pair.border, i + 1, j) if op == "a" else max(pair.border, i, j + 1), pair.space.dim)
+    return PseudoBosonPair(a[:q, :q + 1], b[:q + 1, :q], pair.source)
+
+
+def dense_rows(X, tail=None, cols=None):
+    """The matrix ``_spectral_lower_bound(X, tail, cols)`` bounds, formed
+    densely: ``X``'s rows padded to ``cols`` columns, then the rows of the
+    row-compressed ``tail = (V, J)``."""
+    cols = X.shape[1] if cols is None else cols
+    V, J = tail if tail is not None else (np.zeros((0, 1)), np.zeros((0, 1), int))
+    out = np.zeros((len(X) + len(V), cols), complex)
+    out[:len(X), :X.shape[1]] = X
+    i, t = np.nonzero((J >= 0) & (J < cols))
+    out[len(X) + i, J[i, t]] = V[i, t]
+    return out

@@ -7,7 +7,6 @@ from pseudoboson import (
     DegenerateKernelError,
     InvalidDimensionError,
     OrthogonalVacuaError,
-    Operator,
     PseudoBosonPair,
     SafeSubspace,
     excited_states,
@@ -26,7 +25,7 @@ from pseudoboson import (
 from pseudoboson.algebra import _smallest_singular_vector
 from pseudoboson.reports import default_tolerance
 
-from conftest import random_unit_vector
+from conftest import random_unit_vector, with_entry
 
 
 def projector_riesz(dim):
@@ -102,17 +101,20 @@ class TestVacua:
     def test_degenerate_kernel_detected(self):
         space = make_space(4)
         riesz = make_riesz_map(space, np.eye(0))
-        degenerate = Operator(space, np.diag([0.0, 0.0, 1.0, 2.0]).astype(complex))
-        pair = PseudoBosonPair(a=degenerate, b=Operator(space, degenerate.mat.conj().T), source=riesz)
+        # dense borders (q = dim): the diagonal is off c everywhere
+        degenerate = np.diag([0.0, 0.0, 1.0, 2.0]).astype(complex)
+        pair = PseudoBosonPair(a_border=degenerate, b_border=degenerate.conj().T, source=riesz)
+        assert pair.border == 4
         with pytest.raises(DegenerateKernelError):
             vacua(pair)
 
     def test_orthogonal_vacua_detected(self):
         space = make_space(4)
         riesz = make_riesz_map(space, np.eye(0))
-        a = ladder_c(space)  # kernel e_0
-        b = Operator(space, np.diag([1.0, 0.0, 1.0, 1.0]).astype(complex))  # b^dag kernel e_1
-        pair = PseudoBosonPair(a=a, b=b, source=riesz)
+        a = ladder_c(space).mat  # kernel e_0
+        b = np.diag([1.0, 0.0, 1.0, 1.0]).astype(complex)  # b^dag kernel e_1
+        pair = PseudoBosonPair(a_border=a, b_border=b, source=riesz)  # dense borders, q = dim
+        assert pair.border == 4
         with pytest.raises(OrthogonalVacuaError):
             vacua(pair)
 
@@ -150,8 +152,9 @@ class TestBlockKernel:
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 24), st.data())
     def test_matches_full_svd(self, d, data):
-        # the block SVD finds the full SVD's kernel direction, and refuses
-        # exactly when the full SVD's gap test does
+        # the block SVD of the border M[:q, :q+1] with the superdiagonal tail
+        # finds the full SVD's kernel direction, and refuses exactly when
+        # the full SVD's gap test does
         q = data.draw(st.integers(0, d))
         tiny_block, zero_tail = data.draw(st.booleans()), data.draw(st.booleans())
         M = bordered_matrix(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
@@ -161,9 +164,9 @@ class TestBlockKernel:
         assert degenerate == ((tiny_block and q > 0) or (zero_tail and q < d - 1))
         if degenerate:
             with pytest.raises(DegenerateKernelError):
-                _smallest_singular_vector(M, "M")
+                _smallest_singular_vector(M[:q, :q + 1], np.diag(M, 1)[q:], "M")
             return
-        got, want = _smallest_singular_vector(M, "M"), np.conj(Vh[-1])
+        got, want = _smallest_singular_vector(M[:q, :q + 1], np.diag(M, 1)[q:], "M"), np.conj(Vh[-1])
         overlap = np.vdot(got, want)
         assert abs(np.linalg.norm(got) - 1.0) <= 1e-14
         assert np.linalg.norm(got * overlap / abs(overlap) - want) <= 1e-12
@@ -263,9 +266,10 @@ class TestLadderCheck:
 
 
 class TestBlockProducts:
-    """``ladder_check`` and ``number_operator_check`` multiply each operator by
-    the map's deformed block only; the dense-family formulas below, built from
-    ``S`` and ``S^-1`` alone, give the same arrays."""
+    """``ladder_check`` and ``number_operator_check`` multiply each operator's
+    leading block by the map's deformed block only; the dense-family
+    formulas below, built from ``S`` and ``S^-1`` and the dense ``a`` and
+    ``b`` alone, give the same arrays."""
 
     @staticmethod
     def dense(pair):
@@ -301,14 +305,27 @@ class TestBlockProducts:
     @pytest.mark.parametrize("dim", [64, 256])
     @pytest.mark.parametrize("kind", list(MAPS))
     def test_equal_to_dense_families(self, kind, dim):
+        # the ladder residuals are bit for bit the dense ones.  The number
+        # residuals agree to the roundoff of N = b a, which the border route
+        # forms as the (q+1) x (q+1) block b_border a_border, below level
+        # w = max(p, q + 1); from w on, where N e_n = n e_n holds by
+        # construction, they read an exact 0 and the dense route only the
+        # rounding of sqrt(n)^2 - n
         pair = make_pair(self.MAPS[kind](make_space(dim)))
         ladder, number = self.dense(pair)
         got = ladder_check(pair)
         assert list(got) == list(ladder)
         for key, want in ladder.items():
             assert np.array_equal(got[key], want), key
+        w = max(pair.source.block, pair.border + 1)
+        eps = np.finfo(float).eps
+        width = max(np.linalg.norm(pair.source.S.mat, axis=0).max(),
+                    np.linalg.norm(pair.source.S_inv.mat, axis=1).max())
+        atol = 64 * eps * np.linalg.norm(pair.b.mat @ pair.a.mat, 2) * width
         for got_r, want_r in zip(number_operator_check(pair), number):
-            assert np.array_equal(got_r, want_r)
+            np.testing.assert_allclose(got_r[:w], want_r[:w], rtol=0, atol=atol)
+            assert not got_r[w:].any()
+            assert want_r[w:].max(initial=0.0) <= 4 * eps * dim
 
     def test_dense_map_agrees_to_roundoff(self):
         # top_margin=0 deforms every level, so the block is all of S
@@ -331,13 +348,13 @@ class TestBlockProducts:
     def test_entry_outside_block_is_read(self, kind):
         # b[p + 5, p + 4] = sqrt(p + 5) lies outside the deformed block; a
         # relative change of 1e-6 there breaks b phi_{p+4}, b^dag psi_{p+5},
-        # N phi_{p+5} and N^dag psi_{p+5}
+        # N phi_{p+5} and N^dag psi_{p+5}.  The pair is built on the border
+        # q = p + 5 that holds the entry
         riesz = self.MAPS[kind](make_space(64))
         pair = make_pair(riesz)
         p = riesz.block
-        b = pair.b.mat.copy()
-        b[p + 5, p + 4] *= 1 + 1e-6
-        bad = PseudoBosonPair(a=pair.a, b=Operator(pair.space, b), source=riesz)
+        bad = with_entry(pair, "b", (p + 5, p + 4), 1 + 1e-6)
+        assert bad.border == p + 5
         ladder = ladder_check(bad)
         r_phi, r_psi = number_operator_check(bad)
         assert min(ladder["b_raise"][p + 4], ladder["bdag_lower"][p + 5]) > default_tolerance(
@@ -442,10 +459,10 @@ class TestThetaConjugacy:
 
     def test_perturbed_pair_fails(self, random_map64):
         # negative control: b[m, m + 1] lies inside the random map's block, so it is
-        # nonzero and read by the conjugation on the safe subspace
+        # nonzero and read by the conjugation on the safe subspace; the pair's
+        # border q = p = 32 already holds it
         pair, k, m = make_pair(random_map64), 63, 10
-        b = pair.b.mat.copy()
-        b[m, m + 1] *= 1 + 1e-6
-        bad = PseudoBosonPair(a=pair.a, b=Operator(pair.space, b), source=random_map64)
+        bad = with_entry(pair, "b", (m, m + 1), 1 + 1e-6)
+        assert bad.border == pair.border == 32
         residual = theta_conjugacy_check(bad, SafeSubspace(random_map64.space, k))
         assert residual > default_tolerance("theta_conjugacy", random_map64.cond)

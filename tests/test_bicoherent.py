@@ -28,6 +28,7 @@ from pseudoboson import (
     weak_pairing_check,
 )
 from pseudoboson import bicoherent
+from pseudoboson.algebra import _raise
 
 from conftest import random_unit_vector
 
@@ -101,17 +102,16 @@ class TestRbcs:
 
 def _full_series(pair, z):
     """The coherent series over all ``dim`` terms, in the order and
-    arithmetic of :func:`series_route`."""
+    arithmetic of :func:`series_route`: ``b`` and ``a^dag`` applied through
+    the pair's border, to ``phi_n`` and ``psi_n`` stacked."""
     coeff = coherent(pair.space, z)
-    phi_n, psi_n = pair.source.S.mat[:, 0], pair.source.S_inv.mat[0].conj()
-    phi_sum, psi_sum = coeff[0] * phi_n, coeff[0] * psi_n
-    a_dag = pair.a.mat.conj().T
+    ops = np.stack([pair.b_border, pair.a_border.conj().T])
+    terms = np.stack([pair.source.S.mat[:, 0], pair.source.S_inv.mat[0].conj()])
+    sums = coeff[0] * terms
     for n in range(1, pair.space.dim):
-        phi_n = (1.0 / np.sqrt(float(n))) * (pair.b.mat @ phi_n)
-        psi_n = (1.0 / np.sqrt(float(n))) * (a_dag @ psi_n)
-        phi_sum += coeff[n] * phi_n
-        psi_sum += coeff[n] * psi_n
-    return phi_sum, psi_sum
+        terms = (1.0 / np.sqrt(float(n))) * _raise(ops, terms)
+        sums += coeff[n] * terms
+    return sums[0], sums[1]
 
 
 @pytest.fixture(scope="module")

@@ -1,0 +1,283 @@
+"""The pair as its border: ``a`` and ``b`` are ``c`` and ``c^dag`` outside
+``a[:q, :q+1]`` and ``b[:q+1, :q]``, and every record that reads them works
+on the border.  Each record is checked against a dense evaluation written
+here, on the border extremes (``p = 0``, a border at level 0 and at level 5,
+``p = dim/2`` and ``p = dim``); faults are injected through ``run_suite``;
+and the pair-level work is held below one ``dim x dim`` complex array."""
+
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from pseudoboson import (
+    PseudoBosonPair,
+    SafeSubspace,
+    coherent,
+    eigen_check,
+    ladder_check,
+    load_config,
+    make_pair,
+    make_riesz_map,
+    make_space,
+    number_operator_check,
+    power_similarity_check,
+    projector_map,
+    random_riesz_map,
+    rbcs,
+    run_suite,
+    series_route,
+    suite,
+    theta_conjugacy_check,
+    vacua,
+)
+from pseudoboson.algebra import _commutator_block
+from pseudoboson.fock import _spectral_lower_bound, ladder_c
+
+from conftest import with_entry
+
+MAPS = {
+    "identity": (lambda space: make_riesz_map(space, np.eye(0)), 0),
+    "projector-0": (lambda space: projector_map(space, space.basis_vector(0)), 1),
+    "projector-5": (lambda space: projector_map(space, space.basis_vector(5)), 6),
+    "random": (lambda space: random_riesz_map(space, 10.0, seed=1), 32),
+    "dense": (lambda space: random_riesz_map(space, 10.0, seed=1, top_margin=0), 64),
+}
+Z = (0.0, 1.0, 1 + 1j, 2j)
+
+
+def outside(d, q):
+    """Masks of the entries outside ``a[:q, :q+1]`` and ``b[:q+1, :q]``."""
+    a_out = np.ones((d, d), bool)
+    a_out[:q, :q + 1] = False
+    return a_out, a_out.T
+
+
+@pytest.fixture(scope="module", params=list(MAPS))
+def case(request):
+    build, p = MAPS[request.param]
+    riesz = build(make_space(64))
+    return request.param, riesz, make_pair(riesz), p
+
+
+class TestBorderExtremes:
+    def test_border_is_the_block(self, case):
+        # make_pair's border is the map's block, trimmed exactly
+        _, riesz, pair, p = case
+        assert riesz.block == pair.border == p
+        assert pair.a_border.shape == (p, min(p + 1, 64))
+        assert pair.b_border.shape == (min(p + 1, 64), p)
+
+    def test_c_outside_the_border_bit_for_bit(self, case):
+        # outside the border a and b are c and c^dag bit for bit, and so is
+        # the dense transport S c S^-1; inside the two agree to roundoff
+        _, riesz, pair, p = case
+        c = ladder_c(riesz.space).mat
+        S, S_inv = riesz.S.mat, riesz.S_inv.mat
+        a_out, b_out = outside(64, p)
+        for got, dense, canon, out in ((pair.a.mat, S @ c @ S_inv, c, a_out),
+                                       (pair.b.mat, S @ c.T @ S_inv, c.T, b_out)):
+            assert np.array_equal(got[out], canon[out])
+            assert np.array_equal(dense[out], canon[out])
+            assert np.abs(got - dense).max() <= 1e-13 * riesz.cond * np.abs(dense).max()
+
+    def test_records_match_dense_evaluation(self, case, tmp_path, monkeypatch):
+        # every record that reads a or b, as verify reports it, against the
+        # same identity evaluated here on the dense a and b: equal to
+        # roundoff, graded alike, and with the border in its params
+        _, riesz, pair, p = case
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "dim": 64, "map_spec": {"kind": "random", "cond": 10.0},
+            "z_samples": [[z.real, z.imag] for z in map(complex, Z)],
+            "outputs": str(tmp_path / "out")}))
+        monkeypatch.setattr(suite, "build_map", lambda config, dim=None: riesz)
+        reports = run_suite(load_config(path))
+        want = dense_records(riesz)
+        seen = set()
+        for r in reports:
+            key = (r.check_id, r.params.get("z"))
+            if key not in want:
+                continue
+            seen.add(key)
+            assert r.params["border"] == p, key
+            assert abs(r.residual - want[key]) <= 1e-3 * r.tolerance, (key, r.residual, want[key])
+            assert r.status == ("pass" if want[key] <= r.tolerance else "fail"), key
+        assert seen == set(want)
+
+
+def dense_records(riesz):
+    """The residuals of the records that read ``a`` or ``b``, keyed as
+    ``(check_id, z label)``, from the dense ``a``, ``b``, ``S`` and ``S^-1``."""
+    space, d = riesz.space, riesz.dim
+    pair = make_pair(riesz)
+    a, b = pair.a.mat, pair.b.mat
+    S, S_inv = riesz.S.mat, riesz.S_inv.mat
+    phi, psi = S, S_inv.conj().T
+    c = ladder_c(space).mat
+    k, eye = d - 1, np.eye(d)
+    out = {}
+    ba = b @ a
+    out["ccr", None] = np.linalg.norm((a @ b - ba - eye)[:k, :k], 2)
+    eigs = np.sort_complex(np.linalg.eigvals(ba))[:k]
+    out["number_spectrum", None] = np.abs(eigs - np.arange(k)).max()
+
+    def kernel(M):
+        return np.conj(np.linalg.svd(M)[2][-1])
+
+    phi0, psi0 = kernel(a), kernel(b.conj().T)
+    j = np.argmax(np.abs(phi0))
+    phi0 = phi0 * np.conj(phi0[j] / abs(phi0[j]))
+    psi0 = psi0 / np.vdot(phi0, psi0)
+
+    def distance(v, w):
+        v, w = v / np.linalg.norm(v), w / np.linalg.norm(w)
+        overlap = np.vdot(v, w)
+        return np.linalg.norm(v * overlap / abs(overlap) - w)
+
+    out["vacuum_match", None] = max(distance(phi0, phi[:, 0]), distance(psi0, psi[:, 0]))
+    out["vacuum_pairing", None] = abs(np.vdot(phi0, psi0) - 1.0)
+    up = np.sqrt(np.arange(1.0, d))
+    lowered = lambda v: np.pad(v[:, :-1] * up, ((0, 0), (1, 0)))  # noqa: E731
+    out["ladder", None] = max(
+        np.linalg.norm(b @ phi[:, :-1] - phi[:, 1:] * up, axis=0).max(),
+        np.linalg.norm(a.conj().T @ psi[:, :-1] - psi[:, 1:] * up, axis=0).max(),
+        np.linalg.norm(a @ phi - lowered(phi), axis=0).max(),
+        np.linalg.norm(b.conj().T @ psi - lowered(psi), axis=0).max())
+    levels = np.arange(k, dtype=float)
+    out["number_operator", None] = max(
+        np.linalg.norm(ba @ phi[:, :k] - phi[:, :k] * levels, axis=0).max(),
+        np.linalg.norm(ba.conj().T @ psi[:, :k] - psi[:, :k] * levels, axis=0).max())
+    theta = S_inv.conj().T @ S_inv
+    out["theta_conjugacy", None] = np.linalg.norm(
+        (a - np.linalg.inv(theta) @ b.conj().T @ theta)[:k, :k], 2)
+    cut = d - 5
+    for z in map(complex, Z):
+        label = f"{z.real:g}{z.imag:+g}j"
+        G, D = z * c.T - np.conj(z) * c, z * b - np.conj(z) * a
+        worst, Gk, Dk = 0.0, eye, eye
+        for _ in range(5 if z else 0):
+            Gk, Dk = Gk @ G, Dk @ D
+            ref = Dk[:cut, :cut]
+            worst = max(worst, np.linalg.norm((S @ Gk @ S_inv)[:cut, :cut] - ref, 2)
+                        / _spectral_lower_bound(ref))
+        out["power_similarity", label] = worst
+        bc = rbcs(riesz, z)
+        out["eigen_eta", label] = np.linalg.norm(a @ bc.eta - z * bc.eta) / np.linalg.norm(bc.eta)
+        out["eigen_xi", label] = (np.linalg.norm(b.conj().T @ bc.xi - z * bc.xi)
+                                  / np.linalg.norm(bc.xi))
+        coeff, phi_n, psi_n = coherent(space, z), phi[:, 0], psi[:, 0]
+        phi_sum, psi_sum = coeff[0] * phi_n, coeff[0] * psi_n
+        for n in range(1, d):
+            phi_n, psi_n = (b @ phi_n) / np.sqrt(n), (a.conj().T @ psi_n) / np.sqrt(n)
+            phi_sum, psi_sum = phi_sum + coeff[n] * phi_n, psi_sum + coeff[n] * psi_n
+        out["two_route", label] = max(np.linalg.norm(phi_sum - bc.eta),
+                                      np.linalg.norm(psi_sum - bc.xi))
+    return out
+
+
+def run_with_fault(tmp_path, monkeypatch, map_spec, fault=None):
+    """``run_suite`` at dim 64 on ``map_spec``, with the pair's ``fault =
+    (op, entry)`` scaled by ``1 + 1e-6`` on a border that holds it."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "dim": 64, "map_spec": map_spec,
+        "z_samples": [[0, 0], [1, 0], [1, 1], [0, 2]], "outputs": str(tmp_path / "out")}))
+    if fault is not None:
+        monkeypatch.setattr(suite, "make_pair",
+                            lambda riesz: with_entry(make_pair(riesz), *fault, 1 + 1e-6))
+    return run_suite(load_config(path))
+
+
+PROJECTOR = {"kind": "projector", "u_index": 0}
+RANDOM = {"kind": "random", "cond": 10.0, "seed": 1}
+
+
+class TestNegativeControls:
+    """One entry of ``a`` or ``b`` scaled by ``1 + 1e-6``, through
+    ``run_suite``: inside the ``a`` border, at ``b[5, 4]`` (inside the random
+    map's border, outside the projector's) and at ``b[41, 40]`` (outside both,
+    on a widened border).  Each fail set is the one the dense pair gave
+    before the pair became its border; every other record passes, as it
+    does on the unperturbed maps."""
+
+    FAILS = {
+        ("projector", "a", (0, 1)): {"ccr", "eigen_eta", "ladder", "number_operator",
+                                     "power_similarity", "theta_conjugacy", "two_route"},
+        ("projector", "b", (5, 4)): {"ccr", "eigen_xi", "ladder", "number_operator",
+                                     "number_spectrum", "power_similarity", "theta_conjugacy",
+                                     "two_route"},
+        ("projector", "b", (41, 40)): {"ccr", "ladder", "number_operator", "number_spectrum",
+                                       "power_similarity", "theta_conjugacy"},
+        ("random", "a", (0, 1)): {"ccr", "eigen_eta", "ladder", "number_operator",
+                                  "power_similarity", "theta_conjugacy", "two_route",
+                                  "vacuum_match"},
+        ("random", "b", (5, 4)): {"ccr", "eigen_xi", "ladder", "number_operator",
+                                  "theta_conjugacy", "two_route", "vacuum_match"},
+        ("random", "b", (41, 40)): {"ccr", "ladder", "number_operator", "power_similarity",
+                                    "theta_conjugacy"},
+    }
+
+    @pytest.mark.parametrize("kind, op, entry", list(FAILS),
+                             ids=[f"{k}-{op}{list(e)}" for k, op, e in FAILS])
+    def test_fail_set(self, kind, op, entry, tmp_path, monkeypatch):
+        spec = PROJECTOR if kind == "projector" else RANDOM
+        reports = run_with_fault(tmp_path, monkeypatch, spec, (op, entry))
+        failed = {r.check_id for r in reports if r.status == "fail"}
+        assert failed == self.FAILS[kind, op, entry]
+        assert all(r.status == "pass" for r in reports if r.check_id not in failed)
+        border = {r.params["border"] for r in reports if "border" in r.params}
+        assert border == {max(1 if kind == "projector" else 32, entry[0] + (op == "a"))}
+
+    @pytest.mark.parametrize("spec", [PROJECTOR, RANDOM], ids=["projector", "random"])
+    def test_unperturbed_maps_pass(self, spec, tmp_path, monkeypatch):
+        reports = run_with_fault(tmp_path, monkeypatch, spec)
+        assert all(r.status == "pass" for r in reports)
+
+
+class TestAllocation:
+    """At dim 1024 on the projector map the pair, the map-level records and
+    ``power_similarity`` each peak below one ``dim x dim`` complex array
+    (16 MB): nothing dense is formed."""
+
+    LIMIT = 1024 * 1024 * 16
+
+    @staticmethod
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_pair_level_work_stays_below_one_dense_array(self):
+        space = make_space(1024)
+        riesz = projector_map(space, space.basis_vector(0))
+        assert self.peak(lambda: make_pair(riesz)) < self.LIMIT
+        pair, sub = make_pair(riesz), SafeSubspace(space, 1023)
+
+        def map_level():
+            _commutator_block(pair)
+            np.linalg.eigvals(pair.number_block)
+            vacua(pair)
+            ladder_check(pair)
+            number_operator_check(pair)
+            theta_conjugacy_check(pair, sub)
+
+        assert self.peak(map_level) < self.LIMIT
+        for z in (1.0, 1 + 1j, 2j):
+            assert self.peak(lambda: power_similarity_check(pair, z)) < self.LIMIT
+            bc = rbcs(riesz, z)
+            assert self.peak(lambda: (series_route(pair, z), eigen_check(pair, bc))) < self.LIMIT
+
+
+def test_hand_built_border_is_trimmed(random_map64):
+    # a dense pair handed to the constructor is trimmed to the border
+    pair = make_pair(random_map64)
+    dense = PseudoBosonPair(pair.a.mat, pair.b.mat, random_map64)
+    assert dense.border == pair.border == 32
+    assert np.array_equal(dense.a_border, pair.a_border)
+    assert np.array_equal(dense.b_border, pair.b_border)
+    assert not dense.a_border.flags.writeable

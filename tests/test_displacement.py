@@ -23,11 +23,13 @@ from pseudoboson import (
     power_similarity_check,
     weyl,
 )
-from pseudoboson.displacement import (_displacement_block, _phase_powers, _powers,
-                                      _times_generator)
+from pseudoboson.displacement import (_displacement_block, _generator_band, _phase_powers,
+                                      _strip_powers, _times_generator)
 from pseudoboson.fock import Operator, _spectral_lower_bound, ladder_c
 from pseudoboson.reports import default_tolerance
 from pseudoboson.riesz import random_riesz_map
+
+from conftest import dense_rows, with_entry
 
 bounded_z = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
@@ -182,20 +184,39 @@ class TestPowerSimilarity:
         # equals the dense D^{k-1} D to roundoff, on a map deformed at level
         # 0, one deformed on its lower half, one deformed everywhere, and
         # the projector pair with b[40, 39] moved, where the border comes
-        # from D, not from the map
+        # from the pair, not from the map; on all 64 columns, and on the
+        # narrow strip power_similarity carries, outside which D^k is 0
         riesz = {"projector": projector_map64, "random": random_map64,
                  "dense": random_riesz_map(random_map64.space, 10.0, seed=4, top_margin=0),
                  "perturbed": projector_map64}[kind]
         pair, z = make_pair(riesz), 1.3 - 0.4j
-        b = pair.b.mat.copy()
         if kind == "perturbed":
-            b[40, 39] *= 1 + 1e-4
-        D = z * b + (-np.conj(z)) * pair.a.mat
+            pair = with_entry(pair, "b", (40, 39), 1 + 1e-4)
+            assert pair.border == 40
+        D = z * pair.b.mat + (-np.conj(z)) * pair.a.mat
+        rows = min(59, max(riesz.block, pair.border) + 6)
+        cols = min(64, rows + 6)
         dense = D[:59]
-        for k, Dk in enumerate(_powers(D, z, 59, 6), 1):
+        for k, (Dk, strip) in enumerate(zip(_strip_powers(pair, z, 59, 64, 6),
+                                            _strip_powers(pair, z, rows, cols, 6)), 1):
             dense = dense @ D if k > 1 else dense
-            assert Dk.shape == (59, 64)
+            assert Dk.shape == (59, 64) and strip.shape == (rows, cols)
             assert np.abs(Dk - dense).max() <= 1e-14 * np.abs(dense).max()
+            assert np.abs(strip - dense[:rows, :cols]).max() <= 1e-14 * np.abs(dense).max()
+            assert not dense[:rows, cols:].any()
+
+    @pytest.mark.parametrize("first", [0, 6, 30])
+    def test_generator_band_matches_dense_powers(self, first):
+        # the 2 k_max + 1 diagonals of G^k, carried from k - 1, against
+        # dense powers of G, hard cutoff included
+        z, d, k_max = 1.3 - 0.4j, 40, 5
+        c = ladder_c(make_space(d)).mat
+        G = z * c.conj().T - np.conj(z) * c
+        Gk = np.eye(d)
+        for V, J in _generator_band(z, d, first, d, k_max):
+            Gk = Gk @ G
+            np.testing.assert_allclose(dense_rows(np.zeros((0, d)), (V, J), d), Gk[first:],
+                                       rtol=0, atol=1e-13 * np.abs(Gk).max())
 
     @pytest.mark.parametrize("entry", [(1, 0), (40, 39)], ids=["inside", "outside"])
     @pytest.mark.parametrize("kind", ["projector", "random"])
@@ -204,9 +225,7 @@ class TestPowerSimilarity:
         # deformed block and in the canonical tail
         riesz = projector_map64 if kind == "projector" else random_map64
         pair = make_pair(riesz)
-        b = pair.b.mat.copy()
-        b[entry] *= 1 + 1e-4
-        bad = dataclasses.replace(pair, b=Operator(pair.space, b))
+        bad = with_entry(pair, "b", entry, 1 + 1e-4)
         tol = default_tolerance("power_similarity", riesz.cond)
         assert power_similarity_check(pair, 1 + 1j).max() <= tol
         for z in (1.0, 1 + 1j, 2j):

@@ -25,6 +25,8 @@ from pseudoboson import displacement
 from pseudoboson.fock import _border, _spectral_lower_bound, _spectral_norm
 from pseudoboson.suite import _bch_cutoff
 
+from conftest import dense_rows
+
 
 class TestSpace:
     def test_minimal_space(self):
@@ -287,19 +289,20 @@ class TestSpectralNorm:
 
         monkeypatch.setattr(np.linalg, "svd", spy)
         monkeypatch.setattr(displacement, "_spectral_lower_bound",
-                            lambda X: refs.append(X.shape) or bound(X))
+                            lambda *parts: refs.append(dense_rows(*parts).shape) or bound(*parts))
         power_similarity_check(pair, 1 + 1j)
         return seen, refs
 
     def test_parity_preserving_map_takes_half_size_blocks(self, monkeypatch, projector_map64):
         # S = 1 + i|e0><e0| keeps number parity, so every numerator is a
-        # checkerboard, and it vanishes outside a small border: k = 1 reads
-        # an exact 0 and k = 2..5 take one small block each.  The five
-        # 59 x 59 references (cut = 64 - 5) are only bounded, so the 30 + 29
-        # row parity blocks they would split into never reach the SVD
+        # checkerboard, and it vanishes outside the r x r block, r = p + 5 = 6,
+        # that the check forms: k = 1 reads an exact 0 and k = 2..5 take
+        # their parity blocks, k = 4 two of them.  The five 59 x 59
+        # references (cut = 64 - 5) are only bounded, so the 30 + 29 row
+        # parity blocks they would split into never reach the SVD
         seen, refs = self.svd_row_counts(monkeypatch, projector_map64)
         assert refs == [(59, 59)] * 5
-        assert seen == [1, 4, 5, 4]
+        assert seen == [1, 4, 2, 3, 4]
 
     def test_dense_map_takes_the_full_matrix(self, monkeypatch, random_map64):
         # no parity split: each numerator is one block of its nonzero rows,
@@ -382,7 +385,7 @@ class TestSpectralLowerBound:
         riesz = projector_map64 if kind == "projector" else random_map64
         pair, refs, bound = make_pair(riesz), [], displacement._spectral_lower_bound
         monkeypatch.setattr(displacement, "_spectral_lower_bound",
-                            lambda X: refs.append(X.copy()) or bound(X))
+                            lambda *parts: refs.append(dense_rows(*parts)) or bound(*parts))
         for z in (1, 1 + 1j, 2j):
             power_similarity_check(pair, z)
             sub = SafeSubspace(riesz.space, _bch_cutoff(64, z))
