@@ -73,10 +73,10 @@ def _raising_lead(border: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _sqrt_range(start: int, stop: int) -> np.ndarray:
-    """``sqrt(n)`` for ``n = start .. stop - 1``, read-only: the entries of
-    ``c`` and ``c^dag`` past a border."""
-    out = np.sqrt(np.arange(float(start), float(stop)))
+def _sqrt_range(start: int, stop: int, dtype=np.dtype(complex)) -> np.ndarray:
+    """``sqrt(n)`` for ``n = start .. stop - 1``, real, in the precision of
+    ``dtype``, read-only: the entries of ``c`` and ``c^dag`` past a border."""
+    out = np.sqrt(np.arange(start, stop, dtype=np.finfo(dtype).dtype))
     out.setflags(write=False)
     return out
 
@@ -94,13 +94,13 @@ def _lower(border: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _raise(border: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``X v`` for the raising-type ``X`` of :func:`_raising_lead`:
-    ``border @ v[:q]`` on rows ``:q+1``, then ``(X v)_i = sqrt(i) v_{i-1}``.
-    A stack of borders applies pairwise to a stack of vectors, ``border[j]``
-    to ``v[j]``."""
+    ``border @ v[:q]`` on rows ``:q+1``, then ``(X v)_i = sqrt(i) v_{i-1}``,
+    in the precision of ``border`` and ``v``.  A stack of borders applies
+    pairwise to a stack of vectors, ``border[j]`` to ``v[j]``."""
     q, d = border.shape[-1], v.shape[-1]
-    out = np.empty(v.shape, dtype=complex)
+    out = np.empty(v.shape, dtype=np.result_type(border, v))
     np.matmul(border, v[..., :q, None], out=out[..., :q + 1, None])
-    np.multiply(_sqrt_range(q + 1, d), v[..., q:d - 1], out=out[..., q + 1:])
+    np.multiply(_sqrt_range(q + 1, d, out.dtype), v[..., q:d - 1], out=out[..., q + 1:])
     return out
 
 
@@ -166,23 +166,30 @@ class PseudoBosonPair:
         return N
 
 
+def _borders(S_block: np.ndarray, S_inv_block: np.ndarray, d: int):
+    """``(a[:p, :p+1], b[:p+1, :p])`` (``p + 1`` capped at ``d``) for the map
+    ``blockdiag(S_block, 1)`` on ``d`` levels, in the blocks' precision:
+    ``S_p c[:p, :p+1] blockdiag(S_p^{-1}, 1)`` and
+    ``blockdiag(S_p, 1) c^dag[:p+1, :p] S_p^{-1}``, one ``p x p`` product
+    each."""
+    p = len(S_block)
+    # c[n, n+1] = c^dag[n+1, n] = sqrt(n+1)
+    up = np.sqrt(np.arange(1, min(p + 1, d), dtype=S_block.real.dtype))
+    S_c = np.zeros((p, len(up) + 1), dtype=S_block.dtype)  # S_p c[:p, :p+1]
+    S_c[:, 1:] = S_block[:, :len(up)] * up
+    c_S_inv = np.zeros((len(up) + 1, p), dtype=S_block.dtype)  # c^dag[:p+1, :p] S_p^{-1}
+    c_S_inv[1:] = up[:, None] * S_inv_block[:len(up)]
+    return _rmul(S_c, S_inv_block), _lmul(S_block, c_S_inv)
+
+
 def make_pair(riesz: RieszMap) -> PseudoBosonPair:
     """Transport the canonical ladder pair through ``S``:
     ``a = S c S^{-1}``, ``b = S c^dag S^{-1}``, as their borders.
 
     With ``S = blockdiag(S_p, 1)``, ``a`` is ``c`` outside ``a[:p, :p+1]``
-    and ``b`` is ``c^dag`` outside ``b[:p+1, :p]``, and those borders are
-    ``S_p c[:p, :p+1] blockdiag(S_p^{-1}, 1)`` and
-    ``blockdiag(S_p, 1) c^dag[:p+1, :p] S_p^{-1}``: one ``p x p`` product
-    each, with no ``dim x dim`` transport."""
-    p, d = riesz.block, riesz.dim
-    up = np.sqrt(np.arange(1.0, min(p + 1, d)))  # c[n, n+1] = c^dag[n+1, n] = sqrt(n+1)
-    S_c = np.zeros((p, len(up) + 1), dtype=complex)  # S_p c[:p, :p+1]
-    S_c[:, 1:] = riesz.S_block[:, :len(up)] * up
-    c_S_inv = np.zeros((len(up) + 1, p), dtype=complex)  # c^dag[:p+1, :p] S_p^{-1}
-    c_S_inv[1:] = up[:, None] * riesz.S_inv_block[:len(up)]
-    a = _rmul(S_c, riesz.S_inv_block)
-    b = _lmul(riesz.S_block, c_S_inv)
+    and ``b`` is ``c^dag`` outside ``b[:p+1, :p]``; :func:`_borders` forms
+    those with no ``dim x dim`` transport."""
+    a, b = _borders(riesz.S_block, riesz.S_inv_block, riesz.dim)
     return PseudoBosonPair(a_border=a, b_border=b, source=riesz)
 
 
@@ -275,7 +282,10 @@ def excited_states(pair: PseudoBosonPair, n_max: int) -> tuple[np.ndarray, np.nd
 
     Built iteratively as ``phi_{n+1} = b phi_n / sqrt(n+1)`` so no
     factorial-sized intermediate ever appears.  The stacks reproduce the
-    map's columns ``S e_n`` and ``(S^{-1})^dag e_n`` to roundoff.
+    map's columns ``S e_n`` and ``(S^{-1})^dag e_n`` to roundoff.  ``b`` and
+    ``a^dag`` are applied through their ``(p+1) x p`` borders (``p`` the
+    map's block), as :func:`~pseudoboson.bicoherent.series_route` applies
+    them: no ``dim x dim`` operator is formed.
 
     Raises
     ------
@@ -297,19 +307,15 @@ def excited_states(pair: PseudoBosonPair, n_max: int) -> tuple[np.ndarray, np.nd
     S = pair.source.S_block.astype(work)
     S_inv = pair.source.S_inv_block.astype(work)
     S_inv = S_inv @ (2.0 * np.eye(len(S), dtype=work) - S @ S_inv)
-    lower = np.diag(np.sqrt(np.arange(1, d, dtype=np.longdouble)), 1).astype(work)
-    b = _rmul(_lmul(S, lower.conj().T), S_inv)
-    a_dag = _rmul(_lmul(S, lower), S_inv).conj().T
+    a, b = _borders(S, S_inv, d)
+    ops = np.stack([b, a.conj().T])  # the borders of b and a^dag
     e_0 = np.eye(d, 1, dtype=work)[:, 0]
-    phi = np.empty((d, n_max + 1), dtype=work)
-    psi = np.empty((d, n_max + 1), dtype=work)
-    phi[:, 0] = _lmul(S, e_0)  # ker(a) = span{S e_0}
-    psi[:, 0] = _lmul(S_inv.conj().T, e_0)  # ker(b^dag) = span{(S^-1)^dag e_0}
+    levels = np.empty((n_max + 1, 2, d), dtype=work)  # phi_n and psi_n at level n
+    levels[0, 0] = _lmul(S, e_0)  # ker(a) = span{S e_0}
+    levels[0, 1] = _lmul(S_inv.conj().T, e_0)  # ker(b^dag) = span{(S^-1)^dag e_0}
     for n in range(n_max):
-        scale = 1.0 / np.sqrt(np.longdouble(n + 1))
-        phi[:, n + 1] = scale * (b @ phi[:, n])
-        psi[:, n + 1] = scale * (a_dag @ psi[:, n])
-    phi, psi = phi.astype(complex), psi.astype(complex)
+        levels[n + 1] = (1.0 / np.sqrt(np.longdouble(n + 1))) * _raise(ops, levels[n])
+    phi, psi = levels.astype(complex).transpose(1, 2, 0)
     for arr, name in ((phi, "phi"), (psi, "psi")):
         if not np.all(np.isfinite(arr)):
             raise ValidationError(f"{name} entries must be finite")

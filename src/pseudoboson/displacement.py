@@ -8,9 +8,17 @@ with the real tridiagonal position matrix ``X = (c + c^dag)/sqrt(2)``
 and the diagonal unitary ``D = diag((i e^{i arg z})^n)``, so one
 eigendecomposition ``X = Q diag(lam) Q^T`` per dimension (the
 Golub-Welsch matrix of Gauss-Hermite quadrature) serves every amplitude.
+``X`` has a zero diagonal, so it couples only levels of opposite number
+parity: ``cos`` of it is zero on entries with ``m + n`` odd and ``sin`` of it
+on entries with ``m + n`` even.  :func:`weyl` forms only the three parity
+blocks that do not vanish analytically, from the even and odd rows of ``Q``.
+
 The non-unitary displacements are defined by similarity,
 ``U(z) = S W(z) S^{-1}`` and ``V(z) = (S^{-1})^dag W(z) S^dag``, which is
-exact in finite dimension.
+exact in finite dimension.  With ``S = blockdiag(S_p, 1)`` both equal
+``W(z)`` outside rows ``:p`` and columns ``:p``, bit for bit, so
+:class:`DisplacementSet` holds ``W(z)`` and those strips of ``U`` and ``V``
+only, and the factorization and intertwining checks read them there.
 
 The power-similarity check reads the pair's border only: ``z b - conj(z) a``
 differs from ``z c^dag - conj(z) c`` in a leading block, so both sides of
@@ -39,9 +47,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import PseudoBosonPair, _lowering_lead, _raising_lead
-from .errors import AccuracyRegimeWarning
-from .fock import FockSpace, Operator, SafeSubspace, _spectral_lower_bound, _spectral_norm
-from .riesz import RieszMap, _blockdiag, _cotransport, _lmul, _rmul, _transport
+from .errors import AccuracyRegimeWarning, DimensionMismatchError
+from .fock import (FockSpace, Operator, SafeSubspace, _border, _freeze, _spectral_lower_bound,
+                   _spectral_norm)
+from .riesz import (RieszMap, _blockdiag, _cotransport, _lmul, _lmul_over, _rmul, _rmul_over,
+                    _transport)
 
 __all__ = [
     "DisplacementSet",
@@ -54,16 +64,76 @@ __all__ = [
 ]
 
 
+_STRIPS = ("U_rows", "U_cols", "V_rows", "V_cols")
+
+
 @dataclass(frozen=True, eq=False)
 class DisplacementSet:
     """The displacements ``U(z) = S W(z) S^{-1}`` and
-    ``V(z) = (S^{-1})^dag W(z) S^dag`` of the map ``source``.  ``W(z)``
-    itself is not kept; :func:`weyl` rebuilds it."""
+    ``V(z) = (S^{-1})^dag W(z) S^dag`` of the map ``source``, held as the
+    unitary ``W = W(z)`` and the strips ``U_rows = U[:q, :]``,
+    ``U_cols = U[:, :q]``, ``V_rows = V[:q, :]`` and ``V_cols = V[:, :q]``:
+    outside rows ``:q`` and columns ``:q``, ``U`` and ``V`` are ``W``, bit for
+    bit (``q = p`` from :func:`displaced_pair`).
+
+    Any wider strips may be passed, up to the dense ``U`` and ``V`` as both
+    of their strips; they are trimmed by an exact comparison with ``W`` to
+    the smallest such ``q``, read-only.  Entries are not checked for
+    finiteness: a non-finite one reaches the checks, which read it as NaN.
+    The dense ``U`` and ``V`` are built on each access.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If ``W`` is not ``dim x dim`` or the strips are not ``w x dim`` and
+        ``dim x w`` for one ``w <= dim``.
+    """
 
     z: complex
-    U: Operator
-    V: Operator
+    W: np.ndarray
+    U_rows: np.ndarray
+    U_cols: np.ndarray
+    V_rows: np.ndarray
+    V_cols: np.ndarray
     source: RieszMap
+
+    def __post_init__(self):
+        d = self.source.dim
+        W = np.asarray(self.W, dtype=complex)
+        strips = [np.asarray(getattr(self, name), dtype=complex) for name in _STRIPS]
+        w = len(strips[0])
+        if W.shape != (d, d) or w > d or any(
+                x.shape != shape for x, shape in zip(strips, [(w, d), (d, w)] * 2)):
+            raise DimensionMismatchError(
+                f"W {W.shape} and strips {[x.shape for x in strips]} are not "
+                f"{d} x {d}, w x {d} and {d} x w for one w <= {d}")
+        # X[i, j] off W needs min(i, j) < q, which _border finds on the strips
+        # of rows, and on the transpose of the strips of columns
+        U_rows, U_cols, V_rows, V_cols = strips
+        q = max(_border((U_rows != W[:w]) | (V_rows != W[:w])),
+                _border(((U_cols != W[:, :w]) | (V_cols != W[:, :w])).T))
+        object.__setattr__(self, "W", W)
+        for name, x in zip(_STRIPS, strips):
+            if q < w:
+                x = x[:q] if name.endswith("rows") else x[:, :q]
+            object.__setattr__(self, name, x)
+        _freeze(self, "W", *_STRIPS)
+
+    space = property(lambda self: self.source.space)
+    border = property(lambda self: len(self.U_rows))
+    U = property(lambda self: Operator(self.space, self.lead("U", self.source.dim)))
+    V = property(lambda self: Operator(self.space, self.lead("V", self.source.dim)))
+
+    def lead(self, op: str, rows: int, cols: int | None = None) -> np.ndarray:
+        """``X[:rows, :cols]`` (``cols`` defaults to ``rows``) for ``X`` the
+        displacement ``op``, ``"U"`` or ``"V"``: ``W``'s block with the strips
+        written over its border."""
+        top, left = (self.U_rows, self.U_cols) if op == "U" else (self.V_rows, self.V_cols)
+        cols = rows if cols is None else cols
+        out = np.array(self.W[:rows, :cols])
+        out[:, :self.border] = left[:rows, :cols]
+        out[:self.border] = top[:rows, :cols]
+        return out
 
 
 def in_accuracy_regime(space: FockSpace, z: complex) -> bool:
@@ -105,12 +175,35 @@ def _phase_powers(w: complex, n: int) -> np.ndarray:
     return np.exp(1j * (k * head)) * np.exp(1j * (k * (theta - head)))
 
 
+def _parity_frame(d: int, r: float) -> np.ndarray:
+    """``e^{-i sqrt(2) r X} = Q e^{-i sqrt(2) r diag(lam)} Q^T`` on ``d`` levels,
+    writeable: the displacement ``W(z)`` of ``|z| = r`` in the frame of its
+    phases, ``D^* W(z) D``.  Its real part ``cos(sqrt(2) r X)`` lives on the
+    entries with ``m + n`` even and its imaginary part
+    ``-sin(sqrt(2) r X)`` on those with ``m + n`` odd (module docstring), so
+    only the blocks ``Q[0::2] cos Q[0::2]^T``, ``Q[1::2] cos Q[1::2]^T`` and
+    ``Q[0::2] sin Q[1::2]^T`` are formed (``sin`` is symmetric, so the last
+    gives both odd blocks): ``1.5 d^3`` flops instead of ``4 d^3``.  Each
+    entry is exactly real or exactly imaginary."""
+    lam, Q = _position_spectrum(d)
+    angle = -math.sqrt(2.0) * r * lam
+    cos, sin = np.cos(angle), np.sin(angle)
+    even, odd = Q[0::2], Q[1::2]
+    out = np.empty((d, d), dtype=complex)
+    out[0::2, 0::2] = (even * cos) @ even.T
+    out[1::2, 1::2] = (odd * cos) @ odd.T
+    cross = (even * sin) @ odd.T
+    np.multiply(1j, cross, out=out[0::2, 1::2])
+    np.multiply(1j, cross.T, out=out[1::2, 0::2])
+    return out
+
+
 def weyl(space: FockSpace, z: complex) -> Operator:
     """Unitary displacement ``W(z) = exp(z c^dag - conj(z) c)``.
 
     Evaluated as ``D Q e^{-i sqrt(2)|z| diag(lam)} Q^T D^*`` from the
-    cached spectrum of the position matrix (module docstring);
-    ``W(0)`` is the exact identity.
+    cached spectrum of the position matrix, the middle factor by parity
+    blocks (:func:`_parity_frame`); ``W(0)`` is the exact identity.
     """
     if not in_accuracy_regime(space, z):
         warnings.warn(
@@ -122,30 +215,51 @@ def weyl(space: FockSpace, z: complex) -> Operator:
     d = space.dim
     if z == 0:
         return Operator(space, np.eye(d))
-    lam, Q = _position_spectrum(d)
-    angle = -math.sqrt(2.0) * abs(z) * lam
-    middle = (Q * np.cos(angle)) @ Q.T + 1j * ((Q * np.sin(angle)) @ Q.T)
+    W = _parity_frame(d, abs(z))
     diag = _phase_powers(1j * z, d)
-    return Operator(space, (diag[:, None] * middle) * diag.conj())
+    W *= diag[:, None]
+    W *= diag.conj()
+    W.setflags(write=False)
+    return Operator(space, W)
+
+
+def _strips(left: np.ndarray, right: np.ndarray, W: np.ndarray):
+    """Rows and columns ``:p`` (``p = len(left)``) of
+    ``blockdiag(left, 1) W blockdiag(right, 1)``, by the very products
+    :func:`~pseudoboson.riesz._lmul` and then
+    :func:`~pseudoboson.riesz._rmul` take, so they are bit for bit those of
+    the dense transport; read-only, so the set keeps them uncopied."""
+    p = len(left)
+    top = left @ W[:p]  # rows :p of blockdiag(left, 1) W
+    cols = np.concatenate([top[:, :p], W[p:, :p]]) @ right
+    top[:, :p] = cols[:p]
+    top.setflags(write=False)
+    cols.setflags(write=False)
+    return top, cols
 
 
 def displaced_pair(riesz: RieszMap, z: complex) -> DisplacementSet:
     """Build ``U(z) = S W(z) S^{-1}`` and ``V(z) = (S^{-1})^dag W(z) S^dag``
-    by similarity from the unitary displacement."""
-    space = riesz.space
-    W = weyl(space, z)
-    U = Operator(space, _transport(riesz, W.mat))
-    V = Operator(space, _cotransport(riesz, W.mat))
-    return DisplacementSet(z=complex(z), U=U, V=V, source=riesz)
+    by similarity from the unitary displacement, as their strips of width
+    ``p``, the map's block: ``S`` and ``S^{-1}`` touch nothing else."""
+    W = weyl(riesz.space, z).mat
+    S, S_inv = riesz.S_block, riesz.S_inv_block
+    return DisplacementSet(complex(z), W, *_strips(S, S_inv, W),
+                           *_strips(S_inv.conj().T, S.conj().T, W), source=riesz)
 
 
-def _relative_norm(diff: np.ndarray, ref: np.ndarray) -> float:
-    """``||diff|| / lo(ref)``: the exact spectral norm of ``diff`` over the
-    certified lower bound :func:`~pseudoboson.fock._spectral_lower_bound`
-    of ``||ref||``, so no SVD of ``ref`` is taken.  The value is never below
-    the exact ``||diff|| / ||ref||`` and at most ``sqrt(min(ref.shape))``
-    times it: a grade on it can turn a pass into a fail, never the reverse."""
-    return _spectral_norm(diff) / max(_spectral_lower_bound(ref), 1e-300)
+def _relative_norm(ref: np.ndarray, other: np.ndarray) -> float:
+    """``||ref - other|| / lo(ref)``: the exact spectral norm of the
+    difference over the certified lower bound
+    :func:`~pseudoboson.fock._spectral_lower_bound` of ``||ref||``, so no SVD
+    of ``ref`` is taken.  The value is never below the exact relative
+    residual and at most ``sqrt(min(ref.shape))`` times it: a grade on it can
+    turn a pass into a fail, never the reverse.  ``ref`` is overwritten by
+    the difference."""
+    lo = _spectral_lower_bound(ref)
+    ref -= other
+    del other  # the caller's temporary: free it before the SVD
+    return _spectral_norm(ref) / max(lo, 1e-300)
 
 
 def _times_generator(T: np.ndarray, z: complex) -> np.ndarray:
@@ -266,12 +380,14 @@ def _displacement_block(z: complex, d: int) -> np.ndarray:
         kl = k[:live]
         step = (2 * n + 1 + kl - x) * e[:live] - np.sqrt(n * (n + kl)) * e_prev[:live]
         e_prev, e = e[:live], step / np.sqrt((n + 1) * (n + 1 + kl))
-    offset = np.subtract.outer(np.arange(d), np.arange(d))
-    lower = _phase_powers(z, d)
-    upper = _phase_powers(-np.conj(z), d)
-    return np.where(
-        offset >= 0, scaled * lower[np.abs(offset)], scaled.T * upper[np.abs(offset)]
-    )
+    scaled += np.triu(scaled.T, 1)  # the mirror above the diagonal
+    # phase[m, n] = z-phase^(m-n) for m >= n and (-conj(z)-phase)^(n-m) above,
+    # a read-only Toeplitz view of the two power sequences
+    ext = np.concatenate([_phase_powers(-np.conj(z), d)[:0:-1], _phase_powers(z, d)])
+    stride = ext.strides[0]
+    phase = np.lib.stride_tricks.as_strided(ext[d - 1:], (d, d), (stride, -stride),
+                                            writeable=False)
+    return scaled * phase
 
 
 def bch_factorization_check(disp: DisplacementSet, sub: SafeSubspace) -> tuple[float, float]:
@@ -282,7 +398,8 @@ def bch_factorization_check(disp: DisplacementSet, sub: SafeSubspace) -> tuple[f
     ``||U[:k, :k]||`` or ``||V[:k, :k]||`` (:func:`_relative_norm`), never
     below the exact relative residual.
 
-    ``U`` and ``V`` come from ``disp``, and ``S`` is its map.  The check
+    ``U[:k, :k]`` and ``V[:k, :k]`` are ``W``'s block with ``disp``'s strips
+    written over its border, and ``S`` is its map.  The check
     tests the canonical normal-ordered factorization carried through
     ``S``: since ``a = S c S^{-1}`` and ``b = S c^dag S^{-1}``, the
     right-hand sides are ``S E S^{-1}`` and ``(S^{-1})^dag E S^dag`` with
@@ -305,17 +422,34 @@ def bch_factorization_check(disp: DisplacementSet, sub: SafeSubspace) -> tuple[f
         )
     k = sub.cutoff
     E = _displacement_block(z, max(k, riesz.block))  # all the transports read
-    U, V = disp.U.mat[:k, :k], disp.V.mat[:k, :k]
-    U_fact = _transport(riesz, E, k)
-    V_fact = _cotransport(riesz, E, k)
-    return _relative_norm(U - U_fact, U), _relative_norm(V - V_fact, V)
+    r_u = _relative_norm(disp.lead("U", k), _transport(riesz, E, k))
+    r_v = _relative_norm(disp.lead("V", k), _cotransport(riesz, E, k))
+    return r_u, r_v
 
 
 def intertwining_check(disp: DisplacementSet, sub: SafeSubspace) -> float:
     """Residual of ``S S^dag V(z) = U(z) S S^dag`` on ``sub``, with ``S`` the
     displacements' own map, relative to ``||S S^dag|| = sigma_max(S)^2``, the
     map's upper frame bound.  Both sides telescope to ``S W(z) S^dag``, so
-    the residual is pure roundoff."""
-    k, M = sub.cutoff, disp.source.theta_inv_block  # the deformed block of S S^dag
-    diff = _lmul(M, disp.V.mat[:, :k], k) - _rmul(disp.U.mat[:k], M, k)
-    return _spectral_norm(diff) / disp.source.frame_bounds[1]
+    the residual is pure roundoff, and it cannot see ``W`` itself.
+
+    ``S S^dag`` is the identity outside its ``p x p`` block and ``U = V = W``
+    outside the set's border ``q``, so the residual is exactly zero outside
+    rows ``:s`` and columns ``:s``, ``s = max(p, q)``.  When ``2 s < k`` only
+    its rows ``:s`` and the block ``[s:k, :s]`` are formed, and the block is
+    replaced by its ``s x s`` QR factor ``R``: ``[top; R 0]`` has the same
+    Gram matrix (Chan, ACM TOMS 8, 72, 1982).  Otherwise the reduction
+    cannot shrink the residual, and the ``k x k`` one is formed."""
+    riesz, k = disp.source, sub.cutoff
+    M = riesz.theta_inv_block  # the deformed block of S S^dag
+    s = max(riesz.block, disp.border)
+    if 2 * s < k:
+        top = _lmul(M, disp.lead("V", s, k)) - _rmul(disp.lead("U", s, k), M)
+        left = disp.lead("V", k, s)[s:] - _rmul(disp.lead("U", k, s)[s:], M)
+        R = np.linalg.qr(left, mode="r")
+        diff = np.vstack([top, np.pad(R, ((0, 0), (0, k - s)))])
+    else:  # the products of _lmul and _rmul, over the leads
+        w = max(k, len(M))
+        diff = _lmul_over(M, disp.lead("V", w, k), k)
+        diff -= _rmul_over(disp.lead("U", k, w), M, k)
+    return _spectral_norm(diff) / riesz.frame_bounds[1]

@@ -51,10 +51,13 @@ class FockSpace:
 
 def _freeze(obj, *names, dtype=None):
     """Replace each named array field of a frozen dataclass by a read-only
-    copy (converted to ``dtype`` when given)."""
+    copy (converted to ``dtype`` when given); an array that is already
+    read-only and owns its memory is kept, not copied."""
     for name in names:
-        arr = np.asarray(getattr(obj, name), dtype=dtype).copy()
-        arr.setflags(write=False)
+        arr = np.asarray(getattr(obj, name), dtype=dtype)
+        if arr.flags.writeable or arr.base is not None:
+            arr = arr.copy()
+            arr.setflags(write=False)
         object.__setattr__(obj, name, arr)
 
 

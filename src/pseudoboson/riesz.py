@@ -243,16 +243,31 @@ def _rmul(X: np.ndarray, B: np.ndarray, cols: int | None = None) -> np.ndarray:
     return out
 
 
+def _lmul_over(B: np.ndarray, X: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """:func:`_lmul`'s product written over ``X``, a temporary the caller
+    owns, so no second copy of it is made; returns a view of ``X``."""
+    q = min(len(B), len(X) if rows is None else rows)
+    X[:q] = B[:q] @ X[:len(B)]
+    return X[:rows]
+
+
+def _rmul_over(X: np.ndarray, B: np.ndarray, cols: int | None = None) -> np.ndarray:
+    """:func:`_rmul`'s product written over ``X``, as :func:`_lmul_over`."""
+    q = min(len(B), X.shape[1] if cols is None else cols)
+    X[:, :q] = X[:, :len(B)] @ B[:, :q]
+    return X[:, :cols]
+
+
 def _transport(riesz: RieszMap, X: np.ndarray, size: int | None = None) -> np.ndarray:
     """``S X S^{-1}``, or its leading ``size x size`` block, with ``S`` and
     ``S^{-1}`` applied on their deformed block only."""
-    return _rmul(_lmul(riesz.S_block, X, size), riesz.S_inv_block, size)
+    return _rmul_over(_lmul(riesz.S_block, X, size), riesz.S_inv_block, size)
 
 
 def _cotransport(riesz: RieszMap, X: np.ndarray, size: int | None = None) -> np.ndarray:
     """``(S^{-1})^dag X S^dag``, or its leading ``size x size`` block, with
     both factors applied on their deformed block only."""
-    return _rmul(_lmul(riesz.S_inv_block.conj().T, X, size), riesz.S_block.conj().T, size)
+    return _rmul_over(_lmul(riesz.S_inv_block.conj().T, X, size), riesz.S_block.conj().T, size)
 
 
 def quasi_basis_check(

@@ -219,7 +219,8 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
             disp = displaced_pair(riesz, z)
             bc = rbcs(riesz, z)
             _record_bch_eigen(rec, pair, disp, bc, _bch_cutoff(dim, z))
-            rec.add("intertwining", intertwining_check(disp, sub_top), z)
+            rec.add("intertwining", intertwining_check(disp, sub_top), z, border=disp.border)
+            del disp  # W and its strips: not alive beside the next amplitude's
             rec.add("rbcs_pairing", abs(np.vdot(bc.eta, bc.xi) - 1.0), z)
             phi_s, psi_s = series_route(pair, z)
             rec.add("two_route",

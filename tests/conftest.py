@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from pseudoboson import (
+    DisplacementSet,
     PseudoBosonPair,
     make_riesz_map,
     make_space,
     projector_map,
     random_riesz_map,
 )
+from pseudoboson.riesz import _cotransport, _transport
 
 
 @pytest.fixture(scope="session")
@@ -57,6 +59,23 @@ def with_entry(pair, op, entry, factor):
     i, j = entry
     q = min(max(pair.border, i + 1, j) if op == "a" else max(pair.border, i, j + 1), pair.space.dim)
     return PseudoBosonPair(a[:q, :q + 1], b[:q + 1, :q], pair.source)
+
+
+def with_disp_entry(disp, op, entry, factor):
+    """``disp`` with the entry ``entry`` of ``op`` (``"U"``, ``"V"`` or ``"W"``)
+    scaled by ``factor``.  A ``U`` or ``V`` entry ``(i, j)`` lies in the
+    strips of width ``q`` for ``q > min(i, j)``, so the dense ``U`` and ``V``
+    handed to the constructor are trimmed to a border just wide enough to
+    hold it; a ``W`` entry is carried into ``U`` and ``V`` by the dense
+    transports, as :func:`displaced_pair` would carry a fault of ``W``."""
+    W, riesz = disp.W.copy(), disp.source
+    if op == "W":
+        W[entry] *= factor
+        U, V = _transport(riesz, W), _cotransport(riesz, W)
+    else:
+        U, V = disp.U.mat.copy(), disp.V.mat.copy()
+        {"U": U, "V": V}[op][entry] *= factor
+    return DisplacementSet(disp.z, W, U, U, V, V, riesz)
 
 
 def dense_rows(X, tail=None, cols=None):

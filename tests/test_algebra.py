@@ -220,6 +220,39 @@ class TestExcitedStates:
         with pytest.raises(InvalidDimensionError):
             excited_states(make_pair(random_map64), n_max=64)
 
+    @pytest.mark.parametrize("kind", ["identity", "projector-0", "projector-5", "random", "dense"])
+    def test_matches_dense_long_double_ladder(self, kind):
+        # the border route against the dense long-double operators it
+        # replaces, b = S c^dag S^-1 and a^dag, with the same Newton-corrected
+        # inverse and vacua, on p = 0, 1, 6, dim/2 and dim: bit for bit where
+        # S is diagonal, and elsewhere closer than the dense route's own
+        # distance from the map's columns, the long-double rounding the
+        # recursion amplifies (2.5e-13 against 6.8e-13 on the random map)
+        space = make_space(48)
+        riesz = {"identity": lambda: make_riesz_map(space, np.eye(0)),
+                 "projector-0": lambda: projector_map(space, space.basis_vector(0)),
+                 "projector-5": lambda: projector_map(space, space.basis_vector(5)),
+                 "random": lambda: random_riesz_map(space, 10.0, seed=1),
+                 "dense": lambda: random_riesz_map(space, 10.0, seed=1, top_margin=0)}[kind]()
+        work, n_max = np.clongdouble, 40
+        S, S_inv = riesz.S.mat.astype(work), riesz.S_inv.mat.astype(work)
+        S_inv = S_inv @ (2.0 * np.eye(48, dtype=work) - S @ S_inv)
+        c = np.diag(np.sqrt(np.arange(1, 48, dtype=np.longdouble)), 1).astype(work)
+        b, a_dag = S @ c.T @ S_inv, (S @ c @ S_inv).conj().T
+        ref_phi, ref_psi = [S[:, 0]], [S_inv.conj().T[:, 0]]
+        for n in range(n_max):
+            scale = 1.0 / np.sqrt(np.longdouble(n + 1))
+            ref_phi.append(scale * (b @ ref_phi[-1]))
+            ref_psi.append(scale * (a_dag @ ref_psi[-1]))
+        phi, psi = excited_states(make_pair(riesz), n_max)
+        families = ((phi, ref_phi, riesz.S.mat), (psi, ref_psi, riesz.S_inv.mat.conj().T))
+        for got, ref, cols in families:
+            ref = np.array(ref).T.astype(complex)
+            if kind in ("random", "dense"):
+                assert np.abs(got - ref).max() <= 2 * np.abs(ref - cols[:, :n_max + 1]).max()
+            else:
+                np.testing.assert_array_equal(got, ref)
+
 
 class TestLadderCheck:
     def test_vacuum_residual_is_annihilation(self, random_map64):

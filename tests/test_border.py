@@ -2,8 +2,9 @@
 ``a[:q, :q+1]`` and ``b[:q+1, :q]``, and every record that reads them works
 on the border.  Each record is checked against a dense evaluation written
 here, on the border extremes (``p = 0``, a border at level 0 and at level 5,
-``p = dim/2`` and ``p = dim``); faults are injected through ``run_suite``;
-and the pair-level work is held below one ``dim x dim`` complex array."""
+``p = dim/2`` and ``p = dim``); faults of the pair and of the displacements
+are injected through ``run_suite``; and the pair-level and displacement work
+is held below one ``dim x dim`` complex array beside ``W``."""
 
 import json
 import tracemalloc
@@ -14,8 +15,12 @@ import pytest
 from pseudoboson import (
     PseudoBosonPair,
     SafeSubspace,
+    bch_factorization_check,
     coherent,
+    displaced_pair,
     eigen_check,
+    excited_states,
+    intertwining_check,
     ladder_check,
     load_config,
     make_pair,
@@ -31,11 +36,12 @@ from pseudoboson import (
     suite,
     theta_conjugacy_check,
     vacua,
+    weyl,
 )
 from pseudoboson.algebra import _commutator_block
 from pseudoboson.fock import _spectral_lower_bound, ladder_c
 
-from conftest import with_entry
+from conftest import with_disp_entry, with_entry
 
 MAPS = {
     "identity": (lambda space: make_riesz_map(space, np.eye(0)), 0),
@@ -178,15 +184,19 @@ def dense_records(riesz):
 
 
 def run_with_fault(tmp_path, monkeypatch, map_spec, fault=None):
-    """``run_suite`` at dim 64 on ``map_spec``, with the pair's ``fault =
-    (op, entry)`` scaled by ``1 + 1e-6`` on a border that holds it."""
+    """``run_suite`` at dim 64 on ``map_spec``, with ``fault = (op, entry)``
+    scaled by ``1 + 1e-6``: an entry of the pair's ``a`` or ``b`` on a border
+    that holds it, or of each displacement set's ``U``, ``V`` or ``W``."""
     path = tmp_path / "c.json"
     path.write_text(json.dumps({
         "schema_version": 1, "dim": 64, "map_spec": map_spec,
         "z_samples": [[0, 0], [1, 0], [1, 1], [0, 2]], "outputs": str(tmp_path / "out")}))
-    if fault is not None:
+    if fault is not None and fault[0] in ("a", "b"):
         monkeypatch.setattr(suite, "make_pair",
                             lambda riesz: with_entry(make_pair(riesz), *fault, 1 + 1e-6))
+    elif fault is not None:
+        monkeypatch.setattr(suite, "displaced_pair", lambda riesz, z: with_disp_entry(
+            displaced_pair(riesz, z), *fault, 1 + 1e-6))
     return run_suite(load_config(path))
 
 
@@ -227,13 +237,43 @@ class TestNegativeControls:
         failed = {r.check_id for r in reports if r.status == "fail"}
         assert failed == self.FAILS[kind, op, entry]
         assert all(r.status == "pass" for r in reports if r.check_id not in failed)
-        border = {r.params["border"] for r in reports if "border" in r.params}
+        border = {r.params["border"] for r in reports
+                  if "border" in r.params and r.check_id != "intertwining"}  # the pair's
         assert border == {max(1 if kind == "projector" else 32, entry[0] + (op == "a"))}
 
     @pytest.mark.parametrize("spec", [PROJECTOR, RANDOM], ids=["projector", "random"])
     def test_unperturbed_maps_pass(self, spec, tmp_path, monkeypatch):
         reports = run_with_fault(tmp_path, monkeypatch, spec)
         assert all(r.status == "pass" for r in reports)
+
+
+class TestDisplacementFaults:
+    """One entry of ``U``, ``V`` or ``W`` scaled by ``1 + 1e-6`` in every
+    displacement set, through ``run_suite``: an entry of a strip of each map,
+    ``V[20, 19]`` outside both maps' strips (held on strips widened to
+    ``q = 20``), and ``W[3, 2]``.  ``intertwining`` cannot see ``W``: both of
+    its sides telescope to ``S W S^dag``."""
+
+    FAILS = {
+        ("U", (0, 3)): {"bch_u", "intertwining"},
+        ("V", (3, 0)): {"bch_v", "intertwining"},
+        ("V", (20, 19)): {"bch_v", "intertwining"},
+        ("W", (3, 2)): {"bch_u", "bch_v"},
+    }
+
+    @pytest.mark.parametrize("op, entry", list(FAILS), ids=[f"{op}{list(e)}" for op, e in FAILS])
+    @pytest.mark.parametrize("kind", ["projector", "random"])
+    def test_fail_set(self, kind, op, entry, tmp_path, monkeypatch):
+        spec = PROJECTOR if kind == "projector" else RANDOM
+        reports = run_with_fault(tmp_path, monkeypatch, spec, (op, entry))
+        failed = {r.check_id for r in reports if r.status == "fail"}
+        assert failed == self.FAILS[op, entry]
+        assert all(r.status == "pass" for r in reports if r.check_id not in failed)
+        p = 1 if kind == "projector" else 32
+        widened = min(entry) + 1 if op != "W" else 0
+        border = {r.params["border"] for r in reports
+                  if r.check_id == "intertwining" and r.params["z"] != "0+0j"}
+        assert border == {max(p, widened)}
 
 
 class TestAllocation:
@@ -271,6 +311,28 @@ class TestAllocation:
             assert self.peak(lambda: power_similarity_check(pair, z)) < self.LIMIT
             bc = rbcs(riesz, z)
             assert self.peak(lambda: (series_route(pair, z), eigen_check(pair, bc))) < self.LIMIT
+
+
+    def test_displacement_work_stays_beside_w(self):
+        # displaced_pair holds W, one dense array, and strips of width 1; it
+        # peaks below half a dense array more, and the factorization (a
+        # 512 x 512 cutoff) and intertwining checks below one
+        space = make_space(1024)
+        riesz = projector_map(space, space.basis_vector(0))
+        weyl(space, 1.0)  # the position spectrum, cached for every amplitude
+        sub = SafeSubspace(space, 1023)
+        for z in (1.0, 1 + 1j, 2j):
+            assert self.peak(lambda: displaced_pair(riesz, z)) < 1.5 * self.LIMIT
+            disp = displaced_pair(riesz, z)
+            assert disp.border == 1
+            cut = SafeSubspace(space, suite._bch_cutoff(1024, z))
+            assert self.peak(lambda: bch_factorization_check(disp, cut)) < self.LIMIT
+            assert self.peak(lambda: intertwining_check(disp, sub)) < self.LIMIT
+
+    def test_excited_states_work_on_the_border(self):
+        space = make_space(1024)
+        pair = make_pair(projector_map(space, space.basis_vector(0)))
+        assert self.peak(lambda: excited_states(pair, 10)) < self.LIMIT
 
 
 def test_hand_built_border_is_trimmed(random_map64):

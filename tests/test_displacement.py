@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -11,6 +10,7 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from pseudoboson import (
     AccuracyRegimeWarning,
+    DisplacementSet,
     SafeSubspace,
     bch_factorization_check,
     coherent,
@@ -21,13 +21,15 @@ from pseudoboson import (
     make_riesz_map,
     make_space,
     power_similarity_check,
+    projector_map,
     weyl,
 )
-from pseudoboson.displacement import (_displacement_block, _generator_band, _phase_powers,
-                                      _strip_powers, _times_generator)
-from pseudoboson.fock import Operator, _spectral_lower_bound, ladder_c
+from pseudoboson.displacement import (_displacement_block, _generator_band, _parity_frame,
+                                      _phase_powers, _strip_powers, _times_generator)
+from pseudoboson.errors import DimensionMismatchError
+from pseudoboson.fock import _spectral_lower_bound, ladder_c
 from pseudoboson.reports import default_tolerance
-from pseudoboson.riesz import random_riesz_map
+from pseudoboson.riesz import _cotransport, _transport, random_riesz_map
 
 from conftest import dense_rows, with_entry
 
@@ -109,6 +111,97 @@ class TestWeyl:
         lhs = weyl(space, z).mat @ weyl(space, w).mat
         rhs = np.exp(1j * (z * np.conj(w)).imag) * weyl(space, z + w).mat
         assert np.linalg.norm((lhs - rhs)[:32, :32], 2) <= 1e-8
+
+
+class TestParityFrame:
+    @pytest.mark.parametrize("dim", [17, 64, 65])
+    @pytest.mark.parametrize("z", [0.3, 1.0, 1 + 1j, 2j, -1.5j, 0.5 * np.exp(2.9j)])
+    def test_entries_real_or_imaginary_by_parity(self, dim, z):
+        # in the frame D^* W D of weyl's phases, cos(sqrt(2)|z| X) sits on
+        # the entries with m + n even and sin on those with m + n odd,
+        # exactly; weyl is that frame with the phases applied, bit for bit
+        frame = _parity_frame(dim, abs(z))
+        odd = np.add.outer(np.arange(dim), np.arange(dim)) % 2 == 1
+        assert np.all(frame.imag[~odd] == 0) and np.all(frame.real[odd] == 0)
+        assert np.abs(frame[odd]).max() > 0.1
+        diag = _phase_powers(1j * z, dim)
+        np.testing.assert_array_equal(weyl(make_space(dim), z).mat,
+                                      (diag[:, None] * frame) * diag.conj())
+
+    @pytest.mark.parametrize("dim", [64, 256])
+    def test_no_less_accurate_than_full_products(self, dim):
+        # the parity blocks against the four dense products they replace,
+        # on the Laguerre low block and on unitarity
+        lam, Q = np.linalg.eigh(np.diag(np.sqrt(np.arange(1, dim) / 2.0), 1)
+                                + np.diag(np.sqrt(np.arange(1, dim) / 2.0), -1))
+        for z in (1.0, 1 + 1j, 2j):
+            angle = -math.sqrt(2.0) * abs(z) * lam
+            diag = _phase_powers(1j * z, dim)
+            full = (Q * np.cos(angle)) @ Q.T + 1j * ((Q * np.sin(angle)) @ Q.T)
+            full = (diag[:, None] * full) * diag.conj()
+            W = weyl(make_space(dim), z).mat
+            E = _displacement_block(z, dim // 2)
+            for X in (W, full):
+                assert np.linalg.norm(X @ X.conj().T - np.eye(dim), 2) <= 1e-14
+                assert np.linalg.norm(X[:dim // 2, :dim // 2] - E, 2) <= 5e-14
+
+
+STRIP_MAPS = {
+    "identity": lambda space: make_riesz_map(space, np.eye(0)),
+    "projector-0": lambda space: projector_map(space, space.basis_vector(0)),
+    "projector-5": lambda space: projector_map(space, space.basis_vector(5)),
+    "random": lambda space: random_riesz_map(space, 10.0, seed=1),
+    "dense": lambda space: random_riesz_map(space, 10.0, seed=1, top_margin=0),
+}
+
+
+class TestStrips:
+    """The set holds ``W`` and the strips of ``U`` and ``V`` of width ``p``;
+    outside them ``U = V = W`` bit for bit."""
+
+    @pytest.mark.parametrize("dim", [64, 256])
+    @pytest.mark.parametrize("kind", list(STRIP_MAPS))
+    def test_bit_identical_to_dense_transport(self, kind, dim):
+        # p = 0, 1, 6, dim/2 and dim: the strips and the dense U and V built
+        # on access are bit for bit the dense transports of the set's W
+        riesz = STRIP_MAPS[kind](make_space(dim))
+        p = riesz.block
+        assert p == {"identity": 0, "projector-0": 1, "projector-5": 6,
+                     "random": dim // 2, "dense": dim}[kind]
+        for z in (0.0, 1.0, 1 + 1j, 2j):
+            disp = displaced_pair(riesz, z)
+            U, V = _transport(riesz, disp.W), _cotransport(riesz, disp.W)
+            assert disp.border == p
+            np.testing.assert_array_equal(disp.W, weyl(riesz.space, z).mat)
+            for rows, cols, dense in ((disp.U_rows, disp.U_cols, U), (disp.V_rows, disp.V_cols, V)):
+                np.testing.assert_array_equal(rows, dense[:p])
+                np.testing.assert_array_equal(cols, dense[:, :p])
+                assert not (rows.flags.writeable or cols.flags.writeable)
+            np.testing.assert_array_equal(disp.U.mat, U)
+            np.testing.assert_array_equal(disp.V.mat, V)
+            outside = np.ones((dim, dim), bool)
+            outside[:p] = outside[:, :p] = False
+            assert np.array_equal(U[outside], disp.W[outside])
+            assert np.array_equal(V[outside], disp.W[outside])
+
+    def test_dense_displacements_are_trimmed(self, random_map64):
+        # dense U and V handed to the constructor are trimmed to the strips
+        disp = displaced_pair(random_map64, 1 + 1j)
+        U, V = disp.U.mat, disp.V.mat
+        dense = DisplacementSet(disp.z, disp.W, U, U, V, V, random_map64)
+        assert dense.border == disp.border == 32
+        for name in ("U_rows", "U_cols", "V_rows", "V_cols"):
+            np.testing.assert_array_equal(getattr(dense, name), getattr(disp, name))
+        np.testing.assert_array_equal(dense.lead("V", 40, 50), V[:40, :50])
+
+    def test_mismatched_strips_refused(self, random_map64):
+        disp = displaced_pair(random_map64, 1.0)
+        with pytest.raises(DimensionMismatchError):
+            DisplacementSet(disp.z, disp.W, disp.U_rows, disp.U_cols[:, :5],
+                            disp.V_rows, disp.V_cols, random_map64)
+        with pytest.raises(DimensionMismatchError):
+            DisplacementSet(disp.z, disp.W[:63], disp.U_rows, disp.U_cols,
+                            disp.V_rows, disp.V_cols, random_map64)
 
 
 class TestDisplacementBlock:
@@ -303,11 +396,9 @@ class TestBchFactorization:
         disp = displaced_pair(random_map64, 1.0)
         rng = np.random.default_rng(5)
         space = random_map64.space
-        disp = dataclasses.replace(
-            disp,
-            U=Operator(space, disp.U.mat + 1e-6 * rng.standard_normal((64, 64))),
-            V=Operator(space, disp.V.mat + 1e-4 * rng.standard_normal((64, 64))),
-        )
+        U = disp.U.mat + 1e-6 * rng.standard_normal((64, 64))
+        V = disp.V.mat + 1e-4 * rng.standard_normal((64, 64))
+        disp = DisplacementSet(disp.z, disp.W, U, U, V, V, random_map64)
         r_u, r_v = bch_factorization_check(disp, SafeSubspace(space, 32))
         E = laguerre_block(1.0, 64)
         S, S_inv = random_map64.S.mat, random_map64.S_inv.mat

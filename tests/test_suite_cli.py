@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import importlib
 import inspect
 import json
@@ -26,8 +25,8 @@ from pseudoboson import (
     save_riesz_map,
     suite_failed,
 )
-from pseudoboson import (coordinate, displaced_pair, displacement, make_riesz_map, make_space,
-                         random_riesz_map, suite)
+from pseudoboson import (DisplacementSet, coordinate, displaced_pair, displacement, make_riesz_map,
+                         make_space, random_riesz_map, suite)
 from pseudoboson.cli import main
 from pseudoboson.fock import _spectral_norm
 
@@ -223,7 +222,7 @@ class TestRunSuite:
             disp = displaced_pair(riesz, z)
             U = disp.U.mat.copy()
             U[1, 1] = np.nan
-            return dataclasses.replace(disp, U=types.SimpleNamespace(mat=U))
+            return DisplacementSet(disp.z, disp.W, U, U, disp.V.mat, disp.V.mat, riesz)
 
         monkeypatch.setattr(suite, "displaced_pair", nan_pair)
         path = write_config(tmp_path / "c.json", dim=32,
