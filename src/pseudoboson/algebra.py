@@ -14,8 +14,8 @@ recursions start from the map's.
 The pair is held as its border.  With ``S = blockdiag(S_p, 1)``, ``a`` is
 ``c`` outside ``a[:p, :p+1]`` and ``b`` is ``c^dag`` outside ``b[:p+1, :p]``,
 bit for bit, so :class:`PseudoBosonPair` keeps only those leading borders,
-and every check here works on them: each identity holds exactly, by
-construction, outside a leading block of side about ``max(p, q)``, and
+of side ``q >= p``, and every check here works on them: each identity holds
+exactly, by construction, outside a leading block of side about ``q``, and
 only that block is formed.  No ``dim x dim`` matrix is built unless the
 pair is dense (``q = dim``) or a caller reads ``pair.a`` or ``pair.b``.
 """
@@ -48,19 +48,13 @@ __all__ = [
 ]
 
 
-def _c_lead(rows: int, cols: int) -> np.ndarray:
-    """Dense ``c[:rows, :cols]``; its transpose is ``c^dag[:cols, :rows]``."""
-    out = np.zeros((rows, cols), dtype=complex)
-    n = np.arange(min(rows, cols - 1))
-    out[n, n + 1] = np.sqrt(n + 1.0)
-    return out
-
-
 def _lowering_lead(border: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """Dense ``X[:rows, :cols]`` (at most ``dim`` each) of the lowering-type
     ``X`` that is ``border`` on ``X[:q, :q+1]`` and ``c`` elsewhere: ``a``
     from ``a_border`` or ``b^dag`` from ``b_border^dag``."""
-    out = _c_lead(rows, cols)
+    out = np.zeros((rows, cols), dtype=complex)
+    n = np.arange(min(rows, cols - 1))
+    out[n, n + 1] = np.sqrt(n + 1.0)  # c[:rows, :cols]
     out[:len(border), :len(border) + 1] = border[:rows, :cols]
     return out
 
@@ -111,17 +105,16 @@ class PseudoBosonPair:
     ``b_border = b[:q+1, :q]`` (``q + 1`` capped at ``dim``): outside them
     ``a`` is ``c`` and ``b`` is ``c^dag``, bit for bit.
 
-    Any wider borders may be passed, up to the dense ``dim x dim``
-    matrices; they are trimmed by an exact comparison with ``c`` and
-    ``c^dag`` to the smallest ``q`` with that property, read-only.  The
-    dense ``a`` and ``b`` are built on each access; ``space`` is the
-    map's.
+    ``q`` is the side of the borders given, from ``p``, the map's block
+    (``q = p`` from :func:`make_pair`), up to ``dim`` for the dense
+    matrices; they are kept as given, read-only.  The dense ``a`` and
+    ``b`` are built on each access; ``space`` is the map's.
 
     Raises
     ------
     DimensionMismatchError
         If the borders are not ``q x min(q+1, dim)`` and its transpose
-        for one ``q <= dim``.
+        for one ``p <= q <= dim``.
     ValidationError
         If an entry is not finite.
     """
@@ -131,22 +124,17 @@ class PseudoBosonPair:
     source: RieszMap
 
     def __post_init__(self):
-        d = self.source.dim
-        a, b = (np.asarray(x, dtype=complex) for x in (self.a_border, self.b_border))
+        d, p = self.source.dim, self.source.block
+        _freeze(self, "a_border", "b_border", dtype=complex)
+        a, b = self.a_border, self.b_border
         q = len(a)
-        if a.ndim != 2 or q > d or a.shape != (q, min(q + 1, d)) or b.shape != a.shape[::-1]:
+        if (a.ndim != 2 or not p <= q <= d or a.shape != (q, min(q + 1, d))
+                or b.shape != a.shape[::-1]):
             raise DimensionMismatchError(
-                f"borders {a.shape} and {b.shape} are not q x min(q+1, {d}) and its transpose")
+                f"borders {a.shape} and {b.shape} are not q x min(q+1, {d}) and its "
+                f"transpose for one {p} <= q <= {d}")
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValidationError("operator entries must be finite")
-        # a[i, j] off c needs i < q and j <= q; b[i, j] off c^dag needs i <= q and j < q
-        rows, cols = np.nonzero(a != _c_lead(*a.shape))
-        rows_b, cols_b = np.nonzero(b != _c_lead(*b.shape[::-1]).T)
-        q = int(max(np.max(rows + 1, initial=0), np.max(cols, initial=0),
-                    np.max(rows_b, initial=0), np.max(cols_b + 1, initial=0)))
-        object.__setattr__(self, "a_border", a[:q, :q + 1])
-        object.__setattr__(self, "b_border", b[:q + 1, :q])
-        _freeze(self, "a_border", "b_border")
 
     space = property(lambda self: self.source.space)
     border = property(lambda self: len(self.a_border))
@@ -334,11 +322,11 @@ def ladder_check(pair: PseudoBosonPair) -> dict[str, np.ndarray]:
     its dual on every level.  A family is ``blockdiag(B, 1)`` for ``B`` the
     map's ``S_block`` or ``S_inv_block^dag``, and outside the pair's border
     the operators are ``c`` and ``c^dag``, so every relation holds exactly
-    from level ``w = max(p, q) + 1`` on and reads 0 there; below it each
-    operator's dense leading block is multiplied on the block's columns.
+    from level ``w = q + 1`` on and reads 0 there; below it each operator's
+    dense leading block is multiplied on the block's columns.
     """
     d = pair.space.dim
-    w = min(max(pair.source.block, pair.border) + 1, d)
+    w = min(pair.border + 1, d)
     w1, top = min(w + 1, d), min(w, d - 1)
     up = np.sqrt(np.arange(1.0, d))  # sqrt(n + 1) for n < dim - 1
 
@@ -366,40 +354,36 @@ def number_operator_check(pair: PseudoBosonPair) -> tuple[np.ndarray, np.ndarray
     levels below the truncation edge (``n <= dim - 2``), on the map's
     families.  ``N`` is ``blockdiag(number_block, diag(m, ..., dim - 1))``
     (:attr:`PseudoBosonPair.number_block`), so both relations hold exactly
-    from level ``w = max(p, m)`` on and read 0 there; below it ``N`` is
-    multiplied on the block's columns only."""
+    from level ``m`` on and read 0 there; below it ``N`` is multiplied on the
+    block's columns only."""
     d, N = pair.space.dim, pair.number_block
     m = len(N)
-    w = max(pair.source.block, m)
-    top = min(w, d - 1)
-    lead = np.diag(np.arange(w, dtype=complex))  # N[:w, :w]
-    lead[:m, :m] = N
+    top = min(m, d - 1)
     levels = np.arange(float(top))
 
     def residuals(op, block):
         out = np.zeros(d - 1)
-        v = _blockdiag(block, w)[:, :top]
+        v = _blockdiag(block, m)[:, :top]
         out[:top] = np.linalg.norm(_rmul(op, block, top) - v * levels, axis=0)
         return out
 
-    return (residuals(lead, pair.source.S_block),
-            residuals(lead.conj().T, pair.source.S_inv_block.conj().T))
+    return (residuals(N, pair.source.S_block),
+            residuals(N.conj().T, pair.source.S_inv_block.conj().T))
 
 
 def theta_conjugacy_check(pair: PseudoBosonPair, sub: SafeSubspace) -> float:
     """Residual of ``a = Theta^{-1} b^dag Theta`` on the safe subspace, with
     the metric of the pair's own map.  Outside the pair's border ``b^dag``
-    is ``c``, and ``Theta`` is the identity outside its ``p x p`` block, so
-    the residual vanishes outside rows ``:s`` and columns ``:s+1`` for
-    ``s = max(p, q)``; only that block is formed.
+    is ``c``, and ``Theta`` is the identity outside its ``p x p`` block
+    (``p <= q``), so the residual vanishes outside rows ``:q`` and columns
+    ``:q+1``; only that block is formed.
 
     Each factor of ``S`` or its inverse can amplify roundoff by the
     condition number, hence the runner's ``cond^3`` tolerance.
     """
-    riesz, d = pair.source, pair.space.dim
-    s = max(riesz.block, pair.border)
-    rows, cols = min(s, sub.cutoff), min(s + 1, d, sub.cutoff)
+    riesz, d, q = pair.source, pair.space.dim, pair.border
+    rows, cols = min(q, sub.cutoff), min(q + 1, d, sub.cutoff)
     conjugated = _rmul(_lmul(riesz.theta_inv_block,
-                             _lowering_lead(pair.b_border.conj().T, s, min(s + 1, d)), rows),
+                             _lowering_lead(pair.b_border.conj().T, q, min(q + 1, d)), rows),
                        riesz.theta_block, cols)
     return _spectral_norm(_lowering_lead(pair.a_border, rows, cols) - conjugated)

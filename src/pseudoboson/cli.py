@@ -27,7 +27,7 @@ from .config import load_config
 from .coordinate import write_wavefunction_csv
 from .errors import ConfigError, PseudoBosonError
 from .reports import format_report_table
-from .suite import _output_dir, convergence_study, run_suite, suite_failed
+from .suite import _format_z, _output_dir, convergence_study, run_suite, suite_failed
 
 __all__ = ["main"]
 
@@ -90,7 +90,7 @@ def main(argv=None) -> int:
             out_dir = _output_dir(config.outputs)
             x = np.linspace(-8.0, 8.0, 801)
             for i, z in enumerate(config.z_samples):
-                path = out_dir / f"wavefunctions_z{i}_{z.real:g}{z.imag:+g}j.csv"
+                path = out_dir / f"wavefunctions_z{i}_{_format_z(z)}.csv"
                 write_wavefunction_csv(path, z, x)
                 print(f"wrote {path}")
             return 0

@@ -22,9 +22,9 @@ only, and the factorization and intertwining checks read them there.
 
 The power-similarity check reads the pair's border only: ``z b - conj(z) a``
 differs from ``z c^dag - conj(z) c`` in a leading block, so both sides of
-the identity are carried on a strip of rows of width ``max(p, q)`` plus the
-power, and the rest of the reference's rows are the generator's powers,
-carried by their diagonals.
+the identity are carried on a strip of rows of width ``q`` plus the power,
+and the rest of the reference's rows are the generator's powers, carried
+by their diagonals.
 
 The normal-ordered factor ``e^{-|z|^2/2} e^{z c^dag} e^{-conj(z) c}`` is
 the low block of the untruncated displacement, whose entries are the
@@ -48,10 +48,9 @@ import numpy as np
 
 from .algebra import PseudoBosonPair, _lowering_lead, _raising_lead
 from .errors import AccuracyRegimeWarning, DimensionMismatchError
-from .fock import (FockSpace, Operator, SafeSubspace, _border, _freeze, _spectral_lower_bound,
+from .fock import (FockSpace, Operator, SafeSubspace, _bordered, _freeze, _spectral_lower_bound,
                    _spectral_norm)
-from .riesz import (RieszMap, _blockdiag, _cotransport, _lmul, _lmul_over, _rmul, _rmul_over,
-                    _transport)
+from .riesz import RieszMap, _blockdiag, _cotransport, _lmul, _rmul, _rmul_over, _transport
 
 __all__ = [
     "DisplacementSet",
@@ -74,19 +73,20 @@ class DisplacementSet:
     unitary ``W = W(z)`` and the strips ``U_rows = U[:q, :]``,
     ``U_cols = U[:, :q]``, ``V_rows = V[:q, :]`` and ``V_cols = V[:, :q]``:
     outside rows ``:q`` and columns ``:q``, ``U`` and ``V`` are ``W``, bit for
-    bit (``q = p`` from :func:`displaced_pair`).
+    bit.
 
-    Any wider strips may be passed, up to the dense ``U`` and ``V`` as both
-    of their strips; they are trimmed by an exact comparison with ``W`` to
-    the smallest such ``q``, read-only.  Entries are not checked for
-    finiteness: a non-finite one reaches the checks, which read it as NaN.
-    The dense ``U`` and ``V`` are built on each access.
+    ``q`` is the width of the strips given, from ``p``, the map's block
+    (``q = p`` from :func:`displaced_pair`), up to ``dim`` for the dense
+    ``U`` and ``V`` as both of their strips; they are kept as given,
+    read-only.  Entries are not checked for finiteness: a non-finite one
+    reaches the checks, which read it as NaN.  The dense ``U`` and ``V``
+    are built on each access.
 
     Raises
     ------
     DimensionMismatchError
-        If ``W`` is not ``dim x dim`` or the strips are not ``w x dim`` and
-        ``dim x w`` for one ``w <= dim``.
+        If ``W`` is not ``dim x dim`` or the strips are not ``q x dim`` and
+        ``dim x q`` for one ``p <= q <= dim``.
     """
 
     z: complex
@@ -98,26 +98,15 @@ class DisplacementSet:
     source: RieszMap
 
     def __post_init__(self):
-        d = self.source.dim
-        W = np.asarray(self.W, dtype=complex)
-        strips = [np.asarray(getattr(self, name), dtype=complex) for name in _STRIPS]
-        w = len(strips[0])
-        if W.shape != (d, d) or w > d or any(
-                x.shape != shape for x, shape in zip(strips, [(w, d), (d, w)] * 2)):
+        d, p = self.source.dim, self.source.block
+        _freeze(self, "W", *_STRIPS, dtype=complex)
+        strips = [getattr(self, name) for name in _STRIPS]
+        q = len(strips[0])
+        if self.W.shape != (d, d) or not p <= q <= d or any(
+                x.shape != shape for x, shape in zip(strips, [(q, d), (d, q)] * 2)):
             raise DimensionMismatchError(
-                f"W {W.shape} and strips {[x.shape for x in strips]} are not "
-                f"{d} x {d}, w x {d} and {d} x w for one w <= {d}")
-        # X[i, j] off W needs min(i, j) < q, which _border finds on the strips
-        # of rows, and on the transpose of the strips of columns
-        U_rows, U_cols, V_rows, V_cols = strips
-        q = max(_border((U_rows != W[:w]) | (V_rows != W[:w])),
-                _border(((U_cols != W[:, :w]) | (V_cols != W[:, :w])).T))
-        object.__setattr__(self, "W", W)
-        for name, x in zip(_STRIPS, strips):
-            if q < w:
-                x = x[:q] if name.endswith("rows") else x[:, :q]
-            object.__setattr__(self, name, x)
-        _freeze(self, "W", *_STRIPS)
+                f"W {self.W.shape} and strips {[x.shape for x in strips]} are not "
+                f"{d} x {d}, q x {d} and {d} x q for one {p} <= q <= {d}")
 
     space = property(lambda self: self.source.space)
     border = property(lambda self: len(self.U_rows))
@@ -319,7 +308,7 @@ def power_similarity_check(pair: PseudoBosonPair, z: complex, k_max: int = 5) ->
     With ``G = z c^dag - conj(z) c`` and ``D = z b - conj(z) a``, ``D = G``
     outside the pair's border and ``S`` is the identity outside its block,
     so both sides equal ``G^k`` outside their leading ``r x r`` block,
-    ``r = min(cut, max(p, q) + k_max)``, and the residual is the exact
+    ``r = min(cut, q + k_max)`` (``p <= q``), and the residual is the exact
     spectral norm of the difference of those blocks.  Both sides are carried
     on the ``r x (r + k_max)`` strip of rows ``:r``: ``S G^k`` by a banded
     update per ``k`` (``G`` is tridiagonal), ``D^k`` by
@@ -340,7 +329,7 @@ def power_similarity_check(pair: PseudoBosonPair, z: complex, k_max: int = 5) ->
     z = _binary_scaled(z)
     d, riesz = pair.space.dim, pair.source
     cut = SafeSubspace(pair.space, d - max(k_max, 1)).cutoff
-    r = min(cut, max(riesz.block, pair.border) + k_max)
+    r = min(cut, pair.border + k_max)
     width = min(d, r + k_max)
     SGk = _blockdiag(riesz.S_block, width, r)
     residuals = np.zeros(k_max + 1)
@@ -434,22 +423,18 @@ def intertwining_check(disp: DisplacementSet, sub: SafeSubspace) -> float:
     the residual is pure roundoff, and it cannot see ``W`` itself.
 
     ``S S^dag`` is the identity outside its ``p x p`` block and ``U = V = W``
-    outside the set's border ``q``, so the residual is exactly zero outside
-    rows ``:s`` and columns ``:s``, ``s = max(p, q)``.  When ``2 s < k`` only
-    its rows ``:s`` and the block ``[s:k, :s]`` are formed, and the block is
-    replaced by its ``s x s`` QR factor ``R``: ``[top; R 0]`` has the same
-    Gram matrix (Chan, ACM TOMS 8, 72, 1982).  Otherwise the reduction
-    cannot shrink the residual, and the ``k x k`` one is formed."""
+    outside the set's border ``q >= p``, so the residual is exactly zero
+    outside rows ``:t`` and columns ``:t``, ``t = min(q, k)``.  Only its rows
+    ``:t`` and the block ``[t:k, :t]`` are formed, and
+    :func:`~pseudoboson.fock._bordered` reduces them to ``[top; R 0]`` or
+    assembles the ``k x k`` residual."""
     riesz, k = disp.source, sub.cutoff
     M = riesz.theta_inv_block  # the deformed block of S S^dag
-    s = max(riesz.block, disp.border)
-    if 2 * s < k:
-        top = _lmul(M, disp.lead("V", s, k)) - _rmul(disp.lead("U", s, k), M)
-        left = disp.lead("V", k, s)[s:] - _rmul(disp.lead("U", k, s)[s:], M)
-        R = np.linalg.qr(left, mode="r")
-        diff = np.vstack([top, np.pad(R, ((0, 0), (0, k - s)))])
-    else:  # the products of _lmul and _rmul, over the leads
-        w = max(k, len(M))
-        diff = _lmul_over(M, disp.lead("V", w, k), k)
-        diff -= _rmul_over(disp.lead("U", k, w), M, k)
+    t = min(disp.border, k)
+    reach = max(t, len(M))  # M's side, past k on a dense map
+    top = (_lmul(M, disp.lead("V", reach, k), t)
+           - _rmul_over(disp.lead("U", t, max(k, reach)), M, k))
+    left = disp.lead("V", k, t)[t:] - _rmul(disp.lead("U", k, reach)[t:], M, t)
+    diff = _bordered(top, left)
+    del top, left  # free them before the SVD
     return _spectral_norm(diff) / riesz.frame_bounds[1]

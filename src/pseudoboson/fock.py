@@ -72,15 +72,31 @@ def _border(nz: np.ndarray) -> int:
     return int(past.argmax()) if past.any() else rows
 
 
+def _bordered(top: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """A matrix with the Gram matrix ``X^dag X`` of ``X = [top; left 0]``,
+    the matrix that is zero outside its rows ``:t`` (``top``) and columns
+    ``:t`` (``left`` below them), ``t = len(top)``.  When ``left`` has more
+    rows than columns it is replaced by its ``t x t`` QR factor ``R``, which
+    leaves the Gram matrix unchanged (Chan, ACM TOMS 8, 72, 1982), so the
+    result is the ``2 t`` rows ``[top; R 0]``; otherwise it is ``X``
+    itself."""
+    t = len(top)
+    if len(left) > t:
+        left = np.linalg.qr(left, mode="r")
+    out = np.zeros((t + len(left), top.shape[1]), dtype=np.result_type(top, left))
+    out[:t] = top
+    out[t:, :t] = left
+    return out
+
+
 def _spectral_norm(X: np.ndarray) -> float:
     """Spectral norm ``sigma_max(X)``, exact, from the singular values of
     ``X``'s number-parity blocks restricted to their nonzero rows and columns.
 
     If ``X[beta:, beta:] = 0`` for a ``beta < min(X.shape) / 2``, ``X`` is
-    first replaced by the ``2 beta`` rows ``[X[:beta, :]; R 0]``, ``R`` the
-    QR factor of ``X[beta:, :beta]`` (Chan, ACM TOMS 8, 72, 1982): both have
-    the Gram matrix ``X^dag X``.  If every nonzero ``X[m, n]`` has ``m + n``
-    even, sorting rows and columns by parity permutes ``X`` to block-diagonal
+    first replaced by the ``2 beta`` rows of :func:`_bordered`, which have
+    its Gram matrix.  If every nonzero ``X[m, n]`` has ``m + n`` even,
+    sorting rows and columns by parity permutes ``X`` to block-diagonal
     form, so ``sigma_max(X)`` is the larger of the norms of ``X[0::2, 0::2]``
     and ``X[1::2, 1::2]``; if every one has ``m + n`` odd, the blocks are
     ``X[0::2, 1::2]`` and ``X[1::2, 0::2]``.  Otherwise ``X`` is its own
@@ -96,8 +112,7 @@ def _spectral_norm(X: np.ndarray) -> float:
         return 0.0
     beta = _border(nz)
     if 2 * beta < min(X.shape):
-        R = np.linalg.qr(X[beta:, :beta], mode="r")
-        X = np.vstack([X[:beta], np.pad(R, ((0, 0), (0, X.shape[1] - beta)))])
+        X = _bordered(X[:beta], X[beta:, :beta])
         nz = X != 0
     if not (nz[_EVEN, _ODD].any() or nz[_ODD, _EVEN].any()):
         blocks = ((_EVEN, _EVEN), (_ODD, _ODD))

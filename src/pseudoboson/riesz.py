@@ -243,16 +243,9 @@ def _rmul(X: np.ndarray, B: np.ndarray, cols: int | None = None) -> np.ndarray:
     return out
 
 
-def _lmul_over(B: np.ndarray, X: np.ndarray, rows: int | None = None) -> np.ndarray:
-    """:func:`_lmul`'s product written over ``X``, a temporary the caller
-    owns, so no second copy of it is made; returns a view of ``X``."""
-    q = min(len(B), len(X) if rows is None else rows)
-    X[:q] = B[:q] @ X[:len(B)]
-    return X[:rows]
-
-
 def _rmul_over(X: np.ndarray, B: np.ndarray, cols: int | None = None) -> np.ndarray:
-    """:func:`_rmul`'s product written over ``X``, as :func:`_lmul_over`."""
+    """:func:`_rmul`'s product written over ``X``, a temporary the caller
+    owns, so no second copy of it is made; returns a view of ``X``."""
     q = min(len(B), X.shape[1] if cols is None else cols)
     X[:, :q] = X[:, :len(B)] @ B[:, :q]
     return X[:, :cols]

@@ -53,7 +53,6 @@ from .errors import (
     OrthogonalVacuaError,
     UnderResolvedError,
     UnderResolvedWarning,
-    ValidationError,
 )
 from .fock import SafeSubspace, _spectral_norm
 from .reports import CheckReport, default_tolerance, format_report_table, reports_to_json
@@ -241,11 +240,7 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
         for z in config.z_samples:
             if not in_accuracy_regime(riesz.space, z):
                 continue  # closed-form comparison needs a suppressed tail
-            try:
-                cv = cross_validate(z, riesz)
-            except ValidationError as exc:
-                rec.refuse(("coordinate_l2", "coordinate_pairing"), exc, z)
-                continue
+            cv = cross_validate(z, riesz)
             rec.add("coordinate_l2", max(cv.l2_dev_phi, cv.l2_dev_psi), z)
             rec.add("coordinate_pairing", abs(cv.pairing - 1.0), z)
 

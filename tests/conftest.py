@@ -63,19 +63,21 @@ def with_entry(pair, op, entry, factor):
 
 def with_disp_entry(disp, op, entry, factor):
     """``disp`` with the entry ``entry`` of ``op`` (``"U"``, ``"V"`` or ``"W"``)
-    scaled by ``factor``.  A ``U`` or ``V`` entry ``(i, j)`` lies in the
-    strips of width ``q`` for ``q > min(i, j)``, so the dense ``U`` and ``V``
-    handed to the constructor are trimmed to a border just wide enough to
-    hold it; a ``W`` entry is carried into ``U`` and ``V`` by the dense
-    transports, as :func:`displaced_pair` would carry a fault of ``W``."""
+    scaled by ``factor``, built by hand on strips just wide enough to hold
+    it: a ``U`` or ``V`` entry ``(i, j)`` lies in the strips of width ``q``
+    for ``q > min(i, j)``.  A ``W`` entry is carried into ``U`` and ``V`` by
+    the dense transports, as :func:`displaced_pair` would carry a fault of
+    ``W``, and stays on the set's strips."""
     W, riesz = disp.W.copy(), disp.source
     if op == "W":
         W[entry] *= factor
         U, V = _transport(riesz, W), _cotransport(riesz, W)
+        q = disp.border
     else:
         U, V = disp.U.mat.copy(), disp.V.mat.copy()
         {"U": U, "V": V}[op][entry] *= factor
-    return DisplacementSet(disp.z, W, U, U, V, V, riesz)
+        q = max(disp.border, min(entry) + 1)
+    return DisplacementSet(disp.z, W, U[:q], U[:, :q], V[:q], V[:, :q], riesz)
 
 
 def dense_rows(X, tail=None, cols=None):

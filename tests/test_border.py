@@ -6,6 +6,7 @@ here, on the border extremes (``p = 0``, a border at level 0 and at level 5,
 are injected through ``run_suite``; and the pair-level and displacement work
 is held below one ``dim x dim`` complex array beside ``W``."""
 
+import dataclasses
 import json
 import tracemalloc
 
@@ -13,9 +14,13 @@ import numpy as np
 import pytest
 
 from pseudoboson import (
+    DimensionMismatchError,
+    DisplacementSet,
     PseudoBosonPair,
     SafeSubspace,
+    ValidationError,
     bch_factorization_check,
+    build_map,
     coherent,
     displaced_pair,
     eigen_check,
@@ -183,20 +188,28 @@ def dense_records(riesz):
     return out
 
 
-def run_with_fault(tmp_path, monkeypatch, map_spec, fault=None):
+def run_with_fault(tmp_path, monkeypatch, map_spec, fault=None, factor=1 + 1e-6):
     """``run_suite`` at dim 64 on ``map_spec``, with ``fault = (op, entry)``
-    scaled by ``1 + 1e-6``: an entry of the pair's ``a`` or ``b`` on a border
-    that holds it, or of each displacement set's ``U``, ``V`` or ``W``."""
+    scaled by ``factor``: an entry of the pair's ``a`` or ``b`` on a border
+    that holds it, of each displacement set's ``U``, ``V`` or ``W``, or of
+    the built map's block ``op`` (``"S_block"``, ``"theta_block"``, ...)."""
     path = tmp_path / "c.json"
     path.write_text(json.dumps({
         "schema_version": 1, "dim": 64, "map_spec": map_spec,
         "z_samples": [[0, 0], [1, 0], [1, 1], [0, 2]], "outputs": str(tmp_path / "out")}))
     if fault is not None and fault[0] in ("a", "b"):
         monkeypatch.setattr(suite, "make_pair",
-                            lambda riesz: with_entry(make_pair(riesz), *fault, 1 + 1e-6))
-    elif fault is not None:
+                            lambda riesz: with_entry(make_pair(riesz), *fault, factor))
+    elif fault is not None and fault[0] in ("U", "V", "W"):
         monkeypatch.setattr(suite, "displaced_pair", lambda riesz, z: with_disp_entry(
-            displaced_pair(riesz, z), *fault, 1 + 1e-6))
+            displaced_pair(riesz, z), *fault, factor))
+    elif fault is not None:
+        field, entry = fault
+        riesz = build_map(load_config(path))
+        block = getattr(riesz, field).copy()
+        block[entry] *= factor
+        bad = dataclasses.replace(riesz, **{field: block})
+        monkeypatch.setattr(suite, "build_map", lambda config, dim=None: bad)
     return run_suite(load_config(path))
 
 
@@ -276,6 +289,55 @@ class TestDisplacementFaults:
         assert border == {max(p, widened)}
 
 
+class TestMapBlockFaults:
+    """One entry of a block of the built map scaled, through ``run_suite``:
+    ``theta_block`` and ``theta_inv_block`` by ``1 + 1e-6``, ``S_block`` and
+    ``S_inv_block`` by ``1 + 1e-3``.  At ``1e-6`` the ``S`` rows leave
+    ``power_similarity`` or ``number_spectrum`` within 10x of tolerance; at
+    ``1e-3`` no record here is (``S_block[5, 4]`` of the random map would
+    leave ``number_spectrum`` at 1.3x, so its row moves to ``[21, 10]``).
+    On the projector map ``theta_conjugacy`` never reads ``theta_block[0, 0]``:
+    ``b^dag``'s diagonal is zero.  A projector map with ``S_block`` moved is
+    no longer the ground-state projector, and the coordinate cross-validation
+    its config asks for refuses it: the run raises instead of reporting."""
+
+    # the records of every identity S carries
+    CARRIED = {"biorthogonality", "ccr", "intertwining", "ladder", "number_operator",
+               "number_spectrum", "power_similarity", "rbcs_pairing", "resolution_identity",
+               "theta_conjugacy", "theta_family", "two_route"}
+    THETA = {"rank_one_theta", "theta_conjugacy", "theta_family", "theta_positivity"}
+    THETA_INV = {"intertwining", "rank_one_theta_inv", "theta_conjugacy"}
+    FAILS = {
+        ("projector", "theta_block", (0, 0)): {"rank_one_theta", "theta_family"},
+        ("random", "theta_block", (0, 0)): THETA,
+        ("random", "theta_block", (5, 4)): THETA,
+        ("projector", "theta_inv_block", (0, 0)): THETA_INV,
+        ("random", "theta_inv_block", (0, 0)): THETA_INV,
+        ("random", "theta_inv_block", (5, 4)): THETA_INV,
+        ("projector", "S_block", (0, 0)): ValidationError,
+        ("projector", "S_inv_block", (0, 0)): CARRIED | {"rank_one_theta"},
+        ("random", "S_block", (21, 10)):
+            CARRIED | {"eigen_eta", "eigen_xi", "rank_one_theta_inv", "vacuum_match"},
+        ("random", "S_inv_block", (5, 4)):
+            CARRIED | {"eigen_eta", "eigen_xi", "rank_one_theta", "vacuum_match"},
+    }
+
+    @pytest.mark.parametrize("kind, field, entry", list(FAILS),
+                             ids=[f"{k}-{f}{list(e)}" for k, f, e in FAILS])
+    def test_fail_set(self, kind, field, entry, tmp_path, monkeypatch):
+        spec = PROJECTOR if kind == "projector" else RANDOM
+        factor = 1 + (1e-3 if field.startswith("S") else 1e-6)
+        want = self.FAILS[kind, field, entry]
+        if want is ValidationError:
+            with pytest.raises(ValidationError, match="ground-state projector"):
+                run_with_fault(tmp_path, monkeypatch, spec, (field, entry), factor)
+            return
+        reports = run_with_fault(tmp_path, monkeypatch, spec, (field, entry), factor)
+        failed = {r.check_id for r in reports if r.status == "fail"}
+        assert failed == want
+        assert all(r.status == "pass" for r in reports if r.check_id not in failed)
+
+
 class TestAllocation:
     """At dim 1024 on the projector map the pair, the map-level records and
     ``power_similarity`` each peak below one ``dim x dim`` complex array
@@ -335,11 +397,48 @@ class TestAllocation:
         assert self.peak(lambda: excited_states(pair, 10)) < self.LIMIT
 
 
-def test_hand_built_border_is_trimmed(random_map64):
-    # a dense pair handed to the constructor is trimmed to the border
+def test_hand_built_border_is_kept(random_map64):
+    # a dense pair handed to the constructor keeps its dense borders, and
+    # reads back make_pair's pair
     pair = make_pair(random_map64)
     dense = PseudoBosonPair(pair.a.mat, pair.b.mat, random_map64)
-    assert dense.border == pair.border == 32
-    assert np.array_equal(dense.a_border, pair.a_border)
-    assert np.array_equal(dense.b_border, pair.b_border)
+    assert (dense.border, pair.border) == (64, 32)
+    assert np.array_equal(dense.a_border[:32, :33], pair.a_border)
+    assert np.array_equal(dense.b_border[:33, :32], pair.b_border)
+    assert np.array_equal(dense.a.mat, pair.a.mat) and np.array_equal(dense.b.mat, pair.b.mat)
     assert not dense.a_border.flags.writeable
+
+
+def test_border_narrower_than_the_block_is_refused(random_map64):
+    # the map's block is the narrowest border: one level less is refused
+    pair = make_pair(random_map64)
+    with pytest.raises(DimensionMismatchError):
+        PseudoBosonPair(pair.a_border[:31, :32], pair.b_border[:32, :31], random_map64)
+    disp = displaced_pair(random_map64, 1.0)
+    with pytest.raises(DimensionMismatchError):
+        DisplacementSet(disp.z, disp.W, disp.U_rows[:31], disp.U_cols[:, :31],
+                        disp.V_rows[:31], disp.V_cols[:, :31], random_map64)
+
+
+@pytest.mark.parametrize("spec", [PROJECTOR, RANDOM], ids=["projector", "random"])
+def test_wider_border_is_kept_verbatim(spec, tmp_path, monkeypatch):
+    # make_pair's border padded by 7 levels of the exact c and c^dag: the
+    # constructor keeps it, every pair record carries it, and every record
+    # is graded as on make_pair's own pair
+    own = run_with_fault(tmp_path, monkeypatch, spec)
+
+    def widened(riesz):
+        pair = make_pair(riesz)
+        q = pair.border + 7
+        return PseudoBosonPair(pair.a.mat[:q, :q + 1], pair.b.mat[:q + 1, :q], riesz)
+
+    monkeypatch.setattr(suite, "make_pair", widened)
+    wide = run_with_fault(tmp_path, monkeypatch, spec)
+    p = 1 if spec is PROJECTOR else 32
+    assert len(wide) == len(own)
+    for w, o in zip(wide, own):
+        assert (w.check_id, w.status) == (o.check_id, o.status)
+        assert {k: v for k, v in w.params.items() if k != "border"} == {
+            k: v for k, v in o.params.items() if k != "border"}
+        if "border" in o.params and w.check_id != "intertwining":  # the pair's
+            assert (w.params["border"], o.params["border"]) == (p + 7, p)

@@ -184,14 +184,15 @@ class TestStrips:
             assert np.array_equal(U[outside], disp.W[outside])
             assert np.array_equal(V[outside], disp.W[outside])
 
-    def test_dense_displacements_are_trimmed(self, random_map64):
-        # dense U and V handed to the constructor are trimmed to the strips
+    def test_dense_displacements_are_kept(self, random_map64):
+        # dense U and V handed to the constructor are kept as strips of
+        # width dim, and read back the displacements of the strips of width p
         disp = displaced_pair(random_map64, 1 + 1j)
         U, V = disp.U.mat, disp.V.mat
         dense = DisplacementSet(disp.z, disp.W, U, U, V, V, random_map64)
-        assert dense.border == disp.border == 32
-        for name in ("U_rows", "U_cols", "V_rows", "V_cols"):
-            np.testing.assert_array_equal(getattr(dense, name), getattr(disp, name))
+        assert (dense.border, disp.border) == (64, 32)
+        for op in ("U", "V"):
+            np.testing.assert_array_equal(dense.lead(op, 64), disp.lead(op, 64))
         np.testing.assert_array_equal(dense.lead("V", 40, 50), V[:40, :50])
 
     def test_mismatched_strips_refused(self, random_map64):

@@ -22,7 +22,7 @@ from pseudoboson import (
     power_similarity_check,
 )
 from pseudoboson import displacement
-from pseudoboson.fock import _border, _spectral_lower_bound, _spectral_norm
+from pseudoboson.fock import _border, _bordered, _spectral_lower_bound, _spectral_norm
 from pseudoboson.suite import _bch_cutoff
 
 from conftest import dense_rows
@@ -261,6 +261,25 @@ class TestSpectralNorm:
         assert found <= min(beta, rows)
         assert not nz[found:, found:].any()
         assert found == 0 or nz[found - 1:, found - 1:].any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 30), st.integers(0, 30), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_bordered_keeps_the_gram_matrix(self, t, below, cols, seed):
+        # X = [top; left 0] itself, or the 2 t rows [top; R 0] when left is
+        # taller than wide: the Gram matrix of X either way
+        t = min(t, cols)
+        rng = np.random.default_rng(seed)
+        top = rng.standard_normal((t, cols)) + 1j * rng.standard_normal((t, cols))
+        left = rng.standard_normal((below, t)) + 1j * rng.standard_normal((below, t))
+        X = np.zeros((t + below, cols), complex)
+        X[:t], X[t:, :t] = top, left
+        got = _bordered(top, left)
+        if below > t:
+            assert got.shape == (2 * t, cols)
+            np.testing.assert_allclose(got.conj().T @ got, X.conj().T @ X, rtol=0,
+                                       atol=1e-13 * (t + below) * np.abs(X).max() ** 2)
+        else:
+            assert np.array_equal(got, X)
 
     def test_row_and_column_residual_takes_two_rows(self, monkeypatch):
         # nonzero only in row 0 and column 0 (the projector map's intertwining

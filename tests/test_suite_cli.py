@@ -17,7 +17,6 @@ from pseudoboson import (
     ConfigError,
     DegenerateKernelError,
     OrthogonalVacuaError,
-    ValidationError,
     build_map,
     convergence_study,
     load_config,
@@ -339,24 +338,6 @@ class TestRunSuite:
         ids = {r.check_id for r in reports}
         assert "coordinate_l2" not in ids
         assert "rbcs_pairing" in ids
-
-    def test_coordinate_refusal_recorded(self, tmp_path, monkeypatch):
-        # a cross-validation that raises is recorded as two refusals and
-        # the run still reports
-        def refuse(z, riesz):
-            raise ValidationError("cross-validation refused")
-
-        monkeypatch.setattr(suite, "cross_validate", refuse)
-        path = write_config(tmp_path / "c.json",
-                            map_spec={"kind": "projector", "u_index": 0})
-        reports = run_suite(load_config(path))
-        refused = [r for r in reports if r.check_id.startswith("coordinate_")]
-        assert [r.check_id for r in refused] == ["coordinate_l2"] * 2 + ["coordinate_pairing"] * 2
-        for r in refused:
-            assert r.residual == float("inf") and r.status == "fail"
-            assert r.params["error"] == "cross-validation refused"
-        records = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert len(records) == len(reports)
 
     @pytest.mark.parametrize("error", [DegenerateKernelError, OrthogonalVacuaError])
     def test_vacuum_refusal_recorded(self, tmp_path, monkeypatch, error):
@@ -749,6 +730,15 @@ def test_benchmark_spans_are_public_functions():
             continue
         assert name in mod.__all__, span
         assert inspect.isfunction(obj) and obj.__module__ == mod.__name__, span
+
+
+def test_benchmark_reads_dense_matrices(tmp_path):
+    # the benchmark's direct checks read the dense W(z) and the map's dense S
+    W = displacement.weyl(make_space(8), 1.0).mat
+    assert W.shape == (8, 8)
+    S = build_map(load_config(write_config(tmp_path / "c.json", map_spec={
+        "kind": "random", "cond": 10.0, "seed": 1}))).S.mat
+    assert S.shape == (16, 16)
 
 
 def test_cli_import_leaves_scipy_out():
