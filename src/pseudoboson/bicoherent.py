@@ -193,6 +193,12 @@ def _radial_factors(t: np.ndarray, log_w: np.ndarray, n: int) -> np.ndarray:
     return np.exp(0.5 * (log_w + ks * np.log(t) - log_fact))
 
 
+def _moment_ratios(t: np.ndarray, log_w: np.ndarray, n: int) -> np.ndarray:
+    """Laguerre moment ratios ``g_k = sum_i w_i t_i^k / k!``, ``k < n``, each 1 where
+    the rule integrates ``t^k``: the rows of :func:`_radial_factors` squared."""
+    return np.sum(_radial_factors(t, log_w, n) ** 2, axis=1)
+
+
 def make_quadrature(dim: int, radial_count: int, angular_count: int) -> QuadratureScheme:
     """Quadrature over the complex plane resolving ``dim`` levels.
 
@@ -219,7 +225,7 @@ def make_quadrature(dim: int, radial_count: int, angular_count: int) -> Quadratu
             f"angular_count {angular_count} < dim = {dim}: angular grid aliases"
         )
     t, log_w = _gauss_rule(2.0 * np.arange(radial_count) + 1.0, np.arange(1.0, radial_count))
-    rel_err = np.abs(np.sum(_radial_factors(t, log_w, dim + 1) ** 2, axis=1) - 1.0)
+    rel_err = np.abs(_moment_ratios(t, log_w, dim + 1) - 1.0)
     if not rel_err.max() <= 1e-10:  # written so that NaN fails
         raise UnderResolvedError(
             f"factorial moment test failed: max relative error {rel_err.max():.3e} for k <= {dim}"
@@ -227,26 +233,21 @@ def make_quadrature(dim: int, radial_count: int, angular_count: int) -> Quadratu
     return QuadratureScheme(dim=dim, radial_t=t, radial_log_w=log_w, angular_count=angular_count)
 
 
-def resolution_operator(riesz: RieszMap, quad: QuadratureScheme) -> Operator:
-    """Discrete resolution operator
-    ``R = sum_nodes w |eta(z)><xi(z)| = S G S^{-1}``; equals the identity
-    whenever the scheme resolves the space.  Then ``G`` is diagonal with
-    the moment ratios ``sum_i w_i t_i^k / k!``, so the deviation is the
-    Laguerre moment error carried through ``S`` plus the ``S S^{-1}``
-    roundoff.
-
-    Applying a scheme built for a smaller dimension is allowed but warns
-    (:class:`UnderResolvedWarning`) so degradation studies can measure
-    the deviation instead of failing.
-    """
-    d = riesz.dim
+def _warn_under_resolved(quad: QuadratureScheme, d: int):
     if quad.dim < d:
-        warnings.warn(
-            f"scheme resolves dim {quad.dim} but the space has dim {d}; "
-            "top moments are not integrated exactly",
-            UnderResolvedWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"scheme resolves dim {quad.dim} but the space has dim {d}; top "
+                      "moments are not integrated exactly", UnderResolvedWarning, stacklevel=3)
+
+
+def resolution_operator(riesz: RieszMap, quad: QuadratureScheme) -> Operator:
+    """Discrete resolution operator ``R = sum_nodes w |eta(z)><xi(z)| = S G S^{-1}``,
+    dense, with ``G`` the masked Gram matrix of the radial factors, for any
+    grid (aliasing ones included); the identity whenever the scheme resolves
+    the space.  A scheme for a smaller dimension is applied but warns
+    (:class:`UnderResolvedWarning`), so degradation studies can measure the
+    deviation instead of failing."""
+    d = riesz.dim
+    _warn_under_resolved(quad, d)
     A = _radial_factors(quad.radial_t, quad.radial_log_w, d)
     ks = np.arange(d)
     G = (A @ A.T) * ((ks[:, None] - ks[None, :]) % quad.angular_count == 0)
@@ -254,9 +255,20 @@ def resolution_operator(riesz: RieszMap, quad: QuadratureScheme) -> Operator:
 
 
 def resolution_of_identity(riesz: RieszMap, quad: QuadratureScheme) -> float:
-    """Deviation ``||R - I||`` of the discrete resolution operator."""
-    R = resolution_operator(riesz, quad)
-    return _spectral_norm(R.mat - np.eye(riesz.dim))
+    """Deviation ``||R - 1||`` of the discrete resolution operator, from its
+    structure, with no ``dim x dim`` array: with ``angular_count >= dim`` the
+    mask is the identity, so ``G = diag(g)`` (:func:`_moment_ratios`) and
+    ``R - 1 = blockdiag(S_p diag(g[:p]) S_p^{-1} - 1, diag(g[p:] - 1))``.
+    Warns as :func:`resolution_operator` does; an aliasing grid
+    (``angular_count < dim``) raises :class:`UnderResolvedError`."""
+    d, p = riesz.dim, riesz.block
+    if quad.angular_count < d:
+        raise UnderResolvedError(f"angular_count {quad.angular_count} < dim = {d}: "
+                                 "angular grid aliases")
+    _warn_under_resolved(quad, d)
+    g = _moment_ratios(quad.radial_t, quad.radial_log_w, d)
+    block = _spectral_norm((riesz.S_block * g[:p]) @ riesz.S_inv_block - np.eye(p))
+    return float(np.max(np.abs(g[p:] - 1.0), initial=block))  # a nan of either propagates
 
 
 def weak_pairing_check(

@@ -57,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
     converge.add_argument(
         "--dims",
         default="16,32,64",
-        help="comma-separated ascending dimensions (default 16,32,64)",
+        help="comma-separated strictly ascending dimensions (default 16,32,64)",
     )
     add_common(sub.add_parser("emit-wavefunctions", help="write per-z wavefunction CSVs"))
     return parser

@@ -153,6 +153,11 @@ class CrossValidation:
     pairing: complex
 
 
+def _is_ground_state_projector(riesz: RieszMap) -> bool:
+    """True for ``T = 1 + i |e_0><e_0|``, the one map the closed forms describe."""
+    return riesz.block == 1 and riesz.S_block[0, 0] == 1 + 1j
+
+
 def cross_validate(z: complex, riesz: RieszMap) -> CrossValidation:
     """Compare the closed forms against the number-basis route of the ground-state
     projector map ``T = 1 + i |e_0><e_0|``, the one ``riesz`` with ``S_block = [[1 + i]]``.
@@ -169,7 +174,7 @@ def cross_validate(z: complex, riesz: RieszMap) -> CrossValidation:
     z = complex(z)
     space = riesz.space
     dim = space.dim
-    if not (riesz.block == 1 and riesz.S_block[0, 0] == 1 + 1j):
+    if not _is_ground_state_projector(riesz):
         raise ValidationError("the closed forms hold for the ground-state projector map only")
     if not in_accuracy_regime(space, z):
         raise ValidationError(

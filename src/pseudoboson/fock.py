@@ -61,17 +61,6 @@ def _freeze(obj, *names, dtype=None):
         object.__setattr__(obj, name, arr)
 
 
-_EVEN, _ODD, _ALL = slice(0, None, 2), slice(1, None, 2), slice(None)
-
-
-def _border(nz: np.ndarray) -> int:
-    """Smallest ``beta`` with ``nz[beta:, beta:]`` all False."""
-    rows, cols = nz.shape
-    last = np.where(nz.any(axis=1), cols - 1 - nz[:, ::-1].argmax(axis=1), -1)
-    past = np.maximum.accumulate(last[::-1])[::-1] < np.arange(rows)
-    return int(past.argmax()) if past.any() else rows
-
-
 def _bordered(top: np.ndarray, left: np.ndarray) -> np.ndarray:
     """A matrix with the Gram matrix ``X^dag X`` of ``X = [top; left 0]``,
     the matrix that is zero outside its rows ``:t`` (``top``) and columns
@@ -90,43 +79,14 @@ def _bordered(top: np.ndarray, left: np.ndarray) -> np.ndarray:
 
 
 def _spectral_norm(X: np.ndarray) -> float:
-    """Spectral norm ``sigma_max(X)``, exact, from the singular values of
-    ``X``'s number-parity blocks restricted to their nonzero rows and columns.
-
-    If ``X[beta:, beta:] = 0`` for a ``beta < min(X.shape) / 2``, ``X`` is
-    first replaced by the ``2 beta`` rows of :func:`_bordered`, which have
-    its Gram matrix.  If every nonzero ``X[m, n]`` has ``m + n`` even,
-    sorting rows and columns by parity permutes ``X`` to block-diagonal
-    form, so ``sigma_max(X)`` is the larger of the norms of ``X[0::2, 0::2]``
-    and ``X[1::2, 1::2]``; if every one has ``m + n`` odd, the blocks are
-    ``X[0::2, 1::2]`` and ``X[1::2, 0::2]``.  Otherwise ``X`` is its own
-    single block.  All steps are exact: permutations keep the singular
-    values, and zero rows and columns add only zero ones.  ``c`` and
-    ``c^dag`` flip number parity, so the residuals of a parity-preserving
-    map (the ground-state projector map) are such checkerboards.  An
-    all-zero ``X`` reads ``0.0``, a non-finite one ``nan``."""
+    """Spectral norm ``sigma_max(X)``, exact, from one SVD without singular
+    vectors.  An all-zero (or empty) ``X`` reads ``0.0``, a non-finite one
+    ``nan``."""
     if not np.all(np.isfinite(X)):
         return float("nan")
-    nz = X != 0
-    if not nz.any():
+    if not X.any():
         return 0.0
-    beta = _border(nz)
-    if 2 * beta < min(X.shape):
-        X = _bordered(X[:beta], X[beta:, :beta])
-        nz = X != 0
-    if not (nz[_EVEN, _ODD].any() or nz[_ODD, _EVEN].any()):
-        blocks = ((_EVEN, _EVEN), (_ODD, _ODD))
-    elif not (nz[_EVEN, _EVEN].any() or nz[_ODD, _ODD].any()):
-        blocks = ((_EVEN, _ODD), (_ODD, _EVEN))
-    else:
-        blocks = ((_ALL, _ALL),)
-    sigma = 0.0
-    for rows, cols in blocks:
-        mask = nz[rows, cols]
-        B = X[rows, cols][np.ix_(mask.any(axis=1), mask.any(axis=0))]
-        if B.size:
-            sigma = max(sigma, float(np.linalg.svd(B, compute_uv=False)[0]))
-    return sigma
+    return float(np.linalg.svd(X, compute_uv=False)[0])
 
 
 def _spectral_lower_bound(X: np.ndarray, tail=None, cols: int | None = None) -> float:

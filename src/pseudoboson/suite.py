@@ -36,7 +36,7 @@ from .bicoherent import (
     series_route,
 )
 from .config import RunConfig, build_map
-from .coordinate import cross_validate
+from .coordinate import _is_ground_state_projector, cross_validate
 from .displacement import (
     bch_factorization_check,
     displaced_pair,
@@ -236,7 +236,7 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
             rec.add("resolution_identity", resolution_of_identity(riesz, quad),
                     radial=quad.radial_count, angular=quad.angular_count)
 
-    if config.map_spec.kind == "projector" and config.map_spec.u_index == 0:
+    if _is_ground_state_projector(riesz):
         for z in config.z_samples:
             if not in_accuracy_regime(riesz.space, z):
                 continue  # closed-form comparison needs a suppressed tail
@@ -285,8 +285,8 @@ def convergence_study(config: RunConfig, dims: list[int]) -> tuple[Path, Path]:
       angular_count, deviation`` including deliberately under-resolved
       rows that show where exactness is lost.
     """
-    if list(dims) != sorted(dims) or len(dims) == 0:
-        raise ConfigError(f"dims must be a non-empty ascending list, got {dims}")
+    if len(dims) == 0 or any(a >= b for a, b in zip(dims, dims[1:])):
+        raise ConfigError(f"dims must be a non-empty strictly ascending list, got {dims}")
     if dims[0] < 4:
         raise ConfigError(f"dims must all be >= 4, got {dims}")
     out_dir = _output_dir(config.outputs)

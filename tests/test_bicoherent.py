@@ -29,6 +29,7 @@ from pseudoboson import (
 )
 from pseudoboson import bicoherent
 from pseudoboson.algebra import _raise
+from pseudoboson.fock import _spectral_norm
 
 from conftest import random_unit_vector
 
@@ -334,6 +335,37 @@ class TestResolutionOfIdentity:
         with pytest.warns(UnderResolvedWarning):
             dev = resolution_of_identity(riesz, reduced)
         assert dev <= 1e-13
+
+    @pytest.mark.parametrize("d", [16, 64])
+    @pytest.mark.parametrize("rule", ["full", "half", "quarter"])
+    @pytest.mark.parametrize("kind", ["identity", "projector-0", "projector-5", "random",
+                                      "dense"])
+    def test_matches_dense_operator(self, kind, rule, d):
+        # the deviation read from the map's block and the moment ratios is
+        # the norm of the dense resolution operator less the identity
+        space = make_space(d)
+        riesz = {"identity": lambda: make_riesz_map(space, np.eye(0)),
+                 "projector-0": lambda: projector_map(space, space.basis_vector(0)),
+                 "projector-5": lambda: projector_map(space, space.basis_vector(5)),
+                 "random": lambda: random_riesz_map(space, 10.0, seed=d),
+                 "dense": lambda: random_riesz_map(space, 10.0, seed=d, top_margin=0)}[kind]()
+        radial = {"full": d, "half": d // 2, "quarter": d // 4}[rule]
+        quad = make_quadrature(radial, radial, 2 * d + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnderResolvedWarning)
+            got = resolution_of_identity(riesz, quad)
+            ref = _spectral_norm(resolution_operator(riesz, quad).mat - np.eye(d))
+        assert abs(got - ref) <= 1e-14 + 1e-10 * ref
+
+    def test_aliasing_grid_refused(self):
+        # fewer than dim angles alias k and k + M; make_quadrature refuses
+        # such a grid for its own dim, so this one is built by hand
+        quad = make_quadrature(8, 8, 17)
+        aliasing = QuadratureScheme(dim=16, radial_t=quad.radial_t,
+                                    radial_log_w=quad.radial_log_w, angular_count=15)
+        riesz = make_riesz_map(make_space(16), np.eye(0))
+        with pytest.raises(UnderResolvedError, match="aliases"):
+            resolution_of_identity(riesz, aliasing)
 
 
 def node_matrix_resolution(riesz, quad):

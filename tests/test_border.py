@@ -18,17 +18,18 @@ from pseudoboson import (
     DisplacementSet,
     PseudoBosonPair,
     SafeSubspace,
-    ValidationError,
     bch_factorization_check,
     build_map,
     coherent,
     displaced_pair,
+    displacement,
     eigen_check,
     excited_states,
     intertwining_check,
     ladder_check,
     load_config,
     make_pair,
+    make_quadrature,
     make_riesz_map,
     make_space,
     number_operator_check,
@@ -36,6 +37,7 @@ from pseudoboson import (
     projector_map,
     random_riesz_map,
     rbcs,
+    resolution_of_identity,
     run_suite,
     series_route,
     suite,
@@ -289,6 +291,39 @@ class TestDisplacementFaults:
         assert border == {max(p, widened)}
 
 
+class TestRuleFaults:
+    """One entry of a rule the checks build scaled by ``1 + 1e-6``, through
+    ``run_suite``: the radial weight ``w_5`` of the quadrature ``verify``
+    builds (its log raised by ``log(1 + 1e-6)``), and the Laguerre block
+    entry ``E[3, 2]`` that the factorization compares ``U`` and ``V`` with.
+    The weight moves the moment ratios, which ``resolution_identity`` reads
+    without forming ``R``; ``E`` is read by ``bch_u`` and ``bch_v`` alone."""
+
+    FAILS = {"radial_log_w": {"resolution_identity"}, "E": {"bch_u", "bch_v"}}
+
+    @pytest.mark.parametrize("site", list(FAILS))
+    @pytest.mark.parametrize("kind", ["projector", "random"])
+    def test_fail_set(self, kind, site, tmp_path, monkeypatch):
+        if site == "radial_log_w":
+            def faulted(*args, build=suite.make_quadrature):
+                quad = build(*args)
+                log_w = quad.radial_log_w.copy()
+                log_w[5] += np.log1p(1e-6)
+                return dataclasses.replace(quad, radial_log_w=log_w)
+            monkeypatch.setattr(suite, "make_quadrature", faulted)
+        else:
+            def faulted(z, d, build=displacement._displacement_block):
+                E = build(z, d)
+                E[3, 2] *= 1 + 1e-6
+                return E
+            monkeypatch.setattr(displacement, "_displacement_block", faulted)
+        reports = run_with_fault(tmp_path, monkeypatch, PROJECTOR if kind == "projector"
+                                 else RANDOM)
+        failed = {r.check_id for r in reports if r.status == "fail"}
+        assert failed == self.FAILS[site]
+        assert all(r.status == "pass" for r in reports if r.check_id not in failed)
+
+
 class TestMapBlockFaults:
     """One entry of a block of the built map scaled, through ``run_suite``:
     ``theta_block`` and ``theta_inv_block`` by ``1 + 1e-6``, ``S_block`` and
@@ -298,8 +333,8 @@ class TestMapBlockFaults:
     leave ``number_spectrum`` at 1.3x, so its row moves to ``[21, 10]``).
     On the projector map ``theta_conjugacy`` never reads ``theta_block[0, 0]``:
     ``b^dag``'s diagonal is zero.  A projector map with ``S_block`` moved is
-    no longer the ground-state projector, and the coordinate cross-validation
-    its config asks for refuses it: the run raises instead of reporting."""
+    no longer the ground-state projector, so the run skips the coordinate
+    cross-validation, as it does for any other map, and grades the rest."""
 
     # the records of every identity S carries
     CARRIED = {"biorthogonality", "ccr", "intertwining", "ladder", "number_operator",
@@ -314,7 +349,7 @@ class TestMapBlockFaults:
         ("projector", "theta_inv_block", (0, 0)): THETA_INV,
         ("random", "theta_inv_block", (0, 0)): THETA_INV,
         ("random", "theta_inv_block", (5, 4)): THETA_INV,
-        ("projector", "S_block", (0, 0)): ValidationError,
+        ("projector", "S_block", (0, 0)): CARRIED | {"rank_one_theta_inv"},
         ("projector", "S_inv_block", (0, 0)): CARRIED | {"rank_one_theta"},
         ("random", "S_block", (21, 10)):
             CARRIED | {"eigen_eta", "eigen_xi", "rank_one_theta_inv", "vacuum_match"},
@@ -327,14 +362,9 @@ class TestMapBlockFaults:
     def test_fail_set(self, kind, field, entry, tmp_path, monkeypatch):
         spec = PROJECTOR if kind == "projector" else RANDOM
         factor = 1 + (1e-3 if field.startswith("S") else 1e-6)
-        want = self.FAILS[kind, field, entry]
-        if want is ValidationError:
-            with pytest.raises(ValidationError, match="ground-state projector"):
-                run_with_fault(tmp_path, monkeypatch, spec, (field, entry), factor)
-            return
         reports = run_with_fault(tmp_path, monkeypatch, spec, (field, entry), factor)
         failed = {r.check_id for r in reports if r.status == "fail"}
-        assert failed == want
+        assert failed == self.FAILS[kind, field, entry]
         assert all(r.status == "pass" for r in reports if r.check_id not in failed)
 
 
@@ -390,6 +420,15 @@ class TestAllocation:
             cut = SafeSubspace(space, suite._bch_cutoff(1024, z))
             assert self.peak(lambda: bch_factorization_check(disp, cut)) < self.LIMIT
             assert self.peak(lambda: intertwining_check(disp, sub)) < self.LIMIT
+
+    @pytest.mark.parametrize("kind", ["projector", "random"])
+    def test_resolution_record_forms_no_dense_array(self, kind):
+        # the minimal rule verify builds: the moment ratios and the map's block
+        space = make_space(1024)
+        riesz = (projector_map(space, space.basis_vector(0)) if kind == "projector"
+                 else random_riesz_map(space, 10.0, seed=3))
+        quad = make_quadrature(1024, 513, 2049)
+        assert self.peak(lambda: resolution_of_identity(riesz, quad)) < self.LIMIT
 
     def test_excited_states_work_on_the_border(self):
         space = make_space(1024)

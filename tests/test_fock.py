@@ -22,7 +22,7 @@ from pseudoboson import (
     power_similarity_check,
 )
 from pseudoboson import displacement
-from pseudoboson.fock import _border, _bordered, _spectral_lower_bound, _spectral_norm
+from pseudoboson.fock import _bordered, _spectral_lower_bound, _spectral_norm
 from pseudoboson.suite import _bch_cutoff
 
 from conftest import dense_rows
@@ -240,7 +240,7 @@ class TestSpectralNorm:
            st.sampled_from([None, 0, 1]), st.integers(0, 2**32 - 1))
     def test_bordered_matrices(self, rows, cols, beta, density, parity, seed):
         # zero outside a border of beta leading rows and columns, with and
-        # without a number-parity checkerboard: the QR reduction's path
+        # without a number-parity checkerboard
         rng = np.random.default_rng(seed)
         X = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
         X[rng.random((rows, cols)) >= density] = 0.0
@@ -249,18 +249,6 @@ class TestSpectralNorm:
             X = checkerboard(X, parity)
         want = np.linalg.norm(X, 2)
         assert abs(_spectral_norm(X) - want) <= 1e-14 * want
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.integers(1, 30), st.integers(1, 30), st.integers(0, 30), st.floats(0.0, 1.0),
-           st.integers(0, 2**32 - 1))
-    def test_border_is_the_smallest(self, rows, cols, beta, density, seed):
-        rng = np.random.default_rng(seed)
-        nz = rng.random((rows, cols)) < density
-        nz[beta:, beta:] = False
-        found = _border(nz)
-        assert found <= min(beta, rows)
-        assert not nz[found:, found:].any()
-        assert found == 0 or nz[found - 1:, found - 1:].any()
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 30), st.integers(0, 30), st.integers(1, 30), st.integers(0, 2**32 - 1))
@@ -281,19 +269,19 @@ class TestSpectralNorm:
         else:
             assert np.array_equal(got, X)
 
-    def test_row_and_column_residual_takes_two_rows(self, monkeypatch):
+    def test_row_and_column_residual_takes_two_rows(self):
         # nonzero only in row 0 and column 0 (the projector map's intertwining
-        # residual): one row and the 1 x 1 QR factor of the column
+        # residual): exact as it stands, and as the one row and the 1 x 1 QR
+        # factor of the column that intertwining_check reduces it to
         rng = np.random.default_rng(3)
         X = np.zeros((255, 255), complex)
         X[0] = rng.standard_normal(255)
         X[:, 0] = rng.standard_normal(255) * 1e-3
-        seen, svd = [], np.linalg.svd
-        monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: seen.append(a.shape)
-                            or svd(a, *args, **kw))
         want = np.linalg.norm(X, 2)
         assert abs(_spectral_norm(X) - want) <= 1e-14 * want
-        assert seen == [(2, 255)]
+        reduced = _bordered(X[:1], X[1:, :1])
+        assert reduced.shape == (2, 255)
+        assert abs(_spectral_norm(reduced) - want) <= 1e-14 * want
 
     @staticmethod
     def svd_row_counts(monkeypatch, riesz):
@@ -313,18 +301,17 @@ class TestSpectralNorm:
         return seen, refs
 
     def test_parity_preserving_map_takes_half_size_blocks(self, monkeypatch, projector_map64):
-        # S = 1 + i|e0><e0| keeps number parity, so every numerator is a
-        # checkerboard, and it vanishes outside the r x r block, r = p + 5 = 6,
-        # that the check forms: k = 1 reads an exact 0 and k = 2..5 take
-        # their parity blocks, k = 4 two of them.  The five 59 x 59
-        # references (cut = 64 - 5) are only bounded, so the 30 + 29 row
-        # parity blocks they would split into never reach the SVD
+        # S = 1 + i|e0><e0| keeps number parity, and every numerator vanishes
+        # outside the r x r block, r = p + 5 = 6, that the check forms: k = 1
+        # reads an exact 0 without an SVD, and k = 2..5 take one of 6 rows
+        # each.  The five 59 x 59 references (cut = 64 - 5) are only
+        # bounded, so they never reach the SVD
         seen, refs = self.svd_row_counts(monkeypatch, projector_map64)
         assert refs == [(59, 59)] * 5
-        assert seen == [1, 4, 2, 3, 4]
+        assert seen == [6] * 4
 
     def test_dense_map_takes_the_full_matrix(self, monkeypatch, random_map64):
-        # no parity split: each numerator is one block of its nonzero rows,
+        # each numerator is the r x r block the check forms, r = p + 5 = 37,
         # more than half the cut of 59; the 59-row references are only bounded
         seen, refs = self.svd_row_counts(monkeypatch, random_map64)
         assert refs == [(59, 59)] * 5

@@ -435,6 +435,14 @@ class TestConvergenceStudy:
         with pytest.raises(ConfigError):
             convergence_study(cfg, [32, 16])
 
+    def test_repeated_dims_are_refused(self, tmp_path):
+        # a tie would write the same dim's rows twice to both tables
+        path = write_config(tmp_path / "c.json")
+        with pytest.raises(ConfigError, match="strictly ascending"):
+            convergence_study(load_config(path), [16, 16, 32])
+        assert main(["converge", "--config", str(path), "--dims", "16,16,32"]) == 2
+        assert not (tmp_path / "out" / "convergence.csv").exists()
+
 
 def _rows(conv_path):
     with conv_path.open() as fh:
