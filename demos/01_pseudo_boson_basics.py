@@ -11,16 +11,16 @@ of the vacuum assumptions by singular-vector extraction.
 import numpy as np
 
 from pseudoboson import (
+    FockSpace,
     ladder_c,
     ladder_c_dag,
     make_pair,
-    make_space,
     random_riesz_map,
     vacua,
 )
 
 # A truncated space keeps the first `dim` number states.
-space = make_space(16)
+space = FockSpace(16)
 c = ladder_c(space)
 c_dag = ladder_c_dag(space)
 

@@ -12,18 +12,18 @@ the space grows, and S S^dag intertwines V into U to roundoff.
 import numpy as np
 
 from pseudoboson import (
+    FockSpace,
     SafeSubspace,
     bch_factorization_check,
     displaced_pair,
     intertwining_check,
     make_pair,
-    make_space,
     power_similarity_check,
     projector_map,
     weyl,
 )
 
-space = make_space(64)
+space = FockSpace(64)
 riesz = projector_map(space, space.basis_vector(0))
 pair = make_pair(riesz)
 z = 1.0 + 1.0j
@@ -44,7 +44,7 @@ for k, residual in enumerate(power_similarity_check(pair, z, k_max=5)):
 # commutation relation, so the residual is pure truncation tail.
 print("\nfactorization residuals at half-space cutoffs, fixed z = 1:")
 for dim in (16, 32, 64):
-    sp = make_space(dim)
+    sp = FockSpace(dim)
     rz = projector_map(sp, sp.basis_vector(0))
     r_u, r_v = bch_factorization_check(displaced_pair(rz, 1.0), SafeSubspace(sp, 8))
     print(f"  dim={dim:3d}: {max(r_u, r_v):.3e}")

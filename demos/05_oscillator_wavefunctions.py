@@ -14,17 +14,17 @@ from pathlib import Path
 import numpy as np
 
 from pseudoboson import (
+    FockSpace,
     coherent_wavefunction,
     cross_validate,
     example_wavefunctions,
     gauss_hermite_grid,
-    hermite_basis,
-    make_space,
+    hermite_stack,
     projector_map,
     write_wavefunction_csv,
 )
 
-print("ground state at the origin:", hermite_basis(0, 0.0), "= pi^(-1/4)")
+print("ground state at the origin:", hermite_stack(0, 0.0)[0, 0], "= pi^(-1/4)")
 
 z = 1.0
 phi0, psi0 = example_wavefunctions(z, np.array([0.0]))
@@ -46,7 +46,7 @@ for zz in (1.0, 1 + 1j, 2j):
 # (T applied to the truncated coherent vector, expanded over Hermite
 # functions) match the closed forms in L2.
 print("\ncross-validation against the number-basis route (dim = 64):")
-space = make_space(64)
+space = FockSpace(64)
 riesz = projector_map(space, space.basis_vector(0))
 for zz in (1.0, 1 + 1j, 2j):
     cv = cross_validate(zz, riesz)

@@ -10,7 +10,6 @@ returning a quantified residual.
 
 from .algebra import (
     PseudoBosonPair,
-    excited_states,
     ladder_check,
     make_pair,
     number_operator_check,
@@ -28,7 +27,6 @@ from .bicoherent import (
     resolution_of_identity,
     resolution_operator,
     series_route,
-    weak_pairing_check,
 )
 from .config import MapSpec, RunConfig, build_map, load_config
 from .coordinate import (
@@ -37,7 +35,6 @@ from .coordinate import (
     cross_validate,
     example_wavefunctions,
     gauss_hermite_grid,
-    hermite_basis,
     hermite_stack,
     projector_map,
     write_wavefunction_csv,
@@ -72,7 +69,6 @@ from .fock import (
     SafeSubspace,
     ladder_c,
     ladder_c_dag,
-    make_space,
 )
 from .reports import (
     DEFAULT_TOLERANCES,
@@ -85,7 +81,6 @@ from .riesz import (
     load_riesz_map,
     make_riesz_map,
     metric_operator,
-    quasi_basis_check,
     random_riesz_map,
     save_riesz_map,
 )

@@ -30,7 +30,6 @@ import numpy as np
 from .errors import (
     DegenerateKernelError,
     DimensionMismatchError,
-    InvalidDimensionError,
     OrthogonalVacuaError,
     ValidationError,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "PseudoBosonPair",
     "make_pair",
     "vacua",
-    "excited_states",
     "ladder_check",
     "number_operator_check",
     "theta_conjugacy_check",
@@ -67,10 +65,10 @@ def _raising_lead(border: np.ndarray, rows: int, cols: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _sqrt_range(start: int, stop: int, dtype=np.dtype(complex)) -> np.ndarray:
-    """``sqrt(n)`` for ``n = start .. stop - 1``, real, in the precision of
-    ``dtype``, read-only: the entries of ``c`` and ``c^dag`` past a border."""
-    out = np.sqrt(np.arange(start, stop, dtype=np.finfo(dtype).dtype))
+def _sqrt_range(start: int, stop: int) -> np.ndarray:
+    """``sqrt(n)`` for ``n = start .. stop - 1``, read-only: the entries of
+    ``c`` and ``c^dag`` past a border."""
+    out = np.sqrt(np.arange(start, stop, dtype=float))
     out.setflags(write=False)
     return out
 
@@ -88,13 +86,13 @@ def _lower(border: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _raise(border: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``X v`` for the raising-type ``X`` of :func:`_raising_lead`:
-    ``border @ v[:q]`` on rows ``:q+1``, then ``(X v)_i = sqrt(i) v_{i-1}``,
-    in the precision of ``border`` and ``v``.  A stack of borders applies
-    pairwise to a stack of vectors, ``border[j]`` to ``v[j]``."""
+    ``border @ v[:q]`` on rows ``:q+1``, then ``(X v)_i = sqrt(i) v_{i-1}``.
+    A stack of borders applies pairwise to a stack of vectors,
+    ``border[j]`` to ``v[j]``."""
     q, d = border.shape[-1], v.shape[-1]
-    out = np.empty(v.shape, dtype=np.result_type(border, v))
+    out = np.empty(v.shape, dtype=complex)
     np.matmul(border, v[..., :q, None], out=out[..., :q + 1, None])
-    np.multiply(_sqrt_range(q + 1, d, out.dtype), v[..., q:d - 1], out=out[..., q + 1:])
+    np.multiply(_sqrt_range(q + 1, d), v[..., q:d - 1], out=out[..., q + 1:])
     return out
 
 
@@ -156,16 +154,15 @@ class PseudoBosonPair:
 
 def _borders(S_block: np.ndarray, S_inv_block: np.ndarray, d: int):
     """``(a[:p, :p+1], b[:p+1, :p])`` (``p + 1`` capped at ``d``) for the map
-    ``blockdiag(S_block, 1)`` on ``d`` levels, in the blocks' precision:
+    ``blockdiag(S_block, 1)`` on ``d`` levels:
     ``S_p c[:p, :p+1] blockdiag(S_p^{-1}, 1)`` and
     ``blockdiag(S_p, 1) c^dag[:p+1, :p] S_p^{-1}``, one ``p x p`` product
     each."""
     p = len(S_block)
-    # c[n, n+1] = c^dag[n+1, n] = sqrt(n+1)
-    up = np.sqrt(np.arange(1, min(p + 1, d), dtype=S_block.real.dtype))
-    S_c = np.zeros((p, len(up) + 1), dtype=S_block.dtype)  # S_p c[:p, :p+1]
+    up = _sqrt_range(1, min(p + 1, d))  # c[n, n+1] = c^dag[n+1, n] = sqrt(n+1)
+    S_c = np.zeros((p, len(up) + 1), dtype=complex)  # S_p c[:p, :p+1]
     S_c[:, 1:] = S_block[:, :len(up)] * up
-    c_S_inv = np.zeros((len(up) + 1, p), dtype=S_block.dtype)  # c^dag[:p+1, :p] S_p^{-1}
+    c_S_inv = np.zeros((len(up) + 1, p), dtype=complex)  # c^dag[:p+1, :p] S_p^{-1}
     c_S_inv[1:] = up[:, None] * S_inv_block[:len(up)]
     return _rmul(S_c, S_inv_block), _lmul(S_block, c_S_inv)
 
@@ -196,26 +193,18 @@ def _smallest_singular_vector(M: np.ndarray, tail: np.ndarray, what: str) -> np.
     ``dim x dim`` matrix with the leading border ``M`` (``q x (q+1)``, or
     ``dim x dim``) whose only other entries are ``tail`` on the
     superdiagonal, ``tail[i]`` at ``(q + i, q + i + 1)``; fails if the two
-    smallest singular values cannot be separated.  For ``s`` the least
-    index with every nonzero ``M[i, j]`` off the superdiagonal at ``i < s``,
-    ``j <= s``, the matrix is ``blockdiag(M[:s, :s+1], T)`` and ``T``'s only
-    entries are the superdiagonal ones from ``s`` on; so its singular values
-    are the block's, zeros up to its column count, and those entries'
-    moduli."""
-    d = M.shape[1] + len(tail)
-    off = M != 0
-    np.fill_diagonal(off[:, 1:], False)
-    rows, cols = np.flatnonzero(off.any(axis=1)), np.flatnonzero(off.any(axis=0))
-    s = max(rows[-1] + 1 if rows.size else 0, cols[-1] if cols.size else 0)
-    _, sigma, Vh = np.linalg.svd(M[:s, :s + 1])
-    sigma = np.sort(np.concatenate([sigma, np.zeros(len(Vh) - len(sigma)),
-                                    np.abs(np.diag(M, 1)[s:]), np.abs(tail)]))
+    smallest singular values cannot be separated.  The matrix is
+    ``blockdiag(M, T)`` and ``T``'s only entries are ``tail``, so its
+    singular values are ``M``'s, zeros up to ``M``'s column count, and
+    ``|tail|``."""
+    _, sigma, Vh = np.linalg.svd(M)
+    sigma = np.sort(np.concatenate([sigma, np.zeros(len(Vh) - len(sigma)), np.abs(tail)]))
     if sigma[1] - sigma[0] < 1e-8:
         raise DegenerateKernelError(
             f"two smallest singular values of {what} are within 1e-8 "
             f"({sigma[0]:.3e}, {sigma[1]:.3e}): vacuum is ambiguous"
         )
-    return np.pad(np.conj(Vh[-1]), (0, d - len(Vh)))
+    return np.pad(np.conj(Vh[-1]), (0, len(tail)))
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
@@ -260,54 +249,6 @@ def _map_vacua(riesz: RieszMap) -> tuple[np.ndarray, np.ndarray]:
     """The map's vacua ``S e_0`` and ``(S^{-1})^dag e_0``, paired to 1."""
     e_0 = riesz.space.basis_vector(0)
     return _lmul(riesz.S_block, e_0), _lmul(riesz.S_inv_block.conj().T, e_0)
-
-
-def excited_states(pair: PseudoBosonPair, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Families grown from the map's vacua ``phi0 = S e_0`` and
-    ``psi0 = (S^{-1})^dag e_0`` by ladder action, as the column stacks
-    ``phi[:, n] = b^n phi0 / sqrt(n!)`` and
-    ``psi[:, n] = (a^dag)^n psi0 / sqrt(n!)`` for ``n <= n_max``.
-
-    Built iteratively as ``phi_{n+1} = b phi_n / sqrt(n+1)`` so no
-    factorial-sized intermediate ever appears.  The stacks reproduce the
-    map's columns ``S e_n`` and ``(S^{-1})^dag e_n`` to roundoff.  ``b`` and
-    ``a^dag`` are applied through their ``(p+1) x p`` borders (``p`` the
-    map's block), as :func:`~pseudoboson.bicoherent.series_route` applies
-    them: no ``dim x dim`` operator is formed.
-
-    Raises
-    ------
-    InvalidDimensionError
-        If ``n_max`` is outside ``[0, dim - 1]``.
-    ValidationError
-        If an entry of either stack is not finite.
-    """
-    d = pair.space.dim
-    if not 0 <= n_max <= d - 1:
-        raise InvalidDimensionError(f"n_max must be in [0, {d - 1}], got {n_max}")
-    # Extended-precision pipeline: each ladder application amplifies the
-    # off-kernel error of the starting vector by roughly ||b|| / sqrt(n+1),
-    # which costs several digits by n ~ dim/2 in double precision.  The
-    # operators and the vacua are rebuilt in long-double precision (one
-    # Newton correction of the cached inverse), so the recursion starts on
-    # the exact kernel directions with no off-kernel rounding to amplify.
-    work = np.clongdouble
-    S = pair.source.S_block.astype(work)
-    S_inv = pair.source.S_inv_block.astype(work)
-    S_inv = S_inv @ (2.0 * np.eye(len(S), dtype=work) - S @ S_inv)
-    a, b = _borders(S, S_inv, d)
-    ops = np.stack([b, a.conj().T])  # the borders of b and a^dag
-    e_0 = np.eye(d, 1, dtype=work)[:, 0]
-    levels = np.empty((n_max + 1, 2, d), dtype=work)  # phi_n and psi_n at level n
-    levels[0, 0] = _lmul(S, e_0)  # ker(a) = span{S e_0}
-    levels[0, 1] = _lmul(S_inv.conj().T, e_0)  # ker(b^dag) = span{(S^-1)^dag e_0}
-    for n in range(n_max):
-        levels[n + 1] = (1.0 / np.sqrt(np.longdouble(n + 1))) * _raise(ops, levels[n])
-    phi, psi = levels.astype(complex).transpose(1, 2, 0)
-    for arr, name in ((phi, "phi"), (psi, "psi")):
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError(f"{name} entries must be finite")
-    return phi, psi
 
 
 def ladder_check(pair: PseudoBosonPair) -> dict[str, np.ndarray]:

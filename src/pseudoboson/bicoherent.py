@@ -32,12 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import PseudoBosonPair, _lower, _map_vacua, _raise
-from .errors import (
-    DimensionMismatchError,
-    ProvenanceError,
-    UnderResolvedError,
-    UnderResolvedWarning,
-)
+from .errors import ProvenanceError, UnderResolvedError, UnderResolvedWarning
 from .fock import FockSpace, Operator, _freeze, _gauss_rule, _spectral_norm
 from .riesz import RieszMap, _lmul, _same_map, _transport
 
@@ -52,7 +47,6 @@ __all__ = [
     "make_quadrature",
     "resolution_operator",
     "resolution_of_identity",
-    "weak_pairing_check",
 ]
 
 
@@ -269,19 +263,3 @@ def resolution_of_identity(riesz: RieszMap, quad: QuadratureScheme) -> float:
     g = _moment_ratios(quad.radial_t, quad.radial_log_w, d)
     block = _spectral_norm((riesz.S_block * g[:p]) @ riesz.S_inv_block - np.eye(p))
     return float(np.max(np.abs(g[p:] - 1.0), initial=block))  # a nan of either propagates
-
-
-def weak_pairing_check(
-    riesz: RieszMap, quad: QuadratureScheme, f: np.ndarray, g: np.ndarray
-) -> tuple[complex, complex]:
-    """Weak form of the resolution: returns ``(<f, g>,`` discretized
-    ``(1/pi) int <f, eta(z)><xi(z), g> d^2z)``."""
-    f = np.asarray(f, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    d = riesz.dim
-    if f.shape != (d,) or g.shape != (d,):
-        raise DimensionMismatchError(
-            f"vectors must have shape ({d},), got {f.shape} and {g.shape}"
-        )
-    R = resolution_operator(riesz, quad)
-    return complex(np.vdot(f, g)), complex(np.vdot(f, R.mat @ g))

@@ -34,7 +34,6 @@ from .riesz import RieszMap, _lmul, make_riesz_map
 
 __all__ = [
     "CrossValidation",
-    "hermite_basis",
     "hermite_stack",
     "gauss_hermite_grid",
     "coherent_wavefunction",
@@ -58,14 +57,6 @@ def hermite_stack(n_max: int, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     rows, exps, _ = _recurrence(np.zeros(n_max), np.sqrt(np.arange(1, n_max + 1) / 2.0), x)
     return rows * np.exp(exps * np.log(2.0) - 0.5 * x**2 - 0.25 * np.log(np.pi))
-
-
-def hermite_basis(n: int, x):
-    """Value of the orthonormal Hermite function ``e_n`` at ``x``
-    (scalar in, scalar out)."""
-    scalar = np.isscalar(x)
-    vals = hermite_stack(n, x)[n]
-    return float(vals[0]) if scalar else vals
 
 
 @functools.lru_cache(maxsize=4)

@@ -303,7 +303,7 @@ def power_similarity_check(pair: PseudoBosonPair, z: complex, k_max: int = 5) ->
     """Relative residuals of
     ``S (z c^dag - conj(z) c)^k S^{-1} = (z b - conj(z) a)^k``,
     indexed by ``k = 0 .. k_max``, evaluated on the safe subspace with a
-    ``k_max``-level top margin, ``cut = dim - k_max``.
+    ``k_max``-level top margin, ``cut = dim - k_max`` (at least 1).
 
     With ``G = z c^dag - conj(z) c`` and ``D = z b - conj(z) a``, ``D = G``
     outside the pair's border and ``S`` is the identity outside its block,
@@ -328,7 +328,7 @@ def power_similarity_check(pair: PseudoBosonPair, z: complex, k_max: int = 5) ->
         return np.zeros(k_max + 1)
     z = _binary_scaled(z)
     d, riesz = pair.space.dim, pair.source
-    cut = SafeSubspace(pair.space, d - max(k_max, 1)).cutoff
+    cut = SafeSubspace(pair.space, max(d - max(k_max, 1), 1)).cutoff
     r = min(cut, pair.border + k_max)
     width = min(d, r + k_max)
     SGk = _blockdiag(riesz.S_block, width, r)

@@ -24,7 +24,6 @@ __all__ = [
     "FockSpace",
     "Operator",
     "SafeSubspace",
-    "make_space",
     "ladder_c",
     "ladder_c_dag",
 ]
@@ -203,11 +202,6 @@ class SafeSubspace:
             raise InvalidDimensionError(
                 f"cutoff must satisfy 1 <= cutoff < dim, got {self.cutoff} (dim {self.space.dim})"
             )
-
-
-def make_space(dim: int) -> FockSpace:
-    """Create a truncated Fock space with ``dim >= 2`` levels."""
-    return FockSpace(dim)
 
 
 def ladder_c(space: FockSpace) -> Operator:

@@ -45,7 +45,6 @@ __all__ = [
     "make_riesz_map",
     "random_riesz_map",
     "metric_operator",
-    "quasi_basis_check",
     "save_riesz_map",
     "load_riesz_map",
 ]
@@ -261,28 +260,6 @@ def _cotransport(riesz: RieszMap, X: np.ndarray, size: int | None = None) -> np.
     """``(S^{-1})^dag X S^dag``, or its leading ``size x size`` block, with
     both factors applied on their deformed block only."""
     return _rmul_over(_lmul(riesz.S_inv_block.conj().T, X, size), riesz.S_block.conj().T, size)
-
-
-def quasi_basis_check(
-    riesz: RieszMap, f: np.ndarray, g: np.ndarray
-) -> tuple[complex, complex, complex]:
-    """Weak resolution of the identity through the map's families.
-
-    Returns ``(<f, g>, sum_n <f, phi_n><psi_n, g>, sum_n <f, psi_n><phi_n, g>)``;
-    all three agree to roundoff since the families are biorthogonal.
-    """
-    f = np.asarray(f, dtype=complex)
-    g = np.asarray(g, dtype=complex)
-    d = riesz.dim
-    if f.shape != (d,) or g.shape != (d,):
-        raise DimensionMismatchError(
-            f"vectors must have shape ({d},), got {f.shape} and {g.shape}"
-        )
-    phi, psi = riesz.S.mat, riesz.S_inv.mat.conj().T
-    direct = complex(np.vdot(f, g))
-    via_phi_psi = complex((f.conj() @ phi) @ (psi.conj().T @ g))
-    via_psi_phi = complex((f.conj() @ psi) @ (phi.conj().T @ g))
-    return direct, via_phi_psi, via_psi_phi
 
 
 def save_riesz_map(riesz: RieszMap, path: str | Path) -> None:

@@ -289,6 +289,8 @@ def convergence_study(config: RunConfig, dims: list[int]) -> tuple[Path, Path]:
         raise ConfigError(f"dims must be a non-empty strictly ascending list, got {dims}")
     if dims[0] < 4:
         raise ConfigError(f"dims must all be >= 4, got {dims}")
+    if config.map_spec.kind == "projector" and config.map_spec.u_index >= dims[0]:
+        raise ConfigError(f"projector u_index {config.map_spec.u_index} outside [0, {dims[0]})")
     out_dir = _output_dir(config.outputs)
 
     z = next((z for z in config.z_samples if z != 0), 1.0 + 0.0j)

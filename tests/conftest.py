@@ -3,9 +3,9 @@ import pytest
 
 from pseudoboson import (
     DisplacementSet,
+    FockSpace,
     PseudoBosonPair,
     make_riesz_map,
-    make_space,
     projector_map,
     random_riesz_map,
 )
@@ -14,7 +14,7 @@ from pseudoboson.riesz import _cotransport, _transport
 
 @pytest.fixture(scope="session")
 def space64():
-    return make_space(64)
+    return FockSpace(64)
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from pseudoboson import (
+    FockSpace,
     SafeSubspace,
     UnderResolvedWarning,
     bch_factorization_check,
@@ -25,7 +26,6 @@ from pseudoboson import (
     make_pair,
     make_quadrature,
     make_riesz_map,
-    make_space,
     number_operator_check,
     power_similarity_check,
     projector_map,
@@ -157,7 +157,7 @@ def test_criterion_07_power_similarity_and_bch(all_maps64):
 
     decays = []
     for dim in (16, 32, 64):
-        space = make_space(dim)
+        space = FockSpace(dim)
         riesz = projector_map(space, space.basis_vector(0))
         decays.append(max(bch_factorization_check(displaced_pair(riesz, 1.0), SafeSubspace(space, 8))))
     monotone = decays[0] >= decays[1] >= decays[2]
@@ -213,7 +213,7 @@ def test_criterion_10_resolution_of_identity():
     start = time.perf_counter()
     worst = 0.0
     for dim in (16, 32):
-        space = make_space(dim)
+        space = FockSpace(dim)
         quad = make_quadrature(dim, dim, 2 * dim + 1)
         for riesz in (
             make_riesz_map(space, np.eye(0)),
@@ -239,7 +239,7 @@ def test_criterion_10_negative_control():
     worst_quarter = np.inf
     worst_half = 0.0
     for dim in (16, 32):
-        space = make_space(dim)
+        space = FockSpace(dim)
         quarter = make_quadrature(dim // 4, dim // 4, 2 * dim + 1)
         half = make_quadrature(dim // 2, dim // 2, 2 * dim + 1)
         for riesz in (

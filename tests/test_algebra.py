@@ -5,17 +5,15 @@ from hypothesis import strategies as st
 
 from pseudoboson import (
     DegenerateKernelError,
-    InvalidDimensionError,
+    FockSpace,
     OrthogonalVacuaError,
     PseudoBosonPair,
     SafeSubspace,
-    excited_states,
     ladder_c,
     ladder_c_dag,
     ladder_check,
     make_pair,
     make_riesz_map,
-    make_space,
     number_operator_check,
     projector_map,
     random_riesz_map,
@@ -31,12 +29,12 @@ from conftest import random_unit_vector, with_entry
 def projector_riesz(dim):
     P = np.zeros((dim, dim), complex)
     P[0, 0] = 1.0
-    return make_riesz_map(make_space(dim), np.eye(dim) + 1j * P)
+    return make_riesz_map(FockSpace(dim), np.eye(dim) + 1j * P)
 
 
 class TestMakePair:
     def test_bosonic_limit(self):
-        space = make_space(8)
+        space = FockSpace(8)
         pair = make_pair(make_riesz_map(space, np.eye(0)))
         np.testing.assert_allclose(pair.a.mat, ladder_c(space).mat, atol=1e-15)
         np.testing.assert_allclose(pair.b.mat, ladder_c_dag(space).mat, atol=1e-15)
@@ -45,7 +43,7 @@ class TestMakePair:
         # with P = |e0><e0| and cP = 0 in truncation, a = c + iPc
         riesz = projector_riesz(4)
         pair = make_pair(riesz)
-        c = ladder_c(make_space(4)).mat
+        c = ladder_c(FockSpace(4)).mat
         P = np.zeros((4, 4), complex)
         P[0, 0] = 1.0
         np.testing.assert_allclose(pair.a.mat, c + 1j * P @ c, atol=1e-14)
@@ -64,7 +62,7 @@ class TestMakePair:
 
 class TestVacua:
     def test_bosonic_vacua(self):
-        pair = make_pair(make_riesz_map(make_space(8), np.eye(0)))
+        pair = make_pair(make_riesz_map(FockSpace(8), np.eye(0)))
         phi0, psi0 = vacua(pair)
         np.testing.assert_allclose(phi0, np.eye(8)[0], atol=1e-14)
         np.testing.assert_allclose(psi0, np.eye(8)[0], atol=1e-14)
@@ -99,7 +97,7 @@ class TestVacua:
         assert np.linalg.norm(pair.b.mat.conj().T @ psi0) <= 1e-10 * bd_norm * np.linalg.norm(psi0)
 
     def test_degenerate_kernel_detected(self):
-        space = make_space(4)
+        space = FockSpace(4)
         riesz = make_riesz_map(space, np.eye(0))
         # dense borders (q = dim): the diagonal is off c everywhere
         degenerate = np.diag([0.0, 0.0, 1.0, 2.0]).astype(complex)
@@ -109,7 +107,7 @@ class TestVacua:
             vacua(pair)
 
     def test_orthogonal_vacua_detected(self):
-        space = make_space(4)
+        space = FockSpace(4)
         riesz = make_riesz_map(space, np.eye(0))
         a = ladder_c(space).mat  # kernel e_0
         b = np.diag([1.0, 0.0, 1.0, 1.0]).astype(complex)  # b^dag kernel e_1
@@ -171,87 +169,15 @@ class TestBlockKernel:
         assert abs(np.linalg.norm(got) - 1.0) <= 1e-14
         assert np.linalg.norm(got * overlap / abs(overlap) - want) <= 1e-12
 
-    def test_ladder_pair_of_projector_map_takes_no_block(self, monkeypatch):
-        # S = 1 + i|e0><e0|: a and b^dag are superdiagonal, so q = 0 and
-        # the kernel comes from the 0 x 1 block alone
+    def test_ladder_pair_of_projector_map_takes_its_border(self, monkeypatch):
+        # S = 1 + i|e0><e0| has the block p = 1: the kernel comes from the
+        # 1 x 2 borders of a and b^dag, with no scan for a smaller block
         pair, seen, svd = make_pair(projector_riesz(32)), [], np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kw: seen.append(a.shape)
                             or svd(a, *args, **kw))
         phi0, _ = vacua(pair)
-        assert seen == [(0, 1), (0, 1)]
+        assert seen == [(1, 2), (1, 2)]
         np.testing.assert_allclose(np.abs(phi0), np.eye(32)[0], atol=1e-15)
-
-
-class TestExcitedStates:
-    def test_zeroth_level_is_vacuum(self, random_map64):
-        pair = make_pair(random_map64)
-        phi, _ = excited_states(pair, n_max=0)
-        np.testing.assert_array_equal(phi[:, 0], random_map64.S.mat[:, 0])
-
-    def test_bosonic_limit_exact(self):
-        riesz = make_riesz_map(make_space(16), np.eye(0))
-        phi, _ = excited_states(make_pair(riesz), n_max=15)
-        np.testing.assert_allclose(phi, np.eye(16), atol=1e-13)
-
-    def test_matches_map_columns(self):
-        # b^n S e_0 / sqrt(n!) = S e_n exactly, so the ladder recursion
-        # reproduces the map columns
-        riesz = random_riesz_map(make_space(32), 10.0, seed=2)
-        phi, _ = excited_states(make_pair(riesz), n_max=16)
-        dev = np.linalg.norm(phi - riesz.S.mat[:, :17], axis=0)
-        assert dev.max() <= 1e-8
-
-    def test_constructive_equivalence_relative(self, all_maps64):
-        for riesz in all_maps64:
-            n_half = riesz.dim // 2
-            phi, psi = excited_states(make_pair(riesz), n_max=n_half)
-            full_phi, full_psi = riesz.S.mat, riesz.S_inv.mat.conj().T
-            for n in range(n_half + 1):
-                rel_phi = np.linalg.norm(phi[:, n] - full_phi[:, n]) / np.linalg.norm(full_phi[:, n])
-                rel_psi = np.linalg.norm(psi[:, n] - full_psi[:, n]) / np.linalg.norm(full_psi[:, n])
-                assert max(rel_phi, rel_psi) <= 1e-8 * riesz.cond
-
-    def test_biorthogonality_preserved(self, random_map64):
-        phi, psi = excited_states(make_pair(random_map64), n_max=20)
-        gram = phi.conj().T @ psi
-        assert np.abs(gram - np.eye(21)).max() <= 1e-10
-
-    def test_n_max_out_of_range(self, random_map64):
-        with pytest.raises(InvalidDimensionError):
-            excited_states(make_pair(random_map64), n_max=64)
-
-    @pytest.mark.parametrize("kind", ["identity", "projector-0", "projector-5", "random", "dense"])
-    def test_matches_dense_long_double_ladder(self, kind):
-        # the border route against the dense long-double operators it
-        # replaces, b = S c^dag S^-1 and a^dag, with the same Newton-corrected
-        # inverse and vacua, on p = 0, 1, 6, dim/2 and dim: bit for bit where
-        # S is diagonal, and elsewhere closer than the dense route's own
-        # distance from the map's columns, the long-double rounding the
-        # recursion amplifies (2.5e-13 against 6.8e-13 on the random map)
-        space = make_space(48)
-        riesz = {"identity": lambda: make_riesz_map(space, np.eye(0)),
-                 "projector-0": lambda: projector_map(space, space.basis_vector(0)),
-                 "projector-5": lambda: projector_map(space, space.basis_vector(5)),
-                 "random": lambda: random_riesz_map(space, 10.0, seed=1),
-                 "dense": lambda: random_riesz_map(space, 10.0, seed=1, top_margin=0)}[kind]()
-        work, n_max = np.clongdouble, 40
-        S, S_inv = riesz.S.mat.astype(work), riesz.S_inv.mat.astype(work)
-        S_inv = S_inv @ (2.0 * np.eye(48, dtype=work) - S @ S_inv)
-        c = np.diag(np.sqrt(np.arange(1, 48, dtype=np.longdouble)), 1).astype(work)
-        b, a_dag = S @ c.T @ S_inv, (S @ c @ S_inv).conj().T
-        ref_phi, ref_psi = [S[:, 0]], [S_inv.conj().T[:, 0]]
-        for n in range(n_max):
-            scale = 1.0 / np.sqrt(np.longdouble(n + 1))
-            ref_phi.append(scale * (b @ ref_phi[-1]))
-            ref_psi.append(scale * (a_dag @ ref_psi[-1]))
-        phi, psi = excited_states(make_pair(riesz), n_max)
-        families = ((phi, ref_phi, riesz.S.mat), (psi, ref_psi, riesz.S_inv.mat.conj().T))
-        for got, ref, cols in families:
-            ref = np.array(ref).T.astype(complex)
-            if kind in ("random", "dense"):
-                assert np.abs(got - ref).max() <= 2 * np.abs(ref - cols[:, :n_max + 1]).max()
-            else:
-                np.testing.assert_array_equal(got, ref)
 
 
 class TestLadderCheck:
@@ -261,7 +187,7 @@ class TestLadderCheck:
         assert r == pytest.approx(np.linalg.norm(pair.a.mat @ random_map64.S.mat[:, 0]))
 
     def test_bosonic_residuals_machine(self):
-        riesz = make_riesz_map(make_space(32), np.eye(0))
+        riesz = make_riesz_map(FockSpace(32), np.eye(0))
         residuals = ladder_check(make_pair(riesz))
         assert max(r.max() for r in residuals.values()) <= 1e-12
 
@@ -344,7 +270,7 @@ class TestBlockProducts:
         # w = max(p, q + 1); from w on, where N e_n = n e_n holds by
         # construction, they read an exact 0 and the dense route only the
         # rounding of sqrt(n)^2 - n
-        pair = make_pair(self.MAPS[kind](make_space(dim)))
+        pair = make_pair(self.MAPS[kind](FockSpace(dim)))
         ladder, number = self.dense(pair)
         got = ladder_check(pair)
         assert list(got) == list(ladder)
@@ -362,7 +288,7 @@ class TestBlockProducts:
 
     def test_dense_map_agrees_to_roundoff(self):
         # top_margin=0 deforms every level, so the block is all of S
-        riesz = random_riesz_map(make_space(64), 10.0, seed=0, top_margin=0)
+        riesz = random_riesz_map(FockSpace(64), 10.0, seed=0, top_margin=0)
         pair = make_pair(riesz)
         ladder, number = self.dense(pair)
         a, b = pair.a.mat, pair.b.mat
@@ -383,7 +309,7 @@ class TestBlockProducts:
         # relative change of 1e-6 there breaks b phi_{p+4}, b^dag psi_{p+5},
         # N phi_{p+5} and N^dag psi_{p+5}.  The pair is built on the border
         # q = p + 5 that holds the entry
-        riesz = self.MAPS[kind](make_space(64))
+        riesz = self.MAPS[kind](FockSpace(64))
         pair = make_pair(riesz)
         p = riesz.block
         bad = with_entry(pair, "b", (p + 5, p + 4), 1 + 1e-6)
@@ -397,7 +323,7 @@ class TestBlockProducts:
 
 class TestNumberOperator:
     def test_bosonic_number_matrix(self):
-        space = make_space(8)
+        space = FockSpace(8)
         pair = make_pair(make_riesz_map(space, np.eye(0)))
         N = pair.b.mat @ pair.a.mat
         np.testing.assert_allclose(N, np.diag(np.arange(8.0)), atol=1e-14)
@@ -429,7 +355,7 @@ class TestNumberOperator:
         np.testing.assert_allclose(r_psi, want_psi, rtol=0, atol=atol)
 
     def test_spectrum_integers_dim32(self):
-        riesz = random_riesz_map(make_space(32), 10.0, seed=6)
+        riesz = random_riesz_map(FockSpace(32), 10.0, seed=6)
         pair = make_pair(riesz)
         eigs = np.sort_complex(np.linalg.eigvals(pair.b.mat @ pair.a.mat))
         assert np.abs(eigs[:31] - np.arange(31)).max() <= 1e-8
@@ -443,13 +369,13 @@ class TestNumberOperator:
 
 class TestThetaConjugacy:
     def test_bosonic_residual_zero(self):
-        riesz = make_riesz_map(make_space(8), np.eye(0))
-        residual = theta_conjugacy_check(make_pair(riesz), SafeSubspace(make_space(8), 7))
+        riesz = make_riesz_map(FockSpace(8), np.eye(0))
+        residual = theta_conjugacy_check(make_pair(riesz), SafeSubspace(FockSpace(8), 7))
         assert residual <= 1e-14
 
     def test_projector_dim16(self):
         riesz = projector_riesz(16)
-        residual = theta_conjugacy_check(make_pair(riesz), SafeSubspace(make_space(16), 15))
+        residual = theta_conjugacy_check(make_pair(riesz), SafeSubspace(FockSpace(16), 15))
         assert residual <= 1e-12
 
     def test_random_maps_within_tolerance(self, all_maps64):
@@ -470,7 +396,7 @@ class TestThetaConjugacy:
         # residual goes to zero as the map approaches unitary
         residuals = []
         for cond in (1.0, 2.0, 10.0, 100.0):
-            riesz = random_riesz_map(make_space(32), cond, seed=8)
+            riesz = random_riesz_map(FockSpace(32), cond, seed=8)
             residual = theta_conjugacy_check(make_pair(riesz), SafeSubspace(riesz.space, 31))
             residuals.append(residual)
             assert residual <= 1e-10 * riesz.cond**3

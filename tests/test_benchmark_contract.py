@@ -1,0 +1,42 @@
+"""What the benchmark reads of the package, from ``BENCHMARK.json`` alone.
+
+The benchmark's tracer wraps every function a module lists in ``__all__``
+and defined there, plus ``fock.Operator.__post_init__``, and reports each
+``per_layer`` figure from those spans; its direct-output checks read the
+dense ``.mat`` of ``weyl`` and of a built map's ``S``.  A span that is no
+longer there makes a traced run exit with "per-layer spans not found", a
+fault no other test sees."""
+
+import importlib
+import inspect
+import json
+from pathlib import Path
+
+import numpy as np
+
+from pseudoboson import FockSpace, build_map, load_config, weyl
+
+BENCHMARK = json.loads((Path(__file__).parent.parent / "BENCHMARK.json").read_text())
+
+
+def test_every_per_layer_span_is_traced():
+    spans = {entry["name"].rsplit(".", 1)[0] for entry in BENCHMARK["per_layer"]}
+    assert spans
+    for span in spans - {"fock.Operator"}:
+        module, name = span.split(".")
+        mod = importlib.import_module(f"pseudoboson.{module}")
+        assert name in mod.__all__, span
+        fn = getattr(mod, name)
+        assert inspect.isfunction(fn) and fn.__module__ == mod.__name__, span
+    assert inspect.isfunction(importlib.import_module("pseudoboson.fock").Operator.__post_init__)
+
+
+def test_direct_outputs_are_dense_arrays(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "schema_version": 1, "dim": 16, "map_spec": {"kind": "random", "cond": 10.0, "seed": 1},
+        "z_samples": [[1, 0]], "outputs": str(tmp_path / "out")}))
+    W = weyl(FockSpace(8), 1).mat
+    S = build_map(load_config(path), dim=16).S.mat
+    assert isinstance(W, np.ndarray) and W.shape == (8, 8)
+    assert isinstance(S, np.ndarray) and S.shape == (16, 16)

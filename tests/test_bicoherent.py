@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from pseudoboson import (
-    DimensionMismatchError,
+    FockSpace,
     ProvenanceError,
     QuadratureScheme,
     UnderResolvedError,
@@ -18,20 +18,16 @@ from pseudoboson import (
     make_pair,
     make_quadrature,
     make_riesz_map,
-    make_space,
     projector_map,
     random_riesz_map,
     rbcs,
     resolution_of_identity,
     resolution_operator,
     series_route,
-    weak_pairing_check,
 )
 from pseudoboson import bicoherent
 from pseudoboson.algebra import _raise
 from pseudoboson.fock import _spectral_norm
-
-from conftest import random_unit_vector
 
 disk2 = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
@@ -77,7 +73,7 @@ class TestCoherent:
     @given(disk2, disk2)
     def test_overlap_kernel(self, z, w):
         # <Phi(z), Phi(w)> = exp(-(|z|^2+|w|^2)/2 + conj(z) w) up to tails
-        space = make_space(64)
+        space = FockSpace(64)
         got = np.vdot(coherent(space, z), coherent(space, w))
         want = np.exp(-(abs(z) ** 2 + abs(w) ** 2) / 2 + np.conj(z) * w)
         assert abs(got - want) <= 1e-10
@@ -117,7 +113,7 @@ def _full_series(pair, z):
 
 @pytest.fixture(scope="module")
 def projector_map256():
-    space = make_space(256)
+    space = FockSpace(256)
     return projector_map(space, space.basis_vector(0))
 
 
@@ -141,7 +137,7 @@ class TestSeriesRoute:
 
     def test_beyond_tail_bound_sums_every_term(self):
         # |z|^2 = 25 > dim + 1: the tail bound is 1, so all 16 terms count
-        riesz = random_riesz_map(make_space(16), 10.0, seed=3)
+        riesz = random_riesz_map(FockSpace(16), 10.0, seed=3)
         pair = make_pair(riesz)
         for got, want in zip(series_route(pair, 5.0), _full_series(pair, 5.0)):
             np.testing.assert_array_equal(got, want)
@@ -188,7 +184,7 @@ class TestEigenRelations:
             assert max(r_eta, r_xi) <= 1e-10
 
     def test_provenance_mismatch(self, random_map64):
-        other = random_riesz_map(make_space(64), 10.0, seed=123)
+        other = random_riesz_map(FockSpace(64), 10.0, seed=123)
         with pytest.raises(ProvenanceError):
             eigen_check(make_pair(other), rbcs(random_map64, 1.0))
 
@@ -244,7 +240,7 @@ class TestQuadrature:
     def test_angular_bound_is_exact(self, dim):
         # the mask [k = l mod M] is exact for k, l < dim once M >= dim, so
         # dim angular nodes resolve the identity on every map kind
-        space = make_space(dim)
+        space = FockSpace(dim)
         quad = make_quadrature(dim, dim, dim)
         for riesz in (make_riesz_map(space, np.eye(0)),
                       projector_map(space, space.basis_vector(0)),
@@ -287,14 +283,14 @@ class TestQuadrature:
 
 class TestResolutionOfIdentity:
     def test_identity_map_dim16(self):
-        riesz = make_riesz_map(make_space(16), np.eye(0))
+        riesz = make_riesz_map(FockSpace(16), np.eye(0))
         dev = resolution_of_identity(riesz, make_quadrature(16, 16, 33))
         assert dev <= 1e-11
 
     def test_projector_dim32(self):
         P = np.zeros((32, 32), complex)
         P[0, 0] = 1.0
-        riesz = make_riesz_map(make_space(32), np.eye(32) + 1j * P)
+        riesz = make_riesz_map(FockSpace(32), np.eye(32) + 1j * P)
         dev = resolution_of_identity(riesz, make_quadrature(32, 32, 65))
         assert dev <= 1e-11
 
@@ -305,7 +301,7 @@ class TestResolutionOfIdentity:
 
     def test_under_resolution_degrades(self):
         # quarter resolution loses the top moments outright
-        riesz = make_riesz_map(make_space(16), np.eye(0))
+        riesz = make_riesz_map(FockSpace(16), np.eye(0))
         reduced = make_quadrature(4, 4, 33)
         with pytest.warns(UnderResolvedWarning):
             dev = resolution_of_identity(riesz, reduced)
@@ -314,7 +310,7 @@ class TestResolutionOfIdentity:
     @staticmethod
     def assert_minimal_rule_resolves(dim):
         # dim // 2 + 1 radial nodes, the fewest that pass the moment test
-        space = make_space(dim)
+        space = FockSpace(dim)
         quad = make_quadrature(dim, dim // 2 + 1, 2 * dim + 1)
         for riesz in (projector_map(space, space.basis_vector(0)),
                       random_riesz_map(space, 10.0, seed=3)):
@@ -330,7 +326,7 @@ class TestResolutionOfIdentity:
     def test_half_resolution_still_exact(self):
         # Gauss-Laguerre with n nodes integrates moments up to 2n-1, so
         # half the nodes still resolve every moment the space needs
-        riesz = make_riesz_map(make_space(16), np.eye(0))
+        riesz = make_riesz_map(FockSpace(16), np.eye(0))
         reduced = make_quadrature(8, 8, 33)
         with pytest.warns(UnderResolvedWarning):
             dev = resolution_of_identity(riesz, reduced)
@@ -343,7 +339,7 @@ class TestResolutionOfIdentity:
     def test_matches_dense_operator(self, kind, rule, d):
         # the deviation read from the map's block and the moment ratios is
         # the norm of the dense resolution operator less the identity
-        space = make_space(d)
+        space = FockSpace(d)
         riesz = {"identity": lambda: make_riesz_map(space, np.eye(0)),
                  "projector-0": lambda: projector_map(space, space.basis_vector(0)),
                  "projector-5": lambda: projector_map(space, space.basis_vector(5)),
@@ -363,7 +359,7 @@ class TestResolutionOfIdentity:
         quad = make_quadrature(8, 8, 17)
         aliasing = QuadratureScheme(dim=16, radial_t=quad.radial_t,
                                     radial_log_w=quad.radial_log_w, angular_count=15)
-        riesz = make_riesz_map(make_space(16), np.eye(0))
+        riesz = make_riesz_map(FockSpace(16), np.eye(0))
         with pytest.raises(UnderResolvedError, match="aliases"):
             resolution_of_identity(riesz, aliasing)
 
@@ -396,7 +392,7 @@ class TestResolutionOracle:
         if rule == "aliasing":
             quad = QuadratureScheme(dim=quad.dim, radial_t=quad.radial_t,
                                     radial_log_w=quad.radial_log_w, angular_count=d // 2 + 1)
-        space = make_space(d)
+        space = FockSpace(d)
         maps = [projector_map(space, space.basis_vector(0)),
                 random_riesz_map(space, 10.0, seed=d)]
         for riesz in maps:
@@ -404,34 +400,3 @@ class TestResolutionOracle:
                 warnings.simplefilter("ignore", UnderResolvedWarning)
                 R = resolution_operator(riesz, quad).mat
             assert np.linalg.norm(R - node_matrix_resolution(riesz, quad), 2) <= 1e-12
-
-
-class TestWeakPairing:
-    def test_basis_vectors(self, space64):
-        riesz = make_riesz_map(space64, np.eye(0))
-        quad = make_quadrature(64, 64, 129)
-        e0 = space64.basis_vector(0)
-        e1 = space64.basis_vector(1)
-        direct, integrated = weak_pairing_check(riesz, quad, e0, e0)
-        assert direct == 1.0
-        assert abs(integrated - 1.0) <= 1e-12
-        direct, integrated = weak_pairing_check(riesz, quad, e0, e1)
-        assert abs(integrated) <= 1e-12
-
-    def test_fifty_random_triples(self, all_maps64):
-        rng = np.random.default_rng(5)
-        quad = make_quadrature(64, 64, 129)
-        count = 0
-        for riesz in all_maps64:
-            for _ in range(8):
-                f = random_unit_vector(rng, 64)
-                g = random_unit_vector(rng, 64)
-                direct, integrated = weak_pairing_check(riesz, quad, f, g)
-                assert abs(direct - integrated) <= 1e-9
-                count += 1
-        assert count >= 50
-
-    def test_shape_mismatch(self, random_map64):
-        quad = make_quadrature(64, 64, 129)
-        with pytest.raises(DimensionMismatchError):
-            weak_pairing_check(random_map64, quad, np.zeros(32), np.zeros(64))

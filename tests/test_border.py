@@ -16,22 +16,23 @@ import pytest
 from pseudoboson import (
     DimensionMismatchError,
     DisplacementSet,
+    FockSpace,
     PseudoBosonPair,
     SafeSubspace,
     bch_factorization_check,
+    bicoherent,
     build_map,
     coherent,
+    coordinate,
     displaced_pair,
     displacement,
     eigen_check,
-    excited_states,
     intertwining_check,
     ladder_check,
     load_config,
     make_pair,
     make_quadrature,
     make_riesz_map,
-    make_space,
     number_operator_check,
     power_similarity_check,
     projector_map,
@@ -70,7 +71,7 @@ def outside(d, q):
 @pytest.fixture(scope="module", params=list(MAPS))
 def case(request):
     build, p = MAPS[request.param]
-    riesz = build(make_space(64))
+    riesz = build(FockSpace(64))
     return request.param, riesz, make_pair(riesz), p
 
 
@@ -324,6 +325,44 @@ class TestRuleFaults:
         assert all(r.status == "pass" for r in reports if r.check_id not in failed)
 
 
+class TestStateAndGridFaults:
+    """One entry scaled by ``1 + 1e-6`` through ``run_suite``: the level-3
+    entry of every coherent vector the bicoherent states and the series are
+    built from, and the middle weight of the Hermite grid that
+    ``cross_validate`` integrates with (on the projector map, the one map
+    that runs the cross-validation).  ``two_route`` cannot see the coherent
+    fault: ``series_route`` takes its coefficients from the same function.
+    Only the grid's weights move, since its nodes feed the Hermite stack
+    that is cached per process."""
+
+    FAILS = {
+        ("projector", "coherent"): {"eigen_eta", "eigen_xi", "rbcs_pairing"},
+        ("random", "coherent"): {"eigen_eta", "eigen_xi", "rbcs_pairing"},
+        ("projector", "hermite_weight"): {"coordinate_pairing"},
+    }
+
+    @pytest.mark.parametrize("kind, site", list(FAILS), ids=[f"{k}-{s}" for k, s in FAILS])
+    def test_fail_set(self, kind, site, tmp_path, monkeypatch):
+        if site == "coherent":
+            def faulted(space, z, build=bicoherent.coherent):
+                state = build(space, z).copy()
+                state[3] *= 1 + 1e-6
+                return state
+            monkeypatch.setattr(bicoherent, "coherent", faulted)
+        else:
+            def faulted(order, build=coordinate.gauss_hermite_grid):
+                x, w = build(order)
+                w = w.copy()
+                w[order // 2] *= 1 + 1e-6
+                return x, w
+            monkeypatch.setattr(coordinate, "gauss_hermite_grid", faulted)
+        reports = run_with_fault(tmp_path, monkeypatch, PROJECTOR if kind == "projector"
+                                 else RANDOM)
+        failed = {r.check_id for r in reports if r.status == "fail"}
+        assert failed == self.FAILS[kind, site]
+        assert all(r.status == "pass" for r in reports if r.check_id not in failed)
+
+
 class TestMapBlockFaults:
     """One entry of a block of the built map scaled, through ``run_suite``:
     ``theta_block`` and ``theta_inv_block`` by ``1 + 1e-6``, ``S_block`` and
@@ -385,7 +424,7 @@ class TestAllocation:
             tracemalloc.stop()
 
     def test_pair_level_work_stays_below_one_dense_array(self):
-        space = make_space(1024)
+        space = FockSpace(1024)
         riesz = projector_map(space, space.basis_vector(0))
         assert self.peak(lambda: make_pair(riesz)) < self.LIMIT
         pair, sub = make_pair(riesz), SafeSubspace(space, 1023)
@@ -409,7 +448,7 @@ class TestAllocation:
         # displaced_pair holds W, one dense array, and strips of width 1; it
         # peaks below half a dense array more, and the factorization (a
         # 512 x 512 cutoff) and intertwining checks below one
-        space = make_space(1024)
+        space = FockSpace(1024)
         riesz = projector_map(space, space.basis_vector(0))
         weyl(space, 1.0)  # the position spectrum, cached for every amplitude
         sub = SafeSubspace(space, 1023)
@@ -424,16 +463,11 @@ class TestAllocation:
     @pytest.mark.parametrize("kind", ["projector", "random"])
     def test_resolution_record_forms_no_dense_array(self, kind):
         # the minimal rule verify builds: the moment ratios and the map's block
-        space = make_space(1024)
+        space = FockSpace(1024)
         riesz = (projector_map(space, space.basis_vector(0)) if kind == "projector"
                  else random_riesz_map(space, 10.0, seed=3))
         quad = make_quadrature(1024, 513, 2049)
         assert self.peak(lambda: resolution_of_identity(riesz, quad)) < self.LIMIT
-
-    def test_excited_states_work_on_the_border(self):
-        space = make_space(1024)
-        pair = make_pair(projector_map(space, space.basis_vector(0)))
-        assert self.peak(lambda: excited_states(pair, 10)) < self.LIMIT
 
 
 def test_hand_built_border_is_kept(random_map64):

@@ -6,16 +6,15 @@ import numpy as np
 import pytest
 
 from pseudoboson import (
+    FockSpace,
     ValidationError,
     coherent,
     coherent_wavefunction,
     cross_validate,
     example_wavefunctions,
     gauss_hermite_grid,
-    hermite_basis,
     hermite_stack,
     make_riesz_map,
-    make_space,
     projector_map,
     random_riesz_map,
     write_wavefunction_csv,
@@ -28,10 +27,10 @@ PSI_1_AT_0 = 0.0485333095417 + 0.227790336006j
 
 class TestHermiteBasis:
     def test_ground_state_at_origin(self):
-        assert hermite_basis(0, 0.0) == pytest.approx(np.pi ** -0.25, abs=1e-12)
+        assert hermite_stack(0, 0.0)[0, 0] == pytest.approx(np.pi ** -0.25, abs=1e-12)
 
     def test_first_excited_is_odd(self):
-        assert hermite_basis(1, 0.0) == 0.0
+        assert hermite_stack(1, 0.0)[1, 0] == 0.0
 
     def test_orthonormality_by_quadrature(self):
         x, w = gauss_hermite_grid(80)
@@ -149,7 +148,7 @@ def closed_form_inverse(pmap, u):
 
 class TestProjectorMap:
     def test_ground_projector_matrices(self):
-        space = make_space(6)
+        space = FockSpace(6)
         pmap = projector_map(space, space.basis_vector(0))
         T = np.eye(6, dtype=complex)
         T[0, 0] = 1 + 1j
@@ -171,13 +170,13 @@ class TestProjectorMap:
         assert B == pytest.approx(2.0, abs=1e-10)
 
     def test_non_unit_vector_rejected(self):
-        space = make_space(4)
+        space = FockSpace(4)
         with pytest.raises(ValidationError):
             projector_map(space, 2.0 * space.basis_vector(0))
 
     def test_general_projector_same_algebra(self):
         # u = e_3 gives the same frame bounds and inverse identity
-        space = make_space(16)
+        space = FockSpace(16)
         pmap = projector_map(space, space.basis_vector(3))
         T_inv = closed_form_inverse(pmap, space.basis_vector(3))
         assert np.linalg.norm(pmap.S.mat @ T_inv - np.eye(16), 2) <= 1e-14
@@ -185,7 +184,7 @@ class TestProjectorMap:
         assert (A, B) == pytest.approx((1.0, 2.0), abs=1e-10)
 
     def test_general_projector_preserves_pairing(self):
-        space = make_space(64)
+        space = FockSpace(64)
         pmap = projector_map(space, space.basis_vector(3))
         T_inv = closed_form_inverse(pmap, space.basis_vector(3))
         for z in (1.0, 1 + 1j, 2j):
@@ -226,7 +225,7 @@ class TestExampleWavefunctions:
 
 
 def ground_projector(dim):
-    space = make_space(dim)
+    space = FockSpace(dim)
     return projector_map(space, space.basis_vector(0))
 
 
@@ -269,7 +268,7 @@ class TestCrossValidation:
 
     def test_ground_state_guard(self):
         # any map other than exactly 1 + i|e_0><e_0| is refused
-        space = make_space(16)
+        space = FockSpace(16)
         others = [
             projector_map(space, space.basis_vector(1)),
             make_riesz_map(space, np.eye(0)),
@@ -282,7 +281,7 @@ class TestCrossValidation:
     def test_ground_state_recognised_by_its_block(self):
         # the map is recognised from its 1 x 1 block alone: a block of size 1
         # with another entry, and 1 + i with a second deformed level, are refused
-        space = make_space(16)
+        space = FockSpace(16)
         for diagonal in ([2.0] + [1.0] * 15, [1 + 1j, 2.0] + [1.0] * 14):
             riesz = make_riesz_map(space, np.diag(diagonal))
             with pytest.raises(ValidationError):

@@ -11,6 +11,7 @@ from scipy.special import eval_genlaguerre, gammaln
 from pseudoboson import (
     AccuracyRegimeWarning,
     DisplacementSet,
+    FockSpace,
     SafeSubspace,
     bch_factorization_check,
     coherent,
@@ -19,7 +20,6 @@ from pseudoboson import (
     intertwining_check,
     make_pair,
     make_riesz_map,
-    make_space,
     power_similarity_check,
     projector_map,
     weyl,
@@ -50,12 +50,12 @@ def laguerre_block(z, size):
 def projector_riesz(dim):
     P = np.zeros((dim, dim), complex)
     P[0, 0] = 1.0
-    return make_riesz_map(make_space(dim), np.eye(dim) + 1j * P)
+    return make_riesz_map(FockSpace(dim), np.eye(dim) + 1j * P)
 
 
 class TestWeyl:
     def test_zero_displacement(self):
-        space = make_space(16)
+        space = FockSpace(16)
         np.testing.assert_allclose(weyl(space, 0.0).mat, np.eye(16), atol=1e-15)
 
     @pytest.mark.parametrize("z", [0.5, 1j, 1 + 1j, 2.0, -1.5j, 3.0])
@@ -79,7 +79,7 @@ class TestWeyl:
     @pytest.mark.parametrize("dim", [16, 64, 128])
     def test_matches_expm(self, dim):
         # the spectral form against scipy's Pade exponential of the generator
-        space = make_space(dim)
+        space = FockSpace(dim)
         c = ladder_c(space).mat
         for z in (0.3 + 0.7j, 1.0, 1 + 1j, 2j, -1.5j, 0.5 * np.exp(2.9j)):
             ref = expm(z * c.conj().T - np.conj(z) * c)
@@ -95,7 +95,7 @@ class TestWeyl:
         assert np.abs(_phase_powers(u, 1024) - ref).max() <= 1e-15
 
     def test_out_of_regime_warns(self):
-        space = make_space(8)
+        space = FockSpace(8)
         with pytest.warns(AccuracyRegimeWarning):
             weyl(space, 3.0)  # |z|^2 = 9 > dim/4 = 2
         assert not in_accuracy_regime(space, 3.0)
@@ -107,7 +107,7 @@ class TestWeyl:
         # W(z) W(w) = e^{i Im(z conj(w))} W(z+w) on the half-space; the
         # product makes excursions up to |z|+|w|, so the tail margin needs
         # the full dim-64 space
-        space = make_space(64)
+        space = FockSpace(64)
         lhs = weyl(space, z).mat @ weyl(space, w).mat
         rhs = np.exp(1j * (z * np.conj(w)).imag) * weyl(space, z + w).mat
         assert np.linalg.norm((lhs - rhs)[:32, :32], 2) <= 1e-8
@@ -125,7 +125,7 @@ class TestParityFrame:
         assert np.all(frame.imag[~odd] == 0) and np.all(frame.real[odd] == 0)
         assert np.abs(frame[odd]).max() > 0.1
         diag = _phase_powers(1j * z, dim)
-        np.testing.assert_array_equal(weyl(make_space(dim), z).mat,
+        np.testing.assert_array_equal(weyl(FockSpace(dim), z).mat,
                                       (diag[:, None] * frame) * diag.conj())
 
     @pytest.mark.parametrize("dim", [64, 256])
@@ -139,7 +139,7 @@ class TestParityFrame:
             diag = _phase_powers(1j * z, dim)
             full = (Q * np.cos(angle)) @ Q.T + 1j * ((Q * np.sin(angle)) @ Q.T)
             full = (diag[:, None] * full) * diag.conj()
-            W = weyl(make_space(dim), z).mat
+            W = weyl(FockSpace(dim), z).mat
             E = _displacement_block(z, dim // 2)
             for X in (W, full):
                 assert np.linalg.norm(X @ X.conj().T - np.eye(dim), 2) <= 1e-14
@@ -164,7 +164,7 @@ class TestStrips:
     def test_bit_identical_to_dense_transport(self, kind, dim):
         # p = 0, 1, 6, dim/2 and dim: the strips and the dense U and V built
         # on access are bit for bit the dense transports of the set's W
-        riesz = STRIP_MAPS[kind](make_space(dim))
+        riesz = STRIP_MAPS[kind](FockSpace(dim))
         p = riesz.block
         assert p == {"identity": 0, "projector-0": 1, "projector-5": 6,
                      "random": dim // 2, "dense": dim}[kind]
@@ -217,7 +217,7 @@ class TestDisplacementBlock:
         # the dim x dim block of W at dimension 3 dim carries no truncation
         # tail at these amplitudes; 0.05j is where a float64 recurrence
         # drifts to 2e-12 at dim 512
-        wide = make_space(3 * dim)
+        wide = FockSpace(3 * dim)
         for z in (0.05j, 1 + 1j, 2j):
             block = weyl(wide, z).mat[:dim, :dim]
             assert np.abs(_displacement_block(z, dim) - block).max() <= 1e-13
@@ -304,7 +304,7 @@ class TestPowerSimilarity:
         # the 2 k_max + 1 diagonals of G^k, carried from k - 1, against
         # dense powers of G, hard cutoff included
         z, d, k_max = 1.3 - 0.4j, 40, 5
-        c = ladder_c(make_space(d)).mat
+        c = ladder_c(FockSpace(d)).mat
         G = z * c.conj().T - np.conj(z) * c
         Gk = np.eye(d)
         for V, J in _generator_band(z, d, first, d, k_max):
@@ -344,6 +344,14 @@ class TestPowerSimilarity:
         residuals = power_similarity_check(make_pair(projector_map64), 1.0, k_max=12)
         assert residuals.max() <= 1e-7
 
+    @pytest.mark.parametrize("dim", [4, 5])
+    def test_margin_wider_than_the_space_keeps_one_level(self, dim):
+        # the 5-level margin leaves no level at dims 4 and 5: the check reads
+        # the first level instead of refusing the cutoff
+        riesz = random_riesz_map(FockSpace(dim), 10.0, seed=1)
+        residuals = power_similarity_check(make_pair(riesz), 1.0)
+        assert residuals.shape == (6,) and residuals.max() <= 1e-7
+
     def test_k_out_of_range(self, random_map64):
         with pytest.raises(ValueError):
             power_similarity_check(make_pair(random_map64), 1.0, k_max=13)
@@ -381,7 +389,7 @@ class TestBchFactorization:
         assert residuals[0] > 1e-9  # dim 16 is visibly tail-limited
 
     def test_margin_violation_warns(self):
-        space = make_space(16)
+        space = FockSpace(16)
         riesz = make_riesz_map(space, np.eye(0))
         disp = displaced_pair(riesz, 2.0)  # |z|^2 = dim/4: inside the regime
         with pytest.warns(AccuracyRegimeWarning):
@@ -433,7 +441,7 @@ class TestBchFactorization:
 class TestIntertwining:
     def test_reference_norm_is_upper_frame_bound(self, all_maps64):
         # the residual divides by sigma_max(S)^2 = ||S S^dag||
-        sub = SafeSubspace(make_space(64), 63)
+        sub = SafeSubspace(FockSpace(64), 63)
         for riesz in all_maps64:
             M = riesz.theta_inv.mat
             assert riesz.frame_bounds[1] == pytest.approx(np.linalg.norm(M, 2), rel=1e-13)
@@ -455,7 +463,7 @@ class TestIntertwining:
     def test_twenty_random_amplitudes(self, all_maps64):
         rng = np.random.default_rng(17)
         zs = 2.0 * rng.uniform(0, 1, 20) * np.exp(2j * np.pi * rng.uniform(0, 1, 20))
-        sub = SafeSubspace(make_space(64), 63)
+        sub = SafeSubspace(FockSpace(64), 63)
         for riesz in all_maps64:
             for z in zs:
                 assert intertwining_check(displaced_pair(riesz, complex(z)), sub) <= 1e-9

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pseudoboson import (
     DimensionMismatchError,
+    FockSpace,
     InvalidDimensionError,
     Operator,
     SafeSubspace,
@@ -18,7 +19,6 @@ from pseudoboson import (
     ladder_c_dag,
     make_pair,
     make_riesz_map,
-    make_space,
     power_similarity_check,
 )
 from pseudoboson import displacement
@@ -30,60 +30,60 @@ from conftest import dense_rows
 
 class TestSpace:
     def test_minimal_space(self):
-        space = make_space(2)
+        space = FockSpace(2)
         assert space.dim == 2
         np.testing.assert_array_equal(space.basis_vector(0), [1, 0])
         np.testing.assert_array_equal(space.basis_vector(1), [0, 1])
 
     def test_larger_space(self):
-        assert make_space(64).dim == 64
+        assert FockSpace(64).dim == 64
 
     @pytest.mark.parametrize("dim", [0, 1, -3])
     def test_invalid_dim(self, dim):
         with pytest.raises(InvalidDimensionError):
-            make_space(dim)
+            FockSpace(dim)
 
     def test_basis_index_out_of_range(self):
         with pytest.raises(InvalidDimensionError):
-            make_space(4).basis_vector(4)
+            FockSpace(4).basis_vector(4)
 
 
 class TestLadder:
     def test_lowering_entries_dim3(self):
-        c = ladder_c(make_space(3))
+        c = ladder_c(FockSpace(3))
         expected = np.array([[0, 1, 0], [0, 0, np.sqrt(2)], [0, 0, 0]])
         np.testing.assert_allclose(c.mat, expected)
 
     @pytest.mark.parametrize("dim", [2, 5, 64])
     def test_lowering_kills_vacuum(self, dim):
-        space = make_space(dim)
+        space = FockSpace(dim)
         assert np.all(ladder_c(space).mat @ space.basis_vector(0) == 0)
 
     def test_number_operator_dim3(self):
         # hand multiplication of the 3x3 matrices
-        space = make_space(3)
+        space = FockSpace(3)
         c = ladder_c(space).mat
         np.testing.assert_allclose(c.conj().T @ c, np.diag([0.0, 1.0, 2.0]), atol=1e-15)
 
     def test_raising_entries_dim3(self):
-        cd = ladder_c_dag(make_space(3))
+        cd = ladder_c_dag(FockSpace(3))
         assert cd.mat[1, 0] == 1.0
         assert cd.mat[2, 1] == pytest.approx(np.sqrt(2))
 
     @pytest.mark.parametrize("dim", [2, 7, 64])
     def test_raising_kills_top(self, dim):
-        space = make_space(dim)
+        space = FockSpace(dim)
         assert np.all(ladder_c_dag(space).mat @ space.basis_vector(dim - 1) == 0)
 
     @pytest.mark.parametrize("dim", [2, 3, 8, 64])
     def test_nilpotency(self, dim):
-        c = ladder_c(make_space(dim)).mat
+        c = ladder_c(FockSpace(dim)).mat
         power = np.linalg.matrix_power(c, dim)
         assert np.all(power == 0)
 
     @pytest.mark.parametrize("dim", [3, 16, 64])
     def test_exact_adjointness(self, dim):
-        space = make_space(dim)
+        space = FockSpace(dim)
         c = ladder_c(space)
         assert np.array_equal(ladder_c_dag(space).mat, c.mat.conj().T)
 
@@ -91,7 +91,7 @@ class TestLadder:
     @given(st.integers(0, 2**32 - 1))
     def test_adjoint_moves_across_inner_product(self, seed):
         rng = np.random.default_rng(seed)
-        space = make_space(12)
+        space = FockSpace(12)
         f = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         g = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         c = ladder_c(space).mat
@@ -109,18 +109,18 @@ def ladder_commutator(space):
 class TestCommutator:
     def test_commutator_dim3(self):
         # direct multiplication: corner defect -(dim-1)
-        comm = ladder_commutator(make_space(3))
+        comm = ladder_commutator(FockSpace(3))
         np.testing.assert_allclose(comm, np.diag([1.0, 1.0, -2.0]), atol=1e-15)
 
     @pytest.mark.parametrize("dim", [2, 16, 64])
     def test_corner_defect(self, dim):
-        comm = ladder_commutator(make_space(dim))
+        comm = ladder_commutator(FockSpace(dim))
         expected = np.eye(dim)
         expected[-1, -1] = -(dim - 1)
         np.testing.assert_allclose(comm, expected, atol=1e-13)
 
     def test_identity_commutes(self):
-        space = make_space(8)
+        space = FockSpace(8)
         rng = np.random.default_rng(1)
         A = Operator(space, rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))).mat
         one = make_riesz_map(space, np.eye(0)).S.mat
@@ -128,7 +128,7 @@ class TestCommutator:
 
     @pytest.mark.parametrize("cutoff", [1, 8, 31])
     def test_ccr_on_safe_subspace(self, cutoff):
-        space = make_space(32)
+        space = FockSpace(32)
         k = SafeSubspace(space, cutoff).cutoff
         np.testing.assert_allclose(ladder_commutator(space)[:k, :k], np.eye(cutoff), atol=1e-14)
 
@@ -136,20 +136,20 @@ class TestCommutator:
 class TestRestrict:
     @pytest.mark.parametrize("cutoff", [0, 4, 7])
     def test_cutoff_out_of_range(self, cutoff):
-        space = make_space(4)
+        space = FockSpace(4)
         with pytest.raises(InvalidDimensionError):
             SafeSubspace(space, cutoff)
 
 
 class TestOperator:
     def test_entries_read_only(self):
-        op = ladder_c(make_space(3))
+        op = ladder_c(FockSpace(3))
         with pytest.raises(ValueError):
             op.mat[0, 0] = 1.0
 
     def test_shape_validation(self):
         with pytest.raises(DimensionMismatchError):
-            Operator(make_space(3), np.zeros((2, 2)))
+            Operator(FockSpace(3), np.zeros((2, 2)))
 
     def test_finite_validation(self):
         from pseudoboson import ValidationError
@@ -157,7 +157,7 @@ class TestOperator:
         bad = np.zeros((3, 3), complex)
         bad[0, 0] = np.nan
         with pytest.raises(ValidationError):
-            Operator(make_space(3), bad)
+            Operator(FockSpace(3), bad)
 
 
 def checkerboard(X, parity):

@@ -5,15 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from pseudoboson import (
     ConditioningError,
     DimensionMismatchError,
+    FockSpace,
     MapSpec,
     NotInvertibleError,
-    Operator,
     ProvenanceError,
     RunConfig,
     ValidationError,
@@ -22,10 +20,8 @@ from pseudoboson import (
     load_riesz_map,
     make_pair,
     make_riesz_map,
-    make_space,
     metric_operator,
     projector_map,
-    quasi_basis_check,
     random_riesz_map,
     rbcs,
     save_riesz_map,
@@ -45,13 +41,13 @@ def ground_projector(dim):
 
 class TestMakeRieszMap:
     def test_identity(self):
-        riesz = make_riesz_map(make_space(8), np.eye(0))
+        riesz = make_riesz_map(FockSpace(8), np.eye(0))
         assert riesz.cond == pytest.approx(1.0)
         assert riesz.frame_bounds == pytest.approx((1.0, 1.0))
 
     def test_projector_deformation_frame_bounds(self):
         # T = 1 + i|e0><e0| has singular values {sqrt(2), 1, ..., 1}
-        space = make_space(8)
+        space = FockSpace(8)
         T = np.eye(8) + 1j * ground_projector(8)
         riesz = make_riesz_map(space, T)
         assert riesz.frame_bounds[0] == pytest.approx(1.0, abs=1e-12)
@@ -59,12 +55,12 @@ class TestMakeRieszMap:
         assert riesz.cond == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_singular_map_rejected(self):
-        space = make_space(2)
+        space = FockSpace(2)
         with pytest.raises(NotInvertibleError):
             make_riesz_map(space, np.diag([1.0, 0.0]))
 
     def test_cond_budget(self):
-        space = make_space(4)
+        space = FockSpace(4)
         S = np.diag([100.0, 1.0, 1.0, 1.0])
         with pytest.raises(ConditioningError):
             make_riesz_map(space, S, max_cond=10.0)
@@ -78,7 +74,7 @@ class TestMakeRieszMap:
     ], ids=["nan", "inf", "non-square", "vector", "larger-than-dim"])
     def test_malformed_block_refused(self, block, error):
         with pytest.raises(error):
-            make_riesz_map(make_space(4), block)
+            make_riesz_map(FockSpace(4), block)
 
     def test_leading_block_equals_dense_map(self, random_map64):
         # a dense S and its deformed block build the same map, bit for bit
@@ -97,35 +93,35 @@ class TestMakeRieszMap:
 
 class TestRandomRieszMap:
     def test_target_cond_exact(self):
-        riesz = random_riesz_map(make_space(16), 100.0, seed=5)
+        riesz = random_riesz_map(FockSpace(16), 100.0, seed=5)
         assert riesz.cond == pytest.approx(100.0, abs=1e-8)
 
     def test_unit_cond_gives_unitary(self):
-        riesz = random_riesz_map(make_space(16), 1.0, seed=5)
+        riesz = random_riesz_map(FockSpace(16), 1.0, seed=5)
         S = riesz.S.mat
         assert np.linalg.norm(S.conj().T @ S - np.eye(16), 2) <= 1e-13
 
     def test_determinism(self):
-        a = random_riesz_map(make_space(12), 7.0, seed=9)
-        b = random_riesz_map(make_space(12), 7.0, seed=9)
+        a = random_riesz_map(FockSpace(12), 7.0, seed=9)
+        b = random_riesz_map(FockSpace(12), 7.0, seed=9)
         assert np.array_equal(a.S.mat, b.S.mat)
 
     def test_distinct_seeds_differ(self):
-        a = random_riesz_map(make_space(12), 7.0, seed=1)
-        b = random_riesz_map(make_space(12), 7.0, seed=2)
+        a = random_riesz_map(FockSpace(12), 7.0, seed=1)
+        b = random_riesz_map(FockSpace(12), 7.0, seed=2)
         assert not np.array_equal(a.S.mat, b.S.mat)
 
     def test_top_margin_preserved(self):
-        riesz = random_riesz_map(make_space(16), 10.0, seed=4)
+        riesz = random_riesz_map(FockSpace(16), 10.0, seed=4)
         np.testing.assert_array_equal(riesz.S.mat[:, 8:], np.eye(16, dtype=complex)[:, 8:])
 
     def test_dense_deformation_available(self):
-        riesz = random_riesz_map(make_space(16), 10.0, seed=4, top_margin=0)
+        riesz = random_riesz_map(FockSpace(16), 10.0, seed=4, top_margin=0)
         assert not np.array_equal(riesz.S.mat[:, 15], np.eye(16)[:, 15])
 
     def test_bad_target(self):
         with pytest.raises(ValidationError):
-            random_riesz_map(make_space(8), 0.5, seed=0)
+            random_riesz_map(FockSpace(8), 0.5, seed=0)
 
 
 class TestDeformedBlock:
@@ -134,22 +130,22 @@ class TestDeformedBlock:
 
     @pytest.mark.parametrize("u_index, block", [(0, 1), (5, 6)])
     def test_projector_block(self, u_index, block):
-        space = make_space(16)
+        space = FockSpace(16)
         assert projector_map(space, space.basis_vector(u_index)).block == block
 
     def test_identity_block_is_empty(self):
-        riesz = make_riesz_map(make_space(16), np.eye(0))
+        riesz = make_riesz_map(FockSpace(16), np.eye(0))
         assert riesz.block == 0
         assert riesz.cond == 1.0 and riesz.inverse_residual == 0.0
         np.testing.assert_array_equal(riesz.S_inv.mat, np.eye(16))
 
     @pytest.mark.parametrize("dim", [15, 16, 64])
     def test_random_block(self, dim):
-        assert random_riesz_map(make_space(dim), 10.0, seed=2).block == dim - dim // 2
-        assert random_riesz_map(make_space(dim), 10.0, seed=2, top_margin=0).block == dim
+        assert random_riesz_map(FockSpace(dim), 10.0, seed=2).block == dim - dim // 2
+        assert random_riesz_map(FockSpace(dim), 10.0, seed=2, top_margin=0).block == dim
 
     def test_file_map_keeps_block(self, tmp_path):
-        riesz = random_riesz_map(make_space(12), 5.0, seed=11, top_margin=4)
+        riesz = random_riesz_map(FockSpace(12), 5.0, seed=11, top_margin=4)
         save_riesz_map(riesz, tmp_path / "map.json")
         assert load_riesz_map(tmp_path / "map.json").block == riesz.block == 8
 
@@ -162,18 +158,18 @@ class TestDeformedBlock:
         M = np.eye(6, dtype=complex)
         M[:2, :2] = [[1.0, 2.0], [0.5, 1.0]]
         with pytest.raises(NotInvertibleError):
-            make_riesz_map(make_space(6), M)
+            make_riesz_map(FockSpace(6), M)
 
     def test_zero_in_the_tail_rejected(self):
         # a zero on the diagonal below a deformed block is part of the block
         with pytest.raises(NotInvertibleError):
-            make_riesz_map(make_space(6), np.diag([2.0, 1.0, 1.0, 0.0, 1.0, 1.0]))
+            make_riesz_map(FockSpace(6), np.diag([2.0, 1.0, 1.0, 0.0, 1.0, 1.0]))
 
     def test_cond_budget_counts_the_identity_tail(self):
         # the block alone has cond 1; the tail's singular values 1 set it to 100
         S = np.diag([100.0, 100.0, 1.0, 1.0, 1.0, 1.0])
         with pytest.raises(ConditioningError):
-            make_riesz_map(make_space(6), S, max_cond=10.0)
+            make_riesz_map(FockSpace(6), S, max_cond=10.0)
 
     @staticmethod
     def dense_pair(riesz, X):
@@ -197,7 +193,7 @@ class TestDeformedBlock:
 
     @pytest.mark.parametrize("size", [None, 20, 40])
     def test_random_transport_matches_dense(self, random_maps64, size):
-        dense = random_riesz_map(make_space(64), 10.0, seed=1, top_margin=0)
+        dense = random_riesz_map(FockSpace(64), 10.0, seed=1, top_margin=0)
         for riesz in random_maps64 + [dense]:
             for X in self.sample_matrices(64):
                 for got, want in zip((_transport(riesz, X, size), _cotransport(riesz, X, size)),
@@ -257,14 +253,14 @@ class TestDeformedBlock:
 
 class TestBiorthogonalFamily:
     def test_identity_self_dual(self):
-        riesz = make_riesz_map(make_space(6), np.eye(0))
+        riesz = make_riesz_map(FockSpace(6), np.eye(0))
         np.testing.assert_array_equal(riesz.S.mat, np.eye(6))
         np.testing.assert_array_equal(riesz.S_inv.mat.conj().T, np.eye(6))
 
     def test_projector_family_hand_values(self):
         # phi_0 = (1+i)e_0 and psi_0 = ((1+i)/2)e_0, paired to one:
         # (1-i)(1+i)/2 = 1
-        space = make_space(4)
+        space = FockSpace(4)
         T = np.eye(4) + 1j * ground_projector(4)
         riesz = make_riesz_map(space, T)
         phi, psi = riesz.S.mat, riesz.S_inv.mat.conj().T
@@ -279,7 +275,7 @@ class TestBiorthogonalFamily:
 
     def test_gram_high_cond_large_dim(self):
         # exact biorthogonality persists at cond 1e3, dim 256
-        riesz = random_riesz_map(make_space(256), 1e3, seed=0)
+        riesz = random_riesz_map(FockSpace(256), 1e3, seed=0)
         gram = riesz.S.mat.conj().T @ riesz.S_inv.mat.conj().T
         assert np.abs(gram - np.eye(256)).max() <= 1e-10
 
@@ -302,12 +298,12 @@ class TestBiorthogonalFamily:
 
 class TestMetricOperator:
     def test_identity(self):
-        riesz = make_riesz_map(make_space(5), np.eye(0))
+        riesz = make_riesz_map(FockSpace(5), np.eye(0))
         np.testing.assert_allclose(riesz.theta.mat, np.eye(5), atol=1e-15)
 
     def test_projector_closed_form(self):
         # T^dag T = 1 + P, inverted by hand with P^2 = P: Theta = 1 - P/2
-        space = make_space(8)
+        space = FockSpace(8)
         T = np.eye(8) + 1j * ground_projector(8)
         theta = make_riesz_map(space, T).theta.mat
         expected = np.eye(8) - ground_projector(8) / 2
@@ -363,14 +359,14 @@ class TestRankOneSums:
         return riesz.S.mat, riesz.S_inv.mat.conj().T
 
     def test_identity(self):
-        riesz = make_riesz_map(make_space(6), np.eye(0))
+        riesz = make_riesz_map(FockSpace(6), np.eye(0))
         theta_sum, theta_inv_sum = self.rank_one_sums(*self.families(riesz))
         np.testing.assert_allclose(theta_sum, np.eye(6), atol=1e-14)
         np.testing.assert_allclose(theta_inv_sum, np.eye(6), atol=1e-14)
 
     def test_projector_hand_values(self):
         # sum |psi_n><psi_n| = 1 - P/2 and sum |phi_n><phi_n| = 1 + P
-        space = make_space(8)
+        space = FockSpace(8)
         P = ground_projector(8)
         riesz = make_riesz_map(space, np.eye(8) + 1j * P)
         theta_sum, theta_inv_sum = self.rank_one_sums(*self.families(riesz))
@@ -413,38 +409,9 @@ class TestRankOneSums:
 
 
 
-class TestQuasiBasis:
-    def test_identity_basis_vectors(self):
-        space = make_space(4)
-        riesz = make_riesz_map(space, np.eye(0))
-        e0 = space.basis_vector(0)
-        direct, via1, via2 = quasi_basis_check(riesz, e0, e0)
-        assert direct == via1 == via2 == 1.0
-
-    def test_orthogonality_survives(self, random_map64):
-        space = random_map64.space
-        direct, via1, via2 = quasi_basis_check(random_map64, space.basis_vector(0),
-                                               space.basis_vector(1))
-        assert abs(direct) == 0.0
-        assert abs(via1) <= 1e-12
-        assert abs(via2) <= 1e-12
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_three_way_agreement(self, seed):
-        rng = np.random.default_rng(seed)
-        riesz = random_riesz_map(make_space(24), 10.0, seed=seed % 7)
-        f = random_unit_vector(rng, 24)
-        g = random_unit_vector(rng, 24)
-        direct, via1, via2 = quasi_basis_check(riesz, f, g)
-        assert abs(direct - via1) <= 1e-10
-        assert abs(direct - via2) <= 1e-10
-        assert abs(via1 - via2) <= 1e-10
-
-
 class TestSerialization:
     def test_roundtrip(self, tmp_path):
-        riesz = random_riesz_map(make_space(12), 5.0, seed=11)
+        riesz = random_riesz_map(FockSpace(12), 5.0, seed=11)
         path = tmp_path / "map.json"
         save_riesz_map(riesz, path)
         loaded = load_riesz_map(path)
@@ -453,13 +420,13 @@ class TestSerialization:
 
     def test_reloaded_map_passes_provenance_guards(self, tmp_path):
         # the guard compares the maps entrywise, through their blocks
-        space = make_space(16)
+        space = FockSpace(16)
         riesz = random_riesz_map(space, 10.0, seed=3)
         save_riesz_map(riesz, tmp_path / "map.json")
         pair = make_pair(riesz)
         eigen_check(pair, rbcs(load_riesz_map(tmp_path / "map.json"), 0.5))
         for other in (random_riesz_map(space, 10.0, seed=4),  # and the same block at dim 17
-                      random_riesz_map(make_space(17), 10.0, seed=3, top_margin=9)):
+                      random_riesz_map(FockSpace(17), 10.0, seed=3, top_margin=9)):
             with pytest.raises(ProvenanceError):
                 eigen_check(pair, rbcs(other, 0.5))
 

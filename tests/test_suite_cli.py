@@ -24,8 +24,8 @@ from pseudoboson import (
     save_riesz_map,
     suite_failed,
 )
-from pseudoboson import (DisplacementSet, coordinate, displaced_pair, displacement, make_riesz_map,
-                         make_space, random_riesz_map, suite)
+from pseudoboson import (DisplacementSet, FockSpace, coordinate, displaced_pair, displacement,
+                         make_riesz_map, random_riesz_map, suite)
 from pseudoboson.cli import main
 from pseudoboson.fock import _spectral_norm
 
@@ -103,7 +103,7 @@ class TestConfig:
         assert cfg.outputs == tmp_path / "elsewhere"
 
     def test_file_map_spec(self, tmp_path):
-        riesz = random_riesz_map(make_space(16), 5.0, seed=2)
+        riesz = random_riesz_map(FockSpace(16), 5.0, seed=2)
         save_riesz_map(riesz, tmp_path / "map.json")
         path = write_config(tmp_path / "c.json",
                             map_spec={"kind": "file", "path": str(tmp_path / "map.json")})
@@ -112,7 +112,7 @@ class TestConfig:
         np.testing.assert_array_equal(loaded.S.mat, riesz.S.mat)
 
     def test_file_map_dim_mismatch(self, tmp_path):
-        riesz = random_riesz_map(make_space(8), 5.0, seed=2)
+        riesz = random_riesz_map(FockSpace(8), 5.0, seed=2)
         save_riesz_map(riesz, tmp_path / "map.json")
         path = write_config(tmp_path / "c.json",
                             map_spec={"kind": "file", "path": str(tmp_path / "map.json")})
@@ -443,6 +443,13 @@ class TestConvergenceStudy:
         assert main(["converge", "--config", str(path), "--dims", "16,16,32"]) == 2
         assert not (tmp_path / "out" / "convergence.csv").exists()
 
+    def test_projector_level_outside_a_swept_dim_is_refused(self, tmp_path):
+        # the map needs level u_index at every dim of the sweep
+        path = write_config(tmp_path / "c.json", dim=8,
+                            map_spec={"kind": "projector", "u_index": 7})
+        assert main(["converge", "--config", str(path), "--dims", "4,8"]) == 2
+        assert not (tmp_path / "out" / "convergence.csv").exists()
+
 
 def _rows(conv_path):
     with conv_path.open() as fh:
@@ -742,7 +749,7 @@ def test_benchmark_spans_are_public_functions():
 
 def test_benchmark_reads_dense_matrices(tmp_path):
     # the benchmark's direct checks read the dense W(z) and the map's dense S
-    W = displacement.weyl(make_space(8), 1.0).mat
+    W = displacement.weyl(FockSpace(8), 1.0).mat
     assert W.shape == (8, 8)
     S = build_map(load_config(write_config(tmp_path / "c.json", map_spec={
         "kind": "random", "cond": 10.0, "seed": 1}))).S.mat
