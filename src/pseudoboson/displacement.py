@@ -48,8 +48,8 @@ import numpy as np
 
 from .algebra import PseudoBosonPair, _lowering_lead, _raising_lead
 from .errors import AccuracyRegimeWarning, DimensionMismatchError
-from .fock import (FockSpace, Operator, SafeSubspace, _bordered, _freeze, _spectral_lower_bound,
-                   _spectral_norm)
+from .fock import (FockSpace, Operator, SafeSubspace, _bordered, _freeze, _frobenius_norm,
+                   _spectral_lower_bound, _spectral_norm)
 from .riesz import RieszMap, _blockdiag, _cotransport, _lmul, _rmul, _rmul_over, _transport
 
 __all__ = [
@@ -237,18 +237,30 @@ def displaced_pair(riesz: RieszMap, z: complex) -> DisplacementSet:
                            *_strips(S_inv.conj().T, S.conj().T, W), source=riesz)
 
 
-def _relative_norm(ref: np.ndarray, other: np.ndarray) -> float:
-    """``||ref - other|| / lo(ref)``: the exact spectral norm of the
-    difference over the certified lower bound
+def _graded_norm(diff: np.ndarray, denominator: float, tol: float) -> float:
+    """``||diff|| / denominator``, certified against ``tol``: the Frobenius
+    bound :func:`~pseudoboson.fock._frobenius_norm` of the quotient when it
+    is at most ``tol`` (then ``exact <= bound <= tol``), otherwise the exact
+    spectral norm, one SVD.  So a value at most ``tol`` may be the bound,
+    up to ``sqrt(rank diff)`` times the exact one, and a value above it is
+    exact; at the default ``tol = 0`` every value is exact.  A non-finite
+    ``diff`` reads ``nan``."""
+    bound = _frobenius_norm(diff) / denominator
+    return bound if bound <= tol else _spectral_norm(diff) / denominator
+
+
+def _relative_norm(ref: np.ndarray, other: np.ndarray, tol: float) -> float:
+    """``||ref - other|| / lo(ref)``, graded against ``tol`` as in
+    :func:`_graded_norm`, over the certified lower bound
     :func:`~pseudoboson.fock._spectral_lower_bound` of ``||ref||``, so no SVD
     of ``ref`` is taken.  The value is never below the exact relative
-    residual and at most ``sqrt(min(ref.shape))`` times it: a grade on it can
-    turn a pass into a fail, never the reverse.  ``ref`` is overwritten by
-    the difference."""
+    residual, and with the exact numerator at most ``sqrt(min(ref.shape))``
+    times it: a grade on it can turn a pass into a fail, never the reverse.
+    ``ref`` is overwritten by the difference."""
     lo = _spectral_lower_bound(ref)
     ref -= other
     del other  # the caller's temporary: free it before the SVD
-    return _spectral_norm(ref) / max(lo, 1e-300)
+    return _graded_norm(ref, max(lo, 1e-300), tol)
 
 
 def _times_generator(T: np.ndarray, z: complex) -> np.ndarray:
@@ -299,7 +311,8 @@ def _generator_band(z: complex, d: int, first: int, last: int, k_max: int):
         yield V, J
 
 
-def power_similarity_check(pair: PseudoBosonPair, z: complex, k_max: int = 5) -> np.ndarray:
+def power_similarity_check(pair: PseudoBosonPair, z: complex, k_max: int = 5, *,
+                           tol: float = 0.0) -> np.ndarray:
     """Relative residuals of
     ``S (z c^dag - conj(z) c)^k S^{-1} = (z b - conj(z) a)^k``,
     indexed by ``k = 0 .. k_max``, evaluated on the safe subspace with a
@@ -309,7 +322,9 @@ def power_similarity_check(pair: PseudoBosonPair, z: complex, k_max: int = 5) ->
     outside the pair's border and ``S`` is the identity outside its block,
     so both sides equal ``G^k`` outside their leading ``r x r`` block,
     ``r = min(cut, q + k_max)`` (``p <= q``), and the residual is the exact
-    spectral norm of the difference of those blocks.  Both sides are carried
+    spectral norm of the difference of those blocks, or its Frobenius bound
+    where that is at most ``tol`` (:func:`_graded_norm`; each ``k`` on its
+    own, so every value above ``tol`` is exact).  Both sides are carried
     on the ``r x (r + k_max)`` strip of rows ``:r``: ``S G^k`` by a banded
     update per ``k`` (``G`` is tridiagonal), ``D^k`` by
     :func:`_strip_powers`.  ``k = 0`` is the exact identity on both sides and
@@ -337,8 +352,8 @@ def power_similarity_check(pair: PseudoBosonPair, z: complex, k_max: int = 5) ->
     for k, (Dk, tail) in enumerate(powers, 1):
         SGk = _times_generator(SGk, z)
         diff = _rmul(SGk, riesz.S_inv_block, r) - Dk[:, :r]
-        residuals[k] = _spectral_norm(diff) / max(
-            _spectral_lower_bound(Dk[:, :cut], tail, cut), 1e-300)
+        residuals[k] = _graded_norm(
+            diff, max(_spectral_lower_bound(Dk[:, :cut], tail, cut), 1e-300), tol)
     return residuals
 
 
@@ -353,7 +368,10 @@ def _displacement_block(z: complex, d: int) -> np.ndarray:
     entries of a unitary, hence at most 1 in size, so nothing overflows;
     far diagonals underflow to 0 where the entries are negligible.  The
     recurrence runs in long double: for small ``|z|`` its coefficients
-    nearly cancel and float64 drifts to 2e-12 at ``d = 512``.
+    nearly cancel and float64 drifts to 2e-12 at ``d = 512``.  Its
+    coefficients are tables built before it, each entry rounded once as
+    the step would round it: ``2n + 1 + k - x`` by ``j = 2n + 1 + k`` and
+    ``sqrt(n m)`` by ``(n, m)``, ``m = n + k``.
     """
     if z == 0:
         return np.eye(d, dtype=complex)
@@ -362,13 +380,17 @@ def _displacement_block(z: complex, d: int) -> np.ndarray:
     log_fact = np.array([math.lgamma(j + 1.0) for j in range(d)], dtype=np.longdouble)
     e_prev = np.zeros(d, dtype=np.longdouble)
     e = np.exp(k * np.longdouble(math.log(abs(z))) - log_fact / 2 - x / 2)
+    shift = np.arange(2 * d + 1, dtype=np.longdouble) - x  # shift[j] = j - x
+    levels = np.arange(d + 1, dtype=np.longdouble)
+    root = np.multiply.outer(levels, levels)  # exact products n m
+    np.sqrt(root, out=root)  # root[n, m] = sqrt(n m)
     scaled = np.zeros((d, d))  # scaled[n + k, n] = e_n on diagonal k
     for n in range(d):
         live = d - n  # diagonals that still reach column n
         scaled[n:, n] = e[:live]
-        kl = k[:live]
-        step = (2 * n + 1 + kl - x) * e[:live] - np.sqrt(n * (n + kl)) * e_prev[:live]
-        e_prev, e = e[:live], step / np.sqrt((n + 1) * (n + 1 + kl))
+        step = shift[2 * n + 1:2 * n + 1 + live] * e[:live] - root[n, n:d] * e_prev[:live]
+        e_prev, e = e[:live], step / root[n + 1, n + 1:]
+    del root
     scaled += np.triu(scaled.T, 1)  # the mirror above the diagonal
     # phase[m, n] = z-phase^(m-n) for m >= n and (-conj(z)-phase)^(n-m) above,
     # a read-only Toeplitz view of the two power sequences
@@ -379,13 +401,15 @@ def _displacement_block(z: complex, d: int) -> np.ndarray:
     return scaled * phase
 
 
-def bch_factorization_check(disp: DisplacementSet, sub: SafeSubspace) -> tuple[float, float]:
+def bch_factorization_check(disp: DisplacementSet, sub: SafeSubspace, *,
+                            tol: float = 0.0) -> tuple[float, float]:
     """Relative residuals ``(r_u, r_v)`` of the normal-ordered factorizations
     ``U(z) = e^{-|z|^2/2} e^{z b} e^{-conj(z) a}`` and
     ``V(z) = e^{-|z|^2/2} e^{z a^dag} e^{-conj(z) b^dag}`` on ``sub``: the
-    exact spectral norm of each difference over the certified lower bound of
+    spectral norm of each difference over the certified lower bound of
     ``||U[:k, :k]||`` or ``||V[:k, :k]||`` (:func:`_relative_norm`), never
-    below the exact relative residual.
+    below the exact relative residual.  A residual at most ``tol`` may be
+    the Frobenius bound of the difference; one above it is exact.
 
     ``U[:k, :k]`` and ``V[:k, :k]`` are ``W``'s block with ``disp``'s strips
     written over its border, and ``S`` is its map.  The check
@@ -411,12 +435,12 @@ def bch_factorization_check(disp: DisplacementSet, sub: SafeSubspace) -> tuple[f
         )
     k = sub.cutoff
     E = _displacement_block(z, max(k, riesz.block))  # all the transports read
-    r_u = _relative_norm(disp.lead("U", k), _transport(riesz, E, k))
-    r_v = _relative_norm(disp.lead("V", k), _cotransport(riesz, E, k))
+    r_u = _relative_norm(disp.lead("U", k), _transport(riesz, E, k), tol)
+    r_v = _relative_norm(disp.lead("V", k), _cotransport(riesz, E, k), tol)
     return r_u, r_v
 
 
-def intertwining_check(disp: DisplacementSet, sub: SafeSubspace) -> float:
+def intertwining_check(disp: DisplacementSet, sub: SafeSubspace, *, tol: float = 0.0) -> float:
     """Residual of ``S S^dag V(z) = U(z) S S^dag`` on ``sub``, with ``S`` the
     displacements' own map, relative to ``||S S^dag|| = sigma_max(S)^2``, the
     map's upper frame bound.  Both sides telescope to ``S W(z) S^dag``, so
@@ -425,9 +449,11 @@ def intertwining_check(disp: DisplacementSet, sub: SafeSubspace) -> float:
     ``S S^dag`` is the identity outside its ``p x p`` block and ``U = V = W``
     outside the set's border ``q >= p``, so the residual is exactly zero
     outside rows ``:t`` and columns ``:t``, ``t = min(q, k)``.  Only its rows
-    ``:t`` and the block ``[t:k, :t]`` are formed, and
-    :func:`~pseudoboson.fock._bordered` reduces them to ``[top; R 0]`` or
-    assembles the ``k x k`` residual."""
+    ``:t`` and the block ``[t:k, :t]`` are formed.  Where the Frobenius bound
+    ``sqrt(||top||^2 + ||left||^2)`` over the frame bound is at most ``tol``
+    it is the value; otherwise :func:`~pseudoboson.fock._bordered` reduces
+    the two parts to ``[top; R 0]``, or assembles the ``k x k`` residual,
+    for the exact norm."""
     riesz, k = disp.source, sub.cutoff
     M = riesz.theta_inv_block  # the deformed block of S S^dag
     t = min(disp.border, k)
@@ -435,6 +461,9 @@ def intertwining_check(disp: DisplacementSet, sub: SafeSubspace) -> float:
     top = (_lmul(M, disp.lead("V", reach, k), t)
            - _rmul_over(disp.lead("U", t, max(k, reach)), M, k))
     left = disp.lead("V", k, t)[t:] - _rmul(disp.lead("U", k, reach)[t:], M, t)
+    bound = _frobenius_norm(top, left) / riesz.frame_bounds[1]
+    if bound <= tol:
+        return bound
     diff = _bordered(top, left)
     del top, left  # free them before the SVD
     return _spectral_norm(diff) / riesz.frame_bounds[1]

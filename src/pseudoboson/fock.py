@@ -88,17 +88,40 @@ def _spectral_norm(X: np.ndarray) -> float:
     return float(np.linalg.svd(X, compute_uv=False)[0])
 
 
-def _spectral_lower_bound(X: np.ndarray, tail=None, cols: int | None = None) -> float:
-    """Certified lower bound ``lo`` of ``sigma_max(X)``, with no SVD: the
-    largest of the largest column 2-norm, the largest row 2-norm and
-    ``||X||_F / sqrt(min(m, n))``, so that
-    ``lo <= sigma_max(X) <= sqrt(min(m, n)) lo`` (Golub & Van Loan,
+def _frobenius_norm(*parts: np.ndarray) -> float:
+    """Frobenius norm of the matrix whose entries are those of ``parts``
+    together, with no SVD: a certified upper bound of its spectral norm,
+    ``sigma_max <= ||X||_F <= sqrt(rank X) sigma_max`` (Golub & Van Loan,
     *Matrix Computations*, section 2.3).  ``|X|`` is scaled by the power of
     two of its largest entry before it is squared, and the scaling undone
     after the square root, both exactly: no square overflows, and only the
-    squares of entries below ``2^-537`` times the largest underflow, which
-    can only lower the bound.  As in :func:`_spectral_norm`, an all-zero
-    ``X`` reads ``0.0`` and a non-finite one ``nan``.
+    squares of entries below ``2^-537`` times the largest underflow, far
+    below the rounding of the sum.  As in :func:`_spectral_norm`, an
+    all-zero (or empty) ``X`` reads ``0.0`` and a non-finite one ``nan``."""
+    mags = [np.abs(part) for part in parts]
+    top = float(np.max([m.max(initial=0.0) for m in mags] + [0.0]))  # a nan entry propagates
+    if not math.isfinite(top):
+        return float("nan")
+    if top == 0:
+        return 0.0
+    e = math.frexp(top)[1]
+    total = 0.0
+    for m in mags:
+        np.ldexp(m, -e, out=m)
+        total += float(np.vdot(m, m))
+    return math.ldexp(math.sqrt(total), e)
+
+
+def _spectral_lower_bound(X: np.ndarray, tail=None, cols: int | None = None) -> float:
+    """Certified lower bound ``lo`` of ``sigma_max(X)``, with no SVD: the
+    largest of the largest column 2-norm, the largest row 2-norm and
+    ``||X||_F / sqrt(min(m, n))`` (:func:`_frobenius_norm`), so that
+    ``lo <= sigma_max(X) <= sqrt(min(m, n)) lo`` (Golub & Van Loan,
+    *Matrix Computations*, section 2.3).  The row and column sums of squares
+    are taken on ``|X|`` scaled by the power of two of ``||X||_F``, exactly,
+    so no square overflows, and an entry whose square underflows can only
+    lower the bound.  As in :func:`_spectral_norm`, an all-zero ``X`` reads
+    ``0.0`` and a non-finite one ``nan``.
 
     A matrix too large to form may be passed as its leading rows ``X``, its
     columns from ``X.shape[1]`` to ``cols`` zero, and ``tail = (V, J)``, the
@@ -106,18 +129,16 @@ def _spectral_lower_bound(X: np.ndarray, tail=None, cols: int | None = None) -> 
     column ``J[i, t]`` and zeros elsewhere, an entry with ``J`` outside
     ``[0, cols)`` not counted."""
     cols = X.shape[1] if cols is None else cols
-    A = np.abs(X)
     T = np.zeros((0, 1))
     if tail is not None:
         V, J = tail
         kept = (J >= 0) & (J < cols)
         T = np.where(kept, np.abs(V), 0.0)
-    top = float(np.max([A.max(initial=0.0), T.max(initial=0.0)]))  # a nan entry propagates
-    if not math.isfinite(top):
-        return float("nan")
-    if top == 0:
-        return 0.0
-    e = math.frexp(top)[1]
+    fro = _frobenius_norm(X, T)
+    if not fro > 0:  # nan, or an all-zero X
+        return fro
+    e = math.frexp(fro)[1]
+    A = np.abs(X)
     col_sq = np.zeros(cols)
     for part in (A, T):
         np.ldexp(part, -e, out=part)
@@ -127,7 +148,7 @@ def _spectral_lower_bound(X: np.ndarray, tail=None, cols: int | None = None) -> 
         col_sq += np.bincount(J[kept], T[kept], minlength=cols)
     row_sq = max(A.sum(axis=1).max(initial=0.0), T.sum(axis=1).max(initial=0.0))
     n = min(len(A) + len(T), cols)
-    return math.ldexp(math.sqrt(max(col_sq.max(), row_sq, col_sq.sum() / n)), e)
+    return max(math.ldexp(math.sqrt(max(col_sq.max(), row_sq)), e), fro / math.sqrt(n))
 
 
 def _recurrence(a: np.ndarray, b: np.ndarray, x: np.ndarray):

@@ -64,15 +64,22 @@ def _format_z(z: complex) -> str:
     return f"{z.real:g}{z.imag:+g}j"
 
 
+def _bch_margin(dim: int, z: complex) -> int:
+    """The half-space, less the factorization's top margin at ``z``: the
+    largest cutoff that leaves ``ceil(4 |z|^2) + 6`` levels above it, below 1
+    when ``dim`` leaves none."""
+    return min(dim // 2, dim - math.ceil(4 * abs(z) ** 2) - 6)
+
+
 def _bch_cutoff(dim: int, z: complex) -> int:
-    """The half-space, less the factorization's top margin at ``z``."""
-    return max(1, min(dim // 2, dim - math.ceil(4 * abs(z) ** 2) - 6))
+    """The cutoff of the factorization at ``z``: :func:`_bch_margin`, at least 1."""
+    return max(1, _bch_margin(dim, z))
 
 
 class _Recorder:
     """Grades residuals into reports for one map, the one place a tolerance
     is composed and a regime decided: a record at ``z`` is out of regime
-    when ``|z|^2 > dim/4`` or its ``cutoff`` exceeds ``_bch_cutoff``.  A
+    when ``|z|^2 > dim/4`` or its ``cutoff`` exceeds ``_bch_margin``.  A
     report's wall time is the time since the previous one (the first
     counts from ``start``), so a shared object's build is charged to the
     next check, and of several records from one computation the first
@@ -83,15 +90,20 @@ class _Recorder:
         self.reports: list[CheckReport] = []
         self._lap = start
 
+    def tolerance(self, name: str, z: complex | None = None) -> float:
+        """The tolerance of the record ``name`` at ``z``, with the truncation
+        tail at ``z``; checks that certify a pass on a bound are handed it."""
+        tail = 0.0 if z is None else coherent_tail_bound(self.riesz.dim, z)
+        return default_tolerance(name, self.riesz.cond, self.riesz.dim, tail)
+
     def add(self, name: str, residual: float, z: complex | None = None, **params):
         now = time.perf_counter()
-        dim, tail, regime = self.riesz.dim, 0.0, True
+        regime = True
         if z is not None:
             params = {"z": _format_z(z), **params}
-            tail = coherent_tail_bound(dim, z)
             regime = (in_accuracy_regime(self.riesz.space, z)
-                      and params.get("cutoff", 0) <= _bch_cutoff(dim, z))
-        tol = default_tolerance(name, self.riesz.cond, dim, tail)
+                      and params.get("cutoff", -math.inf) <= _bch_margin(self.riesz.dim, z))
+        tol = self.tolerance(name, z)
         status = ("pass" if residual <= tol else "fail") if regime else "out-of-regime"
         self.reports.append(
             CheckReport(
@@ -114,7 +126,8 @@ class _Recorder:
 def _record_bch_eigen(rec: _Recorder, pair, disp, bc, cutoff: int):
     """Records ``bch_u``/``bch_v`` at ``cutoff`` and ``eigen_eta``/``eigen_xi``;
     the caller owns ``disp``, so it alone decides how long ``disp`` lives."""
-    bch = bch_factorization_check(disp, SafeSubspace(rec.riesz.space, cutoff))
+    tol = min(rec.tolerance(name, disp.z) for name in ("bch_u", "bch_v"))
+    bch = bch_factorization_check(disp, SafeSubspace(rec.riesz.space, cutoff), tol=tol)
     for name, residual in zip(("bch_u", "bch_v"), bch):
         rec.add(name, residual, disp.z, cutoff=cutoff, reference="lower bound")
     for name, residual in zip(("eigen_eta", "eigen_xi"), eigen_check(pair, bc)):
@@ -213,12 +226,15 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
         with warnings.catch_warnings():
             # regime warnings are encoded in the status
             warnings.simplefilter("ignore", AccuracyRegimeWarning)
-            rec.add("power_similarity", power_similarity_check(pair, z).max(), z,
+            tol = rec.tolerance("power_similarity", z)
+            rec.add("power_similarity", power_similarity_check(pair, z, tol=tol).max(), z,
                     border=q, reference="lower bound")
             disp = displaced_pair(riesz, z)
             bc = rbcs(riesz, z)
             _record_bch_eigen(rec, pair, disp, bc, _bch_cutoff(dim, z))
-            rec.add("intertwining", intertwining_check(disp, sub_top), z, border=disp.border)
+            rec.add("intertwining",
+                    intertwining_check(disp, sub_top, tol=rec.tolerance("intertwining", z)), z,
+                    border=disp.border)
             del disp  # W and its strips: not alive beside the next amplitude's
             rec.add("rbcs_pairing", abs(np.vdot(bc.eta, bc.xi) - 1.0), z)
             phi_s, psi_s = series_route(pair, z)

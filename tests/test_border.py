@@ -8,6 +8,7 @@ is held below one ``dim x dim`` complex array beside ``W``."""
 
 import dataclasses
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -47,7 +48,8 @@ from pseudoboson import (
     weyl,
 )
 from pseudoboson.algebra import _commutator_block
-from pseudoboson.fock import _spectral_lower_bound, ladder_c
+from pseudoboson.fock import _spectral_lower_bound, _spectral_norm, ladder_c
+from pseudoboson.riesz import _transport
 
 from conftest import with_disp_entry, with_entry
 
@@ -121,11 +123,12 @@ class TestBorderExtremes:
         assert seen == set(want)
 
 
-def dense_records(riesz):
+def dense_records(riesz, pair=None):
     """The residuals of the records that read ``a`` or ``b``, keyed as
-    ``(check_id, z label)``, from the dense ``a``, ``b``, ``S`` and ``S^-1``."""
+    ``(check_id, z label)``, from the dense ``a``, ``b``, ``S`` and ``S^-1``
+    of ``pair`` (by default ``make_pair(riesz)``)."""
     space, d = riesz.space, riesz.dim
-    pair = make_pair(riesz)
+    pair = make_pair(riesz) if pair is None else pair
     a, b = pair.a.mat, pair.b.mat
     S, S_inv = riesz.S.mat, riesz.S_inv.mat
     phi, psi = S, S_inv.conj().T
@@ -290,6 +293,83 @@ class TestDisplacementFaults:
         border = {r.params["border"] for r in reports
                   if r.check_id == "intertwining" and r.params["z"] != "0+0j"}
         assert border == {max(p, widened)}
+
+
+class TestExactFails:
+    """A record that certifies its pass on a Frobenius bound grades every
+    fail on the exact norm.  One fault row per such record, through
+    ``run_suite``: ``U[0, 3]`` for ``bch_u`` and ``intertwining``, ``a[0, 1]``
+    for ``power_similarity``.  A failing record takes the exact SVD and
+    reads the exact quotient, ``||diff|| / denominator``, which a call with
+    the default ``tol`` gives bit for bit; a passing one takes no SVD.  (A
+    one-entry fault makes ``intertwining``'s difference rank one, where the
+    bound and the exact norm agree to roundoff, so the SVDs are counted.)"""
+
+    CHECKS = ("bch_factorization_check", "intertwining_check", "power_similarity_check")
+
+    def run(self, tmp_path, monkeypatch, kind, fault):
+        """The fault row's reports, and the values the exact norm returned
+        inside each check, by check."""
+        seen, norm = {name: [] for name in self.CHECKS}, displacement._spectral_norm
+
+        def spy(X):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name not in self.CHECKS:
+                frame = frame.f_back
+            seen[frame.f_code.co_name].append(norm(X))
+            return seen[frame.f_code.co_name][-1]
+
+        monkeypatch.setattr(displacement, "_spectral_norm", spy)
+        spec = PROJECTOR if kind == "projector" else RANDOM
+        reports = run_with_fault(tmp_path, monkeypatch, spec, fault)
+        monkeypatch.setattr(displacement, "_spectral_norm", norm)
+        return reports, seen, build_map(load_config(tmp_path / "c.json"))
+
+    @staticmethod
+    def failed(reports, name):
+        got = {r.params["z"]: r.residual for r in reports
+               if r.check_id == name and r.status == "fail"}
+        assert got
+        return got
+
+    @pytest.mark.parametrize("kind", ["projector", "random"])
+    def test_displacement_records(self, kind, tmp_path, monkeypatch):
+        fault = ("U", (0, 3))
+        reports, seen, riesz = self.run(tmp_path, monkeypatch, kind, fault)
+        B = riesz.frame_bounds[1]
+        bch_u, intertwining = self.failed(reports, "bch_u"), self.failed(reports, "intertwining")
+        # bch_v passes: one SVD per failing bch_u and intertwining record
+        assert len(seen["bch_factorization_check"]) == len(bch_u)
+        assert sorted(v / B for v in seen["intertwining_check"]) == sorted(intertwining.values())
+        for label, residual in bch_u.items():
+            z = complex(label)
+            disp = with_disp_entry(displaced_pair(riesz, z), *fault, 1 + 1e-6)
+            k = suite._bch_cutoff(64, z)
+            ref = disp.lead("U", k)
+            E = displacement._displacement_block(z, max(k, riesz.block))
+            exact = _spectral_norm(ref - _transport(riesz, E, k)) / _spectral_lower_bound(ref)
+            assert residual == exact == bch_factorization_check(
+                disp, SafeSubspace(riesz.space, k))[0]
+        for label, residual in intertwining.items():
+            disp = with_disp_entry(displaced_pair(riesz, complex(label)), *fault, 1 + 1e-6)
+            assert residual == intertwining_check(disp, SafeSubspace(riesz.space, 63))
+            M = riesz.theta_inv.mat
+            diff = (M @ disp.V.mat - disp.U.mat @ M)[:63, :63]
+            assert residual == pytest.approx(_spectral_norm(diff) / B, rel=1e-8)
+
+    @pytest.mark.parametrize("kind", ["projector", "random"])
+    def test_power_similarity(self, kind, tmp_path, monkeypatch):
+        fault = ("a", (0, 1))
+        reports, seen, riesz = self.run(tmp_path, monkeypatch, kind, fault)
+        failed = self.failed(reports, "power_similarity")
+        # at least one SVD per failing record (its k above tolerance), none
+        # for the passing records
+        assert len(failed) <= len(seen["power_similarity_check"]) <= 5 * len(failed)
+        pair = with_entry(make_pair(riesz), *fault, 1 + 1e-6)
+        want = dense_records(riesz, pair)
+        for label, residual in failed.items():
+            assert residual == power_similarity_check(pair, complex(label)).max()
+            assert residual == pytest.approx(want["power_similarity", label], rel=1e-8)
 
 
 class TestRuleFaults:

@@ -357,7 +357,38 @@ class TestPowerSimilarity:
             power_similarity_check(make_pair(random_map64), 1.0, k_max=13)
 
 
+def stepwise_block(z, d):
+    """:func:`_displacement_block` with each coefficient of the long-double
+    Laguerre recurrence formed in the step that reads it, and the phases
+    ``(z/|z|)^(m-n)`` below the diagonal, ``(-conj(z)/|z|)^(n-m)`` above."""
+    x = np.longdouble(abs(z) ** 2)
+    k = np.arange(d, dtype=np.longdouble)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(d)], dtype=np.longdouble)
+    e_prev = np.zeros(d, dtype=np.longdouble)
+    e = np.exp(k * np.longdouble(math.log(abs(z))) - log_fact / 2 - x / 2)
+    scaled = np.zeros((d, d))
+    for n in range(d):
+        live = d - n
+        scaled[n:, n] = e[:live]
+        kl = k[:live]
+        step = (2 * n + 1 + kl - x) * e[:live] - np.sqrt(n * (n + kl)) * e_prev[:live]
+        e_prev, e = e[:live], step / np.sqrt((n + 1) * (n + 1 + kl))
+    scaled += np.triu(scaled.T, 1)
+    m, n = np.indices((d, d))
+    phase = np.where(m >= n, _phase_powers(z, d)[(m - n).clip(0)],
+                     _phase_powers(-np.conj(z), d)[(n - m).clip(0)])
+    return scaled * phase
+
+
 class TestBchFactorization:
+    @pytest.mark.parametrize("d", [1, 2, 17, 128, 256])
+    @pytest.mark.parametrize("z", [1.0, 1 + 1j, 2j, 1e-3, 0.3 - 2.2j])
+    def test_coefficient_tables_keep_every_bit(self, z, d):
+        # the recurrence reads its coefficients from tables built before the
+        # loop; each entry is rounded once, as the step that formed it in
+        # place rounded it, so every modulus is the stepwise one bit for bit
+        np.testing.assert_array_equal(_displacement_block(z, d), stepwise_block(z, d))
+
     @settings(max_examples=40, deadline=None)
     @given(st.complex_numbers(min_magnitude=1e-3, max_magnitude=6.0, allow_nan=False,
                               allow_infinity=False), st.integers(1, 48))

@@ -1,5 +1,6 @@
 import ast
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from pseudoboson import (
     power_similarity_check,
 )
 from pseudoboson import displacement
-from pseudoboson.fock import _bordered, _spectral_lower_bound, _spectral_norm
+from pseudoboson.fock import _bordered, _frobenius_norm, _spectral_lower_bound, _spectral_norm
 from pseudoboson.suite import _bch_cutoff
 
 from conftest import dense_rows
@@ -334,6 +335,78 @@ class TestSpectralNorm:
                     if name == "svd" and any(k.arg == "compute_uv" for k in call.keywords):
                         svd_sites.append((path.name, fn.name))
         assert svd_sites == [("fock.py", "_spectral_norm")]
+
+
+class TestFrobeniusNorm:
+    """The certified upper bound the numerators of ``bch_*``,
+    ``intertwining`` and ``power_similarity`` pass on."""
+
+    @staticmethod
+    def brackets(F, X):
+        """``sigma_max <= F <= sqrt(rank) sigma_max``, up to the SVD's own roundoff."""
+        sigma = np.linalg.svd(X, compute_uv=False)
+        rank = int(np.sum(sigma > sigma[0] * max(X.shape) * np.finfo(float).eps))
+        return sigma[0] * (1 - 1e-13) <= F <= math.sqrt(rank) * sigma[0] * (1 + 1e-13)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 20),
+           st.sampled_from(["bordered", "low_rank"]), st.floats(-3.0, 3.0),
+           st.integers(0, 2**32 - 1))
+    def test_brackets_sigma_max(self, rows, cols, size, kind, log_scale, seed):
+        # zero outside a border of `size` leading rows and columns, or of
+        # rank at most `size`
+        rng = np.random.default_rng(seed)
+
+        def draw(r, c):
+            return rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+
+        if kind == "bordered":
+            X = draw(rows, cols)
+            X[size:, size:] = 0.0
+        else:
+            X = draw(rows, size) @ draw(size, cols)
+        X *= 10.0 ** log_scale
+        assert self.brackets(_frobenius_norm(X), X)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 20), st.integers(0, 30), st.integers(1, 30), st.integers(0, 2**32 - 1))
+    def test_parts_are_one_matrix(self, t, below, cols, seed):
+        # the bound of intertwining's [top; left 0] from its two parts
+        t = min(t, cols)
+        rng = np.random.default_rng(seed)
+        top = rng.standard_normal((t, cols)) + 1j * rng.standard_normal((t, cols))
+        left = rng.standard_normal((below, t)) + 1j * rng.standard_normal((below, t))
+        X = np.zeros((t + below, cols), complex)
+        X[:t], X[t:, :t] = top, left
+        assert _frobenius_norm(top, left) == pytest.approx(_frobenius_norm(X), rel=1e-15)
+        if X.any():
+            assert self.brackets(_frobenius_norm(top, left), X)
+
+    @pytest.mark.parametrize("shift", [-565, 531], ids=["1e-170", "1e160"])
+    def test_exact_under_scaling(self, shift):
+        # entries near 1e-170 square to 0 and entries near 1e160 overflow
+        # once squared; the helper scales by a power of two first, so a
+        # scaled copy reads the same bound times the same power of two, and
+        # no warning is raised
+        X = np.random.default_rng(7).standard_normal((9, 13)) * (1 + 0.5j)
+        X[4:, 4:] = 0.0
+        scaled = np.ldexp(X.real, shift) + 1j * np.ldexp(X.imag, shift)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _frobenius_norm(scaled)
+        assert got == math.ldexp(_frobenius_norm(X), shift)
+        assert self.brackets(got, scaled)
+
+    def test_all_zero_reads_zero(self):
+        assert _frobenius_norm(np.zeros((6, 9), complex)) == 0.0
+        assert _frobenius_norm(np.zeros((0, 4), complex), np.zeros((3, 0))) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_non_finite_reads_nan(self, bad):
+        X = np.eye(5, dtype=complex)
+        X[2, 3] = bad
+        assert np.isnan(_frobenius_norm(X))
+        assert np.isnan(_frobenius_norm(np.eye(3), X))
 
 
 def _within_bound(X):

@@ -24,8 +24,8 @@ from pseudoboson import (
     save_riesz_map,
     suite_failed,
 )
-from pseudoboson import (DisplacementSet, FockSpace, coordinate, displaced_pair, displacement,
-                         make_riesz_map, random_riesz_map, suite)
+from pseudoboson import (DisplacementSet, FockSpace, SafeSubspace, coordinate, displaced_pair,
+                         displacement, intertwining_check, make_riesz_map, random_riesz_map, suite)
 from pseudoboson.cli import main
 from pseudoboson.fock import _spectral_norm
 
@@ -148,14 +148,14 @@ class TestRunSuite:
         assert construction.params == {"block": 1}
 
     def test_projector_svds_stay_small(self, tmp_path, monkeypatch):
-        # the SVDs of a dim-64 projector run see only where the map deforms:
-        # the intertwining residual (row 0 and column 0) is reduced to 2
-        # rows, the vacua come from 0 x 1 blocks, and no SVD with singular
-        # vectors takes all 64 rows
-        path = write_config(tmp_path / "c.json", dim=64,
-                            map_spec={"kind": "projector", "u_index": 0},
-                            z_samples=[[0, 0], [1, 0], [1, 1], [0, 2]])
-        config, seen, svd = load_config(path), [], np.linalg.svd
+        # the SVDs of a dim-64 run see only where the map deforms.  On the
+        # projector map the vacua come from 0 x 1 blocks and no SVD with
+        # singular vectors takes all 64 rows.  On it and on a random map,
+        # where every record passes, bch_*, intertwining and power_similarity
+        # certify each pass on the Frobenius bound and take no SVD at all;
+        # asked for the exact value, the projector map's intertwining
+        # residual (row 0 and column 0) is reduced to 2 rows
+        seen, svd = [], np.linalg.svd
 
         def spy(a, *args, **kwargs):
             frame, callers = sys._getframe(1), set()
@@ -166,12 +166,24 @@ class TestRunSuite:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", spy)
-        assert not suite_failed(run_suite(config))
-        intertwining = [shape for shape, _, callers in seen if "intertwining_check" in callers]
-        vacua = [shape for shape, _, callers in seen if "vacua" in callers]
-        assert intertwining and max(rows for rows, _ in intertwining) <= 2
-        assert vacua and all(rows <= 1 and cols <= 2 for rows, cols in vacua)
-        assert all(shape[0] < 64 for shape, uv, _ in seen if uv)
+        numerators = {"bch_factorization_check", "intertwining_check", "power_similarity_check"}
+        for map_spec in ({"kind": "projector", "u_index": 0},
+                         {"kind": "random", "cond": 10.0, "seed": 1}):
+            path = write_config(tmp_path / "c.json", dim=64, map_spec=map_spec,
+                                z_samples=[[0, 0], [1, 0], [1, 1], [0, 2]])
+            config = load_config(path)
+            seen.clear()
+            assert all(r.status == "pass" for r in run_suite(config))
+            assert seen and not [shape for shape, _, callers in seen if numerators & callers]
+            if map_spec["kind"] == "projector":
+                vacua = [shape for shape, _, callers in seen if "vacua" in callers]
+                assert vacua and all(rows <= 1 and cols <= 2 for rows, cols in vacua)
+                assert all(shape[0] < 64 for shape, uv, _ in seen if uv)
+                seen.clear()
+                riesz = build_map(config)
+                intertwining_check(displaced_pair(riesz, 1.0), SafeSubspace(riesz.space, 63))
+                assert [shape[0] for shape, _, callers in seen
+                        if "intertwining_check" in callers] == [2]
 
     @pytest.mark.parametrize("dim, map_spec", [
         (64, {"kind": "random", "cond": 10.0, "seed": 13}),
@@ -215,8 +227,9 @@ class TestRunSuite:
                 assert b.residual == e.residual
 
     def test_nan_displacement_fails_bch(self, tmp_path, monkeypatch):
-        # a NaN in U reaches the numerator and the reference of bch_u: the
-        # record reads NaN and fails instead of passing a <= test
+        # a NaN in U reaches the numerator and the reference of bch_u and
+        # the residual of intertwining: each record reads NaN and fails
+        # instead of passing a <= test, on the bound or on the exact norm
         def nan_pair(riesz, z):
             disp = displaced_pair(riesz, z)
             U = disp.U.mat.copy()
@@ -230,6 +243,9 @@ class TestRunSuite:
         bch_u = [r for r in reports if r.check_id == "bch_u"]
         assert len(bch_u) == 2
         assert all(np.isnan(r.residual) and r.status == "fail" for r in bch_u)
+        intertwining = [r for r in reports if r.check_id == "intertwining"]
+        assert len(intertwining) == 2
+        assert all(np.isnan(r.residual) and r.status == "fail" for r in intertwining)
         assert suite_failed(reports)
 
     def test_outputs_written(self, tmp_path):
@@ -508,7 +524,7 @@ class TestConvergenceStatus:
         # tolerances; the rows it fails are exactly the rows read "fail".
         # It grades no factorization at dim 16, where the row is out of regime.
         if broken:
-            monkeypatch.setattr(suite, broken, lambda *args: _BROKEN[broken])
+            monkeypatch.setattr(suite, broken, lambda *args, **kwargs: _BROKEN[broken])
         expected = (set() if broken is None else {32, 64, 128}
                     if broken == "bch_factorization_check" else {16, 32, 64, 128})
         w = bench.WORKLOADS["converge-rand-16-128"]
@@ -764,3 +780,24 @@ def test_cli_import_leaves_scipy_out():
     code = ("import pseudoboson.cli, sys; "
             "sys.exit('scipy' in sys.modules or 'numpy.polynomial' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+@pytest.mark.parametrize("dim", [4, 5])
+@pytest.mark.parametrize("map_spec", [{"kind": "identity"},
+                                      {"kind": "random", "cond": 10.0, "seed": 2}],
+                         ids=["identity", "random-seed2"])
+def test_bch_without_margin_is_out_of_regime(tmp_path, dim, map_spec):
+    # dims 4 and 5 leave no cutoff below the factorization's margin
+    # dim - ceil(4|z|^2) - 6: its cutoff is clamped to 1, where the residual
+    # is truncation tail (7.8e-4 at dim 4, z = 1, on the identity map), so
+    # bch_u and bch_v are out of regime at every amplitude, and every other
+    # record is graded as before
+    path = write_config(tmp_path / "c.json", dim=dim, map_spec=map_spec,
+                        z_samples=[[0, 0], [1, 0]])
+    reports = run_suite(load_config(path))
+    bch = [r for r in reports if r.check_id in ("bch_u", "bch_v")]
+    assert len(bch) == 4
+    assert all(r.params["cutoff"] == 1 and r.status == "out-of-regime" for r in bch)
+    assert min(r.residual for r in bch if r.params["z"] == "1+0j") > 1e-5
+    assert all(r.status == "pass" for r in reports if r.check_id not in ("bch_u", "bch_v"))
+    assert suite._bch_margin(dim, 0) < 1 and suite._bch_cutoff(dim, 1) == 1
