@@ -22,9 +22,8 @@ only, and the factorization and intertwining checks read them there.
 
 The power-similarity check reads the pair's border only: ``z b - conj(z) a``
 differs from ``z c^dag - conj(z) c`` in a leading block, so both sides of
-the identity are carried on a strip of rows of width ``q`` plus the power,
-and the rest of the reference's rows are the generator's powers, carried
-by their diagonals.
+the identity, and the rows of the reference it divides by, are carried on
+a strip of rows of width ``q`` plus the power.
 
 The normal-ordered factor ``e^{-|z|^2/2} e^{z c^dag} e^{-conj(z) c}`` is
 the low block of the untruncated displacement, whose entries are the
@@ -292,50 +291,26 @@ def _strip_powers(pair: PseudoBosonPair, z: complex, rows: int, cols: int, k_max
         yield Dk
 
 
-def _generator_band(z: complex, d: int, first: int, last: int, k_max: int):
-    """Rows ``first:last`` of ``G^k``, ``G = z c^dag - conj(z) c``, for
-    ``k = 1 .. k_max``, as ``(V, J)``: row ``first + i`` holds ``V[i, t]`` at
-    column ``J[i, t]``, on the ``2 k_max + 1`` diagonals about it.  Each power
-    is carried from the last,
-    ``G^k[i, j] = G^{k-1}[i, j-1] G[j-1, j] + G^{k-1}[i, j+1] G[j+1, j]``, and
-    columns outside ``[0, d)`` hold 0."""
-    J = np.arange(first, last)[:, None] + np.arange(-k_max, k_max + 1)
-    up = np.where((J >= 1) & (J < d), -np.conj(z) * np.sqrt(np.abs(J)), 0)  # G[j-1, j]
-    down = np.where((J >= 0) & (J < d - 1), z * np.sqrt(np.abs(J + 1.0)), 0)  # G[j+1, j]
-    V = np.zeros(J.shape, dtype=complex)
-    V[:, k_max] = 1.0
-    for _ in range(k_max):
-        prev, V = V, np.zeros_like(V)
-        V[:, 1:] = prev[:, :-1] * up[:, 1:]
-        V[:, :-1] += prev[:, 1:] * down[:, :-1]
-        yield V, J
-
-
 def power_similarity_check(pair: PseudoBosonPair, z: complex, k_max: int = 5, *,
                            tol: float = 0.0) -> np.ndarray:
     """Relative residuals of
     ``S (z c^dag - conj(z) c)^k S^{-1} = (z b - conj(z) a)^k``,
-    indexed by ``k = 0 .. k_max``, evaluated on the safe subspace with a
+    indexed by ``k = 0 .. k_max``, on the safe subspace with a
     ``k_max``-level top margin, ``cut = dim - k_max`` (at least 1).
 
-    With ``G = z c^dag - conj(z) c`` and ``D = z b - conj(z) a``, ``D = G``
-    outside the pair's border and ``S`` is the identity outside its block,
-    so both sides equal ``G^k`` outside their leading ``r x r`` block,
-    ``r = min(cut, q + k_max)`` (``p <= q``), and the residual is the exact
-    spectral norm of the difference of those blocks, or its Frobenius bound
-    where that is at most ``tol`` (:func:`_graded_norm`; each ``k`` on its
-    own, so every value above ``tol`` is exact).  Both sides are carried
-    on the ``r x (r + k_max)`` strip of rows ``:r``: ``S G^k`` by a banded
-    update per ``k`` (``G`` is tridiagonal), ``D^k`` by
-    :func:`_strip_powers`.  ``k = 0`` is the exact identity on both sides and
-    reads 0, as does every ``k`` at ``z = 0``, where both generators vanish.
-
-    The reference is the certified lower bound of ``||D^k[:cut, :cut]||``
-    (:func:`~pseudoboson.fock._spectral_lower_bound`), taken from the strip
-    and rows ``r:cut`` of ``G^k`` (:func:`_generator_band`), so each residual
-    is never below the exact relative residual.  It is homogeneous of degree
-    0 in ``z``, so both powers are carried at :func:`_binary_scaled` ``z``,
-    and no ``|z|`` overflows them.
+    With ``G = z c^dag - conj(z) c`` and ``D = z b - conj(z) a``, both sides
+    equal ``G^k`` outside their leading ``r x r`` block,
+    ``r = min(cut, q + k_max)`` for the pair's border ``q``, so both are
+    carried on the ``r x (r + k_max)`` strip of rows ``:r``: ``S G^k`` by a
+    banded update per ``k``, ``D^k`` by :func:`_strip_powers`.  Each ``k`` is
+    graded on its own (:func:`_graded_norm`): the norm of the ``r x r``
+    difference over the certified lower bound of ``||D^k[:s, :cut]||``,
+    ``s = min(cut, p + k_max)``, rows fixed by the map, not by the border.
+    No submatrix's norm exceeds ``||D^k[:cut, :cut]||``, so each value is
+    never below the exact relative residual.  ``k = 0``, and every ``k`` at
+    ``z = 0``, read 0.  The residual is homogeneous of degree 0 in ``z``, so
+    the powers are carried at :func:`_binary_scaled` ``z`` and no ``|z|``
+    overflows them.
     """
     if not 0 <= k_max <= 12:
         raise ValueError(f"k_max must be in [0, 12], got {k_max}")
@@ -345,15 +320,14 @@ def power_similarity_check(pair: PseudoBosonPair, z: complex, k_max: int = 5, *,
     d, riesz = pair.space.dim, pair.source
     cut = SafeSubspace(pair.space, max(d - max(k_max, 1), 1)).cutoff
     r = min(cut, pair.border + k_max)
+    s = min(cut, riesz.block + k_max)
     width = min(d, r + k_max)
     SGk = _blockdiag(riesz.S_block, width, r)
     residuals = np.zeros(k_max + 1)
-    powers = zip(_strip_powers(pair, z, r, width, k_max), _generator_band(z, d, r, cut, k_max))
-    for k, (Dk, tail) in enumerate(powers, 1):
+    for k, Dk in enumerate(_strip_powers(pair, z, r, width, k_max), 1):
         SGk = _times_generator(SGk, z)
         diff = _rmul(SGk, riesz.S_inv_block, r) - Dk[:, :r]
-        residuals[k] = _graded_norm(
-            diff, max(_spectral_lower_bound(Dk[:, :cut], tail, cut), 1e-300), tol)
+        residuals[k] = _graded_norm(diff, max(_spectral_lower_bound(Dk[:s, :cut]), 1e-300), tol)
     return residuals
 
 

@@ -112,7 +112,7 @@ def _frobenius_norm(*parts: np.ndarray) -> float:
     return math.ldexp(math.sqrt(total), e)
 
 
-def _spectral_lower_bound(X: np.ndarray, tail=None, cols: int | None = None) -> float:
+def _spectral_lower_bound(X: np.ndarray) -> float:
     """Certified lower bound ``lo`` of ``sigma_max(X)``, with no SVD: the
     largest of the largest column 2-norm, the largest row 2-norm and
     ``||X||_F / sqrt(min(m, n))`` (:func:`_frobenius_norm`), so that
@@ -121,34 +121,16 @@ def _spectral_lower_bound(X: np.ndarray, tail=None, cols: int | None = None) -> 
     are taken on ``|X|`` scaled by the power of two of ``||X||_F``, exactly,
     so no square overflows, and an entry whose square underflows can only
     lower the bound.  As in :func:`_spectral_norm`, an all-zero ``X`` reads
-    ``0.0`` and a non-finite one ``nan``.
-
-    A matrix too large to form may be passed as its leading rows ``X``, its
-    columns from ``X.shape[1]`` to ``cols`` zero, and ``tail = (V, J)``, the
-    rest in row-compressed form: row ``len(X) + i`` holds ``V[i, t]`` at
-    column ``J[i, t]`` and zeros elsewhere, an entry with ``J`` outside
-    ``[0, cols)`` not counted."""
-    cols = X.shape[1] if cols is None else cols
-    T = np.zeros((0, 1))
-    if tail is not None:
-        V, J = tail
-        kept = (J >= 0) & (J < cols)
-        T = np.where(kept, np.abs(V), 0.0)
-    fro = _frobenius_norm(X, T)
+    ``0.0`` and a non-finite one ``nan``."""
+    fro = _frobenius_norm(X)
     if not fro > 0:  # nan, or an all-zero X
         return fro
     e = math.frexp(fro)[1]
     A = np.abs(X)
-    col_sq = np.zeros(cols)
-    for part in (A, T):
-        np.ldexp(part, -e, out=part)
-        part *= part
-    col_sq[:A.shape[1]] += A.sum(axis=0)
-    if tail is not None:
-        col_sq += np.bincount(J[kept], T[kept], minlength=cols)
-    row_sq = max(A.sum(axis=1).max(initial=0.0), T.sum(axis=1).max(initial=0.0))
-    n = min(len(A) + len(T), cols)
-    return max(math.ldexp(math.sqrt(max(col_sq.max(), row_sq)), e), fro / math.sqrt(n))
+    np.ldexp(A, -e, out=A)
+    A *= A
+    norm_sq = max(A.sum(axis=0).max(), A.sum(axis=1).max())
+    return max(math.ldexp(math.sqrt(norm_sq), e), fro / math.sqrt(min(X.shape)))
 
 
 def _recurrence(a: np.ndarray, b: np.ndarray, x: np.ndarray):

@@ -52,6 +52,9 @@ __all__ = [
 #: Relative singular-value floor below which a map is declared singular.
 SINGULARITY_FLOOR = 1e-13
 
+#: Largest ``cond(S)`` :func:`make_riesz_map` accepts (runs allow ``config.SUITE_MAX_COND``).
+_COND_BUDGET = 1e12
+
 
 def _blockdiag(block: np.ndarray, d: int, rows: int | None = None) -> np.ndarray:
     """Rows ``:rows`` of the dense ``d x d`` matrix ``blockdiag(block, 1)``."""
@@ -106,7 +109,7 @@ def _deformed_block(moved: np.ndarray) -> int:
     return int(touched[-1]) + 1 if touched.size else 0
 
 
-def make_riesz_map(space: FockSpace, S_lead, max_cond: float = 1e12) -> RieszMap:
+def make_riesz_map(space: FockSpace, S_lead) -> RieszMap:
     """Validate and package the invertible map ``S = blockdiag(S_lead, 1)``.
 
     The identity tail of ``S_lead`` is trimmed by an exact comparison,
@@ -123,9 +126,6 @@ def make_riesz_map(space: FockSpace, S_lead, max_cond: float = 1e12) -> RieszMap
     S_lead : array_like
         Any leading square block of ``S``, of side at most ``dim``: the
         dense ``S`` itself, or ``np.eye(0)`` for the identity.
-    max_cond : float
-        Conditioning budget; ``cond(S)`` above this raises
-        :class:`ConditioningError`.
 
     Raises
     ------
@@ -137,7 +137,7 @@ def make_riesz_map(space: FockSpace, S_lead, max_cond: float = 1e12) -> RieszMap
         If the smallest singular value is below ``1e-13`` times the
         largest, or the cached inverse fails its residual check.
     ConditioningError
-        If ``cond(S) > max_cond``.
+        If ``cond(S) > 1e12``.
     """
     d = space.dim
     S_lead = np.asarray(S_lead, dtype=complex)
@@ -155,8 +155,8 @@ def make_riesz_map(space: FockSpace, S_lead, max_cond: float = 1e12) -> RieszMap
             f"map is numerically singular: sigma_min/sigma_max = {s_min / max(s_max, 1e-300):.3e}"
         )
     cond = s_max / s_min
-    if cond > max_cond:
-        raise ConditioningError(f"cond(S) = {cond:.3e} exceeds budget {max_cond:.3e}")
+    if cond > _COND_BUDGET:
+        raise ConditioningError(f"cond(S) = {cond:.3e} exceeds budget {_COND_BUDGET:.3e}")
     S_inv_block = Vh.conj().T @ ((1.0 / sigma)[:, None] * U.conj().T)
     residual = _spectral_norm(S_block @ S_inv_block - np.eye(p))
     if residual > 1e-12 * cond:
@@ -208,7 +208,7 @@ def random_riesz_map(
 
     sigma = target_cond ** (np.linspace(1.0, 0.0, p))
     block = haar_unitary() @ (sigma[:, None] * haar_unitary().conj().T)
-    return make_riesz_map(space, block, max_cond=10.0 * target_cond + 10.0)
+    return make_riesz_map(space, block)
 
 
 def metric_operator(U: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -274,7 +274,7 @@ def save_riesz_map(riesz: RieszMap, path: str | Path) -> None:
 
 def load_riesz_map(path: str | Path) -> RieszMap:
     """Load a serialized map and revalidate invertibility under
-    :func:`make_riesz_map`'s default budget.  A file that cannot be read or
+    :func:`make_riesz_map`'s budget.  A file that cannot be read or
     parsed raises :class:`ValidationError` naming it."""
     try:
         record = json.loads(Path(path).read_text())

@@ -79,15 +79,3 @@ def with_disp_entry(disp, op, entry, factor):
         q = max(disp.border, min(entry) + 1)
     return DisplacementSet(disp.z, W, U[:q], U[:, :q], V[:q], V[:, :q], riesz)
 
-
-def dense_rows(X, tail=None, cols=None):
-    """The matrix ``_spectral_lower_bound(X, tail, cols)`` bounds, formed
-    densely: ``X``'s rows padded to ``cols`` columns, then the rows of the
-    row-compressed ``tail = (V, J)``."""
-    cols = X.shape[1] if cols is None else cols
-    V, J = tail if tail is not None else (np.zeros((0, 1)), np.zeros((0, 1), int))
-    out = np.zeros((len(X) + len(V), cols), complex)
-    out[:len(X), :X.shape[1]] = X
-    i, t = np.nonzero((J >= 0) & (J < cols))
-    out[len(X) + i, J[i, t]] = V[i, t]
-    return out

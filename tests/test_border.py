@@ -170,15 +170,15 @@ def dense_records(riesz, pair=None):
     out["theta_conjugacy", None] = np.linalg.norm(
         (a - np.linalg.inv(theta) @ b.conj().T @ theta)[:k, :k], 2)
     cut = d - 5
+    s = min(cut, riesz.block + 5)  # the rows of D^k power_similarity divides by
     for z in map(complex, Z):
         label = f"{z.real:g}{z.imag:+g}j"
         G, D = z * c.T - np.conj(z) * c, z * b - np.conj(z) * a
         worst, Gk, Dk = 0.0, eye, eye
         for _ in range(5 if z else 0):
             Gk, Dk = Gk @ G, Dk @ D
-            ref = Dk[:cut, :cut]
-            worst = max(worst, np.linalg.norm((S @ Gk @ S_inv)[:cut, :cut] - ref, 2)
-                        / _spectral_lower_bound(ref))
+            worst = max(worst, np.linalg.norm((S @ Gk @ S_inv - Dk)[:cut, :cut], 2)
+                        / _spectral_lower_bound(Dk[:s, :cut]))
         out["power_similarity", label] = worst
         bc = rbcs(riesz, z)
         out["eigen_eta", label] = np.linalg.norm(a @ bc.eta - z * bc.eta) / np.linalg.norm(bc.eta)

@@ -24,14 +24,14 @@ from pseudoboson import (
     projector_map,
     weyl,
 )
-from pseudoboson.displacement import (_displacement_block, _generator_band, _parity_frame,
-                                      _phase_powers, _strip_powers, _times_generator)
+from pseudoboson.displacement import (_displacement_block, _parity_frame, _phase_powers,
+                                      _strip_powers, _times_generator)
 from pseudoboson.errors import DimensionMismatchError
 from pseudoboson.fock import _spectral_lower_bound, ladder_c
 from pseudoboson.reports import default_tolerance
 from pseudoboson.riesz import _cotransport, _transport, random_riesz_map
 
-from conftest import dense_rows, with_entry
+from conftest import with_entry
 
 bounded_z = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
 
@@ -299,19 +299,6 @@ class TestPowerSimilarity:
             assert np.abs(strip - dense[:rows, :cols]).max() <= 1e-14 * np.abs(dense).max()
             assert not dense[:rows, cols:].any()
 
-    @pytest.mark.parametrize("first", [0, 6, 30])
-    def test_generator_band_matches_dense_powers(self, first):
-        # the 2 k_max + 1 diagonals of G^k, carried from k - 1, against
-        # dense powers of G, hard cutoff included
-        z, d, k_max = 1.3 - 0.4j, 40, 5
-        c = ladder_c(FockSpace(d)).mat
-        G = z * c.conj().T - np.conj(z) * c
-        Gk = np.eye(d)
-        for V, J in _generator_band(z, d, first, d, k_max):
-            Gk = Gk @ G
-            np.testing.assert_allclose(dense_rows(np.zeros((0, d)), (V, J), d), Gk[first:],
-                                       rtol=0, atol=1e-13 * np.abs(Gk).max())
-
     @pytest.mark.parametrize("entry", [(1, 0), (40, 39)], ids=["inside", "outside"])
     @pytest.mark.parametrize("kind", ["projector", "random"])
     def test_perturbed_b_fails(self, entry, kind, projector_map64, random_map64):
@@ -322,6 +309,19 @@ class TestPowerSimilarity:
         bad = with_entry(pair, "b", entry, 1 + 1e-4)
         tol = default_tolerance("power_similarity", riesz.cond)
         assert power_similarity_check(pair, 1 + 1j).max() <= tol
+        for z in (1.0, 1 + 1j, 2j):
+            assert power_similarity_check(bad, z).max() > tol
+
+    @pytest.mark.parametrize("dim", [64, 256, 1024])
+    @pytest.mark.parametrize("op, entry", [("a", (0, 1)), ("b", (5, 4))])
+    def test_border_fault_fails_at_every_dim(self, op, entry, dim):
+        # a 1e-6 relative fault in the projector pair's border stays visible
+        # as the space grows: the denominator reads rows the map fixes, so
+        # it does not grow with dim
+        space = FockSpace(dim)
+        riesz = projector_map(space, space.basis_vector(0))
+        bad = with_entry(make_pair(riesz), op, entry, 1 + 1e-6)
+        tol = default_tolerance("power_similarity", riesz.cond)
         for z in (1.0, 1 + 1j, 2j):
             assert power_similarity_check(bad, z).max() > tol
 

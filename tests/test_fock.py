@@ -26,8 +26,6 @@ from pseudoboson import displacement
 from pseudoboson.fock import _bordered, _frobenius_norm, _spectral_lower_bound, _spectral_norm
 from pseudoboson.suite import _bch_cutoff
 
-from conftest import dense_rows
-
 
 class TestSpace:
     def test_minimal_space(self):
@@ -297,7 +295,7 @@ class TestSpectralNorm:
 
         monkeypatch.setattr(np.linalg, "svd", spy)
         monkeypatch.setattr(displacement, "_spectral_lower_bound",
-                            lambda *parts: refs.append(dense_rows(*parts).shape) or bound(*parts))
+                            lambda X: refs.append(X.shape) or bound(X))
         power_similarity_check(pair, 1 + 1j)
         return seen, refs
 
@@ -305,17 +303,18 @@ class TestSpectralNorm:
         # S = 1 + i|e0><e0| keeps number parity, and every numerator vanishes
         # outside the r x r block, r = p + 5 = 6, that the check forms: k = 1
         # reads an exact 0 without an SVD, and k = 2..5 take one of 6 rows
-        # each.  The five 59 x 59 references (cut = 64 - 5) are only
-        # bounded, so they never reach the SVD
+        # each.  The five references, rows :6 of the strip's 11 columns, are
+        # only bounded, so they never reach the SVD
         seen, refs = self.svd_row_counts(monkeypatch, projector_map64)
-        assert refs == [(59, 59)] * 5
+        assert refs == [(6, 11)] * 5
         assert seen == [6] * 4
 
     def test_dense_map_takes_the_full_matrix(self, monkeypatch, random_map64):
         # each numerator is the r x r block the check forms, r = p + 5 = 37,
-        # more than half the cut of 59; the 59-row references are only bounded
+        # more than half the cut of 59; the references, the strip's 37 rows of
+        # 42 columns, are only bounded
         seen, refs = self.svd_row_counts(monkeypatch, random_map64)
-        assert refs == [(59, 59)] * 5
+        assert refs == [(37, 42)] * 5
         assert len(seen) == 5 and min(seen) > 30 and max(seen) < 59
 
     def test_only_spectral_norm_takes_spectral_norms(self):
@@ -459,12 +458,12 @@ class TestSpectralLowerBound:
     def test_brackets_the_check_references(self, monkeypatch, kind, projector_map64,
                                            random_map64):
         # every reference that power_similarity and bch_* bound at dim 64:
-        # the D^k of power_similarity and the U, V blocks of bch_* at the
+        # the rows of D^k of power_similarity and the U, V blocks of bch_* at the
         # README's nonzero amplitudes, at the cutoffs verify uses
         riesz = projector_map64 if kind == "projector" else random_map64
         pair, refs, bound = make_pair(riesz), [], displacement._spectral_lower_bound
         monkeypatch.setattr(displacement, "_spectral_lower_bound",
-                            lambda *parts: refs.append(dense_rows(*parts)) or bound(*parts))
+                            lambda X: refs.append(X) or bound(X))
         for z in (1, 1 + 1j, 2j):
             power_similarity_check(pair, z)
             sub = SafeSubspace(riesz.space, _bch_cutoff(64, z))

@@ -29,8 +29,6 @@ from pseudoboson import (DisplacementSet, FockSpace, SafeSubspace, coordinate, d
 from pseudoboson.cli import main
 from pseudoboson.fock import _spectral_norm
 
-from conftest import dense_rows
-
 
 def write_config(path, **overrides):
     record = {
@@ -212,8 +210,7 @@ class TestRunSuite:
         path = write_config(tmp_path / "c.json", dim=64, map_spec=map_spec,
                             z_samples=[[0, 0], [1, 0], [1, 1], [0, 2]])
         bounded = run_suite(load_config(path))
-        monkeypatch.setattr(displacement, "_spectral_lower_bound",
-                            lambda *parts: _spectral_norm(dense_rows(*parts)))
+        monkeypatch.setattr(displacement, "_spectral_lower_bound", _spectral_norm)
         exact = run_suite(load_config(path))
         marked = {"power_similarity", "bch_u", "bch_v"}
         assert len(bounded) == len(exact)
@@ -772,13 +769,18 @@ def test_benchmark_reads_dense_matrices(tmp_path):
     assert S.shape == (16, 16)
 
 
-def test_cli_import_leaves_scipy_out():
+def test_cli_import_leaves_scipy_out(tmp_path):
     # the runtime is numpy only, and computes its Gauss rules without
-    # numpy.polynomial; scipy serves the tests as an oracle
+    # numpy.polynomial; scipy and mpmath serve the tests as oracles.  The
+    # benchmark's setup_s times this import and load_config in a fresh
+    # process, and importing scipy alone costs more than all of that
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = ("import pseudoboson.cli, sys; "
-            "sys.exit('scipy' in sys.modules or 'numpy.polynomial' in sys.modules)")
+    path = write_config(tmp_path / "c.json")
+    code = ("import sys; import pseudoboson.cli; from pseudoboson.config import load_config; "
+            f"load_config({str(path)!r}); "
+            "sys.exit(any(m.split('.')[0] in ('scipy', 'mpmath') or m == 'numpy.polynomial' "
+            "for m in sys.modules))")
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
