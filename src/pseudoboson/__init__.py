@@ -66,7 +66,6 @@ from .errors import (
 from .fock import (
     FockSpace,
     Operator,
-    SafeSubspace,
     ladder_c,
     ladder_c_dag,
 )

@@ -33,7 +33,7 @@ from .errors import (
     OrthogonalVacuaError,
     ValidationError,
 )
-from .fock import Operator, SafeSubspace, _freeze, _spectral_norm
+from .fock import Operator, _freeze, _spectral_norm
 from .riesz import RieszMap, _blockdiag, _lmul, _rmul
 
 __all__ = [
@@ -312,18 +312,19 @@ def number_operator_check(pair: PseudoBosonPair) -> tuple[np.ndarray, np.ndarray
             residuals(N.conj().T, pair.source.S_inv_block.conj().T))
 
 
-def theta_conjugacy_check(pair: PseudoBosonPair, sub: SafeSubspace) -> float:
-    """Residual of ``a = Theta^{-1} b^dag Theta`` on the safe subspace, with
-    the metric of the pair's own map.  Outside the pair's border ``b^dag``
-    is ``c``, and ``Theta`` is the identity outside its ``p x p`` block
-    (``p <= q``), so the residual vanishes outside rows ``:q`` and columns
-    ``:q+1``; only that block is formed.
+def theta_conjugacy_check(pair: PseudoBosonPair) -> float:
+    """Residual of ``a = Theta^{-1} b^dag Theta`` on the levels ``:dim - 1``
+    below the truncation corner, with the metric of the pair's own map.
+    Outside the pair's border ``b^dag`` is ``c``, and ``Theta`` is the
+    identity outside its ``p x p`` block (``p <= q``), so the residual
+    vanishes outside rows ``:q`` and columns ``:q+1``; only that block is
+    formed.
 
     Each factor of ``S`` or its inverse can amplify roundoff by the
     condition number, hence the runner's ``cond^3`` tolerance.
     """
     riesz, d, q = pair.source, pair.space.dim, pair.border
-    rows, cols = min(q, sub.cutoff), min(q + 1, d, sub.cutoff)
+    rows, cols = min(q, d - 1), min(q + 1, d - 1)
     conjugated = _rmul(_lmul(riesz.theta_inv_block,
                              _lowering_lead(pair.b_border.conj().T, q, min(q + 1, d)), rows),
                        riesz.theta_block, cols)

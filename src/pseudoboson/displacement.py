@@ -31,7 +31,8 @@ Laguerre closed form of Cahill & Glauber (Phys. Rev. 177, 1857, 1969);
 no matrix exponential is formed anywhere.
 
 Amplitudes obey the accuracy regime ``|z|^2 <= dim/4``, where the
-truncated coherent tail is below 1e-12.  Calls outside the regime warn
+truncated coherent tail is below 1e-12, and the factorization's cutoff
+obeys :func:`_bch_margin`.  Calls outside either warn
 (:class:`AccuracyRegimeWarning`) instead of failing so convergence
 studies can cross the boundary deliberately.
 """
@@ -46,8 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import PseudoBosonPair, _lowering_lead, _raising_lead
-from .errors import AccuracyRegimeWarning, DimensionMismatchError
-from .fock import (FockSpace, Operator, SafeSubspace, _bordered, _freeze, _frobenius_norm,
+from .errors import AccuracyRegimeWarning, DimensionMismatchError, InvalidDimensionError
+from .fock import (FockSpace, Operator, _bordered, _freeze, _frobenius_norm,
                    _spectral_lower_bound, _spectral_norm)
 from .riesz import RieszMap, _blockdiag, _cotransport, _lmul, _rmul, _rmul_over, _transport
 
@@ -63,6 +64,9 @@ __all__ = [
 
 
 _STRIPS = ("U_rows", "U_cols", "V_rows", "V_cols")
+
+#: The largest power ``k`` of the generator that :func:`power_similarity_check` grades.
+_K_MAX = 5
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,40 +295,37 @@ def _strip_powers(pair: PseudoBosonPair, z: complex, rows: int, cols: int, k_max
         yield Dk
 
 
-def power_similarity_check(pair: PseudoBosonPair, z: complex, k_max: int = 5, *,
-                           tol: float = 0.0) -> np.ndarray:
+def power_similarity_check(pair: PseudoBosonPair, z: complex, *, tol: float = 0.0) -> np.ndarray:
     """Relative residuals of
     ``S (z c^dag - conj(z) c)^k S^{-1} = (z b - conj(z) a)^k``,
-    indexed by ``k = 0 .. k_max``, on the safe subspace with a
-    ``k_max``-level top margin, ``cut = dim - k_max`` (at least 1).
+    indexed by ``k = 0 .. 5`` (``_K_MAX``), on the levels below a top margin
+    of ``_K_MAX`` levels, ``cut = dim - _K_MAX`` (at least 1).
 
     With ``G = z c^dag - conj(z) c`` and ``D = z b - conj(z) a``, both sides
     equal ``G^k`` outside their leading ``r x r`` block,
-    ``r = min(cut, q + k_max)`` for the pair's border ``q``, so both are
-    carried on the ``r x (r + k_max)`` strip of rows ``:r``: ``S G^k`` by a
+    ``r = min(cut, q + _K_MAX)`` for the pair's border ``q``, so both are
+    carried on the ``r x (r + _K_MAX)`` strip of rows ``:r``: ``S G^k`` by a
     banded update per ``k``, ``D^k`` by :func:`_strip_powers`.  Each ``k`` is
     graded on its own (:func:`_graded_norm`): the norm of the ``r x r``
     difference over the certified lower bound of ``||D^k[:s, :cut]||``,
-    ``s = min(cut, p + k_max)``, rows fixed by the map, not by the border.
+    ``s = min(cut, p + _K_MAX)``, rows fixed by the map, not by the border.
     No submatrix's norm exceeds ``||D^k[:cut, :cut]||``, so each value is
     never below the exact relative residual.  ``k = 0``, and every ``k`` at
     ``z = 0``, read 0.  The residual is homogeneous of degree 0 in ``z``, so
     the powers are carried at :func:`_binary_scaled` ``z`` and no ``|z|``
     overflows them.
     """
-    if not 0 <= k_max <= 12:
-        raise ValueError(f"k_max must be in [0, 12], got {k_max}")
     if z == 0:
-        return np.zeros(k_max + 1)
+        return np.zeros(_K_MAX + 1)
     z = _binary_scaled(z)
     d, riesz = pair.space.dim, pair.source
-    cut = SafeSubspace(pair.space, max(d - max(k_max, 1), 1)).cutoff
-    r = min(cut, pair.border + k_max)
-    s = min(cut, riesz.block + k_max)
-    width = min(d, r + k_max)
+    cut = max(d - _K_MAX, 1)
+    r = min(cut, pair.border + _K_MAX)
+    s = min(cut, riesz.block + _K_MAX)
+    width = min(d, r + _K_MAX)
     SGk = _blockdiag(riesz.S_block, width, r)
-    residuals = np.zeros(k_max + 1)
-    for k, Dk in enumerate(_strip_powers(pair, z, r, width, k_max), 1):
+    residuals = np.zeros(_K_MAX + 1)
+    for k, Dk in enumerate(_strip_powers(pair, z, r, width, _K_MAX), 1):
         SGk = _times_generator(SGk, z)
         diff = _rmul(SGk, riesz.S_inv_block, r) - Dk[:, :r]
         residuals[k] = _graded_norm(diff, max(_spectral_lower_bound(Dk[:s, :cut]), 1e-300), tol)
@@ -375,11 +376,19 @@ def _displacement_block(z: complex, d: int) -> np.ndarray:
     return scaled * phase
 
 
-def bch_factorization_check(disp: DisplacementSet, sub: SafeSubspace, *,
+def _bch_margin(dim: int, z: complex) -> int:
+    """The largest cutoff at which the factorization at ``z`` is graded: the
+    half-space, less a top margin of ``ceil(4 |z|^2) + 6`` levels; below 1
+    when ``dim`` leaves none."""
+    return min(dim // 2, dim - math.ceil(4 * abs(z) ** 2) - 6)
+
+
+def bch_factorization_check(disp: DisplacementSet, cutoff: int, *,
                             tol: float = 0.0) -> tuple[float, float]:
     """Relative residuals ``(r_u, r_v)`` of the normal-ordered factorizations
     ``U(z) = e^{-|z|^2/2} e^{z b} e^{-conj(z) a}`` and
-    ``V(z) = e^{-|z|^2/2} e^{z a^dag} e^{-conj(z) b^dag}`` on ``sub``: the
+    ``V(z) = e^{-|z|^2/2} e^{z a^dag} e^{-conj(z) b^dag}`` on the levels
+    ``:cutoff``, ``1 <= cutoff < dim`` (else :class:`InvalidDimensionError`): the
     spectral norm of each difference over the certified lower bound of
     ``||U[:k, :k]||`` or ``||V[:k, :k]||`` (:func:`_relative_norm`), never
     below the exact relative residual.  A residual at most ``tol`` may be
@@ -394,28 +403,27 @@ def bch_factorization_check(disp: DisplacementSet, sub: SafeSubspace, *,
     product's inner sum stops at ``min(m, n)``, so ``E`` is exactly the
     low block of the untruncated displacement, computed in closed form.
     The factorization is exact under the commutation relation, so the
-    restricted residual measures pure truncation tail of ``W``; ``sub``
-    should leave a margin of at least ``ceil(4 |z|^2)`` levels, otherwise
-    an :class:`AccuracyRegimeWarning` is issued.
+    restricted residual measures pure truncation tail of ``W``; a cutoff
+    above :func:`_bch_margin` issues an :class:`AccuracyRegimeWarning`.
     """
-    z, riesz = disp.z, disp.source
-    margin = riesz.dim - math.ceil(4 * abs(z) ** 2)
-    if sub.cutoff > margin:
-        warnings.warn(
-            f"cutoff {sub.cutoff} exceeds dim - ceil(4|z|^2) = {margin}; "
-            "factorization residual will include unsuppressed tail",
-            AccuracyRegimeWarning,
-            stacklevel=2,
-        )
-    k = sub.cutoff
+    z, riesz, k = disp.z, disp.source, cutoff
+    if not 1 <= k < riesz.dim:
+        raise InvalidDimensionError(
+            f"cutoff must satisfy 1 <= cutoff < dim, got {k} (dim {riesz.dim})")
+    margin = _bch_margin(riesz.dim, z)
+    if k > margin:
+        warnings.warn(f"cutoff {k} exceeds min(dim // 2, dim - ceil(4|z|^2) - 6) = {margin}; "
+                      "factorization residual will include unsuppressed tail",
+                      AccuracyRegimeWarning, stacklevel=2)
     E = _displacement_block(z, max(k, riesz.block))  # all the transports read
     r_u = _relative_norm(disp.lead("U", k), _transport(riesz, E, k), tol)
     r_v = _relative_norm(disp.lead("V", k), _cotransport(riesz, E, k), tol)
     return r_u, r_v
 
 
-def intertwining_check(disp: DisplacementSet, sub: SafeSubspace, *, tol: float = 0.0) -> float:
-    """Residual of ``S S^dag V(z) = U(z) S S^dag`` on ``sub``, with ``S`` the
+def intertwining_check(disp: DisplacementSet, *, tol: float = 0.0) -> float:
+    """Residual of ``S S^dag V(z) = U(z) S S^dag`` on the levels ``:k``,
+    ``k = dim - 1``, below the truncation corner, with ``S`` the
     displacements' own map, relative to ``||S S^dag|| = sigma_max(S)^2``, the
     map's upper frame bound.  Both sides telescope to ``S W(z) S^dag``, so
     the residual is pure roundoff, and it cannot see ``W`` itself.
@@ -428,7 +436,7 @@ def intertwining_check(disp: DisplacementSet, sub: SafeSubspace, *, tol: float =
     it is the value; otherwise :func:`~pseudoboson.fock._bordered` reduces
     the two parts to ``[top; R 0]``, or assembles the ``k x k`` residual,
     for the exact norm."""
-    riesz, k = disp.source, sub.cutoff
+    riesz, k = disp.source, disp.source.dim - 1
     M = riesz.theta_inv_block  # the deformed block of S S^dag
     t = min(disp.border, k)
     reach = max(t, len(M))  # M's side, past k on a dense map

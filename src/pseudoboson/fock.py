@@ -1,5 +1,4 @@
-"""Truncated Fock space, canonical ladder operators, and the safe
-subspace.
+"""Truncated Fock space and canonical ladder operators.
 
 The space keeps the first ``dim`` number states ``e_0, ..., e_{dim-1}``
 as canonical unit vectors of ``C^dim``.  The lowering operator ``c`` acts
@@ -7,8 +6,8 @@ as ``c e_n = sqrt(n) e_{n-1}`` (with ``e_{-1} = 0``) and its raising
 partner is the exact conjugate transpose, so the top level is annihilated
 (hard cutoff).  That convention confines all truncation error of the
 canonical commutator ``[c, c^dag]`` to a single corner entry
-``-(dim - 1)``; below the corner the commutation relation is exact, which
-is what :class:`SafeSubspace` captures.
+``-(dim - 1)``: on the levels ``:dim - 1`` below the corner the
+commutation relation is exact.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ from .errors import DimensionMismatchError, InvalidDimensionError, ValidationErr
 __all__ = [
     "FockSpace",
     "Operator",
-    "SafeSubspace",
     "ladder_c",
     "ladder_c_dag",
 ]
@@ -189,22 +187,6 @@ class Operator:
             )
         if not np.all(np.isfinite(self.mat)):
             raise ValidationError("operator entries must be finite")
-
-
-@dataclass(frozen=True)
-class SafeSubspace:
-    """Span of ``e_0, ..., e_{cutoff-1}``: the low-index block on which
-    truncated operator identities hold exactly.  Checks evaluate an
-    identity on it as the ``X[:cutoff, :cutoff]`` block of its residual."""
-
-    space: FockSpace
-    cutoff: int
-
-    def __post_init__(self):
-        if not 1 <= self.cutoff < self.space.dim:
-            raise InvalidDimensionError(
-                f"cutoff must satisfy 1 <= cutoff < dim, got {self.cutoff} (dim {self.space.dim})"
-            )
 
 
 def ladder_c(space: FockSpace) -> Operator:

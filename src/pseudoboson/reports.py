@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 __all__ = ["DEFAULT_TOLERANCES", "TAIL_TERMS", "default_tolerance", "CheckReport",
            "format_report_table", "reports_to_json"]
@@ -96,4 +96,4 @@ def format_report_table(reports: list[CheckReport]) -> str:
 
 def reports_to_json(reports: list[CheckReport]) -> str:
     """Machine-readable JSON array of report records."""
-    return json.dumps([asdict(r) for r in reports], indent=2)
+    return json.dumps([vars(r) for r in reports], indent=2)

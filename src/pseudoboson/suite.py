@@ -38,6 +38,7 @@ from .bicoherent import (
 from .config import RunConfig, build_map
 from .coordinate import _is_ground_state_projector, cross_validate
 from .displacement import (
+    _bch_margin,
     bch_factorization_check,
     displaced_pair,
     in_accuracy_regime,
@@ -54,7 +55,7 @@ from .errors import (
     UnderResolvedError,
     UnderResolvedWarning,
 )
-from .fock import SafeSubspace, _spectral_norm
+from .fock import _spectral_norm
 from .reports import CheckReport, default_tolerance, format_report_table, reports_to_json
 
 __all__ = ["run_suite", "convergence_study", "suite_failed"]
@@ -62,13 +63,6 @@ __all__ = ["run_suite", "convergence_study", "suite_failed"]
 
 def _format_z(z: complex) -> str:
     return f"{z.real:g}{z.imag:+g}j"
-
-
-def _bch_margin(dim: int, z: complex) -> int:
-    """The half-space, less the factorization's top margin at ``z``: the
-    largest cutoff that leaves ``ceil(4 |z|^2) + 6`` levels above it, below 1
-    when ``dim`` leaves none."""
-    return min(dim // 2, dim - math.ceil(4 * abs(z) ** 2) - 6)
 
 
 def _bch_cutoff(dim: int, z: complex) -> int:
@@ -79,11 +73,11 @@ def _bch_cutoff(dim: int, z: complex) -> int:
 class _Recorder:
     """Grades residuals into reports for one map, the one place a tolerance
     is composed and a regime decided: a record at ``z`` is out of regime
-    when ``|z|^2 > dim/4`` or its ``cutoff`` exceeds ``_bch_margin``.  A
-    report's wall time is the time since the previous one (the first
-    counts from ``start``), so a shared object's build is charged to the
-    next check, and of several records from one computation the first
-    carries its time."""
+    when ``|z|^2 > dim/4`` or its ``cutoff`` exceeds ``_bch_margin``, the
+    rule the factorization check warns by.  A report's wall time is the time
+    since the previous one (the first counts from ``start``), so a shared
+    object's build is charged to the next check, and of several records
+    from one computation the first carries its time."""
 
     def __init__(self, riesz, start: float):
         self.riesz = riesz
@@ -127,7 +121,7 @@ def _record_bch_eigen(rec: _Recorder, pair, disp, bc, cutoff: int):
     """Records ``bch_u``/``bch_v`` at ``cutoff`` and ``eigen_eta``/``eigen_xi``;
     the caller owns ``disp``, so it alone decides how long ``disp`` lives."""
     tol = min(rec.tolerance(name, disp.z) for name in ("bch_u", "bch_v"))
-    bch = bch_factorization_check(disp, SafeSubspace(rec.riesz.space, cutoff), tol=tol)
+    bch = bch_factorization_check(disp, cutoff, tol=tol)
     for name, residual in zip(("bch_u", "bch_v"), bch):
         rec.add(name, residual, disp.z, cutoff=cutoff, reference="lower bound")
     for name, residual in zip(("eigen_eta", "eigen_xi"), eigen_check(pair, bc)):
@@ -197,8 +191,7 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
     rec.add("theta_positivity", max(0.0, 1.0 / B - eigs.min(), eigs.max() - 1.0 / A))
 
     pair = make_pair(riesz)
-    sub_top = SafeSubspace(riesz.space, dim - 1)
-    q, k, N = pair.border, sub_top.cutoff, pair.number_block
+    q, k, N = pair.border, dim - 1, pair.number_block
     # both sides are exact outside the leading m x m block, m = min(q + 1, dim):
     # [a, b] - 1 is zero there below the corner, b a is diag(m, ..., dim - 1)
     rec.add("ccr", _spectral_norm(_commutator_block(pair)[:k, :k] - np.eye(min(len(N), k))),
@@ -220,7 +213,7 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
 
     rec.add("ladder", max(r.max() for r in ladder_check(pair).values()), border=q)
     rec.add("number_operator", max(r.max() for r in number_operator_check(pair)), border=q)
-    rec.add("theta_conjugacy", theta_conjugacy_check(pair, sub_top), border=q)
+    rec.add("theta_conjugacy", theta_conjugacy_check(pair), border=q)
 
     for z in config.z_samples:
         with warnings.catch_warnings():
@@ -232,9 +225,8 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
             disp = displaced_pair(riesz, z)
             bc = rbcs(riesz, z)
             _record_bch_eigen(rec, pair, disp, bc, _bch_cutoff(dim, z))
-            rec.add("intertwining",
-                    intertwining_check(disp, sub_top, tol=rec.tolerance("intertwining", z)), z,
-                    border=disp.border)
+            rec.add("intertwining", intertwining_check(disp, tol=rec.tolerance("intertwining", z)),
+                    z, border=disp.border)
             del disp  # W and its strips: not alive beside the next amplitude's
             rec.add("rbcs_pairing", abs(np.vdot(bc.eta, bc.xi) - 1.0), z)
             phi_s, psi_s = series_route(pair, z)
@@ -247,10 +239,8 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
     except UnderResolvedError as exc:
         rec.refuse(("resolution_identity",), exc)
     else:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UnderResolvedWarning)
-            rec.add("resolution_identity", resolution_of_identity(riesz, quad),
-                    radial=quad.radial_count, angular=quad.angular_count)
+        rec.add("resolution_identity", resolution_of_identity(riesz, quad),
+                radial=quad.radial_count, angular=quad.angular_count)
 
     if _is_ground_state_projector(riesz):
         for z in config.z_samples:

@@ -8,7 +8,6 @@ from pseudoboson import (
     FockSpace,
     OrthogonalVacuaError,
     PseudoBosonPair,
-    SafeSubspace,
     ladder_c,
     ladder_c_dag,
     ladder_check,
@@ -370,17 +369,17 @@ class TestNumberOperator:
 class TestThetaConjugacy:
     def test_bosonic_residual_zero(self):
         riesz = make_riesz_map(FockSpace(8), np.eye(0))
-        residual = theta_conjugacy_check(make_pair(riesz), SafeSubspace(FockSpace(8), 7))
+        residual = theta_conjugacy_check(make_pair(riesz))
         assert residual <= 1e-14
 
     def test_projector_dim16(self):
         riesz = projector_riesz(16)
-        residual = theta_conjugacy_check(make_pair(riesz), SafeSubspace(FockSpace(16), 15))
+        residual = theta_conjugacy_check(make_pair(riesz))
         assert residual <= 1e-12
 
     def test_random_maps_within_tolerance(self, all_maps64):
         for riesz in all_maps64:
-            residual = theta_conjugacy_check(make_pair(riesz), SafeSubspace(riesz.space, 63))
+            residual = theta_conjugacy_check(make_pair(riesz))
             assert residual <= default_tolerance("theta_conjugacy", riesz.cond)
 
     def test_metric_positivity_on_random_vectors(self, random_map64):
@@ -397,7 +396,7 @@ class TestThetaConjugacy:
         residuals = []
         for cond in (1.0, 2.0, 10.0, 100.0):
             riesz = random_riesz_map(FockSpace(32), cond, seed=8)
-            residual = theta_conjugacy_check(make_pair(riesz), SafeSubspace(riesz.space, 31))
+            residual = theta_conjugacy_check(make_pair(riesz))
             residuals.append(residual)
             assert residual <= 1e-10 * riesz.cond**3
         assert residuals[0] <= 1e-14
@@ -413,15 +412,15 @@ class TestThetaConjugacy:
         theta, theta_inv = S_inv.conj().T @ S_inv, S @ S.conj().T
         a = pair.a.mat
         want = np.linalg.norm((a - theta_inv @ pair.b.mat.conj().T @ theta)[:k, :k], 2)
-        got = theta_conjugacy_check(pair, SafeSubspace(riesz.space, k))
+        got = theta_conjugacy_check(pair)
         assert abs(got - want) <= 1e-12 * np.linalg.norm(a[:k, :k], 2)
 
     def test_perturbed_pair_fails(self, random_map64):
         # negative control: b[m, m + 1] lies inside the random map's block, so it is
         # nonzero and read by the conjugation on the safe subspace; the pair's
         # border q = p = 32 already holds it
-        pair, k, m = make_pair(random_map64), 63, 10
+        pair, m = make_pair(random_map64), 10
         bad = with_entry(pair, "b", (m, m + 1), 1 + 1e-6)
         assert bad.border == pair.border == 32
-        residual = theta_conjugacy_check(bad, SafeSubspace(random_map64.space, k))
+        residual = theta_conjugacy_check(bad)
         assert residual > default_tolerance("theta_conjugacy", random_map64.cond)

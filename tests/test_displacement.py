@@ -12,7 +12,6 @@ from pseudoboson import (
     AccuracyRegimeWarning,
     DisplacementSet,
     FockSpace,
-    SafeSubspace,
     bch_factorization_check,
     coherent,
     displaced_pair,
@@ -24,8 +23,9 @@ from pseudoboson import (
     projector_map,
     weyl,
 )
-from pseudoboson.displacement import (_displacement_block, _parity_frame, _phase_powers,
-                                      _strip_powers, _times_generator)
+from pseudoboson import suite
+from pseudoboson.displacement import (_bch_margin, _displacement_block, _parity_frame,
+                                      _phase_powers, _strip_powers, _times_generator)
 from pseudoboson.errors import DimensionMismatchError
 from pseudoboson.fock import _spectral_lower_bound, ladder_c
 from pseudoboson.reports import default_tolerance
@@ -326,23 +326,19 @@ class TestPowerSimilarity:
             assert power_similarity_check(bad, z).max() > tol
 
     def test_k0_residual_zero(self, random_map64):
-        residuals = power_similarity_check(make_pair(random_map64), 1 + 1j, k_max=0)
+        residuals = power_similarity_check(make_pair(random_map64), 1 + 1j)
         assert residuals[0] == 0.0
 
     def test_k1_construction_identity(self, random_map64):
-        residuals = power_similarity_check(make_pair(random_map64), 1 + 1j, k_max=1)
+        residuals = power_similarity_check(make_pair(random_map64), 1 + 1j)
         assert residuals[1] <= 1e-11 * random_map64.cond
 
     @pytest.mark.parametrize("z", [1.0, 1 + 1j, 2j, 0.5 - 1.2j])
     def test_k5_random_maps(self, z, all_maps64):
         for riesz in all_maps64:
-            residuals = power_similarity_check(make_pair(riesz), z, k_max=5)
+            residuals = power_similarity_check(make_pair(riesz), z)
             assert residuals.max() <= 1e-7
             assert residuals.shape == (6,)  # k = 0 .. 5
-
-    def test_k12_supported(self, projector_map64):
-        residuals = power_similarity_check(make_pair(projector_map64), 1.0, k_max=12)
-        assert residuals.max() <= 1e-7
 
     @pytest.mark.parametrize("dim", [4, 5])
     def test_margin_wider_than_the_space_keeps_one_level(self, dim):
@@ -351,10 +347,6 @@ class TestPowerSimilarity:
         riesz = random_riesz_map(FockSpace(dim), 10.0, seed=1)
         residuals = power_similarity_check(make_pair(riesz), 1.0)
         assert residuals.shape == (6,) and residuals.max() <= 1e-7
-
-    def test_k_out_of_range(self, random_map64):
-        with pytest.raises(ValueError):
-            power_similarity_check(make_pair(random_map64), 1.0, k_max=13)
 
 
 def stepwise_block(z, d):
@@ -399,23 +391,25 @@ class TestBchFactorization:
                                       _displacement_block(z, 48)[:k, :k])
 
     def test_zero_displacement(self, random_map64):
-        sub = SafeSubspace(random_map64.space, 32)
-        residuals = bch_factorization_check(displaced_pair(random_map64, 0.0), sub)
+        residuals = bch_factorization_check(displaced_pair(random_map64, 0.0), 32)
         assert max(residuals) <= 1e-14
 
     def test_identity_map_half_space(self, space64):
         riesz = make_riesz_map(space64, np.eye(0))
-        residuals = bch_factorization_check(displaced_pair(riesz, 1.0), SafeSubspace(space64, 32))
+        residuals = bch_factorization_check(displaced_pair(riesz, 1.0), 32)
         assert max(residuals) <= 1e-8
 
     def test_monotone_decay_fixed_cutoff(self):
-        # truncation tail shrinks as the space grows, at fixed z and cutoff
+        # truncation tail shrinks as the space grows, at fixed z and cutoff;
+        # at dim 16 the cutoff 8 lies above the margin
+        # min(8, 16 - ceil(4) - 6) = 6, and only there the check warns
         residuals = []
         for dim in (16, 32, 64):
-            riesz = projector_riesz(dim)
-            residuals.append(max(bch_factorization_check(
-                displaced_pair(riesz, 1.0), SafeSubspace(riesz.space, 8)
-            )))
+            disp = displaced_pair(projector_riesz(dim), 1.0)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                residuals.append(max(bch_factorization_check(disp, 8)))
+            assert [w.category for w in caught] == ([AccuracyRegimeWarning] if dim == 16 else [])
         assert residuals[0] >= residuals[1] >= residuals[2]
         assert residuals[0] > 1e-9  # dim 16 is visibly tail-limited
 
@@ -424,8 +418,28 @@ class TestBchFactorization:
         riesz = make_riesz_map(space, np.eye(0))
         disp = displaced_pair(riesz, 2.0)  # |z|^2 = dim/4: inside the regime
         with pytest.warns(AccuracyRegimeWarning):
-            # cutoff 15 > dim - ceil(4|z|^2) = 16 - 16 = 0
-            bch_factorization_check(disp, SafeSubspace(space, 15))
+            # cutoff 15 > min(dim // 2, dim - ceil(4|z|^2) - 6) = min(8, -6)
+            bch_factorization_check(disp, 15)
+
+    @pytest.mark.parametrize("dim", [4, 5, 8, 12, 16, 24, 32, 40])
+    def test_warns_exactly_where_the_record_is_out_of_regime(self, dim):
+        # one margin rule: inside the amplitude regime the check warns at a
+        # cutoff iff _bch_margin is below it, and the recorder grades a bch_u
+        # record at that cutoff out-of-regime iff the same holds
+        riesz = random_riesz_map(FockSpace(dim), 10.0, seed=1)
+        rec = suite._Recorder(riesz, 0.0)
+        for z in (0, 1, 1 + 1j, 2j):
+            if abs(z) ** 2 > dim / 4:
+                continue
+            disp = displaced_pair(riesz, z)
+            for cutoff in range(1, dim):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    r_u, _ = bch_factorization_check(disp, cutoff)
+                above = cutoff > _bch_margin(dim, z)
+                assert [w.category for w in caught] == [AccuracyRegimeWarning] * above
+                rec.add("bch_u", r_u, z, cutoff=cutoff)
+                assert (rec.reports[-1].status == "out-of-regime") == above, (z, cutoff)
 
     def test_sides_reported_separately(self, random_map64):
         # (r_u, r_v) are the U and V sides, in that order: perturb the two
@@ -435,11 +449,10 @@ class TestBchFactorization:
         # lies between the exact relative residual and sqrt(32) times it
         disp = displaced_pair(random_map64, 1.0)
         rng = np.random.default_rng(5)
-        space = random_map64.space
         U = disp.U.mat + 1e-6 * rng.standard_normal((64, 64))
         V = disp.V.mat + 1e-4 * rng.standard_normal((64, 64))
         disp = DisplacementSet(disp.z, disp.W, U, U, V, V, random_map64)
-        r_u, r_v = bch_factorization_check(disp, SafeSubspace(space, 32))
+        r_u, r_v = bch_factorization_check(disp, 32)
         E = laguerre_block(1.0, 64)
         S, S_inv = random_map64.S.mat, random_map64.S_inv.mat
         U_fact = S @ E @ S_inv
@@ -472,32 +485,30 @@ class TestBchFactorization:
 class TestIntertwining:
     def test_reference_norm_is_upper_frame_bound(self, all_maps64):
         # the residual divides by sigma_max(S)^2 = ||S S^dag||
-        sub = SafeSubspace(FockSpace(64), 63)
         for riesz in all_maps64:
             M = riesz.theta_inv.mat
             assert riesz.frame_bounds[1] == pytest.approx(np.linalg.norm(M, 2), rel=1e-13)
             disp = displaced_pair(riesz, 1 + 1j)
             diff = np.linalg.norm((M @ disp.V.mat - disp.U.mat @ M)[:63, :63], 2)
-            assert intertwining_check(disp, sub) == pytest.approx(
+            assert intertwining_check(disp) == pytest.approx(
                 diff / np.linalg.norm(M, 2), rel=1e-12)
 
     def test_unitary_case(self, space64):
         riesz = make_riesz_map(space64, np.eye(0))
-        residual = intertwining_check(displaced_pair(riesz, 1.0), SafeSubspace(space64, 63))
+        residual = intertwining_check(displaced_pair(riesz, 1.0))
         assert residual <= 1e-13
 
     def test_projector_dim32(self):
         riesz = projector_riesz(32)
-        residual = intertwining_check(displaced_pair(riesz, 1.0), SafeSubspace(riesz.space, 31))
+        residual = intertwining_check(displaced_pair(riesz, 1.0))
         assert residual <= 1e-11
 
     def test_twenty_random_amplitudes(self, all_maps64):
         rng = np.random.default_rng(17)
         zs = 2.0 * rng.uniform(0, 1, 20) * np.exp(2j * np.pi * rng.uniform(0, 1, 20))
-        sub = SafeSubspace(FockSpace(64), 63)
         for riesz in all_maps64:
             for z in zs:
-                assert intertwining_check(displaced_pair(riesz, complex(z)), sub) <= 1e-9
+                assert intertwining_check(displaced_pair(riesz, complex(z))) <= 1e-9
 
     def test_both_sides_equal_s_w_sdag(self, random_map64):
         # the identity telescopes: S S^dag V(z) = S W(z) S^dag = U(z) S S^dag

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -70,3 +71,20 @@ def test_json_roundtrip():
             "wall_time": 0.25,
         }
     ]
+
+
+def test_json_text_matches_asdict():
+    # the records are read as they are, with no deep copy of their params:
+    # the text is the asdict text, a refusal's Infinity and a vanished
+    # state's NaN included
+    reports = [
+        CheckReport(check_id="vacuum_match", params={"border": 32, "error": "vacua vanished"},
+                    residual=float("inf"), tolerance=1e-10, status="fail", wall_time=0.5),
+        CheckReport(check_id="bch_u", params={"z": "1+1j", "cutoff": 32,
+                                               "reference": "lower bound"},
+                    residual=float("nan"), tolerance=1e-8, status="fail", wall_time=0.25),
+        CheckReport(check_id="ladder", residual=3e-15, tolerance=1e-9),
+    ]
+    text = reports_to_json(reports)
+    assert text == json.dumps([dataclasses.asdict(r) for r in reports], indent=2)
+    assert "Infinity" in text and "NaN" in text

@@ -17,6 +17,7 @@ from pseudoboson import (
     ConfigError,
     DegenerateKernelError,
     OrthogonalVacuaError,
+    UnderResolvedWarning,
     build_map,
     convergence_study,
     load_config,
@@ -24,7 +25,7 @@ from pseudoboson import (
     save_riesz_map,
     suite_failed,
 )
-from pseudoboson import (DisplacementSet, FockSpace, SafeSubspace, coordinate, displaced_pair,
+from pseudoboson import (DisplacementSet, FockSpace, coordinate, displaced_pair,
                          displacement, intertwining_check, make_riesz_map, random_riesz_map, suite)
 from pseudoboson.cli import main
 from pseudoboson.fock import _spectral_norm
@@ -179,7 +180,7 @@ class TestRunSuite:
                 assert all(shape[0] < 64 for shape, uv, _ in seen if uv)
                 seen.clear()
                 riesz = build_map(config)
-                intertwining_check(displaced_pair(riesz, 1.0), SafeSubspace(riesz.space, 63))
+                intertwining_check(displaced_pair(riesz, 1.0))
                 assert [shape[0] for shape, _, callers in seen
                         if "intertwining_check" in callers] == [2]
 
@@ -549,6 +550,20 @@ def test_verify_cutoffs_stay_in_regime(tmp_path):
         z = complex(r.params["z"])
         assert r.params["cutoff"] == suite._bch_cutoff(32, z)
         assert r.status == "pass"
+
+
+@pytest.mark.parametrize("dim", [4, 5, 16, 64])
+@pytest.mark.parametrize("map_spec", [{"kind": "projector", "u_index": 0},
+                                      {"kind": "random", "cond": 10.0, "seed": 1}],
+                         ids=["projector", "random"])
+def test_verify_rule_is_never_under_resolved(tmp_path, dim, map_spec):
+    # verify builds its quadrature rule for the map's own dim, so it has no
+    # UnderResolvedWarning to silence (converge's quarter and half rules do)
+    path = write_config(tmp_path / "c.json", dim=dim, map_spec=map_spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UnderResolvedWarning)
+        reports = run_suite(load_config(path))
+    assert [r.check_id for r in reports].count("resolution_identity") == 1
 
 
 @pytest.mark.parametrize("runner", ["verify", "converge"])
