@@ -2,18 +2,21 @@
 
 Verbs
 -----
-``verify``
+``verify --config <path> [--out <dir>] [--dim <n>] [--seed <n>] [--strict]``
     Run the full check suite for a config; exit 0 when every check
-    passes, 1 on any failure, 2 on configuration errors.
-``converge``
+    passes, 1 on any failure (with ``--strict``, on any out-of-regime
+    check too), 2 on configuration errors.
+``converge --config <path> [--out <dir>] [--dim <n>] [--seed <n>] [--dims <list>]``
     Emit residual-decay and quadrature-degradation CSV tables over a
-    dimension sweep.
-``emit-wavefunctions``
-    Write one plot-ready wavefunction CSV per configured amplitude.
+    dimension sweep; exit 0 whatever the rows say, 2 on configuration
+    errors.
+``emit-wavefunctions --config <path> [--out <dir>] [--dim <n>]``
+    Write one plot-ready wavefunction CSV per configured amplitude, from
+    the closed forms of the ground-state projector map, which the config
+    must name.
 
-Common flags: ``--config <path>`` (required), ``--out <dir>``,
-``--seed <n>``, ``--dim <n>``, ``--strict`` (out-of-regime checks count
-as failures).
+``--out``, ``--dim`` and ``--seed`` override the config's ``outputs``,
+``dim`` (the config is validated at it) and seed.
 """
 
 from __future__ import annotations
@@ -39,27 +42,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "operator pairs and bicoherent states on a truncated Fock space.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser):
+    verify = sub.add_parser("verify", help="run the full check suite")
+    converge = sub.add_parser("converge", help="residual decay over a dimension sweep")
+    emit = sub.add_parser("emit-wavefunctions", help="write per-z wavefunction CSVs")
+    for p in (verify, converge, emit):
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--dim", type=int, default=None, help="dimension override")
-        p.add_argument(
-            "--strict",
-            action="store_true",
-            help="treat out-of-regime checks as failures",
-        )
-
-    add_common(sub.add_parser("verify", help="run the full check suite"))
-    converge = sub.add_parser("converge", help="residual decay over a dimension sweep")
-    add_common(converge)
+    for p in (verify, converge):
+        p.add_argument("--seed", type=int, default=None, help="seed override")
+    verify.add_argument("--strict", action="store_true",
+                        help="treat out-of-regime checks as failures")
     converge.add_argument(
         "--dims",
         default="16,32,64",
         help="comma-separated strictly ascending dimensions (default 16,32,64)",
     )
-    add_common(sub.add_parser("emit-wavefunctions", help="write per-z wavefunction CSVs"))
     return parser
 
 
@@ -69,7 +67,7 @@ def main(argv=None) -> int:
         config = load_config(
             args.config,
             dim_override=args.dim,
-            seed_override=args.seed,
+            seed_override=getattr(args, "seed", None),
             out_override=args.out,
         )
         if args.command == "verify":
@@ -86,15 +84,17 @@ def main(argv=None) -> int:
             print(f"wrote {conv_path}")
             print(f"wrote {quad_path}")
             return 0
-        if args.command == "emit-wavefunctions":
-            out_dir = _output_dir(config.outputs)
-            x = np.linspace(-8.0, 8.0, 801)
-            for i, z in enumerate(config.z_samples):
-                path = out_dir / f"wavefunctions_z{i}_{_format_z(z)}.csv"
-                write_wavefunction_csv(path, z, x)
-                print(f"wrote {path}")
-            return 0
-        raise ConfigError(f"unknown command {args.command!r}")
+        # emit-wavefunctions: the closed forms describe one map only
+        if config.map_spec.kind != "projector" or config.map_spec.u_index != 0:
+            raise ConfigError("emit-wavefunctions writes the ground-state projector's closed "
+                              "forms; map_spec must be a projector with u_index 0")
+        out_dir = _output_dir(config.outputs)
+        x = np.linspace(-8.0, 8.0, 801)
+        for i, z in enumerate(config.z_samples):
+            path = out_dir / f"wavefunctions_z{i}_{_format_z(z)}.csv"
+            write_wavefunction_csv(path, z, x)
+            print(f"wrote {path}")
+        return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -20,9 +20,10 @@ Example::
 
 ``map_spec.kind`` is one of ``identity``, ``projector`` (rank-one
 deformation on basis vector ``u_index``), ``random`` (seeded, fixed
-condition number), or ``file`` (serialized map record).  A random map
-uses ``map_spec.seed`` when given, else the top-level ``seed``; a
-``--seed`` override replaces both.
+condition number), or ``file`` (serialized map record).  The seed is
+resolved once, into ``MapSpec.seed``: the ``--seed`` override when
+given, else ``map_spec.seed``, else the top-level ``seed``, else 0; only
+a random map reads it.
 """
 
 from __future__ import annotations
@@ -44,11 +45,12 @@ __all__ = ["MapSpec", "RunConfig", "load_config", "build_map"]
 
 SCHEMA_VERSION = 1
 
+#: The keys of each map kind, with the conversion each value takes.
 _MAP_KEYS = {
-    "identity": set(),
-    "projector": {"u_index"},
-    "random": {"cond", "seed"},
-    "file": {"path"},
+    "identity": {},
+    "projector": {"u_index": int},
+    "random": {"cond": float, "seed": int},
+    "file": {"path": str},
 }
 
 
@@ -59,7 +61,7 @@ class MapSpec:
     kind: str
     u_index: int = 0
     cond: float = 10.0
-    seed: int | None = None
+    seed: int = 0
     path: str | None = None
 
 
@@ -71,8 +73,6 @@ class RunConfig:
     map_spec: MapSpec
     z_samples: tuple[complex, ...]
     outputs: Path = Path("out")
-    seed: int = 0
-    allow_out_of_regime: bool = False
 
 
 def _reject_unknown(record: dict, allowed: set, where: str):
@@ -107,21 +107,15 @@ def _parse_map_spec(record) -> MapSpec:
     kind = record["kind"]
     if kind not in _MAP_KEYS:
         raise ConfigError(f"unknown map_spec kind {kind!r}; expected one of {sorted(_MAP_KEYS)}")
-    _reject_unknown(record, {"kind"} | _MAP_KEYS[kind], f"map_spec ({kind})")
-    spec = MapSpec(kind=kind)
-    if kind == "projector":
-        spec = replace(spec, u_index=_number(int, record.get("u_index", 0), "map_spec.u_index"))
-    elif kind == "random":
-        spec = replace(
-            spec,
-            cond=_number(float, record.get("cond", 10.0), "map_spec.cond"),
-            seed=_number(int, record["seed"], "map_spec.seed") if "seed" in record else None,
-        )
-    elif kind == "file":
-        if "path" not in record:
-            raise ConfigError("map_spec kind 'file' requires 'path'")
-        spec = replace(spec, path=str(record["path"]))
-    return spec
+    keys = _MAP_KEYS[kind]
+    _reject_unknown(record, {"kind", *keys}, f"map_spec ({kind})")
+    if kind == "file" and "path" not in record:
+        raise ConfigError("map_spec kind 'file' requires 'path'")
+    return MapSpec(kind, **{
+        key: str(record[key]) if convert is str
+        else _number(convert, record[key], f"map_spec.{key}")
+        for key, convert in keys.items() if key in record
+    })
 
 
 def _parse_z(values) -> tuple[complex, ...]:
@@ -209,20 +203,21 @@ def load_config(
     outputs = record.get("outputs", "out") if out_override is None else out_override
     if not isinstance(outputs, (str, Path)):
         raise ConfigError(f"outputs must be a path string, got {outputs!r}")
-    seed = _number(int, record.get("seed", 0), "seed") if seed_override is None else int(seed_override)
-    if seed_override is not None and map_spec.seed is not None:
-        map_spec = replace(map_spec, seed=seed)  # the override wins over map_spec.seed
-    for key, value in (("seed", seed), ("map_spec.seed", map_spec.seed)):
-        if value is not None and value < 0:
+    # the override, else the map's own seed, else the top-level one
+    seeds = [("seed", _number(int, record.get("seed", MapSpec.seed), "seed"))]
+    if "seed" in record["map_spec"]:
+        seeds.append(("map_spec.seed", map_spec.seed))
+    if seed_override is not None:
+        seeds.append(("seed", int(seed_override)))
+    for key, value in seeds:
+        if value < 0:
             raise ConfigError(f"{key} must be >= 0, got {value}")
 
     return RunConfig(
         dim=dim,
-        map_spec=map_spec,
+        map_spec=replace(map_spec, seed=seeds[-1][1]),
         z_samples=z_samples,
         outputs=Path(outputs),
-        seed=seed,
-        allow_out_of_regime=allow_oor,
     )
 
 
@@ -246,8 +241,7 @@ def build_map(config: RunConfig, dim: int | None = None) -> RieszMap:
     elif spec.kind == "projector":
         riesz = projector_map(space, space.basis_vector(spec.u_index))
     elif spec.kind == "random":
-        seed = spec.seed if spec.seed is not None else config.seed
-        riesz = random_riesz_map(space, spec.cond, seed)
+        riesz = random_riesz_map(space, spec.cond, spec.seed)
     elif spec.kind == "file":
         riesz = load_riesz_map(spec.path)
         if riesz.dim != dim:

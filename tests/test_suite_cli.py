@@ -30,6 +30,9 @@ from pseudoboson import (DisplacementSet, FockSpace, coordinate, displaced_pair,
 from pseudoboson.cli import main
 from pseudoboson.fock import _spectral_norm
 
+#: The one map whose closed forms emit-wavefunctions writes.
+GROUND_PROJECTOR = {"kind": "projector", "u_index": 0}
+
 
 def write_config(path, **overrides):
     record = {
@@ -80,8 +83,8 @@ class TestConfig:
         path = write_config(tmp_path / "c.json", dim=16.0, seed=3.0,
                             map_spec={"kind": "projector", "u_index": 2.0})
         cfg = load_config(path)
-        assert (cfg.dim, cfg.seed, cfg.map_spec.u_index) == (16, 3, 2)
-        assert all(type(v) is int for v in (cfg.dim, cfg.seed, cfg.map_spec.u_index))
+        assert (cfg.dim, cfg.map_spec.seed, cfg.map_spec.u_index) == (16, 3, 2)
+        assert all(type(v) is int for v in (cfg.dim, cfg.map_spec.seed, cfg.map_spec.u_index))
 
     def test_small_dim_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -98,7 +101,7 @@ class TestConfig:
         cfg = load_config(write_config(tmp_path / "c.json"), dim_override=32,
                           seed_override=11, out_override=tmp_path / "elsewhere")
         assert cfg.dim == 32
-        assert cfg.seed == 11
+        assert cfg.map_spec.seed == 11
         assert cfg.outputs == tmp_path / "elsewhere"
 
     def test_file_map_spec(self, tmp_path):
@@ -341,6 +344,22 @@ class TestRunSuite:
         assert np.array_equal(own, build_map(cfg_a).S.mat)
         overridden = build_map(load_config(seeded, seed_override=2)).S.mat
         assert np.array_equal(overridden, build_map(cfg_b).S.mat)
+
+    @pytest.mark.parametrize("top, own, override, expected", [
+        (4, 1, 2, 2), (4, 1, None, 1), (4, None, None, 4), (None, None, None, 0),
+        (None, 1, 2, 2), (4, None, 2, 2),
+    ])
+    def test_seed_resolution(self, tmp_path, top, own, override, expected):
+        # the override, else the map's own seed, else the top-level one, else 0
+        map_spec = {"kind": "random", "cond": 5.0}
+        if own is not None:
+            map_spec["seed"] = own
+        seeds = {} if top is None else {"seed": top}
+        cfg = load_config(write_config(tmp_path / "c.json", map_spec=map_spec, **seeds),
+                          seed_override=override)
+        assert cfg.map_spec.seed == expected
+        np.testing.assert_array_equal(build_map(cfg).S.mat,
+                                      random_riesz_map(FockSpace(16), 5.0, expected).S.mat)
 
     def test_nonground_projector_skips_coordinate_checks(self, tmp_path):
         # the closed-form wavefunctions exist only for the ground-state
@@ -708,7 +727,8 @@ class TestCli:
         # a directory beneath a regular file cannot be made, even by root
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "out"
-        path = write_config(tmp_path / "c.json")
+        overrides = {"map_spec": GROUND_PROJECTOR} if verb == "emit-wavefunctions" else {}
+        path = write_config(tmp_path / "c.json", **overrides)
         assert main([verb, "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("configuration error: ") and str(out) in err[0]
@@ -735,6 +755,56 @@ class TestCli:
         assert main(["verify", "--config", str(path)]) == 0
         assert main(["verify", "--config", str(path), "--strict"]) == 1
 
+    @pytest.mark.parametrize("verb, flags", [
+        ("converge", ["--strict"]),
+        ("emit-wavefunctions", ["--strict"]),
+        ("emit-wavefunctions", ["--seed", "1"]),
+    ])
+    def test_verb_refuses_flags_it_does_not_read(self, tmp_path, verb, flags):
+        path = write_config(tmp_path / "c.json", map_spec=GROUND_PROJECTOR)
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--config", str(path), *flags])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("verb, flags", [
+        ("verify", ["--out", "{out}", "--dim", "8", "--seed", "3", "--strict"]),
+        ("converge", ["--out", "{out}", "--dim", "8", "--seed", "3", "--dims", "8,16"]),
+        ("emit-wavefunctions", ["--out", "{out}", "--dim", "8"]),
+    ])
+    def test_verb_takes_its_flags(self, tmp_path, verb, flags):
+        path = write_config(tmp_path / "c.json", map_spec=GROUND_PROJECTOR, z_samples=[[0, 0]])
+        out = tmp_path / "elsewhere"
+        assert main([verb, "--config", str(path),
+                     *(f.format(out=out) for f in flags)]) == 0
+        assert any(out.iterdir())
+
+    @pytest.mark.parametrize("map_spec", [
+        {"kind": "identity"},
+        {"kind": "random", "cond": 10.0, "seed": 1},
+        {"kind": "projector", "u_index": 1},
+    ], ids=["identity", "random", "projector1"])
+    def test_emit_wavefunctions_refuses_other_maps(self, tmp_path, capsys, map_spec):
+        # the closed forms it writes are the ground-state projector's only
+        path = write_config(tmp_path / "c.json", map_spec=map_spec)
+        assert main(["emit-wavefunctions", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seed", [1, 5])
+    @pytest.mark.parametrize("dim", [12, 16, 24, 36])
+    def test_small_random_maps_verify(self, tmp_path, dim, seed):
+        # the factorization's transports read W's leading max(cutoff, p)
+        # levels, p = dim / 2 here; a record whose levels reach past the
+        # margin is out-of-regime, not a fail of a correct program
+        z_samples = [z for z in ([0, 0], [1, 0], [1, 1], [0, 2]) if z[0]**2 + z[1]**2 <= dim / 4]
+        path = write_config(tmp_path / "c.json", dim=dim, z_samples=z_samples,
+                            map_spec={"kind": "random", "cond": 10.0, "seed": seed})
+        assert main(["verify", "--config", str(path)]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert "fail" not in {r["status"] for r in report}
+
     def test_dim_override(self, tmp_path):
         path = write_config(tmp_path / "c.json")
         assert main(["verify", "--config", str(path), "--dim", "8"]) == 0
@@ -749,7 +819,8 @@ class TestCli:
         assert (tmp_path / "out" / "quadrature.csv").exists()
 
     def test_emit_wavefunctions(self, tmp_path):
-        path = write_config(tmp_path / "c.json", z_samples=[[1, 0], [0, 1]])
+        path = write_config(tmp_path / "c.json", z_samples=[[1, 0], [0, 1]],
+                            map_spec=GROUND_PROJECTOR)
         assert main(["emit-wavefunctions", "--config", str(path)]) == 0
         files = sorted((tmp_path / "out").glob("wavefunctions_*.csv"))
         assert len(files) == 2
