@@ -12,8 +12,8 @@ Verbs
     errors.
 ``emit-wavefunctions --config <path> [--out <dir>] [--dim <n>]``
     Write one plot-ready wavefunction CSV per configured amplitude, from
-    the closed forms of the ground-state projector map, which the config
-    must name.
+    the closed forms of the ground-state projector map; the config's map
+    must be that one.
 
 ``--out``, ``--dim`` and ``--seed`` override the config's ``outputs``,
 ``dim`` (the config is validated at it) and seed.
@@ -26,8 +26,8 @@ import sys
 
 import numpy as np
 
-from .config import load_config
-from .coordinate import write_wavefunction_csv
+from .config import build_map, load_config
+from .coordinate import _is_ground_state_projector, write_wavefunction_csv
 from .errors import ConfigError, PseudoBosonError
 from .reports import format_report_table
 from .suite import _format_z, _output_dir, convergence_study, run_suite, suite_failed
@@ -53,11 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="seed override")
     verify.add_argument("--strict", action="store_true",
                         help="treat out-of-regime checks as failures")
-    converge.add_argument(
-        "--dims",
-        default="16,32,64",
-        help="comma-separated strictly ascending dimensions (default 16,32,64)",
-    )
+    converge.add_argument("--dims", default="16,32,64",
+                          help="comma-separated strictly ascending dimensions (default 16,32,64)")
     return parser
 
 
@@ -84,10 +81,9 @@ def main(argv=None) -> int:
             print(f"wrote {conv_path}")
             print(f"wrote {quad_path}")
             return 0
-        # emit-wavefunctions: the closed forms describe one map only
-        if config.map_spec.kind != "projector" or config.map_spec.u_index != 0:
-            raise ConfigError("emit-wavefunctions writes the ground-state projector's closed "
-                              "forms; map_spec must be a projector with u_index 0")
+        if not _is_ground_state_projector(build_map(config)):
+            raise ConfigError("emit-wavefunctions writes the closed forms of the ground-state "
+                              "projector map 1 + i|e_0><e_0|; map_spec names another map")
         out_dir = _output_dir(config.outputs)
         x = np.linspace(-8.0, 8.0, 801)
         for i, z in enumerate(config.z_samples):

@@ -45,12 +45,13 @@ __all__ = ["MapSpec", "RunConfig", "load_config", "build_map"]
 
 SCHEMA_VERSION = 1
 
-#: The keys of each map kind, with the conversion each value takes.
+#: The numeric keys of each map kind, with the conversion each value
+#: takes; a ``file`` map's ``path`` is read as a string.
 _MAP_KEYS = {
     "identity": {},
     "projector": {"u_index": int},
     "random": {"cond": float, "seed": int},
-    "file": {"path": str},
+    "file": {},
 }
 
 
@@ -101,21 +102,31 @@ def _number(convert, value, key: str):
     return value if isinstance(value, int) else int(number)
 
 
+def _seed(value, key: str) -> int:
+    """``value`` as a seed: an integral number, refused below 0."""
+    seed = _number(int, value, key)
+    if seed < 0:
+        raise ConfigError(f"{key} must be >= 0, got {seed}")
+    return seed
+
+
 def _parse_map_spec(record) -> MapSpec:
     if not isinstance(record, dict) or "kind" not in record:
         raise ConfigError("map_spec must be an object with a 'kind' key")
     kind = record["kind"]
     if kind not in _MAP_KEYS:
         raise ConfigError(f"unknown map_spec kind {kind!r}; expected one of {sorted(_MAP_KEYS)}")
+    if kind == "file":
+        _reject_unknown(record, {"kind", "path"}, "map_spec (file)")
+        if "path" not in record:
+            raise ConfigError("map_spec kind 'file' requires 'path'")
+        return MapSpec(kind, path=str(record["path"]))
     keys = _MAP_KEYS[kind]
     _reject_unknown(record, {"kind", *keys}, f"map_spec ({kind})")
-    if kind == "file" and "path" not in record:
-        raise ConfigError("map_spec kind 'file' requires 'path'")
-    return MapSpec(kind, **{
-        key: str(record[key]) if convert is str
-        else _number(convert, record[key], f"map_spec.{key}")
-        for key, convert in keys.items() if key in record
-    })
+    spec = MapSpec(kind, **{key: _number(convert, record[key], f"map_spec.{key}")
+                            for key, convert in keys.items() if key in record})
+    _seed(spec.seed, "map_spec.seed")
+    return spec
 
 
 def _parse_z(values) -> tuple[complex, ...]:
@@ -203,19 +214,15 @@ def load_config(
     outputs = record.get("outputs", "out") if out_override is None else out_override
     if not isinstance(outputs, (str, Path)):
         raise ConfigError(f"outputs must be a path string, got {outputs!r}")
-    # the override, else the map's own seed, else the top-level one
-    seeds = [("seed", _number(int, record.get("seed", MapSpec.seed), "seed"))]
+    seed = _seed(record.get("seed", MapSpec.seed), "seed")
     if "seed" in record["map_spec"]:
-        seeds.append(("map_spec.seed", map_spec.seed))
+        seed = map_spec.seed
     if seed_override is not None:
-        seeds.append(("seed", int(seed_override)))
-    for key, value in seeds:
-        if value < 0:
-            raise ConfigError(f"{key} must be >= 0, got {value}")
+        seed = _seed(seed_override, "seed")
 
     return RunConfig(
         dim=dim,
-        map_spec=replace(map_spec, seed=seeds[-1][1]),
+        map_spec=replace(map_spec, seed=seed),
         z_samples=z_samples,
         outputs=Path(outputs),
     )

@@ -33,9 +33,9 @@ no matrix exponential is formed anywhere.
 Amplitudes obey the accuracy regime ``|z|^2 <= dim/4``.  At its edge the
 truncated coherent tail (``bicoherent.coherent_tail_bound``) is 2.2e-3 at
 dim 16, 3.7e-10 at dim 64 and 4.5e-19 at dim 128, below 1e-12 only from
-dim 83.  The factorization obeys :func:`_bch_in_regime`.  Calls outside
-either warn (:class:`AccuracyRegimeWarning`) instead of failing so
-convergence studies can cross the boundary deliberately.
+dim 83.  The factorization's cutoff obeys :func:`_bch_margin`.  Calls
+outside either warn (:class:`AccuracyRegimeWarning`) instead of failing
+so convergence studies can cross the boundary deliberately.
 """
 
 from __future__ import annotations
@@ -377,25 +377,11 @@ def _displacement_block(z: complex, d: int) -> np.ndarray:
     return scaled * phase
 
 
-def _bch_top(dim: int, z: complex) -> int:
-    """The levels of ``W`` the factorization at ``z`` may read: ``dim`` less
-    a top margin of ``ceil(4 |z|^2) + 6`` levels, where the tail shows."""
-    return dim - math.ceil(4 * abs(z) ** 2) - 6
-
-
 def _bch_margin(dim: int, z: complex) -> int:
     """The largest cutoff at which the factorization at ``z`` is graded: the
-    half-space, within :func:`_bch_top`; below 1 when ``dim`` leaves none."""
-    return min(dim // 2, _bch_top(dim, z))
-
-
-def _bch_in_regime(riesz: RieszMap, z: complex, cutoff: int) -> bool:
-    """True when the factorization at ``z`` on ``riesz`` is graded at
-    ``cutoff``: the cutoff is within :func:`_bch_margin`, and the leading
-    ``max(cutoff, p)`` levels of ``W`` its transports read, for the map's
-    block ``p``, are within :func:`_bch_top`.  The half-space bounds the
-    cutoff only: a random map's block at an odd dim is one level past it."""
-    return cutoff <= _bch_margin(riesz.dim, z) and riesz.block <= _bch_top(riesz.dim, z)
+    half-space, less a top margin of ``ceil(4 |z|^2) + 6`` levels; below 1
+    when ``dim`` leaves none."""
+    return min(dim // 2, dim - math.ceil(4 * abs(z) ** 2) - 6)
 
 
 def bch_factorization_check(disp: DisplacementSet, cutoff: int, *,
@@ -419,15 +405,15 @@ def bch_factorization_check(disp: DisplacementSet, cutoff: int, *,
     low block of the untruncated displacement, computed in closed form.
     The factorization is exact under the commutation relation, so the
     restricted residual measures pure truncation tail of ``W``; a cutoff
-    outside :func:`_bch_in_regime` issues an :class:`AccuracyRegimeWarning`.
+    above :func:`_bch_margin` issues an :class:`AccuracyRegimeWarning`.
     """
     z, riesz, k = disp.z, disp.source, cutoff
     if not 1 <= k < riesz.dim:
         raise InvalidDimensionError(
             f"cutoff must satisfy 1 <= cutoff < dim, got {k} (dim {riesz.dim})")
-    if not _bch_in_regime(riesz, z, k):
-        warnings.warn(f"cutoff {k} (at most {_bch_margin(riesz.dim, z)}) or the map's block "
-                      f"{riesz.block} (at most {_bch_top(riesz.dim, z)}) is past the margin; "
+    margin = _bch_margin(riesz.dim, z)
+    if k > margin:
+        warnings.warn(f"cutoff {k} exceeds min(dim // 2, dim - ceil(4|z|^2) - 6) = {margin}; "
                       "factorization residual will include unsuppressed tail",
                       AccuracyRegimeWarning, stacklevel=2)
     E = _displacement_block(z, max(k, riesz.block))  # all the transports read

@@ -11,6 +11,7 @@ identity can show.
 from __future__ import annotations
 
 import csv
+import math
 import time
 import warnings
 from pathlib import Path
@@ -37,7 +38,6 @@ from .bicoherent import (
 from .config import RunConfig, build_map
 from .coordinate import _is_ground_state_projector, cross_validate
 from .displacement import (
-    _bch_in_regime,
     _bch_margin,
     bch_factorization_check,
     displaced_pair,
@@ -73,7 +73,7 @@ def _bch_cutoff(dim: int, z: complex) -> int:
 class _Recorder:
     """Grades residuals into reports for one map, the one place a tolerance
     is composed and a regime decided: a record at ``z`` is out of regime
-    when ``|z|^2 > dim/4`` or its ``cutoff`` fails ``_bch_in_regime``, the
+    when ``|z|^2 > dim/4`` or its ``cutoff`` exceeds ``_bch_margin``, the
     rule the factorization check warns by.  A report's wall time is the time
     since the previous one (the first counts from ``start``), so a shared
     object's build is charged to the next check, and of several records
@@ -96,8 +96,7 @@ class _Recorder:
         if z is not None:
             params = {"z": _format_z(z), **params}
             regime = (in_accuracy_regime(self.riesz.space, z)
-                      and ("cutoff" not in params
-                           or _bch_in_regime(self.riesz, z, params["cutoff"])))
+                      and params.get("cutoff", -math.inf) <= _bch_margin(self.riesz.dim, z))
         tol = self.tolerance(name, z)
         status = ("pass" if residual <= tol else "fail") if regime else "out-of-regime"
         self.reports.append(

@@ -26,7 +26,8 @@ from pseudoboson import (
     suite_failed,
 )
 from pseudoboson import (DisplacementSet, FockSpace, coordinate, displaced_pair,
-                         displacement, intertwining_check, make_riesz_map, random_riesz_map, suite)
+                         displacement, intertwining_check, make_riesz_map, projector_map,
+                         random_riesz_map, suite)
 from pseudoboson.cli import main
 from pseudoboson.fock import _spectral_norm
 
@@ -792,19 +793,6 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("configuration error: ")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("seed", [1, 5])
-    @pytest.mark.parametrize("dim", [12, 16, 24, 36])
-    def test_small_random_maps_verify(self, tmp_path, dim, seed):
-        # the factorization's transports read W's leading max(cutoff, p)
-        # levels, p = dim / 2 here; a record whose levels reach past the
-        # margin is out-of-regime, not a fail of a correct program
-        z_samples = [z for z in ([0, 0], [1, 0], [1, 1], [0, 2]) if z[0]**2 + z[1]**2 <= dim / 4]
-        path = write_config(tmp_path / "c.json", dim=dim, z_samples=z_samples,
-                            map_spec={"kind": "random", "cond": 10.0, "seed": seed})
-        assert main(["verify", "--config", str(path)]) == 0
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert "fail" not in {r["status"] for r in report}
-
     def test_dim_override(self, tmp_path):
         path = write_config(tmp_path / "c.json")
         assert main(["verify", "--config", str(path), "--dim", "8"]) == 0
@@ -817,6 +805,18 @@ class TestCli:
         assert main(["converge", "--config", str(path), "--dims", "8,16"]) == 0
         assert (tmp_path / "out" / "convergence.csv").exists()
         assert (tmp_path / "out" / "quadrature.csv").exists()
+
+    def test_emit_wavefunctions_takes_a_file_ground_projector(self, tmp_path):
+        # the map decides, not the kind that names it
+        save_riesz_map(projector_map(FockSpace(16), FockSpace(16).basis_vector(0)),
+                       tmp_path / "map.json")
+        for name, map_spec in (("proj", GROUND_PROJECTOR),
+                               ("file", {"kind": "file", "path": str(tmp_path / "map.json")})):
+            path = write_config(tmp_path / f"{name}.json", map_spec=map_spec,
+                                z_samples=[[1, 1]], outputs=str(tmp_path / name))
+            assert main(["emit-wavefunctions", "--config", str(path)]) == 0
+        (proj,), (file,) = (sorted((tmp_path / n).glob("*.csv")) for n in ("proj", "file"))
+        assert proj.read_bytes() == file.read_bytes()
 
     def test_emit_wavefunctions(self, tmp_path):
         path = write_config(tmp_path / "c.json", z_samples=[[1, 0], [0, 1]],
