@@ -25,6 +25,7 @@ with a quarter rule.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -142,8 +143,9 @@ def series_route(pair: PseudoBosonPair, z: complex) -> tuple[np.ndarray, np.ndar
     recursion amplifies the rounding of the high levels by up to
     ``||exp(|z| c^dag)||_2`` (about ``1.6e13`` at ``dim = 256`` and
     ``|z| = 2``), so on a random map the routes part by more than roundoff
-    and ``two_route`` at ``|z| = 2`` fails from ``dim = 256`` on (8.2e-7
-    against 1e-8 on the cond-10 map of seed 3).  It sums the fewest
+    and ``two_route`` at ``|z| = 2`` fails from ``dim = 256`` on (7.7e-7
+    against 1e-8 on the cond-10 map of seed 3 with one BLAS thread, 7.1e-7
+    with two: the figure is amplified rounding).  It sums the fewest
     ``N <= dim`` terms whose :func:`coherent_tail_bound` is ``<= 1e-20``.
     ``b`` and ``a^dag`` are applied through the pair's border, in
     ``O(q^2 + dim)`` per term.
@@ -193,6 +195,18 @@ def _moment_ratios(t: np.ndarray, log_w: np.ndarray, n: int) -> np.ndarray:
     return np.sum(_radial_factors(t, log_w, n) ** 2, axis=1)
 
 
+@functools.lru_cache(maxsize=16)
+def _laguerre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Laguerre nodes ``t`` and log weights of order ``n``, from the
+    Jacobi matrix ``tridiag(k, 2k+1, k)``.  The rule is built once per order
+    (every order of a four-dim ``converge`` sweep fits) and returned as
+    read-only arrays; :func:`make_quadrature` still tests it on every call."""
+    t, log_w = _gauss_rule(2.0 * np.arange(n) + 1.0, np.arange(1.0, n))
+    t.setflags(write=False)
+    log_w.setflags(write=False)
+    return t, log_w
+
+
 def make_quadrature(dim: int, radial_count: int, angular_count: int) -> QuadratureScheme:
     """Quadrature over the complex plane resolving ``dim`` levels.
 
@@ -202,7 +216,8 @@ def make_quadrature(dim: int, radial_count: int, angular_count: int) -> Quadratu
     ``int e^{-t} t^k dt = k!`` for ``k <= dim``.  Gauss-Laguerre with
     ``n`` nodes is exact through degree ``2n-1``, so ``dim // 2 + 1``
     nodes are the fewest that integrate every tested moment.  The rule
-    comes from the Jacobi matrix ``tridiag(k, 2k+1, k)``.
+    comes from :func:`_laguerre_rule`, built once per order; the moment
+    test runs on every call.
 
     Raises
     ------
@@ -218,7 +233,7 @@ def make_quadrature(dim: int, radial_count: int, angular_count: int) -> Quadratu
         raise UnderResolvedError(
             f"angular_count {angular_count} < dim = {dim}: angular grid aliases"
         )
-    t, log_w = _gauss_rule(2.0 * np.arange(radial_count) + 1.0, np.arange(1.0, radial_count))
+    t, log_w = _laguerre_rule(radial_count)
     rel_err = np.abs(_moment_ratios(t, log_w, dim + 1) - 1.0)
     if not rel_err.max() <= 1e-10:  # written so that NaN fails
         raise UnderResolvedError(

@@ -45,6 +45,7 @@ TAIL_TERMS = {
     "rbcs_pairing": lambda cond, dim, tail: 4.0 * cond * tail**2,
     "eigen_eta": lambda cond, dim, tail: 10.0 * math.sqrt(dim) * cond * tail,
     "eigen_xi": lambda cond, dim, tail: 10.0 * math.sqrt(dim) * cond * tail,
+    "coordinate_l2": lambda cond, dim, tail: cond * tail,
 }
 
 

@@ -8,12 +8,15 @@ from scipy.special import gammaln
 
 from pseudoboson import (
     FockSpace,
+    MapSpec,
     ProvenanceError,
     QuadratureScheme,
+    RunConfig,
     UnderResolvedError,
     UnderResolvedWarning,
     coherent,
     coherent_tail_bound,
+    convergence_study,
     eigen_check,
     make_pair,
     make_quadrature,
@@ -259,17 +262,48 @@ class TestQuadrature:
         assert quad.radial_log_w.min() < np.log(np.finfo(float).tiny)
 
     def test_nan_weight_refused(self, monkeypatch):
-        # a non-finite weight must fail the moment test, not pass a `<=` guard
-        rule = bicoherent._gauss_rule
+        # a non-finite weight must fail the moment test, not pass a `<=` guard,
+        # even on an order whose rule is already cached
+        make_quadrature(32, 32, 65)
+        rule = bicoherent._laguerre_rule
+        hits = rule.cache_info().hits
 
-        def rule_with_nan(a, b):
-            t, log_w = rule(a, b)
+        def rule_with_nan(n):
+            t, log_w = rule(n)  # the cached, read-only rule
+            log_w = log_w.copy()
             log_w[len(log_w) // 2] = np.nan
             return t, log_w
 
-        monkeypatch.setattr(bicoherent, "_gauss_rule", rule_with_nan)
+        monkeypatch.setattr(bicoherent, "_laguerre_rule", rule_with_nan)
         with pytest.raises(UnderResolvedError, match="factorial moment test failed"):
             make_quadrature(32, 32, 65)
+        assert rule.cache_info().hits == hits + 1
+
+    @pytest.mark.parametrize("n", [2, 33, 129, 257])
+    def test_cached_rule_is_the_direct_rule(self, n):
+        t, log_w = bicoherent._gauss_rule(2.0 * np.arange(n) + 1.0, np.arange(1.0, n))
+        cached = bicoherent._laguerre_rule(n)
+        np.testing.assert_array_equal(cached[0], t, strict=True)
+        np.testing.assert_array_equal(cached[1], log_w, strict=True)
+
+    def test_cached_rule_is_shared_read_only(self):
+        t, log_w = bicoherent._laguerre_rule(33)
+        assert not t.flags.writeable and not log_w.flags.writeable
+        again = bicoherent._laguerre_rule(33)
+        assert again[0] is t and again[1] is log_w
+        # the scheme keeps the cached arrays instead of copying them
+        quad = make_quadrature(64, 33, 129)
+        assert quad.radial_t is t and quad.radial_log_w is log_w
+
+    def test_sweep_builds_each_order_once(self, tmp_path):
+        # dims 16..128 ask for 12 rules (a quarter, a half and a full rule
+        # each) of 6 distinct orders, 4 to 128
+        config = RunConfig(dim=16, map_spec=MapSpec(kind="random", seed=1),
+                           z_samples=(1 + 0j,), outputs=tmp_path)
+        bicoherent._laguerre_rule.cache_clear()
+        convergence_study(config, [16, 32, 64, 128])
+        info = bicoherent._laguerre_rule.cache_info()
+        assert (info.misses, info.hits) == (6, 6)
 
     @pytest.mark.parametrize("n", [16, 64, 129])
     def test_laguerre_rule_matches_scipy(self, n):

@@ -3,6 +3,7 @@ import importlib
 import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pseudoboson
 from pseudoboson import (
     ConfigError,
     DegenerateKernelError,
@@ -618,6 +620,26 @@ class TestCli:
                             map_spec={"kind": "random", "cond": 1e6, "seed": 1})
         assert main(["verify", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize("dim, z_samples", [
+        (8, [[0, 0], [1, 0], [0.5, 0.5], [1, 0.9]]),
+        (16, [[0, 0], [1, 0], [1, 1], [0, 2]]),
+        (24, [[0, 0], [1, 0], [1, 1], [0, 2]]),
+    ])
+    def test_coordinate_l2_carries_the_truncation_tail(self, tmp_path, dim, z_samples):
+        # coordinate_l2 measures the coherent tail sqrt(P(dim, |z|^2)), and
+        # its tolerance carries cond times the tail's majorant: at these dims
+        # the tail alone used to fail it (2i at dim 24: 3.1e-6 against 1e-8).
+        # Dim 8 refuses 2i as out of regime, and 1+i too: |1+i|^2 rounds to
+        # 2.0000000000000004, just above 8/4
+        path = write_config(tmp_path / "c.json", dim=dim, map_spec=GROUND_PROJECTOR,
+                            z_samples=z_samples)
+        assert main(["verify", "--config", str(path)]) == 0
+        records = json.loads((tmp_path / "out" / "report.json").read_text())
+        l2 = [r for r in records if r["check_id"] == "coordinate_l2"]
+        assert len(l2) == len(z_samples)
+        assert all(r["status"] == "pass" for r in l2)
+        assert max(r["residual"] for r in l2) > 1e-8  # the tail term is needed
+
     def test_overflowing_amplitude_is_graded(self, tmp_path):
         # at |z| = 1e70 the powers of z would overflow; the power check
         # carries them at z scaled by a power of two, so its residual is
@@ -868,6 +890,34 @@ def test_cli_import_leaves_scipy_out(tmp_path):
             "sys.exit(any(m.split('.')[0] in ('scipy', 'mpmath') or m == 'numpy.polynomial' "
             "for m in sys.modules))")
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+#: every process-level cache in src/, with a small argument list for each
+_PROCESS_CACHES = {
+    "algebra._sqrt_range": (3, 9),
+    "bicoherent._laguerre_rule": (5,),
+    "coordinate._grid_stack": (6,),
+    "coordinate.gauss_hermite_grid": (6,),
+    "displacement._position_spectrum": (6,),
+}
+
+
+def test_process_caches_hand_out_read_only_arrays():
+    # a cached array is shared by every later call in the process, so no
+    # caller may write into it and corrupt a later run
+    found = set()
+    for info in pkgutil.iter_modules(pseudoboson.__path__):
+        if info.name == "__main__":
+            continue  # importing it runs the CLI
+        mod = importlib.import_module(f"pseudoboson.{info.name}")
+        found |= {f"{info.name}.{name}" for name, obj in vars(mod).items()
+                  if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__}
+    assert found == set(_PROCESS_CACHES)
+    for name, args in _PROCESS_CACHES.items():
+        mod, fn = name.split(".")
+        out = getattr(importlib.import_module(f"pseudoboson.{mod}"), fn)(*args)
+        for arr in out if isinstance(out, tuple) else (out,):
+            assert isinstance(arr, np.ndarray) and not arr.flags.writeable, name
 
 
 @pytest.mark.parametrize("dim", [4, 5])
