@@ -33,7 +33,7 @@ from .errors import (
     OrthogonalVacuaError,
     ValidationError,
 )
-from .fock import Operator, _freeze, _spectral_norm
+from .fock import Operator, _freeze, _graded_norm
 from .riesz import RieszMap, _blockdiag, _lmul, _rmul
 
 __all__ = [
@@ -312,7 +312,7 @@ def number_operator_check(pair: PseudoBosonPair) -> tuple[np.ndarray, np.ndarray
             residuals(N.conj().T, pair.source.S_inv_block.conj().T))
 
 
-def theta_conjugacy_check(pair: PseudoBosonPair) -> float:
+def theta_conjugacy_check(pair: PseudoBosonPair, *, tol: float = 0.0) -> float:
     """Residual of ``a = Theta^{-1} b^dag Theta`` on the levels ``:dim - 1``
     below the truncation corner, with the metric of the pair's own map.
     Outside the pair's border ``b^dag`` is ``c``, and ``Theta`` is the
@@ -321,11 +321,13 @@ def theta_conjugacy_check(pair: PseudoBosonPair) -> float:
     formed.
 
     Each factor of ``S`` or its inverse can amplify roundoff by the
-    condition number, hence the runner's ``cond^3`` tolerance.
+    condition number, hence the runner's ``cond^3`` tolerance.  The norm is
+    graded against ``tol`` (:func:`~pseudoboson.fock._graded_norm`): a value
+    at most ``tol`` may be the Frobenius bound, one above it is exact.
     """
     riesz, d, q = pair.source, pair.space.dim, pair.border
     rows, cols = min(q, d - 1), min(q + 1, d - 1)
     conjugated = _rmul(_lmul(riesz.theta_inv_block,
                              _lowering_lead(pair.b_border.conj().T, q, min(q + 1, d)), rows),
                        riesz.theta_block, cols)
-    return _spectral_norm(_lowering_lead(pair.a_border, rows, cols) - conjugated)
+    return _graded_norm(_lowering_lead(pair.a_border, rows, cols) - conjugated, 1.0, tol)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .algebra import PseudoBosonPair, _lower, _map_vacua, _raise
 from .errors import ProvenanceError, UnderResolvedError, UnderResolvedWarning
-from .fock import FockSpace, Operator, _freeze, _gauss_rule, _spectral_norm
+from .fock import FockSpace, Operator, _freeze, _gauss_rule, _graded_norm
 from .riesz import RieszMap, _lmul, _same_map, _transport
 
 __all__ = [
@@ -263,12 +263,19 @@ def resolution_operator(riesz: RieszMap, quad: QuadratureScheme) -> Operator:
     return Operator(riesz.space, _transport(riesz, G))
 
 
-def resolution_of_identity(riesz: RieszMap, quad: QuadratureScheme) -> float:
+def resolution_of_identity(riesz: RieszMap, quad: QuadratureScheme, *, tol: float = 0.0) -> float:
     """Deviation ``||R - 1||`` of the discrete resolution operator, from its
     structure, with no ``dim x dim`` array: with ``angular_count >= dim`` the
     mask is the identity, so ``G = diag(g)`` (:func:`_moment_ratios`) and
-    ``R - 1 = blockdiag(S_p diag(g[:p]) S_p^{-1} - 1, diag(g[p:] - 1))``.
-    Warns as :func:`resolution_operator` does; an aliasing grid
+    ``R - 1 = blockdiag(S_p diag(g[:p]) S_p^{-1} - 1, diag(g[p:] - 1))``, whose
+    norm is the larger of the block's and the tail's ``max |g[p:] - 1|``.
+    The block is graded (:func:`~pseudoboson.fock._graded_norm`) against the
+    larger of ``tol`` and the tail: when its Frobenius bound is at most the
+    tail, the value is the tail, exact, as on every under-resolved rule; when
+    the bound is at most ``tol`` it may be the bound, up to ``sqrt(p)`` times
+    the exact norm; otherwise it is exact, one SVD.  At the default
+    ``tol = 0`` every value is exact, and a nan of the block or the tail
+    propagates.  Warns as :func:`resolution_operator` does; an aliasing grid
     (``angular_count < dim``) raises :class:`UnderResolvedError`."""
     d, p = riesz.dim, riesz.block
     if quad.angular_count < d:
@@ -276,5 +283,7 @@ def resolution_of_identity(riesz: RieszMap, quad: QuadratureScheme) -> float:
                                  "angular grid aliases")
     _warn_under_resolved(quad, d)
     g = _moment_ratios(quad.radial_t, quad.radial_log_w, d)
-    block = _spectral_norm((riesz.S_block * g[:p]) @ riesz.S_inv_block - np.eye(p))
-    return float(np.max(np.abs(g[p:] - 1.0), initial=block))  # a nan of either propagates
+    tail = np.abs(g[p:] - 1.0)
+    block = (riesz.S_block * g[:p]) @ riesz.S_inv_block - np.eye(p)
+    # a nan tail leaves max() at tol, and np.max propagates it
+    return float(np.max(tail, initial=_graded_norm(block, 1.0, max(tol, tail.max(initial=0.0)))))

@@ -49,7 +49,7 @@ import numpy as np
 
 from .algebra import PseudoBosonPair, _lowering_lead, _raising_lead
 from .errors import AccuracyRegimeWarning, DimensionMismatchError, InvalidDimensionError
-from .fock import (FockSpace, Operator, _bordered, _freeze, _frobenius_norm,
+from .fock import (FockSpace, Operator, _bordered, _freeze, _frobenius_norm, _graded_norm,
                    _spectral_lower_bound, _spectral_norm)
 from .riesz import RieszMap, _blockdiag, _cotransport, _lmul, _rmul, _rmul_over, _transport
 
@@ -130,8 +130,9 @@ class DisplacementSet:
 
 
 def in_accuracy_regime(space: FockSpace, z: complex) -> bool:
-    """True when ``|z|^2 <= dim/4``."""
-    return abs(z) ** 2 <= space.dim / 4.0
+    """True when ``|z|^2 <= dim/4``, with ``|z|^2 = Re(z)^2 + Im(z)^2``: exact
+    where ``abs(z) ** 2`` rounds up (``|1+i|^2`` to 2.0000000000000004)."""
+    return z.real**2 + z.imag**2 <= space.dim / 4.0
 
 
 @functools.lru_cache(maxsize=4)
@@ -241,21 +242,9 @@ def displaced_pair(riesz: RieszMap, z: complex) -> DisplacementSet:
                            *_strips(S_inv.conj().T, S.conj().T, W), source=riesz)
 
 
-def _graded_norm(diff: np.ndarray, denominator: float, tol: float) -> float:
-    """``||diff|| / denominator``, certified against ``tol``: the Frobenius
-    bound :func:`~pseudoboson.fock._frobenius_norm` of the quotient when it
-    is at most ``tol`` (then ``exact <= bound <= tol``), otherwise the exact
-    spectral norm, one SVD.  So a value at most ``tol`` may be the bound,
-    up to ``sqrt(rank diff)`` times the exact one, and a value above it is
-    exact; at the default ``tol = 0`` every value is exact.  A non-finite
-    ``diff`` reads ``nan``."""
-    bound = _frobenius_norm(diff) / denominator
-    return bound if bound <= tol else _spectral_norm(diff) / denominator
-
-
 def _relative_norm(ref: np.ndarray, other: np.ndarray, tol: float) -> float:
     """``||ref - other|| / lo(ref)``, graded against ``tol`` as in
-    :func:`_graded_norm`, over the certified lower bound
+    :func:`~pseudoboson.fock._graded_norm`, over the certified lower bound
     :func:`~pseudoboson.fock._spectral_lower_bound` of ``||ref||``, so no SVD
     of ``ref`` is taken.  The value is never below the exact relative
     residual, and with the exact numerator at most ``sqrt(min(ref.shape))``
@@ -307,9 +296,10 @@ def power_similarity_check(pair: PseudoBosonPair, z: complex, *, tol: float = 0.
     ``r = min(cut, q + _K_MAX)`` for the pair's border ``q``, so both are
     carried on the ``r x (r + _K_MAX)`` strip of rows ``:r``: ``S G^k`` by a
     banded update per ``k``, ``D^k`` by :func:`_strip_powers`.  Each ``k`` is
-    graded on its own (:func:`_graded_norm`): the norm of the ``r x r``
-    difference over the certified lower bound of ``||D^k[:s, :cut]||``,
-    ``s = min(cut, p + _K_MAX)``, rows fixed by the map, not by the border.
+    graded on its own (:func:`~pseudoboson.fock._graded_norm`): the norm of
+    the ``r x r`` difference over the certified lower bound of
+    ``||D^k[:s, :cut]||``, ``s = min(cut, p + _K_MAX)``, rows fixed by the
+    map, not by the border.
     No submatrix's norm exceeds ``||D^k[:cut, :cut]||``, so each value is
     never below the exact relative residual.  ``k = 0``, and every ``k`` at
     ``z = 0``, read 0.  The residual is homogeneous of degree 0 in ``z``, so
@@ -379,9 +369,10 @@ def _displacement_block(z: complex, d: int) -> np.ndarray:
 
 def _bch_margin(dim: int, z: complex) -> int:
     """The largest cutoff at which the factorization at ``z`` is graded: the
-    half-space, less a top margin of ``ceil(4 |z|^2) + 6`` levels; below 1
-    when ``dim`` leaves none."""
-    return min(dim // 2, dim - math.ceil(4 * abs(z) ** 2) - 6)
+    half-space, less a top margin of ``ceil(4 |z|^2) + 6`` levels, with
+    ``|z|^2`` squared as in :func:`in_accuracy_regime`; below 1 when ``dim``
+    leaves none."""
+    return min(dim // 2, dim - math.ceil(4 * (z.real**2 + z.imag**2)) - 6)
 
 
 def bch_factorization_check(disp: DisplacementSet, cutoff: int, *,

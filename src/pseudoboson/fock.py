@@ -110,6 +110,18 @@ def _frobenius_norm(*parts: np.ndarray) -> float:
     return math.ldexp(math.sqrt(total), e)
 
 
+def _graded_norm(diff: np.ndarray, denominator: float, tol: float) -> float:
+    """``||diff|| / denominator``, certified against ``tol``: the Frobenius
+    bound :func:`_frobenius_norm` of the quotient when it is at most ``tol``
+    (then ``exact <= bound <= tol``), otherwise the exact
+    :func:`_spectral_norm`, one SVD.  So a value at most ``tol`` may be the
+    bound, up to ``sqrt(rank diff)`` times the exact one, and a value above
+    it is exact; at ``tol = 0`` every value is exact.  A non-finite ``diff``
+    reads ``nan``."""
+    bound = _frobenius_norm(diff) / denominator
+    return bound if bound <= tol else _spectral_norm(diff) / denominator
+
+
 def _spectral_lower_bound(X: np.ndarray) -> float:
     """Certified lower bound ``lo`` of ``sigma_max(X)``, with no SVD: the
     largest of the largest column 2-norm, the largest row 2-norm and

@@ -38,7 +38,8 @@ from .errors import (
     NotInvertibleError,
     ValidationError,
 )
-from .fock import FockSpace, Operator, _freeze, _spectral_norm
+from .fock import FockSpace, Operator, _freeze, _graded_norm
+from .reports import default_tolerance
 
 __all__ = [
     "RieszMap",
@@ -71,7 +72,10 @@ class RieszMap:
     dense ``S``, ``S_inv``, ``theta`` and ``theta_inv`` are built on each
     access.  ``frame_bounds = (A, B)`` are the squared extreme singular
     values of ``S`` (``A <= ||S f||^2 <= B`` for unit ``f``), and
-    ``inverse_residual`` is ``||S S^{-1} - 1||_2``."""
+    ``inverse_residual`` is ``||S S^{-1} - 1||_2`` graded against the guard
+    of :func:`make_riesz_map` (:func:`~pseudoboson.fock._graded_norm`): the
+    Frobenius bound, at most ``sqrt(p)`` times the exact norm, when that is
+    within the guard."""
 
     space: FockSpace
     S_block: np.ndarray
@@ -118,6 +122,10 @@ def make_riesz_map(space: FockSpace, S_lead) -> RieszMap:
     singular value decomposition (rank-revealing, so near-singularity is
     detected rather than silently amplified), on that block only; the
     identity outside it adds singular values 1 and is its own inverse.
+    The inverse residual ``||S_p S_p^{-1} - 1||`` is graded against the
+    guard ``default_tolerance("riesz_construction", cond)``, ``1e-12 cond``,
+    the tolerance ``verify`` grades it with: within the guard its Frobenius
+    bound certifies it with no second SVD, above it the exact norm is taken.
 
     Parameters
     ----------
@@ -135,7 +143,7 @@ def make_riesz_map(space: FockSpace, S_lead) -> RieszMap:
         If an entry of ``S_lead`` is not finite.
     NotInvertibleError
         If the smallest singular value is below ``1e-13`` times the
-        largest, or the cached inverse fails its residual check.
+        largest, or the inverse residual exceeds ``1e-12 * cond``.
     ConditioningError
         If ``cond(S) > 1e12``.
     """
@@ -158,10 +166,11 @@ def make_riesz_map(space: FockSpace, S_lead) -> RieszMap:
     if cond > _COND_BUDGET:
         raise ConditioningError(f"cond(S) = {cond:.3e} exceeds budget {_COND_BUDGET:.3e}")
     S_inv_block = Vh.conj().T @ ((1.0 / sigma)[:, None] * U.conj().T)
-    residual = _spectral_norm(S_block @ S_inv_block - np.eye(p))
-    if residual > 1e-12 * cond:
+    guard = default_tolerance("riesz_construction", cond)
+    residual = _graded_norm(S_block @ S_inv_block - np.eye(p), 1.0, guard)
+    if residual > guard:
         raise NotInvertibleError(
-            f"inverse residual {residual:.3e} exceeds 1e-12 * cond = {1e-12 * cond:.3e}"
+            f"inverse residual {residual:.3e} exceeds its tolerance {guard:.3e}"
         )
     theta, theta_inv = metric_operator(U, sigma)
     return RieszMap(space=space, S_block=S_block, S_inv_block=S_inv_block, cond=cond,

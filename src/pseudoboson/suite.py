@@ -55,7 +55,7 @@ from .errors import (
     UnderResolvedError,
     UnderResolvedWarning,
 )
-from .fock import _spectral_norm
+from .fock import _graded_norm
 from .reports import CheckReport, default_tolerance, format_report_table, reports_to_json
 
 __all__ = ["run_suite", "convergence_study", "suite_failed"]
@@ -110,6 +110,12 @@ class _Recorder:
             )
         )
         self._lap = now
+
+    def add_norm(self, name: str, diff: np.ndarray, denominator: float = 1.0, **params):
+        """Records ``||diff|| / denominator``, graded against the record's
+        tolerance by :func:`~pseudoboson.fock._graded_norm`: a pass may read
+        the Frobenius bound, a fail reads the exact norm."""
+        self.add(name, _graded_norm(diff, denominator, self.tolerance(name)), **params)
 
     def refuse(self, names: tuple[str, ...], exc: Exception, z: complex | None = None):
         """Records a refused computation as ``inf`` with the error text."""
@@ -183,8 +189,8 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
 
     # relative to ||Theta|| = 1/A and ||Theta^-1|| = B, the frame bounds
     A, B = riesz.frame_bounds
-    rec.add("rank_one_theta", _spectral_norm(psi @ psi.conj().T - theta) * A)
-    rec.add("rank_one_theta_inv", _spectral_norm(phi @ phi.conj().T - theta_inv) / B)
+    rec.add_norm("rank_one_theta", psi @ psi.conj().T - theta, 1.0 / A)
+    rec.add_norm("rank_one_theta_inv", phi @ phi.conj().T - theta_inv, B)
 
     # Theta is the identity outside its block: one more eigenvalue 1 when p < dim
     eigs = np.append(np.linalg.eigvalsh(theta), np.ones(min(1, dim - p)))
@@ -194,8 +200,7 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
     q, k, N = pair.border, dim - 1, pair.number_block
     # both sides are exact outside the leading m x m block, m = min(q + 1, dim):
     # [a, b] - 1 is zero there below the corner, b a is diag(m, ..., dim - 1)
-    rec.add("ccr", _spectral_norm(_commutator_block(pair)[:k, :k] - np.eye(min(len(N), k))),
-            border=q)
+    rec.add_norm("ccr", _commutator_block(pair)[:k, :k] - np.eye(min(len(N), k)), border=q)
     n_eigs = np.sort_complex(np.append(np.linalg.eigvals(N), np.arange(len(N), dim)))
     rec.add("number_spectrum", np.abs(n_eigs[: dim - 1] - np.arange(dim - 1)).max(), border=q)
 
@@ -213,7 +218,8 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
 
     rec.add("ladder", max(r.max() for r in ladder_check(pair).values()), border=q)
     rec.add("number_operator", max(r.max() for r in number_operator_check(pair)), border=q)
-    rec.add("theta_conjugacy", theta_conjugacy_check(pair), border=q)
+    rec.add("theta_conjugacy",
+            theta_conjugacy_check(pair, tol=rec.tolerance("theta_conjugacy")), border=q)
 
     for z in config.z_samples:
         with warnings.catch_warnings():
@@ -239,7 +245,8 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
     except UnderResolvedError as exc:
         rec.refuse(("resolution_identity",), exc)
     else:
-        rec.add("resolution_identity", resolution_of_identity(riesz, quad),
+        rec.add("resolution_identity",
+                resolution_of_identity(riesz, quad, tol=rec.tolerance("resolution_identity")),
                 radial=quad.radial_count, angular=quad.angular_count)
 
     if _is_ground_state_projector(riesz):
@@ -320,9 +327,10 @@ def convergence_study(config: RunConfig, dims: list[int]) -> tuple[Path, Path]:
                 warnings.simplefilter("ignore", UnderResolvedWarning)
                 _record_bch_eigen(rec, pair, displaced_pair(riesz, z), rbcs(riesz, z), cutoff)
                 # each rule once; the full rule (radial = dim) fills both tables
+                tol = rec.tolerance("resolution_identity")
                 deviations = {
                     radial: resolution_of_identity(
-                        riesz, make_quadrature(radial, radial, 2 * dim + 1))
+                        riesz, make_quadrature(radial, radial, 2 * dim + 1), tol=tol)
                     for radial in sorted({max(2, dim // 4), max(2, dim // 2), dim})
                 }
             rec.add("resolution_identity", deviations[dim])

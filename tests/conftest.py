@@ -44,6 +44,14 @@ def all_maps64(identity_map64, projector_map64, random_maps64):
     return [identity_map64, projector_map64] + list(random_maps64)
 
 
+def in_graded_bracket(value, exact, rank):
+    """``exact (1 - 4 eps) <= value <= sqrt(rank) exact (1 + 4 eps)``: a norm
+    graded by ``fock._graded_norm`` that may be the Frobenius bound of a
+    matrix of rank at most ``rank`` whose exact norm is ``exact``."""
+    eps = np.finfo(float).eps
+    return exact * (1 - 4 * eps) <= value <= np.sqrt(rank) * exact * (1 + 4 * eps)
+
+
 def random_unit_vector(rng, dim):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)

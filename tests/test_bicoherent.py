@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -31,6 +32,8 @@ from pseudoboson import (
 from pseudoboson import bicoherent
 from pseudoboson.algebra import _raise
 from pseudoboson.fock import _spectral_norm
+
+from conftest import in_graded_bracket
 
 disk2 = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
@@ -372,7 +375,10 @@ class TestResolutionOfIdentity:
                                       "dense"])
     def test_matches_dense_operator(self, kind, rule, d):
         # the deviation read from the map's block and the moment ratios is
-        # the norm of the dense resolution operator less the identity
+        # the norm of the dense resolution operator less the identity.  Graded
+        # against verify's tolerance it is exact above it, and may be the
+        # block's Frobenius bound at or below it; a quarter rule's tail
+        # exceeds that bound, so the quarter rows read the exact value
         space = FockSpace(d)
         riesz = {"identity": lambda: make_riesz_map(space, np.eye(0)),
                  "projector-0": lambda: projector_map(space, space.basis_vector(0)),
@@ -385,7 +391,22 @@ class TestResolutionOfIdentity:
             warnings.simplefilter("ignore", UnderResolvedWarning)
             got = resolution_of_identity(riesz, quad)
             ref = _spectral_norm(resolution_operator(riesz, quad).mat - np.eye(d))
+            graded = resolution_of_identity(riesz, quad, tol=1e-10)
         assert abs(got - ref) <= 1e-14 + 1e-10 * ref
+        if graded > 1e-10 or rule == "quarter":
+            assert graded == got
+        else:
+            assert in_graded_bracket(graded, got, max(riesz.block, 1))
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-10])
+    def test_nan_weight_reads_nan(self, random_map64, tol):
+        # a nan weight makes every moment ratio nan, the block's and the
+        # tail's: graded or exact, the deviation reads nan, which fails
+        quad = make_quadrature(64, 33, 129)
+        log_w = quad.radial_log_w.copy()
+        log_w[3] = np.nan
+        bad = dataclasses.replace(quad, radial_log_w=log_w)
+        assert np.isnan(resolution_of_identity(random_map64, bad, tol=tol))
 
     def test_aliasing_grid_refused(self):
         # fewer than dim angles alias k and k + M; make_quadrature refuses

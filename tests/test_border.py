@@ -27,6 +27,7 @@ from pseudoboson import (
     displaced_pair,
     displacement,
     eigen_check,
+    fock,
     intertwining_check,
     ladder_check,
     load_config,
@@ -39,6 +40,7 @@ from pseudoboson import (
     random_riesz_map,
     rbcs,
     resolution_of_identity,
+    resolution_operator,
     run_suite,
     series_route,
     suite,
@@ -297,36 +299,60 @@ class TestDisplacementFaults:
 class TestExactFails:
     """A record that certifies its pass on a Frobenius bound grades every
     fail on the exact norm.  One fault row per such record, through
-    ``run_suite``: ``U[0, 3]`` for ``bch_u`` and ``intertwining``, ``a[0, 1]``
-    for ``power_similarity``.  A failing record takes the exact SVD and
-    reads the exact quotient, ``||diff|| / denominator``, which a call with
-    the default ``tol`` gives bit for bit; a passing one takes no SVD.  (A
-    one-entry fault makes ``intertwining``'s difference rank one, where the
-    bound and the exact norm agree to roundoff, so the SVDs are counted.)"""
+    ``run_suite``: ``U[0, 3]`` for ``bch_u`` and ``intertwining``; ``a[0, 1]``
+    for ``power_similarity``, ``ccr`` and ``theta_conjugacy``;
+    ``theta_block[0, 0]`` for ``rank_one_theta``; ``S_block`` (by ``1 + 1e-3``,
+    as in :class:`TestMapBlockFaults`) for ``rank_one_theta_inv``; the radial
+    weight ``w_5`` for ``resolution_identity``.  A failing record takes the
+    exact SVD and reads the exact quotient, ``||diff|| / denominator``, which a
+    call with the default ``tol = 0`` gives bit for bit; a passing one takes
+    no SVD.  Every run counts the exact norms by the function that takes them
+    (:attr:`SITES`).  (A one-entry fault makes ``intertwining``'s difference
+    rank one, where the bound and the exact norm agree to roundoff, so the
+    SVDs are counted.)"""
 
-    CHECKS = ("bch_factorization_check", "intertwining_check", "power_similarity_check")
+    #: the functions that take an exact norm -> the records they grade
+    SITES = {
+        "make_riesz_map": ("riesz_construction",),
+        "run_suite": ("ccr", "rank_one_theta", "rank_one_theta_inv"),
+        "theta_conjugacy_check": ("theta_conjugacy",),
+        "power_similarity_check": ("power_similarity",),
+        "bch_factorization_check": ("bch_u", "bch_v"),
+        "intertwining_check": ("intertwining",),
+        "resolution_of_identity": ("resolution_identity",),
+    }
 
-    def run(self, tmp_path, monkeypatch, kind, fault):
-        """The fault row's reports, and the values the exact norm returned
-        inside each check, by check."""
-        seen, norm = {name: [] for name in self.CHECKS}, displacement._spectral_norm
+    def run(self, tmp_path, monkeypatch, kind, fault=None, factor=1 + 1e-6):
+        """The fault row's reports, the values the exact norm returned, by
+        site, and the unperturbed map.  Each failing record took one exact
+        norm (``power_similarity`` one to five, one per failing power;
+        ``resolution_identity`` at most one), each passing record none."""
+        seen, norm = {site: [] for site in self.SITES}, fock._spectral_norm
 
         def spy(X):
             frame = sys._getframe(1)
-            while frame.f_code.co_name not in self.CHECKS:
+            while frame.f_code.co_name not in self.SITES:
                 frame = frame.f_back
             seen[frame.f_code.co_name].append(norm(X))
             return seen[frame.f_code.co_name][-1]
 
-        monkeypatch.setattr(displacement, "_spectral_norm", spy)
+        for module in (fock, displacement):  # the graded norms, intertwining's fallback
+            monkeypatch.setattr(module, "_spectral_norm", spy)
         spec = PROJECTOR if kind == "projector" else RANDOM
-        reports = run_with_fault(tmp_path, monkeypatch, spec, fault)
-        monkeypatch.setattr(displacement, "_spectral_norm", norm)
+        reports = run_with_fault(tmp_path, monkeypatch, spec, fault, factor)
+        for module in (fock, displacement):
+            monkeypatch.setattr(module, "_spectral_norm", norm)
+        failed = [r.check_id for r in reports if r.status == "fail"]
+        for site, names in self.SITES.items():
+            n = sum(name in names for name in failed)
+            low = 0 if site == "resolution_of_identity" else n
+            high = 5 * n if site == "power_similarity_check" else n
+            assert low <= len(seen[site]) <= high, (site, n, len(seen[site]))
         return reports, seen, build_map(load_config(tmp_path / "c.json"))
 
     @staticmethod
     def failed(reports, name):
-        got = {r.params["z"]: r.residual for r in reports
+        got = {r.params.get("z"): r.residual for r in reports
                if r.check_id == name and r.status == "fail"}
         assert got
         return got
@@ -360,14 +386,81 @@ class TestExactFails:
         fault = ("a", (0, 1))
         reports, seen, riesz = self.run(tmp_path, monkeypatch, kind, fault)
         failed = self.failed(reports, "power_similarity")
-        # at least one SVD per failing record (its k above tolerance), none
-        # for the passing records
-        assert len(failed) <= len(seen["power_similarity_check"]) <= 5 * len(failed)
         pair = with_entry(make_pair(riesz), *fault, 1 + 1e-6)
         want = dense_records(riesz, pair)
         for label, residual in failed.items():
             assert residual == power_similarity_check(pair, complex(label)).max()
             assert residual == pytest.approx(want["power_similarity", label], rel=1e-8)
+
+    @pytest.mark.parametrize("kind", ["projector", "random"])
+    def test_ccr_and_theta_conjugacy(self, kind, tmp_path, monkeypatch):
+        fault = ("a", (0, 1))
+        reports, seen, riesz = self.run(tmp_path, monkeypatch, kind, fault)
+        (ccr,), (conjugacy,) = (self.failed(reports, name).values()
+                                for name in ("ccr", "theta_conjugacy"))
+        pair = with_entry(make_pair(riesz), *fault, 1 + 1e-6)
+        want = dense_records(riesz, pair)
+        k = riesz.dim - 1
+        # the rank-one records pass: the one SVD in run_suite is ccr's
+        assert seen["run_suite"] == [ccr]
+        assert ccr == _spectral_norm(_commutator_block(pair)[:k, :k]
+                                     - np.eye(min(len(pair.number_block), k)))
+        assert ccr == pytest.approx(want["ccr", None], rel=1e-8)
+        assert seen["theta_conjugacy_check"] == [conjugacy] == [theta_conjugacy_check(pair)]
+        assert conjugacy == pytest.approx(want["theta_conjugacy", None], rel=1e-8)
+
+    @pytest.mark.parametrize("kind, field, entry, factor, name", [
+        ("projector", "theta_block", (0, 0), 1 + 1e-6, "rank_one_theta"),
+        ("random", "theta_block", (0, 0), 1 + 1e-6, "rank_one_theta"),
+        ("projector", "S_block", (0, 0), 1 + 1e-3, "rank_one_theta_inv"),
+        ("random", "S_block", (21, 10), 1 + 1e-3, "rank_one_theta_inv"),
+    ], ids=["projector-theta", "random-theta", "projector-S", "random-S"])
+    def test_rank_one_records(self, kind, field, entry, factor, name, tmp_path, monkeypatch):
+        reports, seen, riesz = self.run(tmp_path, monkeypatch, kind, (field, entry), factor)
+        block = getattr(riesz, field).copy()
+        block[entry] *= factor
+        bad = dataclasses.replace(riesz, **{field: block})
+        (residual,) = self.failed(reports, name).values()
+        A, B = bad.frame_bounds
+        if name == "rank_one_theta":
+            psi = bad.S_inv_block.conj().T
+            diff, denominator = psi @ psi.conj().T - bad.theta_block, 1 / A
+            dense_psi = bad.S_inv.mat.conj().T
+            dense = _spectral_norm(dense_psi @ dense_psi.conj().T - bad.theta.mat) * A
+        else:
+            phi = bad.S_block
+            diff, denominator = phi @ phi.conj().T - bad.theta_inv_block, B
+            dense = _spectral_norm(bad.S.mat @ bad.S.mat.conj().T - bad.theta_inv.mat) / B
+        assert _spectral_norm(diff) in seen["run_suite"]
+        assert residual == _spectral_norm(diff) / denominator
+        assert residual == pytest.approx(dense, rel=1e-8)
+
+    @pytest.mark.parametrize("kind", ["projector", "random"])
+    def test_resolution_identity(self, kind, tmp_path, monkeypatch):
+        quads = []
+
+        def faulted(*args, build=suite.make_quadrature):
+            quads.append(with_weight_fault(build(*args)))
+            return quads[-1]
+
+        monkeypatch.setattr(suite, "make_quadrature", faulted)
+        reports, seen, riesz = self.run(tmp_path, monkeypatch, kind)
+        (residual,) = self.failed(reports, "resolution_identity").values()
+        (quad,) = quads
+        assert residual == resolution_of_identity(riesz, quad)
+        dense = _spectral_norm(resolution_operator(riesz, quad).mat - np.eye(riesz.dim))
+        assert residual == pytest.approx(dense, rel=1e-8)
+        # the projector's tail max |g[1:] - 1| bounds its 1 x 1 block: no SVD;
+        # the random map's block is the larger, on the exact norm
+        assert len(seen["resolution_of_identity"]) == (kind == "random")
+
+
+def with_weight_fault(quad):
+    """``quad`` with its radial weight ``w_5`` scaled by ``1 + 1e-6`` (its log
+    raised by ``log(1 + 1e-6)``)."""
+    log_w = quad.radial_log_w.copy()
+    log_w[5] += np.log1p(1e-6)
+    return dataclasses.replace(quad, radial_log_w=log_w)
 
 
 class TestRuleFaults:
@@ -385,10 +478,7 @@ class TestRuleFaults:
     def test_fail_set(self, kind, site, tmp_path, monkeypatch):
         if site == "radial_log_w":
             def faulted(*args, build=suite.make_quadrature):
-                quad = build(*args)
-                log_w = quad.radial_log_w.copy()
-                log_w[5] += np.log1p(1e-6)
-                return dataclasses.replace(quad, radial_log_w=log_w)
+                return with_weight_fault(build(*args))
             monkeypatch.setattr(suite, "make_quadrature", faulted)
         else:
             def faulted(z, d, build=displacement._displacement_block):

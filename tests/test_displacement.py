@@ -101,6 +101,15 @@ class TestWeyl:
         assert not in_accuracy_regime(space, 3.0)
         assert in_accuracy_regime(space, 1.0)
 
+    def test_regime_rules_square_z_exactly(self):
+        # |1+i|^2 = 2 exactly, where abs(1+1j) ** 2 rounds to 2.0000000000000004:
+        # 1+i is on the edge of dim 8's regime, and the factorization margin
+        # at dim 16 is min(8, 16 - ceil(4 * 2) - 6) = 2
+        assert in_accuracy_regime(FockSpace(8), 1 + 1j)
+        assert not in_accuracy_regime(FockSpace(7), 1 + 1j)
+        assert _bch_margin(16, 1 + 1j) == 2
+        assert _bch_margin(16, 1 + 1.0000001j) == 1
+
     @settings(max_examples=20, deadline=None)
     @given(bounded_z, bounded_z)
     def test_group_law_phase(self, z, w):
@@ -429,7 +438,7 @@ class TestBchFactorization:
         riesz = random_riesz_map(FockSpace(dim), 10.0, seed=1)
         rec = suite._Recorder(riesz, 0.0)
         for z in (0, 1, 1 + 1j, 2j):
-            if abs(z) ** 2 > dim / 4:
+            if not in_accuracy_regime(riesz.space, z):
                 continue
             disp = displaced_pair(riesz, z)
             for cutoff in range(1, dim):

@@ -22,8 +22,11 @@ from pseudoboson import (
     power_similarity_check,
 )
 from pseudoboson import displacement
-from pseudoboson.fock import _bordered, _frobenius_norm, _spectral_lower_bound, _spectral_norm
+from pseudoboson.fock import (_bordered, _frobenius_norm, _graded_norm, _spectral_lower_bound,
+                              _spectral_norm)
 from pseudoboson.suite import _bch_cutoff
+
+from conftest import in_graded_bracket
 
 
 class TestSpace:
@@ -405,6 +408,48 @@ class TestFrobeniusNorm:
         X[2, 3] = bad
         assert np.isnan(_frobenius_norm(X))
         assert np.isnan(_frobenius_norm(np.eye(3), X))
+
+
+class TestGradedNorm:
+    """The one grading rule of every norm residual: within ``tol`` the value
+    may be the Frobenius bound, above it the value is exact."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40),
+           st.sampled_from(["full", "rank_one", "zero", "nan"]), st.floats(-3.0, 3.0),
+           st.floats(-3.0, 3.0), st.one_of(st.just(0.0), st.floats(0.1, 10.0)),
+           st.integers(0, 2**32 - 1))
+    def test_bound_within_tol_exact_above(self, rows, cols, kind, log_scale, log_denominator,
+                                          tol_ratio, seed):
+        rng = np.random.default_rng(seed)
+
+        def draw(r, c):
+            return rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+
+        if kind == "rank_one":
+            X = draw(rows, 1) @ draw(1, cols)
+        elif kind == "zero":
+            X = np.zeros((rows, cols), complex)
+        else:
+            X = draw(rows, cols)
+        if kind == "nan":
+            X[rng.integers(rows), rng.integers(cols)] = np.nan
+        X *= 10.0 ** log_scale
+        denominator = 10.0 ** log_denominator
+        exact = _spectral_norm(X) / denominator
+        tol = tol_ratio * exact if exact > 0 else tol_ratio  # about the exact value, or 0
+        value = _graded_norm(X, denominator, tol)
+        if kind == "nan":
+            assert np.isnan(value)
+        elif value > tol:
+            assert value == exact
+        else:
+            rank = {"full": min(rows, cols), "rank_one": 1, "zero": 0}[kind]
+            assert in_graded_bracket(value, exact, rank)
+
+    def test_default_tol_is_exact(self):
+        X = np.random.default_rng(3).standard_normal((7, 5))
+        assert _graded_norm(X, 2.0, 0.0) == _spectral_norm(X) / 2.0 < _frobenius_norm(X) / 2.0
 
 
 def _within_bound(X):

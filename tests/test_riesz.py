@@ -27,10 +27,10 @@ from pseudoboson import (
     save_riesz_map,
 )
 from pseudoboson.fock import _spectral_norm
-from pseudoboson.reports import default_tolerance
+from pseudoboson.reports import DEFAULT_TOLERANCES, default_tolerance
 from pseudoboson.riesz import _cotransport, _lmul, _rmul, _transport
 
-from conftest import random_unit_vector
+from conftest import in_graded_bracket, random_unit_vector
 
 
 def ground_projector(dim):
@@ -87,8 +87,19 @@ class TestMakeRieszMap:
         eye = np.eye(random_map64.dim)
         residual = np.linalg.norm(random_map64.S.mat @ random_map64.S_inv.mat - eye, 2)
         assert residual <= 1e-12 * random_map64.cond
-        # the map stores the residual its guard computed; the suite reports it
-        assert random_map64.inverse_residual == residual
+        # the map stores the residual its guard graded, and the suite reports
+        # it: within the guard it may be the Frobenius bound of the p x p block
+        assert random_map64.inverse_residual <= 1e-12 * random_map64.cond
+        assert in_graded_bracket(random_map64.inverse_residual, residual, random_map64.block)
+
+    def test_guard_is_the_riesz_construction_tolerance(self, random_map64, monkeypatch):
+        # the guard reads the tolerance table: with its base lowered below the
+        # residual the map is refused, on the exact norm of the block
+        monkeypatch.setitem(DEFAULT_TOLERANCES, "riesz_construction", (1e-30, 1))
+        S, S_inv = random_map64.S_block, random_map64.S_inv_block
+        exact = _spectral_norm(S @ S_inv - np.eye(len(S)))
+        with pytest.raises(NotInvertibleError, match=f"inverse residual {exact:.3e} exceeds"):
+            make_riesz_map(random_map64.space, S)
 
 
 class TestRandomRieszMap:

@@ -28,10 +28,13 @@ from pseudoboson import (
     suite_failed,
 )
 from pseudoboson import (DisplacementSet, FockSpace, coordinate, displaced_pair,
-                         displacement, intertwining_check, make_riesz_map, projector_map,
+                         displacement, fock, intertwining_check, make_riesz_map, projector_map,
                          random_riesz_map, suite)
 from pseudoboson.cli import main
 from pseudoboson.fock import _spectral_norm
+from pseudoboson.reports import DEFAULT_TOLERANCES
+
+from conftest import in_graded_bracket
 
 #: The one map whose closed forms emit-wavefunctions writes.
 GROUND_PROJECTOR = {"kind": "projector", "u_index": 0}
@@ -425,9 +428,12 @@ class TestFamilyRecords:
             "rank_one_theta": _spectral_norm(psi @ psi.conj().T - riesz.theta.mat) * A,
             "rank_one_theta_inv": _spectral_norm(phi @ phi.conj().T - riesz.theta_inv.mat) / B,
         }
-        for name, record in records.items():
-            assert record.residual == pytest.approx(dense[name], rel=1e-15, abs=0.0), name
-            assert record.status == "pass"
+        for name in ("biorthogonality", "theta_family"):
+            assert records[name].residual == pytest.approx(dense[name], rel=1e-15, abs=0.0), name
+        # a passing rank-one record may be the Frobenius bound of its p x p block
+        for name in ("rank_one_theta", "rank_one_theta_inv"):
+            assert in_graded_bracket(records[name].residual, dense[name], riesz.block), name
+        assert all(record.status == "pass" for record in records.values())
 
 
 class TestConvergenceStudy:
@@ -560,6 +566,48 @@ class TestConvergenceStatus:
             assert {int(r["dim"]) for r in conv if r["status"] == "fail"} == expected
 
 
+class TestSvdBudget:
+    """Every norm residual is graded by ``fock._graded_norm``: a record whose
+    Frobenius bound is within its tolerance passes on the bound and takes no
+    SVD; only a would-be fail (and ``intertwining``'s fallback) takes one."""
+
+    @staticmethod
+    def spy_svds(monkeypatch):
+        """The shapes of the matrices handed to the exact norm, from here on."""
+        shapes, norm = [], fock._spectral_norm
+
+        def spy(X):
+            shapes.append(X.shape)
+            return norm(X)
+
+        for module in (fock, displacement):  # the graded norms, intertwining's fallback
+            monkeypatch.setattr(module, "_spectral_norm", spy)
+        return shapes
+
+    @pytest.mark.parametrize("map_spec", [GROUND_PROJECTOR,
+                                          {"kind": "random", "cond": 10.0, "seed": 1}],
+                             ids=["projector", "random"])
+    def test_passing_verify_takes_no_svd(self, tmp_path, monkeypatch, map_spec):
+        path = write_config(tmp_path / "c.json", dim=64, map_spec=map_spec,
+                            z_samples=[[0, 0], [1, 0], [1, 1], [0, 2]])
+        shapes = self.spy_svds(monkeypatch)
+        assert main(["verify", "--config", str(path)]) == 0
+        assert shapes == []
+
+    def test_sweep_takes_two_svds(self, tmp_path, monkeypatch):
+        # the dim-16 bch_u and bch_v at the fixed cutoff 8, above tolerance
+        # (the row is out of regime); every other norm passes on its bound
+        path = write_config(tmp_path / "c.json",
+                            map_spec={"kind": "random", "cond": 10.0, "seed": 1},
+                            z_samples=[[0, 0], [1, 0], [1, 1], [0, 2]])
+        shapes = self.spy_svds(monkeypatch)
+        conv_path, _ = convergence_study(load_config(path), [16, 32, 64, 128])
+        assert shapes == [(8, 8), (8, 8)]
+        rows = _rows(conv_path)
+        assert float(rows[0]["bch_residual"]) > DEFAULT_TOLERANCES["bch_u"][0]
+        assert [r["status"] for r in rows] == ["out-of-regime", "pass", "pass", "pass"]
+
+
 def test_verify_cutoffs_stay_in_regime(tmp_path):
     # verify takes each factorization cutoff from _bch_cutoff, so only the
     # amplitude can put a bch record out of regime
@@ -621,7 +669,7 @@ class TestCli:
         assert main(["verify", "--config", str(path)]) == 1
 
     @pytest.mark.parametrize("dim, z_samples", [
-        (8, [[0, 0], [1, 0], [0.5, 0.5], [1, 0.9]]),
+        (8, [[0, 0], [1, 0], [0.5, 0.5], [1, 0.9], [1, 1]]),
         (16, [[0, 0], [1, 0], [1, 1], [0, 2]]),
         (24, [[0, 0], [1, 0], [1, 1], [0, 2]]),
     ])
@@ -629,8 +677,8 @@ class TestCli:
         # coordinate_l2 measures the coherent tail sqrt(P(dim, |z|^2)), and
         # its tolerance carries cond times the tail's majorant: at these dims
         # the tail alone used to fail it (2i at dim 24: 3.1e-6 against 1e-8).
-        # Dim 8 refuses 2i as out of regime, and 1+i too: |1+i|^2 rounds to
-        # 2.0000000000000004, just above 8/4
+        # Dim 8 refuses 2i as out of regime; 1+i sits on its edge, |1+i|^2 =
+        # 8/4 exactly (abs(1+1j) ** 2 would round to 2.0000000000000004)
         path = write_config(tmp_path / "c.json", dim=dim, map_spec=GROUND_PROJECTOR,
                             z_samples=z_samples)
         assert main(["verify", "--config", str(path)]) == 0
