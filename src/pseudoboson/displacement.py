@@ -17,8 +17,8 @@ The non-unitary displacements are defined by similarity,
 ``U(z) = S W(z) S^{-1}`` and ``V(z) = (S^{-1})^dag W(z) S^dag``, which is
 exact in finite dimension.  With ``S = blockdiag(S_p, 1)`` both equal
 ``W(z)`` outside rows ``:p`` and columns ``:p``, bit for bit, so
-:class:`DisplacementSet` holds ``W(z)`` and those strips of ``U`` and ``V``
-only, and the factorization and intertwining checks read them there.
+:class:`DisplacementSet` holds ``W(z)`` and each entry of ``U`` and ``V``
+there once, and the factorization and intertwining checks read them there.
 
 The power-similarity check reads the pair's border only: ``z b - conj(z) a``
 differs from ``z c^dag - conj(z) c`` in a leading block, so both sides of
@@ -49,9 +49,8 @@ import numpy as np
 
 from .algebra import PseudoBosonPair, _lowering_lead, _raising_lead
 from .errors import AccuracyRegimeWarning, DimensionMismatchError, InvalidDimensionError
-from .fock import (FockSpace, Operator, _bordered, _freeze, _frobenius_norm, _graded_norm,
-                   _spectral_lower_bound, _spectral_norm)
-from .riesz import RieszMap, _blockdiag, _cotransport, _lmul, _rmul, _rmul_over, _transport
+from .fock import FockSpace, Operator, _freeze, _graded_norm, _spectral_lower_bound
+from .riesz import RieszMap, _blockdiag, _cotransport, _lmul, _rmul, _transport
 
 __all__ = [
     "DisplacementSet",
@@ -64,7 +63,7 @@ __all__ = [
 ]
 
 
-_STRIPS = ("U_rows", "U_cols", "V_rows", "V_cols")
+_STRIPS = ("U_rows", "U_below", "V_rows", "V_below")
 
 #: The largest power ``k`` of the generator that :func:`power_similarity_check` grades.
 _K_MAX = 5
@@ -74,31 +73,30 @@ _K_MAX = 5
 class DisplacementSet:
     """The displacements ``U(z) = S W(z) S^{-1}`` and
     ``V(z) = (S^{-1})^dag W(z) S^dag`` of the map ``source``, held as the
-    unitary ``W = W(z)`` and the strips ``U_rows = U[:q, :]``,
-    ``U_cols = U[:, :q]``, ``V_rows = V[:q, :]`` and ``V_cols = V[:, :q]``:
-    outside rows ``:q`` and columns ``:q``, ``U`` and ``V`` are ``W``, bit for
-    bit.
+    unitary ``W = W(z)``, the rows ``U_rows = U[:q, :]`` and ``V_rows = V[:q, :]``
+    and the columns ``:q`` below them, ``U_below = U[q:, :q]`` and
+    ``V_below = V[q:, :q]``: outside these, ``U`` and ``V`` are ``W``, bit for bit.
 
     ``q`` is the width of the strips given, from ``p``, the map's block
     (``q = p`` from :func:`displaced_pair`), up to ``dim`` for the dense
-    ``U`` and ``V`` as both of their strips; they are kept as given,
-    read-only.  Entries are not checked for finiteness: a non-finite one
-    reaches the checks, which read it as NaN.  The dense ``U`` and ``V``
-    are built on each access.
+    ``U`` and ``V`` as their rows; they are kept as given, read-only.
+    Entries are not checked for finiteness: a non-finite one reaches the
+    checks, which read it as NaN.  The dense ``U`` and ``V`` are built on
+    each access.
 
     Raises
     ------
     DimensionMismatchError
         If ``W`` is not ``dim x dim`` or the strips are not ``q x dim`` and
-        ``dim x q`` for one ``p <= q <= dim``.
+        ``(dim - q) x q`` for one ``p <= q <= dim``.
     """
 
     z: complex
     W: np.ndarray
     U_rows: np.ndarray
-    U_cols: np.ndarray
+    U_below: np.ndarray
     V_rows: np.ndarray
-    V_cols: np.ndarray
+    V_below: np.ndarray
     source: RieszMap
 
     def __post_init__(self):
@@ -107,25 +105,24 @@ class DisplacementSet:
         strips = [getattr(self, name) for name in _STRIPS]
         q = len(strips[0])
         if self.W.shape != (d, d) or not p <= q <= d or any(
-                x.shape != shape for x, shape in zip(strips, [(q, d), (d, q)] * 2)):
+                x.shape != shape for x, shape in zip(strips, [(q, d), (d - q, q)] * 2)):
             raise DimensionMismatchError(
                 f"W {self.W.shape} and strips {[x.shape for x in strips]} are not "
-                f"{d} x {d}, q x {d} and {d} x q for one {p} <= q <= {d}")
+                f"{d} x {d}, q x {d} and ({d} - q) x q for one {p} <= q <= {d}")
 
     space = property(lambda self: self.source.space)
     border = property(lambda self: len(self.U_rows))
     U = property(lambda self: Operator(self.space, self.lead("U", self.source.dim)))
     V = property(lambda self: Operator(self.space, self.lead("V", self.source.dim)))
 
-    def lead(self, op: str, rows: int, cols: int | None = None) -> np.ndarray:
-        """``X[:rows, :cols]`` (``cols`` defaults to ``rows``) for ``X`` the
-        displacement ``op``, ``"U"`` or ``"V"``: ``W``'s block with the strips
-        written over its border."""
-        top, left = (self.U_rows, self.U_cols) if op == "U" else (self.V_rows, self.V_cols)
-        cols = rows if cols is None else cols
-        out = np.array(self.W[:rows, :cols])
-        out[:, :self.border] = left[:rows, :cols]
-        out[:self.border] = top[:rows, :cols]
+    def lead(self, op: str, k: int) -> np.ndarray:
+        """``X[:k, :k]`` for ``X`` the displacement ``op``, ``"U"`` or ``"V"``:
+        ``W``'s block with the strips written over its border."""
+        top, below = (self.U_rows, self.U_below) if op == "U" else (self.V_rows, self.V_below)
+        q = self.border
+        out = np.array(self.W[:k, :k])
+        out[:q] = top[:k, :k]
+        out[q:, :q] = below[:max(k - q, 0), :k]
         return out
 
 
@@ -218,18 +215,18 @@ def weyl(space: FockSpace, z: complex) -> Operator:
 
 
 def _strips(left: np.ndarray, right: np.ndarray, W: np.ndarray):
-    """Rows and columns ``:p`` (``p = len(left)``) of
-    ``blockdiag(left, 1) W blockdiag(right, 1)``, by the very products
-    :func:`~pseudoboson.riesz._lmul` and then
-    :func:`~pseudoboson.riesz._rmul` take, so they are bit for bit those of
+    """Rows ``:p`` (``p = len(left)``) of
+    ``blockdiag(left, 1) W blockdiag(right, 1)`` and its columns ``:p`` below
+    them, by the products :func:`~pseudoboson.riesz._lmul` and then
+    :func:`~pseudoboson.riesz._rmul` take, row by row, so bit for bit those of
     the dense transport; read-only, so the set keeps them uncopied."""
     p = len(left)
     top = left @ W[:p]  # rows :p of blockdiag(left, 1) W
-    cols = np.concatenate([top[:, :p], W[p:, :p]]) @ right
-    top[:, :p] = cols[:p]
+    top[:, :p] = top[:, :p] @ right
+    below = W[p:, :p] @ right
     top.setflags(write=False)
-    cols.setflags(write=False)
-    return top, cols
+    below.setflags(write=False)
+    return top, below
 
 
 def displaced_pair(riesz: RieszMap, z: complex) -> DisplacementSet:
@@ -240,20 +237,6 @@ def displaced_pair(riesz: RieszMap, z: complex) -> DisplacementSet:
     S, S_inv = riesz.S_block, riesz.S_inv_block
     return DisplacementSet(complex(z), W, *_strips(S, S_inv, W),
                            *_strips(S_inv.conj().T, S.conj().T, W), source=riesz)
-
-
-def _relative_norm(ref: np.ndarray, other: np.ndarray, tol: float) -> float:
-    """``||ref - other|| / lo(ref)``, graded against ``tol`` as in
-    :func:`~pseudoboson.fock._graded_norm`, over the certified lower bound
-    :func:`~pseudoboson.fock._spectral_lower_bound` of ``||ref||``, so no SVD
-    of ``ref`` is taken.  The value is never below the exact relative
-    residual, and with the exact numerator at most ``sqrt(min(ref.shape))``
-    times it: a grade on it can turn a pass into a fail, never the reverse.
-    ``ref`` is overwritten by the difference."""
-    lo = _spectral_lower_bound(ref)
-    ref -= other
-    del other  # the caller's temporary: free it before the SVD
-    return _graded_norm(ref, max(lo, 1e-300), tol)
 
 
 def _times_generator(T: np.ndarray, z: complex) -> np.ndarray:
@@ -319,7 +302,7 @@ def power_similarity_check(pair: PseudoBosonPair, z: complex, *, tol: float = 0.
     for k, Dk in enumerate(_strip_powers(pair, z, r, width, _K_MAX), 1):
         SGk = _times_generator(SGk, z)
         diff = _rmul(SGk, riesz.S_inv_block, r) - Dk[:, :r]
-        residuals[k] = _graded_norm(diff, max(_spectral_lower_bound(Dk[:s, :cut]), 1e-300), tol)
+        residuals[k] = _graded_norm(diff, _spectral_lower_bound(Dk[:s, :cut]), tol)
     return residuals
 
 
@@ -381,10 +364,11 @@ def bch_factorization_check(disp: DisplacementSet, cutoff: int, *,
     ``U(z) = e^{-|z|^2/2} e^{z b} e^{-conj(z) a}`` and
     ``V(z) = e^{-|z|^2/2} e^{z a^dag} e^{-conj(z) b^dag}`` on the levels
     ``:cutoff``, ``1 <= cutoff < dim`` (else :class:`InvalidDimensionError`): the
-    spectral norm of each difference over the certified lower bound of
-    ``||U[:k, :k]||`` or ``||V[:k, :k]||`` (:func:`_relative_norm`), never
-    below the exact relative residual.  A residual at most ``tol`` may be
-    the Frobenius bound of the difference; one above it is exact.
+    spectral norm of each difference over the certified lower bound
+    :func:`~pseudoboson.fock._spectral_lower_bound` of ``||U[:k, :k]||`` or
+    ``||V[:k, :k]||``, so no value is below the exact relative residual and
+    no SVD of a reference is taken.  A residual at most ``tol`` may be the
+    Frobenius bound of the difference; one above it is exact.
 
     ``U[:k, :k]`` and ``V[:k, :k]`` are ``W``'s block with ``disp``'s strips
     written over its border, and ``S`` is its map.  The check
@@ -408,9 +392,13 @@ def bch_factorization_check(disp: DisplacementSet, cutoff: int, *,
                       "factorization residual will include unsuppressed tail",
                       AccuracyRegimeWarning, stacklevel=2)
     E = _displacement_block(z, max(k, riesz.block))  # all the transports read
-    r_u = _relative_norm(disp.lead("U", k), _transport(riesz, E, k), tol)
-    r_v = _relative_norm(disp.lead("V", k), _cotransport(riesz, E, k), tol)
-    return r_u, r_v
+    residuals = []
+    for op, transport in (("U", _transport), ("V", _cotransport)):
+        diff = disp.lead(op, k)  # the reference, then the difference in place
+        lo = _spectral_lower_bound(diff)
+        diff -= transport(riesz, E, k)
+        residuals.append(_graded_norm(diff, lo, tol))
+    return tuple(residuals)
 
 
 def intertwining_check(disp: DisplacementSet, *, tol: float = 0.0) -> float:
@@ -423,21 +411,15 @@ def intertwining_check(disp: DisplacementSet, *, tol: float = 0.0) -> float:
     ``S S^dag`` is the identity outside its ``p x p`` block and ``U = V = W``
     outside the set's border ``q >= p``, so the residual is exactly zero
     outside rows ``:t`` and columns ``:t``, ``t = min(q, k)``.  Only its rows
-    ``:t`` and the block ``[t:k, :t]`` are formed.  Where the Frobenius bound
-    ``sqrt(||top||^2 + ||left||^2)`` over the frame bound is at most ``tol``
-    it is the value; otherwise :func:`~pseudoboson.fock._bordered` reduces
-    the two parts to ``[top; R 0]``, or assembles the ``k x k`` residual,
-    for the exact norm."""
+    ``:t`` and the block ``[t:k, :t]`` below them are formed, from the
+    set's strips, and graded as the bordered difference
+    (:func:`~pseudoboson.fock._graded_norm`): the Frobenius bound
+    ``sqrt(||top||^2 + ||left||^2)`` over the frame bound where that is at
+    most ``tol``, else the exact norm of the parts' reduction."""
     riesz, k = disp.source, disp.source.dim - 1
     M = riesz.theta_inv_block  # the deformed block of S S^dag
     t = min(disp.border, k)
-    reach = max(t, len(M))  # M's side, past k on a dense map
-    top = (_lmul(M, disp.lead("V", reach, k), t)
-           - _rmul_over(disp.lead("U", t, max(k, reach)), M, k))
-    left = disp.lead("V", k, t)[t:] - _rmul(disp.lead("U", k, reach)[t:], M, t)
-    bound = _frobenius_norm(top, left) / riesz.frame_bounds[1]
-    if bound <= tol:
-        return bound
-    diff = _bordered(top, left)
-    del top, left  # free them before the SVD
-    return _spectral_norm(diff) / riesz.frame_bounds[1]
+    return _graded_norm(  # top and left as temporaries, so the grader frees them before an SVD
+        _lmul(M, disp.V_rows[:, :k], t) - _rmul(disp.U_rows[:t], M, k),
+        riesz.frame_bounds[1], tol,
+        disp.V_below[:k - t, :t] - _rmul(disp.U_below[:k - t], M, t))

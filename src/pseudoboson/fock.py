@@ -110,16 +110,24 @@ def _frobenius_norm(*parts: np.ndarray) -> float:
     return math.ldexp(math.sqrt(total), e)
 
 
-def _graded_norm(diff: np.ndarray, denominator: float, tol: float) -> float:
+def _graded_norm(diff: np.ndarray, denominator: float, tol: float,
+                 left: np.ndarray | None = None) -> float:
     """``||diff|| / denominator``, certified against ``tol``: the Frobenius
     bound :func:`_frobenius_norm` of the quotient when it is at most ``tol``
     (then ``exact <= bound <= tol``), otherwise the exact
     :func:`_spectral_norm`, one SVD.  So a value at most ``tol`` may be the
     bound, up to ``sqrt(rank diff)`` times the exact one, and a value above
     it is exact; at ``tol = 0`` every value is exact.  A non-finite ``diff``
-    reads ``nan``."""
-    bound = _frobenius_norm(diff) / denominator
-    return bound if bound <= tol else _spectral_norm(diff) / denominator
+    reads ``nan``, and the denominator is floored at ``1e-300``.  Given
+    ``left``, the difference is ``[diff; left 0]``, reduced by
+    :func:`_bordered` for the exact norm."""
+    denominator = max(denominator, 1e-300)
+    bound = _frobenius_norm(diff, *([] if left is None else [left])) / denominator
+    if bound <= tol:
+        return bound
+    if left is not None:
+        diff, left = _bordered(diff, left), None  # drop the parts before the SVD
+    return _spectral_norm(diff) / denominator
 
 
 def _spectral_lower_bound(X: np.ndarray) -> float:

@@ -85,5 +85,5 @@ def with_disp_entry(disp, op, entry, factor):
         U, V = disp.U.mat.copy(), disp.V.mat.copy()
         {"U": U, "V": V}[op][entry] *= factor
         q = max(disp.border, min(entry) + 1)
-    return DisplacementSet(disp.z, W, U[:q], U[:, :q], V[:q], V[:, :q], riesz)
+    return DisplacementSet(disp.z, W, U[:q], U[q:, :q], V[:q], V[q:, :q], riesz)
 

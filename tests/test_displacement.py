@@ -182,10 +182,11 @@ class TestStrips:
             U, V = _transport(riesz, disp.W), _cotransport(riesz, disp.W)
             assert disp.border == p
             np.testing.assert_array_equal(disp.W, weyl(riesz.space, z).mat)
-            for rows, cols, dense in ((disp.U_rows, disp.U_cols, U), (disp.V_rows, disp.V_cols, V)):
+            for rows, below, dense in ((disp.U_rows, disp.U_below, U),
+                                       (disp.V_rows, disp.V_below, V)):
                 np.testing.assert_array_equal(rows, dense[:p])
-                np.testing.assert_array_equal(cols, dense[:, :p])
-                assert not (rows.flags.writeable or cols.flags.writeable)
+                np.testing.assert_array_equal(below, dense[p:, :p])
+                assert not (rows.flags.writeable or below.flags.writeable)
             np.testing.assert_array_equal(disp.U.mat, U)
             np.testing.assert_array_equal(disp.V.mat, V)
             outside = np.ones((dim, dim), bool)
@@ -198,20 +199,28 @@ class TestStrips:
         # width dim, and read back the displacements of the strips of width p
         disp = displaced_pair(random_map64, 1 + 1j)
         U, V = disp.U.mat, disp.V.mat
-        dense = DisplacementSet(disp.z, disp.W, U, U, V, V, random_map64)
+        dense = DisplacementSet(disp.z, disp.W, U, U[64:], V, V[64:], random_map64)
         assert (dense.border, disp.border) == (64, 32)
         for op in ("U", "V"):
             np.testing.assert_array_equal(dense.lead(op, 64), disp.lead(op, 64))
-        np.testing.assert_array_equal(dense.lead("V", 40, 50), V[:40, :50])
 
     def test_mismatched_strips_refused(self, random_map64):
         disp = displaced_pair(random_map64, 1.0)
         with pytest.raises(DimensionMismatchError):
-            DisplacementSet(disp.z, disp.W, disp.U_rows, disp.U_cols[:, :5],
-                            disp.V_rows, disp.V_cols, random_map64)
+            DisplacementSet(disp.z, disp.W, disp.U_rows, disp.U_below[:, :5],
+                            disp.V_rows, disp.V_below, random_map64)
         with pytest.raises(DimensionMismatchError):
-            DisplacementSet(disp.z, disp.W[:63], disp.U_rows, disp.U_cols,
-                            disp.V_rows, disp.V_cols, random_map64)
+            DisplacementSet(disp.z, disp.W[:63], disp.U_rows, disp.U_below,
+                            disp.V_rows, disp.V_below, random_map64)
+
+    def test_each_entry_held_once(self):
+        # W, and each entry of U and V that differs from it once: rows :q and
+        # the columns :q below them, in arrays of their own
+        disp = displaced_pair(random_riesz_map(FockSpace(64), 10.0, 1), 1 + 1j)
+        d, q = 64, disp.border
+        arrays = (disp.W, disp.U_rows, disp.U_below, disp.V_rows, disp.V_below)
+        assert sum(x.size for x in arrays) == d * d + 2 * (q * d + (d - q) * q) < d * d + 4 * q * d
+        assert all(x.dtype == complex and x.base is None for x in arrays)
 
 
 class TestDisplacementBlock:
@@ -460,7 +469,7 @@ class TestBchFactorization:
         rng = np.random.default_rng(5)
         U = disp.U.mat + 1e-6 * rng.standard_normal((64, 64))
         V = disp.V.mat + 1e-4 * rng.standard_normal((64, 64))
-        disp = DisplacementSet(disp.z, disp.W, U, U, V, V, random_map64)
+        disp = DisplacementSet(disp.z, disp.W, U, U[64:], V, V[64:], random_map64)
         r_u, r_v = bch_factorization_check(disp, 32)
         E = laguerre_block(1.0, 64)
         S, S_inv = random_map64.S.mat, random_map64.S_inv.mat

@@ -337,6 +337,25 @@ class TestSpectralNorm:
                         svd_sites.append((path.name, fn.name))
         assert svd_sites == [("fock.py", "_spectral_norm")]
 
+    def test_only_graded_norm_takes_exact_norms(self):
+        # the exact norm and the bordered reduction it runs on have one
+        # caller, fock._graded_norm, and no other module imports them: every
+        # norm record is graded by the one bound-or-exact rule
+        src = Path(__file__).resolve().parent.parent / "src" / "pseudoboson"
+        exact = {"_spectral_norm", "_bordered"}
+        sites = set()
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    assert not exact & {alias.name for alias in node.names}, path.name
+            for fn in [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]:
+                for call in [n for n in ast.walk(fn) if isinstance(n, ast.Call)]:
+                    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                    if name in exact:
+                        sites.add((path.name, fn.name, name))
+        assert sites == {("fock.py", "_graded_norm", name) for name in exact}
+
 
 class TestFrobeniusNorm:
     """The certified upper bound the numerators of ``bch_*``,
@@ -450,6 +469,24 @@ class TestGradedNorm:
     def test_default_tol_is_exact(self):
         X = np.random.default_rng(3).standard_normal((7, 5))
         assert _graded_norm(X, 2.0, 0.0) == _spectral_norm(X) / 2.0 < _frobenius_norm(X) / 2.0
+
+    @pytest.mark.parametrize("below", [0, 2, 4, 11])
+    def test_bordered_difference(self, below):
+        # [top; left 0] is graded as the assembled matrix: the bound of both
+        # parts within tol, the exact norm of the assembled matrix above it
+        rng = np.random.default_rng(below)
+        top = rng.standard_normal((4, 9)) + 1j * rng.standard_normal((4, 9))
+        left = rng.standard_normal((below, 4)) + 1j * rng.standard_normal((below, 4))
+        X = np.zeros((4 + below, 9), complex)
+        X[:4], X[4:, :4] = top, left
+        assert _graded_norm(top, 2.0, np.inf, left) == _frobenius_norm(top, left) / 2.0
+        exact = _spectral_norm(X) / 2.0
+        assert abs(_graded_norm(top, 2.0, 0.0, left) - exact) <= 1e-14 * exact
+
+    def test_denominator_floored(self):
+        X = np.eye(3)
+        assert _graded_norm(X, 0.0, np.inf) == _frobenius_norm(X) / 1e-300 < np.inf
+        assert np.isnan(_graded_norm(X, np.nan, 0.0))
 
 
 def _within_bound(X):
