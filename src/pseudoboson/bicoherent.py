@@ -110,15 +110,16 @@ def coherent(space: FockSpace, z: complex) -> np.ndarray:
     a read-only vector; :func:`coherent_tail_bound` bounds the omitted tail.
 
     Coefficients are accumulated by the ratio recurrence
-    ``c_{k+1} = c_k z / sqrt(k+1)``, which never forms a factorial.
+    ``c_{k+1} = c_k z / sqrt(k+1)``, which never forms a factorial, on
+    Python scalars collected in a list and converted once.
     """
-    d = space.dim
     z = complex(z)
-    vec = np.zeros(d, dtype=complex)
     term = complex(np.exp(-abs(z) ** 2 / 2))
-    for k in range(d):
-        vec[k] = term
-        term = term * z / np.sqrt(k + 1.0)
+    terms = []
+    for k in range(space.dim):
+        terms.append(term)
+        term = term * z / math.sqrt(k + 1.0)
+    vec = np.array(terms, dtype=complex)
     vec.setflags(write=False)
     return vec
 

@@ -29,7 +29,6 @@ import numpy as np
 from .config import build_map, load_config
 from .coordinate import _is_ground_state_projector, write_wavefunction_csv
 from .errors import ConfigError, PseudoBosonError
-from .reports import format_report_table
 from .suite import _format_z, _output_dir, convergence_study, run_suite, suite_failed
 
 __all__ = ["main"]
@@ -69,7 +68,8 @@ def main(argv=None) -> int:
         )
         if args.command == "verify":
             reports = run_suite(config)
-            print(format_report_table(reports))
+            # the table run_suite wrote, not formatted a second time
+            sys.stdout.write((config.outputs / "report.txt").read_text())
             print(f"reports written to {config.outputs}")
             return 1 if suite_failed(reports, strict=args.strict) else 0
         if args.command == "converge":

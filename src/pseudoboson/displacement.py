@@ -17,8 +17,12 @@ The non-unitary displacements are defined by similarity,
 ``U(z) = S W(z) S^{-1}`` and ``V(z) = (S^{-1})^dag W(z) S^dag``, which is
 exact in finite dimension.  With ``S = blockdiag(S_p, 1)`` both equal
 ``W(z)`` outside rows ``:p`` and columns ``:p``, bit for bit, so
-:class:`DisplacementSet` holds ``W(z)`` and each entry of ``U`` and ``V``
-there once, and the factorization and intertwining checks read them there.
+:class:`DisplacementSet` holds each entry of ``U`` and ``V`` there once,
+and of ``W`` only the leading block its checks read: the factorization
+reads ``W[:m, :m]``, ``m = max(cutoff, p)``, and intertwining the strips.
+:func:`displaced_pair` forms that block and the ``p``-wide strips of
+``W`` with the products :func:`weyl` forms its entries by, never the
+rest of ``W``.
 
 The power-similarity check reads the pair's border only: ``z b - conj(z) a``
 differs from ``z c^dag - conj(z) c`` in a leading block, so both sides of
@@ -73,22 +77,23 @@ _K_MAX = 5
 class DisplacementSet:
     """The displacements ``U(z) = S W(z) S^{-1}`` and
     ``V(z) = (S^{-1})^dag W(z) S^dag`` of the map ``source``, held as the
-    unitary ``W = W(z)``, the rows ``U_rows = U[:q, :]`` and ``V_rows = V[:q, :]``
-    and the columns ``:q`` below them, ``U_below = U[q:, :q]`` and
-    ``V_below = V[q:, :q]``: outside these, ``U`` and ``V`` are ``W``, bit for bit.
+    leading block ``W = W(z)[:m, :m]`` of the unitary displacement, the rows
+    ``U_rows = U[:q, :]`` and ``V_rows = V[:q, :]`` and the columns ``:q``
+    below them, ``U_below = U[q:, :q]`` and ``V_below = V[q:, :q]``: outside
+    these, ``U`` and ``V`` are ``W(z)``, bit for bit.
 
     ``q`` is the width of the strips given, from ``p``, the map's block
-    (``q = p`` from :func:`displaced_pair`), up to ``dim`` for the dense
-    ``U`` and ``V`` as their rows; they are kept as given, read-only.
-    Entries are not checked for finiteness: a non-finite one reaches the
-    checks, which read it as NaN.  The dense ``U`` and ``V`` are built on
-    each access.
+    (``q = p`` from :func:`displaced_pair`), up to ``dim``, and ``m`` the
+    levels of ``W(z)`` held, from ``q`` up to ``dim``: :meth:`lead` reads
+    ``U`` and ``V`` on at most ``m`` levels.  The arrays are kept as given,
+    read-only.  Entries are not checked for finiteness: a non-finite one
+    reaches the checks, which read it as NaN.
 
     Raises
     ------
     DimensionMismatchError
-        If ``W`` is not ``dim x dim`` or the strips are not ``q x dim`` and
-        ``(dim - q) x q`` for one ``p <= q <= dim``.
+        If ``W`` is not ``m x m`` and the strips ``q x dim`` and
+        ``(dim - q) x q`` for some ``p <= q <= m <= dim``.
     """
 
     z: complex
@@ -103,21 +108,27 @@ class DisplacementSet:
         d, p = self.source.dim, self.source.block
         _freeze(self, "W", *_STRIPS, dtype=complex)
         strips = [getattr(self, name) for name in _STRIPS]
-        q = len(strips[0])
-        if self.W.shape != (d, d) or not p <= q <= d or any(
+        q, m = len(strips[0]), len(self.W)
+        if self.W.shape != (m, m) or not p <= q <= m <= d or any(
                 x.shape != shape for x, shape in zip(strips, [(q, d), (d - q, q)] * 2)):
             raise DimensionMismatchError(
                 f"W {self.W.shape} and strips {[x.shape for x in strips]} are not "
-                f"{d} x {d}, q x {d} and ({d} - q) x q for one {p} <= q <= {d}")
+                f"m x m, q x {d} and ({d} - q) x q for some {p} <= q <= m <= {d}")
 
-    space = property(lambda self: self.source.space)
     border = property(lambda self: len(self.U_rows))
-    U = property(lambda self: Operator(self.space, self.lead("U", self.source.dim)))
-    V = property(lambda self: Operator(self.space, self.lead("V", self.source.dim)))
 
     def lead(self, op: str, k: int) -> np.ndarray:
         """``X[:k, :k]`` for ``X`` the displacement ``op``, ``"U"`` or ``"V"``:
-        ``W``'s block with the strips written over its border."""
+        ``W``'s block with the strips written over its border.
+
+        Raises
+        ------
+        InvalidDimensionError
+            If ``k`` exceeds the levels of ``W`` held.
+        """
+        if k > len(self.W):
+            raise InvalidDimensionError(
+                f"{op}[:{k}, :{k}] reads W(z) beyond the {len(self.W)} levels held")
         top, below = (self.U_rows, self.U_below) if op == "U" else (self.V_rows, self.V_below)
         q = self.border
         out = np.array(self.W[:k, :k])
@@ -166,27 +177,81 @@ def _phase_powers(w: complex, n: int) -> np.ndarray:
     return np.exp(1j * (k * head)) * np.exp(1j * (k * (theta - head)))
 
 
-def _parity_frame(d: int, r: float) -> np.ndarray:
-    """``e^{-i sqrt(2) r X} = Q e^{-i sqrt(2) r diag(lam)} Q^T`` on ``d`` levels,
-    writeable: the displacement ``W(z)`` of ``|z| = r`` in the frame of its
-    phases, ``D^* W(z) D``.  Its real part ``cos(sqrt(2) r X)`` lives on the
-    entries with ``m + n`` even and its imaginary part
-    ``-sin(sqrt(2) r X)`` on those with ``m + n`` odd (module docstring), so
-    only the blocks ``Q[0::2] cos Q[0::2]^T``, ``Q[1::2] cos Q[1::2]^T`` and
-    ``Q[0::2] sin Q[1::2]^T`` are formed (``sin`` is symmetric, so the last
-    gives both odd blocks): ``1.5 d^3`` flops instead of ``4 d^3``.  Each
-    entry is exactly real or exactly imaginary."""
+def _parity_frame(d: int, r: float, m: int, p: int = 0):
+    """Parts of ``F = e^{-i sqrt(2) r X} = Q e^{-i sqrt(2) r diag(lam)} Q^T`` on
+    ``d`` levels, writeable: the block ``F[:m, :m]``, the rows ``F[:p]`` and
+    the columns ``F[p:, :p]`` below them, for ``p <= m <= d``; with
+    ``m = d``, all of ``F``.  Only the block and the strips ``F[:p, m:]``
+    and ``F[m:, :p]`` beside it are computed: the rest of ``F`` is never
+    formed.  ``F`` is the displacement ``W(z)`` of ``|z| = r`` in the frame
+    of its phases, ``D^* W(z) D``.
+
+    Its real part ``cos(sqrt(2) r X)`` lives on the entries ``(j, k)`` with
+    ``j + k`` even and its imaginary part ``-sin(sqrt(2) r X)`` on those
+    with ``j + k`` odd (module docstring), so each entry is one of the
+    products ``Q[0::2] cos Q[0::2]^T``, ``Q[1::2] cos Q[1::2]^T`` and
+    ``Q[0::2] sin Q[1::2]^T`` of the even and odd rows of ``Q``; ``sin`` is
+    symmetric, so the last gives the odd-even entries too, as its
+    transpose, and one sin product serves both strips.  All of ``F`` takes
+    ``1.5 d^3`` flops instead of ``4 d^3``, and the parts only the rows and
+    columns of the products that they hold.  Each entry is exactly real or
+    exactly imaginary.  A part summed by a smaller product than all of
+    ``F``'s may differ from ``F``'s entry by a few roundoffs, since BLAS
+    may pick another kernel, and so another order, for another shape."""
     lam, Q = _position_spectrum(d)
     angle = -math.sqrt(2.0) * r * lam
     cos, sin = np.cos(angle), np.sin(angle)
     even, odd = Q[0::2], Q[1::2]
-    out = np.empty((d, d), dtype=complex)
-    out[0::2, 0::2] = (even * cos) @ even.T
-    out[1::2, 1::2] = (odd * cos) @ odd.T
-    cross = (even * sin) @ odd.T
-    np.multiply(1j, cross, out=out[0::2, 1::2])
-    np.multiply(1j, cross.T, out=out[1::2, 0::2])
-    return out
+    me, mo, pe, po = (m + 1) // 2, m // 2, (p + 1) // 2, p // 2
+    block = np.empty((m, m), dtype=complex)
+    block[0::2, 0::2] = (even[:me] * cos) @ even[:me].T
+    block[1::2, 1::2] = (odd[:mo] * cos) @ odd[:mo].T
+    cross = (even[:me] * sin) @ odd[:mo].T
+    np.multiply(1j, cross, out=block[0::2, 1::2])
+    np.multiply(1j, cross.T, out=block[1::2, 0::2])
+    top, side = np.empty((p, d), dtype=complex), np.empty((d - p, p), dtype=complex)
+    top[:, :m], side[:m - p] = block[:p], block[p:, :p]
+    right, below = top[:, m:], side[m - p:]  # the strips beside the block
+    s = m % 2  # the parity of level m: the strips' first column right of, and row below, the block
+    right[0::2, s::2] = (even[:pe] * cos) @ even[me:].T
+    right[1::2, 1 - s::2] = (odd[:po] * cos) @ odd[mo:].T
+    below[s::2, 0::2] = (even[me:] * cos) @ even[:pe].T
+    below[1 - s::2, 1::2] = (odd[mo:] * cos) @ odd[:po].T
+    cross = (even[:pe] * sin) @ odd[mo:].T  # even rows :p, odd columns m:
+    np.multiply(1j, cross, out=right[0::2, 1 - s::2])
+    np.multiply(1j, cross.T, out=below[1 - s::2, 0::2])
+    cross = (even[me:] * sin) @ odd[:po].T  # even rows m:, odd columns :p
+    np.multiply(1j, cross, out=below[s::2, 1::2])
+    np.multiply(1j, cross.T, out=right[1::2, s::2])
+    return block, top, side
+
+
+def _warn_outside_regime(space: FockSpace, z: complex):
+    """An :class:`AccuracyRegimeWarning`, at the caller's caller, when ``z`` is
+    outside :func:`in_accuracy_regime`."""
+    if not in_accuracy_regime(space, z):
+        warnings.warn(
+            f"|z|^2 = {abs(z)**2:.2f} exceeds dim/4 = {space.dim / 4:.2f}; "
+            "truncation tails are outside the accuracy regime",
+            AccuracyRegimeWarning,
+            stacklevel=3,
+        )
+
+
+def _weyl_parts(d: int, z: complex, m: int, p: int = 0):
+    """``W(z)[:m, :m]``, ``W(z)[:p]`` and ``W(z)[p:, :p]``, writeable: the
+    parts of :func:`_parity_frame` with the phases ``D = diag(u^n)``,
+    ``u = i e^{i arg z}``, applied, ``W = D F D^*``; at ``z = 0`` the
+    identity's, exactly."""
+    if z == 0:
+        return (np.eye(m, dtype=complex), np.eye(p, d, dtype=complex),
+                np.zeros((d - p, p), dtype=complex))
+    parts = _parity_frame(d, abs(z), m, p)
+    diag = _phase_powers(1j * z, d)
+    for part, rows, cols in zip(parts, (diag[:m], diag[:p], diag[p:]), (diag[:m], diag, diag[:p])):
+        part *= rows[:, None]
+        part *= cols.conj()
+    return parts
 
 
 def weyl(space: FockSpace, z: complex) -> Operator:
@@ -196,47 +261,51 @@ def weyl(space: FockSpace, z: complex) -> Operator:
     cached spectrum of the position matrix, the middle factor by parity
     blocks (:func:`_parity_frame`); ``W(0)`` is the exact identity.
     """
-    if not in_accuracy_regime(space, z):
-        warnings.warn(
-            f"|z|^2 = {abs(z)**2:.2f} exceeds dim/4 = {space.dim / 4:.2f}; "
-            "truncation tails are outside the accuracy regime",
-            AccuracyRegimeWarning,
-            stacklevel=2,
-        )
-    d = space.dim
-    if z == 0:
-        return Operator(space, np.eye(d))
-    W = _parity_frame(d, abs(z))
-    diag = _phase_powers(1j * z, d)
-    W *= diag[:, None]
-    W *= diag.conj()
+    _warn_outside_regime(space, z)
+    W = _weyl_parts(space.dim, z, space.dim)[0]
     W.setflags(write=False)
     return Operator(space, W)
 
 
-def _strips(left: np.ndarray, right: np.ndarray, W: np.ndarray):
+def _strips(left: np.ndarray, right: np.ndarray, top: np.ndarray, side: np.ndarray):
     """Rows ``:p`` (``p = len(left)``) of
     ``blockdiag(left, 1) W blockdiag(right, 1)`` and its columns ``:p`` below
-    them, by the products :func:`~pseudoboson.riesz._lmul` and then
-    :func:`~pseudoboson.riesz._rmul` take, row by row, so bit for bit those of
-    the dense transport; read-only, so the set keeps them uncopied."""
+    them, from ``top = W[:p]`` and ``side = W[p:, :p]``, by the products
+    :func:`~pseudoboson.riesz._lmul` and then :func:`~pseudoboson.riesz._rmul`
+    take, row by row, so bit for bit those of the dense transport;
+    read-only, so the set keeps them uncopied."""
     p = len(left)
-    top = left @ W[:p]  # rows :p of blockdiag(left, 1) W
-    top[:, :p] = top[:, :p] @ right
-    below = W[p:, :p] @ right
-    top.setflags(write=False)
+    rows = left @ top  # rows :p of blockdiag(left, 1) W
+    rows[:, :p] = rows[:, :p] @ right
+    below = side @ right
+    rows.setflags(write=False)
     below.setflags(write=False)
-    return top, below
+    return rows, below
 
 
-def displaced_pair(riesz: RieszMap, z: complex) -> DisplacementSet:
+def displaced_pair(riesz: RieszMap, z: complex, levels: int) -> DisplacementSet:
     """Build ``U(z) = S W(z) S^{-1}`` and ``V(z) = (S^{-1})^dag W(z) S^dag``
-    by similarity from the unitary displacement, as their strips of width
-    ``p``, the map's block: ``S`` and ``S^{-1}`` touch nothing else."""
-    W = weyl(riesz.space, z).mat
+    by similarity from the unitary displacement, for a caller that reads
+    them on the levels ``:levels``, ``0 <= levels <= dim``
+    (else :class:`InvalidDimensionError`).
+
+    The set holds their strips of width ``p``, the map's block, beside the
+    block ``W(z)[:m, :m]``, ``m = max(levels, p)``: ``S`` and ``S^{-1}``
+    touch nothing else.  Of ``W(z)`` only that block and its strips
+    ``W[:p, m:]`` and ``W[m:, :p]`` are formed (:func:`_parity_frame`), by
+    the products :func:`weyl` forms them with.
+    """
+    d, p = riesz.dim, riesz.block
+    if not 0 <= levels <= d:
+        raise InvalidDimensionError(
+            f"levels must satisfy 0 <= levels <= dim, got {levels} (dim {d})")
+    _warn_outside_regime(riesz.space, z)
+    m = max(levels, p)
+    block, top, side = _weyl_parts(d, z, m, p)
+    block.setflags(write=False)
     S, S_inv = riesz.S_block, riesz.S_inv_block
-    return DisplacementSet(complex(z), W, *_strips(S, S_inv, W),
-                           *_strips(S_inv.conj().T, S.conj().T, W), source=riesz)
+    return DisplacementSet(complex(z), block, *_strips(S, S_inv, top, side),
+                           *_strips(S_inv.conj().T, S.conj().T, top, side), source=riesz)
 
 
 def _times_generator(T: np.ndarray, z: complex) -> np.ndarray:
@@ -363,7 +432,8 @@ def bch_factorization_check(disp: DisplacementSet, cutoff: int, *,
     """Relative residuals ``(r_u, r_v)`` of the normal-ordered factorizations
     ``U(z) = e^{-|z|^2/2} e^{z b} e^{-conj(z) a}`` and
     ``V(z) = e^{-|z|^2/2} e^{z a^dag} e^{-conj(z) b^dag}`` on the levels
-    ``:cutoff``, ``1 <= cutoff < dim`` (else :class:`InvalidDimensionError`): the
+    ``:cutoff``, ``1 <= cutoff < dim`` and at most the levels of ``W(z)`` the
+    set holds (else :class:`InvalidDimensionError`): the
     spectral norm of each difference over the certified lower bound
     :func:`~pseudoboson.fock._spectral_lower_bound` of ``||U[:k, :k]||`` or
     ``||V[:k, :k]||``, so no value is below the exact relative residual and
@@ -386,6 +456,9 @@ def bch_factorization_check(disp: DisplacementSet, cutoff: int, *,
     if not 1 <= k < riesz.dim:
         raise InvalidDimensionError(
             f"cutoff must satisfy 1 <= cutoff < dim, got {k} (dim {riesz.dim})")
+    if k > len(disp.W):
+        raise InvalidDimensionError(
+            f"cutoff {k} exceeds the {len(disp.W)} levels of W(z) the set holds")
     margin = _bch_margin(riesz.dim, z)
     if k > margin:
         warnings.warn(f"cutoff {k} exceeds min(dim // 2, dim - ceil(4|z|^2) - 6) = {margin}; "

@@ -228,12 +228,13 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
             tol = rec.tolerance("power_similarity", z)
             rec.add("power_similarity", power_similarity_check(pair, z, tol=tol).max(), z,
                     border=q, reference="lower bound")
-            disp = displaced_pair(riesz, z)
+            cutoff = _bch_cutoff(dim, z)
+            disp = displaced_pair(riesz, z, cutoff)
             bc = rbcs(riesz, z)
-            _record_bch_eigen(rec, pair, disp, bc, _bch_cutoff(dim, z))
+            _record_bch_eigen(rec, pair, disp, bc, cutoff)
             rec.add("intertwining", intertwining_check(disp, tol=rec.tolerance("intertwining", z)),
                     z, border=disp.border)
-            del disp  # W and its strips: not alive beside the next amplitude's
+            del disp  # W's block and its strips: not alive beside the next amplitude's
             rec.add("rbcs_pairing", abs(np.vdot(bc.eta, bc.xi) - 1.0), z)
             phi_s, psi_s = series_route(pair, z)
             rec.add("two_route",
@@ -325,7 +326,8 @@ def convergence_study(config: RunConfig, dims: list[int]) -> tuple[Path, Path]:
                 # the status and the under-resolved rows carry these
                 warnings.simplefilter("ignore", AccuracyRegimeWarning)
                 warnings.simplefilter("ignore", UnderResolvedWarning)
-                _record_bch_eigen(rec, pair, displaced_pair(riesz, z), rbcs(riesz, z), cutoff)
+                _record_bch_eigen(rec, pair, displaced_pair(riesz, z, cutoff), rbcs(riesz, z),
+                                  cutoff)
                 # each rule once; the full rule (radial = dim) fills both tables
                 tol = rec.tolerance("resolution_identity")
                 deviations = {

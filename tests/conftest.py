@@ -8,6 +8,7 @@ from pseudoboson import (
     make_riesz_map,
     projector_map,
     random_riesz_map,
+    weyl,
 )
 from pseudoboson.riesz import _cotransport, _transport
 
@@ -69,21 +70,32 @@ def with_entry(pair, op, entry, factor):
     return PseudoBosonPair(a[:q, :q + 1], b[:q + 1, :q], pair.source)
 
 
+def dense_displacements(riesz, z):
+    """The dense ``U(z)`` and ``V(z)`` of ``riesz``, the oracle a
+    :class:`DisplacementSet` is read against: :func:`weyl`'s dense ``W(z)``
+    carried through the dense transports ``S W S^-1`` and
+    ``(S^-1)^dag W S^dag``."""
+    W = weyl(riesz.space, z).mat
+    return _transport(riesz, W), _cotransport(riesz, W)
+
+
 def with_disp_entry(disp, op, entry, factor):
-    """``disp`` with the entry ``entry`` of ``op`` (``"U"``, ``"V"`` or ``"W"``)
-    scaled by ``factor``, built by hand on strips just wide enough to hold
-    it: a ``U`` or ``V`` entry ``(i, j)`` lies in the strips of width ``q``
-    for ``q > min(i, j)``.  A ``W`` entry is carried into ``U`` and ``V`` by
-    the dense transports, as :func:`displaced_pair` would carry a fault of
-    ``W``, and stays on the set's strips."""
-    W, riesz = disp.W.copy(), disp.source
+    """A set like ``disp`` with the entry ``entry`` of ``op`` (``"U"``, ``"V"``
+    or ``"W"``) scaled by ``factor``: the fault is put into the dense
+    matrices (:func:`dense_displacements`), which are then cut to ``disp``'s
+    block of ``W`` and strips just wide enough to hold it: a ``U`` or ``V``
+    entry ``(i, j)`` lies in the strips of width ``q`` for ``q > min(i, j)``,
+    and the block is widened to ``q`` if narrower.  A ``W`` entry is carried
+    into ``U`` and ``V`` by the dense transports, as :func:`displaced_pair`
+    would carry a fault of ``W``, and stays on the set's strips."""
+    riesz = disp.source
+    W = weyl(riesz.space, disp.z).mat.copy()
     if op == "W":
         W[entry] *= factor
-        U, V = _transport(riesz, W), _cotransport(riesz, W)
-        q = disp.border
-    else:
-        U, V = disp.U.mat.copy(), disp.V.mat.copy()
+    U, V = _transport(riesz, W), _cotransport(riesz, W)
+    q = disp.border
+    if op != "W":
         {"U": U, "V": V}[op][entry] *= factor
-        q = max(disp.border, min(entry) + 1)
-    return DisplacementSet(disp.z, W, U[:q], U[q:, :q], V[:q], V[q:, :q], riesz)
-
+        q = max(q, min(entry) + 1)
+    m = max(len(disp.W), q)
+    return DisplacementSet(disp.z, W[:m, :m], U[:q], U[q:, :q], V[:q], V[q:, :q], riesz)

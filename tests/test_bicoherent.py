@@ -75,6 +75,30 @@ class TestCoherent:
         residual = np.linalg.norm(ladder_c(space64).mat @ state - z * state)
         assert residual <= np.sqrt(64) * abs(z) * abs(state[-1]) + 1e-15
 
+    @pytest.mark.parametrize("dim", [4, 5, 16, 64, 257, 1024])
+    def test_python_scalar_recurrence_keeps_every_bit(self, dim):
+        # the recurrence on Python complex and math.sqrt against the loop it
+        # replaced, numpy scalar steps written into a zeroed vector: the same
+        # vector bit for bit, signs of zero included, from z = 0 and
+        # subnormal amplitudes up to |z| = 8
+        def numpy_loop(space, z):
+            vec = np.zeros(space.dim, dtype=complex)
+            term = complex(np.exp(-abs(z) ** 2 / 2))
+            for k in range(space.dim):
+                vec[k] = term
+                term = term * z / np.sqrt(k + 1.0)
+            return vec
+
+        rng = np.random.default_rng(dim)
+        zs = [0, 5e-324, -5e-324j, 1e-310 + 1e-310j, 1, 1 + 1j, 2j, -7.9j, 8, 5.6 - 5.6j]
+        zs += list(8 * rng.uniform(0, 1, 20) * np.exp(2j * np.pi * rng.uniform(0, 1, 20)))
+        space = FockSpace(dim)
+        for z in map(complex, zs):
+            got, want = coherent(space, z), numpy_loop(space, z)
+            np.testing.assert_array_equal(got, want)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+
     @settings(max_examples=30, deadline=None)
     @given(disk2, disk2)
     def test_overlap_kernel(self, z, w):

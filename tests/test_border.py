@@ -52,7 +52,7 @@ from pseudoboson.algebra import _commutator_block
 from pseudoboson.fock import _spectral_lower_bound, _spectral_norm, ladder_c
 from pseudoboson.riesz import _transport
 
-from conftest import with_disp_entry, with_entry
+from conftest import dense_displacements, with_disp_entry, with_entry
 
 MAPS = {
     "identity": (lambda space: make_riesz_map(space, np.eye(0)), 0),
@@ -208,8 +208,8 @@ def run_with_fault(tmp_path, monkeypatch, map_spec, fault=None, factor=1 + 1e-6)
         monkeypatch.setattr(suite, "make_pair",
                             lambda riesz: with_entry(make_pair(riesz), *fault, factor))
     elif fault is not None and fault[0] in ("U", "V", "W"):
-        monkeypatch.setattr(suite, "displaced_pair", lambda riesz, z: with_disp_entry(
-            displaced_pair(riesz, z), *fault, factor))
+        monkeypatch.setattr(suite, "displaced_pair", lambda riesz, z, levels: with_disp_entry(
+            displaced_pair(riesz, z, levels), *fault, factor))
     elif fault is not None:
         field, entry = fault
         riesz = build_map(load_config(path))
@@ -366,17 +366,18 @@ class TestExactFails:
         assert sorted(v / B for v in seen["intertwining_check"]) == sorted(intertwining.values())
         for label, residual in bch_u.items():
             z = complex(label)
-            disp = with_disp_entry(displaced_pair(riesz, z), *fault, 1 + 1e-6)
             k = suite._bch_cutoff(64, z)
+            disp = with_disp_entry(displaced_pair(riesz, z, k), *fault, 1 + 1e-6)
             ref = disp.lead("U", k)
             E = displacement._displacement_block(z, max(k, riesz.block))
             exact = _spectral_norm(ref - _transport(riesz, E, k)) / _spectral_lower_bound(ref)
             assert residual == exact == bch_factorization_check(disp, k)[0]
         for label, residual in intertwining.items():
-            disp = with_disp_entry(displaced_pair(riesz, complex(label)), *fault, 1 + 1e-6)
+            # intertwining reads the strips only: a set of all levels reads the same
+            disp = with_disp_entry(displaced_pair(riesz, complex(label), 64), *fault, 1 + 1e-6)
             assert residual == intertwining_check(disp)
             M = riesz.theta_inv.mat
-            diff = (M @ disp.V.mat - disp.U.mat @ M)[:63, :63]
+            diff = (M @ disp.lead("V", 64) - disp.lead("U", 64) @ M)[:63, :63]
             assert residual == pytest.approx(_spectral_norm(diff) / B, rel=1e-8)
 
     @pytest.mark.parametrize("kind", ["projector", "random"])
@@ -611,17 +612,17 @@ class TestAllocation:
 
 
     def test_displacement_work_stays_beside_w(self):
-        # displaced_pair holds W, one dense array, and strips of width 1; it
-        # peaks below half a dense array more, and the factorization (a
-        # 512 x 512 cutoff) and intertwining checks below one
+        # displaced_pair holds W's 512 x 512 block and strips of width 1, a
+        # quarter of a dense array, and peaks below half of one; the
+        # factorization (a 512 x 512 cutoff) and intertwining checks below one
         space = FockSpace(1024)
         riesz = projector_map(space, space.basis_vector(0))
         weyl(space, 1.0)  # the position spectrum, cached for every amplitude
         for z in (1.0, 1 + 1j, 2j):
-            assert self.peak(lambda: displaced_pair(riesz, z)) < 1.5 * self.LIMIT
-            disp = displaced_pair(riesz, z)
-            assert disp.border == 1
             cut = suite._bch_cutoff(1024, z)
+            assert self.peak(lambda: displaced_pair(riesz, z, cut)) < 0.5 * self.LIMIT
+            disp = displaced_pair(riesz, z, cut)
+            assert disp.border == 1 and disp.W.shape == (cut, cut) == (512, 512)
             assert self.peak(lambda: bch_factorization_check(disp, cut)) < self.LIMIT
             assert self.peak(lambda: intertwining_check(disp)) < self.LIMIT
 
@@ -652,10 +653,10 @@ def test_border_narrower_than_the_block_is_refused(random_map64):
     pair = make_pair(random_map64)
     with pytest.raises(DimensionMismatchError):
         PseudoBosonPair(pair.a_border[:31, :32], pair.b_border[:32, :31], random_map64)
-    disp = displaced_pair(random_map64, 1.0)
-    U, V = disp.U.mat, disp.V.mat
+    W = weyl(random_map64.space, 1.0).mat
+    U, V = dense_displacements(random_map64, 1.0)
     with pytest.raises(DimensionMismatchError):
-        DisplacementSet(disp.z, disp.W, U[:31], U[31:, :31], V[:31], V[31:, :31], random_map64)
+        DisplacementSet(1.0, W, U[:31], U[31:, :31], V[:31], V[31:, :31], random_map64)
 
 
 @pytest.mark.parametrize("spec", [PROJECTOR, RANDOM], ids=["projector", "random"])

@@ -26,14 +26,14 @@ from pseudoboson import (
     save_riesz_map,
     suite_failed,
 )
-from pseudoboson import (DisplacementSet, FockSpace, coordinate, displaced_pair,
+from pseudoboson import (FockSpace, coordinate, displaced_pair,
                          displacement, fock, intertwining_check, make_riesz_map, projector_map,
                          random_riesz_map, suite)
 from pseudoboson.cli import main
 from pseudoboson.fock import _spectral_norm
-from pseudoboson.reports import DEFAULT_TOLERANCES
+from pseudoboson.reports import DEFAULT_TOLERANCES, CheckReport, format_report_table
 
-from conftest import in_graded_bracket
+from conftest import in_graded_bracket, with_disp_entry
 
 #: The one map whose closed forms emit-wavefunctions writes.
 GROUND_PROJECTOR = {"kind": "projector", "u_index": 0}
@@ -188,7 +188,7 @@ class TestRunSuite:
                 assert all(shape[0] < 64 for shape, uv, _ in seen if uv)
                 seen.clear()
                 riesz = build_map(config)
-                intertwining_check(displaced_pair(riesz, 1.0))
+                intertwining_check(displaced_pair(riesz, 1.0, 0))
                 assert [shape[0] for shape, _, callers in seen
                         if "intertwining_check" in callers] == [2]
 
@@ -236,11 +236,8 @@ class TestRunSuite:
         # a NaN in U reaches the numerator and the reference of bch_u and
         # the residual of intertwining: each record reads NaN and fails
         # instead of passing a <= test, on the bound or on the exact norm
-        def nan_pair(riesz, z):
-            disp = displaced_pair(riesz, z)
-            U = disp.U.mat.copy()
-            U[1, 1] = np.nan
-            return DisplacementSet(disp.z, disp.W, U, U[32:], disp.V.mat, disp.V.mat[32:], riesz)
+        def nan_pair(riesz, z, levels):
+            return with_disp_entry(displaced_pair(riesz, z, levels), "U", (1, 1), np.nan)
 
         monkeypatch.setattr(suite, "displaced_pair", nan_pair)
         path = write_config(tmp_path / "c.json", dim=32,
@@ -660,6 +657,19 @@ class TestCli:
         assert main(["verify", "--config", str(path)]) == 0
         out = capsys.readouterr().out
         assert "pass" in out
+
+    def test_verify_prints_the_written_table(self, tmp_path, capsys):
+        # stdout is report.txt, the table run_suite wrote, and the line
+        # naming the directory: the bytes of the table formatted afresh
+        path = write_config(tmp_path / "c.json", dim=32,
+                            map_spec={"kind": "random", "cond": 10.0, "seed": 1})
+        assert main(["verify", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        table = (tmp_path / "out" / "report.txt").read_text()
+        assert out == table + f"reports written to {tmp_path / 'out'}\n"
+        written = json.loads((tmp_path / "out" / "report.json").read_text())
+        records = [CheckReport(**r) for r in written]
+        assert table == format_report_table(records) + "\n"
 
     def test_verify_exit_one_on_failure(self, tmp_path):
         path = write_config(tmp_path / "c.json",
