@@ -47,7 +47,7 @@ r_eta, r_xi = eigen_check(pair, bc)
 print("eigen residuals  a eta = z eta:", r_eta, "  b^dag xi = z xi:", r_xi)
 
 # Third route: the coherent series over the excited families.
-phi_s, psi_s = series_route(pair, z)
+phi_s, psi_s = series_route(pair, bc)
 print("series route vs mapped route:",
       np.linalg.norm(phi_s - bc.eta), np.linalg.norm(psi_s - bc.xi))
 

@@ -21,6 +21,7 @@ from pseudoboson import (
     gauss_hermite_grid,
     hermite_stack,
     projector_map,
+    rbcs,
     write_wavefunction_csv,
 )
 
@@ -42,14 +43,14 @@ for zz in (1.0, 1 + 1j, 2j):
     pairing = np.sum(w * np.conj(phi) * psi)
     print(f"z = {zz}: ||Phi_z||^2 = {norm:.12f},  integral conj(phi) psi = {pairing:.12f}")
 
-# Cross-validation: the same states built from number-basis coefficients
-# (T applied to the truncated coherent vector, expanded over Hermite
-# functions) match the closed forms in L2.
+# Cross-validation: the bicoherent pair built from number-basis coefficients
+# (T and (T^-1)^dag applied to the truncated coherent vector, expanded over
+# Hermite functions) matches the closed forms in L2.
 print("\ncross-validation against the number-basis route (dim = 64):")
 space = FockSpace(64)
 riesz = projector_map(space, space.basis_vector(0))
 for zz in (1.0, 1 + 1j, 2j):
-    cv = cross_validate(zz, riesz)
+    cv = cross_validate(rbcs(riesz, zz))
     print(f"  z = {zz}: L2 deviations {cv.l2_dev_phi:.2e} / {cv.l2_dev_psi:.2e}, "
           f"pairing - 1 = {abs(cv.pairing - 1):.2e}")
 

@@ -53,19 +53,20 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class BicoherentPair:
-    """States ``eta(z) = S Phi(z)`` and ``xi(z) = (S^{-1})^dag Phi(z)``.
+    """States ``eta(z) = S Phi(z)`` and ``xi(z) = (S^{-1})^dag Phi(z)`` of ``state = Phi(z)``.
 
     The pairing ``<eta, xi>`` equals one up to the coherent state's
     :func:`coherent_tail_bound`.
     """
 
     z: complex
+    state: np.ndarray
     eta: np.ndarray
     xi: np.ndarray
     source: RieszMap
 
     def __post_init__(self):
-        _freeze(self, "eta", "xi")
+        _freeze(self, "state", "eta", "xi")
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,17 +131,19 @@ def rbcs(riesz: RieszMap, z: complex) -> BicoherentPair:
     state = coherent(riesz.space, z)
     eta = _lmul(riesz.S_block, state)
     xi = _lmul(riesz.S_inv_block.conj().T, state)
-    return BicoherentPair(z=complex(z), eta=eta, xi=xi, source=riesz)
+    return BicoherentPair(z=complex(z), state=state, eta=eta, xi=xi, source=riesz)
 
 
-def series_route(pair: PseudoBosonPair, z: complex) -> tuple[np.ndarray, np.ndarray]:
+def series_route(pair: PseudoBosonPair, bc: BicoherentPair) -> tuple[np.ndarray, np.ndarray]:
     """Bicoherent pair built the other way round: as the coherent series
     ``exp(-|z|^2/2) sum_n z^n/sqrt(n!) phi_n`` over the excited families
     grown from the map's vacua ``S e_0`` and ``(S^{-1})^dag e_0`` by
-    repeated ladder action.
+    repeated ladder action, weighted by ``bc.state``; a ``bc`` from another
+    map raises :class:`ProvenanceError`.
 
     It is the independent route the two-route check compares with
-    :func:`rbcs`.  In exact arithmetic the two agree; in floating point the
+    :func:`rbcs`, which applies the map's columns: the routes share only
+    ``Phi(z)``.  In exact arithmetic the two agree; in floating point the
     recursion amplifies the rounding of the high levels by up to
     ``||exp(|z| c^dag)||_2`` (about ``1.6e13`` at ``dim = 256`` and
     ``|z| = 2``), so on a random map the routes part by more than roundoff
@@ -151,16 +154,17 @@ def series_route(pair: PseudoBosonPair, z: complex) -> tuple[np.ndarray, np.ndar
     ``b`` and ``a^dag`` are applied through the pair's border, in
     ``O(q^2 + dim)`` per term.
     """
+    if not _same_map(pair.source, bc.source):
+        raise ProvenanceError("pair and bicoherent states come from different maps")
     d = pair.space.dim
-    n_terms = next((n for n in range(1, d) if coherent_tail_bound(n, z) <= 1e-20), d)
-    coeff = coherent(pair.space, z)
+    n_terms = next((n for n in range(1, d) if coherent_tail_bound(n, bc.z) <= 1e-20), d)
     ops = np.stack([pair.b_border, pair.a_border.conj().T])  # b and a^dag
     terms = np.stack(_map_vacua(pair.source))  # phi_n and psi_n
-    sums = coeff[0] * terms
+    sums = bc.state[0] * terms
     for n in range(n_terms - 1):
         terms = _raise(ops, terms)
         terms *= 1.0 / np.sqrt(n + 1.0)
-        sums += coeff[n + 1] * terms
+        sums += bc.state[n + 1] * terms
     return sums[0], sums[1]
 
 

@@ -26,11 +26,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bicoherent import coherent
+from .bicoherent import BicoherentPair
 from .displacement import in_accuracy_regime
 from .errors import ValidationError
 from .fock import FockSpace, _gauss_rule, _recurrence
-from .riesz import RieszMap, _lmul, make_riesz_map
+from .riesz import RieszMap, make_riesz_map
 
 __all__ = [
     "CrossValidation",
@@ -132,11 +132,9 @@ def example_wavefunctions(z: complex, x) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class CrossValidation:
-    """Deviations between the closed-form wavefunctions and the
-    number-basis route at one amplitude."""
+    """Deviations between the closed-form wavefunctions and the number-basis
+    states of one bicoherent pair."""
 
-    z: complex
-    dim: int
     max_dev_phi: float
     max_dev_psi: float
     l2_dev_phi: float
@@ -149,46 +147,39 @@ def _is_ground_state_projector(riesz: RieszMap) -> bool:
     return riesz.block == 1 and riesz.S_block[0, 0] == 1 + 1j
 
 
-def cross_validate(z: complex, riesz: RieszMap) -> CrossValidation:
-    """Compare the closed forms against the number-basis route of the ground-state
-    projector map ``T = 1 + i |e_0><e_0|``, the one ``riesz`` with ``S_block = [[1 + i]]``.
+def cross_validate(bc: BicoherentPair) -> CrossValidation:
+    """Compare the closed forms against the bicoherent pair ``bc`` of the
+    ground-state projector map ``T = 1 + i |e_0><e_0|``, the one map with
+    ``S_block = [[1 + i]]``.
 
-    The number-basis route applies ``T`` and the closed form
-    ``(T^{-1})^dag = (1 - (1+i)/2 |e_0><e_0|)^dag`` to the truncated
-    coherent coefficient vector, expands in Hermite functions on a
-    Gauss-Hermite grid of order ``dim + 10``, and is rotated by the
+    The states' number-basis coefficients are expanded in Hermite functions
+    on a Gauss-Hermite grid of order ``dim + 10`` and rotated by the
     convention phase ``exp(i Re(z) Im(z))`` before the comparison.  The
     closed forms are not polynomials: the nodes past ``dim`` are what
     resolve the truncation tail the ``l2`` deviations measure, which a grid
     of order ``dim`` reads low.  Also reports the quadrature pairing
     ``int conj(phi_z) psi_z dx``, which equals one exactly.
     """
-    z = complex(z)
-    space = riesz.space
+    z, space = bc.z, bc.source.space
     dim = space.dim
-    if not _is_ground_state_projector(riesz):
+    if not _is_ground_state_projector(bc.source):
         raise ValidationError("the closed forms hold for the ground-state projector map only")
     if not in_accuracy_regime(space, z):
         raise ValidationError(
             f"|z|^2 = {abs(z)**2:.2f} exceeds dim/4 = {dim / 4:.2f}: tail not suppressed"
         )
-    state = coherent(space, z)
-    coeff_phi = _lmul(riesz.S_block, state)
-    coeff_psi = _lmul(np.conj([[1 - (1 + 1j) / 2]]), state)  # (T^-1)^dag
 
     x, w = gauss_hermite_grid(dim + 10)
     stack = _grid_stack(dim)
     phase = np.exp(1j * z.real * z.imag)  # number-basis -> closed-form convention
-    fock_phi = phase * (coeff_phi @ stack)
-    fock_psi = phase * (coeff_psi @ stack)
+    fock_phi = phase * (bc.eta @ stack)
+    fock_psi = phase * (bc.xi @ stack)
     closed_phi, closed_psi = example_wavefunctions(z, x)
 
     dev_phi = np.abs(fock_phi - closed_phi)
     dev_psi = np.abs(fock_psi - closed_psi)
     pairing = complex(np.sum(w * np.conj(closed_phi) * closed_psi))
     return CrossValidation(
-        z=z,
-        dim=dim,
         max_dev_phi=float(dev_phi.max()),
         max_dev_psi=float(dev_psi.max()),
         l2_dev_phi=float(np.sqrt(np.sum(w * dev_phi**2))),

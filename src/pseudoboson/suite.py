@@ -221,6 +221,7 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
     rec.add("theta_conjugacy",
             theta_conjugacy_check(pair, tol=rec.tolerance("theta_conjugacy")), border=q)
 
+    states = []  # each amplitude's bicoherent pair, kept for the coordinate cross-validation
     for z in config.z_samples:
         with warnings.catch_warnings():
             # regime warnings are encoded in the status
@@ -231,12 +232,13 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
             cutoff = _bch_cutoff(dim, z)
             disp = displaced_pair(riesz, z, cutoff)
             bc = rbcs(riesz, z)
+            states.append(bc)
             _record_bch_eigen(rec, pair, disp, bc, cutoff)
             rec.add("intertwining", intertwining_check(disp, tol=rec.tolerance("intertwining", z)),
                     z, border=disp.border)
             del disp  # W's block and its strips: not alive beside the next amplitude's
             rec.add("rbcs_pairing", abs(np.vdot(bc.eta, bc.xi) - 1.0), z)
-            phi_s, psi_s = series_route(pair, z)
+            phi_s, psi_s = series_route(pair, bc)
             rec.add("two_route",
                     max(np.linalg.norm(phi_s - bc.eta), np.linalg.norm(psi_s - bc.xi)), z,
                     border=q)
@@ -251,12 +253,12 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
                 radial=quad.radial_count, angular=quad.angular_count)
 
     if _is_ground_state_projector(riesz):
-        for z in config.z_samples:
-            if not in_accuracy_regime(riesz.space, z):
+        for bc in states:
+            if not in_accuracy_regime(riesz.space, bc.z):
                 continue  # closed-form comparison needs a suppressed tail
-            cv = cross_validate(z, riesz)
-            rec.add("coordinate_l2", max(cv.l2_dev_phi, cv.l2_dev_psi), z)
-            rec.add("coordinate_pairing", abs(cv.pairing - 1.0), z)
+            cv = cross_validate(bc)
+            rec.add("coordinate_l2", max(cv.l2_dev_phi, cv.l2_dev_psi), bc.z)
+            rec.add("coordinate_pairing", abs(cv.pairing - 1.0), bc.z)
 
     reports = sorted(rec.reports, key=lambda r: (r.check_id, str(sorted(r.params.items()))))
     _write_outputs(out_dir, reports)
@@ -270,31 +272,36 @@ def suite_failed(reports: list[CheckReport], strict: bool = False) -> bool:
     return any(r.status in bad for r in reports)
 
 
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> Path:
+    with path.open("w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return path
+
+
 def _write_outputs(out_dir: Path, reports: list[CheckReport]):
     (out_dir / "report.txt").write_text(format_report_table(reports) + "\n")
     (out_dir / "report.json").write_text(reports_to_json(reports) + "\n")
-    with (out_dir / "residuals.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["check_id", "params", "residual", "tolerance", "status"])
-        for r in reports:
-            params = ";".join(f"{k}={v}" for k, v in sorted(r.params.items()))
-            writer.writerow([r.check_id, params, f"{r.residual:.6e}", f"{r.tolerance:.6e}", r.status])
+    _write_csv(out_dir / "residuals.csv", ["check_id", "params", "residual", "tolerance", "status"],
+               [[r.check_id, ";".join(f"{k}={v}" for k, v in sorted(r.params.items())),
+                 f"{r.residual:.6e}", f"{r.tolerance:.6e}", r.status] for r in reports])
 
 
 def convergence_study(config: RunConfig, dims: list[int]) -> tuple[Path, Path]:
     """Residual decay tables over a sweep of truncation dimensions.
 
-    Writes two CSVs into the output directory and returns their paths:
+    Writes two CSVs into the output directory once every dim has computed,
+    so a sweep refused at any dim writes neither, and returns their paths:
 
     * ``convergence.csv`` with columns ``dim, z, in_regime, cutoff,
       bch_residual, eigen_eta, eigen_xi, resolution_deviation, status``
-      (the factorization is compared at a cutoff fixed across the sweep
-      so the rows are comparable; ``bch_residual`` is the larger of the
-      ``bch_u`` and ``bch_v`` records, relative to the lower bound of the
-      reference norm as in ``verify``).  ``status`` is the worst one over the
-      row's ``bch_*``, ``eigen_*`` and full-rule ``resolution_identity``
-      records, graded as ``verify`` grades them, and ``in_regime`` is
-      false when any of them is ``out-of-regime``;
+      at the first nonzero configured amplitude, or 1 if there is none
+      (the factorization is compared at a cutoff fixed across the sweep,
+      half the smallest dim, so the rows are comparable; ``bch_residual``
+      is the larger of the ``bch_u`` and ``bch_v`` records, relative to the
+      lower bound of the reference norm as in ``verify``).  ``status`` is
+      the worst one over the row's ``bch_*``, ``eigen_*`` and full-rule
+      ``resolution_identity`` records, graded as ``verify`` grades them,
+      and ``in_regime`` is false when any of them is ``out-of-regime``;
     * ``quadrature.csv`` with columns ``dim, radial_count,
       angular_count, deviation`` including deliberately under-resolved
       rows that show where exactness is lost.
@@ -310,39 +317,35 @@ def convergence_study(config: RunConfig, dims: list[int]) -> tuple[Path, Path]:
     z = next((z for z in config.z_samples if z != 0), 1.0 + 0.0j)
     cutoff = max(2, dims[0] // 2)
 
-    conv_path = out_dir / "convergence.csv"
-    quad_path = out_dir / "quadrature.csv"
-    with conv_path.open("w", newline="") as fh, quad_path.open("w", newline="") as qfh:
-        conv = csv.writer(fh)
-        quad_writer = csv.writer(qfh)
-        conv.writerow(["dim", "z", "in_regime", "cutoff", "bch_residual",
-                       "eigen_eta", "eigen_xi", "resolution_deviation", "status"])
-        quad_writer.writerow(["dim", "radial_count", "angular_count", "deviation"])
-        for dim in dims:
-            riesz = build_map(config, dim=dim)
-            rec = _Recorder(riesz, time.perf_counter())
-            pair = make_pair(riesz)
-            with warnings.catch_warnings():
-                # the status and the under-resolved rows carry these
-                warnings.simplefilter("ignore", AccuracyRegimeWarning)
-                warnings.simplefilter("ignore", UnderResolvedWarning)
-                _record_bch_eigen(rec, pair, displaced_pair(riesz, z, cutoff), rbcs(riesz, z),
-                                  cutoff)
-                # each rule once; the full rule (radial = dim) fills both tables
-                tol = rec.tolerance("resolution_identity")
-                deviations = {
-                    radial: resolution_of_identity(
-                        riesz, make_quadrature(radial, radial, 2 * dim + 1), tol=tol)
-                    for radial in sorted({max(2, dim // 4), max(2, dim // 2), dim})
-                }
-            rec.add("resolution_identity", deviations[dim])
-            r = {x.check_id: x.residual for x in rec.reports}
-            status = ("fail" if suite_failed(rec.reports) else
-                      "out-of-regime" if suite_failed(rec.reports, strict=True) else "pass")
-            in_regime = all(x.status != "out-of-regime" for x in rec.reports)
-            conv.writerow([dim, _format_z(z), in_regime, cutoff,
-                           f"{max(r['bch_u'], r['bch_v']):.6e}", f"{r['eigen_eta']:.6e}",
-                           f"{r['eigen_xi']:.6e}", f"{deviations[dim]:.6e}", status])
-            for radial, dev in deviations.items():
-                quad_writer.writerow([dim, radial, 2 * dim + 1, f"{dev:.6e}"])
-    return conv_path, quad_path
+    conv_rows, quad_rows = [], []  # written once every dim has computed
+    for dim in dims:
+        riesz = build_map(config, dim=dim)
+        rec = _Recorder(riesz, time.perf_counter())
+        pair = make_pair(riesz)
+        with warnings.catch_warnings():
+            # the status and the under-resolved rows carry these
+            warnings.simplefilter("ignore", AccuracyRegimeWarning)
+            warnings.simplefilter("ignore", UnderResolvedWarning)
+            _record_bch_eigen(rec, pair, displaced_pair(riesz, z, cutoff), rbcs(riesz, z), cutoff)
+            # each rule once; the full rule (radial = dim) fills both tables
+            tol = rec.tolerance("resolution_identity")
+            deviations = {
+                radial: resolution_of_identity(
+                    riesz, make_quadrature(radial, radial, 2 * dim + 1), tol=tol)
+                for radial in sorted({max(2, dim // 4), max(2, dim // 2), dim})
+            }
+        rec.add("resolution_identity", deviations[dim])
+        r = {x.check_id: x.residual for x in rec.reports}
+        status = ("fail" if suite_failed(rec.reports) else
+                  "out-of-regime" if suite_failed(rec.reports, strict=True) else "pass")
+        in_regime = all(x.status != "out-of-regime" for x in rec.reports)
+        conv_rows.append([dim, _format_z(z), in_regime, cutoff,
+                          f"{max(r['bch_u'], r['bch_v']):.6e}", f"{r['eigen_eta']:.6e}",
+                          f"{r['eigen_xi']:.6e}", f"{deviations[dim]:.6e}", status])
+        quad_rows += [[dim, radial, 2 * dim + 1, f"{v:.6e}"] for radial, v in deviations.items()]
+
+    return (_write_csv(out_dir / "convergence.csv",
+                       ["dim", "z", "in_regime", "cutoff", "bch_residual", "eigen_eta",
+                        "eigen_xi", "resolution_deviation", "status"], conv_rows),
+            _write_csv(out_dir / "quadrature.csv",
+                       ["dim", "radial_count", "angular_count", "deviation"], quad_rows))

@@ -199,7 +199,7 @@ def test_criterion_09_rbcs_properties(all_maps64):
             worst_pairing = max(worst_pairing, abs(np.vdot(bc.eta, bc.xi) - 1.0))
             r_eta, r_xi = eigen_check(pair, bc)
             worst_eigen = max(worst_eigen, r_eta, r_xi)
-            phi_s, psi_s = series_route(pair, z)
+            phi_s, psi_s = series_route(pair, bc)
             worst_two_route = max(
                 worst_two_route,
                 np.linalg.norm(phi_s - bc.eta),
@@ -267,7 +267,7 @@ def test_criterion_11_coordinate_example(projector_map64):
     worst_l2 = 0.0
     worst_pairing = 0.0
     for z in Z_DISK:
-        cv = cross_validate(z, projector_map64)
+        cv = cross_validate(rbcs(projector_map64, z))
         worst_l2 = max(worst_l2, cv.l2_dev_phi, cv.l2_dev_psi)
         worst_pairing = max(worst_pairing, abs(cv.pairing - 1.0))
     phi, psi = example_wavefunctions(1.0, np.array([0.0]))

@@ -3,9 +3,10 @@
 The benchmark's tracer wraps every function a module lists in ``__all__``
 and defined there, plus ``fock.Operator.__post_init__``, and reports each
 ``per_layer`` figure from those spans; its direct-output checks read the
-dense ``.mat`` of ``weyl`` and of a built map's ``S``.  A span that is no
-longer there makes a traced run exit with "per-layer spans not found", a
-fault no other test sees."""
+dense ``.mat`` of ``weyl`` and of a built map's ``S``, and the ``eta`` and
+``xi`` of ``rbcs`` on the projector map.  A span that is no longer there
+makes a traced run exit with "per-layer spans not found", a fault no other
+test sees."""
 
 import importlib
 import inspect
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pseudoboson import FockSpace, build_map, load_config, weyl
+from pseudoboson import FockSpace, build_map, load_config, projector_map, rbcs, weyl
 
 BENCHMARK = json.loads((Path(__file__).parent.parent / "BENCHMARK.json").read_text())
 
@@ -40,3 +41,10 @@ def test_direct_outputs_are_dense_arrays(tmp_path):
     S = build_map(load_config(path), dim=16).S.mat
     assert isinstance(W, np.ndarray) and W.shape == (8, 8)
     assert isinstance(S, np.ndarray) and S.shape == (16, 16)
+
+
+def test_bicoherent_states_are_vectors():
+    space = FockSpace(16)
+    bc = rbcs(projector_map(space, space.basis_vector(0)), 1 + 1j)
+    for state in (bc.eta, bc.xi):
+        assert isinstance(state, np.ndarray) and state.shape == (16,)

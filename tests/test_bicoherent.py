@@ -149,7 +149,7 @@ def projector_map256():
 
 class TestSeriesRoute:
     def test_zero_amplitude_returns_vacua(self, random_map64):
-        phi, psi = series_route(make_pair(random_map64), 0.0)
+        phi, psi = series_route(make_pair(random_map64), rbcs(random_map64, 0.0))
         np.testing.assert_array_equal(phi, random_map64.S.mat[:, 0])
         np.testing.assert_array_equal(psi, random_map64.S_inv.mat[0].conj())
 
@@ -159,9 +159,10 @@ class TestSeriesRoute:
         # the omitted terms lie below the 1e-20 coherent tail bound
         riesz = request.getfixturevalue(which)
         pair = make_pair(riesz)
-        phi, psi = series_route(pair, z)
+        bc = rbcs(riesz, z)
+        phi, psi = series_route(pair, bc)
         phi_full, psi_full = _full_series(pair, z)
-        eta = np.linalg.norm(rbcs(riesz, z).eta)
+        eta = np.linalg.norm(bc.eta)
         assert np.linalg.norm(phi - phi_full) <= 1e-15 * eta
         assert np.linalg.norm(psi - psi_full) <= 1e-15 * eta
 
@@ -169,23 +170,28 @@ class TestSeriesRoute:
         # |z|^2 = 25 > dim + 1: the tail bound is 1, so all 16 terms count
         riesz = random_riesz_map(FockSpace(16), 10.0, seed=3)
         pair = make_pair(riesz)
-        for got, want in zip(series_route(pair, 5.0), _full_series(pair, 5.0)):
+        for got, want in zip(series_route(pair, rbcs(riesz, 5.0)), _full_series(pair, 5.0)):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("z", [1.0, 1 + 1j, 2j])
     def test_two_routes_agree(self, z, all_maps64):
         for riesz in all_maps64:
             bc = rbcs(riesz, z)
-            phi, psi = series_route(make_pair(riesz), z)
+            phi, psi = series_route(make_pair(riesz), bc)
             assert np.linalg.norm(phi - bc.eta) <= 1e-10
             assert np.linalg.norm(psi - bc.xi) <= 1e-10
+
+    def test_provenance_mismatch(self, random_map64):
+        other = random_riesz_map(FockSpace(64), 10.0, seed=123)
+        with pytest.raises(ProvenanceError):
+            series_route(make_pair(other), rbcs(random_map64, 1.0))
 
     def test_norm_bounds(self, random_map64):
         # series norms inherit the map bounds: ||phi(z)|| <= ||S||
         A, B = random_map64.frame_bounds
         pair = make_pair(random_map64)
         for z in (0.5, 1 + 1j, 2j):
-            phi, psi = series_route(pair, z)
+            phi, psi = series_route(pair, rbcs(random_map64, z))
             assert np.linalg.norm(phi) <= np.sqrt(B) * (1 + 1e-12)
             assert np.linalg.norm(psi) <= (1 + 1e-12) / np.sqrt(A)
 

@@ -498,12 +498,13 @@ class TestStateAndGridFaults:
     built from, and the middle weight of the Hermite grid that
     ``cross_validate`` integrates with (on the projector map, the one map
     that runs the cross-validation).  ``two_route`` cannot see the coherent
-    fault: ``series_route`` takes its coefficients from the same function.
+    fault: ``series_route`` weights its series by the states' own ``Phi(z)``;
+    ``coordinate_l2`` sees it, since the closed forms build no coherent vector.
     Only the grid's weights move, since its nodes feed the Hermite stack
     that is cached per process."""
 
     FAILS = {
-        ("projector", "coherent"): {"eigen_eta", "eigen_xi", "rbcs_pairing"},
+        ("projector", "coherent"): {"coordinate_l2", "eigen_eta", "eigen_xi", "rbcs_pairing"},
         ("random", "coherent"): {"eigen_eta", "eigen_xi", "rbcs_pairing"},
         ("projector", "hermite_weight"): {"coordinate_pairing"},
     }
@@ -540,7 +541,9 @@ class TestMapBlockFaults:
     On the projector map ``theta_conjugacy`` never reads ``theta_block[0, 0]``:
     ``b^dag``'s diagonal is zero.  A projector map with ``S_block`` moved is
     no longer the ground-state projector, so the run skips the coordinate
-    cross-validation, as it does for any other map, and grades the rest."""
+    cross-validation, as it does for any other map, and grades the rest; one
+    with ``S_inv_block`` moved still runs it, and ``xi`` carries the fault
+    into ``coordinate_l2``."""
 
     # the records of every identity S carries
     CARRIED = {"biorthogonality", "ccr", "intertwining", "ladder", "number_operator",
@@ -556,7 +559,7 @@ class TestMapBlockFaults:
         ("random", "theta_inv_block", (0, 0)): THETA_INV,
         ("random", "theta_inv_block", (5, 4)): THETA_INV,
         ("projector", "S_block", (0, 0)): CARRIED | {"rank_one_theta_inv"},
-        ("projector", "S_inv_block", (0, 0)): CARRIED | {"rank_one_theta"},
+        ("projector", "S_inv_block", (0, 0)): CARRIED | {"coordinate_l2", "rank_one_theta"},
         ("random", "S_block", (21, 10)):
             CARRIED | {"eigen_eta", "eigen_xi", "rank_one_theta_inv", "vacuum_match"},
         ("random", "S_inv_block", (5, 4)):
@@ -608,7 +611,7 @@ class TestAllocation:
         for z in (1.0, 1 + 1j, 2j):
             assert self.peak(lambda: power_similarity_check(pair, z)) < self.LIMIT
             bc = rbcs(riesz, z)
-            assert self.peak(lambda: (series_route(pair, z), eigen_check(pair, bc))) < self.LIMIT
+            assert self.peak(lambda: (series_route(pair, bc), eigen_check(pair, bc))) < self.LIMIT
 
 
     def test_displacement_work_stays_beside_w(self):

@@ -19,6 +19,7 @@ from pseudoboson import (
     make_riesz_map,
     projector_map,
     random_riesz_map,
+    rbcs,
     write_wavefunction_csv,
 )
 
@@ -233,13 +234,13 @@ def ground_projector(dim):
 
 class TestCrossValidation:
     def test_zero_amplitude(self):
-        cv = cross_validate(0.0, ground_projector(32))
+        cv = cross_validate(rbcs(ground_projector(32), 0.0))
         assert max(cv.max_dev_phi, cv.max_dev_psi) <= 1e-12
         assert abs(cv.pairing - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("z", [1.0, 1 + 1j, 2j])
     def test_closed_form_matches_fock_route(self, z, projector_map64):
-        cv = cross_validate(z, projector_map64)
+        cv = cross_validate(rbcs(projector_map64, z))
         assert cv.l2_dev_phi <= 1e-8
         assert cv.l2_dev_psi <= 1e-8
         assert abs(cv.pairing - 1.0) <= 1e-9
@@ -249,7 +250,7 @@ class TestCrossValidation:
         # the truncated coherent state misses the norm sqrt(P(dim, |z|^2))
         # (regularized lower incomplete gamma); the order dim + 10 grid
         # resolves that tail, where an order-dim grid reads 0.12-0.49 of it
-        cv = cross_validate(z, ground_projector(dim))
+        cv = cross_validate(rbcs(ground_projector(dim), z))
         tail = math.sqrt(gammainc(dim, abs(z) ** 2))
         assert max(cv.l2_dev_phi, cv.l2_dev_psi) == pytest.approx(tail, rel=1e-3)
 
@@ -257,17 +258,17 @@ class TestCrossValidation:
         # its order-1034 grid reaches past |x| = 40; every amplitude computes
         riesz = ground_projector(1024)
         for z in (0.0, 1.0, 1 + 1j, 2j):
-            cv = cross_validate(z, riesz)
+            cv = cross_validate(rbcs(riesz, z))
             assert max(cv.l2_dev_phi, cv.l2_dev_psi) <= 1e-8
             assert abs(cv.pairing - 1.0) <= 1e-9
 
     def test_repeated_call_converts_no_grid(self):
         # the cached grid stack is complex: a second call allocates only vectors
-        riesz = ground_projector(1024)
-        cross_validate(1 + 1j, riesz)
+        bc = rbcs(ground_projector(1024), 1 + 1j)
+        cross_validate(bc)
         tracemalloc.start()
         try:
-            cross_validate(1 + 1j, riesz)
+            cross_validate(bc)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -275,7 +276,7 @@ class TestCrossValidation:
 
     def test_regime_guard(self):
         with pytest.raises(ValidationError):
-            cross_validate(4.0, ground_projector(16))
+            cross_validate(rbcs(ground_projector(16), 4.0))
 
     def test_ground_state_guard(self):
         # any map other than exactly 1 + i|e_0><e_0| is refused
@@ -287,7 +288,7 @@ class TestCrossValidation:
         ]
         for riesz in others:
             with pytest.raises(ValidationError):
-                cross_validate(1.0, riesz)
+                cross_validate(rbcs(riesz, 1.0))
 
     def test_ground_state_recognised_by_its_block(self):
         # the map is recognised from its 1 x 1 block alone: a block of size 1
@@ -296,9 +297,10 @@ class TestCrossValidation:
         for diagonal in ([2.0] + [1.0] * 15, [1 + 1j, 2.0] + [1.0] * 14):
             riesz = make_riesz_map(space, np.diag(diagonal))
             with pytest.raises(ValidationError):
-                cross_validate(1.0, riesz)
+                cross_validate(rbcs(riesz, 1.0))
         phased = projector_map(space, 1j * space.basis_vector(0))  # the same P
-        cv, ref = cross_validate(1 + 1j, phased), cross_validate(1 + 1j, ground_projector(16))
+        cv = cross_validate(rbcs(phased, 1 + 1j))
+        ref = cross_validate(rbcs(ground_projector(16), 1 + 1j))
         assert (cv.l2_dev_phi, cv.l2_dev_psi) == (ref.l2_dev_phi, ref.l2_dev_psi)
 
 

@@ -26,7 +26,7 @@ from pseudoboson import (
     save_riesz_map,
     suite_failed,
 )
-from pseudoboson import (FockSpace, coordinate, displaced_pair,
+from pseudoboson import (FockSpace, bicoherent, coordinate, displaced_pair,
                          displacement, fock, intertwining_check, make_riesz_map, projector_map,
                          random_riesz_map, suite)
 from pseudoboson.cli import main
@@ -481,6 +481,14 @@ class TestConvergenceStudy:
         assert main(["converge", "--config", str(path), "--dims", "16,16,32"]) == 2
         assert not (tmp_path / "out" / "convergence.csv").exists()
 
+    def test_sweep_refused_midway_writes_no_table(self, tmp_path):
+        # the dim-16 rows compute, then dim 32 is refused: neither table is written
+        save_riesz_map(random_riesz_map(FockSpace(16), 5.0, seed=2), tmp_path / "map.json")
+        path = write_config(tmp_path / "c.json",
+                            map_spec={"kind": "file", "path": str(tmp_path / "map.json")})
+        assert main(["converge", "--config", str(path), "--dims", "16,32"]) == 2
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_projector_level_outside_a_swept_dim_is_refused(self, tmp_path):
         # the map needs level u_index at every dim of the sweep
         path = write_config(tmp_path / "c.json", dim=8,
@@ -601,6 +609,41 @@ class TestSvdBudget:
         rows = _rows(conv_path)
         assert float(rows[0]["bch_residual"]) > DEFAULT_TOLERANCES["bch_u"][0]
         assert [r["status"] for r in rows] == ["out-of-regime", "pass", "pass", "pass"]
+
+
+class TestCoherentBudget:
+    """Each amplitude's coherent state is built once, by ``rbcs``: the series
+    route and the coordinate cross-validation read the run's bicoherent pair."""
+
+    @staticmethod
+    def spy_coherent(monkeypatch):
+        """The amplitudes handed to ``bicoherent.coherent``, from here on."""
+        calls, build = [], bicoherent.coherent
+
+        def spy(space, z):
+            calls.append(z)
+            return build(space, z)
+
+        monkeypatch.setattr(bicoherent, "coherent", spy)
+        return calls
+
+    @pytest.mark.parametrize("map_spec", [GROUND_PROJECTOR,
+                                          {"kind": "random", "cond": 10.0, "seed": 1}],
+                             ids=["projector", "random"])
+    def test_verify_builds_one_state_per_amplitude(self, tmp_path, monkeypatch, map_spec):
+        path = write_config(tmp_path / "c.json", dim=64, map_spec=map_spec,
+                            z_samples=[[0, 0], [1, 0], [1, 1], [0, 2]])
+        calls = self.spy_coherent(monkeypatch)
+        assert main(["verify", "--config", str(path)]) == 0
+        assert calls == [0, 1, 1 + 1j, 2j]
+
+    def test_sweep_builds_one_state_per_dim(self, tmp_path, monkeypatch):
+        path = write_config(tmp_path / "c.json",
+                            map_spec={"kind": "random", "cond": 10.0, "seed": 1},
+                            z_samples=[[0, 0], [1, 0], [1, 1], [0, 2]])
+        calls = self.spy_coherent(monkeypatch)
+        convergence_study(load_config(path), [16, 32, 64, 128])
+        assert calls == [1, 1, 1, 1]
 
 
 def test_verify_cutoffs_stay_in_regime(tmp_path):
