@@ -102,12 +102,12 @@ def _number(convert, value, key: str):
     return value if isinstance(value, int) else int(number)
 
 
-def _seed(value, key: str) -> int:
-    """``value`` as a seed: an integral number, refused below 0."""
-    seed = _number(int, value, key)
-    if seed < 0:
-        raise ConfigError(f"{key} must be >= 0, got {seed}")
-    return seed
+def _integer(value, key: str, low: int) -> int:
+    """``value`` as an integral number (:func:`_number`), refused below ``low``."""
+    number = _number(int, value, key)
+    if number < low:
+        raise ConfigError(f"{key} must be >= {low}, got {number}")
+    return number
 
 
 def _parse_map_spec(record) -> MapSpec:
@@ -125,7 +125,9 @@ def _parse_map_spec(record) -> MapSpec:
     _reject_unknown(record, {"kind", *keys}, f"map_spec ({kind})")
     spec = MapSpec(kind, **{key: _number(convert, record[key], f"map_spec.{key}")
                             for key, convert in keys.items() if key in record})
-    _seed(spec.seed, "map_spec.seed")
+    _integer(spec.seed, "map_spec.seed", 0)
+    if spec.cond < 1:
+        raise ConfigError(f"map_spec.cond must be >= 1, got {spec.cond!r}")
     return spec
 
 
@@ -190,9 +192,9 @@ def load_config(
     if "dim" not in record or "map_spec" not in record:
         raise ConfigError("config requires 'dim' and 'map_spec'")
 
-    dim = _number(int, record["dim"], "dim") if dim_override is None else int(dim_override)
-    if dim < 4:
-        raise ConfigError(f"dim must be >= 4, got {dim}")
+    dim = _integer(record["dim"], "dim", 4)
+    if dim_override is not None:
+        dim = _integer(dim_override, "dim", 4)
 
     map_spec = _parse_map_spec(record["map_spec"])
     if map_spec.kind == "projector" and not 0 <= map_spec.u_index < dim:
@@ -211,20 +213,20 @@ def load_config(
                 "set allow_out_of_regime to run them flagged"
             )
 
-    outputs = record.get("outputs", "out") if out_override is None else out_override
+    outputs = record.get("outputs", "out")
     if not isinstance(outputs, (str, Path)):
         raise ConfigError(f"outputs must be a path string, got {outputs!r}")
-    seed = _seed(record.get("seed", MapSpec.seed), "seed")
+    seed = _integer(record.get("seed", MapSpec.seed), "seed", 0)
     if "seed" in record["map_spec"]:
         seed = map_spec.seed
     if seed_override is not None:
-        seed = _seed(seed_override, "seed")
+        seed = _integer(seed_override, "seed", 0)
 
     return RunConfig(
         dim=dim,
         map_spec=replace(map_spec, seed=seed),
         z_samples=z_samples,
-        outputs=Path(outputs),
+        outputs=Path(outputs if out_override is None else out_override),
     )
 
 

@@ -10,8 +10,10 @@ eigendecomposition ``X = Q diag(lam) Q^T`` per dimension (the
 Golub-Welsch matrix of Gauss-Hermite quadrature) serves every amplitude.
 ``X`` has a zero diagonal, so it couples only levels of opposite number
 parity: ``cos`` of it is zero on entries with ``m + n`` odd and ``sin`` of it
-on entries with ``m + n`` even.  :func:`weyl` forms only the three parity
-blocks that do not vanish analytically, from the even and odd rows of ``Q``.
+on entries with ``m + n`` even.  One routine, :func:`_parity_frame`, forms
+any block of ``W`` in the frame of its phases by one product of rows of
+``Q`` per pair of row and column parities; the frame is symmetric, so a
+square block on the diagonal takes three, and all of ``W`` three.
 
 The non-unitary displacements are defined by similarity,
 ``U(z) = S W(z) S^{-1}`` and ``V(z) = (S^{-1})^dag W(z) S^dag``, which is
@@ -20,9 +22,10 @@ exact in finite dimension.  With ``S = blockdiag(S_p, 1)`` both equal
 :class:`DisplacementSet` holds each entry of ``U`` and ``V`` there once,
 and of ``W`` only the leading block its checks read: the factorization
 reads ``W[:m, :m]``, ``m = max(cutoff, p)``, and intertwining the strips.
-:func:`displaced_pair` forms that block and the ``p``-wide strips of
-``W`` with the products :func:`weyl` forms its entries by, never the
-rest of ``W``.
+:func:`displaced_pair` forms that block by :func:`weyl`'s three products,
+and the ``p``-wide strips of ``W`` by four: the rows ``[:p, m:]`` beside
+the block, and their transpose in the frame below it.  It never forms
+the rest of ``W``.
 
 The power-similarity check reads the pair's border only: ``z b - conj(z) a``
 differs from ``z c^dag - conj(z) c`` in a leading block, so both sides of
@@ -177,53 +180,39 @@ def _phase_powers(w: complex, n: int) -> np.ndarray:
     return np.exp(1j * (k * head)) * np.exp(1j * (k * (theta - head)))
 
 
-def _parity_frame(d: int, r: float, m: int, p: int = 0):
-    """Parts of ``F = e^{-i sqrt(2) r X} = Q e^{-i sqrt(2) r diag(lam)} Q^T`` on
-    ``d`` levels, writeable: the block ``F[:m, :m]``, the rows ``F[:p]`` and
-    the columns ``F[p:, :p]`` below them, for ``p <= m <= d``; with
-    ``m = d``, all of ``F``.  Only the block and the strips ``F[:p, m:]``
-    and ``F[m:, :p]`` beside it are computed: the rest of ``F`` is never
-    formed.  ``F`` is the displacement ``W(z)`` of ``|z| = r`` in the frame
-    of its phases, ``D^* W(z) D``.
+def _parity_frame(d: int, r: float, out: np.ndarray, row: int, col: int) -> np.ndarray:
+    """``out`` filled with the block of ``F = e^{-i sqrt(2) r X}
+    = Q e^{-i sqrt(2) r diag(lam)} Q^T`` on ``d`` levels that starts at
+    ``F[row, col]``; the rest of ``F`` is never formed.  ``F`` is the
+    displacement ``W(z)`` of ``|z| = r`` in the frame of its phases,
+    ``D^* W(z) D``.
 
     Its real part ``cos(sqrt(2) r X)`` lives on the entries ``(j, k)`` with
     ``j + k`` even and its imaginary part ``-sin(sqrt(2) r X)`` on those
-    with ``j + k`` odd (module docstring), so each entry is one of the
-    products ``Q[0::2] cos Q[0::2]^T``, ``Q[1::2] cos Q[1::2]^T`` and
-    ``Q[0::2] sin Q[1::2]^T`` of the even and odd rows of ``Q``; ``sin`` is
-    symmetric, so the last gives the odd-even entries too, as its
-    transpose, and one sin product serves both strips.  All of ``F`` takes
-    ``1.5 d^3`` flops instead of ``4 d^3``, and the parts only the rows and
-    columns of the products that they hold.  Each entry is exactly real or
-    exactly imaginary.  A part summed by a smaller product than all of
-    ``F``'s may differ from ``F``'s entry by a few roundoffs, since BLAS
-    may pick another kernel, and so another order, for another shape."""
+    with ``j + k`` odd (module docstring), so the entries of one pair of
+    row and column parities are one product ``Q[j::2] cos Q[k::2]^T`` or
+    ``Q[j::2] sin Q[k::2]^T`` of rows of ``Q``, and each entry is exactly
+    real or exactly imaginary.  ``F`` is symmetric, so on a square block on
+    the diagonal the odd-even entries are the transpose of the even-odd
+    ones: all of ``F`` takes three products, ``1.5 d^3`` flops instead of
+    ``4 d^3``, and any other block four.  An entry summed by a smaller
+    product than all of ``F``'s may differ from ``F``'s by a few
+    roundoffs, since BLAS may pick another kernel, and so another order,
+    for another shape."""
     lam, Q = _position_spectrum(d)
     angle = -math.sqrt(2.0) * r * lam
     cos, sin = np.cos(angle), np.sin(angle)
-    even, odd = Q[0::2], Q[1::2]
-    me, mo, pe, po = (m + 1) // 2, m // 2, (p + 1) // 2, p // 2
-    block = np.empty((m, m), dtype=complex)
-    block[0::2, 0::2] = (even[:me] * cos) @ even[:me].T
-    block[1::2, 1::2] = (odd[:mo] * cos) @ odd[:mo].T
-    cross = (even[:me] * sin) @ odd[:mo].T
-    np.multiply(1j, cross, out=block[0::2, 1::2])
-    np.multiply(1j, cross.T, out=block[1::2, 0::2])
-    top, side = np.empty((p, d), dtype=complex), np.empty((d - p, p), dtype=complex)
-    top[:, :m], side[:m - p] = block[:p], block[p:, :p]
-    right, below = top[:, m:], side[m - p:]  # the strips beside the block
-    s = m % 2  # the parity of level m: the strips' first column right of, and row below, the block
-    right[0::2, s::2] = (even[:pe] * cos) @ even[me:].T
-    right[1::2, 1 - s::2] = (odd[:po] * cos) @ odd[mo:].T
-    below[s::2, 0::2] = (even[me:] * cos) @ even[:pe].T
-    below[1 - s::2, 1::2] = (odd[mo:] * cos) @ odd[:po].T
-    cross = (even[:pe] * sin) @ odd[mo:].T  # even rows :p, odd columns m:
-    np.multiply(1j, cross, out=right[0::2, 1 - s::2])
-    np.multiply(1j, cross.T, out=below[1 - s::2, 0::2])
-    cross = (even[me:] * sin) @ odd[:po].T  # even rows m:, odd columns :p
-    np.multiply(1j, cross, out=below[s::2, 1::2])
-    np.multiply(1j, cross.T, out=right[1::2, s::2])
-    return block, top, side
+    h, w = out.shape
+    rows, cols = Q[row:row + h], Q[col:col + w]
+    for j, k in ((0, 0), (1, 1), (0, 1), (1, 0)):
+        part = out[j::2, k::2]  # levels row + j, row + j + 2, ... by col + k, ...
+        if (row + j + col + k) % 2 == 0:
+            part[...] = (rows[j::2] * cos) @ cols[k::2].T
+        elif row == col and h == w and j > k:
+            part[...] = out[k::2, j::2].T
+        else:
+            np.multiply(1j, (rows[j::2] * sin) @ cols[k::2].T, out=part)
+    return out
 
 
 def _warn_outside_regime(space: FockSpace, z: complex):
@@ -239,14 +228,20 @@ def _warn_outside_regime(space: FockSpace, z: complex):
 
 
 def _weyl_parts(d: int, z: complex, m: int, p: int = 0):
-    """``W(z)[:m, :m]``, ``W(z)[:p]`` and ``W(z)[p:, :p]``, writeable: the
-    parts of :func:`_parity_frame` with the phases ``D = diag(u^n)``,
+    """``W(z)[:m, :m]``, ``W(z)[:p]`` and ``W(z)[p:, :p]``, writeable, for
+    ``p <= m <= d``: the block ``F[:m, :m]`` of :func:`_parity_frame`, its
+    strip ``F[:p, m:]`` beside it and that strip's transpose ``F[m:, :p]``
+    below it (``F`` is symmetric), with the phases ``D = diag(u^n)``,
     ``u = i e^{i arg z}``, applied, ``W = D F D^*``; at ``z = 0`` the
     identity's, exactly."""
     if z == 0:
         return (np.eye(m, dtype=complex), np.eye(p, d, dtype=complex),
                 np.zeros((d - p, p), dtype=complex))
-    parts = _parity_frame(d, abs(z), m, p)
+    block = _parity_frame(d, abs(z), np.empty((m, m), dtype=complex), 0, 0)
+    top, side = np.empty((p, d), dtype=complex), np.empty((d - p, p), dtype=complex)
+    top[:, :m], side[:m - p] = block[:p], block[p:, :p]
+    side[m - p:] = _parity_frame(d, abs(z), top[:, m:], 0, m).T
+    parts = block, top, side
     diag = _phase_powers(1j * z, d)
     for part, rows, cols in zip(parts, (diag[:m], diag[:p], diag[p:]), (diag[:m], diag, diag[:p])):
         part *= rows[:, None]
@@ -292,8 +287,7 @@ def displaced_pair(riesz: RieszMap, z: complex, levels: int) -> DisplacementSet:
     The set holds their strips of width ``p``, the map's block, beside the
     block ``W(z)[:m, :m]``, ``m = max(levels, p)``: ``S`` and ``S^{-1}``
     touch nothing else.  Of ``W(z)`` only that block and its strips
-    ``W[:p, m:]`` and ``W[m:, :p]`` are formed (:func:`_parity_frame`), by
-    the products :func:`weyl` forms them with.
+    ``W[:p, m:]`` and ``W[m:, :p]`` are formed (:func:`_weyl_parts`).
     """
     d, p = riesz.dim, riesz.block
     if not 0 <= levels <= d:

@@ -139,27 +139,34 @@ class TestParityFrame:
         # in the frame D^* W D of weyl's phases, cos(sqrt(2)|z| X) sits on
         # the entries with m + n even and sin on those with m + n odd,
         # exactly; weyl is that frame with the phases applied, bit for bit
-        frame = _parity_frame(dim, abs(z), dim)[0]
+        frame = _parity_frame(dim, abs(z), np.empty((dim, dim), dtype=complex), 0, 0)
         odd = np.add.outer(np.arange(dim), np.arange(dim)) % 2 == 1
         assert np.all(frame.imag[~odd] == 0) and np.all(frame.real[odd] == 0)
         assert np.abs(frame[odd]).max() > 0.1
         diag = _phase_powers(1j * z, dim)
         np.testing.assert_array_equal(weyl(FockSpace(dim), z).mat,
                                       (diag[:, None] * frame) * diag.conj())
-        # so do the block F[:m, :m], the rows F[:p] and the columns F[p:, :p]
-        # of a displacement set, at their own levels, with the frame's
-        # entries to a few roundoffs
+        # so do a displacement set's block F[:m, :m] and the rows F[:p, m:]
+        # beside it, at their own levels, with the frame's entries to a few
+        # roundoffs; the columns F[m:, :p] below the block are exactly the
+        # rows' transpose, and _weyl_parts is these parts phased, bit for bit
         for m, p in ((1, 1), (8, 3), (dim // 2 + 1, 6), (dim // 2, dim // 2), (dim - 1, 2)):
-            block, top, side = _parity_frame(dim, abs(z), m, p)
-            assert np.array_equal(top[:, :m], block[:p])
-            assert np.array_equal(side[:m - p], block[p:, :p])
-            for part, (rows, cols) in zip((block, top, side),
-                                          ((slice(m), slice(m)), (slice(p), slice(None)),
-                                           (slice(p, None), slice(p)))):
+            block = _parity_frame(dim, abs(z), np.empty((m, m), dtype=complex), 0, 0)
+            right = _parity_frame(dim, abs(z), np.empty((p, dim - m), dtype=complex), 0, m)
+            for part, (rows, cols) in zip((block, right, right.T),
+                                          ((slice(m), slice(m)), (slice(p), slice(m, None)),
+                                           (slice(m, None), slice(p)))):
                 assert np.all(part.imag[~odd[rows, cols]] == 0)
                 assert np.all(part.real[odd[rows, cols]] == 0)
                 assert np.abs(part - frame[rows, cols]).max(initial=0) <= PART_TOL
                 assert np.abs(part[odd[rows, cols]]).max(initial=1) > 0.01
+            W, top, side = _weyl_parts(dim, z, m, p)
+            assert np.array_equal(top[:, :m], W[:p])
+            assert np.array_equal(side[:m - p], W[p:, :p])
+            for part, frame_part, rows, cols in ((W, block, diag[:m], diag[:m]),
+                                                 (top[:, m:], right, diag[:p], diag[m:]),
+                                                 (side[m - p:], right.T, diag[m:], diag[:p])):
+                np.testing.assert_array_equal(part, (rows[:, None] * frame_part) * cols.conj())
 
     @pytest.mark.parametrize("dim", [64, 256])
     def test_no_less_accurate_than_full_products(self, dim):

@@ -694,6 +694,43 @@ def test_unencoded_warnings_reach_caller(tmp_path, monkeypatch, runner):
             convergence_study(cfg, [16])
 
 
+#: ``(key, config overrides)`` of a config value that ``load_config`` refuses,
+#: naming ``key``, with or without the command-line overrides.
+MALFORMED_VALUES = [
+    ("dim", {"dim": "abc"}),
+    ("dim", {"dim": None}),
+    ("seed", {"seed": "s"}),
+    ("seed", {"seed": -1}),
+    ("map_spec.cond", {"map_spec": {"kind": "random", "cond": "x"}}),
+    ("map_spec.cond", {"map_spec": {"kind": "random", "cond": float("nan")}}),
+    ("map_spec.cond", {"map_spec": {"kind": "random", "cond": float("inf")}}),
+    ("map_spec.u_index", {"map_spec": {"kind": "projector", "u_index": "x"}}),
+    ("map_spec.seed", {"map_spec": {"kind": "random", "seed": [1]}}),
+    ("map_spec.seed", {"map_spec": {"kind": "random", "seed": -3}}),
+    ("z_samples", {"z_samples": [["a", 0]]}),
+    ("z_samples", {"z_samples": [[float("nan"), 0]], "allow_out_of_regime": True}),
+    ("z_samples", {"z_samples": [[0, float("-inf")]], "allow_out_of_regime": True}),
+    ("outputs", {"outputs": 5}),
+    ("allow_out_of_regime", {"z_samples": [[3, 0]], "allow_out_of_regime": "false"}),
+    ("allow_out_of_regime", {"allow_out_of_regime": 0}),
+    ("dim", {"dim": 16.9}),
+    ("dim", {"dim": True}),
+    ("map_spec.u_index", {"map_spec": {"kind": "projector", "u_index": 2.7}}),
+    ("seed", {"seed": 1.5}),
+    ("map_spec.seed", {"map_spec": {"kind": "random", "seed": 1.5}}),
+    ("z_samples", {"z_samples": 5}),
+    ("z_samples", {"z_samples": None}),
+    ("z_samples", {"z_samples": [[1e154, 0]], "allow_out_of_regime": True}),
+    ("z_samples", {"z_samples": [[0, -1e160]], "allow_out_of_regime": True}),
+    ("dim", {"dim": "16"}),
+    ("seed", {"seed": "7"}),
+    ("map_spec.cond", {"map_spec": {"kind": "random", "cond": "10"}}),
+    ("z_samples", {"z_samples": [["1", 0]]}),
+    ("map_spec.cond", {"map_spec": {"kind": "random", "cond": 0.5}}),
+    ("map_spec.cond", {"map_spec": {"kind": "random", "cond": 0}}),
+]
+
+
 class TestCli:
     def test_verify_exit_zero(self, tmp_path, capsys):
         path = write_config(tmp_path / "c.json")
@@ -789,40 +826,20 @@ class TestCli:
     def test_missing_config_exit_two(self, tmp_path):
         assert main(["verify", "--config", str(tmp_path / "absent.json")]) == 2
 
-    @pytest.mark.parametrize("key, overrides", [
-        ("dim", {"dim": "abc"}),
-        ("dim", {"dim": None}),
-        ("seed", {"seed": "s"}),
-        ("seed", {"seed": -1}),
-        ("map_spec.cond", {"map_spec": {"kind": "random", "cond": "x"}}),
-        ("map_spec.cond", {"map_spec": {"kind": "random", "cond": float("nan")}}),
-        ("map_spec.cond", {"map_spec": {"kind": "random", "cond": float("inf")}}),
-        ("map_spec.u_index", {"map_spec": {"kind": "projector", "u_index": "x"}}),
-        ("map_spec.seed", {"map_spec": {"kind": "random", "seed": [1]}}),
-        ("map_spec.seed", {"map_spec": {"kind": "random", "seed": -3}}),
-        ("z_samples", {"z_samples": [["a", 0]]}),
-        ("z_samples", {"z_samples": [[float("nan"), 0]], "allow_out_of_regime": True}),
-        ("z_samples", {"z_samples": [[0, float("-inf")]], "allow_out_of_regime": True}),
-        ("outputs", {"outputs": 5}),
-        ("allow_out_of_regime", {"z_samples": [[3, 0]], "allow_out_of_regime": "false"}),
-        ("allow_out_of_regime", {"allow_out_of_regime": 0}),
-        ("dim", {"dim": 16.9}),
-        ("dim", {"dim": True}),
-        ("map_spec.u_index", {"map_spec": {"kind": "projector", "u_index": 2.7}}),
-        ("seed", {"seed": 1.5}),
-        ("map_spec.seed", {"map_spec": {"kind": "random", "seed": 1.5}}),
-        ("z_samples", {"z_samples": 5}),
-        ("z_samples", {"z_samples": None}),
-        ("z_samples", {"z_samples": [[1e154, 0]], "allow_out_of_regime": True}),
-        ("z_samples", {"z_samples": [[0, -1e160]], "allow_out_of_regime": True}),
-        ("dim", {"dim": "16"}),
-        ("seed", {"seed": "7"}),
-        ("map_spec.cond", {"map_spec": {"kind": "random", "cond": "10"}}),
-        ("z_samples", {"z_samples": [["1", 0]]}),
-    ])
+    @pytest.mark.parametrize("key, overrides", MALFORMED_VALUES)
     def test_malformed_config_value_exit_two(self, tmp_path, capsys, key, overrides):
         path = write_config(tmp_path / "c.json", **overrides)
         assert main(["verify", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("configuration error: ") and key in err[0]
+
+    @pytest.mark.parametrize("key, overrides", MALFORMED_VALUES)
+    def test_malformed_config_value_under_flags_exit_two(self, tmp_path, capsys, key, overrides):
+        # --dim, --seed and --out replace the config's values, but do not
+        # excuse them from the checks
+        path = write_config(tmp_path / "c.json", **overrides)
+        flags = ["--dim", "64", "--seed", "3", "--out", str(tmp_path / "flagged")]
+        assert main(["verify", "--config", str(path), *flags]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("configuration error: ") and key in err[0]
 
