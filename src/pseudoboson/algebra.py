@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .fock import Operator, _freeze, _graded_norm
-from .riesz import RieszMap, _blockdiag, _lmul, _rmul
+from .riesz import RieszMap, _blockdiag, _lmul, _rmul, _transport
 
 __all__ = [
     "PseudoBosonPair",
@@ -327,7 +327,7 @@ def theta_conjugacy_check(pair: PseudoBosonPair, *, tol: float = 0.0) -> float:
     """
     riesz, d, q = pair.source, pair.space.dim, pair.border
     rows, cols = min(q, d - 1), min(q + 1, d - 1)
-    conjugated = _rmul(_lmul(riesz.theta_inv_block,
-                             _lowering_lead(pair.b_border.conj().T, q, min(q + 1, d)), rows),
-                       riesz.theta_block, cols)
+    conjugated = _transport(
+        riesz.theta_inv_block, _lowering_lead(pair.b_border.conj().T, q, min(q + 1, d)),
+        riesz.theta_block, rows, cols)
     return _graded_norm(_lowering_lead(pair.a_border, rows, cols) - conjugated, 1.0, tol)

@@ -265,7 +265,7 @@ def resolution_operator(riesz: RieszMap, quad: QuadratureScheme) -> Operator:
     A = _radial_factors(quad.radial_t, quad.radial_log_w, d)
     ks = np.arange(d)
     G = (A @ A.T) * ((ks[:, None] - ks[None, :]) % quad.angular_count == 0)
-    return Operator(riesz.space, _transport(riesz, G))
+    return Operator(riesz.space, _transport(riesz.S_block, G, riesz.S_inv_block))
 
 
 def resolution_of_identity(riesz: RieszMap, quad: QuadratureScheme, *, tol: float = 0.0) -> float:

@@ -198,16 +198,6 @@ def write_wavefunction_csv(path: str | Path, z: complex, x) -> Path:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["x", "re_Phi", "im_Phi", "re_phi", "im_phi", "re_psi", "im_psi"])
-        for i in range(len(x)):
-            writer.writerow(
-                [
-                    f"{x[i]:.12g}",
-                    f"{Phi[i].real:.12g}",
-                    f"{Phi[i].imag:.12g}",
-                    f"{phi[i].real:.12g}",
-                    f"{phi[i].imag:.12g}",
-                    f"{psi[i].real:.12g}",
-                    f"{psi[i].imag:.12g}",
-                ]
-            )
+        columns = (x, Phi.real, Phi.imag, phi.real, phi.imag, psi.real, psi.imag)
+        writer.writerows([f"{v:.12g}" for v in row] for row in zip(*columns))
     return path

@@ -25,7 +25,8 @@ reads ``W[:m, :m]``, ``m = max(cutoff, p)``, and intertwining the strips.
 :func:`displaced_pair` forms that block by :func:`weyl`'s three products,
 and the ``p``-wide strips of ``W`` by four: the rows ``[:p, m:]`` beside
 the block, and their transpose in the frame below it.  It never forms
-the rest of ``W``.
+the rest of ``W``.  Its strips of ``U`` and ``V`` take the products of the
+dense transports (:func:`~pseudoboson.riesz._transport`), bit for bit.
 
 The power-similarity check reads the pair's border only: ``z b - conj(z) a``
 differs from ``z c^dag - conj(z) c`` in a leading block, so both sides of
@@ -57,7 +58,7 @@ import numpy as np
 from .algebra import PseudoBosonPair, _lowering_lead, _raising_lead
 from .errors import AccuracyRegimeWarning, DimensionMismatchError, InvalidDimensionError
 from .fock import FockSpace, Operator, _freeze, _graded_norm, _spectral_lower_bound
-from .riesz import RieszMap, _blockdiag, _cotransport, _lmul, _rmul, _transport
+from .riesz import RieszMap, _blockdiag, _lmul, _rmul, _transport
 
 __all__ = [
     "DisplacementSet",
@@ -262,22 +263,6 @@ def weyl(space: FockSpace, z: complex) -> Operator:
     return Operator(space, W)
 
 
-def _strips(left: np.ndarray, right: np.ndarray, top: np.ndarray, side: np.ndarray):
-    """Rows ``:p`` (``p = len(left)``) of
-    ``blockdiag(left, 1) W blockdiag(right, 1)`` and its columns ``:p`` below
-    them, from ``top = W[:p]`` and ``side = W[p:, :p]``, by the products
-    :func:`~pseudoboson.riesz._lmul` and then :func:`~pseudoboson.riesz._rmul`
-    take, row by row, so bit for bit those of the dense transport;
-    read-only, so the set keeps them uncopied."""
-    p = len(left)
-    rows = left @ top  # rows :p of blockdiag(left, 1) W
-    rows[:, :p] = rows[:, :p] @ right
-    below = side @ right
-    rows.setflags(write=False)
-    below.setflags(write=False)
-    return rows, below
-
-
 def displaced_pair(riesz: RieszMap, z: complex, levels: int) -> DisplacementSet:
     """Build ``U(z) = S W(z) S^{-1}`` and ``V(z) = (S^{-1})^dag W(z) S^dag``
     by similarity from the unitary displacement, for a caller that reads
@@ -288,6 +273,9 @@ def displaced_pair(riesz: RieszMap, z: complex, levels: int) -> DisplacementSet:
     block ``W(z)[:m, :m]``, ``m = max(levels, p)``: ``S`` and ``S^{-1}``
     touch nothing else.  Of ``W(z)`` only that block and its strips
     ``W[:p, m:]`` and ``W[m:, :p]`` are formed (:func:`_weyl_parts`).
+    ``U[:p]`` is ``_transport(S, W[:p], S^{-1})`` and ``U[p:, :p]`` is
+    ``_rmul(W[p:, :p], S^{-1})``, ``V``'s the same with ``(S^{-1})^dag`` and
+    ``S^dag``, each handed to the set read-only and unsliced, so uncopied.
     """
     d, p = riesz.dim, riesz.block
     if not 0 <= levels <= d:
@@ -296,10 +284,12 @@ def displaced_pair(riesz: RieszMap, z: complex, levels: int) -> DisplacementSet:
     _warn_outside_regime(riesz.space, z)
     m = max(levels, p)
     block, top, side = _weyl_parts(d, z, m, p)
-    block.setflags(write=False)
-    S, S_inv = riesz.S_block, riesz.S_inv_block
-    return DisplacementSet(complex(z), block, *_strips(S, S_inv, top, side),
-                           *_strips(S_inv.conj().T, S.conj().T, top, side), source=riesz)
+    S, S_inv, parts = riesz.S_block, riesz.S_inv_block, [block]
+    for left, right in ((S, S_inv), (S_inv.conj().T, S.conj().T)):
+        parts += [_transport(left, top, right), _rmul(side, right)]
+    for part in parts:  # read-only, so the set keeps them uncopied
+        part.setflags(write=False)
+    return DisplacementSet(complex(z), *parts, source=riesz)
 
 
 def _times_generator(T: np.ndarray, z: complex) -> np.ndarray:
@@ -460,10 +450,11 @@ def bch_factorization_check(disp: DisplacementSet, cutoff: int, *,
                       AccuracyRegimeWarning, stacklevel=2)
     E = _displacement_block(z, max(k, riesz.block))  # all the transports read
     residuals = []
-    for op, transport in (("U", _transport), ("V", _cotransport)):
+    S, S_inv = riesz.S_block, riesz.S_inv_block
+    for op, left, right in (("U", S, S_inv), ("V", S_inv.conj().T, S.conj().T)):
         diff = disp.lead(op, k)  # the reference, then the difference in place
         lo = _spectral_lower_bound(diff)
-        diff -= transport(riesz, E, k)
+        diff -= _transport(left, E, right, k, k)
         residuals.append(_graded_norm(diff, lo, tol))
     return tuple(residuals)
 

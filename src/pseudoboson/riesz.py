@@ -22,6 +22,8 @@ the one constructor, :func:`make_riesz_map`, only a leading block of
 ``blockdiag(B, 1)`` on the block's rows or columns and copy the rest,
 where a dense product adds only exact zeros: the two agree up to the
 order of summation inside the block, bit for bit on the projector map.
+Every two-sided product, ``S W S^{-1}``, ``(S^{-1})^dag W S^dag``,
+``Theta^{-1} b^dag Theta`` or ``S G S^{-1}``, is one :func:`_transport`.
 """
 
 from __future__ import annotations
@@ -251,24 +253,16 @@ def _rmul(X: np.ndarray, B: np.ndarray, cols: int | None = None) -> np.ndarray:
     return out
 
 
-def _rmul_over(X: np.ndarray, B: np.ndarray, cols: int | None = None) -> np.ndarray:
-    """:func:`_rmul`'s product written over ``X``, a temporary the caller
-    owns, so no second copy of it is made; returns a view of ``X``."""
-    q = min(len(B), X.shape[1] if cols is None else cols)
-    X[:, :q] = X[:, :len(B)] @ B[:, :q]
-    return X[:, :cols]
-
-
-def _transport(riesz: RieszMap, X: np.ndarray, size: int | None = None) -> np.ndarray:
-    """``S X S^{-1}``, or its leading ``size x size`` block, with ``S`` and
-    ``S^{-1}`` applied on their deformed block only."""
-    return _rmul_over(_lmul(riesz.S_block, X, size), riesz.S_inv_block, size)
-
-
-def _cotransport(riesz: RieszMap, X: np.ndarray, size: int | None = None) -> np.ndarray:
-    """``(S^{-1})^dag X S^dag``, or its leading ``size x size`` block, with
-    both factors applied on their deformed block only."""
-    return _rmul_over(_lmul(riesz.S_inv_block.conj().T, X, size), riesz.S_block.conj().T, size)
+def _transport(left: np.ndarray, X: np.ndarray, right: np.ndarray,
+               rows: int | None = None, cols: int | None = None) -> np.ndarray:
+    """Rows ``:rows`` and columns ``:cols`` of ``blockdiag(left, 1) X
+    blockdiag(right, 1)``: the right block's product written over
+    :func:`_lmul`'s temporary.  With no column window that array is returned,
+    not a view, so :func:`~pseudoboson.fock._freeze` keeps it uncopied."""
+    out = _lmul(left, X, rows)
+    q = min(len(right), out.shape[1] if cols is None else cols)
+    out[:, :q] = out[:, :len(right)] @ right[:, :q]
+    return out if cols is None else out[:, :cols]
 
 
 def save_riesz_map(riesz: RieszMap, path: str | Path) -> None:

@@ -1,3 +1,7 @@
+import sys
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +14,7 @@ from pseudoboson import (
     random_riesz_map,
     weyl,
 )
-from pseudoboson.riesz import _cotransport, _transport
+from pseudoboson.riesz import _transport
 
 
 @pytest.fixture(scope="session")
@@ -76,7 +80,8 @@ def dense_displacements(riesz, z):
     carried through the dense transports ``S W S^-1`` and
     ``(S^-1)^dag W S^dag``."""
     W = weyl(riesz.space, z).mat
-    return _transport(riesz, W), _cotransport(riesz, W)
+    S, S_inv = riesz.S_block, riesz.S_inv_block
+    return _transport(S, W, S_inv), _transport(S_inv.conj().T, W, S.conj().T)
 
 
 def with_disp_entry(disp, op, entry, factor):
@@ -92,10 +97,25 @@ def with_disp_entry(disp, op, entry, factor):
     W = weyl(riesz.space, disp.z).mat.copy()
     if op == "W":
         W[entry] *= factor
-    U, V = _transport(riesz, W), _cotransport(riesz, W)
+    S, S_inv = riesz.S_block, riesz.S_inv_block
+    U, V = _transport(S, W, S_inv), _transport(S_inv.conj().T, W, S.conj().T)
     q = disp.border
     if op != "W":
         {"U": U, "V": V}[op][entry] *= factor
         q = max(q, min(entry) + 1)
     m = max(len(disp.W), q)
     return DisplacementSet(disp.z, W[:m, :m], U[:q], U[q:, :q], V[:q], V[q:, :q], riesz)
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """``perfbench/workloads.py``, executed from its source so that
+    nothing is written next to it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    mod = types.ModuleType("perfbench_workloads")
+    sys.modules[mod.__name__] = mod  # dataclasses resolve annotations through it
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), mod.__dict__)
+        yield mod
+    finally:
+        del sys.modules[mod.__name__]

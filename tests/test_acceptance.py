@@ -160,20 +160,27 @@ def test_criterion_07_power_similarity_and_bch(all_maps64):
         assert not caught
 
         decays = []
-        for dim in (16, 32, 64):
+        for dim in (16, 18, 20, 32, 64):
             space = FockSpace(dim)
             riesz = projector_map(space, space.basis_vector(0))
             decays.append(max(bch_factorization_check(displaced_pair(riesz, 1.0, 8), 8)))
-            # only dim 16 puts the cutoff 8 above the margin min(8, 16 - 4 - 6) = 6
+            # only dim 16 puts the cutoff 8 above the margin min(dim // 2, dim - 4 - 6):
+            # 6 at dim 16, min(9, 8) = 8 at dim 18
             assert [w.category for w in caught] == [AccuracyRegimeWarning]
-    monotone = decays[0] >= decays[1] >= decays[2]
+    # the truncation tail dominates up to dim 20 and falls by at least 100x
+    # per two levels; from dim 22 on the residual sits at the roundoff floor,
+    # where the order of two dims is luck, so dims 32 and 64 are read
+    # against a bound
+    tail, floor = decays[:3], decays[3:]
+    decaying = all(a >= 100 * b for a, b in zip(tail, tail[1:])) and max(floor) <= 1e-14
 
     report(
         "07 similarity and factorization",
-        worst_power <= 1e-7 and worst_bch <= 1e-8 and monotone,
+        worst_power <= 1e-7 and worst_bch <= 1e-8 and decaying,
         f"max power-similarity residual {worst_power:.3e} <= 1e-7, "
         f"max half-space factorization residual {worst_bch:.3e} <= 1e-8, "
-        f"decay over dims 16/32/64: {decays[0]:.2e} >= {decays[1]:.2e} >= {decays[2]:.2e}",
+        f"decay over dims 16/18/20: {tail[0]:.2e}, {tail[1]:.2e}, {tail[2]:.2e}, each at "
+        f"least 100x below the last; dims 32/64: {floor[0]:.2e}, {floor[1]:.2e} <= 1e-14",
     )
 
 

@@ -30,7 +30,7 @@ from pseudoboson.displacement import (_bch_margin, _displacement_block, _parity_
 from pseudoboson.errors import DimensionMismatchError, InvalidDimensionError
 from pseudoboson.fock import _spectral_lower_bound, ladder_c
 from pseudoboson.reports import default_tolerance
-from pseudoboson.riesz import _cotransport, _transport, random_riesz_map
+from pseudoboson.riesz import _transport, random_riesz_map
 
 from conftest import dense_displacements, with_entry
 
@@ -231,7 +231,9 @@ class TestStrips:
                 np.testing.assert_array_equal(disp.W, block)
                 np.testing.assert_array_equal(assembled[:m, :m], block)
                 assert np.abs(assembled - W).max() <= (PART_TOL if m < dim else 0.0)
-                U, V = _transport(riesz, assembled), _cotransport(riesz, assembled)
+                S, S_inv = riesz.S_block, riesz.S_inv_block
+                U = _transport(S, assembled, S_inv)
+                V = _transport(S_inv.conj().T, assembled, S.conj().T)
                 for op, rows, below, dense in (("U", disp.U_rows, disp.U_below, U),
                                                ("V", disp.V_rows, disp.V_below, V)):
                     np.testing.assert_array_equal(rows, dense[:p])

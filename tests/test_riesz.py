@@ -28,7 +28,7 @@ from pseudoboson import (
 )
 from pseudoboson.fock import _spectral_norm
 from pseudoboson.reports import DEFAULT_TOLERANCES, default_tolerance
-from pseudoboson.riesz import _cotransport, _lmul, _rmul, _transport
+from pseudoboson.riesz import _lmul, _rmul, _transport
 
 from conftest import in_graded_bracket, random_unit_vector
 
@@ -188,6 +188,13 @@ class TestDeformedBlock:
         return S @ X @ S_inv, S_inv.conj().T @ X @ S.conj().T
 
     @staticmethod
+    def block_pairs(riesz):
+        """The blocks ``(S, S^-1)`` and ``((S^-1)^dag, S^dag)`` whose
+        transports are :meth:`dense_pair`'s."""
+        S, S_inv = riesz.S_block, riesz.S_inv_block
+        return (S, S_inv), (S_inv.conj().T, S.conj().T)
+
+    @staticmethod
     def sample_matrices(dim):
         rng = np.random.default_rng(7)
         noise = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -198,17 +205,30 @@ class TestDeformedBlock:
     def test_projector_transport_bit_for_bit(self, projector_map64, size):
         riesz = projector_map64
         for X in self.sample_matrices(64):
-            U, V = self.dense_pair(riesz, X)
-            np.testing.assert_array_equal(_transport(riesz, X, size), U[:size, :size])
-            np.testing.assert_array_equal(_cotransport(riesz, X, size), V[:size, :size])
+            for (left, right), want in zip(self.block_pairs(riesz), self.dense_pair(riesz, X)):
+                got = _transport(left, X, right, size, size)
+                np.testing.assert_array_equal(got, want[:size, :size])
+
+    @pytest.mark.parametrize("rows, cols", [(1, 2), (40, 41), (41, 40), (None, 40), (40, None)])
+    def test_projector_transport_windows(self, projector_map64, rows, cols):
+        # windows with rows != cols, as theta_conjugacy_check reads
+        # (rows :q, columns :q+1), are the dense product's, bit for bit;
+        # with no column window the array allocated is returned, not a view
+        riesz = projector_map64
+        for X in self.sample_matrices(64):
+            for (left, right), want in zip(self.block_pairs(riesz), self.dense_pair(riesz, X)):
+                got = _transport(left, X, right, rows, cols)
+                np.testing.assert_array_equal(got, want[:rows, :cols])
+                assert (got.base is None) == (cols is None)
 
     @pytest.mark.parametrize("size", [None, 20, 40])
     def test_random_transport_matches_dense(self, random_maps64, size):
         dense = random_riesz_map(FockSpace(64), 10.0, seed=1, top_margin=0)
         for riesz in random_maps64 + [dense]:
             for X in self.sample_matrices(64):
-                for got, want in zip((_transport(riesz, X, size), _cotransport(riesz, X, size)),
-                                     self.dense_pair(riesz, X)):
+                for (left, right), want in zip(self.block_pairs(riesz),
+                                               self.dense_pair(riesz, X)):
+                    got = _transport(left, X, right, size, size)
                     want = want[:size, :size]
                     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
