@@ -134,12 +134,14 @@ def rbcs(riesz: RieszMap, z: complex) -> BicoherentPair:
     return BicoherentPair(z=complex(z), state=state, eta=eta, xi=xi, source=riesz)
 
 
-def series_route(pair: PseudoBosonPair, bc: BicoherentPair) -> tuple[np.ndarray, np.ndarray]:
-    """Bicoherent pair built the other way round: as the coherent series
-    ``exp(-|z|^2/2) sum_n z^n/sqrt(n!) phi_n`` over the excited families
-    grown from the map's vacua ``S e_0`` and ``(S^{-1})^dag e_0`` by
-    repeated ladder action, weighted by ``bc.state``; a ``bc`` from another
-    map raises :class:`ProvenanceError`.
+def series_route(pair: PseudoBosonPair,
+                 states: list[BicoherentPair]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Bicoherent pairs built the other way round: for each of ``states``,
+    the coherent series ``exp(-|z|^2/2) sum_n z^n/sqrt(n!) phi_n`` over the
+    excited families grown from the map's vacua ``S e_0`` and
+    ``(S^{-1})^dag e_0`` by repeated ladder action, weighted by its
+    ``state``, returned in the order of ``states`` (``[]`` for none); a
+    state from another map raises :class:`ProvenanceError`.
 
     It is the independent route the two-route check compares with
     :func:`rbcs`, which applies the map's columns: the routes share only
@@ -149,23 +151,31 @@ def series_route(pair: PseudoBosonPair, bc: BicoherentPair) -> tuple[np.ndarray,
     ``|z| = 2``), so on a random map the routes part by more than roundoff
     and ``two_route`` at ``|z| = 2`` fails from ``dim = 256`` on (7.7e-7
     against 1e-8 on the cond-10 map of seed 3 with one BLAS thread, 7.1e-7
-    with two: the figure is amplified rounding).  It sums the fewest
+    with two: the figure is amplified rounding).  Each state sums the fewest
     ``N <= dim`` terms whose :func:`coherent_tail_bound` is ``<= 1e-20``.
-    ``b`` and ``a^dag`` are applied through the pair's border, in
-    ``O(q^2 + dim)`` per term.
+    The families do not depend on ``z``, so they are grown once, up to the
+    largest ``N``, and each state adds its terms only while ``n < N``: its
+    sum is bit for bit the one it would get alone, and never reads a later
+    term (a zero weight would not do, as ``0 * inf`` is nan).  ``b`` and
+    ``a^dag`` are applied through the pair's border, in ``O(q^2 + dim)``
+    per term, and no table of the families is held: the extra memory is
+    the sums, ``O(len(states) dim)``.
     """
-    if not _same_map(pair.source, bc.source):
+    if not all(_same_map(pair.source, bc.source) for bc in states):
         raise ProvenanceError("pair and bicoherent states come from different maps")
     d = pair.space.dim
-    n_terms = next((n for n in range(1, d) if coherent_tail_bound(n, bc.z) <= 1e-20), d)
+    counts = [next((n for n in range(1, d) if coherent_tail_bound(n, bc.z) <= 1e-20), d)
+              for bc in states]
     ops = np.stack([pair.b_border, pair.a_border.conj().T])  # b and a^dag
     terms = np.stack(_map_vacua(pair.source))  # phi_n and psi_n
-    sums = bc.state[0] * terms
-    for n in range(n_terms - 1):
+    sums = [bc.state[0] * terms for bc in states]
+    for n in range(max(counts, default=1) - 1):
         terms = _raise(ops, terms)
         terms *= 1.0 / np.sqrt(n + 1.0)
-        sums += bc.state[n + 1] * terms
-    return sums[0], sums[1]
+        for bc, n_terms, total in zip(states, counts, sums):
+            if n + 1 < n_terms:
+                total += bc.state[n + 1] * terms
+    return [(total[0], total[1]) for total in sums]
 
 
 def eigen_check(pair: PseudoBosonPair, bc: BicoherentPair) -> tuple[float, float]:

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PseudoBosonPair, _lowering_lead, _raising_lead
+from .algebra import PseudoBosonPair, _lowering_lead, _raising_lead, _sqrt_range
 from .errors import AccuracyRegimeWarning, DimensionMismatchError, InvalidDimensionError
 from .fock import FockSpace, Operator, _freeze, _graded_norm, _spectral_lower_bound
 from .riesz import RieszMap, _blockdiag, _lmul, _rmul, _transport
@@ -295,10 +295,14 @@ def displaced_pair(riesz: RieszMap, z: complex, levels: int) -> DisplacementSet:
 def _times_generator(T: np.ndarray, z: complex) -> np.ndarray:
     """``T G`` for the tridiagonal ``G = z c^dag - conj(z) c``, in O(T.size):
     column ``n`` of the product is
-    ``z sqrt(n+1) T[:, n+1] - conj(z) sqrt(n) T[:, n-1]``."""
-    s = np.sqrt(np.arange(1.0, T.shape[1]))
-    out = np.zeros_like(T)
-    out[:, :-1] = (z * s) * T[:, 1:]
+    ``z sqrt(n+1) T[:, n+1] - conj(z) sqrt(n) T[:, n-1]``.  The first term
+    is written straight into an uninitialised array whose last column alone
+    is zeroed, with ``s = sqrt(1 .. width - 1)`` read from the cache of
+    :func:`~pseudoboson.algebra._sqrt_range`."""
+    s = _sqrt_range(1, T.shape[1])
+    out = np.empty_like(T)
+    np.multiply(z * s, T[:, 1:], out=out[:, :-1])
+    out[:, -1:] = 0
     out[:, 1:] -= (np.conj(z) * s) * T[:, :-1]
     return out
 

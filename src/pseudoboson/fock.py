@@ -133,19 +133,24 @@ def _graded_norm(diff: np.ndarray, denominator: float, tol: float,
 def _spectral_lower_bound(X: np.ndarray) -> float:
     """Certified lower bound ``lo`` of ``sigma_max(X)``, with no SVD: the
     largest of the largest column 2-norm, the largest row 2-norm and
-    ``||X||_F / sqrt(min(m, n))`` (:func:`_frobenius_norm`), so that
+    ``||X||_F / sqrt(min(m, n))``, so that
     ``lo <= sigma_max(X) <= sqrt(min(m, n)) lo`` (Golub & Van Loan,
-    *Matrix Computations*, section 2.3).  The row and column sums of squares
-    are taken on ``|X|`` scaled by the power of two of ``||X||_F``, exactly,
-    so no square overflows, and an entry whose square underflows can only
-    lower the bound.  As in :func:`_spectral_norm`, an all-zero ``X`` reads
-    ``0.0`` and a non-finite one ``nan``."""
-    fro = _frobenius_norm(X)
-    if not fro > 0:  # nan, or an all-zero X
-        return fro
-    e = math.frexp(fro)[1]
+    *Matrix Computations*, section 2.3).  ``|X|`` is taken once and scaled
+    exactly by the power of two of its largest entry: its dot product with
+    itself is the Frobenius sum, bit for bit that of :func:`_frobenius_norm`,
+    and the row and column sums are read from its squares, formed once in
+    place.  No square overflows, and an entry whose square underflows can
+    only lower the bound.  As in :func:`_spectral_norm`, an all-zero (or
+    empty) ``X`` reads ``0.0`` and a non-finite one ``nan``."""
     A = np.abs(X)
+    top = float(A.max(initial=0.0))  # a nan entry propagates
+    if not math.isfinite(top):
+        return float("nan")
+    if top == 0:
+        return 0.0
+    e = math.frexp(top)[1]
     np.ldexp(A, -e, out=A)
+    fro = math.ldexp(math.sqrt(float(np.vdot(A, A))), e)
     A *= A
     norm_sq = max(A.sum(axis=0).max(), A.sum(axis=1).max())
     return max(math.ldexp(math.sqrt(norm_sq), e), fro / math.sqrt(min(X.shape)))

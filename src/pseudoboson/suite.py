@@ -83,12 +83,14 @@ class _Recorder:
         self.riesz = riesz
         self.reports: list[CheckReport] = []
         self._lap = start
+        self._tails = {None: 0.0}  # the truncation tail at each amplitude, taken once
 
     def tolerance(self, name: str, z: complex | None = None) -> float:
         """The tolerance of the record ``name`` at ``z``, with the truncation
         tail at ``z``; checks that certify a pass on a bound are handed it."""
-        tail = 0.0 if z is None else coherent_tail_bound(self.riesz.dim, z)
-        return default_tolerance(name, self.riesz.cond, self.riesz.dim, tail)
+        if z not in self._tails:
+            self._tails[z] = coherent_tail_bound(self.riesz.dim, z)
+        return default_tolerance(name, self.riesz.cond, self.riesz.dim, self._tails[z])
 
     def add(self, name: str, residual: float, z: complex | None = None, **params):
         now = time.perf_counter()
@@ -221,7 +223,7 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
     rec.add("theta_conjugacy",
             theta_conjugacy_check(pair, tol=rec.tolerance("theta_conjugacy")), border=q)
 
-    states = []  # each amplitude's bicoherent pair, kept for the coordinate cross-validation
+    states = []  # each amplitude's bicoherent pair, kept for the series route and cross-validation
     for z in config.z_samples:
         with warnings.catch_warnings():
             # regime warnings are encoded in the status
@@ -238,10 +240,11 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
                     z, border=disp.border)
             del disp  # W's block and its strips: not alive beside the next amplitude's
             rec.add("rbcs_pairing", abs(np.vdot(bc.eta, bc.xi) - 1.0), z)
-            phi_s, psi_s = series_route(pair, bc)
-            rec.add("two_route",
-                    max(np.linalg.norm(phi_s - bc.eta), np.linalg.norm(psi_s - bc.xi)), z,
-                    border=q)
+
+    # every amplitude's series over one growth of the excited families
+    for bc, (phi_s, psi_s) in zip(states, series_route(pair, states)):
+        rec.add("two_route", max(np.linalg.norm(phi_s - bc.eta), np.linalg.norm(psi_s - bc.xi)),
+                bc.z, border=q)
 
     try:
         quad = make_quadrature(dim, dim // 2 + 1, 2 * dim + 1)

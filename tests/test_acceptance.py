@@ -206,7 +206,7 @@ def test_criterion_09_rbcs_properties(all_maps64):
             worst_pairing = max(worst_pairing, abs(np.vdot(bc.eta, bc.xi) - 1.0))
             r_eta, r_xi = eigen_check(pair, bc)
             worst_eigen = max(worst_eigen, r_eta, r_xi)
-            phi_s, psi_s = series_route(pair, bc)
+            [(phi_s, psi_s)] = series_route(pair, [bc])
             worst_two_route = max(
                 worst_two_route,
                 np.linalg.norm(phi_s - bc.eta),

@@ -149,7 +149,7 @@ def projector_map256():
 
 class TestSeriesRoute:
     def test_zero_amplitude_returns_vacua(self, random_map64):
-        phi, psi = series_route(make_pair(random_map64), rbcs(random_map64, 0.0))
+        [(phi, psi)] = series_route(make_pair(random_map64), [rbcs(random_map64, 0.0)])
         np.testing.assert_array_equal(phi, random_map64.S.mat[:, 0])
         np.testing.assert_array_equal(psi, random_map64.S_inv.mat[0].conj())
 
@@ -160,7 +160,7 @@ class TestSeriesRoute:
         riesz = request.getfixturevalue(which)
         pair = make_pair(riesz)
         bc = rbcs(riesz, z)
-        phi, psi = series_route(pair, bc)
+        [(phi, psi)] = series_route(pair, [bc])
         phi_full, psi_full = _full_series(pair, z)
         eta = np.linalg.norm(bc.eta)
         assert np.linalg.norm(phi - phi_full) <= 1e-15 * eta
@@ -170,30 +170,84 @@ class TestSeriesRoute:
         # |z|^2 = 25 > dim + 1: the tail bound is 1, so all 16 terms count
         riesz = random_riesz_map(FockSpace(16), 10.0, seed=3)
         pair = make_pair(riesz)
-        for got, want in zip(series_route(pair, rbcs(riesz, 5.0)), _full_series(pair, 5.0)):
+        for got, want in zip(series_route(pair, [rbcs(riesz, 5.0)])[0], _full_series(pair, 5.0)):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("z", [1.0, 1 + 1j, 2j])
     def test_two_routes_agree(self, z, all_maps64):
         for riesz in all_maps64:
             bc = rbcs(riesz, z)
-            phi, psi = series_route(make_pair(riesz), bc)
+            [(phi, psi)] = series_route(make_pair(riesz), [bc])
             assert np.linalg.norm(phi - bc.eta) <= 1e-10
             assert np.linalg.norm(psi - bc.xi) <= 1e-10
 
     def test_provenance_mismatch(self, random_map64):
         other = random_riesz_map(FockSpace(64), 10.0, seed=123)
         with pytest.raises(ProvenanceError):
-            series_route(make_pair(other), rbcs(random_map64, 1.0))
+            series_route(make_pair(other), [rbcs(random_map64, 1.0)])
 
     def test_norm_bounds(self, random_map64):
         # series norms inherit the map bounds: ||phi(z)|| <= ||S||
         A, B = random_map64.frame_bounds
         pair = make_pair(random_map64)
         for z in (0.5, 1 + 1j, 2j):
-            phi, psi = series_route(pair, rbcs(random_map64, z))
+            [(phi, psi)] = series_route(pair, [rbcs(random_map64, z)])
             assert np.linalg.norm(phi) <= np.sqrt(B) * (1 + 1e-12)
             assert np.linalg.norm(psi) <= (1 + 1e-12) / np.sqrt(A)
+
+    #: the README amplitudes (N = 1, 35, 43, 54 terms) and one out of the
+    #: regime at dims 64 and 256, whose tail bound never reaches 1e-20 (N = dim)
+    ONE_CALL_Z = (0.0, 1.0, 1 + 1j, 2j, 6 - 8j)
+
+    @pytest.mark.parametrize("which", ["random_map64", "projector_map256"])
+    def test_one_call_matches_each_state_alone(self, which, request):
+        riesz = request.getfixturevalue(which)
+        pair = make_pair(riesz)
+        d = riesz.dim
+        assert bicoherent.coherent_tail_bound(d - 1, 6 - 8j) > 1e-20  # the last z sums all dim
+        states = [rbcs(riesz, z) for z in self.ONE_CALL_Z]
+        alone = [series_route(pair, [bc])[0] for bc in states]
+        order = np.random.default_rng(5).permutation(len(states))
+        together = series_route(pair, [states[i] for i in order])
+        assert len(together) == len(states)
+        for i, (phi, psi) in zip(order, together):
+            np.testing.assert_array_equal(phi, alone[i][0])
+            np.testing.assert_array_equal(psi, alone[i][1])
+
+    def test_state_reads_no_later_term(self, random_map64, monkeypatch):
+        # z = 1 sums N = 35 terms, 34 raised; every term raised after those is
+        # nan, and z = 0 and z = 1 must not see it (0 * nan is nan)
+        pair = make_pair(random_map64)
+        states = [rbcs(random_map64, z) for z in (2j, 0.0, 1 + 1j, 1.0)]
+        refs = {bc.z: series_route(pair, [bc])[0] for bc in states[1::2]}
+        calls, grow = [], bicoherent._raise
+
+        def poisoned(border, v):
+            calls.append(None)
+            out = grow(border, v)
+            return out if len(calls) < 35 else np.full_like(out, np.nan)
+
+        monkeypatch.setattr(bicoherent, "_raise", poisoned)
+        sums = series_route(pair, states)
+        assert len(calls) == 53
+        for bc, (phi, psi) in zip(states, sums):
+            if bc.z in refs:
+                assert np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))
+                np.testing.assert_array_equal(phi, refs[bc.z][0])
+                np.testing.assert_array_equal(psi, refs[bc.z][1])
+            else:
+                assert np.isnan(phi).any() and np.isnan(psi).any()
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_foreign_state_anywhere_raises(self, random_map64, position):
+        other = random_riesz_map(FockSpace(64), 10.0, seed=123)
+        states = [rbcs(random_map64, z) for z in (1.0, 2j)]
+        states.insert(position, rbcs(other, 1 + 1j))
+        with pytest.raises(ProvenanceError):
+            series_route(make_pair(random_map64), states)
+
+    def test_no_states(self, random_map64):
+        assert series_route(make_pair(random_map64), []) == []
 
 
 class TestEigenRelations:

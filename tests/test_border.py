@@ -612,8 +612,10 @@ class TestAllocation:
         for z in (1.0, 1 + 1j, 2j):
             assert self.peak(lambda: power_similarity_check(pair, z)) < self.LIMIT
             bc = rbcs(riesz, z)
-            assert self.peak(lambda: (series_route(pair, bc), eigen_check(pair, bc))) < self.LIMIT
-
+            assert self.peak(lambda: (series_route(pair, [bc]), eigen_check(pair, bc))) < self.LIMIT
+        # one growth of the families for all three states holds no table of them
+        states = [rbcs(riesz, z) for z in (1.0, 1 + 1j, 2j)]
+        assert self.peak(lambda: series_route(pair, states)) < self.LIMIT
 
     def test_displacement_work_stays_beside_w(self):
         # displaced_pair holds W's 512 x 512 block and strips of width 1, a

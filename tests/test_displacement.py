@@ -384,6 +384,9 @@ class TestPowerSimilarity:
         G = z * c.conj().T - np.conj(z) * c
         T = random_map64.S.mat[:59]
         np.testing.assert_allclose(_times_generator(T, z), T @ G, rtol=0, atol=1e-13)
+        for width in (1, 2):  # the last column is zeroed, never left uninitialised
+            np.testing.assert_allclose(_times_generator(T[:, :width], z),
+                                       T[:, :width] @ G[:width, :width], rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("kind", ["projector", "random", "dense", "perturbed"])
     def test_bordered_powers_match_dense_products(self, kind, projector_map64, random_map64):

@@ -496,10 +496,31 @@ def _within_bound(X):
     return lo <= sigma * (1 + slack) and sigma <= math.sqrt(min(X.shape)) * lo * (1 + slack)
 
 
+def _two_pass_lower_bound(X):
+    """The bound by its definition: ``||X||_F`` from :func:`_frobenius_norm`,
+    then the row and column sums of ``|X|`` taken again, scaled by the power
+    of two of ``||X||_F``."""
+    fro = _frobenius_norm(X)
+    if not fro > 0:
+        return fro
+    e = math.frexp(fro)[1]
+    A = np.ldexp(np.abs(X), -e) ** 2
+    return max(math.ldexp(math.sqrt(max(A.sum(axis=0).max(), A.sum(axis=1).max())), e),
+               fro / math.sqrt(min(X.shape)))
+
+
 class TestSpectralLowerBound:
     @pytest.mark.parametrize("name, X", list(_sparse_cases().items()))
     def test_brackets_sparse_cases(self, name, X):
         assert _within_bound(X)
+
+    @pytest.mark.parametrize("name, X", list(_sparse_cases().items()) + [
+        ("column", np.arange(1.0, 10.0)[:, None] * (1 - 2j)),
+        ("row", np.arange(1.0, 10.0)[None, :] * 0.3),
+        ("uniform", np.full((5, 5), 0.1)), ("tiny", np.eye(4, 6) * 1e-300)])
+    def test_one_pass_equals_the_definition(self, name, X):
+        # |X| taken once and scaled by its largest entry reads the same bits
+        assert _spectral_lower_bound(X) == _two_pass_lower_bound(X)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(1, 40), st.integers(1, 40),

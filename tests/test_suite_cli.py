@@ -647,6 +647,47 @@ class TestCoherentBudget:
         assert calls == [1, 1, 1, 1]
 
 
+class TestAmplitudeLoopBudget:
+    """The excited families are grown once for every amplitude, up to the
+    largest term count (N = 1, 35, 43, 54 at z = 0, 1, 1+i, 2i), and each
+    amplitude's truncation tail is taken once for all its records."""
+
+    @pytest.mark.parametrize("map_spec", [GROUND_PROJECTOR,
+                                          {"kind": "random", "cond": 10.0, "seed": 1}],
+                             ids=["projector", "random"])
+    def test_families_grown_once(self, tmp_path, monkeypatch, map_spec):
+        path = write_config(tmp_path / "c.json", dim=64, map_spec=map_spec,
+                            z_samples=[[0, 0], [1, 0], [1, 1], [0, 2]])
+        raises, tails = [], []
+        grow, tail = bicoherent._raise, suite.coherent_tail_bound
+
+        def count_raise(border, v):
+            raises.append(None)
+            return grow(border, v)
+
+        def count_tail(dim, z):
+            tails.append(z)
+            return tail(dim, z)
+
+        monkeypatch.setattr(bicoherent, "_raise", count_raise)
+        monkeypatch.setattr(suite, "coherent_tail_bound", count_tail)
+        reports = run_suite(load_config(path))
+        assert not suite_failed(reports)
+        assert len(raises) == 53  # not 34 + 42 + 53 = 129, one growth per amplitude
+        assert tails == [0, 1, 1 + 1j, 2j]
+
+    @pytest.mark.parametrize("map_spec", [GROUND_PROJECTOR,
+                                          {"kind": "random", "cond": 10.0, "seed": 1}],
+                             ids=["projector", "random"])
+    def test_no_amplitudes_is_a_valid_run(self, tmp_path, map_spec):
+        path = write_config(tmp_path / "c.json", dim=64, map_spec=map_spec, z_samples=[])
+        assert load_config(path).z_samples == ()
+        assert main(["verify", "--config", str(path)]) == 0
+        records = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert len(records) == 14
+        assert all(r["status"] == "pass" and "z" not in r["params"] for r in records)
+
+
 def test_verify_cutoffs_stay_in_regime(tmp_path):
     # verify takes each factorization cutoff from _bch_cutoff, so only the
     # amplitude can put a bch record out of regime
