@@ -47,13 +47,13 @@ print("\nfactorization residuals at half-space cutoffs, fixed z = 1:")
 for dim in (16, 32, 64):
     sp = FockSpace(dim)
     rz = projector_map(sp, sp.basis_vector(0))
-    r_u, r_v = bch_factorization_check(displaced_pair(rz, 1.0, 8), 8)
+    r_u, r_v = bch_factorization_check(displaced_pair(rz, 1.0), 8)
     print(f"  dim={dim:3d}: {max(r_u, r_v):.3e}")
 
 # Intertwining: S S^dag V(z) = U(z) S S^dag, exact in truncation.  The set
-# holds W(z)[:32, :32], the levels verify's factorization reads at dim 64,
-# and the strips of U and V, which are all that intertwining reads.
-disp = displaced_pair(riesz, z, 32)
+# holds the strips of U and V where they differ from W(z), which are all
+# that intertwining reads; the factorization forms the block of W it reads.
+disp = displaced_pair(riesz, z)
 print("\nintertwining relative residual:", intertwining_check(disp))
 
 # Group law with its metaplectic phase.

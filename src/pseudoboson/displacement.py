@@ -19,14 +19,16 @@ The non-unitary displacements are defined by similarity,
 ``U(z) = S W(z) S^{-1}`` and ``V(z) = (S^{-1})^dag W(z) S^dag``, which is
 exact in finite dimension.  With ``S = blockdiag(S_p, 1)`` both equal
 ``W(z)`` outside rows ``:p`` and columns ``:p``, bit for bit, so
-:class:`DisplacementSet` holds each entry of ``U`` and ``V`` there once,
-and of ``W`` only the leading block its checks read: the factorization
-reads ``W[:m, :m]``, ``m = max(cutoff, p)``, and intertwining the strips.
-:func:`displaced_pair` forms that block by :func:`weyl`'s three products,
-and the ``p``-wide strips of ``W`` by four: the rows ``[:p, m:]`` beside
-the block, and their transpose in the frame below it.  It never forms
-the rest of ``W``.  Its strips of ``U`` and ``V`` take the products of the
-dense transports (:func:`~pseudoboson.riesz._transport`), bit for bit.
+:class:`DisplacementSet` holds only their strips there, each entry once.
+:func:`displaced_pair` forms the ``p``-wide strips of ``W`` they are
+carried from by two products of rows of ``Q``, the square block ``[:p, :p]``
+and the rows ``[:p, p:]`` beside it, and takes the columns below as those
+rows' transpose in the frame; it never forms the rest of ``W``.  Its strips
+of ``U`` and ``V`` take the products of the dense transports
+(:func:`~pseudoboson.riesz._transport`), bit for bit.  The factorization,
+the one check that reads ``U`` and ``V`` outside the strips, forms the
+block of ``W`` it reads there itself, with :func:`weyl`'s routine for a
+block on the diagonal.
 
 The power-similarity check reads the pair's border only: ``z b - conj(z) a``
 differs from ``z c^dag - conj(z) c`` in a leading block, so both sides of
@@ -81,27 +83,24 @@ _K_MAX = 5
 class DisplacementSet:
     """The displacements ``U(z) = S W(z) S^{-1}`` and
     ``V(z) = (S^{-1})^dag W(z) S^dag`` of the map ``source``, held as the
-    leading block ``W = W(z)[:m, :m]`` of the unitary displacement, the rows
-    ``U_rows = U[:q, :]`` and ``V_rows = V[:q, :]`` and the columns ``:q``
-    below them, ``U_below = U[q:, :q]`` and ``V_below = V[q:, :q]``: outside
-    these, ``U`` and ``V`` are ``W(z)``, bit for bit.
+    rows ``U_rows = U[:q, :]`` and ``V_rows = V[:q, :]`` and the columns
+    ``:q`` below them, ``U_below = U[q:, :q]`` and ``V_below = V[q:, :q]``:
+    outside these, ``U`` and ``V`` are ``W(z)``, which a check that reads
+    them there forms itself.
 
     ``q`` is the width of the strips given, from ``p``, the map's block
-    (``q = p`` from :func:`displaced_pair`), up to ``dim``, and ``m`` the
-    levels of ``W(z)`` held, from ``q`` up to ``dim``: :meth:`lead` reads
-    ``U`` and ``V`` on at most ``m`` levels.  The arrays are kept as given,
-    read-only.  Entries are not checked for finiteness: a non-finite one
-    reaches the checks, which read it as NaN.
+    (``q = p`` from :func:`displaced_pair`), up to ``dim``.  The arrays are
+    kept as given, read-only.  Entries are not checked for finiteness: a
+    non-finite one reaches the checks, which read it as NaN.
 
     Raises
     ------
     DimensionMismatchError
-        If ``W`` is not ``m x m`` and the strips ``q x dim`` and
-        ``(dim - q) x q`` for some ``p <= q <= m <= dim``.
+        If the strips are not ``q x dim`` and ``(dim - q) x q`` for some
+        ``p <= q <= dim``.
     """
 
     z: complex
-    W: np.ndarray
     U_rows: np.ndarray
     U_below: np.ndarray
     V_rows: np.ndarray
@@ -110,35 +109,16 @@ class DisplacementSet:
 
     def __post_init__(self):
         d, p = self.source.dim, self.source.block
-        _freeze(self, "W", *_STRIPS, dtype=complex)
+        _freeze(self, *_STRIPS, dtype=complex)
         strips = [getattr(self, name) for name in _STRIPS]
-        q, m = len(strips[0]), len(self.W)
-        if self.W.shape != (m, m) or not p <= q <= m <= d or any(
+        q = len(strips[0])
+        if not p <= q <= d or any(
                 x.shape != shape for x, shape in zip(strips, [(q, d), (d - q, q)] * 2)):
             raise DimensionMismatchError(
-                f"W {self.W.shape} and strips {[x.shape for x in strips]} are not "
-                f"m x m, q x {d} and ({d} - q) x q for some {p} <= q <= m <= {d}")
+                f"strips {[x.shape for x in strips]} are not q x {d} and ({d} - q) x q "
+                f"for some {p} <= q <= {d}")
 
     border = property(lambda self: len(self.U_rows))
-
-    def lead(self, op: str, k: int) -> np.ndarray:
-        """``X[:k, :k]`` for ``X`` the displacement ``op``, ``"U"`` or ``"V"``:
-        ``W``'s block with the strips written over its border.
-
-        Raises
-        ------
-        InvalidDimensionError
-            If ``k`` exceeds the levels of ``W`` held.
-        """
-        if k > len(self.W):
-            raise InvalidDimensionError(
-                f"{op}[:{k}, :{k}] reads W(z) beyond the {len(self.W)} levels held")
-        top, below = (self.U_rows, self.U_below) if op == "U" else (self.V_rows, self.V_below)
-        q = self.border
-        out = np.array(self.W[:k, :k])
-        out[:q] = top[:k, :k]
-        out[q:, :q] = below[:max(k - q, 0), :k]
-        return out
 
 
 def in_accuracy_regime(space: FockSpace, z: complex) -> bool:
@@ -228,26 +208,22 @@ def _warn_outside_regime(space: FockSpace, z: complex):
         )
 
 
-def _weyl_parts(d: int, z: complex, m: int, p: int = 0):
-    """``W(z)[:m, :m]``, ``W(z)[:p]`` and ``W(z)[p:, :p]``, writeable, for
-    ``p <= m <= d``: the block ``F[:m, :m]`` of :func:`_parity_frame`, its
-    strip ``F[:p, m:]`` beside it and that strip's transpose ``F[m:, :p]``
-    below it (``F`` is symmetric), with the phases ``D = diag(u^n)``,
-    ``u = i e^{i arg z}``, applied, ``W = D F D^*``; at ``z = 0`` the
-    identity's, exactly."""
+def _weyl_block(d: int, z: complex, out: np.ndarray, lo: int = 0) -> np.ndarray:
+    """``out``, square, filled with the block ``W(z)[lo:lo+h, lo:lo+h]`` on
+    the diagonal: the frame's block (:func:`_parity_frame`, three products)
+    with the phases ``D = diag(u^n)``, ``u = i e^{i arg z}``, applied,
+    ``W = D F D^*``; at ``z = 0`` the identity's, exactly.  An empty ``out``
+    takes no work."""
+    if len(out) == 0:
+        return out
     if z == 0:
-        return (np.eye(m, dtype=complex), np.eye(p, d, dtype=complex),
-                np.zeros((d - p, p), dtype=complex))
-    block = _parity_frame(d, abs(z), np.empty((m, m), dtype=complex), 0, 0)
-    top, side = np.empty((p, d), dtype=complex), np.empty((d - p, p), dtype=complex)
-    top[:, :m], side[:m - p] = block[:p], block[p:, :p]
-    side[m - p:] = _parity_frame(d, abs(z), top[:, m:], 0, m).T
-    parts = block, top, side
-    diag = _phase_powers(1j * z, d)
-    for part, rows, cols in zip(parts, (diag[:m], diag[:p], diag[p:]), (diag[:m], diag, diag[:p])):
-        part *= rows[:, None]
-        part *= cols.conj()
-    return parts
+        out[...] = np.eye(len(out))
+        return out
+    _parity_frame(d, abs(z), out, lo, lo)
+    diag = _phase_powers(1j * z, d)[lo:lo + len(out)]
+    out *= diag[:, None]
+    out *= diag.conj()
+    return out
 
 
 def weyl(space: FockSpace, z: complex) -> Operator:
@@ -255,36 +231,40 @@ def weyl(space: FockSpace, z: complex) -> Operator:
 
     Evaluated as ``D Q e^{-i sqrt(2)|z| diag(lam)} Q^T D^*`` from the
     cached spectrum of the position matrix, the middle factor by parity
-    blocks (:func:`_parity_frame`); ``W(0)`` is the exact identity.
+    blocks (:func:`_weyl_block`); ``W(0)`` is the exact identity.
     """
     _warn_outside_regime(space, z)
-    W = _weyl_parts(space.dim, z, space.dim)[0]
+    W = _weyl_block(space.dim, z, np.empty((space.dim, space.dim), dtype=complex))
     W.setflags(write=False)
     return Operator(space, W)
 
 
-def displaced_pair(riesz: RieszMap, z: complex, levels: int) -> DisplacementSet:
+def displaced_pair(riesz: RieszMap, z: complex) -> DisplacementSet:
     """Build ``U(z) = S W(z) S^{-1}`` and ``V(z) = (S^{-1})^dag W(z) S^dag``
-    by similarity from the unitary displacement, for a caller that reads
-    them on the levels ``:levels``, ``0 <= levels <= dim``
-    (else :class:`InvalidDimensionError`).
+    by similarity from the unitary displacement.
 
-    The set holds their strips of width ``p``, the map's block, beside the
-    block ``W(z)[:m, :m]``, ``m = max(levels, p)``: ``S`` and ``S^{-1}``
-    touch nothing else.  Of ``W(z)`` only that block and its strips
-    ``W[:p, m:]`` and ``W[m:, :p]`` are formed (:func:`_weyl_parts`).
+    The set holds their strips of width ``p``, the map's block: ``S`` and
+    ``S^{-1}`` touch nothing else.  Of ``W(z)`` only its strips ``W[:p]``
+    and ``W[p:, :p]`` are formed: the rows as the frame's square block
+    ``F[:p, :p]`` and the block ``F[:p, p:]`` beside it, the columns below
+    as that block's transpose (``F`` is symmetric), all phased.
     ``U[:p]`` is ``_transport(S, W[:p], S^{-1})`` and ``U[p:, :p]`` is
     ``_rmul(W[p:, :p], S^{-1})``, ``V``'s the same with ``(S^{-1})^dag`` and
     ``S^dag``, each handed to the set read-only and unsliced, so uncopied.
     """
     d, p = riesz.dim, riesz.block
-    if not 0 <= levels <= d:
-        raise InvalidDimensionError(
-            f"levels must satisfy 0 <= levels <= dim, got {levels} (dim {d})")
     _warn_outside_regime(riesz.space, z)
-    m = max(levels, p)
-    block, top, side = _weyl_parts(d, z, m, p)
-    S, S_inv, parts = riesz.S_block, riesz.S_inv_block, [block]
+    if z == 0:
+        top, side = np.eye(p, d, dtype=complex), np.zeros((d - p, p), dtype=complex)
+    else:
+        top = np.empty((p, d), dtype=complex)
+        _parity_frame(d, abs(z), top[:, :p], 0, 0)
+        side = _parity_frame(d, abs(z), top[:, p:], 0, p).T.copy()
+        diag = _phase_powers(1j * z, d)
+        for part, rows, cols in ((top, diag[:p], diag), (side, diag[p:], diag[:p])):
+            part *= rows[:, None]
+            part *= cols.conj()
+    S, S_inv, parts = riesz.S_block, riesz.S_inv_block, []
     for left, right in ((S, S_inv), (S_inv.conj().T, S.conj().T)):
         parts += [_transport(left, top, right), _rmul(side, right)]
     for part in parts:  # read-only, so the set keeps them uncopied
@@ -420,19 +400,20 @@ def bch_factorization_check(disp: DisplacementSet, cutoff: int, *,
     """Relative residuals ``(r_u, r_v)`` of the normal-ordered factorizations
     ``U(z) = e^{-|z|^2/2} e^{z b} e^{-conj(z) a}`` and
     ``V(z) = e^{-|z|^2/2} e^{z a^dag} e^{-conj(z) b^dag}`` on the levels
-    ``:cutoff``, ``1 <= cutoff < dim`` and at most the levels of ``W(z)`` the
-    set holds (else :class:`InvalidDimensionError`): the
-    spectral norm of each difference over the certified lower bound
+    ``:cutoff``, ``1 <= cutoff < dim`` (else :class:`InvalidDimensionError`):
+    the spectral norm of each difference over the certified lower bound
     :func:`~pseudoboson.fock._spectral_lower_bound` of ``||U[:k, :k]||`` or
     ``||V[:k, :k]||``, so no value is below the exact relative residual and
     no SVD of a reference is taken.  A residual at most ``tol`` may be the
     Frobenius bound of the difference; one above it is exact.
 
-    ``U[:k, :k]`` and ``V[:k, :k]`` are ``W``'s block with ``disp``'s strips
-    written over its border, and ``S`` is its map.  The check
-    tests the canonical normal-ordered factorization carried through
-    ``S``: since ``a = S c S^{-1}`` and ``b = S c^dag S^{-1}``, the
-    right-hand sides are ``S E S^{-1}`` and ``(S^{-1})^dag E S^dag`` with
+    ``U[:k, :k]`` and ``V[:k, :k]`` are ``disp``'s strips of width ``q``
+    written over the block ``W(z)[q:k, q:k]``, formed once for both
+    (:func:`_weyl_block`, no work when ``k <= q``), and ``S`` is the set's
+    map.  The check tests the canonical normal-ordered factorization
+    carried through ``S``: since ``a = S c S^{-1}`` and
+    ``b = S c^dag S^{-1}``, the right-hand sides are ``S E S^{-1}`` and
+    ``(S^{-1})^dag E S^dag`` with
     ``E = e^{-|z|^2/2} e^{z c^dag} e^{-conj(z) c}``.  The truncated
     product's inner sum stops at ``min(m, n)``, so ``E`` is exactly the
     low block of the untruncated displacement, computed in closed form.
@@ -440,27 +421,29 @@ def bch_factorization_check(disp: DisplacementSet, cutoff: int, *,
     restricted residual measures pure truncation tail of ``W``; a cutoff
     above :func:`_bch_margin` issues an :class:`AccuracyRegimeWarning`.
     """
-    z, riesz, k = disp.z, disp.source, cutoff
+    z, riesz, k, q = disp.z, disp.source, cutoff, disp.border
     if not 1 <= k < riesz.dim:
         raise InvalidDimensionError(
             f"cutoff must satisfy 1 <= cutoff < dim, got {k} (dim {riesz.dim})")
-    if k > len(disp.W):
-        raise InvalidDimensionError(
-            f"cutoff {k} exceeds the {len(disp.W)} levels of W(z) the set holds")
     margin = _bch_margin(riesz.dim, z)
     if k > margin:
         warnings.warn(f"cutoff {k} exceeds min(dim // 2, dim - ceil(4|z|^2) - 6) = {margin}; "
                       "factorization residual will include unsuppressed tail",
                       AccuracyRegimeWarning, stacklevel=2)
     E = _displacement_block(z, max(k, riesz.block))  # all the transports read
-    residuals = []
     S, S_inv = riesz.S_block, riesz.S_inv_block
-    for op, left, right in (("U", S, S_inv), ("V", S_inv.conj().T, S.conj().T)):
-        diff = disp.lead(op, k)  # the reference, then the difference in place
-        lo = _spectral_lower_bound(diff)
-        diff -= _transport(left, E, right, k, k)
-        residuals.append(_graded_norm(diff, lo, tol))
-    return tuple(residuals)
+    diffs = [_transport(S, E, S_inv, k, k), _transport(S_inv.conj().T, E, S.conj().T, k, k)]
+    # E is read no more: its memory holds each side's reference in turn, so
+    # that at most three k x k arrays are alive at once
+    ref = E[:k, :k]
+    _weyl_block(riesz.dim, z, ref[q:, q:], q)  # U = V = W(z) outside the strips
+    lows = []
+    for diff, top, below in zip(diffs, (disp.U_rows, disp.V_rows), (disp.U_below, disp.V_below)):
+        ref[:q], ref[q:, :q] = top[:k, :k], below[:max(k - q, 0), :k]
+        lows.append(_spectral_lower_bound(ref))
+        np.subtract(ref, diff, out=diff)  # the difference, over the transport
+    del E, ref  # freed before the grading's temporaries
+    return tuple(_graded_norm(diff, lo, tol) for diff, lo in zip(diffs, lows))
 
 
 def intertwining_check(disp: DisplacementSet, *, tol: float = 0.0) -> float:

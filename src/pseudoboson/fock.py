@@ -86,28 +86,37 @@ def _spectral_norm(X: np.ndarray) -> float:
     return float(np.linalg.svd(X, compute_uv=False)[0])
 
 
+def _scaled_moduli(parts) -> tuple[list[np.ndarray] | None, float]:
+    """``|X|`` for each of the ``parts`` of ``X``, one pass each, scaled in
+    place by ``2^-e``, exactly, for ``e`` the binary exponent of the
+    largest entry of all parts, and ``e``.  When that entry is zero (or
+    there is none) or is not finite, there is nothing to scale: ``None``
+    and the norm it gives, ``0.0`` or ``nan``."""
+    mags = [np.abs(part) for part in parts]
+    top = float(np.max([m.max(initial=0.0) for m in mags] + [0.0]))  # a nan entry propagates
+    if top == 0 or not math.isfinite(top):
+        return None, top if top == 0 else math.nan
+    e = math.frexp(top)[1]
+    for m in mags:
+        np.ldexp(m, -e, out=m)
+    return mags, e
+
+
 def _frobenius_norm(*parts: np.ndarray) -> float:
     """Frobenius norm of the matrix whose entries are those of ``parts``
     together, with no SVD: a certified upper bound of its spectral norm,
     ``sigma_max <= ||X||_F <= sqrt(rank X) sigma_max`` (Golub & Van Loan,
     *Matrix Computations*, section 2.3).  ``|X|`` is scaled by the power of
-    two of its largest entry before it is squared, and the scaling undone
-    after the square root, both exactly: no square overflows, and only the
-    squares of entries below ``2^-537`` times the largest underflow, far
-    below the rounding of the sum.  As in :func:`_spectral_norm`, an
-    all-zero (or empty) ``X`` reads ``0.0`` and a non-finite one ``nan``."""
-    mags = [np.abs(part) for part in parts]
-    top = float(np.max([m.max(initial=0.0) for m in mags] + [0.0]))  # a nan entry propagates
-    if not math.isfinite(top):
-        return float("nan")
-    if top == 0:
-        return 0.0
-    e = math.frexp(top)[1]
-    total = 0.0
-    for m in mags:
-        np.ldexp(m, -e, out=m)
-        total += float(np.vdot(m, m))
-    return math.ldexp(math.sqrt(total), e)
+    two of its largest entry before it is squared (:func:`_scaled_moduli`),
+    and the scaling undone after the square root, both exactly: no square
+    overflows, and only the squares of entries below ``2^-537`` times the
+    largest underflow, far below the rounding of the sum.  As in
+    :func:`_spectral_norm`, an all-zero (or empty) ``X`` reads ``0.0`` and a
+    non-finite one ``nan``."""
+    mags, e = _scaled_moduli(parts)
+    if mags is None:
+        return e
+    return math.ldexp(math.sqrt(sum(float(np.vdot(m, m)) for m in mags)), e)
 
 
 def _graded_norm(diff: np.ndarray, denominator: float, tol: float,
@@ -136,20 +145,17 @@ def _spectral_lower_bound(X: np.ndarray) -> float:
     ``||X||_F / sqrt(min(m, n))``, so that
     ``lo <= sigma_max(X) <= sqrt(min(m, n)) lo`` (Golub & Van Loan,
     *Matrix Computations*, section 2.3).  ``|X|`` is taken once and scaled
-    exactly by the power of two of its largest entry: its dot product with
-    itself is the Frobenius sum, bit for bit that of :func:`_frobenius_norm`,
+    exactly by the power of two of its largest entry (:func:`_scaled_moduli`):
+    its dot product with itself is the Frobenius sum, bit for bit that of
+    :func:`_frobenius_norm`,
     and the row and column sums are read from its squares, formed once in
     place.  No square overflows, and an entry whose square underflows can
     only lower the bound.  As in :func:`_spectral_norm`, an all-zero (or
     empty) ``X`` reads ``0.0`` and a non-finite one ``nan``."""
-    A = np.abs(X)
-    top = float(A.max(initial=0.0))  # a nan entry propagates
-    if not math.isfinite(top):
-        return float("nan")
-    if top == 0:
-        return 0.0
-    e = math.frexp(top)[1]
-    np.ldexp(A, -e, out=A)
+    mags, e = _scaled_moduli([X])
+    if mags is None:
+        return e
+    A = mags[0]
     fro = math.ldexp(math.sqrt(float(np.vdot(A, A))), e)
     A *= A
     norm_sq = max(A.sum(axis=0).max(), A.sum(axis=1).max())

@@ -231,14 +231,13 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
             tol = rec.tolerance("power_similarity", z)
             rec.add("power_similarity", power_similarity_check(pair, z, tol=tol).max(), z,
                     border=q, reference="lower bound")
-            cutoff = _bch_cutoff(dim, z)
-            disp = displaced_pair(riesz, z, cutoff)
+            disp = displaced_pair(riesz, z)
             bc = rbcs(riesz, z)
             states.append(bc)
-            _record_bch_eigen(rec, pair, disp, bc, cutoff)
+            _record_bch_eigen(rec, pair, disp, bc, _bch_cutoff(dim, z))
             rec.add("intertwining", intertwining_check(disp, tol=rec.tolerance("intertwining", z)),
                     z, border=disp.border)
-            del disp  # W's block and its strips: not alive beside the next amplitude's
+            del disp  # the strips: not alive beside the next amplitude's
             rec.add("rbcs_pairing", abs(np.vdot(bc.eta, bc.xi) - 1.0), z)
 
     # every amplitude's series over one growth of the excited families
@@ -329,7 +328,7 @@ def convergence_study(config: RunConfig, dims: list[int]) -> tuple[Path, Path]:
             # the status and the under-resolved rows carry these
             warnings.simplefilter("ignore", AccuracyRegimeWarning)
             warnings.simplefilter("ignore", UnderResolvedWarning)
-            _record_bch_eigen(rec, pair, displaced_pair(riesz, z, cutoff), rbcs(riesz, z), cutoff)
+            _record_bch_eigen(rec, pair, displaced_pair(riesz, z), rbcs(riesz, z), cutoff)
             # each rule once; the full rule (radial = dim) fills both tables
             tol = rec.tolerance("resolution_identity")
             deviations = {

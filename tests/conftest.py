@@ -84,27 +84,36 @@ def dense_displacements(riesz, z):
     return _transport(S, W, S_inv), _transport(S_inv.conj().T, W, S.conj().T)
 
 
+def held_displacements(disp):
+    """The dense ``U(z)`` and ``V(z)`` that ``disp`` holds: :func:`weyl`'s
+    dense ``W(z)`` with the set's strips written over it."""
+    W, q = weyl(disp.source.space, disp.z).mat, disp.border
+    out = []
+    for rows, below in ((disp.U_rows, disp.U_below), (disp.V_rows, disp.V_below)):
+        X = W.copy()
+        X[:q], X[q:, :q] = rows, below
+        out.append(X)
+    return out
+
+
 def with_disp_entry(disp, op, entry, factor):
     """A set like ``disp`` with the entry ``entry`` of ``op`` (``"U"``, ``"V"``
     or ``"W"``) scaled by ``factor``: the fault is put into the dense
-    matrices (:func:`dense_displacements`), which are then cut to ``disp``'s
-    block of ``W`` and strips just wide enough to hold it: a ``U`` or ``V``
-    entry ``(i, j)`` lies in the strips of width ``q`` for ``q > min(i, j)``,
-    and the block is widened to ``q`` if narrower.  A ``W`` entry is carried
-    into ``U`` and ``V`` by the dense transports, as :func:`displaced_pair`
-    would carry a fault of ``W``, and stays on the set's strips."""
+    matrices (:func:`dense_displacements`), which are then cut to strips
+    just wide enough to hold it: an entry ``(i, j)`` lies in the strips of
+    width ``q`` for ``q > min(i, j)``.  A ``W`` entry is carried into ``U``
+    and ``V`` by the dense transports, as :func:`displaced_pair` would carry
+    a fault of ``W``."""
     riesz = disp.source
     W = weyl(riesz.space, disp.z).mat.copy()
     if op == "W":
         W[entry] *= factor
     S, S_inv = riesz.S_block, riesz.S_inv_block
     U, V = _transport(S, W, S_inv), _transport(S_inv.conj().T, W, S.conj().T)
-    q = disp.border
     if op != "W":
         {"U": U, "V": V}[op][entry] *= factor
-        q = max(q, min(entry) + 1)
-    m = max(len(disp.W), q)
-    return DisplacementSet(disp.z, W[:m, :m], U[:q], U[q:, :q], V[:q], V[q:, :q], riesz)
+    q = max(disp.border, min(entry) + 1)
+    return DisplacementSet(disp.z, U[:q], U[q:, :q], V[:q], V[q:, :q], riesz)
 
 
 @pytest.fixture(scope="module")

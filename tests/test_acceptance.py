@@ -155,7 +155,7 @@ def test_criterion_07_power_similarity_and_bch(all_maps64):
         worst_bch = 0.0
         for riesz in all_maps64:
             for z in (1.0, 0.5 + 0.5j, 1.0j):
-                disp = displaced_pair(riesz, z, 32)
+                disp = displaced_pair(riesz, z)
                 worst_bch = max(worst_bch, *bch_factorization_check(disp, 32))
         assert not caught
 
@@ -163,7 +163,7 @@ def test_criterion_07_power_similarity_and_bch(all_maps64):
         for dim in (16, 18, 20, 32, 64):
             space = FockSpace(dim)
             riesz = projector_map(space, space.basis_vector(0))
-            decays.append(max(bch_factorization_check(displaced_pair(riesz, 1.0, 8), 8)))
+            decays.append(max(bch_factorization_check(displaced_pair(riesz, 1.0), 8)))
             # only dim 16 puts the cutoff 8 above the margin min(dim // 2, dim - 4 - 6):
             # 6 at dim 16, min(9, 8) = 8 at dim 18
             assert [w.category for w in caught] == [AccuracyRegimeWarning]
@@ -190,7 +190,7 @@ def test_criterion_08_intertwining(all_maps64):
     worst = 0.0
     for riesz in all_maps64:
         for z in zs:
-            disp = displaced_pair(riesz, complex(z), 0)  # intertwining reads the strips only
+            disp = displaced_pair(riesz, complex(z))
             worst = max(worst, intertwining_check(disp))
     report("08 intertwining", worst <= 1e-9, f"max relative residual {worst:.3e} <= 1e-9 over 20 amplitudes")
 

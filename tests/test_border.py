@@ -19,6 +19,7 @@ from pseudoboson import (
     DisplacementSet,
     FockSpace,
     PseudoBosonPair,
+    ValidationError,
     bch_factorization_check,
     bicoherent,
     build_map,
@@ -52,7 +53,7 @@ from pseudoboson.algebra import _commutator_block
 from pseudoboson.fock import _spectral_lower_bound, _spectral_norm, ladder_c
 from pseudoboson.riesz import _transport
 
-from conftest import dense_displacements, with_disp_entry, with_entry
+from conftest import dense_displacements, held_displacements, with_disp_entry, with_entry
 
 MAPS = {
     "identity": (lambda space: make_riesz_map(space, np.eye(0)), 0),
@@ -208,8 +209,8 @@ def run_with_fault(tmp_path, monkeypatch, map_spec, fault=None, factor=1 + 1e-6)
         monkeypatch.setattr(suite, "make_pair",
                             lambda riesz: with_entry(make_pair(riesz), *fault, factor))
     elif fault is not None and fault[0] in ("U", "V", "W"):
-        monkeypatch.setattr(suite, "displaced_pair", lambda riesz, z, levels: with_disp_entry(
-            displaced_pair(riesz, z, levels), *fault, factor))
+        monkeypatch.setattr(suite, "displaced_pair", lambda riesz, z: with_disp_entry(
+            displaced_pair(riesz, z), *fault, factor))
     elif fault is not None:
         field, entry = fault
         riesz = build_map(load_config(path))
@@ -271,8 +272,9 @@ class TestDisplacementFaults:
     """One entry of ``U``, ``V`` or ``W`` scaled by ``1 + 1e-6`` in every
     displacement set, through ``run_suite``: an entry of a strip of each map,
     ``V[20, 19]`` outside both maps' strips (held on strips widened to
-    ``q = 20``), and ``W[3, 2]``.  ``intertwining`` cannot see ``W``: both of
-    its sides telescope to ``S W S^dag``."""
+    ``q = 20``), and ``W[3, 2]`` (carried into strips widened to ``q = 3`` on
+    the projector map).  ``intertwining`` cannot see ``W``: both of its
+    sides telescope to ``S W S^dag``."""
 
     FAILS = {
         ("U", (0, 3)): {"bch_u", "intertwining"},
@@ -290,10 +292,9 @@ class TestDisplacementFaults:
         assert failed == self.FAILS[op, entry]
         assert all(r.status == "pass" for r in reports if r.check_id not in failed)
         p = 1 if kind == "projector" else 32
-        widened = min(entry) + 1 if op != "W" else 0
         border = {r.params["border"] for r in reports
                   if r.check_id == "intertwining" and r.params["z"] != "0+0j"}
-        assert border == {max(p, widened)}
+        assert border == {max(p, min(entry) + 1)}
 
 
 class TestExactFails:
@@ -367,18 +368,22 @@ class TestExactFails:
         for label, residual in bch_u.items():
             z = complex(label)
             k = suite._bch_cutoff(64, z)
-            disp = with_disp_entry(displaced_pair(riesz, z, k), *fault, 1 + 1e-6)
-            ref = disp.lead("U", k)
+            disp = with_disp_entry(displaced_pair(riesz, z), *fault, 1 + 1e-6)
+            q = disp.border  # the reference as the check forms it: W's block under the strips
+            ref = np.empty((k, k), dtype=complex)
+            displacement._weyl_block(64, z, ref[q:, q:], q)
+            ref[:q], ref[q:, :q] = disp.U_rows[:k, :k], disp.U_below[:max(k - q, 0), :k]
             E = displacement._displacement_block(z, max(k, riesz.block))
             UE = _transport(riesz.S_block, E, riesz.S_inv_block, k, k)
             exact = _spectral_norm(ref - UE) / _spectral_lower_bound(ref)
             assert residual == exact == bch_factorization_check(disp, k)[0]
         for label, residual in intertwining.items():
-            # intertwining reads the strips only: a set of all levels reads the same
-            disp = with_disp_entry(displaced_pair(riesz, complex(label), 64), *fault, 1 + 1e-6)
+            # intertwining reads the strips only, against the dense oracle
+            disp = with_disp_entry(displaced_pair(riesz, complex(label)), *fault, 1 + 1e-6)
             assert residual == intertwining_check(disp)
             M = riesz.theta_inv.mat
-            diff = (M @ disp.lead("V", 64) - disp.lead("U", 64) @ M)[:63, :63]
+            U, V = held_displacements(disp)
+            diff = (M @ V - U @ M)[:63, :63]
             assert residual == pytest.approx(_spectral_norm(diff) / B, rel=1e-8)
 
     @pytest.mark.parametrize("kind", ["projector", "random"])
@@ -618,30 +623,32 @@ class TestAllocation:
         assert self.peak(lambda: series_route(pair, states)) < self.LIMIT
 
     def test_displacement_work_stays_beside_w(self):
-        # displaced_pair holds W's 512 x 512 block and strips of width 1, a
-        # quarter of a dense array, and peaks below half of one; the
-        # factorization (a 512 x 512 cutoff) and intertwining checks below one
+        # displaced_pair holds strips of width 1 and peaks below half of a
+        # dense array; the factorization (a 512 x 512 cutoff) forms W's
+        # block under the strips in the closed form's memory, three
+        # quarter-size arrays at once, and peaks at 14.5 MiB, 1.5 MiB
+        # below one; intertwining peaks far below
         space = FockSpace(1024)
         riesz = projector_map(space, space.basis_vector(0))
         weyl(space, 1.0)  # the position spectrum, cached for every amplitude
         for z in (1.0, 1 + 1j, 2j):
             cut = suite._bch_cutoff(1024, z)
-            assert self.peak(lambda: displaced_pair(riesz, z, cut)) < 0.5 * self.LIMIT
-            disp = displaced_pair(riesz, z, cut)
-            assert disp.border == 1 and disp.W.shape == (cut, cut) == (512, 512)
+            assert self.peak(lambda: displaced_pair(riesz, z)) < 0.5 * self.LIMIT
+            disp = displaced_pair(riesz, z)
+            assert disp.border == 1 and cut == 512
             assert self.peak(lambda: bch_factorization_check(disp, cut)) < self.LIMIT
             assert self.peak(lambda: intertwining_check(disp)) < self.LIMIT
 
     def test_random_map_displacement_keeps_its_strips_uncopied(self):
-        # on the random map (p = 512) the set holds W's 512 x 512 block and
-        # four strips, 28 MiB, and displaced_pair peaks at 48 MiB: a strip
-        # handed to the set as a view would be copied, to 64 MiB
+        # on the random map (p = 512) the set holds four strips, 24 MiB, and
+        # displaced_pair peaks at 44 MiB: a strip handed to the set as a
+        # view would be copied, to 60 MiB
         space = FockSpace(1024)
         riesz = random_riesz_map(space, 10.0, seed=3)
         weyl(space, 1.0)  # the position spectrum, cached for every amplitude
         for z in (1.0, 1 + 1j, 2j):
             cut = suite._bch_cutoff(1024, z)
-            assert self.peak(lambda: displaced_pair(riesz, z, cut)) < 3.25 * self.LIMIT
+            assert self.peak(lambda: displaced_pair(riesz, z)) < 3.25 * self.LIMIT
 
     @pytest.mark.parametrize("kind", ["projector", "random"])
     def test_resolution_record_forms_no_dense_array(self, kind):
@@ -670,10 +677,19 @@ def test_border_narrower_than_the_block_is_refused(random_map64):
     pair = make_pair(random_map64)
     with pytest.raises(DimensionMismatchError):
         PseudoBosonPair(pair.a_border[:31, :32], pair.b_border[:32, :31], random_map64)
-    W = weyl(random_map64.space, 1.0).mat
     U, V = dense_displacements(random_map64, 1.0)
     with pytest.raises(DimensionMismatchError):
-        DisplacementSet(1.0, W, U[:31], U[31:, :31], V[:31], V[31:, :31], random_map64)
+        DisplacementSet(1.0, U[:31], U[31:, :31], V[:31], V[31:, :31], random_map64)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("op", ["a", "b"])
+def test_non_finite_border_is_refused(random_map64, op, value):
+    pair = make_pair(random_map64)
+    borders = {"a": pair.a_border.copy(), "b": pair.b_border.copy()}
+    borders[op][1, 1] = value
+    with pytest.raises(ValidationError, match="finite"):
+        PseudoBosonPair(borders["a"], borders["b"], random_map64)
 
 
 @pytest.mark.parametrize("spec", [PROJECTOR, RANDOM], ids=["projector", "random"])

@@ -35,6 +35,10 @@ class TestHermiteBasis:
     def test_first_excited_is_odd(self):
         assert hermite_stack(1, 0.0)[1, 0] == 0.0
 
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ValidationError, match="n_max"):
+            hermite_stack(-1, 0.0)
+
     def test_orthonormality_by_quadrature(self):
         x, w = gauss_hermite_grid(80)
         stack = hermite_stack(32, x)
@@ -176,6 +180,13 @@ class TestProjectorMap:
         space = FockSpace(4)
         with pytest.raises(ValidationError):
             projector_map(space, 2.0 * space.basis_vector(0))
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (4, 1)])
+    def test_wrongly_shaped_vector_rejected(self, shape):
+        u = np.zeros(shape)
+        u.flat[0] = 1.0  # unit norm: only the shape is wrong
+        with pytest.raises(ValidationError, match="shape"):
+            projector_map(FockSpace(4), u)
 
     def test_general_projector_same_algebra(self):
         # u = e_3 gives the same frame bounds and inverse identity

@@ -137,7 +137,7 @@ class TestRestrict:
     @pytest.mark.parametrize("cutoff", [0, 4, 7])
     def test_cutoff_out_of_range(self, cutoff):
         # the factorization check refuses a cutoff outside [1, dim)
-        disp = displaced_pair(make_riesz_map(FockSpace(4), np.eye(0)), 0.5, 4)
+        disp = displaced_pair(make_riesz_map(FockSpace(4), np.eye(0)), 0.5)
         with pytest.raises(InvalidDimensionError):
             bch_factorization_check(disp, cutoff)
 
@@ -569,6 +569,6 @@ class TestSpectralLowerBound:
         for z in (1, 1 + 1j, 2j):
             power_similarity_check(pair, z)
             cutoff = _bch_cutoff(64, z)
-            bch_factorization_check(displaced_pair(riesz, z, cutoff), cutoff)
+            bch_factorization_check(displaced_pair(riesz, z), cutoff)
         assert len(refs) == 3 * (5 + 2)
         assert all(_within_bound(X) for X in refs)

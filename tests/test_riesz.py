@@ -134,6 +134,12 @@ class TestRandomRieszMap:
         with pytest.raises(ValidationError):
             random_riesz_map(FockSpace(8), 0.5, seed=0)
 
+    @pytest.mark.parametrize("top_margin", [-1, 8, 9])
+    def test_bad_top_margin(self, top_margin):
+        # at least one level is deformed: the margin lies in [0, dim - 1]
+        with pytest.raises(ValidationError, match="top_margin"):
+            random_riesz_map(FockSpace(8), 10.0, seed=0, top_margin=top_margin)
+
 
 class TestDeformedBlock:
     """``make_riesz_map`` finds the smallest ``p`` with
