@@ -72,11 +72,12 @@ class BicoherentPair:
 @dataclass(frozen=True, eq=False)
 class QuadratureScheme:
     """Radial Gauss-Laguerre nodes and log weights in ``t = r^2`` plus a
-    uniform angular grid, resolving spaces up to dimension ``dim``.  The
-    weights are kept as logarithms because from 257 nodes the smallest
+    uniform grid of ``angular_count`` angles.  ``n`` nodes integrate every
+    moment through ``t^(2n-1)``, so they resolve spaces of at most ``2n``
+    levels; the grid resolves spaces of at most ``angular_count`` levels.
+    The weights are kept as logarithms because from 257 nodes the smallest
     fall below float64's range."""
 
-    dim: int
     radial_t: np.ndarray
     radial_log_w: np.ndarray
     angular_count: int
@@ -213,63 +214,56 @@ def _moment_ratios(t: np.ndarray, log_w: np.ndarray, n: int) -> np.ndarray:
 @functools.lru_cache(maxsize=16)
 def _laguerre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Laguerre nodes ``t`` and log weights of order ``n``, from the
-    Jacobi matrix ``tridiag(k, 2k+1, k)``.  The rule is built once per order
-    (every order of a four-dim ``converge`` sweep fits) and returned as
-    read-only arrays; :func:`make_quadrature` still tests it on every call."""
+    Jacobi matrix ``tridiag(k, 2k+1, k)``, tested against the factorial
+    moments ``int e^{-t} t^k dt = k!`` for every ``k <= 2n - 1``, the degrees
+    an ``n``-node rule integrates exactly.  The rule is built and tested once
+    per order (every order of a four-dim ``converge`` sweep fits) and
+    returned as read-only arrays; a failed order raises
+    :class:`UnderResolvedError` and is not cached."""
     t, log_w = _gauss_rule(2.0 * np.arange(n) + 1.0, np.arange(1.0, n))
+    rel_err = np.abs(_moment_ratios(t, log_w, 2 * n) - 1.0)
+    if not rel_err.max() <= 1e-10:  # written so that NaN fails
+        raise UnderResolvedError(f"factorial moment test failed: max relative error "
+                                 f"{rel_err.max():.3e} for k <= {2 * n - 1}")
     t.setflags(write=False)
     log_w.setflags(write=False)
     return t, log_w
 
 
-def make_quadrature(dim: int, radial_count: int, angular_count: int) -> QuadratureScheme:
-    """Quadrature over the complex plane resolving ``dim`` levels.
-
-    Requires ``radial_count > dim // 2`` and ``angular_count >= dim`` (so
-    the mask ``[k = l mod M]`` is exact for ``k, l < dim``) and validates
-    the radial rule against the factorial moments
-    ``int e^{-t} t^k dt = k!`` for ``k <= dim``.  Gauss-Laguerre with
-    ``n`` nodes is exact through degree ``2n-1``, so ``dim // 2 + 1``
-    nodes are the fewest that integrate every tested moment.  The rule
-    comes from :func:`_laguerre_rule`, built once per order; the moment
-    test runs on every call.
+def make_quadrature(radial_count: int, angular_count: int) -> QuadratureScheme:
+    """Quadrature over the complex plane: the ``radial_count``-node
+    Gauss-Laguerre rule of :func:`_laguerre_rule`, built and tested once per
+    order and shared read-only, and ``angular_count`` uniform angles.
+    Whether it resolves a space is decided where the space is known:
+    :func:`resolution_of_identity` refuses an aliasing grid, and both
+    readers warn on a space of more than ``2 radial_count`` levels.
 
     Raises
     ------
     UnderResolvedError
-        On insufficient node counts or a failed moment test.
+        On a count below 1 or a failed moment test.
     """
-    if radial_count <= dim // 2:
-        raise UnderResolvedError(
-            f"radial_count {radial_count} <= dim // 2 = {dim // 2}: a rule exact "
-            f"through the moment t^{dim} needs at least {dim // 2 + 1} nodes"
-        )
-    if angular_count < dim:
-        raise UnderResolvedError(
-            f"angular_count {angular_count} < dim = {dim}: angular grid aliases"
-        )
+    if radial_count < 1 or angular_count < 1:
+        raise UnderResolvedError(f"a quadrature needs at least one radial node and one "
+                                 f"angle, got {radial_count} and {angular_count}")
     t, log_w = _laguerre_rule(radial_count)
-    rel_err = np.abs(_moment_ratios(t, log_w, dim + 1) - 1.0)
-    if not rel_err.max() <= 1e-10:  # written so that NaN fails
-        raise UnderResolvedError(
-            f"factorial moment test failed: max relative error {rel_err.max():.3e} for k <= {dim}"
-        )
-    return QuadratureScheme(dim=dim, radial_t=t, radial_log_w=log_w, angular_count=angular_count)
+    return QuadratureScheme(radial_t=t, radial_log_w=log_w, angular_count=angular_count)
 
 
 def _warn_under_resolved(quad: QuadratureScheme, d: int):
-    if quad.dim < d:
-        warnings.warn(f"scheme resolves dim {quad.dim} but the space has dim {d}; top "
-                      "moments are not integrated exactly", UnderResolvedWarning, stacklevel=3)
+    if 2 * quad.radial_count < d:
+        warnings.warn(f"{quad.radial_count} radial nodes integrate moments only through "
+                      f"t^{2 * quad.radial_count - 1}, below the t^{d - 1} of dim {d}",
+                      UnderResolvedWarning, stacklevel=3)
 
 
 def resolution_operator(riesz: RieszMap, quad: QuadratureScheme) -> Operator:
     """Discrete resolution operator ``R = sum_nodes w |eta(z)><xi(z)| = S G S^{-1}``,
     dense, with ``G`` the masked Gram matrix of the radial factors, for any
     grid (aliasing ones included); the identity whenever the scheme resolves
-    the space.  A scheme for a smaller dimension is applied but warns
-    (:class:`UnderResolvedWarning`), so degradation studies can measure the
-    deviation instead of failing."""
+    the space.  A rule of fewer than ``dim / 2`` radial nodes is applied but
+    warns (:class:`UnderResolvedWarning`), so degradation studies can measure
+    the deviation instead of failing."""
     d = riesz.dim
     _warn_under_resolved(quad, d)
     A = _radial_factors(quad.radial_t, quad.radial_log_w, d)

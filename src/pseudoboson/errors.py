@@ -64,9 +64,9 @@ class ProvenanceError(PseudoBosonError):
 
 
 class UnderResolvedError(PseudoBosonError):
-    """Raised when a quadrature scheme fails its requirements for the
-    requested truncation dimension: fewer nodes than an exact rule needs
-    or a failed moment test."""
+    """Raised when a quadrature rule cannot be built (a count below 1 or a
+    failed moment test) or its angular grid aliases the space it is
+    applied to."""
 
 
 class ConfigError(PseudoBosonError):
@@ -80,5 +80,6 @@ class AccuracyRegimeWarning(UserWarning):
 
 
 class UnderResolvedWarning(UserWarning):
-    """Issued when a quadrature scheme is applied to a space larger than
-    the dimension it was built to resolve (negative-control runs)."""
+    """Issued when a radial rule of ``n`` nodes is applied to a space of
+    more than ``2n`` levels, whose top moments it does not integrate
+    exactly (negative-control runs)."""

@@ -102,6 +102,11 @@ def _scaled_moduli(parts) -> tuple[list[np.ndarray] | None, float]:
     return mags, e
 
 
+def _unscale(x: float, e: int) -> float:
+    """``x 2^e``, exactly, or ``inf`` where that leaves float range."""
+    return math.ldexp(x, e) if math.frexp(x)[1] + e <= 1024 else math.inf
+
+
 def _frobenius_norm(*parts: np.ndarray) -> float:
     """Frobenius norm of the matrix whose entries are those of ``parts``
     together, with no SVD: a certified upper bound of its spectral norm,
@@ -110,13 +115,13 @@ def _frobenius_norm(*parts: np.ndarray) -> float:
     two of its largest entry before it is squared (:func:`_scaled_moduli`),
     and the scaling undone after the square root, both exactly: no square
     overflows, and only the squares of entries below ``2^-537`` times the
-    largest underflow, far below the rounding of the sum.  As in
-    :func:`_spectral_norm`, an all-zero (or empty) ``X`` reads ``0.0`` and a
-    non-finite one ``nan``."""
+    largest underflow, far below the rounding of the sum; a norm past the
+    float range reads ``inf``.  As in :func:`_spectral_norm`, an all-zero
+    (or empty) ``X`` reads ``0.0`` and a non-finite one ``nan``."""
     mags, e = _scaled_moduli(parts)
     if mags is None:
         return e
-    return math.ldexp(math.sqrt(sum(float(np.vdot(m, m)) for m in mags)), e)
+    return _unscale(math.sqrt(sum(float(np.vdot(m, m)) for m in mags)), e)
 
 
 def _graded_norm(diff: np.ndarray, denominator: float, tol: float,
@@ -150,16 +155,17 @@ def _spectral_lower_bound(X: np.ndarray) -> float:
     :func:`_frobenius_norm`,
     and the row and column sums are read from its squares, formed once in
     place.  No square overflows, and an entry whose square underflows can
-    only lower the bound.  As in :func:`_spectral_norm`, an all-zero (or
-    empty) ``X`` reads ``0.0`` and a non-finite one ``nan``."""
+    only lower the bound; a bound past the float range reads ``inf``.  As in
+    :func:`_spectral_norm`, an all-zero (or empty) ``X`` reads ``0.0`` and a
+    non-finite one ``nan``."""
     mags, e = _scaled_moduli([X])
     if mags is None:
         return e
     A = mags[0]
-    fro = math.ldexp(math.sqrt(float(np.vdot(A, A))), e)
+    fro = _unscale(math.sqrt(float(np.vdot(A, A))), e)
     A *= A
     norm_sq = max(A.sum(axis=0).max(), A.sum(axis=1).max())
-    return max(math.ldexp(math.sqrt(norm_sq), e), fro / math.sqrt(min(X.shape)))
+    return max(_unscale(math.sqrt(norm_sq), e), fro / math.sqrt(min(X.shape)))
 
 
 def _recurrence(a: np.ndarray, b: np.ndarray, x: np.ndarray):

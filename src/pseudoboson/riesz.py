@@ -36,6 +36,7 @@ import numpy as np
 
 from .errors import (
     ConditioningError,
+    ConfigError,
     DimensionMismatchError,
     NotInvertibleError,
     ValidationError,
@@ -278,12 +279,16 @@ def save_riesz_map(riesz: RieszMap, path: str | Path) -> None:
 def load_riesz_map(path: str | Path) -> RieszMap:
     """Load a serialized map and revalidate invertibility under
     :func:`make_riesz_map`'s budget.  A file that cannot be read or
-    parsed raises :class:`ValidationError` naming it."""
+    parsed, or whose ``dim`` is not an integer >= 2 by the config's rule
+    (``16`` and ``16.0``, not ``16.5``, ``true`` or ``"16"``), raises
+    :class:`ValidationError` naming it."""
+    from .config import _integer  # config imports this module
+
     try:
         record = json.loads(Path(path).read_text())
-        d = int(record["dim"])
+        d = _integer(record["dim"], "dim", 2)
         flat = np.array([complex(re, im) for re, im in record["entries"]])
-    except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise ValidationError(f"cannot load map file {path}: {exc}") from exc
     if len(flat) != d * d:
         raise ValidationError(

@@ -246,7 +246,7 @@ def run_suite(config: RunConfig) -> list[CheckReport]:
                 bc.z, border=q)
 
     try:
-        quad = make_quadrature(dim, dim // 2 + 1, 2 * dim + 1)
+        quad = make_quadrature(dim // 2 + 1, 2 * dim + 1)
     except UnderResolvedError as exc:
         rec.refuse(("resolution_identity",), exc)
     else:
@@ -333,7 +333,7 @@ def convergence_study(config: RunConfig, dims: list[int]) -> tuple[Path, Path]:
             tol = rec.tolerance("resolution_identity")
             deviations = {
                 radial: resolution_of_identity(
-                    riesz, make_quadrature(radial, radial, 2 * dim + 1), tol=tol)
+                    riesz, make_quadrature(radial, 2 * dim + 1), tol=tol)
                 for radial in sorted({max(2, dim // 4), max(2, dim // 2), dim})
             }
         rec.add("resolution_identity", deviations[dim])

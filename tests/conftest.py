@@ -9,6 +9,7 @@ from pseudoboson import (
     DisplacementSet,
     FockSpace,
     PseudoBosonPair,
+    bicoherent,
     make_riesz_map,
     projector_map,
     random_riesz_map,
@@ -114,6 +115,24 @@ def with_disp_entry(disp, op, entry, factor):
         {"U": U, "V": V}[op][entry] *= factor
     q = max(disp.border, min(entry) + 1)
     return DisplacementSet(disp.z, U[:q], U[q:, :q], V[:q], V[q:, :q], riesz)
+
+
+@pytest.fixture
+def nan_laguerre_weight(monkeypatch):
+    """``bicoherent``'s Gauss rules with one NaN log weight, so every Laguerre
+    order the test asks for fails its moment test: the order cache is
+    emptied before, so no cached rule bypasses the fault, and after."""
+    gauss = bicoherent._gauss_rule
+
+    def rule_with_nan(a, b):
+        t, log_w = gauss(a, b)
+        log_w[len(log_w) // 2] = np.nan
+        return t, log_w
+
+    monkeypatch.setattr(bicoherent, "_gauss_rule", rule_with_nan)
+    bicoherent._laguerre_rule.cache_clear()
+    yield
+    bicoherent._laguerre_rule.cache_clear()
 
 
 @pytest.fixture(scope="module")

@@ -226,7 +226,7 @@ def test_criterion_10_resolution_of_identity():
     worst = 0.0
     for dim in (16, 32):
         space = FockSpace(dim)
-        quad = make_quadrature(dim, dim, 2 * dim + 1)
+        quad = make_quadrature(dim, 2 * dim + 1)
         for riesz in (
             make_riesz_map(space, np.eye(0)),
             projector_map(space, space.basis_vector(0)),
@@ -246,21 +246,22 @@ def test_criterion_10_negative_control():
     # k <= 2n-1, and the resolution operator needs moments up to dim-1, so
     # dim/2 nodes are still exact (roundoff) and only a rule below that
     # bound can degrade.  The quarter rule (dim/4 nodes, exact through
-    # degree dim/2-1) is the under-resolved side; dim/2 nodes pin the exact
-    # side.  This spec decision is recorded in CHANGES.md.
+    # degree dim/2-1) is the under-resolved side and warns; dim/2 nodes pin
+    # the exact side, where nothing warns.  This spec decision is recorded in CHANGES.md.
     worst_quarter = np.inf
     worst_half = 0.0
     for dim in (16, 32):
         space = FockSpace(dim)
-        quarter = make_quadrature(dim // 4, dim // 4, 2 * dim + 1)
-        half = make_quadrature(dim // 2, dim // 2, 2 * dim + 1)
+        quarter = make_quadrature(dim // 4, 2 * dim + 1)
+        half = make_quadrature(dim // 2, 2 * dim + 1)
         for riesz in (
             make_riesz_map(space, np.eye(0)),
             projector_map(space, space.basis_vector(0)),
         ):
             with pytest.warns(UnderResolvedWarning):
                 worst_quarter = min(worst_quarter, resolution_of_identity(riesz, quarter))
-            with pytest.warns(UnderResolvedWarning):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UnderResolvedWarning)  # exact: no warning
                 worst_half = max(worst_half, resolution_of_identity(riesz, half))
     report(
         "10 resolution of identity (negative control)",

@@ -11,7 +11,6 @@ from pseudoboson import (
     FockSpace,
     MapSpec,
     ProvenanceError,
-    QuadratureScheme,
     RunConfig,
     UnderResolvedError,
     UnderResolvedWarning,
@@ -281,25 +280,25 @@ class TestEigenRelations:
 
 class TestQuadrature:
     def test_zeroth_moment(self):
-        quad = make_quadrature(16, 16, 33)
+        quad = make_quadrature(16, 33)
         assert abs(np.sum(np.exp(quad.radial_log_w)) - 1.0) <= 1e-14
 
     def test_fifth_moment(self):
-        quad = make_quadrature(16, 16, 33)
+        quad = make_quadrature(16, 33)
         moment = np.sum(np.exp(quad.radial_log_w) * quad.radial_t**5)
         assert abs(moment - 120.0) <= 1e-10 * 120.0
 
     def test_factorial_moments_dim64(self):
         from scipy.special import gammaln
 
-        quad = make_quadrature(64, 64, 129)
+        quad = make_quadrature(64, 129)
         for k in (10, 32, 64):
             log_moment = np.log(np.sum(np.exp(quad.radial_log_w) * quad.radial_t**k / np.exp(
                 k * np.log(quad.radial_t).max()))) + k * np.log(quad.radial_t).max()
             assert abs(np.exp(log_moment - gammaln(k + 1)) - 1.0) <= 1e-10
 
     def test_angular_grid_kills_phases(self):
-        quad = make_quadrature(8, 8, 17)
+        quad = make_quadrature(8, 17)
         M = quad.angular_count
         theta = 2 * np.pi * np.arange(M) / M
         for n in range(-M + 1, M):
@@ -307,31 +306,45 @@ class TestQuadrature:
             assert abs(total - (1.0 if n == 0 else 0.0)) <= 1e-13
 
     def test_insufficient_radial(self):
-        with pytest.raises(UnderResolvedError):
-            make_quadrature(16, 8, 33)
+        # a rule needs a node; one node is already a rule, exact through t^1
+        for radial in (0, -1):
+            with pytest.raises(UnderResolvedError, match="at least one radial node"):
+                make_quadrature(radial, 33)
+        assert make_quadrature(1, 1).radial_count == 1
 
-    @pytest.mark.parametrize("dim, radial, accepted", [
-        (16, 9, True), (17, 9, True), (17, 8, False),
+    @pytest.mark.parametrize("dim, radial, exact", [
+        (16, 8, True), (16, 9, True), (17, 9, True), (17, 8, False),
     ])
-    def test_radial_bound_both_sides(self, dim, radial, accepted):
-        # n nodes are exact through degree 2n - 1, so dim // 2 + 1 nodes are
-        # the fewest that pass the moment test for k <= dim
-        if accepted:
-            assert make_quadrature(dim, radial, 2 * dim + 1).radial_count == radial
+    def test_radial_bound_both_sides(self, dim, radial, exact):
+        # n nodes integrate through t^(2n - 1), every moment a space of at
+        # most 2n levels reads, and there nothing warns; a larger space warns
+        # and loses its top moment (7.8e-5 with 8 nodes on 17 levels)
+        riesz = make_riesz_map(FockSpace(dim), np.eye(0))
+        quad = make_quadrature(radial, 2 * dim + 1)
+        if exact:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", UnderResolvedWarning)
+                assert resolution_of_identity(riesz, quad) <= 1e-13
         else:
-            with pytest.raises(UnderResolvedError):
-                make_quadrature(dim, radial, 2 * dim + 1)
+            with pytest.warns(UnderResolvedWarning):
+                assert resolution_of_identity(riesz, quad) >= 1e-6
 
     def test_insufficient_angular(self):
-        with pytest.raises(UnderResolvedError):
-            make_quadrature(16, 16, 15)
+        # a grid needs an angle; whether it aliases depends on the space, so
+        # resolution_of_identity refuses fewer angles than levels
+        for angular in (0, -1):
+            with pytest.raises(UnderResolvedError, match="one angle"):
+                make_quadrature(8, angular)
+        riesz = make_riesz_map(FockSpace(16), np.eye(0))
+        with pytest.raises(UnderResolvedError, match="aliases"):
+            resolution_of_identity(riesz, make_quadrature(8, 15))
 
     @pytest.mark.parametrize("dim", [16, 32])
     def test_angular_bound_is_exact(self, dim):
         # the mask [k = l mod M] is exact for k, l < dim once M >= dim, so
         # dim angular nodes resolve the identity on every map kind
         space = FockSpace(dim)
-        quad = make_quadrature(dim, dim, dim)
+        quad = make_quadrature(dim, dim)
         for riesz in (make_riesz_map(space, np.eye(0)),
                       projector_map(space, space.basis_vector(0)),
                       random_riesz_map(space, 10.0, seed=0)):
@@ -343,28 +356,17 @@ class TestQuadrature:
         # carries log weights; the moment test is the only acceptance check
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            quad = make_quadrature(dim, nodes, 2 * dim + 1)
+            quad = make_quadrature(nodes, 2 * dim + 1)
         assert quad.radial_count == nodes
         assert np.all(np.isfinite(quad.radial_log_w))
         assert quad.radial_log_w.min() < np.log(np.finfo(float).tiny)
 
-    def test_nan_weight_refused(self, monkeypatch):
-        # a non-finite weight must fail the moment test, not pass a `<=` guard,
-        # even on an order whose rule is already cached
-        make_quadrature(32, 32, 65)
-        rule = bicoherent._laguerre_rule
-        hits = rule.cache_info().hits
-
-        def rule_with_nan(n):
-            t, log_w = rule(n)  # the cached, read-only rule
-            log_w = log_w.copy()
-            log_w[len(log_w) // 2] = np.nan
-            return t, log_w
-
-        monkeypatch.setattr(bicoherent, "_laguerre_rule", rule_with_nan)
+    def test_nan_weight_refused(self, nan_laguerre_weight):
+        # a non-finite weight must fail the moment test when its order is
+        # built, not pass a `<=` guard, and the failed order is not cached
         with pytest.raises(UnderResolvedError, match="factorial moment test failed"):
-            make_quadrature(32, 32, 65)
-        assert rule.cache_info().hits == hits + 1
+            make_quadrature(32, 65)
+        assert bicoherent._laguerre_rule.cache_info().currsize == 0
 
     @pytest.mark.parametrize("n", [2, 33, 129, 257])
     def test_cached_rule_is_the_direct_rule(self, n):
@@ -379,24 +381,36 @@ class TestQuadrature:
         again = bicoherent._laguerre_rule(33)
         assert again[0] is t and again[1] is log_w
         # the scheme keeps the cached arrays instead of copying them
-        quad = make_quadrature(64, 33, 129)
+        quad = make_quadrature(33, 129)
         assert quad.radial_t is t and quad.radial_log_w is log_w
 
-    def test_sweep_builds_each_order_once(self, tmp_path):
+    def test_sweep_builds_each_order_once(self, tmp_path, monkeypatch):
         # dims 16..128 ask for 12 rules (a quarter, a half and a full rule
-        # each) of 6 distinct orders, 4 to 128
+        # each) of 6 distinct orders, 4 to 128; each order is moment-tested
+        # once, when it is built, so the moment ratios are taken 18 times:
+        # 6 tests and the 12 reads of resolution_of_identity
         config = RunConfig(dim=16, map_spec=MapSpec(kind="random", seed=1),
                            z_samples=(1 + 0j,), outputs=tmp_path)
+        ratios = []
+
+        def counted(*args, take=bicoherent._moment_ratios):
+            ratios.append(args[2])
+            return take(*args)
+
+        monkeypatch.setattr(bicoherent, "_moment_ratios", counted)
         bicoherent._laguerre_rule.cache_clear()
         convergence_study(config, [16, 32, 64, 128])
         info = bicoherent._laguerre_rule.cache_info()
         assert (info.misses, info.hits) == (6, 6)
+        assert len(ratios) == 18
+        # dim 16: each rule's test of 2n moments, then its read of 16 levels
+        assert ratios[:6] == [8, 16, 16, 16, 32, 16]
 
     @pytest.mark.parametrize("n", [16, 64, 129])
     def test_laguerre_rule_matches_scipy(self, n):
         from scipy.special import roots_laguerre
 
-        quad = make_quadrature(n, n, 2 * n + 1)
+        quad = make_quadrature(n, 2 * n + 1)
         t, w = roots_laguerre(n)
         assert np.all(np.abs(quad.radial_t - t) <= 1e-12 * t)
         assert np.all(np.abs(np.exp(quad.radial_log_w) - w) <= 1e-11 * w)
@@ -405,34 +419,34 @@ class TestQuadrature:
 class TestResolutionOfIdentity:
     def test_identity_map_dim16(self):
         riesz = make_riesz_map(FockSpace(16), np.eye(0))
-        dev = resolution_of_identity(riesz, make_quadrature(16, 16, 33))
+        dev = resolution_of_identity(riesz, make_quadrature(16, 33))
         assert dev <= 1e-11
 
     def test_projector_dim32(self):
         P = np.zeros((32, 32), complex)
         P[0, 0] = 1.0
         riesz = make_riesz_map(FockSpace(32), np.eye(32) + 1j * P)
-        dev = resolution_of_identity(riesz, make_quadrature(32, 32, 65))
+        dev = resolution_of_identity(riesz, make_quadrature(32, 65))
         assert dev <= 1e-11
 
     def test_random_maps_dim64(self, all_maps64):
-        quad = make_quadrature(64, 64, 129)
+        quad = make_quadrature(64, 129)
         for riesz in all_maps64:
             assert resolution_of_identity(riesz, quad) <= 1e-10
 
     def test_under_resolution_degrades(self):
         # quarter resolution loses the top moments outright
         riesz = make_riesz_map(FockSpace(16), np.eye(0))
-        reduced = make_quadrature(4, 4, 33)
+        reduced = make_quadrature(4, 33)
         with pytest.warns(UnderResolvedWarning):
             dev = resolution_of_identity(riesz, reduced)
         assert dev >= 1e-1
 
     @staticmethod
     def assert_minimal_rule_resolves(dim):
-        # dim // 2 + 1 radial nodes, the fewest that pass the moment test
+        # dim // 2 + 1 radial nodes, the rule verify builds
         space = FockSpace(dim)
-        quad = make_quadrature(dim, dim // 2 + 1, 2 * dim + 1)
+        quad = make_quadrature(dim // 2 + 1, 2 * dim + 1)
         for riesz in (projector_map(space, space.basis_vector(0)),
                       random_riesz_map(space, 10.0, seed=3)):
             assert resolution_of_identity(riesz, quad) <= 1e-10
@@ -446,10 +460,12 @@ class TestResolutionOfIdentity:
 
     def test_half_resolution_still_exact(self):
         # Gauss-Laguerre with n nodes integrates moments up to 2n-1, so
-        # half the nodes still resolve every moment the space needs
+        # half the nodes still resolve every moment the space needs, and so
+        # nothing warns
         riesz = make_riesz_map(FockSpace(16), np.eye(0))
-        reduced = make_quadrature(8, 8, 33)
-        with pytest.warns(UnderResolvedWarning):
+        reduced = make_quadrature(8, 33)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UnderResolvedWarning)
             dev = resolution_of_identity(riesz, reduced)
         assert dev <= 1e-13
 
@@ -470,7 +486,7 @@ class TestResolutionOfIdentity:
                  "random": lambda: random_riesz_map(space, 10.0, seed=d),
                  "dense": lambda: random_riesz_map(space, 10.0, seed=d, top_margin=0)}[kind]()
         radial = {"full": d, "half": d // 2, "quarter": d // 4}[rule]
-        quad = make_quadrature(radial, radial, 2 * d + 1)
+        quad = make_quadrature(radial, 2 * d + 1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UnderResolvedWarning)
             got = resolution_of_identity(riesz, quad)
@@ -486,18 +502,15 @@ class TestResolutionOfIdentity:
     def test_nan_weight_reads_nan(self, random_map64, tol):
         # a nan weight makes every moment ratio nan, the block's and the
         # tail's: graded or exact, the deviation reads nan, which fails
-        quad = make_quadrature(64, 33, 129)
+        quad = make_quadrature(33, 129)
         log_w = quad.radial_log_w.copy()
         log_w[3] = np.nan
         bad = dataclasses.replace(quad, radial_log_w=log_w)
         assert np.isnan(resolution_of_identity(random_map64, bad, tol=tol))
 
     def test_aliasing_grid_refused(self):
-        # fewer than dim angles alias k and k + M; make_quadrature refuses
-        # such a grid for its own dim, so this one is built by hand
-        quad = make_quadrature(8, 8, 17)
-        aliasing = QuadratureScheme(dim=16, radial_t=quad.radial_t,
-                                    radial_log_w=quad.radial_log_w, angular_count=15)
+        # fewer than dim angles alias k and k + M
+        aliasing = make_quadrature(8, 15)
         riesz = make_riesz_map(FockSpace(16), np.eye(0))
         with pytest.raises(UnderResolvedError, match="aliases"):
             resolution_of_identity(riesz, aliasing)
@@ -526,11 +539,7 @@ class TestResolutionOracle:
     @pytest.mark.parametrize("rule", ["full", "half", "quarter", "aliasing"])
     def test_matches_node_matrix_sum(self, d, rule):
         radial = {"full": d, "half": d // 2, "quarter": d // 4, "aliasing": d // 2}[rule]
-        # make_quadrature refuses an aliasing grid, so that rule is built by hand
-        quad = make_quadrature(radial, radial, 2 * radial + 1)
-        if rule == "aliasing":
-            quad = QuadratureScheme(dim=quad.dim, radial_t=quad.radial_t,
-                                    radial_log_w=quad.radial_log_w, angular_count=d // 2 + 1)
+        quad = make_quadrature(radial, d // 2 + 1 if rule == "aliasing" else 2 * radial + 1)
         space = FockSpace(d)
         maps = [projector_map(space, space.basis_vector(0)),
                 random_riesz_map(space, 10.0, seed=d)]

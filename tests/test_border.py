@@ -656,7 +656,7 @@ class TestAllocation:
         space = FockSpace(1024)
         riesz = (projector_map(space, space.basis_vector(0)) if kind == "projector"
                  else random_riesz_map(space, 10.0, seed=3))
-        quad = make_quadrature(1024, 513, 2049)
+        quad = make_quadrature(513, 2049)
         assert self.peak(lambda: resolution_of_identity(riesz, quad)) < self.LIMIT
 
 

@@ -357,6 +357,12 @@ class TestSpectralNorm:
         assert sites == {("fock.py", "_graded_norm", name) for name in exact}
 
 
+#: finite entries whose norm leaves the float range: the norm reads ``inf``,
+#: with no ``OverflowError`` and no ``RuntimeWarning``
+OVERFLOWING = pytest.mark.parametrize("entry", [1.7e308, 1e308 + 1e308j],
+                                      ids=["real", "complex"])
+
+
 class TestFrobeniusNorm:
     """The certified upper bound the numerators of ``bch_*``,
     ``intertwining`` and ``power_similarity`` pass on."""
@@ -428,6 +434,12 @@ class TestFrobeniusNorm:
         assert np.isnan(_frobenius_norm(X))
         assert np.isnan(_frobenius_norm(np.eye(3), X))
 
+    @OVERFLOWING
+    def test_past_float_range_reads_inf(self, entry):
+        X = np.full((2, 2), entry)
+        assert _frobenius_norm(X) == math.inf
+        assert _frobenius_norm(X[:1], X[1:, :1]) == math.inf
+
 
 class TestGradedNorm:
     """The one grading rule of every norm residual: within ``tol`` the value
@@ -487,6 +499,13 @@ class TestGradedNorm:
         X = np.eye(3)
         assert _graded_norm(X, 0.0, np.inf) == _frobenius_norm(X) / 1e-300 < np.inf
         assert np.isnan(_graded_norm(X, np.nan, 0.0))
+
+    @OVERFLOWING
+    def test_past_float_range_reads_inf(self, entry):
+        # the bound reads inf, above any tol, so the exact norm is taken: inf, a fail
+        X = np.full((2, 2), entry)
+        assert _graded_norm(X, 1.0, 1e-10) == math.inf
+        assert _graded_norm(X[:1], 1.0, 1e-10, X[1:, :1]) == math.inf
 
 
 def _within_bound(X):
@@ -555,6 +574,10 @@ class TestSpectralLowerBound:
         X = np.eye(5, dtype=complex)
         X[2, 3] = bad
         assert np.isnan(_spectral_lower_bound(X))
+
+    @OVERFLOWING
+    def test_past_float_range_reads_inf(self, entry):
+        assert _spectral_lower_bound(np.full((2, 2), entry)) == math.inf
 
     @pytest.mark.parametrize("kind", ["projector", "random"])
     def test_brackets_the_check_references(self, monkeypatch, kind, projector_map64,

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -482,6 +483,22 @@ class TestSerialization:
         path.write_text('{"dim": 4, "entries": [[1, 0]]}')
         with pytest.raises(ValidationError):
             load_riesz_map(path)
+
+    @pytest.mark.parametrize("dim", [16.5, True, "16", 1, 0])
+    def test_dim_held_to_the_config_rule(self, tmp_path, dim):
+        # an integral number >= 2, as a config's dim: no truncation, no bool,
+        # no string, and the refusal names the file; the entries fit int(dim)
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"dim": dim, "entries": [[1, 0]] * int(dim) ** 2}))
+        with pytest.raises(ValidationError, match="map.json"):
+            load_riesz_map(path)
+
+    def test_integral_float_dim_loads(self, tmp_path):
+        path = tmp_path / "map.json"
+        save_riesz_map(random_riesz_map(FockSpace(16), 5.0, seed=11), path)
+        record = json.loads(path.read_text())
+        path.write_text(json.dumps({**record, "dim": 16.0}))
+        assert load_riesz_map(path).dim == 16
 
 
 class TestBlockRepresentation:

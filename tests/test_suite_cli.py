@@ -399,6 +399,23 @@ class TestRunSuite:
             assert r.residual == float("inf") and r.status == "fail"
             assert r.params["error"] == "vacuum extraction refused"
 
+    def test_quadrature_refusal_recorded(self, tmp_path, nan_laguerre_weight):
+        # a radial rule that fails its moment test when its order is built
+        # is recorded as a refused resolution_identity, and the run exits 1
+        path = write_config(tmp_path / "c.json", map_spec=GROUND_PROJECTOR)
+        assert main(["verify", "--config", str(path)]) == 1
+        records = json.loads((tmp_path / "out" / "report.json").read_text())
+        (refused,) = [r for r in records if r["check_id"] == "resolution_identity"]
+        assert refused["residual"] == float("inf") and refused["status"] == "fail"
+        assert "factorial moment test failed" in refused["params"]["error"]
+        assert all(r["status"] == "pass" for r in records if r is not refused)
+
+
+def test_phase_aligned_distance_of_orthogonal_states():
+    # no overlap, no phase to align: the plain distance of two unit vectors
+    e = np.eye(4)
+    assert suite._phase_aligned_distance(e[0], e[1]) == np.sqrt(2.0)
+
 
 class TestFamilyRecords:
     """``biorthogonality``, ``theta_family`` and the rank-one records multiply
@@ -720,8 +737,9 @@ def test_verify_cutoffs_stay_in_regime(tmp_path):
                                       {"kind": "random", "cond": 10.0, "seed": 1}],
                          ids=["projector", "random"])
 def test_verify_rule_is_never_under_resolved(tmp_path, dim, map_spec):
-    # verify builds its quadrature rule for the map's own dim, so it has no
-    # UnderResolvedWarning to silence (converge's quarter and half rules do)
+    # verify's rule of dim // 2 + 1 nodes resolves the map's own dim, so it
+    # has no UnderResolvedWarning to silence (converge's quarter rules, and
+    # its half rules on odd dims, do)
     path = write_config(tmp_path / "c.json", dim=dim, map_spec=map_spec)
     with warnings.catch_warnings():
         warnings.simplefilter("error", UnderResolvedWarning)
