@@ -76,14 +76,17 @@ class QuadratureScheme:
     moment through ``t^(2n-1)``, so they resolve spaces of at most ``2n``
     levels; the grid resolves spaces of at most ``angular_count`` levels.
     The weights are kept as logarithms because from 257 nodes the smallest
-    fall below float64's range."""
+    fall below float64's range.  ``moment_ratios`` holds the rule's ratios
+    ``g_k`` (:func:`_moment_ratios`) for the leading ``k``, ``2n`` of them
+    from :func:`make_quadrature`, the ones its moment test read."""
 
     radial_t: np.ndarray
     radial_log_w: np.ndarray
     angular_count: int
+    moment_ratios: np.ndarray
 
     def __post_init__(self):
-        _freeze(self, "radial_t", "radial_log_w")
+        _freeze(self, "radial_t", "radial_log_w", "moment_ratios")
 
     @property
     def radial_count(self) -> int:
@@ -150,8 +153,8 @@ def series_route(pair: PseudoBosonPair,
     recursion amplifies the rounding of the high levels by up to
     ``||exp(|z| c^dag)||_2`` (about ``1.6e13`` at ``dim = 256`` and
     ``|z| = 2``), so on a random map the routes part by more than roundoff
-    and ``two_route`` at ``|z| = 2`` fails from ``dim = 256`` on (7.7e-7
-    against 1e-8 on the cond-10 map of seed 3 with one BLAS thread, 7.1e-7
+    and ``two_route`` at ``|z| = 2`` fails from ``dim = 256`` on (3.8e-7
+    against 1e-8 on the cond-10 map of seed 3 with one BLAS thread, 4.0e-7
     with two: the figure is amplified rounding).  Each state sums the fewest
     ``N <= dim`` terms whose :func:`coherent_tail_bound` is ``<= 1e-20``.
     The families do not depend on ``z``, so they are grown once, up to the
@@ -196,44 +199,49 @@ def eigen_check(pair: PseudoBosonPair, bc: BicoherentPair) -> tuple[float, float
     return relative(pair.a_border, bc.eta), relative(pair.b_border.conj().T, bc.xi)
 
 
-def _radial_factors(t: np.ndarray, log_w: np.ndarray, n: int) -> np.ndarray:
-    """``A[k, i] = sqrt(w_i t_i^k / k!)`` for ``k < n``, in log space
-    (``k!`` overflows float64 past ``k = 170``).  Row ``k`` squared and
-    summed is the Laguerre moment ratio ``sum_i w_i t_i^k / k!``."""
-    ks = np.arange(n)[:, None]
-    log_fact = np.array([[math.lgamma(k + 1.0)] for k in range(n)])
+def _radial_factors(t: np.ndarray, log_w: np.ndarray, n: int, start: int = 0) -> np.ndarray:
+    """``A[k - start, i] = sqrt(w_i t_i^k / k!)`` for ``start <= k < n``, in
+    log space (``k!`` overflows float64 past ``k = 170``).  Row ``k``
+    squared and summed is the Laguerre moment ratio ``sum_i w_i t_i^k / k!``;
+    each row is computed on its own, so it does not depend on ``start``."""
+    ks = np.arange(start, n)[:, None]
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(start, n)])[:, None]
     return np.exp(0.5 * (log_w + ks * np.log(t) - log_fact))
 
 
-def _moment_ratios(t: np.ndarray, log_w: np.ndarray, n: int) -> np.ndarray:
-    """Laguerre moment ratios ``g_k = sum_i w_i t_i^k / k!``, ``k < n``, each 1 where
-    the rule integrates ``t^k``: the rows of :func:`_radial_factors` squared."""
-    return np.sum(_radial_factors(t, log_w, n) ** 2, axis=1)
+def _moment_ratios(t: np.ndarray, log_w: np.ndarray, n: int, start: int = 0) -> np.ndarray:
+    """Laguerre moment ratios ``g_k = sum_i w_i t_i^k / k!``, ``start <= k < n``,
+    each 1 where the rule integrates ``t^k``: the rows of
+    :func:`_radial_factors` squared, each summed on its own."""
+    return np.sum(_radial_factors(t, log_w, n, start) ** 2, axis=1)
 
 
 @functools.lru_cache(maxsize=16)
-def _laguerre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Laguerre nodes ``t`` and log weights of order ``n``, from the
-    Jacobi matrix ``tridiag(k, 2k+1, k)``, tested against the factorial
-    moments ``int e^{-t} t^k dt = k!`` for every ``k <= 2n - 1``, the degrees
-    an ``n``-node rule integrates exactly.  The rule is built and tested once
-    per order (every order of a four-dim ``converge`` sweep fits) and
-    returned as read-only arrays; a failed order raises
-    :class:`UnderResolvedError` and is not cached."""
+def _laguerre_rule(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gauss-Laguerre nodes ``t``, log weights and moment ratios ``g_k``,
+    ``k < 2n``, of order ``n``, from the Jacobi matrix ``tridiag(k, 2k+1, k)``,
+    tested against the factorial moments ``int e^{-t} t^k dt = k!`` for every
+    ``k <= 2n - 1``, the degrees an ``n``-node rule integrates exactly: each
+    ``g_k`` within ``1e-10`` of 1.  The rule is built and tested once per
+    order (every order of a four-dim ``converge`` sweep fits) and returned as
+    read-only arrays, the ratios the test read among them; a failed order
+    raises :class:`UnderResolvedError` and is not cached."""
     t, log_w = _gauss_rule(2.0 * np.arange(n) + 1.0, np.arange(1.0, n))
-    rel_err = np.abs(_moment_ratios(t, log_w, 2 * n) - 1.0)
+    g = _moment_ratios(t, log_w, 2 * n)
+    rel_err = np.abs(g - 1.0)
     if not rel_err.max() <= 1e-10:  # written so that NaN fails
         raise UnderResolvedError(f"factorial moment test failed: max relative error "
                                  f"{rel_err.max():.3e} for k <= {2 * n - 1}")
-    t.setflags(write=False)
-    log_w.setflags(write=False)
-    return t, log_w
+    for arr in (t, log_w, g):
+        arr.setflags(write=False)
+    return t, log_w, g
 
 
 def make_quadrature(radial_count: int, angular_count: int) -> QuadratureScheme:
     """Quadrature over the complex plane: the ``radial_count``-node
     Gauss-Laguerre rule of :func:`_laguerre_rule`, built and tested once per
-    order and shared read-only, and ``angular_count`` uniform angles.
+    order and shared read-only with the moment ratios its test read, and
+    ``angular_count`` uniform angles.
     Whether it resolves a space is decided where the space is known:
     :func:`resolution_of_identity` refuses an aliasing grid, and both
     readers warn on a space of more than ``2 radial_count`` levels.
@@ -246,8 +254,9 @@ def make_quadrature(radial_count: int, angular_count: int) -> QuadratureScheme:
     if radial_count < 1 or angular_count < 1:
         raise UnderResolvedError(f"a quadrature needs at least one radial node and one "
                                  f"angle, got {radial_count} and {angular_count}")
-    t, log_w = _laguerre_rule(radial_count)
-    return QuadratureScheme(radial_t=t, radial_log_w=log_w, angular_count=angular_count)
+    t, log_w, g = _laguerre_rule(radial_count)
+    return QuadratureScheme(radial_t=t, radial_log_w=log_w, angular_count=angular_count,
+                            moment_ratios=g)
 
 
 def _warn_under_resolved(quad: QuadratureScheme, d: int):
@@ -275,7 +284,7 @@ def resolution_operator(riesz: RieszMap, quad: QuadratureScheme) -> Operator:
 def resolution_of_identity(riesz: RieszMap, quad: QuadratureScheme, *, tol: float = 0.0) -> float:
     """Deviation ``||R - 1||`` of the discrete resolution operator, from its
     structure, with no ``dim x dim`` array: with ``angular_count >= dim`` the
-    mask is the identity, so ``G = diag(g)`` (:func:`_moment_ratios`) and
+    mask is the identity, so ``G = diag(g)`` and
     ``R - 1 = blockdiag(S_p diag(g[:p]) S_p^{-1} - 1, diag(g[p:] - 1))``, whose
     norm is the larger of the block's and the tail's ``max |g[p:] - 1|``.
     The block is graded (:func:`~pseudoboson.fock._graded_norm`) against the
@@ -285,13 +294,18 @@ def resolution_of_identity(riesz: RieszMap, quad: QuadratureScheme, *, tol: floa
     the exact norm; otherwise it is exact, one SVD.  At the default
     ``tol = 0`` every value is exact, and a nan of the block or the tail
     propagates.  Warns as :func:`resolution_operator` does; an aliasing grid
-    (``angular_count < dim``) raises :class:`UnderResolvedError`."""
+    (``angular_count < dim``) raises :class:`UnderResolvedError`.
+
+    ``g[:dim]`` is read from the scheme's ``moment_ratios``; only the rows
+    past them, on a rule of fewer than ``dim / 2`` nodes, are computed
+    (:func:`_moment_ratios`), each as it would be on its own."""
     d, p = riesz.dim, riesz.block
     if quad.angular_count < d:
         raise UnderResolvedError(f"angular_count {quad.angular_count} < dim = {d}: "
                                  "angular grid aliases")
     _warn_under_resolved(quad, d)
-    g = _moment_ratios(quad.radial_t, quad.radial_log_w, d)
+    known = quad.moment_ratios[:d]
+    g = np.concatenate([known, _moment_ratios(quad.radial_t, quad.radial_log_w, d, len(known))])
     tail = np.abs(g[p:] - 1.0)
     block = (riesz.S_block * g[:p]) @ riesz.S_inv_block - np.eye(p)
     # a nan tail leaves max() at tol, and np.max propagates it

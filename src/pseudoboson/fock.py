@@ -134,14 +134,21 @@ def _graded_norm(diff: np.ndarray, denominator: float, tol: float,
     it is exact; at ``tol = 0`` every value is exact.  A non-finite ``diff``
     reads ``nan``, and the denominator is floored at ``1e-300``.  Given
     ``left``, the difference is ``[diff; left 0]``, reduced by
-    :func:`_bordered` for the exact norm."""
+    :func:`_bordered` for the exact norm, after both parts are scaled down
+    by ``2^e``, exactly, for ``e >= 0`` the binary exponent of their largest
+    entry, as in :func:`_scaled_moduli`: the QR of entries near the float
+    limit would overflow, and a norm past the float range reads ``inf``."""
     denominator = max(denominator, 1e-300)
     bound = _frobenius_norm(diff, *([] if left is None else [left])) / denominator
     if bound <= tol:
         return bound
-    if left is not None:
-        diff, left = _bordered(diff, left), None  # drop the parts before the SVD
-    return _spectral_norm(diff) / denominator
+    if left is None:
+        return _spectral_norm(diff) / denominator
+    e = max(math.frexp(max(np.abs(diff).max(initial=0.0), np.abs(left).max(initial=0.0)))[1], 0)
+    if e:  # parts below 1 are not copied
+        diff, left = diff * math.ldexp(1.0, -e), left * math.ldexp(1.0, -e)
+    diff, left = _bordered(diff, left), None  # drop the parts before the SVD
+    return _unscale(_spectral_norm(diff), e) / denominator
 
 
 def _spectral_lower_bound(X: np.ndarray) -> float:

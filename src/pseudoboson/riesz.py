@@ -14,10 +14,13 @@ and every check that reads them reads the map's blocks.
 Every map the program builds keeps the top levels, where the hard cutoff
 sits, untouched: ``S = blockdiag(S_p, 1)`` with ``p = k + 1`` for the
 projector map ``1 + i|e_k><e_k|``, ``dim - dim // 2`` for a random map,
-``0`` for the identity and ``dim`` for a dense map.  Each builder hands
-the one constructor, :func:`make_riesz_map`, only a leading block of
-``S``, so only a dense map, its own block of side ``dim``, forms a
-``dim x dim`` matrix.  A map holds only the ``p x p`` blocks of ``S``,
+``0`` for the identity and ``dim`` for a dense map.  Every map is
+packaged from the singular value decomposition of that block by one
+routine, :func:`_factored_map`: :func:`random_riesz_map` hands it the
+factors the block is built from, and :func:`make_riesz_map`, which every
+other builder calls with only a leading block of ``S``, the block's SVD.
+So only a dense map, its own block of side ``dim``, forms a ``dim x dim``
+matrix.  A map holds only the ``p x p`` blocks of ``S``,
 ``S^{-1}``, ``Theta`` and ``Theta^{-1}``, and ``_lmul``/``_rmul`` multiply by
 ``blockdiag(B, 1)`` on the block's rows or columns and copy the rest,
 where a dense product adds only exact zeros: the two agree up to the
@@ -56,7 +59,7 @@ __all__ = [
 #: Relative singular-value floor below which a map is declared singular.
 SINGULARITY_FLOOR = 1e-13
 
-#: Largest ``cond(S)`` :func:`make_riesz_map` accepts (runs allow ``config.SUITE_MAX_COND``).
+#: Largest ``cond(S)`` a map may have (runs allow ``config.SUITE_MAX_COND``).
 _COND_BUDGET = 1e12
 
 
@@ -76,7 +79,7 @@ class RieszMap:
     access.  ``frame_bounds = (A, B)`` are the squared extreme singular
     values of ``S`` (``A <= ||S f||^2 <= B`` for unit ``f``), and
     ``inverse_residual`` is ``||S S^{-1} - 1||_2`` graded against the guard
-    of :func:`make_riesz_map` (:func:`~pseudoboson.fock._graded_norm`): the
+    of :func:`_factored_map` (:func:`~pseudoboson.fock._graded_norm`): the
     Frobenius bound, at most ``sqrt(p)`` times the exact norm, when that is
     within the guard."""
 
@@ -121,14 +124,11 @@ def make_riesz_map(space: FockSpace, S_lead) -> RieszMap:
 
     The identity tail of ``S_lead`` is trimmed by an exact comparison,
     leaving the deformed block ``S[:p, :p]``, the smallest with
-    ``S = blockdiag(S[:p, :p], 1)``.  The inverse is computed once from the
+    ``S = blockdiag(S[:p, :p], 1)``.  That block is decomposed by one
     singular value decomposition (rank-revealing, so near-singularity is
-    detected rather than silently amplified), on that block only; the
-    identity outside it adds singular values 1 and is its own inverse.
-    The inverse residual ``||S_p S_p^{-1} - 1||`` is graded against the
-    guard ``default_tolerance("riesz_construction", cond)``, ``1e-12 cond``,
-    the tolerance ``verify`` grades it with: within the guard its Frobenius
-    bound certifies it with no second SVD, above it the exact norm is taken.
+    detected rather than silently amplified), and :func:`_factored_map`
+    packages it from its factors; the identity outside it adds singular
+    values 1 and is its own inverse.
 
     Parameters
     ----------
@@ -158,8 +158,23 @@ def make_riesz_map(space: FockSpace, S_lead) -> RieszMap:
         raise ValidationError("map entries must be finite")
     p = _deformed_block(S_lead != np.eye(len(S_lead)))
     S_block = S_lead[:p, :p]
-    U, sigma, Vh = np.linalg.svd(S_block)
-    spectrum = np.append(sigma, 1.0) if p < d else sigma
+    return _factored_map(space, S_block, *np.linalg.svd(S_block))
+
+
+def _factored_map(space: FockSpace, S_block: np.ndarray, U: np.ndarray, sigma: np.ndarray,
+                  Vh: np.ndarray) -> RieszMap:
+    """The map ``S = blockdiag(S_block, 1)`` packaged from the factors
+    ``S_block = U diag(sigma) Vh`` (``U``, ``Vh`` unitary, ``sigma`` positive),
+    with every check a map passes: the only place a :class:`RieszMap` is
+    built.  ``cond`` and the frame bounds are read from ``sigma`` and the
+    identity tail's singular values 1, the inverse is
+    ``Vh^dag diag(1/sigma) U^dag`` and the metric :func:`metric_operator`'s
+    ``U`` and ``sigma``.  The inverse residual ``||S_p S_p^{-1} - 1||`` is
+    graded against the guard ``default_tolerance("riesz_construction",
+    cond)``, ``1e-12 cond``, the tolerance ``verify`` grades it with: within
+    the guard its Frobenius bound certifies it with no further SVD, above it
+    the exact norm is taken.  Raises as :func:`make_riesz_map` does."""
+    spectrum = np.append(sigma, 1.0) if len(S_block) < space.dim else sigma
     s_max, s_min = float(spectrum.max()), float(spectrum.min())
     if s_max == 0.0 or s_min <= SINGULARITY_FLOOR * s_max:
         raise NotInvertibleError(
@@ -170,7 +185,7 @@ def make_riesz_map(space: FockSpace, S_lead) -> RieszMap:
         raise ConditioningError(f"cond(S) = {cond:.3e} exceeds budget {_COND_BUDGET:.3e}")
     S_inv_block = Vh.conj().T @ ((1.0 / sigma)[:, None] * U.conj().T)
     guard = default_tolerance("riesz_construction", cond)
-    residual = _graded_norm(S_block @ S_inv_block - np.eye(p), 1.0, guard)
+    residual = _graded_norm(S_block @ S_inv_block - np.eye(len(S_block)), 1.0, guard)
     if residual > guard:
         raise NotInvertibleError(
             f"inverse residual {residual:.3e} exceeds its tolerance {guard:.3e}"
@@ -188,9 +203,11 @@ def random_riesz_map(
 
     The deformed block is ``U diag(sigma) V^dag`` with Haar-like unitary
     factors from QR of seeded complex Gaussian matrices and singular
-    values spaced geometrically so that ``sigma_max / sigma_min``
-    equals ``target_cond`` exactly (up to roundoff).  ``target_cond = 1``
-    yields a random unitary.
+    values spaced geometrically from ``target_cond`` down to 1.  The map is
+    packaged from these factors (:func:`_factored_map`), with no SVD of the
+    product, so ``cond`` is ``target_cond`` and the frame bounds are
+    ``(1, target_cond^2)``, exactly.  ``target_cond = 1`` yields a random
+    unitary.
 
     ``top_margin`` levels at the top of the space are left untouched
     (default ``dim // 2``).  This is the truncation-faithful counterpart
@@ -219,8 +236,8 @@ def random_riesz_map(
         return Q * (diag / np.abs(diag))
 
     sigma = target_cond ** (np.linspace(1.0, 0.0, p))
-    block = haar_unitary() @ (sigma[:, None] * haar_unitary().conj().T)
-    return make_riesz_map(space, block)
+    U, Vh = haar_unitary(), haar_unitary().conj().T
+    return _factored_map(space, U @ (sigma[:, None] * Vh), U, sigma, Vh)
 
 
 def metric_operator(U: np.ndarray, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -279,15 +296,17 @@ def save_riesz_map(riesz: RieszMap, path: str | Path) -> None:
 def load_riesz_map(path: str | Path) -> RieszMap:
     """Load a serialized map and revalidate invertibility under
     :func:`make_riesz_map`'s budget.  A file that cannot be read or
-    parsed, or whose ``dim`` is not an integer >= 2 by the config's rule
-    (``16`` and ``16.0``, not ``16.5``, ``true`` or ``"16"``), raises
-    :class:`ValidationError` naming it."""
-    from .config import _integer  # config imports this module
+    parsed, whose ``dim`` is not an integer >= 2 by the config's rule
+    (``16`` and ``16.0``, not ``16.5``, ``true`` or ``"16"``), or one of
+    whose entries holds a part that is not a finite number by the same rule
+    (``true`` is not 1), raises :class:`ValidationError` naming it."""
+    from .config import _integer, _number  # config imports this module
 
     try:
         record = json.loads(Path(path).read_text())
         d = _integer(record["dim"], "dim", 2)
-        flat = np.array([complex(re, im) for re, im in record["entries"]])
+        flat = np.array([complex(_number(float, re, "entries"), _number(float, im, "entries"))
+                         for re, im in record["entries"]])
     except (OSError, KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise ValidationError(f"cannot load map file {path}: {exc}") from exc
     if len(flat) != d * d:

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import types
 from pathlib import Path
@@ -61,6 +62,14 @@ def in_graded_bracket(value, exact, rank):
 def random_unit_vector(rng, dim):
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def with_log_weights(quad, log_w):
+    """``quad`` with the radial log weights ``log_w``, and the moment ratios
+    its rule derives from them, as many as ``quad`` holds: a fault in the
+    weights reaches every reader of the scheme."""
+    ratios = bicoherent._moment_ratios(quad.radial_t, log_w, len(quad.moment_ratios))
+    return dataclasses.replace(quad, radial_log_w=log_w, moment_ratios=ratios)
 
 
 def with_entry(pair, op, entry, factor):

@@ -32,7 +32,7 @@ from pseudoboson import bicoherent
 from pseudoboson.algebra import _raise
 from pseudoboson.fock import _spectral_norm
 
-from conftest import in_graded_bracket
+from conftest import in_graded_bracket, with_log_weights
 
 disk2 = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
 
@@ -374,37 +374,73 @@ class TestQuadrature:
         cached = bicoherent._laguerre_rule(n)
         np.testing.assert_array_equal(cached[0], t, strict=True)
         np.testing.assert_array_equal(cached[1], log_w, strict=True)
+        np.testing.assert_array_equal(cached[2], bicoherent._moment_ratios(t, log_w, 2 * n),
+                                      strict=True)
 
     def test_cached_rule_is_shared_read_only(self):
-        t, log_w = bicoherent._laguerre_rule(33)
-        assert not t.flags.writeable and not log_w.flags.writeable
-        again = bicoherent._laguerre_rule(33)
-        assert again[0] is t and again[1] is log_w
-        # the scheme keeps the cached arrays instead of copying them
+        rule = bicoherent._laguerre_rule(33)
+        assert not any(arr.flags.writeable for arr in rule)
+        assert all(a is b for a, b in zip(bicoherent._laguerre_rule(33), rule))
+        # the scheme keeps the cached arrays, the moment ratios among them,
+        # instead of copying them
         quad = make_quadrature(33, 129)
-        assert quad.radial_t is t and quad.radial_log_w is log_w
+        assert all(a is b for a, b in zip((quad.radial_t, quad.radial_log_w,
+                                           quad.moment_ratios), rule))
+
+    @pytest.mark.parametrize("n, d", [(8, 16), (9, 16), (16, 16), (33, 64), (4, 16), (16, 64)])
+    def test_stored_ratios_are_not_recomputed(self, n, d, monkeypatch):
+        # resolution_of_identity reads g[:d] from the rule's 2n stored ratios
+        # and computes only the rows from 2n on, those of an under-resolved
+        # rule: none on a resolved one
+        quad = make_quadrature(n, 2 * d + 1)
+        ref = bicoherent._moment_ratios(quad.radial_t, quad.radial_log_w, d)
+        rows = []
+
+        def counted(t, log_w, n, start=0, take=bicoherent._radial_factors):
+            rows.extend(range(start, n))
+            return take(t, log_w, n, start)
+
+        monkeypatch.setattr(bicoherent, "_radial_factors", counted)
+        riesz = random_riesz_map(FockSpace(d), 10.0, seed=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnderResolvedWarning)
+            got = resolution_of_identity(riesz, quad)
+        assert rows == list(range(2 * n, d))
+        # the rows are independent, so reading them stored changes no bit
+        monkeypatch.undo()
+        g = np.concatenate([quad.moment_ratios[:d], ref[2 * n:]])
+        np.testing.assert_array_equal(g, ref, strict=True)
+        tail = np.abs(ref[riesz.block:] - 1.0).max()
+        block = (riesz.S_block * ref[:riesz.block]) @ riesz.S_inv_block - np.eye(riesz.block)
+        assert got == max(tail, _spectral_norm(block))
 
     def test_sweep_builds_each_order_once(self, tmp_path, monkeypatch):
         # dims 16..128 ask for 12 rules (a quarter, a half and a full rule
         # each) of 6 distinct orders, 4 to 128; each order is moment-tested
-        # once, when it is built, so the moment ratios are taken 18 times:
-        # 6 tests and the 12 reads of resolution_of_identity
+        # once, when it is built, on its 2n ratios, which the 12 reads of
+        # resolution_of_identity take from the scheme: they compute only
+        # the quarter rules' rows from 2n = dim / 2 to dim
         config = RunConfig(dim=16, map_spec=MapSpec(kind="random", seed=1),
                            z_samples=(1 + 0j,), outputs=tmp_path)
         ratios = []
 
-        def counted(*args, take=bicoherent._moment_ratios):
-            ratios.append(args[2])
-            return take(*args)
+        def counted(t, log_w, n, start=0, take=bicoherent._moment_ratios):
+            ratios.append((start, n))
+            return take(t, log_w, n, start)
 
         monkeypatch.setattr(bicoherent, "_moment_ratios", counted)
         bicoherent._laguerre_rule.cache_clear()
         convergence_study(config, [16, 32, 64, 128])
         info = bicoherent._laguerre_rule.cache_info()
         assert (info.misses, info.hits) == (6, 6)
-        assert len(ratios) == 18
-        # dim 16: each rule's test of 2n moments, then its read of 16 levels
-        assert ratios[:6] == [8, 16, 16, 16, 32, 16]
+        tests = [(0, 2 * n) for n in (4, 8, 16, 32, 64, 128)]
+        assert [r for r in ratios if r[0] == 0] == tests
+        reads = [r for r in ratios if r[0] != 0]
+        assert [(start, n) for start, n in reads if n > start] == [
+            (d // 2, d) for d in (16, 32, 64, 128)]
+        # dim 16: the quarter rule's test, then its read of rows 8 to 16;
+        # the half and full rules' tests, then their reads of no row
+        assert ratios[:6] == [(0, 8), (8, 16), (0, 16), (16, 16), (0, 32), (16, 16)]
 
     @pytest.mark.parametrize("n", [16, 64, 129])
     def test_laguerre_rule_matches_scipy(self, n):
@@ -505,7 +541,7 @@ class TestResolutionOfIdentity:
         quad = make_quadrature(33, 129)
         log_w = quad.radial_log_w.copy()
         log_w[3] = np.nan
-        bad = dataclasses.replace(quad, radial_log_w=log_w)
+        bad = with_log_weights(quad, log_w)
         assert np.isnan(resolution_of_identity(random_map64, bad, tol=tol))
 
     def test_aliasing_grid_refused(self):

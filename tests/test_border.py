@@ -53,7 +53,8 @@ from pseudoboson.algebra import _commutator_block
 from pseudoboson.fock import _spectral_lower_bound, _spectral_norm, ladder_c
 from pseudoboson.riesz import _transport
 
-from conftest import dense_displacements, held_displacements, with_disp_entry, with_entry
+from conftest import (dense_displacements, held_displacements, with_disp_entry, with_entry,
+                      with_log_weights)
 
 MAPS = {
     "identity": (lambda space: make_riesz_map(space, np.eye(0)), 0),
@@ -465,7 +466,7 @@ def with_weight_fault(quad):
     raised by ``log(1 + 1e-6)``)."""
     log_w = quad.radial_log_w.copy()
     log_w[5] += np.log1p(1e-6)
-    return dataclasses.replace(quad, radial_log_w=log_w)
+    return with_log_weights(quad, log_w)
 
 
 class TestRuleFaults:

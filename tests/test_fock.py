@@ -507,6 +507,18 @@ class TestGradedNorm:
         assert _graded_norm(X, 1.0, 1e-10) == math.inf
         assert _graded_norm(X[:1], 1.0, 1e-10, X[1:, :1]) == math.inf
 
+    @pytest.mark.parametrize("entry", [1.7e308, 1.7e306])
+    def test_tall_left_is_scaled_before_its_qr(self, entry):
+        # a left part taller than top is reduced by a QR, taken on the parts
+        # scaled down by a power of two: a norm past the float range reads
+        # inf, not the nan of an overflowing QR, and one inside it is exact
+        top, left = np.full((2, 3), entry), np.full((4, 2), entry)
+        X = np.zeros((6, 3))
+        X[:2], X[2:, :2] = top / entry, left / entry
+        exact = _spectral_norm(X) * entry
+        value = _graded_norm(top, 1.0, 1e-10, left)
+        assert value == exact if math.isinf(exact) else value == pytest.approx(exact, rel=1e-14)
+
 
 def _within_bound(X):
     """``lo <= sigma_max <= sqrt(min(m, n)) lo``, up to the SVD's own roundoff."""

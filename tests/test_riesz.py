@@ -27,6 +27,8 @@ from pseudoboson import (
     rbcs,
     save_riesz_map,
 )
+from pseudoboson import riesz as riesz_module
+from pseudoboson.config import SUITE_MAX_COND
 from pseudoboson.fock import _spectral_norm
 from pseudoboson.reports import DEFAULT_TOLERANCES, default_tolerance
 from pseudoboson.riesz import _lmul, _rmul, _transport
@@ -80,9 +82,11 @@ class TestMakeRieszMap:
     def test_leading_block_equals_dense_map(self, random_map64):
         # a dense S and its deformed block build the same map, bit for bit
         dense = make_riesz_map(random_map64.space, random_map64.S.mat)
+        block = make_riesz_map(random_map64.space, random_map64.S_block)
         for name in ("S_block", "S_inv_block", "theta_block", "theta_inv_block"):
-            np.testing.assert_array_equal(getattr(dense, name), getattr(random_map64, name))
-        assert (dense.cond, dense.frame_bounds) == (random_map64.cond, random_map64.frame_bounds)
+            np.testing.assert_array_equal(getattr(dense, name), getattr(block, name))
+        assert ((dense.cond, dense.frame_bounds, dense.inverse_residual)
+                == (block.cond, block.frame_bounds, block.inverse_residual))
 
     def test_inverse_residual(self, random_map64):
         eye = np.eye(random_map64.dim)
@@ -95,18 +99,63 @@ class TestMakeRieszMap:
 
     def test_guard_is_the_riesz_construction_tolerance(self, random_map64, monkeypatch):
         # the guard reads the tolerance table: with its base lowered below the
-        # residual the map is refused, on the exact norm of the block
+        # residual the map is refused, on the exact norm of the block, by
+        # either builder, each with the inverse of its own factors
+        S = random_map64.S_block
+        own = make_riesz_map(random_map64.space, S)
         monkeypatch.setitem(DEFAULT_TOLERANCES, "riesz_construction", (1e-30, 1))
-        S, S_inv = random_map64.S_block, random_map64.S_inv_block
-        exact = _spectral_norm(S @ S_inv - np.eye(len(S)))
-        with pytest.raises(NotInvertibleError, match=f"inverse residual {exact:.3e} exceeds"):
-            make_riesz_map(random_map64.space, S)
+        for riesz, build in ((own, lambda: make_riesz_map(random_map64.space, S)),
+                             (random_map64, lambda: random_riesz_map(random_map64.space, 10.0,
+                                                                     seed=0))):
+            exact = _spectral_norm(S @ riesz.S_inv_block - np.eye(len(S)))
+            with pytest.raises(NotInvertibleError, match=f"inverse residual {exact:.3e} exceeds"):
+                build()
 
 
 class TestRandomRieszMap:
     def test_target_cond_exact(self):
+        # read from the singular values the block is built from, not measured
         riesz = random_riesz_map(FockSpace(16), 100.0, seed=5)
-        assert riesz.cond == pytest.approx(100.0, abs=1e-8)
+        assert riesz.cond == 100.0 and riesz.frame_bounds == (1.0, 1e4)
+
+    @pytest.mark.parametrize("dim", [16, 64, 256])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_factors_agree_with_the_svd_of_the_block(self, dim, seed):
+        # packaged from its own factors, the map matches make_riesz_map's of
+        # the same block (one SVD of the product) up to 10 eps cond, relative
+        # in the spectral norm (measured: at most 4 eps cond at dim 256)
+        riesz = random_riesz_map(FockSpace(dim), 10.0, seed=seed)
+        svd = make_riesz_map(riesz.space, riesz.S_block)
+        np.testing.assert_array_equal(riesz.S_block, svd.S_block)
+        bound = 10 * np.finfo(float).eps * riesz.cond
+        for name in ("S_inv_block", "theta_block", "theta_inv_block"):
+            ref = getattr(svd, name)
+            assert _spectral_norm(getattr(riesz, name) - ref) <= bound * _spectral_norm(ref), name
+        assert riesz.cond == 10.0 and svd.cond == pytest.approx(10.0, rel=1e-13)
+
+    @pytest.mark.parametrize("dim", [16, 64, 256])
+    def test_budget_cond_accepted(self, dim):
+        # cond = SUITE_MAX_COND is within the suite's budget, and the map's
+        # cond is the requested one exactly, on every seed: none reads a few
+        # ulps above it and is refused
+        for seed in range(5):
+            spec = MapSpec(kind="random", cond=SUITE_MAX_COND, seed=seed)
+            riesz = build_map(RunConfig(dim=dim, map_spec=spec, z_samples=()))
+            assert riesz.cond == SUITE_MAX_COND
+
+    @pytest.mark.parametrize("kind, svds", [("random", 0), ("projector", 1), ("identity", 1)])
+    def test_svds_per_map(self, kind, svds, monkeypatch):
+        # a random map is packaged from the factors it is built from; every
+        # other map takes one SVD of its block
+        calls = []
+
+        def counted(*args, take=np.linalg.svd, **kwargs):
+            calls.append(args[0].shape)
+            return take(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        build_map(RunConfig(dim=64, map_spec=MapSpec(kind=kind), z_samples=()))
+        assert len(calls) == svds
 
     def test_unit_cond_gives_unitary(self):
         riesz = random_riesz_map(FockSpace(16), 1.0, seed=5)
@@ -493,6 +542,18 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="map.json"):
             load_riesz_map(path)
 
+    @pytest.mark.parametrize("entries", [
+        [[True, False], [False, False], [False, False], [True, False]],
+        [[1, 0], [0, 0], [0, True], [1, 0]],
+    ], ids=["all-booleans", "one-boolean"])
+    def test_boolean_entries_refused(self, tmp_path, entries):
+        # true is not 1: a dim-2 file of true/false entries would load as the
+        # identity; each part is a finite number by the config's rule
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps({"dim": 2, "entries": entries}))
+        with pytest.raises(ValidationError, match="map.json"):
+            load_riesz_map(path)
+
     def test_integral_float_dim_loads(self, tmp_path):
         path = tmp_path / "map.json"
         save_riesz_map(random_riesz_map(FockSpace(16), 5.0, seed=11), path)
@@ -557,8 +618,19 @@ class TestBlockRepresentation:
             tracemalloc.stop()
         assert peak < 1 << 20
 
-    def test_only_make_riesz_map_constructs_a_map(self):
-        # every map in src/ goes through the one constructor and its checks
+    def test_only_the_packager_constructs_a_map(self, monkeypatch):
+        # every map in src/ goes through the one packager and its checks, and
+        # both builders, make_riesz_map and random_riesz_map, reach it
+        reached = []
+
+        def counted(space, *factors, take=riesz_module._factored_map):
+            reached.append(space.dim)
+            return take(space, *factors)
+
+        monkeypatch.setattr(riesz_module, "_factored_map", counted)
+        make_riesz_map(FockSpace(4), np.eye(0))
+        random_riesz_map(FockSpace(6), 10.0, seed=0)
+        assert reached == [4, 6]
         src = Path(__file__).resolve().parent.parent / "src" / "pseudoboson"
         sites = []
         for path in sorted(src.glob("*.py")):
@@ -568,4 +640,4 @@ class TestBlockRepresentation:
             sites += [(path.name, owner.get(node)) for node in ast.walk(tree)
                       if isinstance(node, ast.Call) and "RieszMap" in (
                           getattr(node.func, "id", None), getattr(node.func, "attr", None))]
-        assert sites == [("riesz.py", "make_riesz_map")]
+        assert sites == [("riesz.py", "_factored_map")]
